@@ -65,7 +65,6 @@ from .policy import load_checkpoint, save_checkpoint
 from .query import build_index
 from .simulate import simulate
 from .training import (
-    BATCH_SIZE_SWEEP,
     EnvSpec,
     TrainConfig,
     policy_act_fn,
@@ -131,7 +130,7 @@ def build_parser() -> _Parser:
         "--batch-size",
         type=int,
         default=256,
-        help=f"decisions per update; sweep values {list(BATCH_SIZE_SWEEP)}",
+        help="decisions per update",
     )
     tr.add_argument("--learning-rate", type=float, default=3e-4)
     tr.set_defaults(func=_cmd_train)
@@ -275,6 +274,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
+    if args.steps < 1:
+        raise ValidationError("--steps must be >= 1")
     out = _outdir(args)
     topology = load_network(args.network)
     kind = AgentKind(args.agent)

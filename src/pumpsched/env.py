@@ -16,7 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .network import STEPS_PER_DAY, DemandSet, NetworkTopology, demands_from_rng
+from .network import (
+    DT_HOURS,
+    STEPS_PER_DAY,
+    DemandSet,
+    NetworkTopology,
+    demands_from_rng,
+)
 from .simulate import SystemState, Trajectory, step
 
 
@@ -61,7 +67,7 @@ def reward_config_for(topology: NetworkTopology) -> RewardConfig:
         )
     return RewardConfig(
         energy_min=np.zeros(topology.n_stations),
-        energy_max=rated * topology.dt_hours,
+        energy_max=rated * DT_HOURS,
     )
 
 
@@ -237,22 +243,6 @@ class PumpSchedulingEnv:
 
     # -- views ----------------------------------------------------------------
 
-    @property
-    def observation_dim(self) -> int:
-        if self._config is None or self._config.agent_kind == AgentKind.CONSTRAINT:
-            return self.topology.n_tanks
-        return self.topology.n_tanks + 1 + STEPS_PER_DAY
-
-    @property
-    def action_dim(self) -> int:
-        return self.topology.n_stations
-
-    @property
-    def t(self) -> int:
-        if self._state is None:
-            raise ValidationError("environment has not been reset")
-        return self._state.t
-
     def _observe(self) -> np.ndarray:
         caps = self.topology.caps_array()
         levels_norm = self._state.levels / caps
@@ -310,18 +300,6 @@ class FrameSkipEnv:
             done=result.done,
             info=result.info,
         )
-
-    @property
-    def observation_dim(self) -> int:
-        return self.env.observation_dim
-
-    @property
-    def action_dim(self) -> int:
-        return self.env.action_dim
-
-    @property
-    def decisions_per_episode(self) -> int:
-        return STEPS_PER_DAY // self.window
 
     def trajectory(self) -> Trajectory:
         return self.env.trajectory()

@@ -5,13 +5,17 @@ speed below a trigger level, coasting off above a release level. Margins sit
 well inside the operational band when perfect; a seeded imperfection knob
 shifts them day by day so a realistic share of archive days contains boundary
 violations.
+
+``generate_history`` records such days into a ``HistoryArchive``: day ids
+plus level, action, power, demand and tariff arrays shaped (day, step, ...),
+saved to and loaded from CSV with one row per (day, step).
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -149,69 +153,57 @@ def run_controlled_day(
     )
 
 
-@dataclass(frozen=True)
-class HistorySnapshot:
-    """One recorded step: pre-step levels plus what happened during the step."""
-
-    day: int
-    t: int
-    levels: tuple[float, ...]
-    actions: tuple[float, ...]
-    powers: tuple[float, ...]
-    demands: tuple[float, ...]
-    tariff: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryArchive:
-    """Recorded operating days, 96 snapshots each, in (day, t) order."""
+    """Recorded operating days as read-only arrays, one leading row per day.
 
-    snapshots: tuple[HistorySnapshot, ...]
+    ``days`` (D,) holds strictly increasing day ids. For every day and each
+    of its 96 steps, ``levels`` (D, 96, n_tanks) holds the tank levels before
+    the step, ``actions`` and ``powers`` (D, 96, n_stations) the commanded
+    speeds and the power drawn during it, ``demands`` (D, 96, n_zones) the
+    realized zone demands and ``tariff`` (D, 96) the energy price.
+    """
+
+    days: np.ndarray
+    levels: np.ndarray
+    actions: np.ndarray
+    powers: np.ndarray
+    demands: np.ndarray
+    tariff: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            arr = np.asarray(getattr(self, f.name))
+            arr.setflags(write=False)
+            object.__setattr__(self, f.name, arr)
 
     def validate(self) -> None:
-        if len(self.snapshots) % STEPS_PER_DAY != 0:
+        if self.days.ndim != 1:
+            raise ValidationError("archive day ids must form a 1-D array")
+        n_days = len(self.days)
+        for name in ("levels", "actions", "powers", "demands", "tariff"):
+            shape = getattr(self, name).shape
+            ndim = 2 if name == "tariff" else 3
+            if len(shape) != ndim or shape[0] != n_days:
+                raise ValidationError(
+                    f"archive {name} has shape {shape} for {n_days} days"
+                )
+            if shape[1] != STEPS_PER_DAY:
+                raise ValidationError(
+                    f"archive {name} holds {shape[1]} steps per day, "
+                    f"not whole {STEPS_PER_DAY}-step days"
+                )
+        if self.actions.shape[2] != self.powers.shape[2]:
+            raise ValidationError("archive actions and powers differ in station count")
+        backwards = np.flatnonzero(np.diff(self.days) <= 0)
+        if backwards.size:
             raise ValidationError(
-                f"archive holds {len(self.snapshots)} snapshots, "
-                f"not a whole number of {STEPS_PER_DAY}-step days"
+                f"archive ordering broken at day {self.days[backwards[0] + 1]}"
             )
-        prev: tuple[int, int] | None = None
-        for snap in self.snapshots:
-            key = (snap.day, snap.t)
-            if prev is not None and key <= prev:
-                raise ValidationError(
-                    f"archive ordering broken at day {snap.day} t {snap.t}"
-                )
-            prev = key
-        for d in range(self.n_days):
-            day_snaps = self.day_snapshots(d)
-            if [s.t for s in day_snaps] != list(range(STEPS_PER_DAY)):
-                raise ValidationError(
-                    f"day {day_snaps[0].day} is incomplete or out of order"
-                )
 
     @property
     def n_days(self) -> int:
-        return len(self.snapshots) // STEPS_PER_DAY
-
-    @property
-    def days(self) -> tuple[int, ...]:
-        return tuple(
-            self.snapshots[d * STEPS_PER_DAY].day for d in range(self.n_days)
-        )
-
-    def day_snapshots(self, day_pos: int) -> tuple[HistorySnapshot, ...]:
-        """Snapshots of the day at archive position ``day_pos`` (not day id)."""
-        return self.snapshots[day_pos * STEPS_PER_DAY : (day_pos + 1) * STEPS_PER_DAY]
-
-    def day_levels(self, day_pos: int) -> np.ndarray:
-        return np.array([s.levels for s in self.day_snapshots(day_pos)])
-
-    def day_actions(self, day_pos: int) -> np.ndarray:
-        return np.array([s.actions for s in self.day_snapshots(day_pos)])
-
-    def day_demands(self, day_pos: int) -> np.ndarray:
-        """(96, n_zones) demand realization recorded for the day."""
-        return np.array([s.demands for s in self.day_snapshots(day_pos)])
+        return len(self.days)
 
 
 def generate_history(
@@ -228,8 +220,12 @@ def generate_history(
     """
     if days <= 0:
         raise ValidationError("history must cover at least one day")
-    snapshots: list[HistorySnapshot] = []
-    levels = topology.initial_levels_array()
+    levels = np.empty((days, STEPS_PER_DAY, topology.n_tanks))
+    actions = np.empty((days, STEPS_PER_DAY, topology.n_stations))
+    powers = np.empty((days, STEPS_PER_DAY, topology.n_stations))
+    demands = np.empty((days, STEPS_PER_DAY, topology.n_zones))
+    tariff = np.empty((days, STEPS_PER_DAY))
+    start = topology.initial_levels_array()
     for day in range(days):
         demand_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(0, day))
@@ -237,24 +233,24 @@ def generate_history(
         margin_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(1, day))
         )
-        demands = demands_from_rng(topology, demand_rng)
+        day_demands = demands_from_rng(topology, demand_rng)
         margins = margins_for(topology, imperfection, margin_rng)
         controller = RuleBasedController(topology, margins)
-        traj = run_controlled_day(topology, levels, controller, demands)
-        for t in range(STEPS_PER_DAY):
-            snapshots.append(
-                HistorySnapshot(
-                    day=day,
-                    t=t,
-                    levels=tuple(float(v) for v in traj.states[t]),
-                    actions=tuple(float(v) for v in traj.actions[t]),
-                    powers=tuple(float(v) for v in traj.powers[t]),
-                    demands=tuple(float(v) for v in traj.zone_demands[t]),
-                    tariff=float(traj.tariff[t]),
-                )
-            )
-        levels = traj.states[-1]
-    archive = HistoryArchive(snapshots=tuple(snapshots))
+        traj = run_controlled_day(topology, start, controller, day_demands)
+        levels[day] = traj.states[:-1]
+        actions[day] = traj.actions
+        powers[day] = traj.powers
+        demands[day] = traj.zone_demands
+        tariff[day] = traj.tariff
+        start = traj.states[-1]
+    archive = HistoryArchive(
+        days=np.arange(days),
+        levels=levels,
+        actions=actions,
+        powers=powers,
+        demands=demands,
+        tariff=tariff,
+    )
     archive.validate()
     return archive
 
@@ -263,6 +259,9 @@ def generate_history(
 # CSV round-trip
 
 _GROUP_RE = re.compile(r"^(level|action|power|demand)_(\d+)$")
+
+# Rows converted to floats at a time: bounds the memory held as string cells.
+_PARSE_ROWS = 12 * STEPS_PER_DAY
 
 
 def _header(n_tanks: int, n_stations: int, n_zones: int) -> list[str]:
@@ -277,22 +276,29 @@ def _header(n_tanks: int, n_stations: int, n_zones: int) -> list[str]:
 
 
 def save_history(archive: HistoryArchive, path: str | Path) -> None:
+    """Write one CSV row per (day, step); floats round-trip exactly via repr."""
     archive.validate()
-    if not archive.snapshots:
+    if archive.n_days == 0:
         raise ValidationError("cannot save an empty archive")
-    first = archive.snapshots[0]
-    header = _header(len(first.levels), len(first.actions), len(first.demands))
+    header = _header(
+        archive.levels.shape[2], archive.actions.shape[2], archive.demands.shape[2]
+    )
+    table = np.concatenate(
+        [
+            archive.levels,
+            archive.actions,
+            archive.powers,
+            archive.demands,
+            archive.tariff[:, :, None],
+        ],
+        axis=2,
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for snap in archive.snapshots:
-            writer.writerow(
-                [snap.day, snap.t]
-                + [repr(v) for v in snap.levels]
-                + [repr(v) for v in snap.actions]
-                + [repr(v) for v in snap.powers]
-                + [repr(v) for v in snap.demands]
-                + [repr(snap.tariff)]
+        for day, rows in zip(archive.days.tolist(), table):
+            writer.writerows(
+                [day, t, *map(repr, row)] for t, row in enumerate(rows.tolist())
             )
 
 
@@ -309,8 +315,25 @@ def _group_counts(header: list[str]) -> tuple[int, int, int]:
     return counts["level"], counts["action"], counts["demand"]
 
 
+def _parse_rows(rows: list[list[str]], path: str | Path, first_line: int) -> np.ndarray:
+    """Rows of cells as a float array; a non-numeric cell fails with its line."""
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError as exc:
+        for lineno, row in enumerate(rows, start=first_line):
+            try:
+                [float(v) for v in row]
+            except ValueError as row_exc:
+                raise SchemaError(f"{path} row {lineno}: {row_exc}") from None
+        raise SchemaError(f"{path} row {first_line} onward: {exc}") from None
+
+
 def load_history(path: str | Path) -> HistoryArchive:
-    """Load and validate an operating archive from CSV."""
+    """Load and validate an operating archive from CSV.
+
+    Rows are converted in blocks, so memory stays close to the arrays'. A bad
+    row fails with a one-line error naming its line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -323,45 +346,57 @@ def load_history(path: str | Path) -> HistoryArchive:
             raise SchemaError(
                 f"{path}: header does not match the documented column order"
             )
-        snapshots: list[HistorySnapshot] = []
+        blocks, rows, first_line = [], [], 2
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise SchemaError(f"{path} row {lineno}: wrong column count")
-            try:
-                day = int(row[0])
-                t = int(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise SchemaError(f"{path} row {lineno}: {exc}") from None
-            ofs = 0
-            levels = tuple(values[ofs : ofs + n_tanks])
-            ofs += n_tanks
-            actions = tuple(values[ofs : ofs + n_stations])
-            ofs += n_stations
-            powers = tuple(values[ofs : ofs + n_stations])
-            ofs += n_stations
-            demands = tuple(values[ofs : ofs + n_zones])
-            ofs += n_zones
-            tariff = values[ofs]
-            if any(not np.isfinite(v) for v in values):
-                raise ValidationError(f"{path} row {lineno}: non-finite value")
-            if any(a < 0 or a > 1 for a in actions):
-                raise ValidationError(f"{path} row {lineno}: action outside [0, 1]")
-            if any(d < 0 for d in demands):
-                raise ValidationError(f"{path} row {lineno}: negative demand")
-            if tariff < 0:
-                raise ValidationError(f"{path} row {lineno}: negative tariff")
-            snapshots.append(
-                HistorySnapshot(
-                    day=day,
-                    t=t,
-                    levels=levels,
-                    actions=actions,
-                    powers=powers,
-                    demands=demands,
-                    tariff=tariff,
-                )
-            )
-    archive = HistoryArchive(snapshots=tuple(snapshots))
+            rows.append(row)
+            if len(rows) == _PARSE_ROWS:
+                blocks.append(_parse_rows(rows, path, first_line))
+                rows, first_line = [], lineno + 1
+        if rows:
+            blocks.append(_parse_rows(rows, path, first_line))
+    data = np.concatenate(blocks) if blocks else np.empty((0, len(expected)))
+
+    stamps, levels, actions, powers, demands, tariff = np.split(
+        data, np.cumsum([2, n_tanks, n_stations, n_stations, n_zones]), axis=1
+    )
+    odd = np.flatnonzero((stamps != np.floor(stamps)).any(axis=1))
+    if odd.size:
+        raise SchemaError(f"{path} row {odd[0] + 2}: day and t must be integers")
+    for bad, what in (
+        (~np.isfinite(data), "non-finite value"),
+        ((actions < 0) | (actions > 1), "action outside [0, 1]"),
+        (demands < 0, "negative demand"),
+        (tariff < 0, "negative tariff"),
+    ):
+        hit = np.flatnonzero(bad.any(axis=1))
+        if hit.size:
+            raise ValidationError(f"{path} row {hit[0] + 2}: {what}")
+
+    if len(data) % STEPS_PER_DAY:
+        raise ValidationError(
+            f"{path}: {len(data)} rows are not a whole number of "
+            f"{STEPS_PER_DAY}-step days"
+        )
+    day_ids = stamps[:, 0].reshape(-1, STEPS_PER_DAY)
+    steps = stamps[:, 1].reshape(-1, STEPS_PER_DAY)
+    broken = np.flatnonzero(
+        (day_ids != day_ids[:, :1]).any(axis=1)
+        | (steps != np.arange(STEPS_PER_DAY)).any(axis=1)
+    )
+    if broken.size:
+        raise ValidationError(
+            f"{path}: day {int(day_ids[broken[0], 0])} is incomplete or out of order"
+        )
+    per_day = (-1, STEPS_PER_DAY)
+    archive = HistoryArchive(
+        days=day_ids[:, 0].astype(np.int64),
+        levels=levels.reshape(*per_day, n_tanks),
+        actions=actions.reshape(*per_day, n_stations),
+        powers=powers.reshape(*per_day, n_stations),
+        demands=demands.reshape(*per_day, n_zones),
+        tariff=tariff.reshape(per_day),
+    )
     archive.validate()
     return archive

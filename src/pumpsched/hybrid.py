@@ -25,7 +25,7 @@ import numpy as np
 
 from .env import AgentKind, EpisodeConfig, PumpSchedulingEnv, sample_episode
 from .errors import ValidationError
-from .metrics import Bounds, _exceedance
+from .metrics import Bounds, _csv_cell, _exceedance
 from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology
 from .query import QueryIndex, recommend
 from .simulate import (
@@ -92,10 +92,14 @@ class HybridCase:
     def hull(self) -> tuple[int, int]:
         """Action window spanning all violations.
 
-        A window ending at state 96 clips to 96: there is no action 96 to
-        inject, and the during-region states hs+1..he stays inside the day.
+        Both ends clip into the day's actions 0..95. A window ending at state
+        96 clips its end to 96: there is no action 96 to inject, and the
+        during-region states hs+1..he stays inside the day. A window starting
+        at state 96 clips its start to 95, because action 95 is the only one
+        that moves state 96.
         """
-        return self.windows[0].start, min(self.windows[-1].end, STEPS_PER_DAY)
+        start = min(self.windows[0].start, STEPS_PER_DAY - 1)
+        return start, min(self.windows[-1].end, STEPS_PER_DAY)
 
 
 @dataclass
@@ -547,17 +551,15 @@ def save_strategy_report_csv(report: StrategyReport, path: str | Path) -> None:
         writer.writerow(fields)
         for name in STRATEGY_NAMES:
             for r in report.outcomes[name]:
-                writer.writerow(
-                    [
-                        name,
-                        r.case_id,
-                        r.plan.start,
-                        r.plan.end,
-                        repr(r.baseline_during_area),
-                        repr(r.hybrid_during_area),
-                        repr(r.baseline_post_area),
-                        repr(r.hybrid_post_area),
-                        "" if r.during_pct is None else repr(r.during_pct),
-                        "" if r.post_pct is None else repr(r.post_pct),
-                    ]
+                cells = (
+                    r.case_id,
+                    r.plan.start,
+                    r.plan.end,
+                    r.baseline_during_area,
+                    r.hybrid_during_area,
+                    r.baseline_post_area,
+                    r.hybrid_post_area,
+                    r.during_pct,
+                    r.post_pct,
                 )
+                writer.writerow([name] + [_csv_cell(v) for v in cells])

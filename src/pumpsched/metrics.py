@@ -19,8 +19,6 @@ from .simulate import Trajectory
 
 Bounds = tuple[np.ndarray, np.ndarray]
 
-_MAPE_FLOOR = 1e-6
-
 
 def _exceedance(levels: np.ndarray, bounds: Bounds) -> np.ndarray:
     """Distance to the nearest permissible boundary, zero inside the band."""
@@ -42,7 +40,6 @@ def area_outside_boundary(
     bounds: Bounds,
     first_state: int = 1,
     last_state: int | None = None,
-    dt_hours: float = DT_HOURS,
 ) -> float:
     """Integrated out-of-band level distance, in metre-hours.
 
@@ -51,7 +48,7 @@ def area_outside_boundary(
     """
     first, last = _state_slice(first_state, last_state)
     exceed = _exceedance(traj.states[first : last + 1], bounds)
-    return float(exceed.sum() * dt_hours)
+    return float(exceed.sum() * DT_HOURS)
 
 
 def violation_count(
@@ -69,23 +66,6 @@ def violation_count(
 def episode_cost(traj: Trajectory) -> float:
     """Total tariff-weighted energy cost of the day."""
     return float(traj.costs.sum())
-
-
-def mape(sim: Trajectory, ref: Trajectory) -> tuple[np.ndarray, float]:
-    """Mean absolute percentage error of levels, per tank and overall.
-
-    Evaluated on states t=1..96; denominators are floored at 1e-6 to keep
-    near-empty reference tanks from exploding the ratio.
-    """
-    if sim.states.shape != ref.states.shape:
-        raise ValidationError(
-            f"trajectory shapes differ: {sim.states.shape} vs {ref.states.shape}"
-        )
-    s = sim.states[1:]
-    r = ref.states[1:]
-    denom = np.maximum(np.abs(r), _MAPE_FLOOR)
-    per_tank = np.mean(np.abs(s - r) / denom, axis=0) * 100.0
-    return per_tank, float(per_tank.mean())
 
 
 @dataclass(frozen=True)
@@ -194,6 +174,11 @@ _COMPARISON_FIELDS = [
 ]
 
 
+def _csv_cell(value) -> str:
+    """A CSV cell that round-trips exactly: repr of the value, empty for None."""
+    return "" if value is None else repr(value)
+
+
 def comparison_to_dicts(rows: list[ComparisonRow]) -> list[dict]:
     return [{f: getattr(row, f) for f in _COMPARISON_FIELDS} for row in rows]
 
@@ -204,15 +189,8 @@ def save_comparison_csv(rows: list[ComparisonRow], path: str | Path) -> None:
         writer.writerow(_COMPARISON_FIELDS)
         for row in rows:
             writer.writerow(
-                [
-                    row.label,
-                    repr(row.mean_area),
-                    repr(row.mean_count),
-                    repr(row.mean_cost),
-                    "" if row.area_improvement_pct is None else repr(row.area_improvement_pct),
-                    "" if row.count_improvement_pct is None else repr(row.count_improvement_pct),
-                    "" if row.cost_delta_pct is None else repr(row.cost_delta_pct),
-                ]
+                [row.label]
+                + [_csv_cell(getattr(row, f)) for f in _COMPARISON_FIELDS[1:]]
             )
 
 

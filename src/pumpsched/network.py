@@ -9,7 +9,7 @@ A day is resolved into 96 quarter-hour steps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,14 @@ STATION_COUNT = 6
 ZONE_COUNT = 18
 
 
+def _check_finite(spec, label: str) -> None:
+    """Reject a non-finite value in any float field of a spec dataclass."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValidationError(f"{label}: {f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class TankSpec:
     """A storage tank with a physical capacity and an operational band."""
@@ -37,6 +45,7 @@ class TankSpec:
     initial_level: float
 
     def validate(self) -> None:
+        _check_finite(self, f"tank {self.id}")
         if not self.surface_area > 0:
             raise ValidationError(f"tank {self.id}: surface_area must be > 0")
         if not self.level_max_physical > 0:
@@ -67,6 +76,7 @@ class PumpStationSpec:
     draws_from: str | None = None
 
     def validate(self) -> None:
+        _check_finite(self, f"station {self.id}")
         if not self.max_flow > 0:
             raise ValidationError(f"station {self.id}: max_flow must be > 0")
         if self.rated_power < 0:
@@ -109,6 +119,7 @@ class DemandZoneSpec:
     noise_scale: float
 
     def validate(self) -> None:
+        _check_finite(self, f"zone {self.id}")
         if self.base_demand < 0:
             raise ValidationError(f"zone {self.id}: base_demand must be >= 0")
         if self.morning_peak < 0 or self.evening_peak < 0:
@@ -142,13 +153,15 @@ class TariffSchedule:
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """The lumped network: tanks, stations, zones, tariff, step size."""
+    """The lumped network: tanks, stations, zones, tariff.
+
+    The step size is fixed at ``DT_HOURS``: a day is always 96 quarter hours.
+    """
 
     tanks: tuple[TankSpec, ...]
     stations: tuple[PumpStationSpec, ...]
     zones: tuple[DemandZoneSpec, ...]
     tariff: TariffSchedule
-    dt_hours: float = DT_HOURS
 
     def validate(self) -> None:
         if not self.tanks:
@@ -157,8 +170,6 @@ class NetworkTopology:
             raise ValidationError("topology: at least one station is required")
         if not self.zones:
             raise ValidationError("topology: at least one zone is required")
-        if not self.dt_hours > 0:
-            raise ValidationError("topology: dt_hours must be > 0")
         seen: set[str] = set()
         for tank in self.tanks:
             tank.validate()
@@ -249,10 +260,6 @@ class DemandSet:
         """(n_zones, 96) demand array."""
         return self.values
 
-    def total_volume(self, dt_hours: float = DT_HOURS) -> float:
-        """Total delivered volume over the day in cubic metres."""
-        return float(self.values.sum() * dt_hours)
-
 
 # ----------------------------------------------------------------------------
 # JSON serialization
@@ -309,7 +316,7 @@ def _zone_from_dict(obj: dict, pos: int) -> DemandZoneSpec:
 
 def topology_to_dict(topology: NetworkTopology) -> dict:
     return {
-        "dt_hours": topology.dt_hours,
+        "dt_hours": DT_HOURS,
         "tanks": [
             {
                 "id": t.id,
@@ -350,12 +357,22 @@ def topology_from_dict(obj: dict) -> NetworkTopology:
     for key in ("tanks", "stations", "zones", "tariff"):
         if key not in obj:
             raise SchemaError(f"network document: missing top-level key {key!r}")
+        if not isinstance(obj[key], list):
+            raise SchemaError(f"network document: {key!r} must be a list")
+    dt_hours = obj.get("dt_hours", DT_HOURS)
+    if dt_hours != DT_HOURS:
+        raise SchemaError(
+            f"network document: dt_hours must be {DT_HOURS} (got {dt_hours!r})"
+        )
+    try:
+        tariff = TariffSchedule(values=tuple(float(v) for v in obj["tariff"]))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"tariff: {exc}") from None
     topology = NetworkTopology(
         tanks=tuple(_tank_from_dict(t, i) for i, t in enumerate(obj["tanks"])),
         stations=tuple(_station_from_dict(s, i) for i, s in enumerate(obj["stations"])),
         zones=tuple(_zone_from_dict(z, i) for i, z in enumerate(obj["zones"])),
-        tariff=TariffSchedule(values=tuple(float(v) for v in obj["tariff"])),
-        dt_hours=float(obj.get("dt_hours", DT_HOURS)),
+        tariff=tariff,
     )
     topology.validate()
     return topology

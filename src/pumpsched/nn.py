@@ -82,27 +82,6 @@ class MLP:
                 grad = (grad @ self.weights[i].T) * (1.0 - activations[i] ** 2)
         return grad_w, grad_b
 
-    def copy(self) -> "MLP":
-        return MLP(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-
-def flatten_params(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def unflatten_params(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    ofs = 0
-    for a in like:
-        out.append(flat[ofs : ofs + a.size].reshape(a.shape))
-        ofs += a.size
-    if ofs != flat.size:
-        raise ValidationError("flat parameter vector has the wrong length")
-    return out
-
 
 class Adam:
     """Standard Adam over a list of parameter arrays."""

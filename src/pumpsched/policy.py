@@ -38,13 +38,6 @@ class PolicyParameters:
     def action_dim(self) -> int:
         return self.actor.sizes[-1]
 
-    def copy(self) -> "PolicyParameters":
-        return PolicyParameters(
-            actor=self.actor.copy(),
-            log_sigma=self.log_sigma.copy(),
-            critic=self.critic.copy(),
-        )
-
     def arrays(self) -> list[np.ndarray]:
         """Flat list view in a fixed order (actor, log_sigma, critic)."""
         return (
@@ -136,20 +129,6 @@ def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray)
     return per_dim.sum(axis=1)
 
 
-def sample_action(
-    params: PolicyParameters, obs: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Draw an action; the executed action is clipped into [0, 1].
-
-    The returned log-probability belongs to the unclipped Gaussian draw, which
-    is what the surrogate objective needs.
-    """
-    mean, sigma, _ = policy_forward(params, obs)
-    raw = mean + sigma * rng.standard_normal(params.action_dim)
-    logp = float(gaussian_logp(raw, mean, params.log_sigma)[0])
-    return np.clip(raw, 0.0, 1.0), logp
-
-
 def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
     """Greedy action: the clipped actor mean."""
     mean, _, _ = policy_forward(params, obs)
@@ -162,20 +141,7 @@ def entropy(params: PolicyParameters) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Gradient surfaces (shared by the PPO update and the finite-difference tests)
-
-
-def critic_values_and_grads(
-    params: PolicyParameters, obs: np.ndarray, grad_values: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Values plus d(sum(grad_values * value))/d(critic weights, biases)."""
-    arr = np.atleast_2d(_check_obs(params, obs))
-    out, acts = params.critic.forward(arr)
-    grad = np.atleast_1d(np.asarray(grad_values, dtype=float)).reshape(-1, 1)
-    if grad.shape[0] != arr.shape[0]:
-        raise ValidationError("grad_values must have one entry per observation")
-    gw, gb = params.critic.backward(acts, grad)
-    return out[:, 0], gw, gb
+# Gradient surface (shared by the PPO update and the finite-difference tests)
 
 
 def actor_logp_and_grads(

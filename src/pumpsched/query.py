@@ -8,13 +8,11 @@ Euclidean distance. Ties go to the most recent day.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .history import HistoryArchive
 from .network import DT_HOURS, DemandSet, NetworkTopology
 
@@ -53,14 +51,16 @@ def _raw_features(
     return np.concatenate([levels, [volume], demand_total])
 
 
-def _demand_feature(
-    day_demands: np.ndarray, per_zone: bool, dt_hours: float
-) -> np.ndarray:
-    """Forecast volume ahead: one total by default, per-zone when configured."""
-    per_zone_volume = day_demands.sum(axis=0) * dt_hours  # (n_zones,)
+def _demand_feature(day_demands: np.ndarray, per_zone: bool) -> np.ndarray:
+    """Forecast volume ahead from (..., 96, n_zones) demands.
+
+    One total by default, per-zone volumes when configured; leading axes
+    (archive days) carry through.
+    """
+    per_zone_volume = day_demands.sum(axis=-2) * DT_HOURS
     if per_zone:
         return per_zone_volume
-    return np.array([per_zone_volume.sum()])
+    return per_zone_volume.sum(axis=-1, keepdims=True)
 
 
 def build_index(
@@ -75,21 +75,17 @@ def build_index(
     archive.validate()
     if archive.n_days < 2:
         raise ValidationError("query index needs at least two archived days")
-    areas = topology.areas_array()
     n_tanks = topology.n_tanks
-
-    rows = []
-    schedules = []
-    for pos in range(archive.n_days):
-        levels = archive.day_levels(pos)[0]
-        if levels.shape[0] != n_tanks:
-            raise ValidationError("archive tank count does not match topology")
-        demand = _demand_feature(
-            archive.day_demands(pos), per_zone_demand, topology.dt_hours
-        )
-        rows.append(_raw_features(levels, demand, areas))
-        schedules.append(archive.day_actions(pos))
-    raw = np.array(rows)
+    if archive.levels.shape[2] != n_tanks:
+        raise ValidationError("archive tank count does not match topology")
+    areas = topology.areas_array()
+    demand = _demand_feature(archive.demands, per_zone_demand)
+    raw = np.array(
+        [
+            _raw_features(levels, day_demand, areas)
+            for levels, day_demand in zip(archive.levels[:, 0], demand)
+        ]
+    )
 
     names = (
         tuple(f"level_{i + 1}" for i in range(n_tanks))
@@ -115,8 +111,8 @@ def build_index(
         mins=mins,
         maxs=maxs,
         normalized=normalized,
-        days=archive.days,
-        schedules=np.array(schedules),
+        days=tuple(archive.days.tolist()),
+        schedules=archive.actions,
         surface_areas=areas,
         per_zone_demand=per_zone_demand,
     )
@@ -126,7 +122,6 @@ def recommend(
     index: QueryIndex,
     levels: np.ndarray,
     demand_forecast: DemandSet | np.ndarray,
-    dt_hours: float = DT_HOURS,
 ) -> QueryResult:
     """Nearest archived day for the given start levels and demand forecast.
 
@@ -141,7 +136,7 @@ def recommend(
         day_demands = demand_forecast.as_array().T  # (96, n_zones)
     else:
         day_demands = np.asarray(demand_forecast, dtype=float)
-    demand = _demand_feature(day_demands, index.per_zone_demand, dt_hours)
+    demand = _demand_feature(day_demands, index.per_zone_demand)
     raw = _raw_features(levels, demand, index.surface_areas)
     if raw.shape != index.mins.shape:
         raise ValidationError("query feature width does not match the index")
@@ -159,69 +154,3 @@ def recommend(
         distance=float(dists[best]),
         schedule=index.schedules[best].copy(),
     )
-
-
-class QueryRecommender:
-    """Retrieval-style wrapper: fit on an archive, recommend for a query."""
-
-    def __init__(self, per_zone_demand: bool = False):
-        self.per_zone_demand = per_zone_demand
-        self.index_: QueryIndex | None = None
-
-    def fit(
-        self, topology: NetworkTopology, archive: HistoryArchive
-    ) -> "QueryRecommender":
-        self.index_ = build_index(topology, archive, self.per_zone_demand)
-        return self
-
-    def recommend(
-        self, levels: np.ndarray, demand_forecast: DemandSet | np.ndarray
-    ) -> QueryResult:
-        if self.index_ is None:
-            raise ValidationError("fit the recommender before querying")
-        return recommend(self.index_, levels, demand_forecast)
-
-
-# ----------------------------------------------------------------------------
-# JSON round-trip
-
-
-def index_to_dict(index: QueryIndex) -> dict:
-    return {
-        "feature_names": list(index.feature_names),
-        "mins": index.mins.tolist(),
-        "maxs": index.maxs.tolist(),
-        "normalized": index.normalized.tolist(),
-        "days": list(index.days),
-        "schedules": index.schedules.tolist(),
-        "surface_areas": index.surface_areas.tolist(),
-        "per_zone_demand": index.per_zone_demand,
-    }
-
-
-def index_from_dict(obj: dict) -> QueryIndex:
-    try:
-        return QueryIndex(
-            feature_names=tuple(obj["feature_names"]),
-            mins=np.asarray(obj["mins"], dtype=float),
-            maxs=np.asarray(obj["maxs"], dtype=float),
-            normalized=np.asarray(obj["normalized"], dtype=float),
-            days=tuple(int(d) for d in obj["days"]),
-            schedules=np.asarray(obj["schedules"], dtype=float),
-            surface_areas=np.asarray(obj["surface_areas"], dtype=float),
-            per_zone_demand=bool(obj["per_zone_demand"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"query index document: {exc}") from None
-
-
-def save_index(index: QueryIndex, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(index_to_dict(index)) + "\n")
-
-
-def load_index(path: str | Path) -> QueryIndex:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    return index_from_dict(obj)

@@ -8,15 +8,13 @@ the shift predictor used by the hybrid scheduler.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .network import STEPS_PER_DAY, DemandSet, NetworkTopology
+from .network import DT_HOURS, STEPS_PER_DAY, DemandSet, NetworkTopology
 
 
 @dataclass(frozen=True)
@@ -78,15 +76,8 @@ class Trajectory:
             arr.setflags(write=False)
             setattr(self, name, arr)
 
-    @property
-    def levels(self) -> np.ndarray:
-        return self.states
-
     def any_clamped(self) -> bool:
         return bool(self.clamp_flags.any())
-
-    def total_cost(self) -> float:
-        return float(self.costs.sum())
 
 
 class _Compiled:
@@ -108,24 +99,11 @@ class _Compiled:
             self.zone_to_tank[topology.tank_index(zone.served_by), k] = 1.0
         self.areas = topology.areas_array()
         self.caps = topology.caps_array()
-        self.dt = topology.dt_hours
 
 
 @lru_cache(maxsize=32)
 def _compiled(topology: NetworkTopology) -> _Compiled:
     return _Compiled(topology)
-
-
-def pump_flow(station_max_flow: float, speed: float) -> float:
-    """Flow scales linearly with speed."""
-    _check_speed(speed)
-    return station_max_flow * speed
-
-
-def pump_power(station_rated_power: float, speed: float) -> float:
-    """Power follows the cubic affinity law."""
-    _check_speed(speed)
-    return station_rated_power * speed**3
 
 
 def _check_speed(speed) -> None:
@@ -173,13 +151,13 @@ def step(
 
     flows = c.max_flow * action
     powers = c.rated_power * action**3
-    energies = powers * c.dt
+    energies = powers * DT_HOURS
     cost = float(energies.sum() * tariff_t)
 
     inflow = c.fill.T @ flows
     outflow = c.draw.T @ flows
     tank_demand = c.zone_to_tank @ demands
-    raw = levels + c.dt * (inflow - outflow - tank_demand) / c.areas
+    raw = levels + DT_HOURS * (inflow - outflow - tank_demand) / c.areas
     if not np.all(np.isfinite(raw)):
         raise NumericError("non-finite level update")
     clamped = np.clip(raw, 0.0, c.caps)
@@ -296,31 +274,3 @@ def shift_valid(base: Trajectory, delta_levels: np.ndarray) -> bool:
         return False
     shifted = base.states + delta
     return bool(np.all(shifted > 0.0) and np.all(shifted < base.level_caps))
-
-
-def export_trajectory_csv(traj: Trajectory, path: str | Path, day: int = 0) -> None:
-    """Write a trajectory using the history CSV column convention plus cost."""
-    n_t = traj.states.shape[1]
-    n_s = traj.actions.shape[1]
-    n_z = traj.zone_demands.shape[1]
-    header = (
-        ["day", "t"]
-        + [f"level_{i + 1}" for i in range(n_t)]
-        + [f"action_{j + 1}" for j in range(n_s)]
-        + [f"power_{j + 1}" for j in range(n_s)]
-        + [f"demand_{k + 1}" for k in range(n_z)]
-        + ["tariff", "cost"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(STEPS_PER_DAY):
-            row = (
-                [day, t]
-                + [repr(float(v)) for v in traj.states[t]]
-                + [repr(float(v)) for v in traj.actions[t]]
-                + [repr(float(v)) for v in traj.powers[t]]
-                + [repr(float(v)) for v in traj.zone_demands[t]]
-                + [repr(float(traj.tariff[t])), repr(float(traj.costs[t]))]
-            )
-            writer.writerow(row)

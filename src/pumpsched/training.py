@@ -28,9 +28,6 @@ from .policy import (
     init_policy,
 )
 
-BATCH_SIZE_SWEEP = (192, 256, 512, 1024)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyper-parameters for the clipped-surrogate trainer."""

@@ -144,11 +144,9 @@ def test_observation_dimensions(world):
     env = PumpSchedulingEnv(world)
     obs = env.reset(_config(world, AgentKind.CONSTRAINT))
     assert obs.shape == (6,)
-    assert env.observation_dim == 6
 
     obs = env.reset(_config(world, AgentKind.DUAL))
     assert obs.shape == (103,)
-    assert env.observation_dim == 103
 
 
 def test_levels_normalized_by_physical_cap(world):
@@ -228,7 +226,6 @@ def test_trajectory_matches_simulator(world):
 
 def test_frame_skip_decision_count(world):
     env = FrameSkipEnv(PumpSchedulingEnv(world), 8)
-    assert env.decisions_per_episode == 12
     env.reset(_config(world, AgentKind.DUAL, frame_skip=8))
     steps = 0
     done = False

@@ -3,6 +3,7 @@ import pytest
 
 from pumpsched import (
     DEFAULT_IMPERFECTION,
+    DemandSet,
     RuleBasedController,
     ValidationError,
     generate_demands,
@@ -17,6 +18,15 @@ from pumpsched.errors import SchemaError
 from pumpsched.history import DUTY_SPEED, HistoryArchive
 from pumpsched.metrics import area_outside_boundary, violation_count
 from pumpsched.network import STEPS_PER_DAY
+
+ARCHIVE_ARRAYS = ("days", "levels", "actions", "powers", "demands", "tariff")
+
+
+def _assert_same_archive(a: HistoryArchive, b: HistoryArchive) -> None:
+    for name in ARCHIVE_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
 
 
 def test_perfect_margins_sit_inside_band(world):
@@ -98,36 +108,45 @@ def test_perfect_margins_keep_day_in_band(world):
 def test_generate_history_shape_and_carry_over(world):
     archive = generate_history(world, days=3, seed=6)
     assert archive.n_days == 3
-    assert archive.days == (0, 1, 2)
+    assert archive.days.tolist() == [0, 1, 2]
+    assert archive.levels.shape == (3, STEPS_PER_DAY, world.n_tanks)
+    assert archive.actions.shape == (3, STEPS_PER_DAY, world.n_stations)
+    assert archive.powers.shape == (3, STEPS_PER_DAY, world.n_stations)
+    assert archive.demands.shape == (3, STEPS_PER_DAY, world.n_zones)
+    assert archive.tariff.shape == (3, STEPS_PER_DAY)
     # Levels carry across midnight: day n+1 starts one step after day n's
-    # recorded end, so replaying day n's last action from its last snapshot
-    # must land on day n+1's first snapshot.
-    assert len(archive.snapshots) == 3 * STEPS_PER_DAY
+    # recorded end, so replaying day n from its first level must land on
+    # day n+1's first level.
+    for pos in range(2):
+        traj = simulate(
+            world,
+            archive.levels[pos, 0],
+            archive.actions[pos],
+            DemandSet(tuple(z.id for z in world.zones), archive.demands[pos].T),
+        )
+        np.testing.assert_allclose(
+            traj.states[-1], archive.levels[pos + 1, 0], atol=1e-9
+        )
 
 
 def test_generate_history_deterministic(world):
     a = generate_history(world, days=2, seed=9)
     b = generate_history(world, days=2, seed=9)
-    assert a == b
+    _assert_same_archive(a, b)
 
 
 def test_perfect_history_has_no_violations(world):
     archive = generate_history(world, days=5, seed=2, imperfection=0.0)
     lb, ub = world.bounds_arrays()
-    for pos in range(archive.n_days):
-        levels = archive.day_levels(pos)
-        assert np.all(levels >= lb - 1e-12)
-        assert np.all(levels <= ub + 1e-12)
+    assert np.all(archive.levels >= lb - 1e-12)
+    assert np.all(archive.levels <= ub + 1e-12)
 
 
 def test_default_imperfection_produces_violating_days(world):
     archive = generate_history(world, days=20, seed=42)
     lb, ub = world.bounds_arrays()
-    violating = 0
-    for pos in range(archive.n_days):
-        levels = archive.day_levels(pos)
-        if np.any(levels < lb) or np.any(levels > ub):
-            violating += 1
+    outside = (archive.levels < lb) | (archive.levels > ub)
+    violating = int(outside.any(axis=(1, 2)).sum())
     assert 0 < violating < archive.n_days
     assert DEFAULT_IMPERFECTION == pytest.approx(0.57)
 
@@ -135,18 +154,13 @@ def test_default_imperfection_produces_violating_days(world):
 def test_replaying_recorded_actions_reproduces_levels(world):
     archive = generate_history(world, days=4, seed=13)
     for pos in range(archive.n_days):
-        recorded_levels = archive.day_levels(pos)
-        actions = archive.day_actions(pos)
-        demands = archive.day_demands(pos)
-        from pumpsched import DemandSet
-
         traj = simulate(
             world,
-            recorded_levels[0],
-            actions,
-            DemandSet(tuple(z.id for z in world.zones), demands.T),
+            archive.levels[pos, 0],
+            archive.actions[pos],
+            DemandSet(tuple(z.id for z in world.zones), archive.demands[pos].T),
         )
-        np.testing.assert_allclose(traj.states[:-1], recorded_levels, atol=1e-9)
+        np.testing.assert_allclose(traj.states[:-1], archive.levels[pos], atol=1e-9)
 
 
 def test_history_csv_round_trip(tmp_path, world):
@@ -154,7 +168,9 @@ def test_history_csv_round_trip(tmp_path, world):
     path = tmp_path / "history.csv"
     save_history(archive, path)
     again = load_history(path)
-    assert again == archive
+    _assert_same_archive(again, archive)
+    save_history(again, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     header = path.read_text().splitlines()[0].split(",")
     assert header[:2] == ["day", "t"]
@@ -166,30 +182,24 @@ def test_history_csv_round_trip(tmp_path, world):
 
 
 def test_partial_day_rejected():
-    from pumpsched.history import HistorySnapshot
-
-    snaps = tuple(
-        HistorySnapshot(
-            day=0,
-            t=t,
-            levels=(4.0,),
-            actions=(0.5,),
-            powers=(10.0,),
-            demands=(5.0,),
-            tariff=0.1,
-        )
-        for t in range(40)
+    partial = HistoryArchive(
+        days=np.array([0]),
+        levels=np.full((1, 40, 1), 4.0),
+        actions=np.full((1, 40, 1), 0.5),
+        powers=np.full((1, 40, 1), 10.0),
+        demands=np.full((1, 40, 1), 5.0),
+        tariff=np.full((1, 40), 0.1),
     )
-    with pytest.raises(ValidationError, match="whole number"):
-        HistoryArchive(snapshots=snaps).validate()
+    with pytest.raises(ValidationError, match="whole"):
+        partial.validate()
 
 
 def test_misordered_archive_rejected(world):
     archive = generate_history(world, days=2, seed=5)
     shuffled = HistoryArchive(
-        snapshots=archive.snapshots[STEPS_PER_DAY:] + archive.snapshots[:STEPS_PER_DAY]
+        **{name: getattr(archive, name)[::-1] for name in ARCHIVE_ARRAYS}
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="ordering"):
         shuffled.validate()
 
 
@@ -213,10 +223,47 @@ def test_load_history_rejects_bad_rows(tmp_path, world):
 
     bad = tmp_path / "short_row.csv"
     bad.write_text("\n".join([lines[0], lines[1].rsplit(",", 1)[0]] + lines[2:]) + "\n")
-    with pytest.raises(SchemaError, match="column count"):
+    with pytest.raises(SchemaError, match="row 2: wrong column count"):
+        load_history(bad)
+
+    bad = tmp_path / "text_cell.csv"
+    row = lines[4].split(",")
+    row[3] = "high"
+    bad.write_text("\n".join(lines[:4] + [",".join(row)] + lines[5:]) + "\n")
+    with pytest.raises(SchemaError, match="row 5: could not convert"):
+        load_history(bad)
+
+    for column, value, message in (
+        (2, "nan", "non-finite value"),
+        (2 + 6 + 6 + 6, "-1.0", "negative demand"),
+        (-1, "-0.5", "negative tariff"),
+    ):
+        bad = tmp_path / "bad_value.csv"
+        row = lines[7].split(",")
+        row[column] = value
+        bad.write_text("\n".join(lines[:7] + [",".join(row)] + lines[8:]) + "\n")
+        with pytest.raises(ValidationError, match=f"row 8: {message}"):
+            load_history(bad)
+
+    bad = tmp_path / "swapped_rows.csv"
+    bad.write_text("\n".join([lines[0], lines[2], lines[1]] + lines[3:]) + "\n")
+    with pytest.raises(ValidationError, match="out of order"):
+        load_history(bad)
+
+    bad = tmp_path / "missing_row.csv"
+    bad.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValidationError, match="whole number"):
         load_history(bad)
 
 
 def test_save_history_refuses_empty(tmp_path):
+    empty = HistoryArchive(
+        days=np.zeros(0, dtype=np.int64),
+        levels=np.zeros((0, STEPS_PER_DAY, 1)),
+        actions=np.zeros((0, STEPS_PER_DAY, 1)),
+        powers=np.zeros((0, STEPS_PER_DAY, 1)),
+        demands=np.zeros((0, STEPS_PER_DAY, 1)),
+        tariff=np.zeros((0, STEPS_PER_DAY)),
+    )
     with pytest.raises(ValidationError):
-        save_history(HistoryArchive(snapshots=()), tmp_path / "x.csv")
+        save_history(empty, tmp_path / "x.csv")

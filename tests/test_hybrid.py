@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from pumpsched import (
     HybridCase,
     InjectionPlan,
     ValidationError,
+    ViolationWindow,
     build_case_pool,
     build_index,
     detect_violations,
@@ -206,6 +208,23 @@ def test_targeted_plan_covers_the_hull(world, case_pool, report):
         assert outcome.plan.start == case.hull[0]
         assert outcome.plan.end == case.hull[1]
         assert outcome.during_states == (case.hull[0] + 1, case.hull[1])
+
+
+def test_final_state_only_violation_injects_last_action(world, case_pool):
+    # Only action 95 can move state 96, so the hull starts there.
+    case = dataclasses.replace(
+        case_pool[0],
+        windows=(
+            ViolationWindow(start=STEPS_PER_DAY, end=STEPS_PER_DAY + 1, tanks=(0,)),
+        ),
+    )
+    assert case.hull == (STEPS_PER_DAY - 1, STEPS_PER_DAY)
+    report = evaluate_strategies(world, [case], _mid_band_act_fn(world))
+    for name in ("targeted", "dynamic_end"):
+        (outcome,) = report.outcomes[name]
+        assert (outcome.plan.start, outcome.plan.end) == case.hull
+        assert outcome.during_states == (STEPS_PER_DAY, STEPS_PER_DAY)
+        assert outcome.post_states is None
 
 
 def test_dynamic_end_never_worse_during(report):

@@ -10,7 +10,6 @@ from pumpsched import (
     area_outside_boundary,
     compare,
     episode_cost,
-    mape,
     simulate,
     violation_count,
 )
@@ -104,46 +103,6 @@ def test_episode_cost_flat_tariff(tiny_world, zero_demands):
     flat = np.full(STEPS_PER_DAY, 0.1)
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands, tariff=flat)
     assert episode_cost(traj) == pytest.approx(480.0, abs=1e-9)
-
-
-def test_mape_identical_is_zero():
-    states = np.full((STEPS_PER_DAY + 1, 2), 3.0)
-    traj = _traj_from_states(states)
-    per_tank, overall = mape(traj, traj)
-    np.testing.assert_array_equal(per_tank, np.zeros(2))
-    assert overall == 0.0
-
-
-def test_mape_ten_percent():
-    ref = _traj_from_states(np.full((STEPS_PER_DAY + 1, 1), 2.0))
-    sim = _traj_from_states(np.full((STEPS_PER_DAY + 1, 1), 2.2))
-    per_tank, overall = mape(sim, ref)
-    assert per_tank[0] == pytest.approx(10.0, abs=1e-9)
-    assert overall == pytest.approx(10.0, abs=1e-9)
-
-
-def test_mape_uses_reference_denominator():
-    a = _traj_from_states(np.full((STEPS_PER_DAY + 1, 1), 2.0))
-    b = _traj_from_states(np.full((STEPS_PER_DAY + 1, 1), 2.2))
-    _, forward = mape(b, a)
-    _, backward = mape(a, b)
-    assert forward == pytest.approx(10.0, abs=1e-9)
-    assert backward == pytest.approx(100.0 * 0.2 / 2.2, abs=1e-9)
-
-
-def test_mape_floors_near_empty_reference():
-    ref = _traj_from_states(np.zeros((STEPS_PER_DAY + 1, 1)))
-    sim = _traj_from_states(np.full((STEPS_PER_DAY + 1, 1), 1e-7))
-    _, overall = mape(sim, ref)
-    assert np.isfinite(overall)
-    assert overall == pytest.approx(10.0, abs=1e-6)  # 1e-7 over the 1e-6 floor
-
-
-def test_mape_shape_mismatch():
-    a = _traj_from_states(np.zeros((STEPS_PER_DAY + 1, 1)))
-    b = _traj_from_states(np.zeros((STEPS_PER_DAY + 1, 2)))
-    with pytest.raises(ValidationError):
-        mape(a, b)
 
 
 def _pool(label, area, count, cost):

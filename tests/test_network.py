@@ -8,6 +8,7 @@ from pumpsched import (
     DemandZoneSpec,
     TankSpec,
     TariffSchedule,
+    SchemaError,
     ValidationError,
     generate_demands,
     generate_synthetic_network,
@@ -89,6 +90,7 @@ def test_network_json_round_trip(tmp_path, world):
     save_network(world, path)
     again = load_network(path)
     assert topology_to_dict(again) == topology_to_dict(world)
+    assert json.loads(path.read_text())["dt_hours"] == 0.25
 
 
 def test_load_network_reports_bad_bounds(tmp_path, world):
@@ -97,6 +99,28 @@ def test_load_network_reports_bad_bounds(tmp_path, world):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(ValidationError, match=world.tanks[2].id):
+        load_network(path)
+
+
+@pytest.mark.parametrize(
+    "where, value, error",
+    [
+        (("tariff", 5), "cheap", SchemaError),
+        (("tanks",), 5, SchemaError),
+        (("stations", 0, "max_flow"), float("inf"), ValidationError),
+        (("dt_hours",), 1.0, SchemaError),
+    ],
+    ids=["text_tariff", "tanks_not_a_list", "infinite_max_flow", "hourly_dt"],
+)
+def test_load_network_rejects_malformed_documents(tmp_path, world, where, value, error):
+    obj = topology_to_dict(world)
+    target = obj
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(error):
         load_network(path)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from pumpsched import (
     PolicyParameters,
+    TrainConfig,
     init_policy,
     load_checkpoint,
     policy_forward,
@@ -14,13 +15,12 @@ from pumpsched import (
 from pumpsched.errors import SchemaError, ValidationError
 from pumpsched.policy import (
     actor_logp_and_grads,
-    critic_values_and_grads,
     deterministic_action,
     entropy,
     forward_batch,
     gaussian_logp,
-    sample_action,
 )
+from pumpsched.training import _sample_from, _value_gradients
 
 
 def _small_policy(seed=0, obs_dim=3, action_dim=2, hidden=(5, 4)):
@@ -100,10 +100,12 @@ def test_policy_forward_checks_width():
 def test_sample_action_clipped_and_logp_unclipped():
     params = _small_policy()
     rng = np.random.default_rng(0)
+    mean, _, _ = policy_forward(params, np.zeros(3))
     for _ in range(50):
-        action, logp = sample_action(params, np.zeros(3), rng)
+        raw, action, logp = _sample_from(mean, params, rng)
         assert np.all(action >= 0.0) and np.all(action <= 1.0)
-        assert np.isfinite(logp)
+        np.testing.assert_array_equal(action, np.clip(raw, 0.0, 1.0))
+        assert logp == gaussian_logp(raw, mean, params.log_sigma)[0]
 
 
 def test_tiny_sigma_sampling_collapses_to_mean():
@@ -113,7 +115,7 @@ def test_tiny_sigma_sampling_collapses_to_mean():
     )
     rng = np.random.default_rng(5)
     mean, _, _ = policy_forward(frozen, np.zeros(3))
-    action, _ = sample_action(frozen, np.zeros(3), rng)
+    _, action, _ = _sample_from(mean, frozen, rng)
     np.testing.assert_allclose(action, np.clip(mean, 0.0, 1.0), atol=1e-7)
     np.testing.assert_array_equal(
         deterministic_action(frozen, np.zeros(3)), np.clip(mean, 0.0, 1.0)
@@ -165,13 +167,14 @@ def test_critic_gradients_match_finite_differences():
     params = _small_policy(seed=7)
     rng = np.random.default_rng(7)
     obs = rng.normal(size=(5, 3))
-    coeff = rng.normal(size=5)
+    returns = rng.normal(size=5)
+    cfg = TrainConfig(total_env_steps=0, seed=0)
 
     def objective():
-        values, _, _ = critic_values_and_grads(params, obs, coeff)
-        return float((coeff * values).sum())
+        values, _ = params.critic.forward(obs)
+        return cfg.value_coef * float(np.mean((values[:, 0] - returns) ** 2))
 
-    _, gw, gb = critic_values_and_grads(params, obs, coeff)
+    gw, gb = _value_gradients(params, obs, returns, cfg, len(obs))
     _fd_check(objective, params.critic.weights + params.critic.biases, gw + gb, rng)
 
 
@@ -198,8 +201,6 @@ def test_actor_gradients_match_finite_differences():
 def test_gradient_shapes_validated():
     params = _small_policy()
     obs = np.zeros((4, 3))
-    with pytest.raises(ValidationError):
-        critic_values_and_grads(params, obs, np.ones(3))
     with pytest.raises(ValidationError):
         actor_logp_and_grads(params, obs, np.zeros((4, 3)), np.ones(4))
     with pytest.raises(ValidationError):

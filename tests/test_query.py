@@ -4,42 +4,41 @@ import numpy as np
 import pytest
 
 from pumpsched import (
-    QueryRecommender,
     ValidationError,
     build_index,
     generate_history,
-    load_index,
     recommend,
-    save_index,
 )
-from pumpsched.errors import SchemaError
-from pumpsched.history import HistoryArchive, HistorySnapshot
+from pumpsched.history import HistoryArchive
 from pumpsched.network import STEPS_PER_DAY
 
 
-def _constant_day(day, n_tanks, n_stations, n_zones, level, action, demand, tariff=0.1):
-    return [
-        HistorySnapshot(
-            day=day,
-            t=t,
-            levels=tuple([level] * n_tanks),
-            actions=tuple([action] * n_stations),
-            powers=tuple([0.0] * n_stations),
-            demands=tuple([demand] * n_zones),
-            tariff=tariff,
+def _constant_archive(days):
+    """Six-tank, six-station, 18-zone archive; each day holds its
+    (levels, action, demand) constant over all 96 steps."""
+
+    def per_day(values, width):
+        return np.stack(
+            [np.full((STEPS_PER_DAY, width), v, dtype=float) for v in values]
         )
-        for t in range(STEPS_PER_DAY)
-    ]
+
+    levels, actions, demands = zip(*days)
+    archive = HistoryArchive(
+        days=np.arange(len(days)),
+        levels=per_day(levels, 6),
+        actions=per_day(actions, 6),
+        powers=per_day([0.0] * len(days), 6),
+        demands=per_day(demands, 18),
+        tariff=np.full((len(days), STEPS_PER_DAY), 0.1),
+    )
+    archive.validate()
+    return archive
 
 
 @pytest.fixture(scope="module")
 def corner_archive(world):
     """Two days pinned to the feature-space corners: all-min and all-max."""
-    snaps = _constant_day(0, 6, 6, 18, level=2.0, action=0.0, demand=10.0)
-    snaps += _constant_day(1, 6, 6, 18, level=6.0, action=0.85, demand=20.0)
-    archive = HistoryArchive(snapshots=tuple(snaps))
-    archive.validate()
-    return archive
+    return _constant_archive([(2.0, 0.0, 10.0), (6.0, 0.85, 20.0)])
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +88,16 @@ def test_out_of_range_query_is_clipped(corner_index):
 
 
 def test_self_retrieval_over_generated_history(world):
+    # The index summarizes all days at once, a query one day at a time; the
+    # features must agree exactly for a day to retrieve itself at distance 0.
     archive = generate_history(world, days=10, seed=21)
-    index = build_index(world, archive)
-    for pos in range(archive.n_days):
-        levels = archive.day_levels(pos)[0]
-        result = recommend(index, levels, archive.day_demands(pos))
-        assert result.day == archive.days[pos]
-        assert result.distance == 0.0
-        np.testing.assert_array_equal(result.schedule, archive.day_actions(pos))
+    for per_zone in (False, True):
+        index = build_index(world, archive, per_zone_demand=per_zone)
+        for pos in range(archive.n_days):
+            result = recommend(index, archive.levels[pos, 0], archive.demands[pos])
+            assert result.day == archive.days[pos]
+            assert result.distance == 0.0
+            np.testing.assert_array_equal(result.schedule, archive.actions[pos])
 
 
 def test_recommend_deterministic(world):
@@ -125,34 +126,18 @@ def test_demand_set_and_array_forecasts_agree(world):
 
 def test_constant_feature_rejected_by_name(world):
     # Tank 1's start level never moves between days; every other column does.
-    def snaps(day, levels, demand):
-        return [
-            HistorySnapshot(
-                day=day,
-                t=t,
-                levels=tuple(levels),
-                actions=tuple([0.0] * 6),
-                powers=tuple([0.0] * 6),
-                demands=tuple([demand] * 18),
-                tariff=0.1,
-            )
-            for t in range(STEPS_PER_DAY)
+    archive = _constant_archive(
+        [
+            ([3.0, 2.0, 2.0, 2.0, 2.0, 2.0], 0.0, 10.0),
+            ([3.0, 6.0, 6.0, 6.0, 6.0, 6.0], 0.0, 20.0),
         ]
-
-    archive = HistoryArchive(
-        snapshots=tuple(
-            snaps(0, [3.0, 2.0, 2.0, 2.0, 2.0, 2.0], 10.0)
-            + snaps(1, [3.0, 6.0, 6.0, 6.0, 6.0, 6.0], 20.0)
-        )
     )
     with pytest.raises(ValidationError, match="level_1"):
         build_index(world, archive)
 
 
 def test_index_needs_at_least_two_days(world):
-    archive = HistoryArchive(
-        snapshots=tuple(_constant_day(0, 6, 6, 18, 2.0, 0.0, 10.0))
-    )
+    archive = _constant_archive([(2.0, 0.0, 10.0)])
     with pytest.raises(ValidationError, match="two"):
         build_index(world, archive)
 
@@ -166,39 +151,6 @@ def test_per_zone_demand_features(world, corner_archive):
     assert result.distance == pytest.approx(math.sqrt(25.0) * 0.1, abs=1e-12)
 
 
-def test_recommender_wrapper(world, corner_archive):
-    model = QueryRecommender().fit(world, corner_archive)
-    result = model.recommend(np.full(6, 2.4), _forecast(18, 11.0))
-    assert result.day == 0
-
-    fresh = QueryRecommender()
-    with pytest.raises(ValidationError, match="fit"):
-        fresh.recommend(np.full(6, 2.4), _forecast(18, 11.0))
-
-
 def test_recommend_validates_level_shape(corner_index):
     with pytest.raises(ValidationError):
         recommend(corner_index, np.full(5, 2.4), _forecast(18, 11.0))
-
-
-def test_index_json_round_trip(tmp_path, corner_index):
-    path = tmp_path / "index.json"
-    save_index(corner_index, path)
-    loaded = load_index(path)
-    assert loaded.feature_names == corner_index.feature_names
-    assert loaded.days == corner_index.days
-    assert loaded.per_zone_demand == corner_index.per_zone_demand
-    np.testing.assert_array_equal(loaded.normalized, corner_index.normalized)
-    np.testing.assert_array_equal(loaded.schedules, corner_index.schedules)
-    result = recommend(loaded, np.full(6, 2.4), _forecast(18, 11.0))
-    assert result.distance == pytest.approx(math.sqrt(8.0) * 0.1, abs=1e-12)
-
-
-def test_load_index_rejects_garbage(tmp_path):
-    path = tmp_path / "index.json"
-    path.write_text("[1, 2")
-    with pytest.raises(SchemaError):
-        load_index(path)
-    path.write_text('{"days": [0, 1]}')
-    with pytest.raises(SchemaError):
-        load_index(path)

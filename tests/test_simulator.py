@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,32 +5,39 @@ from hypothesis import strategies as st
 
 from pumpsched import (
     ValidationError,
-    pump_flow,
-    pump_power,
     shift_predict,
     shift_valid,
     simulate,
     step,
 )
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY
-from pumpsched.simulate import SystemState, export_trajectory_csv
+from pumpsched.simulate import SystemState
 
 
-def test_pump_power_cubic():
-    assert pump_power(200.0, 0.5) == 25.0
-    assert pump_power(200.0, 1.0) == 200.0
-    assert pump_power(200.0, 0.0) == 0.0
+def _station_1_step(topology, speed):
+    """One step of the tiny world with station 1 at ``speed``, station 2 off."""
+    state = SystemState(t=0, levels=np.array([4.0, 4.0]))
+    return step(topology, state, np.array([speed, 0.0]), np.zeros(2), 0.1)
 
 
-def test_pump_flow_linear():
-    assert pump_flow(400.0, 0.5) == 200.0
-    assert pump_flow(400.0, 0.0) == 0.0
+def test_pump_power_cubic(tiny_world):
+    # Station 1 is rated at 200 kW.
+    for speed, power in ((0.5, 25.0), (1.0, 200.0), (0.0, 0.0)):
+        _, out = _station_1_step(tiny_world, speed)
+        assert out.powers[0] == power
+
+
+def test_pump_flow_linear(tiny_world):
+    # Station 1 moves at most 400 m^3/h.
+    for speed, flow in ((0.5, 200.0), (0.0, 0.0)):
+        _, out = _station_1_step(tiny_world, speed)
+        assert out.flows[0] == flow
 
 
 @pytest.mark.parametrize("speed", [-0.01, 1.01, float("nan"), float("inf")])
-def test_pump_speed_rejected(speed):
+def test_pump_speed_rejected(tiny_world, speed):
     with pytest.raises(ValidationError):
-        pump_power(100.0, speed)
+        _station_1_step(tiny_world, speed)
 
 
 def test_single_step_mass_balance(tiny_world):
@@ -76,7 +81,7 @@ def test_full_day_cost_oracle(tiny_world, zero_demands):
     schedule[:, 0] = 1.0
     flat = np.full(STEPS_PER_DAY, 0.1)
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands, tariff=flat)
-    assert traj.total_cost() == pytest.approx(480.0, abs=1e-9)
+    assert traj.costs.sum() == pytest.approx(480.0, abs=1e-9)
     assert traj.any_clamped()
     assert traj.states[-1, 0] == pytest.approx(8.0)
 
@@ -222,17 +227,3 @@ def test_shift_invalid_when_moved_outside_caps(world):
     assert not base.any_clamped()
     huge = np.full(world.n_tanks, 100.0)
     assert not shift_valid(base, huge)
-
-
-def test_export_trajectory_csv(tmp_path, tiny_world, zero_demands):
-    schedule = np.full((STEPS_PER_DAY, 2), 0.5)
-    traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
-    path = tmp_path / "day.csv"
-    export_trajectory_csv(traj, path, day=3)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == STEPS_PER_DAY
-    assert rows[0]["day"] == "3"
-    assert float(rows[0]["level_1"]) == 4.0
-    assert float(rows[10]["action_2"]) == 0.5
-    assert "cost" in rows[0]

@@ -13,7 +13,6 @@ from pumpsched import (
 )
 from pumpsched.policy import deterministic_action, init_policy
 from pumpsched.training import (
-    BATCH_SIZE_SWEEP,
     RolloutBatch,
     collect_rollouts,
     compute_gae,
@@ -98,7 +97,6 @@ def test_train_config_defaults_match_contract():
     assert cfg.learning_rate == 3e-4
     assert cfg.value_coef == 0.5
     assert cfg.entropy_coef == 0.01
-    assert BATCH_SIZE_SWEEP == (192, 256, 512, 1024)
     assert TrainConfig(total_env_steps=0, seed=0).batch_size == 256
 
 
