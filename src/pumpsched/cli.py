@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .env import (
-    AgentKind,
-    FrameSkipEnv,
-    PumpSchedulingEnv,
-    run_policy_episode,
-    sample_operational_episode,
-)
+from .env import AgentKind, closed_loop, sample_operational_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
 from .history import (
     DEFAULT_IMPERFECTION,
@@ -63,7 +57,7 @@ from .network import (
 )
 from .policy import load_checkpoint, save_checkpoint
 from .query import build_index
-from .simulate import simulate
+from .simulate import run_day, simulate
 from .training import (
     EnvSpec,
     TrainConfig,
@@ -317,11 +311,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _policy_day(topology, config, act_fn, frame_skip):
-    env = PumpSchedulingEnv(topology)
-    if frame_skip > 1:
-        env = FrameSkipEnv(env, frame_skip)
-    traj, _ = run_policy_episode(env, config, act_fn)
-    return traj
+    return run_day(
+        topology,
+        config.initial_levels,
+        config.demands.as_array(),
+        config.day_tariff(topology),
+        closed_loop(topology, config, act_fn, window=max(frame_skip, 1)),
+    )
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -329,8 +325,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     out = _outdir(args)
     topology = load_network(args.network)
     params, meta = load_checkpoint(args.checkpoint)
-    kind = AgentKind(meta.get("agent", "constraint"))
-    frame_skip = int(meta.get("frame_skip", 1))
+    try:
+        kind = AgentKind(meta.get("agent", "constraint"))
+        frame_skip = int(meta.get("frame_skip", 1))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{args.checkpoint}: bad checkpoint meta ({exc})") from None
     act_fn = policy_act_fn(params)
     bounds = topology.bounds_arrays()
     if args.episodes < 1:
@@ -446,6 +445,36 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
 # report
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _report_rows(
+    path: Path, numbers: tuple[str, ...], optional_numbers: tuple[str, ...]
+) -> list[dict]:
+    """A report artifact's JSON list of objects, with the named numeric fields."""
+    rows = _read_json(path)
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise SchemaError(f"{path}: expected a JSON list of objects")
+    for i, row in enumerate(rows):
+        for key in numbers + optional_numbers:
+            value = row.get(key)
+            if not (_is_number(value) or (value is None and key in optional_numbers)):
+                raise SchemaError(f"{path} entry {i}: {key!r} must be a number")
+    return rows
+
+
+def _pct_text(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:+.1f}%"
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     found = False
@@ -453,7 +482,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     manifest_path = out / "manifest.json"
     if manifest_path.exists():
         found = True
-        manifest = json.loads(manifest_path.read_text())
+        manifest = _read_json(manifest_path)
+        if not isinstance(manifest, dict) or not isinstance(
+            manifest.get("artifacts", {}), dict
+        ):
+            raise SchemaError(f"{manifest_path}: expected an object with artifacts")
         print(
             f"run: {manifest.get('command')} "
             f"(package {manifest.get('package_version')}, "
@@ -465,33 +498,37 @@ def _cmd_report(args: argparse.Namespace) -> int:
     comparison_path = out / "comparison.json"
     if comparison_path.exists():
         found = True
-        rows = json.loads(comparison_path.read_text())
+        rows = _report_rows(
+            comparison_path,
+            ("mean_area", "mean_count", "mean_cost"),
+            ("area_improvement_pct", "cost_delta_pct"),
+        )
         print("comparison (first row is the reference):")
         for row in rows:
             print(
-                f"  {row['label']}: area {row['mean_area']:.3f} m*h, "
+                f"  {row.get('label')}: area {row['mean_area']:.3f} m*h, "
                 f"violations {row['mean_count']:.1f}, cost {row['mean_cost']:.2f}"
             )
             if row.get("area_improvement_pct") is not None:
                 print(
-                    f"    vs reference: area {row['area_improvement_pct']:+.1f}%, "
-                    f"cost {row['cost_delta_pct']:+.1f}%"
+                    f"    vs reference: area {_pct_text(row['area_improvement_pct'])}, "
+                    f"cost {_pct_text(row.get('cost_delta_pct'))}"
                 )
 
     strategy_path = out / "strategy_report.json"
     if strategy_path.exists():
         found = True
-        summaries = json.loads(strategy_path.read_text())
+        summaries = _report_rows(
+            strategy_path,
+            ("n_during_pct_defined", "n_cases"),
+            ("mean_during_pct", "mean_post_pct"),
+        )
         print("injection strategies (negative percent = smaller violation area):")
         for s in summaries:
-            during = s.get("mean_during_pct")
-            post = s.get("mean_post_pct")
-            during_txt = "n/a" if during is None else f"{during:+.1f}%"
-            post_txt = "n/a" if post is None else f"{post:+.1f}%"
             print(
-                f"  {s['strategy']}: during {during_txt} "
+                f"  {s.get('strategy')}: during {_pct_text(s.get('mean_during_pct'))} "
                 f"({s['n_during_pct_defined']}/{s['n_cases']} cases), "
-                f"post {post_txt}"
+                f"post {_pct_text(s.get('mean_post_pct'))}"
             )
 
     curve_path = out / "reward_curve.csv"

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .network import (
     DT_HOURS,
     STEPS_PER_DAY,
@@ -23,7 +23,7 @@ from .network import (
     NetworkTopology,
     demands_from_rng,
 )
-from .simulate import SystemState, Trajectory, step
+from .simulate import Trajectory, _check_speeds, _Rollout
 
 
 class AgentKind(enum.Enum):
@@ -132,6 +132,9 @@ class EpisodeConfig:
     tariff: np.ndarray | None = None  # defaults to the topology tariff
     frame_skip: int | None = None  # decision window; None means every step
 
+    def day_tariff(self, topology: NetworkTopology) -> np.ndarray:
+        return topology.tariff.as_array() if self.tariff is None else self.tariff
+
 
 @dataclass
 class StepResult:
@@ -141,6 +144,20 @@ class StepResult:
     info: dict = field(default_factory=dict)
 
 
+def _observation(
+    kind: AgentKind,
+    levels: np.ndarray,
+    t: int,
+    tariff_norm: np.ndarray,
+    caps: np.ndarray,
+) -> np.ndarray:
+    """What the agent sees before step ``t``: levels / caps (dual: + clock, tariff)."""
+    levels_norm = levels / caps
+    if kind == AgentKind.CONSTRAINT:
+        return levels_norm
+    return np.concatenate([levels_norm, [t / STEPS_PER_DAY], tariff_norm])
+
+
 class PumpSchedulingEnv:
     """One-day episodic environment over the tank simulator."""
 
@@ -148,31 +165,21 @@ class PumpSchedulingEnv:
         self.topology = topology
         self._reward_config = reward_config
         self._config: EpisodeConfig | None = None
-        self._state: SystemState | None = None
-        self._record: dict | None = None
+        self._day: _Rollout | None = None
 
     # -- episode plumbing ----------------------------------------------------
 
     def reset(self, config: EpisodeConfig) -> np.ndarray:
-        initial = np.asarray(config.initial_levels, dtype=float)
-        caps = self.topology.caps_array()
-        if initial.shape != (self.topology.n_tanks,):
-            raise ValidationError("initial levels shape does not match tank count")
-        if np.any(initial < 0) or np.any(initial > caps):
-            raise ValidationError("initial levels must lie in [0, level_max_physical]")
         if config.frame_skip is not None and STEPS_PER_DAY % config.frame_skip != 0:
             raise ValidationError(
                 f"frame_skip must divide {STEPS_PER_DAY}, got {config.frame_skip}"
             )
-        if config.demands.as_array().shape[0] != self.topology.n_zones:
-            raise ValidationError("episode demand zone count does not match topology")
-        tariff = (
-            self.topology.tariff.as_array()
-            if config.tariff is None
-            else np.asarray(config.tariff, dtype=float)
+        day = _Rollout(
+            self.topology,
+            config.initial_levels,
+            config.demands.as_array(),
+            config.day_tariff(self.topology),
         )
-        if tariff.shape != (STEPS_PER_DAY,):
-            raise ValidationError("episode tariff must hold one value per step")
         if config.agent_kind == AgentKind.DUAL:
             cfg = self._reward_config or reward_config_for(self.topology)
             cfg.validate(self.topology.n_stations)
@@ -181,41 +188,26 @@ class PumpSchedulingEnv:
             self._dual_config = None
 
         self._config = config
-        self._tariff = tariff
-        self._tariff_norm = normalize_tariff(tariff)
-        self._zone_values = config.demands.as_array()
+        self._day = day
+        self._tariff_norm = normalize_tariff(day.tariff)
+        self._caps = self.topology.caps_array()
         self._lb, self._ub = self.topology.bounds_arrays()
-        self._state = SystemState(t=0, levels=initial)
-        self._record = {
-            "states": [initial],
-            "actions": [],
-            "flows": [],
-            "powers": [],
-            "energies": [],
-            "costs": [],
-            "clamps": [],
-        }
         return self._observe()
 
     def step(self, action: np.ndarray) -> StepResult:
-        if self._state is None:
+        day = self._day
+        if day is None:
             raise ValidationError("reset the environment before stepping")
-        if self._state.t >= STEPS_PER_DAY:
+        if day.t >= STEPS_PER_DAY:
             raise ValidationError("episode finished; reset before stepping again")
-        t = self._state.t
-        self._state, out = step(
-            self.topology, self._state, action, self._zone_values[:, t], self._tariff[t]
-        )
-        rec = self._record
-        rec["states"].append(self._state.levels)
-        rec["actions"].append(np.asarray(action, dtype=float))
-        rec["flows"].append(out.flows)
-        rec["powers"].append(out.powers)
-        rec["energies"].append(out.energies)
-        rec["costs"].append(out.cost)
-        rec["clamps"].append(out.clamp_flags)
+        t = day.t
+        action = np.asarray(action, dtype=float)
+        _check_speeds(action)
+        day.advance(action)
+        levels = day.levels
+        if not np.all(np.isfinite(levels)):
+            raise NumericError("non-finite level update")
 
-        levels = self._state.levels
         if self._config.agent_kind == AgentKind.CONSTRAINT:
             reward = reward_constraint_step(levels, self._lb, self._ub)
         else:
@@ -223,50 +215,42 @@ class PumpSchedulingEnv:
                 levels,
                 self._lb,
                 self._ub,
-                out.energies,
+                day.energies[t],
                 float(self._tariff_norm[t]),
                 self._dual_config,
             )
         inside = (levels >= self._lb) & (levels <= self._ub)
-        done = self._state.t >= STEPS_PER_DAY
         return StepResult(
             observation=self._observe(),
             reward=reward,
-            done=done,
+            done=day.t >= STEPS_PER_DAY,
             info={
                 "in_bounds": inside,
-                "step_cost": out.cost,
-                "step_energy": float(out.energies.sum()),
-                "t": self._state.t,
+                "step_cost": float(day.costs[t]),
+                "step_energy": float(day.energies[t].sum()),
+                "t": day.t,
             },
         )
 
     # -- views ----------------------------------------------------------------
 
     def _observe(self) -> np.ndarray:
-        caps = self.topology.caps_array()
-        levels_norm = self._state.levels / caps
-        if self._config.agent_kind == AgentKind.CONSTRAINT:
-            return levels_norm.copy()
-        clock = np.array([self._state.t / STEPS_PER_DAY])
-        return np.concatenate([levels_norm, clock, self._tariff_norm])
+        day = self._day
+        return _observation(
+            self._config.agent_kind, day.levels, day.t, self._tariff_norm, self._caps
+        )
 
     def trajectory(self) -> Trajectory:
         """Full-day trajectory; only valid after the episode finished."""
-        if self._state is None or self._state.t < STEPS_PER_DAY:
+        if self._day is None or self._day.t < STEPS_PER_DAY:
             raise ValidationError("episode has not finished")
-        rec = self._record
-        return Trajectory(
-            states=np.array(rec["states"]),
-            actions=np.array(rec["actions"]),
-            flows=np.array(rec["flows"]),
-            powers=np.array(rec["powers"]),
-            energies=np.array(rec["energies"]),
-            costs=np.array(rec["costs"]),
-            clamp_flags=np.array(rec["clamps"]),
-            zone_demands=self._zone_values.T.copy(),
-            tariff=self._tariff.copy(),
-            level_caps=self.topology.caps_array(),
+        return self._day.trajectory()
+
+
+def _check_window(window: int) -> None:
+    if window < 1 or STEPS_PER_DAY % window != 0:
+        raise ValidationError(
+            f"frame-skip window must divide {STEPS_PER_DAY}, got {window}"
         )
 
 
@@ -278,10 +262,7 @@ class FrameSkipEnv:
     """
 
     def __init__(self, env: PumpSchedulingEnv, window: int):
-        if window < 1 or STEPS_PER_DAY % window != 0:
-            raise ValidationError(
-                f"frame-skip window must divide {STEPS_PER_DAY}, got {window}"
-            )
+        _check_window(window)
         self.env = env
         self.window = window
 
@@ -387,22 +368,26 @@ def sample_operational_episode(
     return config, margins
 
 
-def run_policy_episode(
-    env: PumpSchedulingEnv | FrameSkipEnv,
+def closed_loop(
+    topology: NetworkTopology,
     config: EpisodeConfig,
     act_fn: Callable[[np.ndarray], np.ndarray],
-) -> tuple[Trajectory, float]:
-    """Roll one episode under a deterministic action function.
+    window: int = 1,
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """An ``act(t, levels)`` callback for ``run_day`` driven by ``act_fn``.
 
-    Returns the realized trajectory and the total (possibly frame-skipped)
-    episode reward.
+    ``act_fn`` sees the observation the env would show before step ``t``,
+    and, as under ``FrameSkipEnv``, its action is held for ``window`` steps.
     """
-    obs = env.reset(config)
-    total = 0.0
-    done = False
-    while not done:
-        result = env.step(act_fn(obs))
-        obs = result.observation
-        total += result.reward
-        done = result.done
-    return env.trajectory(), total
+    _check_window(window)
+    tariff_norm = normalize_tariff(config.day_tariff(topology))
+    caps = topology.caps_array()
+    held = None
+
+    def act(t: int, levels: np.ndarray) -> np.ndarray:
+        nonlocal held
+        if t % window == 0:
+            held = act_fn(_observation(config.agent_kind, levels, t, tariff_norm, caps))
+        return held
+
+    return act

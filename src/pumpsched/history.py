@@ -27,7 +27,7 @@ from .network import (
     NetworkTopology,
     demands_from_rng,
 )
-from .simulate import SystemState, Trajectory, step
+from .simulate import Trajectory, run_day
 
 DUTY_SPEED = 0.85
 _PERFECT_MARGIN = 0.30  # fraction of the band kept clear of each boundary
@@ -124,32 +124,12 @@ def run_controlled_day(
 ) -> Trajectory:
     """Closed-loop day under any object exposing reset(levels)/act(levels)."""
     controller.reset(np.asarray(initial_levels, dtype=float))
-    zone_values = demands.as_array()
-    tariff = topology.tariff.as_array()
-    state = SystemState(t=0, levels=np.asarray(initial_levels, dtype=float))
-    states = [state.levels]
-    actions, flows, powers, energies, costs, clamps = [], [], [], [], [], []
-    for t in range(STEPS_PER_DAY):
-        action = controller.act(state.levels)
-        state, out = step(topology, state, action, zone_values[:, t], tariff[t])
-        states.append(state.levels)
-        actions.append(action)
-        flows.append(out.flows)
-        powers.append(out.powers)
-        energies.append(out.energies)
-        costs.append(out.cost)
-        clamps.append(out.clamp_flags)
-    return Trajectory(
-        states=np.array(states),
-        actions=np.array(actions, dtype=float),
-        flows=np.array(flows),
-        powers=np.array(powers),
-        energies=np.array(energies),
-        costs=np.array(costs),
-        clamp_flags=np.array(clamps),
-        zone_demands=zone_values.T.copy(),
-        tariff=tariff,
-        level_caps=topology.caps_array(),
+    return run_day(
+        topology,
+        initial_levels,
+        demands.as_array(),
+        topology.tariff.as_array(),
+        lambda t, levels: controller.act(levels),
     )
 
 

@@ -23,19 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from .env import AgentKind, EpisodeConfig, PumpSchedulingEnv, sample_episode
+from .env import AgentKind, EpisodeConfig, closed_loop, sample_episode
 from .errors import ValidationError
 from .metrics import Bounds, _csv_cell, _exceedance
 from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology
 from .query import QueryIndex, recommend
-from .simulate import (
-    SystemState,
-    Trajectory,
-    shift_predict,
-    shift_valid,
-    simulate,
-    step,
-)
+from .simulate import Trajectory, run_day, shift_predict, shift_valid, simulate
 
 UNTARGETED_EARLY = (0, 8)  # 00:00-02:00
 UNTARGETED_MIDDAY = (48, 56)  # 12:00-14:00
@@ -154,16 +147,20 @@ def inject(
     baseline_schedule = np.asarray(baseline_schedule, dtype=float)
     if baseline_schedule.shape != (STEPS_PER_DAY, topology.n_stations):
         raise ValidationError("baseline schedule shape does not match the day")
-    env = PumpSchedulingEnv(topology)
-    obs = env.reset(config)
-    for t in range(STEPS_PER_DAY):
+    policy = closed_loop(topology, config, act_fn)
+
+    def act(t: int, levels: np.ndarray) -> np.ndarray:
         if plan.start <= t < plan.end:
-            action = np.asarray(act_fn(obs), dtype=float)
-        else:
-            action = baseline_schedule[t]
-        result = env.step(action)
-        obs = result.observation
-    traj = env.trajectory()
+            return policy(t, levels)
+        return baseline_schedule[t]
+
+    traj = run_day(
+        topology,
+        config.initial_levels,
+        config.demands.as_array(),
+        config.day_tariff(topology),
+        act,
+    )
     return traj.actions.copy(), traj
 
 
@@ -261,26 +258,16 @@ def predict_resume(
     suffix = trajectory_suffix(case.baseline_traj, e)
     if shift_valid(suffix, delta):
         return shift_predict(suffix, delta).states, True
-    return _resimulate_suffix(topology, case, injected_states[e], e), False
-
-
-def _resimulate_suffix(
-    topology: NetworkTopology,
-    case: HybridCase,
-    levels_at_e: np.ndarray,
-    e: int,
-) -> np.ndarray:
-    state = SystemState(t=e, levels=levels_at_e.copy())
-    demands = case.config.demands.as_array()
-    tariff = case.baseline_traj.tariff
-    states = np.empty((STEPS_PER_DAY - e + 1, topology.n_tanks))
-    states[0] = state.levels
-    for t in range(e, STEPS_PER_DAY):
-        state, _ = step(
-            topology, state, case.baseline_schedule[t], demands[:, t], tariff[t]
-        )
-        states[t - e + 1] = state.levels
-    return states
+    schedule = case.baseline_schedule
+    resumed = run_day(
+        topology,
+        injected_states[e],
+        case.config.demands.as_array(),
+        case.baseline_traj.tariff,
+        lambda t, levels: schedule[t],
+        t0=e,
+    )
+    return resumed.states, False
 
 
 # ----------------------------------------------------------------------------

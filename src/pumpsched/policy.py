@@ -185,12 +185,24 @@ def _mlp_to_dict(mlp: MLP) -> dict:
     }
 
 
-def _mlp_from_dict(obj: dict) -> MLP:
+def _mlp_from_dict(obj: dict, where: str) -> MLP:
     try:
         weights = [np.asarray(w, dtype=float) for w in obj["weights"]]
         biases = [np.asarray(b, dtype=float) for b in obj["biases"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"checkpoint: malformed network block ({exc})") from None
+        raise SchemaError(f"{where}: malformed network block ({exc})") from None
+    if not weights or len(weights) != len(biases):
+        raise SchemaError(f"{where}: needs one bias per weight matrix, at least one")
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.ndim != 2 or b.shape != w.shape[1:]:
+            raise SchemaError(
+                f"{where}: layer {i} weights {w.shape} do not match biases {b.shape}"
+            )
+        if i and w.shape[0] != weights[i - 1].shape[1]:
+            raise SchemaError(
+                f"{where}: layer {i} takes {w.shape[0]} inputs but layer {i - 1} "
+                f"gives {weights[i - 1].shape[1]}"
+            )
     return MLP(weights=weights, biases=biases)
 
 
@@ -224,11 +236,23 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
     for key in ("actor", "log_sigma", "critic"):
         if key not in doc:
             raise SchemaError(f"{path}: missing checkpoint field {key!r}")
-    params = PolicyParameters(
-        actor=_mlp_from_dict(doc["actor"]),
-        log_sigma=np.asarray(doc["log_sigma"], dtype=float),
-        critic=_mlp_from_dict(doc["critic"]),
-    )
+    actor = _mlp_from_dict(doc["actor"], f"{path}: actor")
+    critic = _mlp_from_dict(doc["critic"], f"{path}: critic")
+    try:
+        log_sigma = np.asarray(doc["log_sigma"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed log_sigma ({exc})") from None
+    params = PolicyParameters(actor=actor, log_sigma=log_sigma, critic=critic)
     if params.obs_dim != doc.get("obs_dim") or params.action_dim != doc.get("action_dim"):
         raise SchemaError(f"{path}: declared dimensions do not match stored arrays")
-    return params, doc.get("meta", {})
+    if log_sigma.shape != (params.action_dim,):
+        raise SchemaError(
+            f"{path}: log_sigma has shape {log_sigma.shape}, "
+            f"expected ({params.action_dim},)"
+        )
+    if critic.sizes[0] != params.obs_dim or critic.sizes[-1] != 1:
+        raise SchemaError(f"{path}: critic must map {params.obs_dim} inputs to 1 value")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{path}: checkpoint meta must be an object")
+    return params, meta

@@ -1,4 +1,10 @@
-"""Deterministic tank mass-balance simulator.
+"""Deterministic tank mass-balance simulator with one day-rollout core.
+
+``run_day`` is the only loop that advances tank levels: it rolls a day from
+step ``t0`` to the end under an ``act(t, levels)`` callback, so a fixed
+schedule, the hysteresis controller, and a policy injected into a schedule all
+share it, and ``PumpSchedulingEnv`` advances the same preallocated record one
+agent step at a time. Inputs are validated once per day at that boundary.
 
 Pump flows depend only on commanded speeds (affinity laws), never on tank
 levels, so level trajectories are linear in the initial levels wherever the
@@ -10,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -17,46 +24,23 @@ from .errors import NumericError, ValidationError
 from .network import DT_HOURS, STEPS_PER_DAY, DemandSet, NetworkTopology
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Step counter and tank levels at that step."""
-
-    t: int
-    levels: np.ndarray
-
-    def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=float)
-        object.__setattr__(self, "levels", levels)
-
-
-@dataclass(frozen=True)
-class StepOutputs:
-    """Per-station flows/power/energy plus step cost and per-tank clamp flags."""
-
-    flows: np.ndarray
-    powers: np.ndarray
-    energies: np.ndarray
-    cost: float
-    clamp_flags: np.ndarray
-
-
 @dataclass
 class Trajectory:
-    """Full record of one simulated day.
+    """Record of one simulated day from step ``t0`` (0 for a whole day).
 
-    ``states`` has 97 rows (levels before step 0 through after step 95);
-    all other arrays have 96 rows, one per step.
+    ``states`` has ``97 - t0`` rows (levels before step t0 through after step
+    95); all other step arrays have ``96 - t0`` rows, one per step.
     """
 
-    states: np.ndarray  # (97, n_tanks)
-    actions: np.ndarray  # (96, n_stations)
-    flows: np.ndarray  # (96, n_stations)
-    powers: np.ndarray  # (96, n_stations)
-    energies: np.ndarray  # (96, n_stations)
-    costs: np.ndarray  # (96,)
-    clamp_flags: np.ndarray  # (96, n_tanks) bool
-    zone_demands: np.ndarray  # (96, n_zones)
-    tariff: np.ndarray  # (96,)
+    states: np.ndarray  # (97 - t0, n_tanks)
+    actions: np.ndarray  # (96 - t0, n_stations)
+    flows: np.ndarray  # (96 - t0, n_stations)
+    powers: np.ndarray  # (96 - t0, n_stations)
+    energies: np.ndarray  # (96 - t0, n_stations)
+    costs: np.ndarray  # (96 - t0,)
+    clamp_flags: np.ndarray  # (96 - t0, n_tanks) bool
+    zone_demands: np.ndarray  # (96 - t0, n_zones)
+    tariff: np.ndarray  # (96 - t0,)
     level_caps: np.ndarray  # (n_tanks,)
 
     def __post_init__(self):
@@ -106,49 +90,27 @@ def _compiled(topology: NetworkTopology) -> _Compiled:
     return _Compiled(topology)
 
 
-def _check_speed(speed) -> None:
-    arr = np.asarray(speed, dtype=float)
-    if not np.all(np.isfinite(arr)):
+def _check_speeds(speeds: np.ndarray) -> None:
+    if not np.all(np.isfinite(speeds)):
         raise ValidationError("pump speed must be finite")
-    if np.any(arr < 0) or np.any(arr > 1):
+    if np.any(speeds < 0) or np.any(speeds > 1):
         raise ValidationError("pump speed must lie in [0, 1]")
 
 
-def step(
-    topology: NetworkTopology,
-    state: SystemState,
+def _advance(
+    c: _Compiled,
+    levels: np.ndarray,
     action: np.ndarray,
     zone_demands_t: np.ndarray,
     tariff_t: float,
-) -> tuple[SystemState, StepOutputs]:
-    """Advance the network one step under commanded pump speeds.
+):
+    """One step of the mass balance under commanded pump speeds.
 
     ``zone_demands_t`` is the per-zone demand during the step in m^3/h;
-    ``tariff_t`` prices the step's energy.
+    ``tariff_t`` prices the step's energy. Returns the clamped next levels,
+    the per-station flows, powers and energies, the step cost, and the
+    per-tank clamp flags.
     """
-    c = _compiled(topology)
-    if state.t >= STEPS_PER_DAY:
-        raise ValidationError(f"cannot step a finished day (t={state.t})")
-    action = np.asarray(action, dtype=float)
-    if action.shape != (topology.n_stations,):
-        raise ValidationError(
-            f"action shape {action.shape} does not match station count "
-            f"{topology.n_stations}"
-        )
-    _check_speed(action)
-    demands = np.asarray(zone_demands_t, dtype=float)
-    if demands.shape != (topology.n_zones,):
-        raise ValidationError(
-            f"demand shape {demands.shape} does not match zone count {topology.n_zones}"
-        )
-    levels = np.asarray(state.levels, dtype=float)
-    if levels.shape != (topology.n_tanks,):
-        raise ValidationError(
-            f"state has {levels.shape} levels for {topology.n_tanks} tanks"
-        )
-    if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(demands))):
-        raise NumericError("non-finite simulator input")
-
     flows = c.max_flow * action
     powers = c.rated_power * action**3
     energies = powers * DT_HOURS
@@ -156,22 +118,125 @@ def step(
 
     inflow = c.fill.T @ flows
     outflow = c.draw.T @ flows
-    tank_demand = c.zone_to_tank @ demands
+    tank_demand = c.zone_to_tank @ zone_demands_t
     raw = levels + DT_HOURS * (inflow - outflow - tank_demand) / c.areas
-    if not np.all(np.isfinite(raw)):
-        raise NumericError("non-finite level update")
-    clamped = np.clip(raw, 0.0, c.caps)
     clamp_flags = (raw < 0.0) | (raw > c.caps)
+    return np.clip(raw, 0.0, c.caps), flows, powers, energies, cost, clamp_flags
 
-    next_state = SystemState(t=state.t + 1, levels=clamped)
-    outputs = StepOutputs(
-        flows=flows,
-        powers=powers,
-        energies=energies,
-        cost=cost,
-        clamp_flags=clamp_flags,
-    )
-    return next_state, outputs
+
+class _Rollout:
+    """Preallocated record of one day rolled from step ``t0``.
+
+    The constructor validates the day's inputs; ``advance`` applies the
+    action for step ``t`` to ``levels`` and records it; ``trajectory``
+    validates the recorded actions and levels once and returns the record.
+    """
+
+    def __init__(
+        self,
+        topology: NetworkTopology,
+        initial_levels: np.ndarray,
+        zone_values: np.ndarray,
+        tariff: np.ndarray,
+        t0: int = 0,
+    ):
+        c = _compiled(topology)
+        if not 0 <= t0 <= STEPS_PER_DAY:
+            raise ValidationError(f"cannot start a day at step {t0}")
+        levels = np.array(initial_levels, dtype=float)
+        if levels.shape != (topology.n_tanks,):
+            raise ValidationError(
+                f"initial levels shape {levels.shape} does not match tank count "
+                f"{topology.n_tanks}"
+            )
+        if np.any(levels < 0) or np.any(levels > c.caps):
+            raise ValidationError("initial levels must lie in [0, level_max_physical]")
+        zone_values = np.asarray(zone_values, dtype=float)
+        if zone_values.shape != (topology.n_zones, STEPS_PER_DAY):
+            raise ValidationError(
+                f"demand shape {zone_values.shape}, expected "
+                f"({topology.n_zones}, {STEPS_PER_DAY})"
+            )
+        tariff = np.asarray(tariff, dtype=float)
+        if tariff.shape != (STEPS_PER_DAY,):
+            raise ValidationError("tariff must hold one value per step")
+        if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(zone_values))):
+            raise NumericError("non-finite simulator input")
+
+        n = STEPS_PER_DAY - t0
+        n_t, n_s = topology.n_tanks, topology.n_stations
+        self.c, self.zone_values, self.tariff = c, zone_values, tariff
+        self.t0 = self.t = t0
+        self.levels = levels
+        self.states = np.empty((n + 1, n_t))
+        self.states[0] = levels
+        self.actions = np.empty((n, n_s))
+        self.flows = np.empty((n, n_s))
+        self.powers = np.empty((n, n_s))
+        self.energies = np.empty((n, n_s))
+        self.costs = np.empty(n)
+        self.clamp_flags = np.empty((n, n_t), dtype=bool)
+
+    def advance(self, action: np.ndarray) -> None:
+        t = self.t
+        i = t - self.t0
+        if np.shape(action) != self.actions.shape[1:]:
+            raise ValidationError(
+                f"action shape {np.shape(action)} does not match station count "
+                f"{self.actions.shape[1]}"
+            )
+        self.actions[i] = action
+        (
+            self.levels,
+            self.flows[i],
+            self.powers[i],
+            self.energies[i],
+            self.costs[i],
+            self.clamp_flags[i],
+        ) = _advance(
+            self.c, self.levels, self.actions[i], self.zone_values[:, t], self.tariff[t]
+        )
+        self.states[i + 1] = self.levels
+        self.t = t + 1
+
+    def trajectory(self) -> Trajectory:
+        _check_speeds(self.actions)
+        if not np.all(np.isfinite(self.states)):
+            raise NumericError("non-finite level update")
+        return Trajectory(
+            states=self.states,
+            actions=self.actions,
+            flows=self.flows,
+            powers=self.powers,
+            energies=self.energies,
+            costs=self.costs,
+            clamp_flags=self.clamp_flags,
+            zone_demands=self.zone_values[:, self.t0 :].T.copy(),
+            tariff=self.tariff[self.t0 :].copy(),
+            level_caps=self.c.caps.copy(),
+        )
+
+
+def run_day(
+    topology: NetworkTopology,
+    initial_levels: np.ndarray,
+    zone_values: np.ndarray,
+    tariff: np.ndarray,
+    act: Callable[[int, np.ndarray], np.ndarray],
+    t0: int = 0,
+) -> Trajectory:
+    """Roll the day from step ``t0`` to its end under ``act``.
+
+    ``zone_values`` is the (n_zones, 96) demand array and ``tariff`` the
+    per-step price of the whole day. ``act(t, levels)`` returns the pump
+    speeds for step ``t`` given the levels before it. Speeds outside [0, 1]
+    or non-finite raise ``ValidationError`` and non-finite levels raise
+    ``NumericError``, both checked once for the day.
+    """
+    day = _Rollout(topology, initial_levels, zone_values, tariff, t0)
+    for t in range(t0, STEPS_PER_DAY):
+        day.advance(act(t, day.levels))
+    return day.trajectory()
 
 
 def simulate(
@@ -182,59 +247,20 @@ def simulate(
     tariff: np.ndarray | None = None,
 ) -> Trajectory:
     """Run a full 96-step day under a fixed control schedule."""
-    c = _compiled(topology)
-    initial = np.asarray(initial_levels, dtype=float)
-    if initial.shape != (topology.n_tanks,):
-        raise ValidationError(
-            f"initial levels shape {initial.shape} does not match tank count"
-        )
-    if np.any(initial < 0) or np.any(initial > c.caps):
-        raise ValidationError("initial levels must lie in [0, level_max_physical]")
     schedule = np.asarray(schedule, dtype=float)
     if schedule.shape != (STEPS_PER_DAY, topology.n_stations):
         raise ValidationError(
             f"schedule shape {schedule.shape}, expected "
             f"({STEPS_PER_DAY}, {topology.n_stations})"
         )
-    tariff_arr = (
-        topology.tariff.as_array() if tariff is None else np.asarray(tariff, dtype=float)
-    )
-    if tariff_arr.shape != (STEPS_PER_DAY,):
-        raise ValidationError("tariff must hold one value per step")
-    zone_values = demands.as_array()  # (n_zones, 96)
-    if zone_values.shape[0] != topology.n_zones:
-        raise ValidationError("demand set zone count does not match topology")
-
-    n_t, n_s, n_z = topology.n_tanks, topology.n_stations, topology.n_zones
-    states = np.empty((STEPS_PER_DAY + 1, n_t))
-    flows = np.empty((STEPS_PER_DAY, n_s))
-    powers = np.empty((STEPS_PER_DAY, n_s))
-    energies = np.empty((STEPS_PER_DAY, n_s))
-    costs = np.empty(STEPS_PER_DAY)
-    clamp_flags = np.empty((STEPS_PER_DAY, n_t), dtype=bool)
-
-    state = SystemState(t=0, levels=initial)
-    states[0] = state.levels
-    for t in range(STEPS_PER_DAY):
-        state, out = step(topology, state, schedule[t], zone_values[:, t], tariff_arr[t])
-        states[t + 1] = state.levels
-        flows[t] = out.flows
-        powers[t] = out.powers
-        energies[t] = out.energies
-        costs[t] = out.cost
-        clamp_flags[t] = out.clamp_flags
-
-    return Trajectory(
-        states=states,
-        actions=schedule.copy(),
-        flows=flows,
-        powers=powers,
-        energies=energies,
-        costs=costs,
-        clamp_flags=clamp_flags,
-        zone_demands=zone_values.T.copy(),
-        tariff=tariff_arr.copy(),
-        level_caps=c.caps.copy(),
+    if tariff is None:
+        tariff = topology.tariff.as_array()
+    return run_day(
+        topology,
+        initial_levels,
+        demands.as_array(),
+        tariff,
+        lambda t, levels: schedule[t],
     )
 
 

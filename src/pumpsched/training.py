@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import AgentKind, FrameSkipEnv, PumpSchedulingEnv, sample_episode
-from .errors import NumericError, TrainingError, ValidationError
+from .errors import NumericError, SchemaError, TrainingError, ValidationError
 from .network import STEPS_PER_DAY, NetworkTopology
 from .nn import Adam
 from .policy import (
@@ -431,8 +431,13 @@ def load_reward_curve(path: str | Path) -> list[tuple[int, float]]:
         header = next(reader, None)
         if header != ["steps", "mean_reward"]:
             raise ValidationError(f"{path}: unexpected reward curve header")
-        for row in reader:
-            curve.append((int(row[0]), float(row[1])))
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise SchemaError(f"{path} row {lineno}: expected 2 columns")
+            try:
+                curve.append((int(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise SchemaError(f"{path} row {lineno}: {exc}") from None
     return curve
 
 

@@ -94,37 +94,89 @@ def _edit(obj, where, value):
     obj[where[-1]] = value
 
 
-@pytest.mark.parametrize(
-    "where, value, steps",
-    [
-        (("tariff", 5), "cheap", 96),
-        (("tanks",), 5, 96),
-        (("stations", 0, "max_flow"), float("inf"), 96),
-        (("dt_hours",), 1.0, 96),
-        (None, None, 0),
-    ],
-    ids=[
-        "text_tariff",
-        "tanks_not_a_list",
-        "infinite_max_flow",
-        "hourly_dt",
-        "zero_steps",
-    ],
-)
-def test_bad_input_exits_one_with_a_one_line_error(
-    workflow, tmp_path, where, value, steps
-):
+def _bad_network(where=None, value=None, steps=96):
+    """``train`` on the workflow's network.json with one field replaced."""
+
+    def build(out, tmp_path):
+        doc = json.loads((out / "network.json").read_text())
+        if where is not None:
+            _edit(doc, where, value)
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(doc))
+        return (
+            "train", "--network", network, "--steps", steps, "--batch-size", 96,
+            "--out", tmp_path,
+        )
+
+    return build
+
+
+def _bad_artifact(name, text):
+    """``report`` on a directory holding one hand-written artifact."""
+
+    def build(out, tmp_path):
+        (tmp_path / name).write_text(text)
+        return ("report", "--out", tmp_path)
+
+    return build
+
+
+def _bad_checkpoint(edit):
+    """``eval`` with the workflow's checkpoint.json edited in place by ``edit``."""
+
+    def build(out, tmp_path):
+        doc = json.loads((out / "checkpoint.json").read_text())
+        edit(doc)
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        return (
+            "eval", "--network", out / "network.json", "--checkpoint", checkpoint,
+            "--episodes", 1, "--out", tmp_path,
+        )
+
+    return build
+
+
+def _narrow_first_hidden_layer(doc):
+    actor = doc["actor"]
+    actor["weights"][0] = [row[:-1] for row in actor["weights"][0]]
+    actor["biases"][0] = actor["biases"][0][:-1]
+
+
+BAD_INPUTS = {
+    "text_tariff": _bad_network(("tariff", 5), "cheap"),
+    "tanks_not_a_list": _bad_network(("tanks",), 5),
+    "infinite_max_flow": _bad_network(("stations", 0, "max_flow"), float("inf")),
+    "hourly_dt": _bad_network(("dt_hours",), 1.0),
+    "zero_steps": _bad_network(steps=0),
+    "malformed_manifest": _bad_artifact("manifest.json", '{"command": '),
+    "text_reward": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96,abc\n"),
+    "short_reward_row": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96\n"),
+    "comparison_of_numbers": _bad_artifact("comparison.json", "[1, 2]"),
+    "comparison_text_area": _bad_artifact(
+        "comparison.json", '[{"label": "policy", "mean_area": "low"}]'
+    ),
+    "strategy_report_of_strings": _bad_artifact(
+        "strategy_report.json", '["targeted", "dynamic_end"]'
+    ),
+    "text_log_sigma": _bad_checkpoint(
+        lambda doc: doc.update(log_sigma=["wide"] * len(doc["log_sigma"]))
+    ),
+    "short_log_sigma": _bad_checkpoint(
+        lambda doc: doc.update(log_sigma=doc["log_sigma"][:-1])
+    ),
+    "unchained_hidden_layers": _bad_checkpoint(_narrow_first_hidden_layer),
+    "unknown_agent": _bad_checkpoint(lambda doc: doc["meta"].update(agent="greedy")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_one_with_a_one_line_error(workflow, tmp_path, case):
     out, _ = workflow
-    doc = json.loads((out / "network.json").read_text())
-    if where is not None:
-        _edit(doc, where, value)
-    network = tmp_path / "network.json"
-    network.write_text(json.dumps(doc))
-    result = run_cli(
-        "train", "--network", network, "--steps", steps, "--batch-size", 96,
-        "--out", tmp_path,
-    )
+    argv = BAD_INPUTS[case](out, tmp_path)
+    before = sorted(tmp_path.iterdir())
+    result = run_cli(*argv)
     assert result.returncode == 1
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
-    assert not (tmp_path / "checkpoint.json").exists()
+    assert sorted(tmp_path.iterdir()) == before  # the command wrote nothing

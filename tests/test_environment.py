@@ -15,8 +15,14 @@ from pumpsched import (
     sample_episode,
     sample_operational_episode,
 )
-from pumpsched.env import normalize_tariff, reward_constraint_step, reward_dual
+from pumpsched.env import (
+    closed_loop,
+    normalize_tariff,
+    reward_constraint_step,
+    reward_dual,
+)
 from pumpsched.network import STEPS_PER_DAY
+from pumpsched.simulate import run_day
 
 
 def _config(world, agent_kind=AgentKind.CONSTRAINT, frame_skip=None, levels=None):
@@ -298,6 +304,33 @@ def test_frame_skip_toggle_bound(world):
     actions = env.trajectory().actions
     changes = int((np.abs(np.diff(actions, axis=0)).sum(axis=1) > 0).sum())
     assert changes <= 11
+
+
+@pytest.mark.parametrize("kind", list(AgentKind))
+@pytest.mark.parametrize("window", [1, 8])
+def test_closed_loop_day_matches_the_env_episode(world, kind, window):
+    weights = np.random.default_rng(4).normal(0.0, 0.1, (6 + 1 + STEPS_PER_DAY, 6))
+
+    def act_fn(obs):
+        return np.clip(0.5 + obs @ weights[: obs.shape[0]], 0.0, 1.0)
+
+    config = _config(world, kind)
+    env = FrameSkipEnv(PumpSchedulingEnv(world), window)
+    obs = env.reset(config)
+    for _ in range(STEPS_PER_DAY // window):
+        obs = env.step(act_fn(obs)).observation
+    expected = env.trajectory()
+    traj = run_day(
+        world,
+        config.initial_levels,
+        config.demands.as_array(),
+        config.day_tariff(world),
+        closed_loop(world, config, act_fn, window),
+    )
+    for name in ("states", "actions", "flows", "costs", "clamp_flags"):
+        np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
+    with pytest.raises(ValidationError):
+        closed_loop(world, config, act_fn, 7)
 
 
 # -- episode sampling ---------------------------------------------------------

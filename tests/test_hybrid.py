@@ -23,12 +23,11 @@ from pumpsched.hybrid import (
     predict_resume,
     strategy_targeted,
     trajectory_suffix,
-    _resimulate_suffix,
     _state_area,
 )
 from pumpsched.metrics import area_outside_boundary
 from pumpsched.network import STEPS_PER_DAY
-from pumpsched.simulate import Trajectory
+from pumpsched.simulate import Trajectory, run_day
 
 
 def _traj_from_states(states: np.ndarray) -> Trajectory:
@@ -300,7 +299,14 @@ def test_predict_resume_matches_resimulation(world, case_pool):
         if e == STEPS_PER_DAY:
             np.testing.assert_array_equal(predicted, full.states[e:])
             continue
-        exact = _resimulate_suffix(world, case, full.states[e], e)
+        exact = run_day(
+            world,
+            full.states[e],
+            case.config.demands.as_array(),
+            case.baseline_traj.tariff,
+            lambda t, levels: case.baseline_schedule[t],
+            t0=e,
+        ).states
         np.testing.assert_allclose(predicted, exact, atol=1e-9)
 
 

@@ -1,77 +1,186 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pumpsched import (
+    AgentKind,
+    EpisodeConfig,
+    NumericError,
+    PumpSchedulingEnv,
     ValidationError,
     shift_predict,
     shift_valid,
     simulate,
-    step,
 )
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY
-from pumpsched.simulate import SystemState
+from pumpsched.simulate import run_day
+
+from conftest import flat_demands
+
+FLAT_TARIFF = np.full(STEPS_PER_DAY, 0.1)
 
 
-def _station_1_step(topology, speed):
-    """One step of the tiny world with station 1 at ``speed``, station 2 off."""
-    state = SystemState(t=0, levels=np.array([4.0, 4.0]))
-    return step(topology, state, np.array([speed, 0.0]), np.zeros(2), 0.1)
+def _constant_act(speeds):
+    action = np.asarray(speeds, dtype=float)
+    return lambda t, levels: action
+
+
+def _last_step(topology, levels, speeds, demand, tariff_t):
+    """The day's final step alone: ``run_day`` from t0 = 95."""
+    return run_day(
+        topology,
+        np.asarray(levels, dtype=float),
+        np.full((topology.n_zones, STEPS_PER_DAY), float(demand)),
+        np.full(STEPS_PER_DAY, tariff_t),
+        _constant_act(speeds),
+        t0=STEPS_PER_DAY - 1,
+    )
+
+
+def _env(topology, levels=(4.0, 4.0), demand=0.0):
+    """A constraint-agent env reset to ``levels`` under a flat zone demand."""
+    env = PumpSchedulingEnv(topology)
+    env.reset(
+        EpisodeConfig(
+            initial_levels=np.asarray(levels, dtype=float),
+            demands=flat_demands(topology, demand),
+        )
+    )
+    return env
+
+
+def _env_first_step(topology, levels, speeds, demand):
+    return _env(topology, levels, demand).step(np.asarray(speeds, dtype=float))
+
+
+def _station_1_day(topology, speed):
+    """A tiny-world day with station 1 at ``speed`` and station 2 off, through
+    ``simulate`` and through 96 ``env.step`` calls."""
+    schedule = np.zeros((STEPS_PER_DAY, 2))
+    schedule[:, 0] = speed
+    env = _env(topology)
+    for t in range(STEPS_PER_DAY):
+        env.step(schedule[t])
+    initial = np.array([4.0, 4.0])
+    demands = flat_demands(topology, 0.0)
+    return simulate(topology, initial, schedule, demands), env.trajectory()
 
 
 def test_pump_power_cubic(tiny_world):
     # Station 1 is rated at 200 kW.
     for speed, power in ((0.5, 25.0), (1.0, 200.0), (0.0, 0.0)):
-        _, out = _station_1_step(tiny_world, speed)
-        assert out.powers[0] == power
+        for traj in _station_1_day(tiny_world, speed):
+            assert np.all(traj.powers[:, 0] == power)
+            assert np.all(traj.energies[:, 0] == power * DT_HOURS)
 
 
 def test_pump_flow_linear(tiny_world):
     # Station 1 moves at most 400 m^3/h.
     for speed, flow in ((0.5, 200.0), (0.0, 0.0)):
-        _, out = _station_1_step(tiny_world, speed)
-        assert out.flows[0] == flow
+        for traj in _station_1_day(tiny_world, speed):
+            assert np.all(traj.flows[:, 0] == flow)
+            assert np.all(traj.flows[:, 1] == 0.0)
 
 
+# An inf speed overflows the step arithmetic before the day's check rejects it.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("speed", [-0.01, 1.01, float("nan"), float("inf")])
-def test_pump_speed_rejected(tiny_world, speed):
-    with pytest.raises(ValidationError):
-        _station_1_step(tiny_world, speed)
+def test_pump_speed_rejected(tiny_world, zero_demands, speed):
+    schedule = np.full((STEPS_PER_DAY, 2), 0.5)
+    schedule[50, 0] = speed
+    with pytest.raises(ValidationError, match="pump speed"):
+        simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
+    with pytest.raises(ValidationError, match="pump speed"):
+        _last_step(tiny_world, [4.0, 4.0], [speed, 0.0], 0.0, 0.1)
+    with pytest.raises(ValidationError, match="pump speed"):
+        _env_first_step(tiny_world, [4.0, 4.0], [speed, 0.0], 0.0)
 
 
 def test_single_step_mass_balance(tiny_world):
     # Station 1 pushes 400 m^3/h into tank 1 (area 1000 m^2) while its zone
     # draws 200 m^3/h: the level must rise exactly (400-200)*0.25/1000 = 0.05 m.
-    state = SystemState(t=0, levels=np.array([4.0, 4.0]))
-    next_state, out = step(
-        tiny_world,
-        state,
-        np.array([1.0, 0.0]),
-        np.array([200.0, 200.0]),
-        0.1,
-    )
-    assert next_state.levels[0] == pytest.approx(4.05, abs=1e-12)
+    traj = _last_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0, 0.1)
+    assert traj.states.shape == (2, 2) and traj.costs.shape == (1,)
+    assert traj.states[1, 0] == pytest.approx(4.05, abs=1e-12)
     # Tank 2 (area 500) only drains: -200*0.25/500 = -0.1 m.
-    assert next_state.levels[1] == pytest.approx(3.9, abs=1e-12)
-    assert next_state.t == 1
-    assert not out.clamp_flags.any()
-    assert out.powers[0] == pytest.approx(200.0)
-    assert out.cost == pytest.approx(200.0 * DT_HOURS * 0.1)
+    assert traj.states[1, 1] == pytest.approx(3.9, abs=1e-12)
+    assert not traj.clamp_flags.any()
+    assert traj.powers[0, 0] == pytest.approx(200.0)
+    assert traj.costs[0] == pytest.approx(200.0 * DT_HOURS * 0.1)
+
+    result = _env_first_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0)
+    assert result.info["t"] == 1
+    # The env's tiny-world tariff is 0.1 for the first half of the day.
+    assert result.info["step_cost"] == traj.costs[0]
+    np.testing.assert_array_equal(result.observation, traj.states[1] / 8.0)
 
 
-def test_step_rejects_finished_day(tiny_world):
-    state = SystemState(t=STEPS_PER_DAY, levels=np.array([4.0, 4.0]))
+def test_step_rejects_finished_day(tiny_world, zero_demands):
+    def from_step(t0):
+        return run_day(
+            tiny_world, [4.0, 4.0], zero_demands.as_array(), FLAT_TARIFF,
+            _constant_act([0.0, 0.0]), t0,
+        )  # fmt: skip
+
+    for t0 in (-1, STEPS_PER_DAY + 1):
+        with pytest.raises(ValidationError, match="cannot start"):
+            from_step(t0)
+    # Starting at the end of the day is the empty rollout.
+    empty = from_step(STEPS_PER_DAY)
+    assert empty.states.shape == (1, 2) and empty.actions.shape == (0, 2)
+
+    env = _env(tiny_world)
+    for _ in range(STEPS_PER_DAY):
+        env.step(np.zeros(2))
     with pytest.raises(ValidationError, match="finished"):
-        step(tiny_world, state, np.zeros(2), np.zeros(2), 0.1)
+        env.step(np.zeros(2))
 
 
-def test_step_rejects_bad_shapes(tiny_world):
-    state = SystemState(t=0, levels=np.array([4.0, 4.0]))
+def test_step_rejects_bad_shapes(tiny_world, zero_demands):
+    initial = np.array([4.0, 4.0])
+    zeros = zero_demands.as_array()
     with pytest.raises(ValidationError):
-        step(tiny_world, state, np.zeros(3), np.zeros(2), 0.1)
-    with pytest.raises(ValidationError):
-        step(tiny_world, state, np.zeros(2), np.zeros(5), 0.1)
+        simulate(tiny_world, initial, np.zeros((STEPS_PER_DAY, 3)), zero_demands)
+    for levels, zone_values, tariff, speeds in (
+        (initial, zeros, FLAT_TARIFF, np.zeros(3)),
+        (initial, np.zeros((5, STEPS_PER_DAY)), FLAT_TARIFF, np.zeros(2)),
+        (initial, zeros, np.zeros(95), np.zeros(2)),
+        (np.zeros(3), zeros, FLAT_TARIFF, np.zeros(2)),
+    ):
+        with pytest.raises(ValidationError):
+            run_day(tiny_world, levels, zone_values, tariff, _constant_act(speeds))
+    env = _env(tiny_world)
+    with pytest.raises(ValidationError, match="action shape"):
+        env.step(np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 flows
+def test_non_finite_levels_raise_numeric_error(tiny_world, zero_demands):
+    schedule = np.zeros((STEPS_PER_DAY, 2))
+    with pytest.raises(NumericError):
+        simulate(tiny_world, np.array([np.nan, 4.0]), schedule, zero_demands)
+    with pytest.raises(NumericError):
+        run_day(
+            tiny_world,
+            [4.0, 4.0],
+            np.full((2, STEPS_PER_DAY), np.inf),
+            FLAT_TARIFF,
+            _constant_act([0.0, 0.0]),
+        )
+    with pytest.raises(NumericError):
+        _env_first_step(tiny_world, [np.nan, 4.0], [0.0, 0.0], 0.0)
+    # An unbounded pump turns a stopped station's flow into inf * 0 = nan.
+    s1, s2 = tiny_world.stations
+    unbounded = dataclasses.replace(
+        tiny_world, stations=(dataclasses.replace(s1, max_flow=np.inf), s2)
+    )
+    with pytest.raises(NumericError):
+        simulate(unbounded, np.array([4.0, 4.0]), schedule, zero_demands)
+    with pytest.raises(NumericError):
+        _env_first_step(unbounded, [4.0, 4.0], [0.0, 0.0], 0.0)
 
 
 def test_full_day_cost_oracle(tiny_world, zero_demands):
@@ -141,21 +250,20 @@ def test_default_tariff_comes_from_topology(world):
 )
 def test_step_matches_hand_balance(tiny_world, speeds, demand, level):
     """One step equals the hand-written balance for any valid inputs."""
-    state = SystemState(t=0, levels=np.array([level, level]))
-    action = np.array(speeds)
-    next_state, out = step(
-        tiny_world, state, action, np.array([demand, demand]), 0.15
-    )
     flow_1 = 400.0 * speeds[0]
     flow_2 = 200.0 * speeds[1]
     raw_1 = level + DT_HOURS * (flow_1 - flow_2 - demand) / 1000.0
     raw_2 = level + DT_HOURS * (flow_2 - demand) / 500.0
     expect = np.clip([raw_1, raw_2], 0.0, 8.0)
-    np.testing.assert_allclose(next_state.levels, expect, atol=1e-9)
-    assert out.cost == pytest.approx(
-        (200.0 * speeds[0] ** 3 + 80.0 * speeds[1] ** 3) * DT_HOURS * 0.15,
-        abs=1e-9,
-    )
+    energy = (200.0 * speeds[0] ** 3 + 80.0 * speeds[1] ** 3) * DT_HOURS
+
+    traj = _last_step(tiny_world, [level, level], speeds, demand, 0.15)
+    np.testing.assert_allclose(traj.states[1], expect, atol=1e-9)
+    assert traj.costs[0] == pytest.approx(energy * 0.15, abs=1e-9)
+
+    result = _env_first_step(tiny_world, [level, level], speeds, demand)
+    np.testing.assert_allclose(result.observation * 8.0, expect, atol=1e-9)
+    assert result.info["step_cost"] == pytest.approx(energy * 0.1, abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -227,3 +335,149 @@ def test_shift_invalid_when_moved_outside_caps(world):
     assert not base.any_clamped()
     huge = np.full(world.n_tanks, 100.0)
     assert not shift_valid(base, huge)
+
+
+# -- properties of the day-rollout core ----------------------------------------
+
+_DAYS = dict(
+    seed=st.integers(min_value=0, max_value=10_000),
+    imperfection=st.floats(min_value=0.0, max_value=1.0),
+    start=st.floats(min_value=0.02, max_value=0.98),
+)
+
+
+def _controlled_day(world, seed, imperfection, start):
+    from pumpsched import (
+        RuleBasedController,
+        generate_demands,
+        margins_for,
+        run_controlled_day,
+    )
+
+    rng = np.random.default_rng(seed)
+    margins = margins_for(world, imperfection, rng)
+    demands = generate_demands(world, seed=seed)
+    initial = start * world.caps_array()
+    controller = RuleBasedController(world, margins)
+    return run_controlled_day(world, initial, controller, demands), demands
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_DAYS)
+def test_controlled_day_replays_as_a_fixed_schedule(world, seed, imperfection, start):
+    traj, demands = _controlled_day(world, seed, imperfection, start)
+    replay = simulate(world, traj.states[0], traj.actions, demands)
+    np.testing.assert_array_equal(replay.states, traj.states)
+    np.testing.assert_array_equal(replay.costs, traj.costs)
+
+
+_TRAJECTORY_FIELDS = (
+    "states",
+    "actions",
+    "flows",
+    "powers",
+    "energies",
+    "costs",
+    "clamp_flags",
+    "zone_demands",
+    "tariff",
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    e=st.integers(min_value=0, max_value=STEPS_PER_DAY),
+    high=st.floats(min_value=0.3, max_value=1.0),
+)
+def test_rollout_from_a_mid_day_state_equals_the_tail(world, seed, e, high):
+    from pumpsched import generate_demands
+
+    schedule = np.random.default_rng(seed).uniform(0.0, high, (STEPS_PER_DAY, 6))
+    demands = generate_demands(world, seed=seed)
+    day = simulate(world, world.initial_levels_array(), schedule, demands)
+    tail = run_day(
+        world,
+        day.states[e],
+        demands.as_array(),
+        day.tariff,
+        lambda t, levels: schedule[t],
+        t0=e,
+    )
+    assert tail.states.shape == (STEPS_PER_DAY + 1 - e, world.n_tanks)
+    for name in _TRAJECTORY_FIELDS:
+        np.testing.assert_array_equal(getattr(tail, name), getattr(day, name)[e:])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    high=st.floats(min_value=0.3, max_value=1.0),
+    start=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_levels_stay_in_caps_and_clamp_flags_mark_every_clamp(world, seed, high, start):
+    from pumpsched import generate_demands
+
+    schedule = np.random.default_rng(seed).uniform(0.0, high, (STEPS_PER_DAY, 6))
+    demands = generate_demands(world, seed=seed)
+    caps = world.caps_array()
+    traj = simulate(world, start * caps, schedule, demands)
+    assert np.all(traj.states >= 0.0) and np.all(traj.states <= caps)
+
+    # The unclamped update, step by step, from the recorded flows.
+    net_inflow = np.zeros((STEPS_PER_DAY, world.n_tanks))
+    for j, station in enumerate(world.stations):
+        for tank_id, frac in station.fills:
+            net_inflow[:, world.tank_index(tank_id)] += frac * traj.flows[:, j]
+        if station.draws_from is not None:
+            net_inflow[:, world.tank_index(station.draws_from)] -= traj.flows[:, j]
+    for k, zone in enumerate(world.zones):
+        net_inflow[:, world.tank_index(zone.served_by)] -= traj.zone_demands[:, k]
+    raw = traj.states[:-1] + DT_HOURS * net_inflow / world.areas_array()
+    np.testing.assert_allclose(traj.states[1:], np.clip(raw, 0.0, caps), atol=1e-9)
+    clamped = (raw < -1e-9) | (raw > caps + 1e-9)
+    inside = (raw > 1e-9) & (raw < caps - 1e-9)
+    assert np.all(traj.clamp_flags[clamped])
+    assert not np.any(traj.clamp_flags[inside])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    **_DAYS,
+    e=st.integers(min_value=0, max_value=STEPS_PER_DAY - 1),
+    shift=st.floats(min_value=-0.5, max_value=0.5),
+)
+def test_predict_resume_is_exact_when_shift_valid(
+    world, seed, imperfection, start, e, shift
+):
+    from pumpsched.hybrid import HybridCase, predict_resume, trajectory_suffix
+
+    base, demands = _controlled_day(world, seed, imperfection, start)
+    case = HybridCase(
+        case_id=0,
+        config=EpisodeConfig(
+            initial_levels=base.states[0], demands=demands, agent_kind=AgentKind.DUAL
+        ),
+        baseline_schedule=np.array(base.actions),
+        baseline_traj=base,
+        windows=(),
+        bounds=world.bounds_arrays(),
+        matched_day=0,
+    )
+    injected = np.array(base.states)
+    injected[e] = np.clip(base.states[e] + shift, 0.0, world.caps_array())
+    predicted, used_shift = predict_resume(world, case, injected, e)
+    exact = run_day(
+        world,
+        injected[e],
+        demands.as_array(),
+        base.tariff,
+        lambda t, levels: case.baseline_schedule[t],
+        t0=e,
+    ).states
+    delta = injected[e] - base.states[e]
+    assert used_shift == shift_valid(trajectory_suffix(base, e), delta)
+    if used_shift:
+        np.testing.assert_allclose(predicted, exact, rtol=0.0, atol=1e-9)
+    else:
+        np.testing.assert_array_equal(predicted, exact)
