@@ -57,7 +57,7 @@ from .network import (
 )
 from .policy import load_checkpoint, save_checkpoint
 from .query import build_index
-from .simulate import run_day, simulate
+from .simulate import simulate
 from .training import (
     EnvSpec,
     TrainConfig,
@@ -310,16 +310,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
-def _policy_day(topology, config, act_fn, frame_skip):
-    return run_day(
-        topology,
-        config.initial_levels,
-        config.demands.as_array(),
-        config.day_tariff(topology),
-        closed_loop(topology, config, act_fn, window=max(frame_skip, 1)),
-    )
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     started = time.time()
     out = _outdir(args)
@@ -352,7 +342,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
         controller = RuleBasedController(topology, margins)
         trajs = {
-            "policy": _policy_day(topology, config, act_fn, frame_skip),
+            "policy": config.roll_day(
+                topology, closed_loop(topology, config, act_fn, max(frame_skip, 1))
+            ),
             "rule_based": run_controlled_day(
                 topology, config.initial_levels, controller, config.demands
             ),

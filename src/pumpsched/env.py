@@ -23,7 +23,7 @@ from .network import (
     NetworkTopology,
     demands_from_rng,
 )
-from .simulate import Trajectory, _check_speeds, _Rollout
+from .simulate import Trajectory, _check_speeds, _Rollout, run_day
 
 
 class AgentKind(enum.Enum):
@@ -134,6 +134,18 @@ class EpisodeConfig:
 
     def day_tariff(self, topology: NetworkTopology) -> np.ndarray:
         return topology.tariff.as_array() if self.tariff is None else self.tariff
+
+    def roll_day(
+        self, topology: NetworkTopology, act: Callable[[int, np.ndarray], np.ndarray]
+    ) -> Trajectory:
+        """This episode's whole day through ``run_day`` under ``act(t, levels)``."""
+        return run_day(
+            topology,
+            self.initial_levels,
+            self.demands.as_array(),
+            self.day_tariff(topology),
+            act,
+        )
 
 
 @dataclass

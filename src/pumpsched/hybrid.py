@@ -154,13 +154,7 @@ def inject(
             return policy(t, levels)
         return baseline_schedule[t]
 
-    traj = run_day(
-        topology,
-        config.initial_levels,
-        config.demands.as_array(),
-        config.day_tariff(topology),
-        act,
-    )
+    traj = config.roll_day(topology, act)
     return traj.actions.copy(), traj
 
 

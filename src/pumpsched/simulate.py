@@ -4,7 +4,8 @@
 step ``t0`` to the end under an ``act(t, levels)`` callback, so a fixed
 schedule, the hysteresis controller, and a policy injected into a schedule all
 share it, and ``PumpSchedulingEnv`` advances the same preallocated record one
-agent step at a time. Inputs are validated once per day at that boundary.
+agent step at a time. Every step goes through the kernel ``step``. Inputs are
+validated once per day at that boundary.
 
 Pump flows depend only on commanded speeds (affinity laws), never on tank
 levels, so level trajectories are linear in the initial levels wherever the
@@ -97,7 +98,7 @@ def _check_speeds(speeds: np.ndarray) -> None:
         raise ValidationError("pump speed must lie in [0, 1]")
 
 
-def _advance(
+def step(
     c: _Compiled,
     levels: np.ndarray,
     action: np.ndarray,
@@ -105,6 +106,9 @@ def _advance(
     tariff_t: float,
 ):
     """One step of the mass balance under commanded pump speeds.
+
+    ``c`` is the topology lowered by ``_compiled``; the inputs are not
+    validated here, ``run_day`` and ``PumpSchedulingEnv.step`` do that.
 
     ``zone_demands_t`` is the per-zone demand during the step in m^3/h;
     ``tariff_t`` prices the step's energy. Returns the clamped next levels,
@@ -129,7 +133,7 @@ class _Rollout:
 
     The constructor validates the day's inputs; ``advance`` applies the
     action for step ``t`` to ``levels`` and records it; ``trajectory``
-    validates the recorded actions and levels once and returns the record.
+    returns the record.
     """
 
     def __init__(
@@ -193,16 +197,13 @@ class _Rollout:
             self.energies[i],
             self.costs[i],
             self.clamp_flags[i],
-        ) = _advance(
+        ) = step(
             self.c, self.levels, self.actions[i], self.zone_values[:, t], self.tariff[t]
         )
         self.states[i + 1] = self.levels
         self.t = t + 1
 
     def trajectory(self) -> Trajectory:
-        _check_speeds(self.actions)
-        if not np.all(np.isfinite(self.states)):
-            raise NumericError("non-finite level update")
         return Trajectory(
             states=self.states,
             actions=self.actions,
@@ -236,6 +237,9 @@ def run_day(
     day = _Rollout(topology, initial_levels, zone_values, tariff, t0)
     for t in range(t0, STEPS_PER_DAY):
         day.advance(act(t, day.levels))
+    _check_speeds(day.actions)
+    if not np.all(np.isfinite(day.states)):
+        raise NumericError("non-finite level update")
     return day.trajectory()
 
 

@@ -22,7 +22,6 @@ from pumpsched.env import (
     reward_dual,
 )
 from pumpsched.network import STEPS_PER_DAY
-from pumpsched.simulate import run_day
 
 
 def _config(world, agent_kind=AgentKind.CONSTRAINT, frame_skip=None, levels=None):
@@ -320,13 +319,7 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
     for _ in range(STEPS_PER_DAY // window):
         obs = env.step(act_fn(obs)).observation
     expected = env.trajectory()
-    traj = run_day(
-        world,
-        config.initial_levels,
-        config.demands.as_array(),
-        config.day_tariff(world),
-        closed_loop(world, config, act_fn, window),
-    )
+    traj = config.roll_day(world, closed_loop(world, config, act_fn, window))
     for name in ("states", "actions", "flows", "costs", "clamp_flags"):
         np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
     with pytest.raises(ValidationError):
