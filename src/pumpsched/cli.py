@@ -169,10 +169,9 @@ def _apply_config_file(argv: list[str], parser: _Parser) -> None:
     known, _ = scan.parse_known_args(argv)
     if known.config is None:
         return
-    raw = Path(known.config).read_text()
     try:
-        values = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        values = json.loads(Path(known.config).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"config file {known.config} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise SchemaError("config file must hold a JSON object of flag defaults")

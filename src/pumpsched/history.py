@@ -240,10 +240,6 @@ def generate_history(
 
 _GROUP_RE = re.compile(r"^(level|action|power|demand)_(\d+)$")
 
-# Rows converted to floats at a time: bounds the memory held as string cells.
-_PARSE_ROWS = 12 * STEPS_PER_DAY
-
-
 def _header(n_tanks: int, n_stations: int, n_zones: int) -> list[str]:
     return (
         ["day", "t"]
@@ -295,48 +291,73 @@ def _group_counts(header: list[str]) -> tuple[int, int, int]:
     return counts["level"], counts["action"], counts["demand"]
 
 
-def _parse_rows(rows: list[list[str]], path: str | Path, first_line: int) -> np.ndarray:
-    """Rows of cells as a float array; a non-numeric cell fails with its line."""
-    try:
-        return np.array(rows, dtype=float)
-    except ValueError as exc:
-        for lineno, row in enumerate(rows, start=first_line):
+def _scan_body(path: str | Path, width: int) -> np.ndarray:
+    """The rows after the header, read row by row so a bad one names its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise SchemaError(f"{path} row {lineno}: wrong column count")
             try:
-                [float(v) for v in row]
-            except ValueError as row_exc:
-                raise SchemaError(f"{path} row {lineno}: {row_exc}") from None
-        raise SchemaError(f"{path} row {first_line} onward: {exc}") from None
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise SchemaError(f"{path} row {lineno}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(-1, width)
+
+
+def _body_lines(fh):
+    """The lines ``loadtxt`` parses; a blank line or an empty body stops it.
+
+    ``loadtxt`` would skip the one and warn on the other, where the archive
+    format rejects a blank row and reads an empty body as zero rows.
+    """
+    line = None
+    for line in fh:
+        if not line.strip():
+            raise ValueError("blank line")
+        yield line
+    if line is None:
+        raise ValueError("no rows")
 
 
 def load_history(path: str | Path) -> HistoryArchive:
     """Load and validate an operating archive from CSV.
 
-    Rows are converted in blocks, so memory stays close to the arrays'. A bad
-    row fails with a one-line error naming its line.
+    The body is parsed by one ``np.loadtxt`` call streaming from the open
+    file, so memory stays close to the arrays'. Should that fail, a
+    ``csv.reader`` scan reads the body row by row instead, and a bad row
+    fails with a one-line error naming its line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        n_tanks, n_stations, n_zones = _group_counts(header)
-        expected = _header(n_tanks, n_stations, n_zones)
-        if header != expected:
-            raise SchemaError(
-                f"{path}: header does not match the documented column order"
-            )
-        blocks, rows, first_line = [], [], 2
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise SchemaError(f"{path} row {lineno}: wrong column count")
-            rows.append(row)
-            if len(rows) == _PARSE_ROWS:
-                blocks.append(_parse_rows(rows, path, first_line))
-                rows, first_line = [], lineno + 1
-        if rows:
-            blocks.append(_parse_rows(rows, path, first_line))
-    data = np.concatenate(blocks) if blocks else np.empty((0, len(expected)))
+    try:
+        with open(path, newline="") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file") from None
+            n_tanks, n_stations, n_zones = _group_counts(header)
+            expected = _header(n_tanks, n_stations, n_zones)
+            if header != expected:
+                raise SchemaError(
+                    f"{path}: header does not match the documented column order"
+                )
+            try:
+                data = np.loadtxt(
+                    _body_lines(fh),
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                )
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                data = None
+        if data is None or data.shape[1] != len(expected):
+            data = _scan_body(path, len(expected))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a text file ({exc})") from None
 
     stamps, levels, actions, powers, demands, tariff = np.split(
         data, np.cumsum([2, n_tanks, n_stations, n_stations, n_zones]), axis=1

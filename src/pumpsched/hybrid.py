@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -28,7 +28,7 @@ from .errors import ValidationError
 from .metrics import Bounds, _csv_cell, _exceedance
 from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology
 from .query import QueryIndex, recommend
-from .simulate import Trajectory, run_day, shift_predict, shift_valid, simulate
+from .simulate import Trajectory, resume_lanes, shift_predict, shift_valid, simulate
 
 UNTARGETED_EARLY = (0, 8)  # 00:00-02:00
 UNTARGETED_MIDDAY = (48, 56)  # 12:00-14:00
@@ -221,47 +221,40 @@ def trajectory_suffix(traj: Trajectory, e: int) -> Trajectory:
     """The trajectory from step e onward, viewed as its own record."""
     if not (0 <= e <= STEPS_PER_DAY):
         raise ValidationError(f"suffix start {e} out of range")
-    return Trajectory(
-        states=traj.states[e:],
-        actions=traj.actions[e:],
-        flows=traj.flows[e:],
-        powers=traj.powers[e:],
-        energies=traj.energies[e:],
-        costs=traj.costs[e:],
-        clamp_flags=traj.clamp_flags[e:],
-        zone_demands=traj.zone_demands[e:],
-        tariff=traj.tariff[e:],
-        level_caps=traj.level_caps,
-    )
+    per_step = [f.name for f in fields(traj) if f.name != "level_caps"]
+    return replace(traj, **{name: getattr(traj, name)[e:] for name in per_step})
 
 
-def predict_resume(
+def resume_tails(
     topology: NetworkTopology,
     case: HybridCase,
     injected_states: np.ndarray,
-    e: int,
-) -> tuple[np.ndarray, bool]:
-    """States e..96 if the baseline schedule resumes at step e.
+    he: int,
+) -> np.ndarray:
+    """States of the day if the baseline schedule resumes at each step e >= he.
 
-    Uses the linear level shift of the baseline suffix when valid, otherwise
-    re-simulates the suffix exactly. Returns (states, used_shift).
+    Row k resumes at e = he + k: columns k.. hold states e..96 and earlier
+    columns the injected states he..e-1. The rows come from one
+    ``resume_lanes`` pass, except that a row whose baseline suffix may be
+    shifted (``shift_valid``) holds the shifted suffix, equal to the lane to
+    rounding; the strategy report is defined on that choice. There are no
+    rows when ``he`` is 96.
     """
-    if e == STEPS_PER_DAY:
-        return injected_states[e:].copy(), True
-    delta = injected_states[e] - case.baseline_traj.states[e]
-    suffix = trajectory_suffix(case.baseline_traj, e)
-    if shift_valid(suffix, delta):
-        return shift_predict(suffix, delta).states, True
-    schedule = case.baseline_schedule
-    resumed = run_day(
+    base = case.baseline_traj
+    tails = resume_lanes(
         topology,
-        injected_states[e],
+        injected_states[he:],
+        case.baseline_schedule,
         case.config.demands.as_array(),
-        case.baseline_traj.tariff,
-        lambda t, levels: schedule[t],
-        t0=e,
+        base.tariff,
+        he,
     )
-    return resumed.states, False
+    for k in range(len(tails)):
+        delta = injected_states[he + k] - base.states[he + k]
+        suffix = trajectory_suffix(base, he + k)
+        if shift_valid(suffix, delta):
+            tails[k, k:] = shift_predict(suffix, delta).states
+    return tails
 
 
 # ----------------------------------------------------------------------------
@@ -326,24 +319,21 @@ def strategy_dynamic_end(
 def _best_end(
     topology: NetworkTopology, case: HybridCase, full: Trajectory, hs: int, he: int
 ) -> int:
-    """Argmin over candidate ends of the during+post area, earliest on ties."""
-    bounds = case.bounds
-    full_area = _state_area(full.states, bounds)
-    best_e, best_total = he, np.inf
-    for e in range(he, STEPS_PER_DAY + 1):
-        during_and_tail = _range_area(full_area, hs + 1, e)
-        if e == STEPS_PER_DAY:
-            tail = 0.0
-        else:
-            states, _ = predict_resume(topology, case, full.states, e)
-            tail = float(
-                (_exceedance(states[1:], bounds).sum(axis=1) * DT_HOURS).sum()
-            )
-        total = during_and_tail + tail
-        if total < best_total:
-            best_total = total
-            best_e = e
-    return best_e
+    """Argmin over candidate ends of the during+post area, earliest on ties.
+
+    Ending at e scores the injected states hs+1..e plus the states after e with
+    the baseline resumed at step e, all from one ``resume_tails`` pass; ending
+    at 96 resumes nothing.
+    """
+    full_area = _state_area(full.states, case.bounds)
+    tails = resume_tails(topology, case, full.states, he)
+    tail_area = _exceedance(tails, case.bounds).sum(axis=2) * DT_HOURS
+    post = [float(row[k + 1 :].sum()) for k, row in enumerate(tail_area)] + [0.0]
+    totals = [
+        _range_area(full_area, hs + 1, e) + area
+        for e, area in zip(range(he, STEPS_PER_DAY + 1), post)
+    ]
+    return he + int(np.argmin(totals))
 
 
 def strategy_dynamic_start_end(

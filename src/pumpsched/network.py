@@ -380,10 +380,9 @@ def topology_from_dict(obj: dict) -> NetworkTopology:
 
 def load_network(path: str | Path) -> NetworkTopology:
     """Load and validate a network topology from a JSON document."""
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")

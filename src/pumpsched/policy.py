@@ -130,9 +130,12 @@ def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray)
 
 
 def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
-    """Greedy action: the clipped actor mean."""
-    mean, _, _ = policy_forward(params, obs)
-    return np.clip(mean, 0.0, 1.0)
+    """Greedy action: the clipped actor mean; the critic is not evaluated."""
+    arr = _check_obs(params, obs)
+    if arr.ndim != 1:
+        raise ValidationError("deterministic_action expects a single observation")
+    mean, _ = params.actor.forward(arr)
+    return np.clip(mean[0], 0.0, 1.0)
 
 
 def entropy(params: PolicyParameters) -> float:
@@ -223,10 +226,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:
         raise SchemaError(

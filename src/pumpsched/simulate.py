@@ -1,11 +1,12 @@
 """Deterministic tank mass-balance simulator with one day-rollout core.
 
-``run_day`` is the only loop that advances tank levels: it rolls a day from
-step ``t0`` to the end under an ``act(t, levels)`` callback, so a fixed
-schedule, the hysteresis controller, and a policy injected into a schedule all
-share it, and ``PumpSchedulingEnv`` advances the same preallocated record one
-agent step at a time. Every step goes through the kernel ``step``. Inputs are
-validated once per day at that boundary.
+``run_day`` is the only loop that advances one day's tank levels: it rolls a
+day from step ``t0`` to the end under an ``act(t, levels)`` callback, so a
+fixed schedule, the hysteresis controller, and a policy injected into a
+schedule all share it, and ``PumpSchedulingEnv`` advances the same record one
+agent step at a time. ``resume_lanes`` advances many resumes of one fixed
+schedule as lanes of one array. Every step goes through the kernel ``step``;
+inputs are validated once per day at the boundary.
 
 Pump flows depend only on commanded speeds (affinity laws), never on tank
 levels, so level trajectories are linear in the initial levels wherever the
@@ -15,7 +16,7 @@ the shift predictor used by the hybrid scheduler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -45,21 +46,10 @@ class Trajectory:
     level_caps: np.ndarray  # (n_tanks,)
 
     def __post_init__(self):
-        for name in (
-            "states",
-            "actions",
-            "flows",
-            "powers",
-            "energies",
-            "costs",
-            "clamp_flags",
-            "zone_demands",
-            "tariff",
-            "level_caps",
-        ):
-            arr = np.asarray(getattr(self, name))
+        for f in fields(self):
+            arr = np.asarray(getattr(self, f.name))
             arr.setflags(write=False)
-            setattr(self, name, arr)
+            setattr(self, f.name, arr)
 
     def any_clamped(self) -> bool:
         return bool(self.clamp_flags.any())
@@ -243,6 +233,36 @@ def run_day(
     return day.trajectory()
 
 
+def resume_lanes(
+    topology: NetworkTopology,
+    branch_states: np.ndarray,
+    schedule: np.ndarray,
+    zone_values: np.ndarray,
+    tariff: np.ndarray,
+    t0: int,
+) -> np.ndarray:
+    """Resume ``schedule`` at every step from ``t0`` on, all lanes in one pass.
+
+    Lane k takes over ``branch_states[k]``, the levels before step t0 + k, and
+    runs ``schedule`` from there to the end of the day. Running lanes share
+    ``schedule[t]`` and flows do not depend on levels, so one kernel call
+    advances them all with the scalar arithmetic: row k from column k on equals
+    ``run_day(..., branch_states[k], t0=t0 + k).states`` byte for byte, and its
+    earlier columns hold ``branch_states[:k]``. Returns (96 - t0, 97 - t0,
+    n_tanks). The inputs come from validated days and are not checked again.
+    """
+    c = _compiled(topology)
+    n = STEPS_PER_DAY - t0
+    states = np.empty((n, n + 1, topology.n_tanks))
+    for j in range(n):
+        t = t0 + j
+        states[j:, j] = branch_states[j]
+        states[: j + 1, j + 1] = step(
+            c, states[: j + 1, j], schedule[t], zone_values[:, t], tariff[t]
+        )[0]
+    return states
+
+
 def simulate(
     topology: NetworkTopology,
     initial_levels: np.ndarray,
@@ -277,18 +297,7 @@ def shift_predict(base: Trajectory, delta_levels: np.ndarray) -> Trajectory:
     delta = np.asarray(delta_levels, dtype=float)
     if delta.shape != (base.states.shape[1],):
         raise ValidationError("delta shape does not match tank count")
-    return Trajectory(
-        states=base.states + delta,
-        actions=base.actions,
-        flows=base.flows,
-        powers=base.powers,
-        energies=base.energies,
-        costs=base.costs,
-        clamp_flags=base.clamp_flags,
-        zone_demands=base.zone_demands,
-        tariff=base.tariff,
-        level_caps=base.level_caps,
-    )
+    return replace(base, states=base.states + delta)
 
 
 def shift_valid(base: Trajectory, delta_levels: np.ndarray) -> bool:

@@ -137,6 +137,26 @@ def _bad_checkpoint(edit):
     return build
 
 
+def _not_utf8(flag):
+    """``hybrid`` on the workflow's inputs with ``flag``'s file broken mid-way
+    by a byte that is not UTF-8 (``--config`` gets a JSON object so broken)."""
+
+    def build(out, tmp_path):
+        inputs = {
+            "--network": out / "network.json",
+            "--history": out / "history.csv",
+            "--checkpoint": out / "checkpoint.json",
+        }
+        data = inputs[flag].read_bytes() if flag in inputs else b'{"cases": 1}'
+        half = len(data) // 2
+        inputs[flag] = tmp_path / "not_utf8"
+        inputs[flag].write_bytes(data[:half] + b"\xff" + data[half:])
+        flags = [item for pair in inputs.items() for item in pair]
+        return ("hybrid", *flags, "--seed", 2, "--cases", 1, "--out", tmp_path)
+
+    return build
+
+
 def _narrow_first_hidden_layer(doc):
     actor = doc["actor"]
     actor["weights"][0] = [row[:-1] for row in actor["weights"][0]]
@@ -167,6 +187,10 @@ BAD_INPUTS = {
     ),
     "unchained_hidden_layers": _bad_checkpoint(_narrow_first_hidden_layer),
     "unknown_agent": _bad_checkpoint(lambda doc: doc["meta"].update(agent="greedy")),
+    "non_utf8_network": _not_utf8("--network"),
+    "non_utf8_history": _not_utf8("--history"),
+    "non_utf8_checkpoint": _not_utf8("--checkpoint"),
+    "non_utf8_config": _not_utf8("--config"),
 }
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,42 @@ def test_misordered_archive_rejected(world):
     )
     with pytest.raises(ValidationError, match="ordering"):
         shuffled.validate()
+
+
+def test_load_history_reads_crlf_and_quoted_cells_identically(tmp_path, world):
+    archive = generate_history(world, days=1, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    lines = path.read_text().splitlines()
+    quoted = [lines[0]]
+    for i, line in enumerate(lines[1:]):
+        cells = [c if (i + j) % 3 else f'"{c}"' for j, c in enumerate(line.split(","))]
+        quoted.append(",".join(cells))
+    for text in ("\r\n".join(lines) + "\r\n", "\n".join(quoted) + "\n"):
+        variant = tmp_path / "variant.csv"
+        variant.write_bytes(text.encode())
+        loaded = load_history(variant)
+        for name in ARCHIVE_ARRAYS:
+            assert getattr(loaded, name).tobytes() == getattr(archive, name).tobytes()
+
+
+def test_load_history_rejects_blank_lines_and_reads_an_empty_body(tmp_path, world):
+    archive = generate_history(world, days=1, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    lines = path.read_text().splitlines()
+    for blank, lineno in (("", 6), ("   ", 6), ("", len(lines) + 1)):
+        bad = tmp_path / "blank.csv"
+        body = lines[: lineno - 1] + [blank] + lines[lineno - 1 :]
+        bad.write_text("\n".join(body) + "\n")
+        with pytest.raises(SchemaError, match=f"row {lineno}: wrong column count"):
+            load_history(bad)
+
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(lines[0] + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_history(header_only).n_days == 0
 
 
 def test_load_history_rejects_bad_rows(tmp_path, world):

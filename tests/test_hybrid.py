@@ -20,14 +20,15 @@ from pumpsched import (
 )
 from pumpsched.hybrid import (
     STRATEGY_NAMES,
-    predict_resume,
+    _best_end,
+    resume_tails,
     strategy_targeted,
     trajectory_suffix,
     _state_area,
 )
-from pumpsched.metrics import area_outside_boundary
-from pumpsched.network import STEPS_PER_DAY
-from pumpsched.simulate import Trajectory, run_day
+from pumpsched.metrics import _exceedance, area_outside_boundary
+from pumpsched.network import DT_HOURS, STEPS_PER_DAY
+from pumpsched.simulate import Trajectory, run_day, shift_predict, shift_valid
 
 
 def _traj_from_states(states: np.ndarray) -> Trajectory:
@@ -289,25 +290,90 @@ def test_trajectory_suffix_shapes(world, case_pool):
         trajectory_suffix(traj, 97)
 
 
+def _full_injection(world, case, start=None, act=None):
+    """The case's day with ``act`` (the mid-band push) injected from ``start``
+    (the hull start) to the end of the day."""
+    plan = InjectionPlan(case.hull[0] if start is None else start, STEPS_PER_DAY)
+    act = _mid_band_act_fn(world) if act is None else act
+    return inject(world, case.config, case.baseline_schedule, plan, act)[1]
+
+
+def _resimulated(world, case, states, e):
+    """States e..96 with the baseline re-simulated from ``states[e]``."""
+    return run_day(
+        world,
+        states[e],
+        case.config.demands.as_array(),
+        case.baseline_traj.tariff,
+        lambda t, levels: case.baseline_schedule[t],
+        t0=e,
+    ).states
+
+
 def test_predict_resume_matches_resimulation(world, case_pool):
     case = case_pool[0]
-    act = _mid_band_act_fn(world)
-    plan = InjectionPlan(start=case.hull[0], end=STEPS_PER_DAY)
-    _, full = inject(world, case.config, case.baseline_schedule, plan, act)
+    full = _full_injection(world, case)
     for e in (case.hull[1], min(case.hull[1] + 10, STEPS_PER_DAY), STEPS_PER_DAY):
-        predicted, _ = predict_resume(world, case, full.states, e)
+        tails = resume_tails(world, case, full.states, e)
         if e == STEPS_PER_DAY:
-            np.testing.assert_array_equal(predicted, full.states[e:])
+            # Resuming at 96 leaves the injected day as it is: no lanes.
+            assert tails.shape == (0, 1, world.n_tanks)
             continue
-        exact = run_day(
-            world,
-            full.states[e],
-            case.config.demands.as_array(),
-            case.baseline_traj.tariff,
-            lambda t, levels: case.baseline_schedule[t],
-            t0=e,
-        ).states
+        predicted = tails[0]
+        exact = _resimulated(world, case, full.states, e)
         np.testing.assert_allclose(predicted, exact, atol=1e-9)
+
+
+def _reference_tail(world, case, states, e):
+    """States e..96 resumed on their own, and whether by shift: the shifted
+    baseline where ``shift_valid`` holds, a re-simulation otherwise."""
+    delta = states[e] - case.baseline_traj.states[e]
+    suffix = trajectory_suffix(case.baseline_traj, e)
+    if shift_valid(suffix, delta):
+        return shift_predict(suffix, delta).states, True
+    return _resimulated(world, case, states, e), False
+
+
+def _reference_best_end(world, case, full, hs, he):
+    """The per-end search as one loop, each resume predicted on its own."""
+    full_area = _state_area(full.states, case.bounds)
+    best_e, best_total = he, np.inf
+    for e in range(he, STEPS_PER_DAY + 1):
+        tail = 0.0
+        if e < STEPS_PER_DAY:
+            states, _ = _reference_tail(world, case, full.states, e)
+            area = _exceedance(states[1:], case.bounds).sum(axis=1) * DT_HOURS
+            tail = float(area.sum())
+        total = float(full_area[hs + 1 : e + 1].sum()) + tail
+        if total < best_total:
+            best_e, best_total = e, total
+    return best_e
+
+
+def test_best_end_tails_equal_a_reference_loop(world, case_pool):
+    by_shift = []
+    for case in case_pool:
+        hs, he = case.hull
+        # Pumping flat out moves the levels far enough to void most shifts.
+        for start, act in ((hs, None), (max(0, hs - 8), lambda obs: np.ones(6))):
+            full = _full_injection(world, case, start, act)
+            for end in sorted({hs + 1, he, (he + STEPS_PER_DAY) // 2, STEPS_PER_DAY}):
+                tails = resume_tails(world, case, full.states, end)
+                assert tails.shape == (
+                    STEPS_PER_DAY - end, STEPS_PER_DAY + 1 - end, world.n_tanks
+                )
+                for k, row in enumerate(tails):
+                    e = end + k
+                    np.testing.assert_array_equal(row[:k], full.states[end:e])
+                    expected, shifted = _reference_tail(world, case, full.states, e)
+                    np.testing.assert_array_equal(row[k:], expected)
+                    by_shift.append(shifted)
+                assert _best_end(world, case, full, hs, end) == _reference_best_end(
+                    world, case, full, hs, end
+                )
+        # No end is left to search once the hull reaches the end of the day.
+        assert _best_end(world, case, full, hs, STEPS_PER_DAY) == STEPS_PER_DAY
+    assert any(by_shift) and not all(by_shift)
 
 
 # -- report serialization -------------------------------------------------------

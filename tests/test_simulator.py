@@ -16,7 +16,7 @@ from pumpsched import (
     simulate,
 )
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY
-from pumpsched.simulate import run_day
+from pumpsched.simulate import resume_lanes, run_day
 
 from conftest import flat_demands
 
@@ -409,6 +409,39 @@ def test_rollout_from_a_mid_day_state_equals_the_tail(world, seed, e, high):
         np.testing.assert_array_equal(getattr(tail, name), getattr(day, name)[e:])
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    t0=st.integers(min_value=0, max_value=STEPS_PER_DAY),
+    high=st.floats(min_value=0.3, max_value=1.0),
+)
+def test_every_resume_lane_equals_a_rollout_from_its_state(world, seed, t0, high):
+    from pumpsched import generate_demands
+
+    rng = np.random.default_rng(seed)
+    schedule = rng.uniform(0.0, high, (STEPS_PER_DAY, 6))
+    demands = generate_demands(world, seed=seed)
+    # Lanes branch off a day run under another schedule, as an injection does.
+    branch = simulate(
+        world, world.initial_levels_array(), rng.uniform(0.0, 1.0, (STEPS_PER_DAY, 6)),
+        demands,
+    ).states[t0:]  # fmt: skip
+    tariff = world.tariff.as_array()
+    lanes = resume_lanes(world, branch, schedule, demands.as_array(), tariff, t0)
+    assert lanes.shape == (STEPS_PER_DAY - t0, STEPS_PER_DAY + 1 - t0, world.n_tanks)
+    for k, row in enumerate(lanes):
+        exact = run_day(
+            world,
+            branch[k],
+            demands.as_array(),
+            tariff,
+            lambda t, levels: schedule[t],
+            t0=t0 + k,
+        )
+        np.testing.assert_array_equal(row[k:], exact.states)
+        np.testing.assert_array_equal(row[:k], branch[:k])
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -450,7 +483,7 @@ def test_levels_stay_in_caps_and_clamp_flags_mark_every_clamp(world, seed, high,
 def test_predict_resume_is_exact_when_shift_valid(
     world, seed, imperfection, start, e, shift
 ):
-    from pumpsched.hybrid import HybridCase, predict_resume, trajectory_suffix
+    from pumpsched.hybrid import HybridCase, resume_tails, trajectory_suffix
 
     base, demands = _controlled_day(world, seed, imperfection, start)
     case = HybridCase(
@@ -466,7 +499,7 @@ def test_predict_resume_is_exact_when_shift_valid(
     )
     injected = np.array(base.states)
     injected[e] = np.clip(base.states[e] + shift, 0.0, world.caps_array())
-    predicted, used_shift = predict_resume(world, case, injected, e)
+    predicted = resume_tails(world, case, injected, e)[0]
     exact = run_day(
         world,
         injected[e],
@@ -476,8 +509,9 @@ def test_predict_resume_is_exact_when_shift_valid(
         t0=e,
     ).states
     delta = injected[e] - base.states[e]
-    assert used_shift == shift_valid(trajectory_suffix(base, e), delta)
+    used_shift = shift_valid(trajectory_suffix(base, e), delta)
     if used_shift:
+        np.testing.assert_array_equal(predicted, base.states[e:] + delta)
         np.testing.assert_allclose(predicted, exact, rtol=0.0, atol=1e-9)
     else:
         np.testing.assert_array_equal(predicted, exact)
