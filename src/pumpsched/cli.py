@@ -269,6 +269,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
+    if args.frame_skip < 1:
+        raise ValidationError("--frame-skip must be >= 1")
     out = _outdir(args)
     topology = load_network(args.network)
     kind = AgentKind(args.agent)
@@ -317,6 +319,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         kind = AgentKind(meta.get("agent", "constraint"))
         frame_skip = int(meta.get("frame_skip", 1))
+        if frame_skip < 1:
+            raise ValueError(f"frame_skip {frame_skip} is below 1")
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{args.checkpoint}: bad checkpoint meta ({exc})") from None
     act_fn = policy_act_fn(params)
@@ -342,7 +346,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         controller = RuleBasedController(topology, margins)
         trajs = {
             "policy": config.roll_day(
-                topology, closed_loop(topology, config, act_fn, max(frame_skip, 1))
+                topology, closed_loop(topology, config, act_fn, frame_skip)
             ),
             "rule_based": run_controlled_day(
                 topology, config.initial_levels, controller, config.demands

@@ -3,7 +3,9 @@
 A case is a day whose retrieved schedule violates tank boundaries somewhere.
 Four injection strategies repair it: fixed early/midday windows (untargeted),
 the violation hull (targeted), a searched resume time (dynamic end), and a
-searched lead-in plus resume time (dynamic start/end).
+searched lead-in plus resume time (dynamic start/end). The resume search
+scores every candidate resume step on the exact day it produces, all of them
+re-simulated in one ``resume_lanes`` pass.
 
 Metric regions are fixed per case so strategies stay comparable: for the
 violation hull [hs, he), the during-region is states hs+1..he (what injected
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -28,7 +30,7 @@ from .errors import ValidationError
 from .metrics import Bounds, _csv_cell, _exceedance
 from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology
 from .query import QueryIndex, recommend
-from .simulate import Trajectory, resume_lanes, shift_predict, shift_valid, simulate
+from .simulate import Trajectory, resume_lanes, simulate
 
 UNTARGETED_EARLY = (0, 8)  # 00:00-02:00
 UNTARGETED_MIDDAY = (48, 56)  # 12:00-14:00
@@ -137,11 +139,11 @@ def inject(
     baseline_schedule: np.ndarray,
     plan: InjectionPlan,
     act_fn: ActFn,
-) -> tuple[np.ndarray, Trajectory]:
+) -> Trajectory:
     """Run the day with policy actions inside the plan, baseline elsewhere.
 
     The policy acts closed-loop on the observations it would see live; the
-    returned schedule blends its chosen actions into the baseline.
+    trajectory's ``actions`` is the baseline with its chosen actions blended in.
     """
     plan.validate()
     baseline_schedule = np.asarray(baseline_schedule, dtype=float)
@@ -154,8 +156,7 @@ def inject(
             return policy(t, levels)
         return baseline_schedule[t]
 
-    traj = config.roll_day(topology, act)
-    return traj.actions.copy(), traj
+    return config.roll_day(topology, act)
 
 
 # ----------------------------------------------------------------------------
@@ -214,50 +215,6 @@ def _pct(baseline: float, hybrid: float) -> float | None:
 
 
 # ----------------------------------------------------------------------------
-# Resume-suffix prediction
-
-
-def trajectory_suffix(traj: Trajectory, e: int) -> Trajectory:
-    """The trajectory from step e onward, viewed as its own record."""
-    if not (0 <= e <= STEPS_PER_DAY):
-        raise ValidationError(f"suffix start {e} out of range")
-    per_step = [f.name for f in fields(traj) if f.name != "level_caps"]
-    return replace(traj, **{name: getattr(traj, name)[e:] for name in per_step})
-
-
-def resume_tails(
-    topology: NetworkTopology,
-    case: HybridCase,
-    injected_states: np.ndarray,
-    he: int,
-) -> np.ndarray:
-    """States of the day if the baseline schedule resumes at each step e >= he.
-
-    Row k resumes at e = he + k: columns k.. hold states e..96 and earlier
-    columns the injected states he..e-1. The rows come from one
-    ``resume_lanes`` pass, except that a row whose baseline suffix may be
-    shifted (``shift_valid``) holds the shifted suffix, equal to the lane to
-    rounding; the strategy report is defined on that choice. There are no
-    rows when ``he`` is 96.
-    """
-    base = case.baseline_traj
-    tails = resume_lanes(
-        topology,
-        injected_states[he:],
-        case.baseline_schedule,
-        case.config.demands.as_array(),
-        base.tariff,
-        he,
-    )
-    for k in range(len(tails)):
-        delta = injected_states[he + k] - base.states[he + k]
-        suffix = trajectory_suffix(base, he + k)
-        if shift_valid(suffix, delta):
-            tails[k, k:] = shift_predict(suffix, delta).states
-    return tails
-
-
-# ----------------------------------------------------------------------------
 # Strategies
 
 
@@ -272,7 +229,7 @@ def strategy_untargeted(
         raise ValidationError("untargeted strategy needs a violating case")
     plan = InjectionPlan(start=window[0], end=window[1])
     name = "untargeted_0_2" if window == UNTARGETED_EARLY else "untargeted_12_14"
-    _, traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
+    traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
     during = (max(plan.start + 1, 1), plan.end)
     return _region_outcome(case, name, plan, traj, during)
 
@@ -283,7 +240,7 @@ def strategy_targeted(
     """Inject over the hull of all violation windows."""
     hs, he = case.hull
     plan = InjectionPlan(start=hs, end=he)
-    _, traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
+    traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
     return _region_outcome(case, "targeted", plan, traj, (hs + 1, he))
 
 
@@ -292,28 +249,23 @@ def strategy_dynamic_end(
     case: HybridCase,
     act_fn: ActFn,
     targeted: CaseOutcome | None = None,
-    targeted_traj: Trajectory | None = None,
 ) -> CaseOutcome:
     """Search the resume step minimizing total during+post area.
 
-    Candidate ends run from the hull end to end-of-day; the targeted end is
-    always a candidate, and the exact re-simulated choice falls back to it
-    whenever the search's shift-predicted optimum does not beat it exactly.
+    Candidate ends run from the hull end to end-of-day, each scored on the
+    exact day it produces; when the hull end wins, ``targeted`` (the same
+    plan) is reused instead of re-running it.
     """
     hs, he = case.hull
     full_plan = InjectionPlan(start=hs, end=STEPS_PER_DAY)
-    _, full = inject(topology, case.config, case.baseline_schedule, full_plan, act_fn)
+    full = inject(topology, case.config, case.baseline_schedule, full_plan, act_fn)
     e_star = _best_end(topology, case, full, hs, he)
 
     if e_star == he and targeted is not None:
         return replace(targeted, strategy="dynamic_end")
     plan = InjectionPlan(start=hs, end=e_star)
-    _, traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
-    outcome = _region_outcome(case, "dynamic_end", plan, traj, (hs + 1, he))
-    if targeted is not None and outcome.hybrid_post_area > targeted.hybrid_post_area:
-        # The predicted optimum lost to the targeted end once re-simulated.
-        outcome = replace(targeted, strategy="dynamic_end")
-    return outcome
+    traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
+    return _region_outcome(case, "dynamic_end", plan, traj, (hs + 1, he))
 
 
 def _best_end(
@@ -322,11 +274,18 @@ def _best_end(
     """Argmin over candidate ends of the during+post area, earliest on ties.
 
     Ending at e scores the injected states hs+1..e plus the states after e with
-    the baseline resumed at step e, all from one ``resume_tails`` pass; ending
-    at 96 resumes nothing.
+    the baseline resumed at step e. One ``resume_lanes`` pass re-simulates
+    every resume e >= he exactly; ending at 96 resumes nothing.
     """
     full_area = _state_area(full.states, case.bounds)
-    tails = resume_tails(topology, case, full.states, he)
+    tails = resume_lanes(
+        topology,
+        full.states[he:],
+        case.baseline_schedule,
+        case.config.demands.as_array(),
+        case.baseline_traj.tariff,
+        he,
+    )
     tail_area = _exceedance(tails, case.bounds).sum(axis=2) * DT_HOURS
     post = [float(row[k + 1 :].sum()) for k, row in enumerate(tail_area)] + [0.0]
     totals = [
@@ -340,21 +299,20 @@ def strategy_dynamic_start_end(
     topology: NetworkTopology,
     case: HybridCase,
     act_fn: ActFn,
-    dynamic_end: CaseOutcome | None = None,
 ) -> CaseOutcome:
     """Search earlier starts too, minimizing the during-region area.
 
     Every candidate start re-runs the policy closed loop (its observations
     change); the latest start wins ties, so the search degrades to
-    dynamic_end when an earlier start does not strictly help.
+    dynamic_end when an earlier start does not strictly help. States up to
+    the hull end do not depend on the end, and start hs is a candidate, so
+    the chosen during-area never exceeds dynamic_end's.
     """
     hs, he = case.hull
     best: tuple[float, int, int] | None = None  # (during_area, -s, e)
     for s in range(max(0, hs - _START_LOOKBACK), hs + 1):
         full_plan = InjectionPlan(start=s, end=STEPS_PER_DAY)
-        _, full = inject(
-            topology, case.config, case.baseline_schedule, full_plan, act_fn
-        )
+        full = inject(topology, case.config, case.baseline_schedule, full_plan, act_fn)
         during_area = _range_area(_state_area(full.states, case.bounds), hs + 1, he)
         e_star = _best_end(topology, case, full, hs, he)
         key = (during_area, -s)
@@ -362,14 +320,8 @@ def strategy_dynamic_start_end(
             best = (during_area, -s, e_star)
     s_star, e_star = -best[1], best[2]
     plan = InjectionPlan(start=s_star, end=e_star)
-    _, traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
-    outcome = _region_outcome(case, "dynamic_start_end", plan, traj, (hs + 1, he))
-    if (
-        dynamic_end is not None
-        and outcome.hybrid_during_area > dynamic_end.hybrid_during_area
-    ):
-        outcome = replace(dynamic_end, strategy="dynamic_start_end")
-    return outcome
+    traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
+    return _region_outcome(case, "dynamic_start_end", plan, traj, (hs + 1, he))
 
 
 # ----------------------------------------------------------------------------
@@ -492,10 +444,11 @@ def evaluate_strategies(
         )
         targeted = strategy_targeted(topology, case, act_fn)
         outcomes["targeted"].append(targeted)
-        dyn_end = strategy_dynamic_end(topology, case, act_fn, targeted=targeted)
-        outcomes["dynamic_end"].append(dyn_end)
+        outcomes["dynamic_end"].append(
+            strategy_dynamic_end(topology, case, act_fn, targeted=targeted)
+        )
         outcomes["dynamic_start_end"].append(
-            strategy_dynamic_start_end(topology, case, act_fn, dynamic_end=dyn_end)
+            strategy_dynamic_start_end(topology, case, act_fn)
         )
     return StrategyReport(n_cases=len(cases), outcomes=outcomes)
 

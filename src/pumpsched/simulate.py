@@ -5,18 +5,15 @@ day from step ``t0`` to the end under an ``act(t, levels)`` callback, so a
 fixed schedule, the hysteresis controller, and a policy injected into a
 schedule all share it, and ``PumpSchedulingEnv`` advances the same record one
 agent step at a time. ``resume_lanes`` advances many resumes of one fixed
-schedule as lanes of one array. Every step goes through the kernel ``step``;
-inputs are validated once per day at the boundary.
-
-Pump flows depend only on commanded speeds (affinity laws), never on tank
-levels, so level trajectories are linear in the initial levels wherever the
-physical clamp at [0, level_max_physical] stays inactive. That property powers
-the shift predictor used by the hybrid scheduler.
+schedule as lanes of one array; pump flows depend only on commanded speeds
+(affinity laws), never on tank levels, so lanes that run the same action share
+one kernel call. Every step goes through the kernel ``step``; inputs are
+validated once per day at the boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -43,16 +40,12 @@ class Trajectory:
     clamp_flags: np.ndarray  # (96 - t0, n_tanks) bool
     zone_demands: np.ndarray  # (96 - t0, n_zones)
     tariff: np.ndarray  # (96 - t0,)
-    level_caps: np.ndarray  # (n_tanks,)
 
     def __post_init__(self):
         for f in fields(self):
             arr = np.asarray(getattr(self, f.name))
             arr.setflags(write=False)
             setattr(self, f.name, arr)
-
-    def any_clamped(self) -> bool:
-        return bool(self.clamp_flags.any())
 
 
 class _Compiled:
@@ -204,7 +197,6 @@ class _Rollout:
             clamp_flags=self.clamp_flags,
             zone_demands=self.zone_values[:, self.t0 :].T.copy(),
             tariff=self.tariff[self.t0 :].copy(),
-            level_caps=self.c.caps.copy(),
         )
 
 
@@ -287,29 +279,3 @@ def simulate(
         lambda t, levels: schedule[t],
     )
 
-
-def shift_predict(base: Trajectory, delta_levels: np.ndarray) -> Trajectory:
-    """Offset every state by a constant per-tank delta; outputs are unchanged.
-
-    Exact whenever the clamp never engages on either trajectory, because flows
-    are level-independent.
-    """
-    delta = np.asarray(delta_levels, dtype=float)
-    if delta.shape != (base.states.shape[1],):
-        raise ValidationError("delta shape does not match tank count")
-    return replace(base, states=base.states + delta)
-
-
-def shift_valid(base: Trajectory, delta_levels: np.ndarray) -> bool:
-    """True when the shifted trajectory provably equals a re-simulation.
-
-    Requires a clamp-free base and shifted levels strictly inside
-    (0, level_max_physical) at every step.
-    """
-    delta = np.asarray(delta_levels, dtype=float)
-    if delta.shape != (base.states.shape[1],):
-        raise ValidationError("delta shape does not match tank count")
-    if base.any_clamped():
-        return False
-    shifted = base.states + delta
-    return bool(np.all(shifted > 0.0) and np.all(shifted < base.level_caps))

@@ -57,8 +57,8 @@ class TrainConfig:
             raise ValidationError("batch_size, epochs, workers must be >= 1")
         if self.minibatch_size < 1:
             raise ValidationError("minibatch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValidationError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError("learning_rate must be finite and >= 0")
         if self.start_overhang < 0:
             raise ValidationError("start_overhang must be >= 0")
 

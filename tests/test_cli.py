@@ -94,8 +94,9 @@ def _edit(obj, where, value):
     obj[where[-1]] = value
 
 
-def _bad_network(where=None, value=None, steps=96):
-    """``train`` on the workflow's network.json with one field replaced."""
+def _bad_network(where=None, value=None, steps=96, extra=()):
+    """``train`` on the workflow's network.json with one field replaced and
+    ``extra`` flags appended."""
 
     def build(out, tmp_path):
         doc = json.loads((out / "network.json").read_text())
@@ -105,7 +106,7 @@ def _bad_network(where=None, value=None, steps=96):
         network.write_text(json.dumps(doc))
         return (
             "train", "--network", network, "--steps", steps, "--batch-size", 96,
-            "--out", tmp_path,
+            "--out", tmp_path, *extra,
         )
 
     return build
@@ -169,6 +170,9 @@ BAD_INPUTS = {
     "infinite_max_flow": _bad_network(("stations", 0, "max_flow"), float("inf")),
     "hourly_dt": _bad_network(("dt_hours",), 1.0),
     "zero_steps": _bad_network(steps=0),
+    "frame_skip_zero": _bad_network(extra=("--frame-skip", 0)),
+    "frame_skip_negative": _bad_network(extra=("--frame-skip", -3)),
+    "learning_rate_nan": _bad_network(extra=("--learning-rate", "nan")),
     "malformed_manifest": _bad_artifact("manifest.json", '{"command": '),
     "text_reward": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96,abc\n"),
     "short_reward_row": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96\n"),
@@ -187,6 +191,9 @@ BAD_INPUTS = {
     ),
     "unchained_hidden_layers": _bad_checkpoint(_narrow_first_hidden_layer),
     "unknown_agent": _bad_checkpoint(lambda doc: doc["meta"].update(agent="greedy")),
+    "checkpoint_frame_skip_zero": _bad_checkpoint(
+        lambda doc: doc["meta"].update(frame_skip=0)
+    ),
     "non_utf8_network": _not_utf8("--network"),
     "non_utf8_history": _not_utf8("--history"),
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),

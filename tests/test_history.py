@@ -104,7 +104,7 @@ def test_perfect_margins_keep_day_in_band(world):
     bounds = world.bounds_arrays()
     assert violation_count(traj, bounds) == 0
     assert area_outside_boundary(traj, bounds) == 0.0
-    assert not traj.any_clamped()
+    assert not traj.clamp_flags.any()
 
 
 def test_generate_history_shape_and_carry_over(world):

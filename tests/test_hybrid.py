@@ -21,14 +21,12 @@ from pumpsched import (
 from pumpsched.hybrid import (
     STRATEGY_NAMES,
     _best_end,
-    resume_tails,
     strategy_targeted,
-    trajectory_suffix,
     _state_area,
 )
 from pumpsched.metrics import _exceedance, area_outside_boundary
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY
-from pumpsched.simulate import Trajectory, run_day, shift_predict, shift_valid
+from pumpsched.simulate import Trajectory, resume_lanes, run_day
 
 
 def _traj_from_states(states: np.ndarray) -> Trajectory:
@@ -44,7 +42,6 @@ def _traj_from_states(states: np.ndarray) -> Trajectory:
         clamp_flags=np.zeros((n_steps, n_tanks), dtype=bool),
         zone_demands=np.zeros((n_steps, 1)),
         tariff=np.zeros(n_steps),
-        level_caps=np.full(n_tanks, 8.0),
     )
 
 
@@ -129,9 +126,8 @@ def test_inject_preserves_schedule_outside_plan(world, case_pool):
     case = case_pool[0]
     act = _mid_band_act_fn(world)
     plan = InjectionPlan(start=20, end=40)
-    schedule, traj = inject(
-        world, case.config, case.baseline_schedule, plan, act
-    )
+    traj = inject(world, case.config, case.baseline_schedule, plan, act)
+    schedule = traj.actions
     np.testing.assert_array_equal(schedule[:20], case.baseline_schedule[:20])
     np.testing.assert_array_equal(schedule[40:], case.baseline_schedule[40:])
     assert not np.array_equal(schedule[20:40], case.baseline_schedule[20:40])
@@ -147,13 +143,11 @@ def test_inject_closed_loop_sees_its_own_states(world, case_pool):
     case = case_pool[0]
     act = _mid_band_act_fn(world)
     plan = InjectionPlan(start=0, end=STEPS_PER_DAY)
-    schedule, traj = inject(
-        world, case.config, case.baseline_schedule, plan, act
-    )
+    traj = inject(world, case.config, case.baseline_schedule, plan, act)
     caps = world.caps_array()
     for t in [0, 17, 63]:
         np.testing.assert_allclose(
-            schedule[t], act(traj.states[t] / caps), atol=1e-12
+            traj.actions[t], act(traj.states[t] / caps), atol=1e-12
         )
 
 
@@ -278,16 +272,7 @@ def test_evaluate_strategies_rejects_empty_pool(world):
         evaluate_strategies(world, [], lambda obs: np.zeros(6))
 
 
-# -- resume-suffix prediction ---------------------------------------------------
-
-
-def test_trajectory_suffix_shapes(world, case_pool):
-    traj = case_pool[0].baseline_traj
-    suffix = trajectory_suffix(traj, 40)
-    assert suffix.states.shape == (STEPS_PER_DAY - 40 + 1, 6)
-    assert suffix.actions.shape == (STEPS_PER_DAY - 40, 6)
-    with pytest.raises(ValidationError):
-        trajectory_suffix(traj, 97)
+# -- resume search --------------------------------------------------------------
 
 
 def _full_injection(world, case, start=None, act=None):
@@ -295,7 +280,20 @@ def _full_injection(world, case, start=None, act=None):
     (the hull start) to the end of the day."""
     plan = InjectionPlan(case.hull[0] if start is None else start, STEPS_PER_DAY)
     act = _mid_band_act_fn(world) if act is None else act
-    return inject(world, case.config, case.baseline_schedule, plan, act)[1]
+    return inject(world, case.config, case.baseline_schedule, plan, act)
+
+
+def _tails(world, case, states, e):
+    """Every resume from step e on of the day ``states``, as ``_best_end``
+    scores them."""
+    return resume_lanes(
+        world,
+        states[e:],
+        case.baseline_schedule,
+        case.config.demands.as_array(),
+        case.baseline_traj.tariff,
+        e,
+    )
 
 
 def _resimulated(world, case, states, e):
@@ -314,34 +312,23 @@ def test_predict_resume_matches_resimulation(world, case_pool):
     case = case_pool[0]
     full = _full_injection(world, case)
     for e in (case.hull[1], min(case.hull[1] + 10, STEPS_PER_DAY), STEPS_PER_DAY):
-        tails = resume_tails(world, case, full.states, e)
+        tails = _tails(world, case, full.states, e)
         if e == STEPS_PER_DAY:
             # Resuming at 96 leaves the injected day as it is: no lanes.
             assert tails.shape == (0, 1, world.n_tanks)
             continue
-        predicted = tails[0]
         exact = _resimulated(world, case, full.states, e)
-        np.testing.assert_allclose(predicted, exact, atol=1e-9)
-
-
-def _reference_tail(world, case, states, e):
-    """States e..96 resumed on their own, and whether by shift: the shifted
-    baseline where ``shift_valid`` holds, a re-simulation otherwise."""
-    delta = states[e] - case.baseline_traj.states[e]
-    suffix = trajectory_suffix(case.baseline_traj, e)
-    if shift_valid(suffix, delta):
-        return shift_predict(suffix, delta).states, True
-    return _resimulated(world, case, states, e), False
+        np.testing.assert_array_equal(tails[0], exact)
 
 
 def _reference_best_end(world, case, full, hs, he):
-    """The per-end search as one loop, each resume predicted on its own."""
+    """The per-end search as one loop, each resume re-simulated on its own."""
     full_area = _state_area(full.states, case.bounds)
     best_e, best_total = he, np.inf
     for e in range(he, STEPS_PER_DAY + 1):
         tail = 0.0
         if e < STEPS_PER_DAY:
-            states, _ = _reference_tail(world, case, full.states, e)
+            states = _resimulated(world, case, full.states, e)
             area = _exceedance(states[1:], case.bounds).sum(axis=1) * DT_HOURS
             tail = float(area.sum())
         total = float(full_area[hs + 1 : e + 1].sum()) + tail
@@ -351,29 +338,30 @@ def _reference_best_end(world, case, full, hs, he):
 
 
 def test_best_end_tails_equal_a_reference_loop(world, case_pool):
-    by_shift = []
+    caps, clamped = world.caps_array(), []
     for case in case_pool:
         hs, he = case.hull
-        # Pumping flat out moves the levels far enough to void most shifts.
+        # Pumping flat out drives levels into the clamp as well.
         for start, act in ((hs, None), (max(0, hs - 8), lambda obs: np.ones(6))):
             full = _full_injection(world, case, start, act)
             for end in sorted({hs + 1, he, (he + STEPS_PER_DAY) // 2, STEPS_PER_DAY}):
-                tails = resume_tails(world, case, full.states, end)
+                tails = _tails(world, case, full.states, end)
                 assert tails.shape == (
                     STEPS_PER_DAY - end, STEPS_PER_DAY + 1 - end, world.n_tanks
                 )
                 for k, row in enumerate(tails):
                     e = end + k
                     np.testing.assert_array_equal(row[:k], full.states[end:e])
-                    expected, shifted = _reference_tail(world, case, full.states, e)
+                    expected = _resimulated(world, case, full.states, e)
                     np.testing.assert_array_equal(row[k:], expected)
-                    by_shift.append(shifted)
+                    at_limit = (expected == 0.0) | (expected == caps)
+                    clamped.append(bool(at_limit.any()))
                 assert _best_end(world, case, full, hs, end) == _reference_best_end(
                     world, case, full, hs, end
                 )
         # No end is left to search once the hull reaches the end of the day.
         assert _best_end(world, case, full, hs, STEPS_PER_DAY) == STEPS_PER_DAY
-    assert any(by_shift) and not all(by_shift)
+    assert any(clamped) and not all(clamped)
 
 
 # -- report serialization -------------------------------------------------------

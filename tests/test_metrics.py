@@ -32,7 +32,6 @@ def _traj_from_states(states: np.ndarray) -> Trajectory:
         clamp_flags=np.zeros((n_steps, n_tanks), dtype=bool),
         zone_demands=np.zeros((n_steps, 1)),
         tariff=np.zeros(n_steps),
-        level_caps=np.full(n_tanks, 8.0),
     )
 
 

@@ -112,6 +112,8 @@ def test_train_config_defaults_match_contract():
         {"learning_rate": -1e-4},
         {"start_overhang": -0.1},
         {"workers": 0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ],
 )
 def test_train_config_rejects_bad_values(overrides):
