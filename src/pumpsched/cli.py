@@ -346,7 +346,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         controller = RuleBasedController(topology, margins)
         trajs = {
             "policy": config.roll_day(
-                topology, closed_loop(topology, config, act_fn, frame_skip)
+                topology, closed_loop(topology, kind, act_fn, frame_skip)
             ),
             "rule_based": run_controlled_day(
                 topology, config.initial_levels, controller, config.demands
@@ -552,6 +552,11 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
+        # --workers may also come from --config, which argparse does not type.
+        if type(args.workers) is not int or args.workers < 1:
+            raise ValidationError(
+                f"--workers must be an integer >= 1, got {args.workers!r}"
+            )
         return args.func(args)
     except (ValidationError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

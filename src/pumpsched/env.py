@@ -76,11 +76,11 @@ def reward_constraint_step(
     lower: np.ndarray,
     upper: np.ndarray,
     multiplier: float = 1.0,
-) -> float:
-    """+multiplier per tank inside its band, -multiplier per tank outside."""
+) -> float | np.ndarray:
+    """+multiplier per tank inside its band (last axis), -multiplier outside."""
     levels = np.asarray(levels, dtype=float)
     inside = (levels >= lower) & (levels <= upper)
-    return float(multiplier * (inside.sum() - (~inside).sum()))
+    return multiplier * (inside.sum(axis=-1) - (~inside).sum(axis=-1))
 
 
 def reward_dual(
@@ -88,15 +88,16 @@ def reward_dual(
     lower: np.ndarray,
     upper: np.ndarray,
     energies: np.ndarray,
-    tariff_norm_t: float,
+    tariff_norm_t: float | np.ndarray,
     config: RewardConfig,
-) -> float:
+) -> float | np.ndarray:
     """Blend of normalized constraint reward and an energy-cost term, in [0, 1].
 
     The energy term rewards pumping when energy is cheap: it is one minus the
     mean of normalized per-station energy times the normalized tariff.
+    Tanks and stations lie along the last axes; ``tariff_norm_t`` broadcasts.
     """
-    n_tanks = len(np.asarray(levels, dtype=float))
+    n_tanks = np.shape(levels)[-1]
     raw = reward_constraint_step(levels, lower, upper, config.reward_multiplier)
     reward_max = n_tanks * config.reward_multiplier
     reward_min = -reward_max
@@ -105,9 +106,10 @@ def reward_dual(
     emin = np.asarray(config.energy_min, dtype=float)
     emax = np.asarray(config.energy_max, dtype=float)
     energy_norm = (np.asarray(energies, dtype=float) - emin) / (emax - emin)
-    energy_part = 1.0 - float(np.mean(energy_norm * tariff_norm_t))
+    tariff_part = np.expand_dims(tariff_norm_t, -1)
+    energy_part = 1.0 - np.mean(energy_norm * tariff_part, axis=-1)
 
-    return float(
+    return (
         config.constraint_weight * constraint_part
         + config.energy_weight * energy_part
     )
@@ -129,11 +131,6 @@ class EpisodeConfig:
     initial_levels: np.ndarray
     demands: DemandSet
     agent_kind: AgentKind = AgentKind.CONSTRAINT
-    tariff: np.ndarray | None = None  # defaults to the topology tariff
-    frame_skip: int | None = None  # decision window; None means every step
-
-    def day_tariff(self, topology: NetworkTopology) -> np.ndarray:
-        return topology.tariff.as_array() if self.tariff is None else self.tariff
 
     def roll_day(
         self, topology: NetworkTopology, act: Callable[[int, np.ndarray], np.ndarray]
@@ -143,7 +140,7 @@ class EpisodeConfig:
             topology,
             self.initial_levels,
             self.demands.as_array(),
-            self.day_tariff(topology),
+            topology.tariff.as_array(),
             act,
         )
 
@@ -163,37 +160,37 @@ def _observation(
     tariff_norm: np.ndarray,
     caps: np.ndarray,
 ) -> np.ndarray:
-    """What the agent sees before step ``t``: levels / caps (dual: + clock, tariff)."""
+    """Before step ``t``: levels / caps (dual: + clock, tariff), a row per lane."""
     levels_norm = levels / caps
     if kind == AgentKind.CONSTRAINT:
         return levels_norm
-    return np.concatenate([levels_norm, [t / STEPS_PER_DAY], tariff_norm])
+    n_t = levels.shape[-1]
+    obs = np.empty((*levels.shape[:-1], n_t + 1 + STEPS_PER_DAY))
+    obs[..., :n_t] = levels_norm
+    obs[..., n_t] = t / STEPS_PER_DAY
+    obs[..., n_t + 1 :] = tariff_norm
+    return obs
 
 
 class PumpSchedulingEnv:
     """One-day episodic environment over the tank simulator."""
 
-    def __init__(self, topology: NetworkTopology, reward_config: RewardConfig | None = None):
+    def __init__(self, topology: NetworkTopology):
         self.topology = topology
-        self._reward_config = reward_config
         self._config: EpisodeConfig | None = None
         self._day: _Rollout | None = None
 
     # -- episode plumbing ----------------------------------------------------
 
     def reset(self, config: EpisodeConfig) -> np.ndarray:
-        if config.frame_skip is not None and STEPS_PER_DAY % config.frame_skip != 0:
-            raise ValidationError(
-                f"frame_skip must divide {STEPS_PER_DAY}, got {config.frame_skip}"
-            )
         day = _Rollout(
             self.topology,
             config.initial_levels,
             config.demands.as_array(),
-            config.day_tariff(self.topology),
+            self.topology.tariff.as_array(),
         )
         if config.agent_kind == AgentKind.DUAL:
-            cfg = self._reward_config or reward_config_for(self.topology)
+            cfg = reward_config_for(self.topology)
             cfg.validate(self.topology.n_stations)
             self._dual_config = cfg
         else:
@@ -259,6 +256,17 @@ class PumpSchedulingEnv:
         return self._day.trajectory()
 
 
+def day_rewards(topology: NetworkTopology, kind: AgentKind, day: Trajectory):
+    """The env's reward for every step and lane of days rolled as lanes."""
+    lb, ub = topology.bounds_arrays()
+    if kind == AgentKind.CONSTRAINT:
+        return reward_constraint_step(day.states[1:], lb, ub)
+    cfg = reward_config_for(topology)
+    cfg.validate(topology.n_stations)
+    tariff_norm = normalize_tariff(day.tariff)[:, None]
+    return reward_dual(day.states[1:], lb, ub, day.energies, tariff_norm, cfg)
+
+
 def _check_window(window: int) -> None:
     if window < 1 or STEPS_PER_DAY % window != 0:
         raise ValidationError(
@@ -305,7 +313,6 @@ def sample_episode(
     topology: NetworkTopology,
     rng: np.random.Generator,
     agent_kind: AgentKind = AgentKind.CONSTRAINT,
-    frame_skip: int | None = None,
     start_overhang: float = 0.0,
 ) -> EpisodeConfig:
     """Draw an episode: diverse start levels within the band, fresh demands.
@@ -323,19 +330,13 @@ def sample_episode(
     hi = np.minimum(ub + start_overhang * band, (1 - _START_CAP_CLEARANCE) * caps)
     initial = rng.uniform(lo, hi)
     demands = demands_from_rng(topology, rng)
-    return EpisodeConfig(
-        initial_levels=initial,
-        demands=demands,
-        agent_kind=agent_kind,
-        frame_skip=frame_skip,
-    )
+    return EpisodeConfig(initial, demands, agent_kind)
 
 
 def sample_operational_episode(
     topology: NetworkTopology,
     rng: np.random.Generator,
     agent_kind: AgentKind = AgentKind.CONSTRAINT,
-    frame_skip: int | None = None,
     imperfection: float | None = None,
     burn_days: int = 8,
 ):
@@ -371,35 +372,30 @@ def sample_operational_episode(
         levels = traj.states[-1]
     demands = demands_from_rng(topology, rng)
     margins = margins_for(topology, imperfection, rng)
-    config = EpisodeConfig(
-        initial_levels=levels,
-        demands=demands,
-        agent_kind=agent_kind,
-        frame_skip=frame_skip,
-    )
-    return config, margins
+    return EpisodeConfig(levels, demands, agent_kind), margins
 
 
 def closed_loop(
     topology: NetworkTopology,
-    config: EpisodeConfig,
+    kind: AgentKind,
     act_fn: Callable[[np.ndarray], np.ndarray],
     window: int = 1,
 ) -> Callable[[int, np.ndarray], np.ndarray]:
     """An ``act(t, levels)`` callback for ``run_day`` driven by ``act_fn``.
 
-    ``act_fn`` sees the observation the env would show before step ``t``,
-    and, as under ``FrameSkipEnv``, its action is held for ``window`` steps.
+    ``act_fn`` sees the observation a ``kind`` agent would get from the env
+    before step ``t``, one row per lane when ``run_day`` rolls lanes, and, as
+    under ``FrameSkipEnv``, its action is held for ``window`` steps.
     """
     _check_window(window)
-    tariff_norm = normalize_tariff(config.day_tariff(topology))
+    tariff_norm = normalize_tariff(topology.tariff.as_array())
     caps = topology.caps_array()
     held = None
 
     def act(t: int, levels: np.ndarray) -> np.ndarray:
         nonlocal held
         if t % window == 0:
-            held = act_fn(_observation(config.agent_kind, levels, t, tariff_norm, caps))
+            held = act_fn(_observation(kind, levels, t, tariff_norm, caps))
         return held
 
     return act

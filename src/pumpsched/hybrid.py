@@ -149,7 +149,7 @@ def inject(
     baseline_schedule = np.asarray(baseline_schedule, dtype=float)
     if baseline_schedule.shape != (STEPS_PER_DAY, topology.n_stations):
         raise ValidationError("baseline schedule shape does not match the day")
-    policy = closed_loop(topology, config, act_fn)
+    policy = closed_loop(topology, config.agent_kind, act_fn)
 
     def act(t: int, levels: np.ndarray) -> np.ndarray:
         if plan.start <= t < plan.end:

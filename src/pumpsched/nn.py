@@ -50,11 +50,14 @@ class MLP:
         return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Batched forward pass; returns output and per-layer activations."""
+        """Batched forward pass; returns output and per-layer activations.
+
+        Features lie along the last axis; leading axes stack separate products.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.weights[0].shape[0]:
+        if x.shape[-1] != self.weights[0].shape[0]:
             raise ValidationError(
-                f"input width {x.shape[1]} does not match network input "
+                f"input width {x.shape[-1]} does not match network input "
                 f"{self.weights[0].shape[0]}"
             )
         activations = [x]

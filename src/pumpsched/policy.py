@@ -95,28 +95,23 @@ def _check_obs(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
     return arr
 
 
-def policy_forward(
-    params: PolicyParameters, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Deterministic forward pass for one observation: (mean, sigma, value)."""
-    arr = _check_obs(params, obs)
-    if arr.ndim != 1:
-        raise ValidationError("policy_forward expects a single observation")
-    mean, _ = params.actor.forward(arr)
-    value, _ = params.critic.forward(arr)
-    sigma = np.exp(params.log_sigma)
-    return mean[0], sigma, float(value[0, 0])
-
-
 def forward_batch(
     params: PolicyParameters, obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(means, sigmas, values) for a batch of observations."""
-    arr = np.atleast_2d(_check_obs(params, obs))
-    means, _ = params.actor.forward(arr)
-    values, _ = params.critic.forward(arr)
+    """(means, sigmas, values) for a batch of observations, row-exact.
+
+    Row k equals the one-row forward of ``obs[k]`` byte for byte, so an
+    episode's actions do not depend on how many episodes share the batch.
+    A ``(B, n) @ W`` product does not give that: it runs a matrix-matrix BLAS
+    kernel, which sums in another order than the one-row product, so its rows
+    differ in the last bits. The stacked form ``obs[:, None, :] @ W`` runs the
+    one-row product once per row instead.
+    """
+    stacked = np.atleast_2d(_check_obs(params, obs))[:, None, :]
+    means = params.actor.forward(stacked)[0][:, 0]
+    values = params.critic.forward(stacked)[0][:, 0, 0]
     sigma = np.exp(params.log_sigma)
-    return means, np.broadcast_to(sigma, means.shape), values[:, 0]
+    return means, np.broadcast_to(sigma, means.shape), values
 
 
 def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:

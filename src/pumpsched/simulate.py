@@ -2,13 +2,14 @@
 
 ``run_day`` is the only loop that advances one day's tank levels: it rolls a
 day from step ``t0`` to the end under an ``act(t, levels)`` callback, so a
-fixed schedule, the hysteresis controller, and a policy injected into a
-schedule all share it, and ``PumpSchedulingEnv`` advances the same record one
-agent step at a time. ``resume_lanes`` advances many resumes of one fixed
-schedule as lanes of one array; pump flows depend only on commanded speeds
-(affinity laws), never on tank levels, so lanes that run the same action share
-one kernel call. Every step goes through the kernel ``step``; inputs are
-validated once per day at the boundary.
+fixed schedule, the hysteresis controller, a policy injected into a schedule
+and PPO's lockstep episodes (lanes of one day) all share it, and
+``PumpSchedulingEnv`` advances the same record one agent step at a time.
+``resume_lanes`` advances many resumes of one fixed schedule as lanes of one
+array; pump flows depend only on commanded speeds (affinity laws), never on
+tank levels, so lanes that run the same action share one kernel call. Every
+step goes through the kernel ``step``; inputs are validated once per day at the
+boundary. A lane's bytes equal those of its day rolled alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class Trajectory:
     """Record of one simulated day from step ``t0`` (0 for a whole day).
 
     ``states`` has ``97 - t0`` rows (levels before step t0 through after step
-    95); all other step arrays have ``96 - t0`` rows, one per step.
+    95), the other step arrays ``96 - t0``; lanes add an axis after the rows.
     """
 
     states: np.ndarray  # (97 - t0, n_tanks)
@@ -96,23 +97,26 @@ def step(
     ``zone_demands_t`` is the per-zone demand during the step in m^3/h;
     ``tariff_t`` prices the step's energy. Returns the clamped next levels,
     the per-station flows, powers and energies, the step cost, and the
-    per-tank clamp flags.
+    per-tank clamp flags. Leading lane axes broadcast; the stacked mat-vecs
+    run the one-lane BLAS product per lane, so every lane is exact.
     """
     flows = c.max_flow * action
     powers = c.rated_power * action**3
     energies = powers * DT_HOURS
-    cost = float(energies.sum() * tariff_t)
+    cost = energies.sum(axis=-1) * tariff_t
 
-    inflow = c.fill.T @ flows
-    outflow = c.draw.T @ flows
-    tank_demand = c.zone_to_tank @ zone_demands_t
-    raw = levels + DT_HOURS * (inflow - outflow - tank_demand) / c.areas
+    cols = flows[..., None]
+    inflow = c.fill.T @ cols
+    outflow = c.draw.T @ cols
+    tank_demand = c.zone_to_tank @ zone_demands_t[..., None]
+    raw = levels + DT_HOURS * (inflow - outflow - tank_demand)[..., 0] / c.areas
     clamp_flags = (raw < 0.0) | (raw > c.caps)
-    return np.clip(raw, 0.0, c.caps), flows, powers, energies, cost, clamp_flags
+    levels = np.minimum(np.maximum(raw, 0.0), c.caps)  # np.clip's bytes, faster
+    return levels, flows, powers, energies, cost, clamp_flags
 
 
 class _Rollout:
-    """Preallocated record of one day rolled from step ``t0``.
+    """Preallocated record of one day (or of lanes of days) rolled from ``t0``.
 
     The constructor validates the day's inputs; ``advance`` applies the
     action for step ``t`` to ``levels`` and records it; ``trajectory``
@@ -131,18 +135,19 @@ class _Rollout:
         if not 0 <= t0 <= STEPS_PER_DAY:
             raise ValidationError(f"cannot start a day at step {t0}")
         levels = np.array(initial_levels, dtype=float)
-        if levels.shape != (topology.n_tanks,):
+        if levels.ndim not in (1, 2) or levels.shape[-1] != topology.n_tanks:
             raise ValidationError(
                 f"initial levels shape {levels.shape} does not match tank count "
                 f"{topology.n_tanks}"
             )
         if np.any(levels < 0) or np.any(levels > c.caps):
             raise ValidationError("initial levels must lie in [0, level_max_physical]")
+        lanes = levels.shape[:-1]
         zone_values = np.asarray(zone_values, dtype=float)
-        if zone_values.shape != (topology.n_zones, STEPS_PER_DAY):
+        if zone_values.shape != (*lanes, topology.n_zones, STEPS_PER_DAY):
             raise ValidationError(
                 f"demand shape {zone_values.shape}, expected "
-                f"({topology.n_zones}, {STEPS_PER_DAY})"
+                f"{(*lanes, topology.n_zones, STEPS_PER_DAY)}"
             )
         tariff = np.asarray(tariff, dtype=float)
         if tariff.shape != (STEPS_PER_DAY,):
@@ -155,14 +160,14 @@ class _Rollout:
         self.c, self.zone_values, self.tariff = c, zone_values, tariff
         self.t0 = self.t = t0
         self.levels = levels
-        self.states = np.empty((n + 1, n_t))
+        self.states = np.empty((n + 1, *lanes, n_t))
         self.states[0] = levels
-        self.actions = np.empty((n, n_s))
-        self.flows = np.empty((n, n_s))
-        self.powers = np.empty((n, n_s))
-        self.energies = np.empty((n, n_s))
-        self.costs = np.empty(n)
-        self.clamp_flags = np.empty((n, n_t), dtype=bool)
+        self.actions = np.empty((n, *lanes, n_s))
+        self.flows = np.empty((n, *lanes, n_s))
+        self.powers = np.empty((n, *lanes, n_s))
+        self.energies = np.empty((n, *lanes, n_s))
+        self.costs = np.empty((n, *lanes))
+        self.clamp_flags = np.empty((n, *lanes, n_t), dtype=bool)
 
     def advance(self, action: np.ndarray) -> None:
         t = self.t
@@ -170,9 +175,10 @@ class _Rollout:
         if np.shape(action) != self.actions.shape[1:]:
             raise ValidationError(
                 f"action shape {np.shape(action)} does not match station count "
-                f"{self.actions.shape[1]}"
+                f"{self.actions.shape[-1]}"
             )
         self.actions[i] = action
+        zone_t = self.zone_values[..., t]
         (
             self.levels,
             self.flows[i],
@@ -180,9 +186,7 @@ class _Rollout:
             self.energies[i],
             self.costs[i],
             self.clamp_flags[i],
-        ) = step(
-            self.c, self.levels, self.actions[i], self.zone_values[:, t], self.tariff[t]
-        )
+        ) = step(self.c, self.levels, self.actions[i], zone_t, self.tariff[t])
         self.states[i + 1] = self.levels
         self.t = t + 1
 
@@ -195,7 +199,7 @@ class _Rollout:
             energies=self.energies,
             costs=self.costs,
             clamp_flags=self.clamp_flags,
-            zone_demands=self.zone_values[:, self.t0 :].T.copy(),
+            zone_demands=np.moveaxis(self.zone_values[..., self.t0 :], -1, 0).copy(),
             tariff=self.tariff[self.t0 :].copy(),
         )
 
@@ -214,7 +218,8 @@ def run_day(
     per-step price of the whole day. ``act(t, levels)`` returns the pump
     speeds for step ``t`` given the levels before it. Speeds outside [0, 1]
     or non-finite raise ``ValidationError`` and non-finite levels raise
-    ``NumericError``, both checked once for the day.
+    ``NumericError``, both checked once for the day. Initial levels (B, n_tanks)
+    with demands (B, n_zones, 96) roll B lanes; ``act`` gets a row per lane.
     """
     day = _Rollout(topology, initial_levels, zone_values, tariff, t0)
     for t in range(t0, STEPS_PER_DAY):

@@ -1,32 +1,38 @@
 """Rollout collection and clipped-surrogate policy optimization.
 
-Episodes are seeded per (master seed, iteration, episode index), so a
-collected batch is identical for any worker count; workers only change how the
-episode list is executed. The optimizer state lives across iterations, and
-updates never mutate parameter arrays in place.
+A batch's episodes run in lockstep as lanes of one ``run_day`` day: the actor
+and critic run once per decision for all lanes. Episodes are seeded per
+(master seed, iteration, episode index), and each lane's arithmetic is that of
+its episode stepped alone through ``PumpSchedulingEnv``, so a batch is
+identical for any lane or worker count; workers run contiguous lane chunks.
+The optimizer state lives across iterations, and updates never mutate
+parameter arrays in place.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .env import AgentKind, FrameSkipEnv, PumpSchedulingEnv, sample_episode
+from .env import AgentKind, closed_loop, day_rewards, sample_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
 from .network import STEPS_PER_DAY, NetworkTopology
 from .nn import Adam
 from .policy import (
     PolicyParameters,
     actor_logp_and_grads,
+    deterministic_action,
     entropy,
     forward_batch,
     gaussian_logp,
     init_policy,
 )
+from .simulate import run_day
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -65,17 +71,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Picklable recipe for building identical training environments."""
+    """Picklable description of the training episodes: network, agent, window."""
 
     topology: NetworkTopology
     agent_kind: AgentKind = AgentKind.CONSTRAINT
     frame_skip: int | None = None
-
-    def build(self) -> PumpSchedulingEnv | FrameSkipEnv:
-        env = PumpSchedulingEnv(self.topology)
-        if self.frame_skip is not None and self.frame_skip > 1:
-            return FrameSkipEnv(env, self.frame_skip)
-        return env
 
     @property
     def decisions_per_episode(self) -> int:
@@ -118,65 +118,62 @@ def _episode_seed(master_seed: int, iteration: int, episode_index: int):
     )
 
 
-def _run_episode(args) -> dict:
-    spec, params, master_seed, iteration, episode_index, start_overhang = args
-    ss = _episode_seed(master_seed, iteration, episode_index)
-    cfg_ss, act_ss = ss.spawn(2)
-    env_rng = np.random.default_rng(cfg_ss)
-    act_rng = np.random.default_rng(act_ss)
+def _sample_lanes(
+    means: np.ndarray, params: PolicyParameters, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one action per lane, lane k from ``rngs[k]``.
 
-    env = spec.build()
-    config = sample_episode(
-        spec.topology,
-        env_rng,
-        spec.agent_kind,
-        spec.frame_skip,
-        start_overhang=start_overhang,
-    )
-    obs = env.reset(config)
-
-    n = spec.decisions_per_episode
-    observations = np.empty((n, spec.obs_dim))
-    actions = np.empty((n, spec.action_dim))
-    log_probs = np.empty(n)
-    rewards = np.empty(n)
-    values = np.empty(n)
-    dones = np.zeros(n)
-    for i in range(n):
-        means, _, vals = forward_batch(params, obs[None, :])
-        raw, executed, logp = _sample_from(means[0], params, act_rng)
-        result = env.step(executed)
-        observations[i] = obs
-        # The surrogate ratio needs the action the log-prob was computed for,
-        # which is the raw sample; only the executed action is clipped.
-        actions[i] = raw
-        log_probs[i] = logp
-        rewards[i] = result.reward
-        values[i] = vals[0]
-        obs = result.observation
-        if result.done:
-            dones[i] = 1.0
-            if i != n - 1:
-                raise TrainingError("episode terminated before its decision budget")
-    return {
-        "observations": observations,
-        "actions": actions,
-        "log_probs": log_probs,
-        "rewards": rewards,
-        "values": values,
-        "dones": dones,
-        "total_reward": float(rewards.sum()),
-    }
+    Returns the raw samples, the clipped executable samples and the log-probs
+    of the raw samples. The surrogate ratio needs the action the log-prob was
+    computed for, which is the raw sample; only the executed action is clipped.
+    """
+    noise = np.array([rng.standard_normal(means.shape[1]) for rng in rngs])
+    raw = means + np.exp(params.log_sigma) * noise
+    return raw, np.clip(raw, 0.0, 1.0), gaussian_logp(raw, means, params.log_sigma)
 
 
-def _sample_from(
-    mean: np.ndarray, params: PolicyParameters, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Draw one action: (raw sample, clipped executable sample, raw log-prob)."""
-    sigma = np.exp(params.log_sigma)
-    raw = mean + sigma * rng.standard_normal(mean.shape[0])
-    logp = float(gaussian_logp(raw, mean, params.log_sigma)[0])
-    return raw, np.clip(raw, 0.0, 1.0), logp
+def _collect_lanes(args) -> tuple[np.ndarray, ...]:
+    """Roll the listed episodes of one iteration in lockstep, as lanes of a day.
+
+    Returns observations, raw actions, log-probs, rewards and values, each
+    with one leading row per episode and one column per decision.
+    """
+    spec, params, cfg, iteration, episodes = args
+    levels, demands, act_rngs = [], [], []
+    for idx in episodes:
+        cfg_ss, act_ss = _episode_seed(cfg.seed, iteration, idx).spawn(2)
+        rng = np.random.default_rng(cfg_ss)
+        config = sample_episode(spec.topology, rng, start_overhang=cfg.start_overhang)
+        levels.append(config.initial_levels)
+        demands.append(config.demands.as_array())
+        act_rngs.append(np.random.default_rng(act_ss))
+
+    lanes, n = len(act_rngs), spec.decisions_per_episode
+    observations = np.empty((lanes, n, spec.obs_dim))
+    actions = np.empty((lanes, n, spec.action_dim))
+    log_probs, values = np.empty((2, lanes, n))
+    decisions = iter(range(n))
+
+    def act_fn(obs: np.ndarray) -> np.ndarray:
+        i = next(decisions)
+        means, _, values[:, i] = forward_batch(params, obs)
+        actions[:, i], executed, log_probs[:, i] = _sample_lanes(
+            means, params, act_rngs
+        )
+        observations[:, i] = obs
+        return executed
+
+    window = spec.frame_skip or 1
+    tariff = spec.topology.tariff.as_array()
+    act = closed_loop(spec.topology, spec.agent_kind, act_fn, window)
+    day = run_day(spec.topology, np.array(levels), np.array(demands), tariff, act)
+    # A decision earns its window's step rewards added in step order, as
+    # FrameSkipEnv adds them; numpy's pairwise sum of 8 or more would differ.
+    per_step = day_rewards(spec.topology, spec.agent_kind, day)
+    rewards = per_step[::window]
+    for j in range(1, window):
+        rewards = rewards + per_step[j::window]
+    return observations, actions, log_probs, np.ascontiguousarray(rewards.T), values
 
 
 def collect_rollouts(
@@ -186,31 +183,36 @@ def collect_rollouts(
     iteration: int = 0,
     pool: ProcessPoolExecutor | None = None,
 ) -> RolloutBatch:
-    """Collect whole episodes until at least ``batch_size`` transitions exist."""
-    per_episode = spec.decisions_per_episode
-    n_episodes = -(-cfg.batch_size // per_episode)  # ceil
+    """Collect whole episodes until at least ``batch_size`` transitions exist.
+
+    With a ``pool``, each of ``cfg.workers`` tasks runs a chunk of the lanes.
+    """
+    n = spec.decisions_per_episode
+    n_episodes = -(-cfg.batch_size // n)  # ceil
+    chunk = n_episodes if pool is None else -(-n_episodes // cfg.workers)
+    lanes = range(n_episodes)
     tasks = [
-        (spec, params, cfg.seed, iteration, idx, cfg.start_overhang)
-        for idx in range(n_episodes)
+        (spec, params, cfg, iteration, lanes[lo : lo + chunk]) for lo in lanes[::chunk]
     ]
     try:
-        if pool is None:
-            episodes = [_run_episode(t) for t in tasks]
-        else:
-            episodes = list(pool.map(_run_episode, tasks))
-    except TrainingError:
-        raise
-    except Exception as exc:  # worker crash, pickle failure, etc.
+        run = map if pool is None else pool.map
+        parts = list(run(_collect_lanes, tasks))
+    except Exception as exc:  # worker crash, pickle failure, bad actions, etc.
         raise TrainingError(f"rollout worker failed: {exc}") from exc
 
+    obs, actions, log_probs, rewards, values = (
+        np.concatenate(arrays) for arrays in zip(*parts)
+    )
+    dones = np.zeros((n_episodes, n))
+    dones[:, -1] = 1.0
     return RolloutBatch(
-        observations=np.concatenate([e["observations"] for e in episodes]),
-        actions=np.concatenate([e["actions"] for e in episodes]),
-        log_probs=np.concatenate([e["log_probs"] for e in episodes]),
-        rewards=np.concatenate([e["rewards"] for e in episodes]),
-        values=np.concatenate([e["values"] for e in episodes]),
-        dones=np.concatenate([e["dones"] for e in episodes]),
-        episode_rewards=[e["total_reward"] for e in episodes],
+        observations=obs.reshape(-1, spec.obs_dim),
+        actions=actions.reshape(-1, spec.action_dim),
+        log_probs=log_probs.reshape(-1),
+        rewards=rewards.reshape(-1),
+        values=values.reshape(-1),
+        dones=dones.reshape(-1),
+        episode_rewards=[float(r.sum()) for r in rewards],
         env_steps=n_episodes * STEPS_PER_DAY,
     )
 
@@ -443,9 +445,4 @@ def load_reward_curve(path: str | Path) -> list[tuple[int, float]]:
 
 def policy_act_fn(params: PolicyParameters):
     """Deterministic action function (clipped actor mean) for evaluation."""
-    from .policy import deterministic_action
-
-    def act(obs: np.ndarray) -> np.ndarray:
-        return deterministic_action(params, obs)
-
-    return act
+    return functools.partial(deterministic_action, params)

@@ -158,6 +158,29 @@ def _not_utf8(flag):
     return build
 
 
+def _zero_workers(command, from_config=False):
+    """``command`` on the workflow's inputs with ``--workers 0``, given as a
+    flag or through ``--config``."""
+
+    def build(out, tmp_path):
+        inputs = {
+            "gen": ("--days", 1),
+            "eval": ("--network", out / "network.json", "--checkpoint",
+                     out / "checkpoint.json", "--episodes", 1),
+            "hybrid": ("--network", out / "network.json", "--history",
+                       out / "history.csv", "--checkpoint", out / "checkpoint.json",
+                       "--cases", 1),
+        }[command]  # fmt: skip
+        workers = ("--workers", 0)
+        if from_config:
+            config = tmp_path / "config.json"
+            config.write_text('{"workers": 0}')
+            workers = ("--config", config)
+        return (command, *inputs, *workers, "--out", tmp_path)
+
+    return build
+
+
 def _narrow_first_hidden_layer(doc):
     actor = doc["actor"]
     actor["weights"][0] = [row[:-1] for row in actor["weights"][0]]
@@ -198,6 +221,11 @@ BAD_INPUTS = {
     "non_utf8_history": _not_utf8("--history"),
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),
     "non_utf8_config": _not_utf8("--config"),
+    "gen_zero_workers": _zero_workers("gen"),
+    "eval_zero_workers": _zero_workers("eval"),
+    "hybrid_zero_workers": _zero_workers("hybrid"),
+    "hybrid_zero_workers_from_config": _zero_workers("hybrid", from_config=True),
+    "train_zero_workers": _bad_network(extra=("--workers", 0)),
 }
 
 

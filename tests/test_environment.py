@@ -24,14 +24,13 @@ from pumpsched.env import (
 from pumpsched.network import STEPS_PER_DAY
 
 
-def _config(world, agent_kind=AgentKind.CONSTRAINT, frame_skip=None, levels=None):
+def _config(world, agent_kind=AgentKind.CONSTRAINT, levels=None):
     return EpisodeConfig(
         initial_levels=(
             world.initial_levels_array() if levels is None else np.asarray(levels)
         ),
         demands=generate_demands(world, seed=8),
         agent_kind=agent_kind,
-        frame_skip=frame_skip,
     )
 
 
@@ -231,7 +230,7 @@ def test_trajectory_matches_simulator(world):
 
 def test_frame_skip_decision_count(world):
     env = FrameSkipEnv(PumpSchedulingEnv(world), 8)
-    env.reset(_config(world, AgentKind.DUAL, frame_skip=8))
+    env.reset(_config(world, AgentKind.DUAL))
     steps = 0
     done = False
     while not done:
@@ -253,7 +252,7 @@ def test_frame_skip_reward_sums_inner_rewards(world):
     decisions = rng.uniform(0.2, 0.8, (12, 6))
 
     wrapped = FrameSkipEnv(PumpSchedulingEnv(world), 8)
-    wrapped.reset(_config(world, AgentKind.DUAL, frame_skip=8))
+    wrapped.reset(_config(world, AgentKind.DUAL))
     wrapped_rewards = [wrapped.step(decisions[i]).reward for i in range(12)]
 
     plain = PumpSchedulingEnv(world)
@@ -296,7 +295,7 @@ def test_frame_skip_whole_day_window(world):
 def test_frame_skip_toggle_bound(world):
     rng = np.random.default_rng(1)
     env = FrameSkipEnv(PumpSchedulingEnv(world), 8)
-    env.reset(_config(world, frame_skip=8))
+    env.reset(_config(world))
     done = False
     while not done:
         done = env.step(rng.uniform(0.0, 1.0, 6)).done
@@ -319,11 +318,11 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
     for _ in range(STEPS_PER_DAY // window):
         obs = env.step(act_fn(obs)).observation
     expected = env.trajectory()
-    traj = config.roll_day(world, closed_loop(world, config, act_fn, window))
+    traj = config.roll_day(world, closed_loop(world, kind, act_fn, window))
     for name in ("states", "actions", "flows", "costs", "clamp_flags"):
         np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
     with pytest.raises(ValidationError):
-        closed_loop(world, config, act_fn, 7)
+        closed_loop(world, kind, act_fn, 7)
 
 
 # -- episode sampling ---------------------------------------------------------

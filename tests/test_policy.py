@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pumpsched import (
     PolicyParameters,
     TrainConfig,
     init_policy,
     load_checkpoint,
-    policy_forward,
     save_checkpoint,
 )
 from pumpsched.errors import SchemaError, ValidationError
@@ -20,7 +21,7 @@ from pumpsched.policy import (
     forward_batch,
     gaussian_logp,
 )
-from pumpsched.training import _sample_from, _value_gradients
+from pumpsched.training import _sample_lanes, _value_gradients
 
 
 def _small_policy(seed=0, obs_dim=3, action_dim=2, hidden=(5, 4)):
@@ -61,10 +62,10 @@ def test_init_policy_shapes_and_start():
     assert params.action_dim == 2
     np.testing.assert_allclose(np.exp(params.log_sigma), 0.3)
     # The mean head starts near mid-range so initial actions hover around 0.5.
-    mean, sigma, value = policy_forward(params, np.zeros(3))
-    np.testing.assert_allclose(mean, 0.5, atol=0.05)
-    assert sigma.shape == (2,)
-    assert np.isfinite(value)
+    means, sigmas, values = forward_batch(params, np.zeros((1, 3)))
+    np.testing.assert_allclose(means[0], 0.5, atol=0.05)
+    assert sigmas.shape == (1, 2)
+    assert values.shape == (1,) and np.isfinite(values[0])
 
 
 def test_init_policy_deterministic():
@@ -80,32 +81,51 @@ def test_init_policy_rejects_bad_dims():
         init_policy(0, 2, rng)
 
 
-def test_forward_batch_matches_single():
-    params = _small_policy()
-    obs = np.random.default_rng(3).normal(size=(4, 3))
-    means, sigmas, values = forward_batch(params, obs)
-    for i in range(4):
-        mean_i, sigma_i, value_i = policy_forward(params, obs[i])
-        np.testing.assert_allclose(means[i], mean_i, atol=1e-12)
-        np.testing.assert_allclose(sigmas[i], sigma_i, atol=1e-12)
-        assert values[i] == pytest.approx(value_i, abs=1e-12)
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    obs_dim=st.sampled_from([6, 103]),
+)
+def test_forward_batch_matches_single(seed, obs_dim):
+    # At every batch width from 1 to 64, every row equals the one-row forward
+    # byte for byte, for the default net and the tiny one alike.
+    rng = np.random.default_rng(seed)
+    obs = rng.normal(size=(64, obs_dim))
+    for hidden in ((64, 64), (8,)):
+        params = init_policy(obs_dim, 6, rng, hidden=hidden)
+        params = params.replace_arrays(
+            [a + rng.normal(0.0, 0.3, a.shape) for a in params.arrays()]
+        )
+        rows = [
+            (params.actor.forward(x)[0][0], params.critic.forward(x)[0][0, 0])
+            for x in obs
+        ]
+        for batch in range(1, 65):
+            means, sigmas, values = forward_batch(params, obs[:batch])
+            for k in range(batch):
+                assert means[k].tobytes() == rows[k][0].tobytes()
+                assert values[k].tobytes() == rows[k][1].tobytes()
+            sigma_rows = np.tile(np.exp(params.log_sigma), (batch, 1))
+            np.testing.assert_array_equal(sigmas, sigma_rows)
 
 
-def test_policy_forward_checks_width():
+def test_forward_batch_checks_width():
     params = _small_policy()
     with pytest.raises(ValidationError):
-        policy_forward(params, np.zeros(4))
+        forward_batch(params, np.zeros((2, 4)))
+    with pytest.raises(ValidationError):
+        forward_batch(params, np.zeros(4))
 
 
 def test_sample_action_clipped_and_logp_unclipped():
     params = _small_policy()
     rng = np.random.default_rng(0)
-    mean, _, _ = policy_forward(params, np.zeros(3))
+    means, _, _ = forward_batch(params, np.zeros((1, 3)))
     for _ in range(50):
-        raw, action, logp = _sample_from(mean, params, rng)
+        raw, action, logp = _sample_lanes(means, params, [rng])
         assert np.all(action >= 0.0) and np.all(action <= 1.0)
         np.testing.assert_array_equal(action, np.clip(raw, 0.0, 1.0))
-        assert logp == gaussian_logp(raw, mean, params.log_sigma)[0]
+        assert logp[0] == gaussian_logp(raw, means, params.log_sigma)[0]
 
 
 def test_tiny_sigma_sampling_collapses_to_mean():
@@ -114,11 +134,11 @@ def test_tiny_sigma_sampling_collapses_to_mean():
         actor=params.actor, log_sigma=np.full(2, -20.0), critic=params.critic
     )
     rng = np.random.default_rng(5)
-    mean, _, _ = policy_forward(frozen, np.zeros(3))
-    _, action, _ = _sample_from(mean, frozen, rng)
-    np.testing.assert_allclose(action, np.clip(mean, 0.0, 1.0), atol=1e-7)
+    means, _, _ = forward_batch(frozen, np.zeros((1, 3)))
+    _, action, _ = _sample_lanes(means, frozen, [rng])
+    np.testing.assert_allclose(action[0], np.clip(means[0], 0.0, 1.0), atol=1e-7)
     np.testing.assert_array_equal(
-        deterministic_action(frozen, np.zeros(3)), np.clip(mean, 0.0, 1.0)
+        deterministic_action(frozen, np.zeros(3)), np.clip(means[0], 0.0, 1.0)
     )
 
 

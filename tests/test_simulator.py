@@ -6,14 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pumpsched import (
+    AgentKind,
+    EnvSpec,
     EpisodeConfig,
+    FrameSkipEnv,
     NumericError,
     PumpSchedulingEnv,
+    TrainConfig,
     ValidationError,
+    init_policy,
+    sample_episode,
     simulate,
 )
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY
+from pumpsched.policy import gaussian_logp
 from pumpsched.simulate import resume_lanes, run_day
+from pumpsched.training import _collect_lanes, _episode_seed, collect_rollouts
 
 from conftest import flat_demands
 
@@ -423,6 +431,106 @@ def test_every_resume_lane_equals_a_rollout_from_its_state(world, seed, t0, high
         )
         np.testing.assert_array_equal(row[k:], exact.states)
         np.testing.assert_array_equal(row[:k], branch[:k])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    lanes=st.integers(min_value=1, max_value=6),
+    t0=st.integers(min_value=0, max_value=STEPS_PER_DAY),
+)
+def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
+    from pumpsched import generate_demands
+
+    rng = np.random.default_rng(seed)
+    schedules = rng.uniform(0.0, 1.0, (lanes, STEPS_PER_DAY, 6))
+    levels = rng.uniform(0.0, 1.0, (lanes, world.n_tanks)) * world.caps_array()
+    demands = np.array(
+        [generate_demands(world, seed + k).as_array() for k in range(lanes)]
+    )
+    tariff = world.tariff.as_array()
+    day = run_day(world, levels, demands, tariff, lambda t, lv: schedules[:, t], t0)
+    for k in range(lanes):
+        alone = run_day(
+            world, levels[k], demands[k], tariff, lambda t, lv: schedules[k, t], t0
+        )
+        for name in _TRAJECTORY_FIELDS:
+            lane = getattr(day, name) if name == "tariff" else getattr(day, name)[:, k]
+            assert lane.tobytes() == getattr(alone, name).tobytes(), name
+
+
+def _episode_through_the_env(spec, params, seed, iteration, idx, overhang):
+    """Episode ``idx`` of a collection, stepped alone through the env with
+    one-row forwards: observations, raw actions, log-probs, rewards, values
+    and dones, one row per decision."""
+    cfg_ss, act_ss = _episode_seed(seed, iteration, idx).spawn(2)
+    config = sample_episode(
+        spec.topology, np.random.default_rng(cfg_ss), spec.agent_kind, overhang
+    )
+    act_rng = np.random.default_rng(act_ss)
+    env = FrameSkipEnv(PumpSchedulingEnv(spec.topology), spec.frame_skip or 1)
+    obs = env.reset(config)
+    rows = []
+    for _ in range(spec.decisions_per_episode):
+        mean = params.actor.forward(obs)[0][0]
+        value = params.critic.forward(obs)[0][0, 0]
+        noise = act_rng.standard_normal(mean.shape[0])
+        raw = mean + np.exp(params.log_sigma) * noise
+        logp = gaussian_logp(raw, mean, params.log_sigma)[0]
+        result = env.step(np.clip(raw, 0.0, 1.0))
+        rows.append((obs, raw, logp, result.reward, value, float(result.done)))
+        obs = result.observation
+    return [np.array(column) for column in zip(*rows)]
+
+
+_BATCH_FIELDS = ("observations", "actions", "log_probs", "rewards", "values", "dones")
+
+
+def _noisy_policy(spec, seed):
+    rng = np.random.default_rng(seed)
+    params = init_policy(spec.obs_dim, spec.action_dim, rng)
+    return params.replace_arrays(
+        [a + rng.normal(0.0, 0.3, a.shape) for a in params.arrays()]
+    )
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    iteration=st.integers(min_value=0, max_value=50),
+    kind=st.sampled_from(list(AgentKind)),
+    window=st.sampled_from([1, 2, 8, 96]),
+    episodes=st.integers(min_value=1, max_value=3),
+)
+def test_lockstep_collection_equals_episodes_stepped_alone(
+    world, seed, iteration, kind, window, episodes
+):
+    spec = EnvSpec(topology=world, agent_kind=kind, frame_skip=window)
+    params = _noisy_policy(spec, seed)
+    n = spec.decisions_per_episode
+    cfg = TrainConfig(total_env_steps=0, seed=seed, batch_size=episodes * n)
+    batch = collect_rollouts(spec, params, cfg, iteration)
+    assert len(batch) == episodes * n
+    for k in range(episodes):
+        expected = _episode_through_the_env(
+            spec, params, seed, iteration, k, cfg.start_overhang
+        )
+        for name, column in zip(_BATCH_FIELDS, expected):
+            got = getattr(batch, name)[k * n : (k + 1) * n]
+            assert got.tobytes() == column.tobytes(), name
+        assert batch.episode_rewards[k] == float(expected[3].sum())
+
+
+@pytest.mark.parametrize("kind", list(AgentKind))
+def test_episode_bytes_do_not_depend_on_lane_count(world, kind):
+    spec = EnvSpec(topology=world, agent_kind=kind)
+    params = _noisy_policy(spec, 3)
+    cfg = TrainConfig(total_env_steps=0, seed=7)
+    wide = _collect_lanes((spec, params, cfg, 2, range(10)))
+    for k in (0, 4, 9):
+        alone = _collect_lanes((spec, params, cfg, 2, range(k, k + 1)))
+        for lane, single in zip(wide, alone):
+            assert lane[k].tobytes() == single[0].tobytes()
 
 
 @settings(max_examples=25, deadline=None)

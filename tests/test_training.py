@@ -181,13 +181,13 @@ def test_collect_rollouts_deterministic(tiny_world):
 def test_collect_rollouts_worker_invariant(tiny_world):
     spec = EnvSpec(topology=tiny_world)
     params = _tiny_policy(spec)
-    cfg = _cfg(batch_size=192)
+    cfg = _cfg(batch_size=3 * STEPS_PER_DAY, workers=2)  # lane chunks of 2 and 1
     serial = collect_rollouts(spec, params, cfg)
     with ProcessPoolExecutor(max_workers=2) as pool:
         parallel = collect_rollouts(spec, params, cfg, pool=pool)
-    np.testing.assert_array_equal(serial.observations, parallel.observations)
-    np.testing.assert_array_equal(serial.actions, parallel.actions)
-    np.testing.assert_array_equal(serial.rewards, parallel.rewards)
+    for name in ("observations", "actions", "log_probs", "rewards", "values", "dones"):
+        np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
+    assert serial.episode_rewards == parallel.episode_rewards
 
 
 # -- the update -------------------------------------------------------------------
@@ -237,14 +237,11 @@ def test_clipped_surrogate_gradient_matches_finite_differences():
     cfg = _cfg(entropy_coef=0.0)
 
     # Old log-probs chosen so ratios sit well away from the clip boundaries.
-    from pumpsched.policy import policy_forward
     from pumpsched.policy import gaussian_logp
 
-    base_logps = []
-    for i in range(4):
-        mean, _, _ = policy_forward(params, obs[i])
-        base_logps.append(float(gaussian_logp(actions[i], mean, params.log_sigma)[0]))
-    old_logps = np.array(base_logps) - np.log([0.5, 0.95, 1.1, 1.4])
+    means, _ = params.actor.forward(obs)
+    base_logps = gaussian_logp(actions, means, params.log_sigma)
+    old_logps = base_logps - np.log([0.5, 0.95, 1.1, 1.4])
 
     def surrogate():
         means, _ = params.actor.forward(obs)
