@@ -57,7 +57,7 @@ from .network import (
 )
 from .policy import load_checkpoint, save_checkpoint
 from .query import build_index
-from .simulate import simulate
+from .simulate import run_day, simulate
 from .training import (
     EnvSpec,
     TrainConfig,
@@ -178,9 +178,31 @@ def _apply_config_file(argv: list[str], parser: _Parser) -> None:
     # Defaults land on every subparser holding a matching destination.
     for action in parser._subparsers._group_actions:  # noqa: SLF001
         for sub in action.choices.values():
-            known_dests = {a.dest for a in sub._actions}  # noqa: SLF001
-            usable = {k: v for k, v in values.items() if k in known_dests}
+            flags = {a.dest: a for a in sub._actions}  # noqa: SLF001
+            usable = {k: v for k, v in values.items() if k in flags}
+            for key, value in usable.items():
+                _check_config_value(flags[key], value)
             sub.set_defaults(**usable)
+
+
+def _check_config_value(action: argparse.Action, value) -> None:
+    """Reject a --config value of another JSON type than its flag parses to;
+    argparse converts only string defaults. A bool is no number."""
+    if action.type is int:
+        ok, want = _is_number(value) and isinstance(value, int), "an integer"
+    elif action.type is float:
+        ok, want = _is_number(value), "a number"
+    elif action.nargs == 0:
+        ok, want = isinstance(value, bool), "true or false"
+    elif action.choices:
+        ok, want = value in action.choices, "one of " + ", ".join(action.choices)
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        flag = action.option_strings[-1]
+        raise ValidationError(
+            f"config value {json.dumps(value)} for {flag} must be {want}"
+        )
 
 
 # ----------------------------------------------------------------------------
@@ -345,8 +367,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
         controller = RuleBasedController(topology, margins)
         trajs = {
-            "policy": config.roll_day(
-                topology, closed_loop(topology, kind, act_fn, frame_skip)
+            "policy": run_day(
+                topology,
+                config.initial_levels,
+                config.demands.as_array(),
+                topology.tariff.as_array(),
+                closed_loop(topology, kind, act_fn, frame_skip),
             ),
             "rule_based": run_controlled_day(
                 topology, config.initial_levels, controller, config.demands
@@ -425,14 +451,9 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
         },
         started,
     )
-    for summary in report.to_json_obj():
-        during = summary["mean_during_pct"]
-        post = summary["mean_post_pct"]
-        during_txt = "n/a" if during is None else f"{during:+.1f}%"
-        post_txt = "n/a" if post is None else f"{post:+.1f}%"
-        print(
-            f"hybrid[{summary['strategy']}]: during {during_txt}, post {post_txt}"
-        )
+    for s in report.to_json_obj():
+        during, post = _pct_text(s["mean_during_pct"]), _pct_text(s["mean_post_pct"])
+        print(f"hybrid[{s['strategy']}]: during {during}, post {post}")
     return 0
 
 
@@ -552,11 +573,8 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
-        # --workers may also come from --config, which argparse does not type.
-        if type(args.workers) is not int or args.workers < 1:
-            raise ValidationError(
-                f"--workers must be an integer >= 1, got {args.workers!r}"
-            )
+        if args.workers < 1:
+            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except (ValidationError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from .network import (
     NetworkTopology,
     demands_from_rng,
 )
-from .simulate import Trajectory, _check_speeds, _Rollout, run_day
+from .simulate import Trajectory, _check_speeds, _Rollout
 
 
 class AgentKind(enum.Enum):
@@ -131,18 +131,6 @@ class EpisodeConfig:
     initial_levels: np.ndarray
     demands: DemandSet
     agent_kind: AgentKind = AgentKind.CONSTRAINT
-
-    def roll_day(
-        self, topology: NetworkTopology, act: Callable[[int, np.ndarray], np.ndarray]
-    ) -> Trajectory:
-        """This episode's whole day through ``run_day`` under ``act(t, levels)``."""
-        return run_day(
-            topology,
-            self.initial_levels,
-            self.demands.as_array(),
-            topology.tariff.as_array(),
-            act,
-        )
 
 
 @dataclass

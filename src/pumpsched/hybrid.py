@@ -3,9 +3,12 @@
 A case is a day whose retrieved schedule violates tank boundaries somewhere.
 Four injection strategies repair it: fixed early/midday windows (untargeted),
 the violation hull (targeted), a searched resume time (dynamic end), and a
-searched lead-in plus resume time (dynamic start/end). The resume search
-scores every candidate resume step on the exact day it produces, all of them
-re-simulated in one ``resume_lanes`` pass.
+searched lead-in plus resume time (dynamic start/end). ``inject`` rolls any
+number of plans as lanes of one day, and act functions get one observation
+row per lane. The searches read the states of those lanes and never roll a
+plan twice: every candidate start is a lane of one ``inject`` pass, and every
+candidate resume step is scored on the exact day it produces, all of them
+re-simulated in one ``resume_lanes`` pass whose winning lane is the result.
 
 Metric regions are fixed per case so strategies stay comparable: for the
 violation hull [hs, he), the during-region is states hs+1..he (what injected
@@ -19,9 +22,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .errors import ValidationError
 from .metrics import Bounds, _csv_cell, _exceedance
 from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology
 from .query import QueryIndex, recommend
-from .simulate import Trajectory, resume_lanes, simulate
+from .simulate import resume_lanes, run_day, simulate
 
 UNTARGETED_EARLY = (0, 8)  # 00:00-02:00
 UNTARGETED_MIDDAY = (48, 56)  # 12:00-14:00
@@ -45,6 +48,7 @@ STRATEGY_NAMES = (
 
 _START_LOOKBACK = 16  # steps of earlier start explored by dynamic_start_end
 
+# Observation rows (lanes, obs_dim) to pump speed rows (lanes, n_stations).
 ActFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -78,7 +82,7 @@ class HybridCase:
     case_id: int
     config: EpisodeConfig
     baseline_schedule: np.ndarray
-    baseline_traj: Trajectory
+    baseline_states: np.ndarray  # (97, n_tanks) under the baseline schedule
     windows: tuple[ViolationWindow, ...]
     bounds: Bounds
     matched_day: int
@@ -114,9 +118,9 @@ class CaseOutcome:
     post_pct: float | None
 
 
-def detect_violations(traj: Trajectory, bounds: Bounds) -> tuple[ViolationWindow, ...]:
+def detect_violations(states: np.ndarray, bounds: Bounds) -> tuple[ViolationWindow, ...]:
     """Merged violation windows over states 1..96, any tank counting."""
-    exceed = _exceedance(traj.states, bounds) > 0.0
+    exceed = _exceedance(states, bounds) > 0.0
     exceed[0, :] = False  # the initial state is given, not controlled
     any_bad = exceed.any(axis=1)
     windows: list[ViolationWindow] = []
@@ -135,37 +139,55 @@ def detect_violations(traj: Trajectory, bounds: Bounds) -> tuple[ViolationWindow
 
 def inject(
     topology: NetworkTopology,
-    config: EpisodeConfig,
-    baseline_schedule: np.ndarray,
-    plan: InjectionPlan,
+    case: HybridCase,
+    plans: Sequence[InjectionPlan],
     act_fn: ActFn,
-) -> Trajectory:
-    """Run the day with policy actions inside the plan, baseline elsewhere.
+) -> np.ndarray:
+    """The case's day under each plan, as lanes: states (97, lanes, n_tanks).
 
-    The policy acts closed-loop on the observations it would see live; the
-    trajectory's ``actions`` is the baseline with its chosen actions blended in.
+    Lane k runs the policy closed loop inside ``plans[k]``, on the observations
+    it would see live, and the baseline schedule everywhere else; ``act_fn``
+    gets the rows of the lanes inside their plan. The day starts at the
+    earliest plan start from the baseline's state there, and the baseline
+    prefix is put back in front. Both are exact: a day rolled from a mid-day
+    state equals its tail, and each lane equals its day rolled alone.
     """
-    plan.validate()
-    baseline_schedule = np.asarray(baseline_schedule, dtype=float)
-    if baseline_schedule.shape != (STEPS_PER_DAY, topology.n_stations):
-        raise ValidationError("baseline schedule shape does not match the day")
-    policy = closed_loop(topology, config.agent_kind, act_fn)
+    if not plans:
+        raise ValidationError("inject needs at least one plan")
+    for plan in plans:
+        plan.validate()
+    starts = np.array([plan.start for plan in plans])
+    ends = np.array([plan.end for plan in plans])
+    lanes, t0 = len(plans), int(starts.min())
+    schedule = case.baseline_schedule
+    policy = closed_loop(topology, case.config.agent_kind, act_fn)
 
     def act(t: int, levels: np.ndarray) -> np.ndarray:
-        if plan.start <= t < plan.end:
-            return policy(t, levels)
-        return baseline_schedule[t]
+        action = np.repeat(schedule[t][None], lanes, axis=0)
+        inside = (starts <= t) & (t < ends)
+        if inside.any():
+            action[inside] = policy(t, levels[inside])
+        return action
 
-    return config.roll_day(topology, act)
+    day = run_day(
+        topology,
+        np.repeat(case.baseline_states[t0][None], lanes, axis=0),
+        np.repeat(case.config.demands.as_array()[None], lanes, axis=0),
+        topology.tariff.as_array(),
+        act,
+        t0,
+    )
+    prefix = np.repeat(case.baseline_states[:t0, None], lanes, axis=1)
+    return np.concatenate([prefix, day.states])
 
 
 # ----------------------------------------------------------------------------
 # Region bookkeeping
 
 
-def _state_area(traj_states: np.ndarray, bounds: Bounds) -> np.ndarray:
+def _state_area(states: np.ndarray, bounds: Bounds) -> np.ndarray:
     """Per-state violation area (m*h) indexed like the states array."""
-    return _exceedance(traj_states, bounds).sum(axis=1) * DT_HOURS
+    return _exceedance(states, bounds).sum(axis=1) * DT_HOURS
 
 
 def _range_area(state_area: np.ndarray, first: int, last: int) -> float:
@@ -179,20 +201,17 @@ def _region_outcome(
     case: HybridCase,
     strategy: str,
     plan: InjectionPlan,
-    hybrid_traj: Trajectory,
+    hybrid_states: np.ndarray,
     during: tuple[int, int],
 ) -> CaseOutcome:
-    base_area = _state_area(case.baseline_traj.states, case.bounds)
-    hyb_area = _state_area(hybrid_traj.states, case.bounds)
+    base_area = _state_area(case.baseline_states, case.bounds)
+    hyb_area = _state_area(hybrid_states, case.bounds)
     d_first, d_last = during
     post = (d_last + 1, STEPS_PER_DAY) if d_last < STEPS_PER_DAY else None
     b_during = _range_area(base_area, d_first, d_last)
     h_during = _range_area(hyb_area, d_first, d_last)
-    if post is None:
-        b_post = h_post = 0.0
-    else:
-        b_post = _range_area(base_area, post[0], post[1])
-        h_post = _range_area(hyb_area, post[0], post[1])
+    b_post = _range_area(base_area, d_last + 1, STEPS_PER_DAY)  # 0.0 if empty
+    h_post = _range_area(hyb_area, d_last + 1, STEPS_PER_DAY)
     return CaseOutcome(
         case_id=case.case_id,
         strategy=strategy,
@@ -229,9 +248,9 @@ def strategy_untargeted(
         raise ValidationError("untargeted strategy needs a violating case")
     plan = InjectionPlan(start=window[0], end=window[1])
     name = "untargeted_0_2" if window == UNTARGETED_EARLY else "untargeted_12_14"
-    traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
+    states = inject(topology, case, [plan], act_fn)[:, 0]
     during = (max(plan.start + 1, 1), plan.end)
-    return _region_outcome(case, name, plan, traj, during)
+    return _region_outcome(case, name, plan, states, during)
 
 
 def strategy_targeted(
@@ -240,50 +259,44 @@ def strategy_targeted(
     """Inject over the hull of all violation windows."""
     hs, he = case.hull
     plan = InjectionPlan(start=hs, end=he)
-    traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
-    return _region_outcome(case, "targeted", plan, traj, (hs + 1, he))
+    states = inject(topology, case, [plan], act_fn)[:, 0]
+    return _region_outcome(case, "targeted", plan, states, (hs + 1, he))
 
 
 def strategy_dynamic_end(
-    topology: NetworkTopology,
-    case: HybridCase,
-    act_fn: ActFn,
-    targeted: CaseOutcome | None = None,
+    topology: NetworkTopology, case: HybridCase, act_fn: ActFn
 ) -> CaseOutcome:
     """Search the resume step minimizing total during+post area.
 
     Candidate ends run from the hull end to end-of-day, each scored on the
-    exact day it produces; when the hull end wins, ``targeted`` (the same
-    plan) is reused instead of re-running it.
+    exact day it produces; that day of the winner is the result.
     """
     hs, he = case.hull
-    full_plan = InjectionPlan(start=hs, end=STEPS_PER_DAY)
-    full = inject(topology, case.config, case.baseline_schedule, full_plan, act_fn)
-    e_star = _best_end(topology, case, full, hs, he)
-
-    if e_star == he and targeted is not None:
-        return replace(targeted, strategy="dynamic_end")
+    full = inject(topology, case, [InjectionPlan(hs, STEPS_PER_DAY)], act_fn)[:, 0]
+    e_star, states = _best_end(topology, case, full, hs, he)
     plan = InjectionPlan(start=hs, end=e_star)
-    traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
-    return _region_outcome(case, "dynamic_end", plan, traj, (hs + 1, he))
+    return _region_outcome(case, "dynamic_end", plan, states, (hs + 1, he))
 
 
 def _best_end(
-    topology: NetworkTopology, case: HybridCase, full: Trajectory, hs: int, he: int
-) -> int:
-    """Argmin over candidate ends of the during+post area, earliest on ties.
+    topology: NetworkTopology, case: HybridCase, full: np.ndarray, hs: int, he: int
+) -> tuple[int, np.ndarray]:
+    """Argmin e* over candidate ends of the during+post area, earliest on ties,
+    and the states (97, n_tanks) of the day that ending at e* produces.
 
-    Ending at e scores the injected states hs+1..e plus the states after e with
-    the baseline resumed at step e. One ``resume_lanes`` pass re-simulates
-    every resume e >= he exactly; ending at 96 resumes nothing.
+    ``full`` is the day injected from hs to the end. Ending at e scores the
+    injected states hs+1..e plus the states after e with the baseline resumed
+    at step e. One ``resume_lanes`` pass re-simulates every resume e >= he
+    exactly, so the day of e* is ``full`` up to state he joined to its lane;
+    ending at 96 resumes nothing and keeps ``full``.
     """
-    full_area = _state_area(full.states, case.bounds)
+    full_area = _state_area(full, case.bounds)
     tails = resume_lanes(
         topology,
-        full.states[he:],
+        full[he:],
         case.baseline_schedule,
         case.config.demands.as_array(),
-        case.baseline_traj.tariff,
+        topology.tariff.as_array(),
         he,
     )
     tail_area = _exceedance(tails, case.bounds).sum(axis=2) * DT_HOURS
@@ -292,36 +305,36 @@ def _best_end(
         _range_area(full_area, hs + 1, e) + area
         for e, area in zip(range(he, STEPS_PER_DAY + 1), post)
     ]
-    return he + int(np.argmin(totals))
+    e_star = he + int(np.argmin(totals))
+    if e_star == STEPS_PER_DAY:
+        return e_star, full
+    return e_star, np.concatenate([full[:he], tails[e_star - he]])
 
 
 def strategy_dynamic_start_end(
-    topology: NetworkTopology,
-    case: HybridCase,
-    act_fn: ActFn,
+    topology: NetworkTopology, case: HybridCase, act_fn: ActFn
 ) -> CaseOutcome:
     """Search earlier starts too, minimizing the during-region area.
 
     Every candidate start re-runs the policy closed loop (its observations
-    change); the latest start wins ties, so the search degrades to
-    dynamic_end when an earlier start does not strictly help. States up to
-    the hull end do not depend on the end, and start hs is a candidate, so
-    the chosen during-area never exceeds dynamic_end's.
+    change), all of them as lanes of one ``inject`` pass; the latest start
+    wins ties, so the search degrades to dynamic_end when an earlier start
+    does not strictly help. States up to the hull end do not depend on the
+    end, so only the winning start's end is searched, and start hs is a
+    candidate, so the chosen during-area never exceeds dynamic_end's.
     """
     hs, he = case.hull
-    best: tuple[float, int, int] | None = None  # (during_area, -s, e)
-    for s in range(max(0, hs - _START_LOOKBACK), hs + 1):
-        full_plan = InjectionPlan(start=s, end=STEPS_PER_DAY)
-        full = inject(topology, case.config, case.baseline_schedule, full_plan, act_fn)
-        during_area = _range_area(_state_area(full.states, case.bounds), hs + 1, he)
-        e_star = _best_end(topology, case, full, hs, he)
-        key = (during_area, -s)
-        if best is None or key < (best[0], best[1]):
-            best = (during_area, -s, e_star)
-    s_star, e_star = -best[1], best[2]
-    plan = InjectionPlan(start=s_star, end=e_star)
-    traj = inject(topology, case.config, case.baseline_schedule, plan, act_fn)
-    return _region_outcome(case, "dynamic_start_end", plan, traj, (hs + 1, he))
+    starts = range(max(0, hs - _START_LOOKBACK), hs + 1)
+    plans = [InjectionPlan(start=s, end=STEPS_PER_DAY) for s in starts]
+    lanes = inject(topology, case, plans, act_fn)
+    during = [
+        _range_area(_state_area(lanes[:, k], case.bounds), hs + 1, he)
+        for k in range(len(starts))
+    ]
+    k = min(range(len(starts)), key=lambda k: (during[k], -starts[k]))
+    e_star, states = _best_end(topology, case, lanes[:, k], hs, he)
+    plan = InjectionPlan(start=starts[k], end=e_star)
+    return _region_outcome(case, "dynamic_start_end", plan, states, (hs + 1, he))
 
 
 # ----------------------------------------------------------------------------
@@ -352,10 +365,10 @@ def build_case_pool(
         )
         config = sample_episode(topology, rng, agent_kind=AgentKind.DUAL)
         result = recommend(index, config.initial_levels, config.demands)
-        traj = simulate(
+        states = simulate(
             topology, config.initial_levels, result.schedule, config.demands
-        )
-        windows = detect_violations(traj, bounds)
+        ).states
+        windows = detect_violations(states, bounds)
         if not windows:
             continue
         cases.append(
@@ -363,7 +376,7 @@ def build_case_pool(
                 case_id=len(cases),
                 config=config,
                 baseline_schedule=result.schedule,
-                baseline_traj=traj,
+                baseline_states=states,
                 windows=windows,
                 bounds=bounds,
                 matched_day=result.day,
@@ -436,20 +449,15 @@ def evaluate_strategies(
         raise ValidationError("strategy evaluation needs a non-empty case pool")
     outcomes: dict[str, list[CaseOutcome]] = {name: [] for name in STRATEGY_NAMES}
     for case in cases:
-        outcomes["untargeted_0_2"].append(
-            strategy_untargeted(topology, case, act_fn, UNTARGETED_EARLY)
-        )
-        outcomes["untargeted_12_14"].append(
-            strategy_untargeted(topology, case, act_fn, UNTARGETED_MIDDAY)
-        )
-        targeted = strategy_targeted(topology, case, act_fn)
-        outcomes["targeted"].append(targeted)
-        outcomes["dynamic_end"].append(
-            strategy_dynamic_end(topology, case, act_fn, targeted=targeted)
-        )
-        outcomes["dynamic_start_end"].append(
-            strategy_dynamic_start_end(topology, case, act_fn)
-        )
+        run = (topology, case, act_fn)
+        for outcome in (
+            strategy_untargeted(*run, UNTARGETED_EARLY),
+            strategy_untargeted(*run, UNTARGETED_MIDDAY),
+            strategy_targeted(*run),
+            strategy_dynamic_end(*run),
+            strategy_dynamic_start_end(*run),
+        ):
+            outcomes[outcome.strategy].append(outcome)
     return StrategyReport(n_cases=len(cases), outcomes=outcomes)
 
 
@@ -457,33 +465,18 @@ def save_strategy_report_json(report: StrategyReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report.to_json_obj(), indent=2) + "\n")
 
 
+_CSV_FIELDS = (  # the case fields of the JSON report but the region bounds
+    "case_id", "injection_start", "injection_end", "baseline_during_area",
+    "hybrid_during_area", "baseline_post_area", "hybrid_post_area",
+    "during_pct", "post_pct",
+)  # fmt: skip
+
+
 def save_strategy_report_csv(report: StrategyReport, path: str | Path) -> None:
-    fields = [
-        "strategy",
-        "case_id",
-        "injection_start",
-        "injection_end",
-        "baseline_during_area",
-        "hybrid_during_area",
-        "baseline_post_area",
-        "hybrid_post_area",
-        "during_pct",
-        "post_pct",
-    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(["strategy", *_CSV_FIELDS])
         for name in STRATEGY_NAMES:
             for r in report.outcomes[name]:
-                cells = (
-                    r.case_id,
-                    r.plan.start,
-                    r.plan.end,
-                    r.baseline_during_area,
-                    r.hybrid_during_area,
-                    r.baseline_post_area,
-                    r.hybrid_post_area,
-                    r.during_pct,
-                    r.post_pct,
-                )
-                writer.writerow([name] + [_csv_cell(v) for v in cells])
+                case = _case_dict(r)
+                writer.writerow([name] + [_csv_cell(case[k]) for k in _CSV_FIELDS])

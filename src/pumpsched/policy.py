@@ -125,12 +125,11 @@ def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray)
 
 
 def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
-    """Greedy action: the clipped actor mean; the critic is not evaluated."""
+    """Greedy action: the clipped actor mean; the critic is not evaluated.
+    Rows of observations run row-exact, as in ``forward_batch``."""
     arr = _check_obs(params, obs)
-    if arr.ndim != 1:
-        raise ValidationError("deterministic_action expects a single observation")
-    mean, _ = params.actor.forward(arr)
-    return np.clip(mean[0], 0.0, 1.0)
+    mean, _ = params.actor.forward(arr[..., None, :])
+    return np.clip(mean[..., 0, :], 0.0, 1.0)
 
 
 def entropy(params: PolicyParameters) -> float:

@@ -158,25 +158,44 @@ def _not_utf8(flag):
     return build
 
 
+def _inputs(out, command, skip=()):
+    """Flags that run ``command`` on the workflow's inputs, minus ``skip``."""
+    flags = {
+        "gen": {"--days": 1},
+        "eval": {"--network": out / "network.json",
+                 "--checkpoint": out / "checkpoint.json", "--episodes": 1},
+        "hybrid": {"--network": out / "network.json",
+                   "--history": out / "history.csv",
+                   "--checkpoint": out / "checkpoint.json", "--cases": 1},
+    }[command]  # fmt: skip
+    return tuple(x for flag, v in flags.items() if flag not in skip for x in (flag, v))
+
+
 def _zero_workers(command, from_config=False):
     """``command`` on the workflow's inputs with ``--workers 0``, given as a
     flag or through ``--config``."""
 
     def build(out, tmp_path):
-        inputs = {
-            "gen": ("--days", 1),
-            "eval": ("--network", out / "network.json", "--checkpoint",
-                     out / "checkpoint.json", "--episodes", 1),
-            "hybrid": ("--network", out / "network.json", "--history",
-                       out / "history.csv", "--checkpoint", out / "checkpoint.json",
-                       "--cases", 1),
-        }[command]  # fmt: skip
         workers = ("--workers", 0)
         if from_config:
             config = tmp_path / "config.json"
             config.write_text('{"workers": 0}')
             workers = ("--config", config)
-        return (command, *inputs, *workers, "--out", tmp_path)
+        return (command, *_inputs(out, command), *workers, "--out", tmp_path)
+
+    return build
+
+
+def _bad_config(command, doc):
+    """``command`` on the workflow's inputs with the flag defaults ``doc`` from
+    ``--config``; the flags ``doc`` sets are left off the command line."""
+
+    def build(out, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        skip = {"--" + key.replace("_", "-") for key in doc}
+        inputs = _inputs(out, command, skip)
+        return (command, *inputs, "--config", config, "--out", tmp_path)
 
     return build
 
@@ -226,6 +245,11 @@ BAD_INPUTS = {
     "hybrid_zero_workers": _zero_workers("hybrid"),
     "hybrid_zero_workers_from_config": _zero_workers("hybrid", from_config=True),
     "train_zero_workers": _bad_network(extra=("--workers", 0)),
+    "eval_fractional_episodes_from_config": _bad_config("eval", {"episodes": 1.5}),
+    "gen_fractional_days_from_config": _bad_config("gen", {"days": 2.5}),
+    "hybrid_bool_cases_from_config": _bad_config("hybrid", {"cases": True}),
+    "hybrid_text_workers_from_config": _bad_config("hybrid", {"workers": "2"}),
+    "gen_text_imperfection_from_config": _bad_config("gen", {"imperfection": "x"}),
 }
 
 

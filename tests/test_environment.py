@@ -22,6 +22,7 @@ from pumpsched.env import (
     reward_dual,
 )
 from pumpsched.network import STEPS_PER_DAY
+from pumpsched.simulate import run_day
 
 
 def _config(world, agent_kind=AgentKind.CONSTRAINT, levels=None):
@@ -318,7 +319,13 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
     for _ in range(STEPS_PER_DAY // window):
         obs = env.step(act_fn(obs)).observation
     expected = env.trajectory()
-    traj = config.roll_day(world, closed_loop(world, kind, act_fn, window))
+    traj = run_day(
+        world,
+        config.initial_levels,
+        config.demands.as_array(),
+        world.tariff.as_array(),
+        closed_loop(world, kind, act_fn, window),
+    )
     for name in ("states", "actions", "flows", "costs", "clamp_flags"):
         np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
     with pytest.raises(ValidationError):

@@ -26,27 +26,12 @@ from pumpsched.hybrid import (
 )
 from pumpsched.metrics import _exceedance, area_outside_boundary
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY
-from pumpsched.simulate import Trajectory, resume_lanes, run_day
-
-
-def _traj_from_states(states: np.ndarray) -> Trajectory:
-    states = np.asarray(states, dtype=float)
-    n_steps, n_tanks = states.shape[0] - 1, states.shape[1]
-    return Trajectory(
-        states=states,
-        actions=np.zeros((n_steps, 1)),
-        flows=np.zeros((n_steps, 1)),
-        powers=np.zeros((n_steps, 1)),
-        energies=np.zeros((n_steps, 1)),
-        costs=np.zeros(n_steps),
-        clamp_flags=np.zeros((n_steps, n_tanks), dtype=bool),
-        zone_demands=np.zeros((n_steps, 1)),
-        tariff=np.zeros(n_steps),
-    )
+from pumpsched.env import closed_loop
+from pumpsched.simulate import resume_lanes, run_day
 
 
 def _mid_band_act_fn(world):
-    """Pure proportional push toward mid-band; pure in the observation."""
+    """Pure proportional push toward mid-band; pure in the observation rows."""
     caps = world.caps_array()
     lb, ub = world.bounds_arrays()
     primary = np.array(
@@ -56,11 +41,16 @@ def _mid_band_act_fn(world):
     band = (ub - lb)[primary]
 
     def act(obs):
-        levels = np.asarray(obs[:6]) * caps
-        gap = (mid - levels[primary]) / band
+        levels = np.asarray(obs)[..., :6] * caps
+        gap = (mid - levels[..., primary]) / band
         return np.clip(0.45 + 1.5 * gap, 0.0, 1.0)
 
     return act
+
+
+def _flat_out(obs):
+    """Every pump at full speed, which drives levels into the clamp."""
+    return np.ones((len(obs), 6))
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +72,7 @@ def test_detect_violations_merges_runs():
     states = np.full((STEPS_PER_DAY + 1, 2), 3.0)
     states[10:30, 0] = 1.0  # states 10..29 below a lower bound of 2
     states[50:55, 1] = 5.0  # states 50..54 above an upper bound of 4
-    traj = _traj_from_states(states)
-    windows = detect_violations(traj, (np.full(2, 2.0), np.full(2, 4.0)))
+    windows = detect_violations(states, (np.full(2, 2.0), np.full(2, 4.0)))
     assert len(windows) == 2
     assert (windows[0].start, windows[0].end) == (10, 30)
     assert windows[0].tanks == (0,)
@@ -94,16 +83,14 @@ def test_detect_violations_merges_runs():
 def test_detect_violations_ignores_initial_state():
     states = np.full((STEPS_PER_DAY + 1, 1), 3.0)
     states[0, 0] = 0.0
-    traj = _traj_from_states(states)
-    assert detect_violations(traj, (np.array([2.0]), np.array([4.0]))) == ()
+    assert detect_violations(states, (np.array([2.0]), np.array([4.0]))) == ()
 
 
 def test_detect_violations_unions_tanks_in_one_run():
     states = np.full((STEPS_PER_DAY + 1, 2), 3.0)
     states[20:25, 0] = 1.0
     states[23:28, 1] = 5.0  # overlaps, so one merged window
-    traj = _traj_from_states(states)
-    windows = detect_violations(traj, (np.full(2, 2.0), np.full(2, 4.0)))
+    windows = detect_violations(states, (np.full(2, 2.0), np.full(2, 4.0)))
     assert len(windows) == 1
     assert (windows[0].start, windows[0].end) == (20, 28)
     assert windows[0].tanks == (0, 1)
@@ -125,17 +112,19 @@ def test_injection_plan_validation():
 def test_inject_preserves_schedule_outside_plan(world, case_pool):
     case = case_pool[0]
     act = _mid_band_act_fn(world)
-    plan = InjectionPlan(start=20, end=40)
-    traj = inject(world, case.config, case.baseline_schedule, plan, act)
-    schedule = traj.actions
-    np.testing.assert_array_equal(schedule[:20], case.baseline_schedule[:20])
-    np.testing.assert_array_equal(schedule[40:], case.baseline_schedule[40:])
-    assert not np.array_equal(schedule[20:40], case.baseline_schedule[20:40])
-    # The blended schedule replayed open-loop reproduces the same day.
+    states = inject(world, case, [InjectionPlan(start=20, end=40)], act)
+    assert states.shape == (STEPS_PER_DAY + 1, 1, world.n_tanks)
+    states = states[:, 0]
+    np.testing.assert_array_equal(states[:21], case.baseline_states[:21])
+    assert not np.array_equal(states[21:41], case.baseline_states[21:41])
+    # The baseline with the policy's actions on these states blended in,
+    # replayed open-loop, reproduces the same day.
+    schedule = case.baseline_schedule.copy()
+    schedule[20:40] = act(states[20:40] / world.caps_array())
     replay = simulate(
         world, case.config.initial_levels, schedule, case.config.demands
     )
-    np.testing.assert_allclose(traj.states, replay.states, atol=1e-12)
+    np.testing.assert_array_equal(states, replay.states)
 
 
 def test_inject_closed_loop_sees_its_own_states(world, case_pool):
@@ -143,12 +132,50 @@ def test_inject_closed_loop_sees_its_own_states(world, case_pool):
     case = case_pool[0]
     act = _mid_band_act_fn(world)
     plan = InjectionPlan(start=0, end=STEPS_PER_DAY)
-    traj = inject(world, case.config, case.baseline_schedule, plan, act)
-    caps = world.caps_array()
-    for t in [0, 17, 63]:
-        np.testing.assert_allclose(
-            traj.actions[t], act(traj.states[t] / caps), atol=1e-12
-        )
+    states = inject(world, case, [plan], act)[:, 0]
+    day = _whole_day(world, case, closed_loop(world, case.config.agent_kind, act))
+    np.testing.assert_array_equal(states, day)
+
+
+def _whole_day(world, case, act):
+    """States of the case's day rolled from step 0 under ``act(t, levels)``."""
+    demands, tariff = case.config.demands.as_array(), world.tariff.as_array()
+    return run_day(world, case.config.initial_levels, demands, tariff, act).states
+
+
+def _rolled_alone(world, case, plan, act_fn):
+    """The day under ``plan`` rolled on its own from step 0, one row a step."""
+    policy = closed_loop(world, case.config.agent_kind, act_fn)
+
+    def act(t, levels):
+        if plan.start <= t < plan.end:
+            return policy(t, levels[None])[0]
+        return case.baseline_schedule[t]
+
+    return _whole_day(world, case, act)
+
+
+@pytest.mark.parametrize("lanes", [1, 17])
+def test_every_inject_lane_equals_its_plan_injected_alone(world, case_pool, lanes):
+    # 17 plans, starts 0 and 95 among them, injected in groups of ``lanes``:
+    # lane k equals inject([plan k]) and the day rolled alone from step 0.
+    rng = np.random.default_rng(0)
+    starts = [0, STEPS_PER_DAY - 1, *rng.integers(0, STEPS_PER_DAY, 15).tolist()]
+    ends = [int(rng.integers(s + 1, STEPS_PER_DAY + 1)) for s in starts]
+    plans = [InjectionPlan(s, e) for s, e in zip(starts, ends)]
+    caps, clamped = world.caps_array(), []
+    for case in case_pool[:2]:
+        for act_fn in (_mid_band_act_fn(world), _flat_out):
+            for first in range(0, len(plans), lanes):
+                group = plans[first : first + lanes]
+                states = inject(world, case, group, act_fn)
+                assert states.shape == (STEPS_PER_DAY + 1, len(group), world.n_tanks)
+                for k, plan in enumerate(group):
+                    alone = inject(world, case, [plan], act_fn)[:, 0]
+                    rolled = _rolled_alone(world, case, plan, act_fn)
+                    assert states[:, k].tobytes() == alone.tobytes() == rolled.tobytes()
+                clamped.append(bool(((states == 0.0) | (states == caps)).any()))
+    assert any(clamped) and not all(clamped)
 
 
 # -- region bookkeeping ---------------------------------------------------------
@@ -158,11 +185,15 @@ def test_regions_partition_the_day(world, case_pool):
     case = case_pool[0]
     outcome = strategy_targeted(world, case, _mid_band_act_fn(world))
     hs, he = case.hull
-    area = _state_area(case.baseline_traj.states, case.bounds)
+    area = _state_area(case.baseline_states, case.bounds)
     pre = float(area[1:hs + 1].sum())
     during = outcome.baseline_during_area
     post = outcome.baseline_post_area
-    total = area_outside_boundary(case.baseline_traj, case.bounds)
+    baseline = simulate(
+        world, case.config.initial_levels, case.baseline_schedule, case.config.demands
+    )
+    np.testing.assert_array_equal(baseline.states, case.baseline_states)
+    total = area_outside_boundary(baseline, case.bounds)
     assert pre + during + post == pytest.approx(total, abs=1e-9)
 
 
@@ -236,6 +267,8 @@ def test_dynamic_start_end_never_worse_during(report):
         report.outcomes["dynamic_end"], report.outcomes["dynamic_start_end"]
     ):
         assert dse.hybrid_during_area <= de.hybrid_during_area + 1e-12
+        if dse.hybrid_during_area == de.hybrid_during_area:
+            assert dse.plan.start == de.plan.start  # the latest start wins ties
 
 
 def test_during_regions_identical_across_strategies(report, case_pool):
@@ -269,7 +302,7 @@ def test_zero_baseline_region_reports_none(report):
 
 def test_evaluate_strategies_rejects_empty_pool(world):
     with pytest.raises(ValidationError):
-        evaluate_strategies(world, [], lambda obs: np.zeros(6))
+        evaluate_strategies(world, [], lambda obs: np.zeros((len(obs), 6)))
 
 
 # -- resume search --------------------------------------------------------------
@@ -280,7 +313,7 @@ def _full_injection(world, case, start=None, act=None):
     (the hull start) to the end of the day."""
     plan = InjectionPlan(case.hull[0] if start is None else start, STEPS_PER_DAY)
     act = _mid_band_act_fn(world) if act is None else act
-    return inject(world, case.config, case.baseline_schedule, plan, act)
+    return inject(world, case, [plan], act)[:, 0]
 
 
 def _tails(world, case, states, e):
@@ -291,7 +324,7 @@ def _tails(world, case, states, e):
         states[e:],
         case.baseline_schedule,
         case.config.demands.as_array(),
-        case.baseline_traj.tariff,
+        world.tariff.as_array(),
         e,
     )
 
@@ -302,7 +335,7 @@ def _resimulated(world, case, states, e):
         world,
         states[e],
         case.config.demands.as_array(),
-        case.baseline_traj.tariff,
+        world.tariff.as_array(),
         lambda t, levels: case.baseline_schedule[t],
         t0=e,
     ).states
@@ -312,23 +345,23 @@ def test_predict_resume_matches_resimulation(world, case_pool):
     case = case_pool[0]
     full = _full_injection(world, case)
     for e in (case.hull[1], min(case.hull[1] + 10, STEPS_PER_DAY), STEPS_PER_DAY):
-        tails = _tails(world, case, full.states, e)
+        tails = _tails(world, case, full, e)
         if e == STEPS_PER_DAY:
             # Resuming at 96 leaves the injected day as it is: no lanes.
             assert tails.shape == (0, 1, world.n_tanks)
             continue
-        exact = _resimulated(world, case, full.states, e)
+        exact = _resimulated(world, case, full, e)
         np.testing.assert_array_equal(tails[0], exact)
 
 
 def _reference_best_end(world, case, full, hs, he):
     """The per-end search as one loop, each resume re-simulated on its own."""
-    full_area = _state_area(full.states, case.bounds)
+    full_area = _state_area(full, case.bounds)
     best_e, best_total = he, np.inf
     for e in range(he, STEPS_PER_DAY + 1):
         tail = 0.0
         if e < STEPS_PER_DAY:
-            states = _resimulated(world, case, full.states, e)
+            states = _resimulated(world, case, full, e)
             area = _exceedance(states[1:], case.bounds).sum(axis=1) * DT_HOURS
             tail = float(area.sum())
         total = float(full_area[hs + 1 : e + 1].sum()) + tail
@@ -338,29 +371,33 @@ def _reference_best_end(world, case, full, hs, he):
 
 
 def test_best_end_tails_equal_a_reference_loop(world, case_pool):
+    # The states ``_best_end`` returns are those of its end injected afresh,
+    # so no strategy has to roll its winning plan again.
     caps, clamped = world.caps_array(), []
     for case in case_pool:
         hs, he = case.hull
         # Pumping flat out drives levels into the clamp as well.
-        for start, act in ((hs, None), (max(0, hs - 8), lambda obs: np.ones(6))):
+        for start, act in ((hs, _mid_band_act_fn(world)), (max(0, hs - 8), _flat_out)):
             full = _full_injection(world, case, start, act)
             for end in sorted({hs + 1, he, (he + STEPS_PER_DAY) // 2, STEPS_PER_DAY}):
-                tails = _tails(world, case, full.states, end)
+                tails = _tails(world, case, full, end)
                 assert tails.shape == (
                     STEPS_PER_DAY - end, STEPS_PER_DAY + 1 - end, world.n_tanks
                 )
                 for k, row in enumerate(tails):
                     e = end + k
-                    np.testing.assert_array_equal(row[:k], full.states[end:e])
-                    expected = _resimulated(world, case, full.states, e)
+                    np.testing.assert_array_equal(row[:k], full[end:e])
+                    expected = _resimulated(world, case, full, e)
                     np.testing.assert_array_equal(row[k:], expected)
                     at_limit = (expected == 0.0) | (expected == caps)
                     clamped.append(bool(at_limit.any()))
-                assert _best_end(world, case, full, hs, end) == _reference_best_end(
-                    world, case, full, hs, end
-                )
+                e_star, states = _best_end(world, case, full, hs, end)
+                assert e_star == _reference_best_end(world, case, full, hs, end)
+                fresh = inject(world, case, [InjectionPlan(start, e_star)], act)
+                assert states.tobytes() == fresh[:, 0].tobytes()
         # No end is left to search once the hull reaches the end of the day.
-        assert _best_end(world, case, full, hs, STEPS_PER_DAY) == STEPS_PER_DAY
+        e_star, states = _best_end(world, case, full, hs, STEPS_PER_DAY)
+        assert e_star == STEPS_PER_DAY and states is full
     assert any(clamped) and not all(clamped)
 
 

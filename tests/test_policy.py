@@ -88,7 +88,8 @@ def test_init_policy_rejects_bad_dims():
 )
 def test_forward_batch_matches_single(seed, obs_dim):
     # At every batch width from 1 to 64, every row equals the one-row forward
-    # byte for byte, for the default net and the tiny one alike.
+    # byte for byte, for the default net and the tiny one alike, and so does
+    # every row of the greedy action.
     rng = np.random.default_rng(seed)
     obs = rng.normal(size=(64, obs_dim))
     for hidden in ((64, 64), (8,)):
@@ -97,14 +98,20 @@ def test_forward_batch_matches_single(seed, obs_dim):
             [a + rng.normal(0.0, 0.3, a.shape) for a in params.arrays()]
         )
         rows = [
-            (params.actor.forward(x)[0][0], params.critic.forward(x)[0][0, 0])
+            (
+                params.actor.forward(x)[0][0],
+                params.critic.forward(x)[0][0, 0],
+                deterministic_action(params, x),
+            )
             for x in obs
         ]
         for batch in range(1, 65):
             means, sigmas, values = forward_batch(params, obs[:batch])
+            greedy = deterministic_action(params, obs[:batch])
             for k in range(batch):
                 assert means[k].tobytes() == rows[k][0].tobytes()
                 assert values[k].tobytes() == rows[k][1].tobytes()
+                assert greedy[k].tobytes() == rows[k][2].tobytes()
             sigma_rows = np.tile(np.exp(params.log_sigma), (batch, 1))
             np.testing.assert_array_equal(sigmas, sigma_rows)
 

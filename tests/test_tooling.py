@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import pumpsched
+from pumpsched import hybrid as hybrid_module
 from pumpsched import simulate as simulate_module
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -40,3 +41,48 @@ def test_span_tracer_wraps_and_restores_the_package(world):
     names = [rec[0] for rec in tracer.spans]
     assert names.count("simulate.step") == 96
     assert spans.layer_metrics(tracer.spans)["simulate.step.calls"] == 96
+
+
+def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
+    """The benchmark times the strategies by their ``hybrid.strategy_*`` span
+    names and the strategy tag of each result, and counts ``hybrid.inject``.
+    Each strategy rolls its plans in one ``inject`` call, and only the two
+    end searches run ``_best_end``, once each."""
+    spans = _load_spans()
+    archive = pumpsched.generate_history(world, days=40, seed=42)
+    index = pumpsched.build_index(world, archive)
+    (case,) = pumpsched.build_case_pool(world, index, n_cases=1, seed=7)
+    tracer = spans.Tracer()
+    best_end, best_end_calls = hybrid_module._best_end, []
+
+    def counted_best_end(*args):
+        best_end_calls.append(len(tracer.spans))
+        return best_end(*args)
+
+    monkeypatch.setattr(hybrid_module, "_best_end", counted_best_end)
+    with spans.instrument(tracer):
+        pumpsched.evaluate_strategies(
+            world, [case], lambda obs: np.full((len(obs), world.n_stations), 0.5)
+        )
+    records = tracer.spans
+    strategies = {
+        i: (rec[0].removeprefix("hybrid.strategy_"), rec[4])
+        for i, rec in enumerate(records)
+        if rec[0].startswith("hybrid.strategy_")
+    }
+    assert sorted(strategies.values()) == [
+        ("dynamic_end", "dynamic_end"),
+        ("dynamic_start_end", "dynamic_start_end"),
+        ("targeted", "targeted"),
+        ("untargeted", "untargeted_0_2"),
+        ("untargeted", "untargeted_12_14"),
+    ]
+    inject_parents = [rec[3] for rec in records if rec[0] == "hybrid.inject"]
+    assert sorted(inject_parents) == sorted(strategies)
+    owners = [max(i for i in strategies if i < at) for at in best_end_calls]
+    assert [strategies[i][1] for i in owners] == ["dynamic_end", "dynamic_start_end"]
+
+    metrics = spans.layer_metrics(records)
+    assert metrics["hybrid.inject.calls"] == len(hybrid_module.STRATEGY_NAMES)
+    for name in hybrid_module.STRATEGY_NAMES:
+        assert metrics[f"hybrid.strategy.{name}.s_per_case"] > 0
