@@ -273,6 +273,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         {
             "network": "network.json",
             "history": "history.csv",
+            "history_arrays": "history.csv.arrays",
             "demand_forecast": "demands.csv",
         },
         started,

@@ -9,11 +9,19 @@ violations.
 ``generate_history`` records such days into a ``HistoryArchive``: day ids
 plus level, action, power, demand and tariff arrays shaped (day, step, ...),
 saved to and loaded from CSV with one row per (day, step).
+
+The CSV is the archive's canonical format. ``save_history`` also writes a
+binary companion beside it, ``<csv>.arrays``: the SHA-256 of the CSV bytes on
+one ASCII line, then the same numbers as one ``np.save`` array. Like a
+hash-based ``.pyc`` file it is a cache keyed on content, not on time:
+``load_history`` reads it, never unpickling, only when the key matches the
+CSV it is loading, and otherwise parses the CSV text as before.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -251,16 +259,48 @@ def _header(n_tanks: int, n_stations: int, n_zones: int) -> list[str]:
     )
 
 
+def _companion(path: str | Path) -> Path:
+    """The binary companion of the archive CSV at ``path``."""
+    return Path(f"{path}.arrays")
+
+
+def _csv_chunks(header: list[str], days: np.ndarray, table: np.ndarray):
+    """The CSV's bytes: the header line, then one chunk of 96 rows per day.
+
+    Matches ``csv.writer`` output byte for byte: integer stamps, ``repr``
+    floats, no quoting and CRLF line ends. Only one day is converted to Python
+    floats at a time, so memory stays close to the table's.
+    """
+    yield (",".join(header) + "\r\n").encode()
+    for day, rows in zip(days.tolist(), table[:, :, 2:]):
+        yield "".join(
+            f"{day},{t}," + ",".join(map(repr, row)) + "\r\n"
+            for t, row in enumerate(rows.tolist())
+        ).encode()
+
+
 def save_history(archive: HistoryArchive, path: str | Path) -> None:
-    """Write one CSV row per (day, step); floats round-trip exactly via repr."""
+    """Write one CSV row per (day, step), then the CSV's binary companion.
+
+    Floats round-trip exactly via repr. The companion, ``<path>.arrays``,
+    only spares ``load_history`` the text parse: one ASCII line with the
+    SHA-256 hex digest of the CSV bytes, hashed as they are written, then the
+    CSV's numbers, stamps included, as one float64 ``np.save`` array written
+    without pickling. Both files' bytes depend on the archive alone.
+    """
     archive.validate()
     if archive.n_days == 0:
         raise ValidationError("cannot save an empty archive")
+    n_days = archive.n_days
     header = _header(
         archive.levels.shape[2], archive.actions.shape[2], archive.demands.shape[2]
     )
     table = np.concatenate(
         [
+            np.broadcast_to(archive.days[:, None, None], (n_days, STEPS_PER_DAY, 1)),
+            np.broadcast_to(
+                np.arange(STEPS_PER_DAY)[None, :, None], (n_days, STEPS_PER_DAY, 1)
+            ),
             archive.levels,
             archive.actions,
             archive.powers,
@@ -268,14 +308,16 @@ def save_history(archive: HistoryArchive, path: str | Path) -> None:
             archive.tariff[:, :, None],
         ],
         axis=2,
+        dtype=np.float64,
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for day, rows in zip(archive.days.tolist(), table):
-            writer.writerows(
-                [day, t, *map(repr, row)] for t, row in enumerate(rows.tolist())
-            )
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in _csv_chunks(header, archive.days, table):
+            digest.update(chunk)
+            fh.write(chunk)
+    with open(_companion(path), "wb") as fh:
+        fh.write(f"{digest.hexdigest()}\n".encode())
+        np.save(fh, table.reshape(-1, len(header)), allow_pickle=False)
 
 
 def _group_counts(header: list[str]) -> tuple[int, int, int]:
@@ -322,13 +364,46 @@ def _body_lines(fh):
         raise ValueError("no rows")
 
 
+def _read_companion(path: str | Path, width: int) -> np.ndarray | None:
+    """The companion's table, or None unless it is keyed to the CSV's bytes.
+
+    The CSV is streamed through SHA-256 in chunks, never read whole. The
+    table is loaded without unpickling and used only as a float64 array of
+    the CSV's width; a missing, stale, truncated or malformed companion gives
+    None.
+    """
+    try:
+        with open(_companion(path), "rb") as fh:
+            key = fh.readline(80)
+            digest = hashlib.sha256()
+            with open(path, "rb") as csv_fh:
+                for chunk in iter(lambda: csv_fh.read(1 << 20), b""):
+                    digest.update(chunk)
+            if key != f"{digest.hexdigest()}\n".encode():
+                return None
+            table = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.float64
+        and table.ndim == 2
+        and table.shape[1] == width
+    ):
+        return table
+    return None
+
+
 def load_history(path: str | Path) -> HistoryArchive:
     """Load and validate an operating archive from CSV.
 
-    The body is parsed by one ``np.loadtxt`` call streaming from the open
-    file, so memory stays close to the arrays'. Should that fail, a
-    ``csv.reader`` scan reads the body row by row instead, and a bad row
-    fails with a one-line error naming its line.
+    After the header is checked, the body comes from the binary companion
+    ``save_history`` wrote beside the CSV when that companion is keyed to the
+    CSV's current bytes (see ``_read_companion``). Otherwise it is parsed by
+    one ``np.loadtxt`` call streaming from the open file, so memory stays
+    close to the arrays'. Should that fail, a ``csv.reader`` scan reads the
+    body row by row instead, and a bad row fails with a one-line error naming
+    its line. Whichever way the numbers were read, they pass the same checks.
     """
     try:
         with open(path, newline="") as fh:
@@ -342,18 +417,20 @@ def load_history(path: str | Path) -> HistoryArchive:
                 raise SchemaError(
                     f"{path}: header does not match the documented column order"
                 )
-            try:
-                data = np.loadtxt(
-                    _body_lines(fh),
-                    delimiter=",",
-                    comments=None,
-                    quotechar='"',
-                    ndmin=2,
-                )
-            except UnicodeDecodeError:
-                raise
-            except ValueError:
-                data = None
+            data = _read_companion(path, len(expected))
+            if data is None:
+                try:
+                    data = np.loadtxt(
+                        _body_lines(fh),
+                        delimiter=",",
+                        comments=None,
+                        quotechar='"',
+                        ndmin=2,
+                    )
+                except UnicodeDecodeError:
+                    raise
+                except ValueError:
+                    data = None
         if data is None or data.shape[1] != len(expected):
             data = _scan_body(path, len(expected))
     except UnicodeDecodeError as exc:

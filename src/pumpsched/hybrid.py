@@ -37,6 +37,10 @@ from .simulate import resume_lanes, run_day, simulate
 
 UNTARGETED_EARLY = (0, 8)  # 00:00-02:00
 UNTARGETED_MIDDAY = (48, 56)  # 12:00-14:00
+_UNTARGETED_NAMES = {
+    UNTARGETED_EARLY: "untargeted_0_2",
+    UNTARGETED_MIDDAY: "untargeted_12_14",
+}
 
 STRATEGY_NAMES = (
     "untargeted_0_2",
@@ -243,11 +247,20 @@ def strategy_untargeted(
     act_fn: ActFn,
     window: tuple[int, int],
 ) -> CaseOutcome:
-    """Inject over a fixed clock window regardless of where violations sit."""
+    """Inject over a fixed clock window regardless of where violations sit.
+
+    ``window`` is ``UNTARGETED_EARLY`` or ``UNTARGETED_MIDDAY``, the two
+    windows the report names.
+    """
+    name = _UNTARGETED_NAMES.get(tuple(window))
+    if name is None:
+        raise ValidationError(
+            f"untargeted window {window} is neither {UNTARGETED_EARLY} "
+            f"nor {UNTARGETED_MIDDAY}"
+        )
     if not case.windows:
         raise ValidationError("untargeted strategy needs a violating case")
     plan = InjectionPlan(start=window[0], end=window[1])
-    name = "untargeted_0_2" if window == UNTARGETED_EARLY else "untargeted_12_14"
     states = inject(topology, case, [plan], act_fn)[:, 0]
     during = (max(plan.start + 1, 1), plan.end)
     return _region_outcome(case, name, plan, states, during)

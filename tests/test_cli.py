@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,7 +52,7 @@ def workflow(tmp_path_factory):
 
 
 ARTIFACTS = {
-    "gen": ("network.json", "history.csv", "demands.csv"),
+    "gen": ("network.json", "history.csv", "history.csv.arrays", "demands.csv"),
     "train": ("checkpoint.json", "reward_curve.csv"),
     "eval": ("comparison.csv", "comparison.json"),
     "hybrid": ("strategy_report.json", "strategy_report.csv"),
@@ -86,6 +87,29 @@ def test_missing_checkpoint_exits_two(workflow, tmp_path):
     )
     assert result.returncode == 2
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+def test_hybrid_rejects_an_edited_history_beside_its_stale_companion(
+    workflow, tmp_path
+):
+    out, _ = workflow
+    for name in ("history.csv", "history.csv.arrays"):
+        shutil.copyfile(out / name, tmp_path / name)
+    history = tmp_path / "history.csv"
+    lines = history.read_bytes().split(b"\r\n")
+    row = lines[1].split(b",")
+    row[lines[0].split(b",").index(b"action_1")] = b"1.5"
+    lines[1] = b",".join(row)
+    history.write_bytes(b"\r\n".join(lines))
+    result = run_cli(
+        "hybrid", "--network", out / "network.json", "--history", history,
+        "--checkpoint", out / "checkpoint.json", "--seed", 2, "--cases", 1,
+        "--out", tmp_path / "out",
+    )  # fmt: skip
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: {history} row 2: action outside [0, 1]"
+    ]
 
 
 def _edit(obj, where, value):

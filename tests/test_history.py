@@ -1,4 +1,7 @@
+import hashlib
+import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +295,111 @@ def test_load_history_rejects_bad_rows(tmp_path, world):
     bad.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValidationError, match="whole number"):
         load_history(bad)
+
+
+def _companion_key(path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).hexdigest().encode() + b"\n"
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """Counts the text parses ``load_history`` makes."""
+    calls = []
+    real = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("days", [1, 2, 40])
+def test_companion_load_equals_the_csv_parse(tmp_path, world, days, loadtxt_calls):
+    archive = generate_history(world, days=days, seed=days)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    companion = tmp_path / "history.csv.arrays"
+    assert companion.read_bytes().startswith(_companion_key(path))
+
+    from_companion = load_history(path)
+    assert loadtxt_calls == []
+    companion.unlink()
+    parsed = load_history(path)
+    assert loadtxt_calls == [1]
+    for name in ARCHIVE_ARRAYS:
+        a, b = getattr(from_companion, name), getattr(parsed, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes() == getattr(archive, name).tobytes(), name
+
+
+def test_saving_twice_writes_identical_files(tmp_path, world):
+    archive = generate_history(world, days=3, seed=5)
+    for name in ("a.csv", "b.csv"):
+        save_history(archive, tmp_path / name)
+    for suffix in ("", ".arrays"):
+        first = (tmp_path / f"a.csv{suffix}").read_bytes()
+        assert first == (tmp_path / f"b.csv{suffix}").read_bytes(), suffix
+
+
+def test_a_csv_rewritten_in_place_ignores_its_stale_companion(tmp_path, world):
+    archive = generate_history(world, days=1, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    lines = path.read_text().splitlines()
+    action = lines[0].split(",").index("action_1")
+    for lineno, column, value, error, message in (
+        (2, action, "1.5", ValidationError, r"action outside \[0, 1\]"),
+        (5, 3, "high", SchemaError, "could not convert"),
+    ):
+        row = lines[lineno - 1].split(",")
+        row[column] = value
+        edited = lines[: lineno - 1] + [",".join(row)] + lines[lineno:]
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(error, match=f"row {lineno}: {message}"):
+            load_history(path)
+
+
+def _broken_companions(path):
+    """Companions that must not be used, by name: each falls back to the parse."""
+    key = _companion_key(path)
+    data = Path(f"{path}.arrays").read_bytes()
+    table = np.load(io.BytesIO(data[len(key) :]), allow_pickle=False)
+
+    def saved(array, **kwargs):
+        buf = io.BytesIO()
+        np.save(buf, array, **kwargs)
+        return key + buf.getvalue()
+
+    yield "missing", None
+    for cut in (10, len(key), len(key) + 40, len(key) + 200, len(data) - 8):
+        yield f"truncated_at_{cut}", data[:cut]
+    yield "garbage", bytes(range(256)) * 64
+    yield "garbage_after_the_key", key + bytes(range(256)) * 64
+    yield "stale_key", b"0" * 64 + b"\n" + data[len(key) :]
+    yield "wrong_width", saved(np.ascontiguousarray(table[:, :-1]))
+    yield "float32", saved(table.astype(np.float32))
+    yield "one_column", saved(table.ravel())
+    yield "pickled_object_array", saved(table.astype(object), allow_pickle=True)
+
+
+def test_a_broken_companion_falls_back_to_the_parse(tmp_path, world, loadtxt_calls):
+    archive = generate_history(world, days=2, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    companion = tmp_path / "history.csv.arrays"
+    for name, content in list(_broken_companions(path)):
+        companion.unlink(missing_ok=True)
+        if content is not None:
+            companion.write_bytes(content)
+        loadtxt_calls.clear()
+        loaded = load_history(path)
+        assert loadtxt_calls == [1], name
+        for array in ARCHIVE_ARRAYS:
+            assert (
+                getattr(loaded, array).tobytes() == getattr(archive, array).tobytes()
+            ), (name, array)
 
 
 def test_save_history_refuses_empty(tmp_path):

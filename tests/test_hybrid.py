@@ -20,8 +20,11 @@ from pumpsched import (
 )
 from pumpsched.hybrid import (
     STRATEGY_NAMES,
+    UNTARGETED_EARLY,
+    UNTARGETED_MIDDAY,
     _best_end,
     strategy_targeted,
+    strategy_untargeted,
     _state_area,
 )
 from pumpsched.metrics import _exceedance, area_outside_boundary
@@ -288,6 +291,19 @@ def test_untargeted_windows_fixed(report):
     for outcome in report.outcomes["untargeted_12_14"]:
         assert (outcome.plan.start, outcome.plan.end) == (48, 56)
         assert outcome.during_states == (49, 56)
+
+
+def test_untargeted_names_its_window_and_rejects_any_other(world, case_pool):
+    act = _mid_band_act_fn(world)
+    case = case_pool[0]
+    for window, name in (
+        (UNTARGETED_EARLY, "untargeted_0_2"),
+        (UNTARGETED_MIDDAY, "untargeted_12_14"),
+    ):
+        assert strategy_untargeted(world, case, act, window).strategy == name
+    for window in ((20, 30), (0, 9), (48, 55)):
+        with pytest.raises(ValidationError, match="untargeted window"):
+            strategy_untargeted(world, case, act, window)
 
 
 def test_zero_baseline_region_reports_none(report):
