@@ -79,7 +79,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master random seed")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument(
-        "--workers", type=int, default=1, help="parallel rollout workers"
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility, must be >= 1; has no effect "
+        "(rollouts run as lanes of one day in one process)",
     )
     sub.add_argument(
         "--config",
@@ -257,12 +261,12 @@ def _save_demand_forecast(demands: DemandSet, path: Path) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     started = time.time()
-    out = _outdir(args)
     topology = generate_synthetic_network(args.seed)
-    save_network(topology, out / "network.json")
     archive = generate_history(
         topology, days=args.days, seed=args.seed, imperfection=args.imperfection
     )
+    out = _outdir(args)
+    save_network(topology, out / "network.json")
     save_history(archive, out / "history.csv")
     forecast = generate_demands(topology, args.seed)
     _save_demand_forecast(forecast, out / "demands.csv")
@@ -297,14 +301,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out = _outdir(args)
     topology = load_network(args.network)
     kind = AgentKind(args.agent)
-    frame_skip = args.frame_skip if args.frame_skip > 1 else None
-    spec = EnvSpec(topology=topology, agent_kind=kind, frame_skip=frame_skip)
+    spec = EnvSpec(topology=topology, agent_kind=kind, frame_skip=args.frame_skip)
     cfg = TrainConfig(
         total_env_steps=args.steps,
         seed=args.seed,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
-        workers=args.workers,
     )
     result = train(spec, cfg, out_dir=out)
     meta = {

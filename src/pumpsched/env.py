@@ -31,56 +31,28 @@ class AgentKind(enum.Enum):
     DUAL = "dual"  # levels + clock + tariff, blended reward
 
 
-@dataclass(frozen=True)
-class RewardConfig:
-    """Weights and per-station energy normalization for the dual reward."""
-
-    constraint_weight: float = 0.7
-    energy_weight: float = 0.3
-    reward_multiplier: float = 1.0
-    energy_min: np.ndarray | None = None
-    energy_max: np.ndarray | None = None
-
-    def validate(self, n_stations: int) -> None:
-        if not np.isclose(self.constraint_weight + self.energy_weight, 1.0):
-            raise ValidationError("reward weights must sum to 1")
-        if self.constraint_weight < 0 or self.energy_weight < 0:
-            raise ValidationError("reward weights must be >= 0")
-        if self.reward_multiplier <= 0:
-            raise ValidationError("reward_multiplier must be > 0")
-        if self.energy_min is None or self.energy_max is None:
-            raise ValidationError("energy normalization bounds are required")
-        emin = np.asarray(self.energy_min, dtype=float)
-        emax = np.asarray(self.energy_max, dtype=float)
-        if emin.shape != (n_stations,) or emax.shape != (n_stations,):
-            raise ValidationError("energy bounds must have one entry per station")
-        if np.any(emax <= emin):
-            raise ValidationError("energy_max must exceed energy_min per station")
+CONSTRAINT_WEIGHT = 0.7  # dual reward: share of the normalized constraint term
+ENERGY_WEIGHT = 0.3  # dual reward: share of the energy-cost term
 
 
-def reward_config_for(topology: NetworkTopology) -> RewardConfig:
-    """Default dual-reward config: per-step energy spans [0, rated * dt]."""
+def _energy_max(topology: NetworkTopology) -> np.ndarray:
+    """Each station's per-step energy at full speed, rated power * dt: the
+    span [0, energy_max] the dual reward normalizes station energy by."""
     rated = np.array([s.rated_power for s in topology.stations], dtype=float)
     if np.any(rated <= 0):
         raise ValidationError(
             "dual reward needs strictly positive rated power on every station"
         )
-    return RewardConfig(
-        energy_min=np.zeros(topology.n_stations),
-        energy_max=rated * DT_HOURS,
-    )
+    return rated * DT_HOURS
 
 
 def reward_constraint_step(
-    levels: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    multiplier: float = 1.0,
+    levels: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> float | np.ndarray:
-    """+multiplier per tank inside its band (last axis), -multiplier outside."""
+    """+1 per tank inside its band (last axis), -1 per tank outside."""
     levels = np.asarray(levels, dtype=float)
     inside = (levels >= lower) & (levels <= upper)
-    return multiplier * (inside.sum(axis=-1) - (~inside).sum(axis=-1))
+    return np.where(inside, 1.0, -1.0).sum(axis=-1)
 
 
 def reward_dual(
@@ -89,30 +61,24 @@ def reward_dual(
     upper: np.ndarray,
     energies: np.ndarray,
     tariff_norm_t: float | np.ndarray,
-    config: RewardConfig,
+    energy_max: np.ndarray,
 ) -> float | np.ndarray:
     """Blend of normalized constraint reward and an energy-cost term, in [0, 1].
 
     The energy term rewards pumping when energy is cheap: it is one minus the
-    mean of normalized per-station energy times the normalized tariff.
-    Tanks and stations lie along the last axes; ``tariff_norm_t`` broadcasts.
+    mean of per-station energy over ``energy_max`` times the normalized
+    tariff. Tanks and stations lie along the last axes; ``tariff_norm_t``
+    broadcasts.
     """
     n_tanks = np.shape(levels)[-1]
-    raw = reward_constraint_step(levels, lower, upper, config.reward_multiplier)
-    reward_max = n_tanks * config.reward_multiplier
-    reward_min = -reward_max
-    constraint_part = (raw - reward_min) / (reward_max - reward_min)
+    raw = reward_constraint_step(levels, lower, upper)
+    constraint_part = (raw + n_tanks) / (2 * n_tanks)
 
-    emin = np.asarray(config.energy_min, dtype=float)
-    emax = np.asarray(config.energy_max, dtype=float)
-    energy_norm = (np.asarray(energies, dtype=float) - emin) / (emax - emin)
+    energy_norm = np.asarray(energies, dtype=float) / energy_max
     tariff_part = np.expand_dims(tariff_norm_t, -1)
     energy_part = 1.0 - np.mean(energy_norm * tariff_part, axis=-1)
 
-    return (
-        config.constraint_weight * constraint_part
-        + config.energy_weight * energy_part
-    )
+    return CONSTRAINT_WEIGHT * constraint_part + ENERGY_WEIGHT * energy_part
 
 
 def normalize_tariff(tariff: np.ndarray) -> np.ndarray:
@@ -178,11 +144,7 @@ class PumpSchedulingEnv:
             self.topology.tariff.as_array(),
         )
         if config.agent_kind == AgentKind.DUAL:
-            cfg = reward_config_for(self.topology)
-            cfg.validate(self.topology.n_stations)
-            self._dual_config = cfg
-        else:
-            self._dual_config = None
+            self._energy_max = _energy_max(self.topology)
 
         self._config = config
         self._day = day
@@ -214,7 +176,7 @@ class PumpSchedulingEnv:
                 self._ub,
                 day.energies[t],
                 float(self._tariff_norm[t]),
-                self._dual_config,
+                self._energy_max,
             )
         inside = (levels >= self._lb) & (levels <= self._ub)
         return StepResult(
@@ -249,10 +211,10 @@ def day_rewards(topology: NetworkTopology, kind: AgentKind, day: Trajectory):
     lb, ub = topology.bounds_arrays()
     if kind == AgentKind.CONSTRAINT:
         return reward_constraint_step(day.states[1:], lb, ub)
-    cfg = reward_config_for(topology)
-    cfg.validate(topology.n_stations)
     tariff_norm = normalize_tariff(day.tariff)[:, None]
-    return reward_dual(day.states[1:], lb, ub, day.energies, tariff_norm, cfg)
+    return reward_dual(
+        day.states[1:], lb, ub, day.energies, tariff_norm, _energy_max(topology)
+    )
 
 
 def _check_window(window: int) -> None:

@@ -208,11 +208,14 @@ def generate_history(
     """
     if days <= 0:
         raise ValidationError("history must cover at least one day")
-    levels = np.empty((days, STEPS_PER_DAY, topology.n_tanks))
-    actions = np.empty((days, STEPS_PER_DAY, topology.n_stations))
-    powers = np.empty((days, STEPS_PER_DAY, topology.n_stations))
-    demands = np.empty((days, STEPS_PER_DAY, topology.n_zones))
-    tariff = np.empty((days, STEPS_PER_DAY))
+    try:
+        levels = np.empty((days, STEPS_PER_DAY, topology.n_tanks))
+        actions = np.empty((days, STEPS_PER_DAY, topology.n_stations))
+        powers = np.empty((days, STEPS_PER_DAY, topology.n_stations))
+        demands = np.empty((days, STEPS_PER_DAY, topology.n_zones))
+        tariff = np.empty((days, STEPS_PER_DAY))
+    except ValueError:  # numpy rejects the size before allocating
+        raise ValidationError(f"a history of {days} days is too large") from None
     start = topology.initial_levels_array()
     for day in range(days):
         demand_rng = np.random.default_rng(

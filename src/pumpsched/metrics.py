@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .network import DT_HOURS, STEPS_PER_DAY
+from .network import DT_HOURS
 from .simulate import Trajectory
 
 Bounds = tuple[np.ndarray, np.ndarray]
@@ -26,41 +26,14 @@ def _exceedance(levels: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.maximum(0.0, np.maximum(lb - levels, levels - ub))
 
 
-def _state_slice(first_state: int, last_state: int | None) -> tuple[int, int]:
-    last = STEPS_PER_DAY if last_state is None else last_state
-    if not (1 <= first_state <= last <= STEPS_PER_DAY):
-        raise ValidationError(
-            f"state range [{first_state}, {last}] must lie within [1, {STEPS_PER_DAY}]"
-        )
-    return first_state, last
+def area_outside_boundary(traj: Trajectory, bounds: Bounds) -> float:
+    """Integrated out-of-band level distance over the day, in metre-hours."""
+    return float(_exceedance(traj.states[1:], bounds).sum() * DT_HOURS)
 
 
-def area_outside_boundary(
-    traj: Trajectory,
-    bounds: Bounds,
-    first_state: int = 1,
-    last_state: int | None = None,
-) -> float:
-    """Integrated out-of-band level distance, in metre-hours.
-
-    Optional state range restricts the integral to a sub-day window; the
-    default covers every controlled state.
-    """
-    first, last = _state_slice(first_state, last_state)
-    exceed = _exceedance(traj.states[first : last + 1], bounds)
-    return float(exceed.sum() * DT_HOURS)
-
-
-def violation_count(
-    traj: Trajectory,
-    bounds: Bounds,
-    first_state: int = 1,
-    last_state: int | None = None,
-) -> int:
+def violation_count(traj: Trajectory, bounds: Bounds) -> int:
     """Number of (tank, step) pairs out of bounds."""
-    first, last = _state_slice(first_state, last_state)
-    exceed = _exceedance(traj.states[first : last + 1], bounds)
-    return int(np.count_nonzero(exceed > 0.0))
+    return int(np.count_nonzero(_exceedance(traj.states[1:], bounds) > 0.0))
 
 
 def episode_cost(traj: Trajectory) -> float:

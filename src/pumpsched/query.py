@@ -144,11 +144,7 @@ def recommend(
     query = np.clip((raw - index.mins) / (index.maxs - index.mins), 0.0, 1.0)
     dists = np.sqrt(((index.normalized - query) ** 2).sum(axis=1))
 
-    best = 0
-    for pos in range(1, index.n_days):
-        # <= lets later days displace equal-distance earlier ones.
-        if dists[pos] <= dists[best]:
-            best = pos
+    best = len(dists) - 1 - int(np.argmin(dists[::-1]))  # the last minimum
     return QueryResult(
         day=index.days[best],
         distance=float(dists[best]),

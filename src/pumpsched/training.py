@@ -1,25 +1,23 @@
 """Rollout collection and clipped-surrogate policy optimization.
 
-A batch's episodes run in lockstep as lanes of one ``run_day`` day: the actor
-and critic run once per decision for all lanes. Episodes are seeded per
-(master seed, iteration, episode index), and each lane's arithmetic is that of
-its episode stepped alone through ``PumpSchedulingEnv``, so a batch is
-identical for any lane or worker count; workers run contiguous lane chunks.
-The optimizer state lives across iterations, and updates never mutate
-parameter arrays in place.
+A batch's episodes run in lockstep as lanes of one ``run_day`` day in one
+process: the actor and critic run once per decision for all lanes. Episodes
+are seeded per (master seed, iteration, episode index), and each lane's
+arithmetic is that of its episode stepped alone through ``PumpSchedulingEnv``,
+so a batch is identical for any lane count. The optimizer state lives across
+iterations, and updates never mutate parameter arrays in place.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .env import AgentKind, closed_loop, day_rewards, sample_episode
+from .env import AgentKind, _check_window, closed_loop, day_rewards, sample_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
 from .network import STEPS_PER_DAY, NetworkTopology
 from .nn import Adam
@@ -50,7 +48,6 @@ class TrainConfig:
     value_coef: float = 0.5
     entropy_coef: float = 0.01
     start_overhang: float = 0.12
-    workers: int = 1
 
     def validate(self) -> None:
         if self.total_env_steps < 0:
@@ -59,8 +56,8 @@ class TrainConfig:
             raise ValidationError("gamma must be in (0, 1], lambda in [0, 1]")
         if self.clip_ratio <= 0:
             raise ValidationError("clip_ratio must be > 0")
-        if self.batch_size < 1 or self.epochs < 1 or self.workers < 1:
-            raise ValidationError("batch_size, epochs, workers must be >= 1")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ValidationError("batch_size, epochs must be >= 1")
         if self.minibatch_size < 1:
             raise ValidationError("minibatch_size must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -71,18 +68,16 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Picklable description of the training episodes: network, agent, window."""
+    """The training episodes: network, agent and frame-skip window."""
 
     topology: NetworkTopology
     agent_kind: AgentKind = AgentKind.CONSTRAINT
-    frame_skip: int | None = None
+    frame_skip: int = 1
 
     @property
     def decisions_per_episode(self) -> int:
-        window = self.frame_skip or 1
-        if STEPS_PER_DAY % window != 0:
-            raise ValidationError(f"frame_skip must divide {STEPS_PER_DAY}")
-        return STEPS_PER_DAY // window
+        _check_window(self.frame_skip)
+        return STEPS_PER_DAY // self.frame_skip
 
     @property
     def obs_dim(self) -> int:
@@ -132,13 +127,18 @@ def _sample_lanes(
     return raw, np.clip(raw, 0.0, 1.0), gaussian_logp(raw, means, params.log_sigma)
 
 
-def _collect_lanes(args) -> tuple[np.ndarray, ...]:
+def _collect_lanes(
+    spec: EnvSpec,
+    params: PolicyParameters,
+    cfg: TrainConfig,
+    iteration: int,
+    episodes: range,
+) -> tuple[np.ndarray, ...]:
     """Roll the listed episodes of one iteration in lockstep, as lanes of a day.
 
     Returns observations, raw actions, log-probs, rewards and values, each
     with one leading row per episode and one column per decision.
     """
-    spec, params, cfg, iteration, episodes = args
     levels, demands, act_rngs = [], [], []
     for idx in episodes:
         cfg_ss, act_ss = _episode_seed(cfg.seed, iteration, idx).spawn(2)
@@ -163,7 +163,7 @@ def _collect_lanes(args) -> tuple[np.ndarray, ...]:
         observations[:, i] = obs
         return executed
 
-    window = spec.frame_skip or 1
+    window = spec.frame_skip
     tariff = spec.topology.tariff.as_array()
     act = closed_loop(spec.topology, spec.agent_kind, act_fn, window)
     day = run_day(spec.topology, np.array(levels), np.array(demands), tariff, act)
@@ -181,28 +181,17 @@ def collect_rollouts(
     params: PolicyParameters,
     cfg: TrainConfig,
     iteration: int = 0,
-    pool: ProcessPoolExecutor | None = None,
 ) -> RolloutBatch:
-    """Collect whole episodes until at least ``batch_size`` transitions exist.
-
-    With a ``pool``, each of ``cfg.workers`` tasks runs a chunk of the lanes.
-    """
+    """Collect whole episodes until at least ``batch_size`` transitions exist."""
     n = spec.decisions_per_episode
     n_episodes = -(-cfg.batch_size // n)  # ceil
-    chunk = n_episodes if pool is None else -(-n_episodes // cfg.workers)
-    lanes = range(n_episodes)
-    tasks = [
-        (spec, params, cfg, iteration, lanes[lo : lo + chunk]) for lo in lanes[::chunk]
-    ]
     try:
-        run = map if pool is None else pool.map
-        parts = list(run(_collect_lanes, tasks))
-    except Exception as exc:  # worker crash, pickle failure, bad actions, etc.
-        raise TrainingError(f"rollout worker failed: {exc}") from exc
+        obs, actions, log_probs, rewards, values = _collect_lanes(
+            spec, params, cfg, iteration, range(n_episodes)
+        )
+    except (NumericError, ValidationError) as exc:  # non-finite actions or levels
+        raise TrainingError(f"rollout failed: {exc}") from exc
 
-    obs, actions, log_probs, rewards, values = (
-        np.concatenate(arrays) for arrays in zip(*parts)
-    )
     dones = np.zeros((n_episodes, n))
     dones[:, -1] = 1.0
     return RolloutBatch(
@@ -283,15 +272,17 @@ def ppo_update(
     n = len(batch)
     mb = min(cfg.minibatch_size, n)
     current = params
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, mb):
-            idx = order[start : start + mb]
-            current = _minibatch_step(
-                current, batch, norm_adv, returns, idx, cfg, optimizer
-            )
-
-    logps, values, stats = _batch_stats(current, batch, norm_adv, returns, cfg)
+    # Overflow shows up as the non-finite gradient or loss checked below, so
+    # numpy's warnings would only repeat that error.
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(n)
+            for start in range(0, n, mb):
+                idx = order[start : start + mb]
+                current = _minibatch_step(
+                    current, batch, norm_adv, returns, idx, cfg, optimizer
+                )
+        stats = _batch_stats(current, batch, norm_adv, returns, cfg)
     if not np.isfinite(stats["total_loss"]):
         raise NumericError(
             "non-finite loss during update: "
@@ -357,7 +348,7 @@ def _batch_stats(params, batch, norm_adv, returns, cfg):
     policy_loss = -float(np.minimum(surr1, surr2).mean())
     value_loss = float(np.mean((values - returns) ** 2))
     ent = entropy(params)
-    stats = {
+    return {
         "policy_loss": policy_loss,
         "value_loss": value_loss,
         "entropy": ent,
@@ -365,7 +356,6 @@ def _batch_stats(params, batch, norm_adv, returns, cfg):
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > cfg.clip_ratio)),
         "approx_kl": float(np.mean(batch.log_probs - logps)),
     }
-    return logps, values, stats
 
 
 @dataclass
@@ -394,24 +384,17 @@ def train(
     curve: list[tuple[int, float]] = []
     stats: dict = {}
 
-    pool: ProcessPoolExecutor | None = None
-    try:
-        if cfg.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=cfg.workers)
-        steps_done = 0
-        iteration = 0
-        while steps_done < cfg.total_env_steps:
-            batch = collect_rollouts(spec, params, cfg, iteration, pool)
-            steps_done += batch.env_steps
-            curve.append((steps_done, float(np.mean(batch.episode_rewards))))
-            shuffle_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(6, iteration))
-            )
-            params, stats = ppo_update(params, batch, cfg, optimizer, shuffle_rng)
-            iteration += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    steps_done = 0
+    iteration = 0
+    while steps_done < cfg.total_env_steps:
+        batch = collect_rollouts(spec, params, cfg, iteration)
+        steps_done += batch.env_steps
+        curve.append((steps_done, float(np.mean(batch.episode_rewards))))
+        shuffle_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(6, iteration))
+        )
+        params, stats = ppo_update(params, batch, cfg, optimizer, shuffle_rng)
+        iteration += 1
 
     if out_dir is not None:
         save_reward_curve(curve, Path(out_dir) / "reward_curve.csv")

@@ -89,6 +89,35 @@ def test_missing_checkpoint_exits_two(workflow, tmp_path):
     assert len(result.stderr.strip().splitlines()) == 1
 
 
+def test_train_artifacts_do_not_depend_on_workers(workflow, tmp_path):
+    """``--workers`` is accepted but has no effect on what ``train`` writes."""
+    out, _ = workflow
+    for workers in (1, 2):
+        result = run_cli(
+            "train", "--network", out / "network.json", "--agent", "dual",
+            "--steps", 192, "--batch-size", 96, "--seed", 2,
+            "--workers", workers, "--out", tmp_path / str(workers),
+        )  # fmt: skip
+        assert result.returncode == 0, result.stderr
+    for name in ARTIFACTS["train"]:
+        assert (tmp_path / "1" / name).read_bytes() == (
+            tmp_path / "2" / name
+        ).read_bytes(), name
+
+
+def test_numeric_failure_in_train_prints_one_line(workflow, tmp_path):
+    out, _ = workflow
+    result = run_cli(
+        "train", "--network", out / "network.json", "--agent", "dual",
+        "--steps", 96, "--batch-size", 96, "--learning-rate", 1e300,
+        "--out", tmp_path,
+    )  # fmt: skip
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "numeric error: non-finite gradient during update"
+    ]
+
+
 def test_hybrid_rejects_an_edited_history_beside_its_stale_companion(
     workflow, tmp_path
 ):
@@ -224,6 +253,15 @@ def _bad_config(command, doc):
     return build
 
 
+def _gen_days(days):
+    """``gen`` of ``days`` days into a directory that does not exist yet."""
+
+    def build(out, tmp_path):
+        return ("gen", "--days", days, "--out", tmp_path / "gen")
+
+    return build
+
+
 def _narrow_first_hidden_layer(doc):
     actor = doc["actor"]
     actor["weights"][0] = [row[:-1] for row in actor["weights"][0]]
@@ -264,6 +302,9 @@ BAD_INPUTS = {
     "non_utf8_history": _not_utf8("--history"),
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),
     "non_utf8_config": _not_utf8("--config"),
+    # numpy rejects these archive sizes before allocating anything
+    "gen_days_beyond_int64": _gen_days(10**20),
+    "gen_days_too_big_to_allocate": _gen_days(10**17),
     "gen_zero_workers": _zero_workers("gen"),
     "eval_zero_workers": _zero_workers("eval"),
     "hybrid_zero_workers": _zero_workers("hybrid"),

@@ -8,14 +8,15 @@ from pumpsched import (
     EpisodeConfig,
     FrameSkipEnv,
     PumpSchedulingEnv,
-    RewardConfig,
     ValidationError,
     generate_demands,
-    reward_config_for,
     sample_episode,
     sample_operational_episode,
 )
 from pumpsched.env import (
+    CONSTRAINT_WEIGHT,
+    ENERGY_WEIGHT,
+    _energy_max,
     closed_loop,
     normalize_tariff,
     reward_constraint_step,
@@ -61,44 +62,41 @@ def test_constraint_reward_has_even_parity():
         assert r in {-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0}
 
 
-def _unit_reward_config():
-    return RewardConfig(energy_min=np.zeros(6), energy_max=np.ones(6))
+UNIT_ENERGY = np.ones(6)
 
 
 def test_dual_reward_best_case():
-    cfg = _unit_reward_config()
     levels = np.full(6, 4.0)
-    r = reward_dual(levels, np.full(6, 2.0), np.full(6, 6.0), np.zeros(6), 1.0, cfg)
+    lb, ub = np.full(6, 2.0), np.full(6, 6.0)
+    r = reward_dual(levels, lb, ub, np.zeros(6), 1.0, UNIT_ENERGY)
     assert r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dual_reward_worst_case():
-    cfg = _unit_reward_config()
     levels = np.full(6, 9.0)
-    r = reward_dual(levels, np.full(6, 2.0), np.full(6, 6.0), np.ones(6), 1.0, cfg)
+    lb, ub = np.full(6, 2.0), np.full(6, 6.0)
+    r = reward_dual(levels, lb, ub, np.ones(6), 1.0, UNIT_ENERGY)
     assert r == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dual_reward_mixed_case():
     # 4 tanks in band, 2 out, normalized energy 0.2 per station at tariff 1:
     # 0.7 * (8/12) + 0.3 * (1 - 0.2).
-    cfg = _unit_reward_config()
     levels = np.array([3.0, 3.0, 3.0, 3.0, 1.0, 7.0])
     r = reward_dual(
-        levels, np.full(6, 2.0), np.full(6, 6.0), np.full(6, 0.2), 1.0, cfg
+        levels, np.full(6, 2.0), np.full(6, 6.0), np.full(6, 0.2), 1.0, UNIT_ENERGY
     )
     assert r == pytest.approx(0.7 * 8.0 / 12.0 + 0.3 * 0.8, abs=1e-12)
     assert round(r, 5) == 0.70667
 
 
 def test_dual_reward_single_tank_step_size():
-    cfg = _unit_reward_config()
     lb, ub = np.full(6, 2.0), np.full(6, 6.0)
     energies = np.full(6, 0.37)
     out = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 7.0])
     back_in = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 5.0])
-    gain = reward_dual(back_in, lb, ub, energies, 0.6, cfg) - reward_dual(
-        out, lb, ub, energies, 0.6, cfg
+    gain = reward_dual(back_in, lb, ub, energies, 0.6, UNIT_ENERGY) - reward_dual(
+        out, lb, ub, energies, 0.6, UNIT_ENERGY
     )
     assert gain == pytest.approx(0.7 * 2.0 / 12.0, abs=1e-12)
 
@@ -114,14 +112,13 @@ def test_dual_reward_single_tank_step_size():
     tariff=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_dual_reward_stays_in_unit_interval(levels, energy, tariff):
-    cfg = _unit_reward_config()
     r = reward_dual(
         np.array(levels),
         np.full(6, 2.0),
         np.full(6, 6.0),
         np.full(6, energy),
         tariff,
-        cfg,
+        UNIT_ENERGY,
     )
     assert 0.0 <= r <= 1.0
 
@@ -134,12 +131,10 @@ def test_normalize_tariff_unit_range(world):
         normalize_tariff(np.full(STEPS_PER_DAY, 0.1))
 
 
-def test_reward_config_for_spans_rated_energy(world):
-    cfg = reward_config_for(world)
+def test_energy_max_spans_rated_energy(world):
     rated = np.array([s.rated_power for s in world.stations])
-    np.testing.assert_array_equal(cfg.energy_min, np.zeros(world.n_stations))
-    np.testing.assert_allclose(cfg.energy_max, rated * 0.25)
-    assert cfg.constraint_weight + cfg.energy_weight == 1.0
+    np.testing.assert_allclose(_energy_max(world), rated * 0.25)
+    assert CONSTRAINT_WEIGHT + ENERGY_WEIGHT == 1.0
 
 
 # -- episode lifecycle --------------------------------------------------------

@@ -71,31 +71,6 @@ def test_initial_state_never_counts():
     assert area_outside_boundary(traj, bounds) == 0.0
 
 
-def test_area_splits_across_windows():
-    rng = np.random.default_rng(4)
-    states = rng.uniform(1.0, 5.0, (STEPS_PER_DAY + 1, 2))
-    traj = _traj_from_states(states)
-    bounds = (np.full(2, 2.0), np.full(2, 4.0))
-    total = area_outside_boundary(traj, bounds)
-    first = area_outside_boundary(traj, bounds, first_state=1, last_state=48)
-    second = area_outside_boundary(traj, bounds, first_state=49, last_state=96)
-    assert total == pytest.approx(first + second, abs=1e-12)
-    assert violation_count(traj, bounds) == violation_count(
-        traj, bounds, 1, 48
-    ) + violation_count(traj, bounds, 49, 96)
-
-
-def test_state_range_validated():
-    traj = _traj_from_states(np.full((STEPS_PER_DAY + 1, 1), 3.0))
-    bounds = (np.array([2.5]), np.array([4.0]))
-    with pytest.raises(ValidationError):
-        area_outside_boundary(traj, bounds, first_state=0)
-    with pytest.raises(ValidationError):
-        area_outside_boundary(traj, bounds, first_state=5, last_state=4)
-    with pytest.raises(ValidationError):
-        violation_count(traj, bounds, first_state=1, last_state=97)
-
-
 def test_episode_cost_flat_tariff(tiny_world, zero_demands):
     schedule = np.zeros((STEPS_PER_DAY, 2))
     schedule[:, 0] = 1.0

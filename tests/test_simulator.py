@@ -468,7 +468,7 @@ def _episode_through_the_env(spec, params, seed, iteration, idx, overhang):
         spec.topology, np.random.default_rng(cfg_ss), spec.agent_kind, overhang
     )
     act_rng = np.random.default_rng(act_ss)
-    env = FrameSkipEnv(PumpSchedulingEnv(spec.topology), spec.frame_skip or 1)
+    env = FrameSkipEnv(PumpSchedulingEnv(spec.topology), spec.frame_skip)
     obs = env.reset(config)
     rows = []
     for _ in range(spec.decisions_per_episode):
@@ -526,9 +526,9 @@ def test_episode_bytes_do_not_depend_on_lane_count(world, kind):
     spec = EnvSpec(topology=world, agent_kind=kind)
     params = _noisy_policy(spec, 3)
     cfg = TrainConfig(total_env_steps=0, seed=7)
-    wide = _collect_lanes((spec, params, cfg, 2, range(10)))
+    wide = _collect_lanes(spec, params, cfg, 2, range(10))
     for k in (0, 4, 9):
-        alone = _collect_lanes((spec, params, cfg, 2, range(k, k + 1)))
+        alone = _collect_lanes(spec, params, cfg, 2, range(k, k + 1))
         for lane, single in zip(wide, alone):
             assert lane[k].tobytes() == single[0].tobytes()
 

@@ -2,6 +2,9 @@
 
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ import pumpsched
 from pumpsched import hybrid as hybrid_module
 from pumpsched import simulate as simulate_module
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -86,3 +90,22 @@ def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
     assert metrics["hybrid.inject.calls"] == len(hybrid_module.STRATEGY_NAMES)
     for name in hybrid_module.STRATEGY_NAMES:
         assert metrics[f"hybrid.strategy.{name}.s_per_case"] > 0
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    """Every CLI process pays for what ``import pumpsched.cli`` loads, and
+    training runs in one process, so neither pool module belongs there."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, pumpsched.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,5 +1,3 @@
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from pumpsched import (
     AgentKind,
     EnvSpec,
     TrainConfig,
+    TrainingError,
     ValidationError,
     policy_act_fn,
     train,
@@ -111,7 +110,7 @@ def test_train_config_defaults_match_contract():
         {"minibatch_size": 0},
         {"learning_rate": -1e-4},
         {"start_overhang": -0.1},
-        {"workers": 0},
+        {"batch_size": 0},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
     ],
@@ -131,8 +130,9 @@ def test_env_spec_dimensions(tiny_world):
     assert dual.obs_dim == 2 + 1 + STEPS_PER_DAY
     assert dual.decisions_per_episode == 12
 
-    with pytest.raises(ValidationError):
-        _ = EnvSpec(topology=tiny_world, frame_skip=7).decisions_per_episode
+    for window in (7, 0, -3):
+        with pytest.raises(ValidationError):
+            _ = EnvSpec(topology=tiny_world, frame_skip=window).decisions_per_episode
 
 
 # -- rollout collection -----------------------------------------------------------
@@ -178,16 +178,12 @@ def test_collect_rollouts_deterministic(tiny_world):
     assert not np.array_equal(a.actions, c.actions)
 
 
-def test_collect_rollouts_worker_invariant(tiny_world):
+def test_collect_rollouts_maps_a_failed_rollout_to_training_error(tiny_world):
     spec = EnvSpec(topology=tiny_world)
     params = _tiny_policy(spec)
-    cfg = _cfg(batch_size=3 * STEPS_PER_DAY, workers=2)  # lane chunks of 2 and 1
-    serial = collect_rollouts(spec, params, cfg)
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        parallel = collect_rollouts(spec, params, cfg, pool=pool)
-    for name in ("observations", "actions", "log_probs", "rewards", "values", "dones"):
-        np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
-    assert serial.episode_rewards == parallel.episode_rewards
+    params.actor.biases[-1][0] = np.nan  # NaN means, so NaN pump speeds
+    with pytest.raises(TrainingError, match="rollout failed: pump speed"):
+        collect_rollouts(spec, params, _cfg())
 
 
 # -- the update -------------------------------------------------------------------
