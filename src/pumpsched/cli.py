@@ -62,6 +62,7 @@ from .training import (
     EnvSpec,
     TrainConfig,
     policy_act_fn,
+    save_reward_curve,
     train,
 )
 
@@ -298,7 +299,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValidationError("--steps must be >= 1")
     if args.frame_skip < 1:
         raise ValidationError("--frame-skip must be >= 1")
-    out = _outdir(args)
     topology = load_network(args.network)
     kind = AgentKind(args.agent)
     spec = EnvSpec(topology=topology, agent_kind=kind, frame_skip=args.frame_skip)
@@ -308,7 +308,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
     )
-    result = train(spec, cfg, out_dir=out)
+    result = train(spec, cfg)
+    out = _outdir(args)
+    save_reward_curve(result.curve, out / "reward_curve.csv")
     meta = {
         "agent": args.agent,
         "frame_skip": args.frame_skip,
@@ -338,7 +340,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     started = time.time()
-    out = _outdir(args)
     topology = load_network(args.network)
     params, meta = load_checkpoint(args.checkpoint)
     try:
@@ -364,7 +365,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             )
         )
         config, margins = sample_operational_episode(
-            topology, rng, agent_kind=kind, imperfection=args.imperfection
+            topology, rng, imperfection=args.imperfection
         )
         random_schedule = rng.random((STEPS_PER_DAY, topology.n_stations))
 
@@ -401,6 +402,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for label, vals in pools.items()
     }
     rows = compare(results["rule_based"], [results["policy"], results["random"]])
+    out = _outdir(args)
     save_comparison_csv(rows, out / "comparison.csv")
     save_comparison_json(rows, out / "comparison.json")
     _write_manifest(
@@ -431,7 +433,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_hybrid(args: argparse.Namespace) -> int:
     started = time.time()
-    out = _outdir(args)
     topology = load_network(args.network)
     archive = load_history(args.history)
     params, meta = load_checkpoint(args.checkpoint)
@@ -442,6 +443,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     index = build_index(topology, archive, per_zone_demand=args.per_zone_demand)
     cases = build_case_pool(topology, index, n_cases=args.cases, seed=args.seed)
     report = evaluate_strategies(topology, cases, policy_act_fn(params))
+    out = _outdir(args)
     save_strategy_report_json(report, out / "strategy_report.json")
     save_strategy_report_csv(report, out / "strategy_report.csv")
     _write_manifest(

@@ -96,7 +96,6 @@ class EpisodeConfig:
 
     initial_levels: np.ndarray
     demands: DemandSet
-    agent_kind: AgentKind = AgentKind.CONSTRAINT
 
 
 @dataclass
@@ -127,11 +126,12 @@ def _observation(
 
 
 class PumpSchedulingEnv:
-    """One-day episodic environment over the tank simulator."""
+    """One-day episodic environment over the tank simulator, framed for the
+    ``kind`` agent: its observations and its reward."""
 
-    def __init__(self, topology: NetworkTopology):
+    def __init__(self, topology: NetworkTopology, kind: AgentKind):
         self.topology = topology
-        self._config: EpisodeConfig | None = None
+        self.kind = kind
         self._day: _Rollout | None = None
 
     # -- episode plumbing ----------------------------------------------------
@@ -143,10 +143,9 @@ class PumpSchedulingEnv:
             config.demands.as_array(),
             self.topology.tariff.as_array(),
         )
-        if config.agent_kind == AgentKind.DUAL:
+        if self.kind == AgentKind.DUAL:
             self._energy_max = _energy_max(self.topology)
 
-        self._config = config
         self._day = day
         self._tariff_norm = normalize_tariff(day.tariff)
         self._caps = self.topology.caps_array()
@@ -167,7 +166,7 @@ class PumpSchedulingEnv:
         if not np.all(np.isfinite(levels)):
             raise NumericError("non-finite level update")
 
-        if self._config.agent_kind == AgentKind.CONSTRAINT:
+        if self.kind == AgentKind.CONSTRAINT:
             reward = reward_constraint_step(levels, self._lb, self._ub)
         else:
             reward = reward_dual(
@@ -195,9 +194,7 @@ class PumpSchedulingEnv:
 
     def _observe(self) -> np.ndarray:
         day = self._day
-        return _observation(
-            self._config.agent_kind, day.levels, day.t, self._tariff_norm, self._caps
-        )
+        return _observation(self.kind, day.levels, day.t, self._tariff_norm, self._caps)
 
     def trajectory(self) -> Trajectory:
         """Full-day trajectory; only valid after the episode finished."""
@@ -257,12 +254,12 @@ class FrameSkipEnv:
 
 
 _START_CAP_CLEARANCE = 0.02  # keep starts off the physical rails
+BURN_DAYS = 8  # hysteresis days run before an evaluation day
 
 
 def sample_episode(
     topology: NetworkTopology,
     rng: np.random.Generator,
-    agent_kind: AgentKind = AgentKind.CONSTRAINT,
     start_overhang: float = 0.0,
 ) -> EpisodeConfig:
     """Draw an episode: diverse start levels within the band, fresh demands.
@@ -280,19 +277,17 @@ def sample_episode(
     hi = np.minimum(ub + start_overhang * band, (1 - _START_CAP_CLEARANCE) * caps)
     initial = rng.uniform(lo, hi)
     demands = demands_from_rng(topology, rng)
-    return EpisodeConfig(initial, demands, agent_kind)
+    return EpisodeConfig(initial, demands)
 
 
 def sample_operational_episode(
     topology: NetworkTopology,
     rng: np.random.Generator,
-    agent_kind: AgentKind = AgentKind.CONSTRAINT,
     imperfection: float | None = None,
-    burn_days: int = 8,
 ):
     """Draw an evaluation day from the operating distribution the archive records.
 
-    Runs ``burn_days`` of hysteresis operation with fresh demands and margins
+    Runs ``BURN_DAYS`` of hysteresis operation with fresh demands and margins
     each day, levels carrying over between days, then returns the day that
     follows: the carried-over levels, a fresh demand draw, and the margins the
     operator would use that day. Comparing a policy against the hysteresis
@@ -309,12 +304,10 @@ def sample_operational_episode(
         run_controlled_day,
     )
 
-    if burn_days < 0:
-        raise ValidationError("burn_days must be >= 0")
     if imperfection is None:
         imperfection = DEFAULT_IMPERFECTION
     levels = topology.initial_levels_array()
-    for _ in range(burn_days):
+    for _ in range(BURN_DAYS):
         demands = demands_from_rng(topology, rng)
         margins = margins_for(topology, imperfection, rng)
         controller = RuleBasedController(topology, margins)
@@ -322,7 +315,7 @@ def sample_operational_episode(
         levels = traj.states[-1]
     demands = demands_from_rng(topology, rng)
     margins = margins_for(topology, imperfection, rng)
-    return EpisodeConfig(levels, demands, agent_kind), margins
+    return EpisodeConfig(levels, demands), margins
 
 
 def closed_loop(

@@ -59,13 +59,14 @@ class HysteresisMargins:
 def margins_for(
     topology: NetworkTopology,
     imperfection: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> HysteresisMargins:
-    """Draw per-station margins; imperfection 0 means perfectly placed."""
+    """Draw per-station margins; imperfection 0 means perfectly placed and
+    draws nothing from ``rng``."""
     if not (0.0 <= imperfection <= 1.0):
         raise ValidationError("imperfection must lie in [0, 1]")
     n_s = topology.n_stations
-    if imperfection == 0.0 or rng is None:
+    if imperfection == 0.0:
         trig_off = np.full(n_s, _PERFECT_MARGIN)
         rel_off = np.full(n_s, _PERFECT_MARGIN)
     else:
@@ -94,17 +95,9 @@ def margins_for(
 class RuleBasedController:
     """Stateful hysteresis control: duty speed below trigger, off above release."""
 
-    def __init__(
-        self,
-        topology: NetworkTopology,
-        margins: HysteresisMargins,
-        duty: float = DUTY_SPEED,
-    ):
-        if not (0.0 < duty <= 1.0):
-            raise ValidationError("duty speed must lie in (0, 1]")
+    def __init__(self, topology: NetworkTopology, margins: HysteresisMargins):
         self.topology = topology
         self.margins = margins
-        self.duty = duty
         self._primary = np.array(
             [topology.tank_index(s.primary_tank()) for s in topology.stations]
         )
@@ -121,7 +114,7 @@ class RuleBasedController:
             True,
             np.where(watched > self.margins.releases, False, self._on),
         )
-        return np.where(self._on, self.duty, 0.0)
+        return np.where(self._on, DUTY_SPEED, 0.0)
 
 
 def run_controlled_day(

@@ -150,8 +150,8 @@ def inject(
     """The case's day under each plan, as lanes: states (97, lanes, n_tanks).
 
     Lane k runs the policy closed loop inside ``plans[k]``, on the observations
-    it would see live, and the baseline schedule everywhere else; ``act_fn``
-    gets the rows of the lanes inside their plan. The day starts at the
+    a dual agent would see live, and the baseline schedule everywhere else;
+    ``act_fn`` gets the rows of the lanes inside their plan. The day starts at the
     earliest plan start from the baseline's state there, and the baseline
     prefix is put back in front. Both are exact: a day rolled from a mid-day
     state equals its tail, and each lane equals its day rolled alone.
@@ -164,7 +164,7 @@ def inject(
     ends = np.array([plan.end for plan in plans])
     lanes, t0 = len(plans), int(starts.min())
     schedule = case.baseline_schedule
-    policy = closed_loop(topology, case.config.agent_kind, act_fn)
+    policy = closed_loop(topology, AgentKind.DUAL, act_fn)
 
     def act(t: int, levels: np.ndarray) -> np.ndarray:
         action = np.repeat(schedule[t][None], lanes, axis=0)
@@ -376,7 +376,7 @@ def build_case_pool(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(4, attempt))
         )
-        config = sample_episode(topology, rng, agent_kind=AgentKind.DUAL)
+        config = sample_episode(topology, rng)
         result = recommend(index, config.initial_levels, config.demands)
         states = simulate(
             topology, config.initial_levels, result.schedule, config.demands

@@ -86,21 +86,17 @@ class MLP:
         return grad_w, grad_b
 
 
-class Adam:
-    """Standard Adam over a list of parameter arrays."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(
-        self,
-        shapes: list[tuple[int, ...]],
-        lr: float = 3e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+
+class Adam:
+    """Standard Adam over a list of parameter arrays, with the moment decays
+    and epsilon of Kingma and Ba (arXiv 1412.6980)."""
+
+    def __init__(self, shapes: list[tuple[int, ...]], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
@@ -114,9 +110,9 @@ class Adam:
         self.t += 1
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[i] / (1 - ADAM_BETA2**self.t)
+            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         return out

@@ -17,6 +17,8 @@ from .errors import SchemaError, ValidationError
 from .nn import MLP
 
 HIDDEN_SIZES = (64, 64)
+INITIAL_SIGMA = 0.3  # exploration noise of a fresh policy
+INITIAL_ACTION = 0.5  # a fresh actor's mean: every pump near half speed
 _LOG2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_VERSION = 1
@@ -68,17 +70,15 @@ def init_policy(
     action_dim: int,
     rng: np.random.Generator,
     hidden: tuple[int, ...] = HIDDEN_SIZES,
-    initial_sigma: float = 0.3,
-    initial_action: float = 0.5,
 ) -> PolicyParameters:
     """Fresh policy; the actor mean starts near mid-range so pumps idle at ~50%."""
     if obs_dim < 1 or action_dim < 1:
         raise ValidationError("obs_dim and action_dim must be positive")
     actor = MLP.init(
-        (obs_dim, *hidden, action_dim), rng, out_scale=0.01, out_bias=initial_action
+        (obs_dim, *hidden, action_dim), rng, out_scale=0.01, out_bias=INITIAL_ACTION
     )
     critic = MLP.init((obs_dim, *hidden, 1), rng)
-    log_sigma = np.full(action_dim, np.log(initial_sigma))
+    log_sigma = np.full(action_dim, np.log(INITIAL_SIGMA))
     return PolicyParameters(actor=actor, log_sigma=log_sigma, critic=critic)
 
 

@@ -121,7 +121,7 @@ def build_index(
 def recommend(
     index: QueryIndex,
     levels: np.ndarray,
-    demand_forecast: DemandSet | np.ndarray,
+    demand_forecast: DemandSet,
 ) -> QueryResult:
     """Nearest archived day for the given start levels and demand forecast.
 
@@ -132,10 +132,9 @@ def recommend(
     levels = np.asarray(levels, dtype=float)
     if levels.shape != (len(index.surface_areas),):
         raise ValidationError("query levels shape does not match the index")
-    if isinstance(demand_forecast, DemandSet):
-        day_demands = demand_forecast.as_array().T  # (96, n_zones)
-    else:
-        day_demands = np.asarray(demand_forecast, dtype=float)
+    # (96, n_zones) rows laid out as the index's days, so that an archived
+    # day's demands sum to its index feature to the last bit.
+    day_demands = np.ascontiguousarray(demand_forecast.as_array().T)
     demand = _demand_feature(day_demands, index.per_zone_demand)
     raw = _raw_features(levels, demand, index.surface_areas)
     if raw.shape != index.mins.shape:

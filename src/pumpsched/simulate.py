@@ -265,22 +265,20 @@ def simulate(
     initial_levels: np.ndarray,
     schedule: np.ndarray,
     demands: DemandSet,
-    tariff: np.ndarray | None = None,
 ) -> Trajectory:
-    """Run a full 96-step day under a fixed control schedule."""
+    """Run a full 96-step day under a fixed control schedule, priced at the
+    topology's tariff."""
     schedule = np.asarray(schedule, dtype=float)
     if schedule.shape != (STEPS_PER_DAY, topology.n_stations):
         raise ValidationError(
             f"schedule shape {schedule.shape}, expected "
             f"({STEPS_PER_DAY}, {topology.n_stations})"
         )
-    if tariff is None:
-        tariff = topology.tariff.as_array()
     return run_day(
         topology,
         initial_levels,
         demands.as_array(),
-        tariff,
+        topology.tariff.as_array(),
         lambda t, levels: schedule[t],
     )
 

@@ -1,5 +1,15 @@
 """Rollout collection and clipped-surrogate policy optimization.
 
+The PPO hyper-parameters are module constants. The discount ``GAMMA`` 0.99,
+the GAE ``GAE_LAMBDA`` 0.95 and the surrogate clip ``CLIP_RATIO`` 0.2 are the
+MuJoCo settings of Schulman et al., "Proximal Policy Optimization Algorithms"
+(arXiv 1707.06347), and the entropy bonus ``ENTROPY_COEF`` 0.01 is its Atari
+setting. The value-loss weight ``VALUE_COEF`` 0.5 and ``EPOCHS`` 4 shuffled
+passes over ``MINIBATCH_SIZE`` 128 transitions are common PPO implementation
+defaults. Training draws start levels up to ``START_OVERHANG`` 0.12 of each
+band past its bounds, so the policy learns to recover. Only the step budget,
+seed, batch size and learning rate vary, through ``TrainConfig``.
+
 A batch's episodes run in lockstep as lanes of one ``run_day`` day in one
 process: the actor and critic run once per decision for all lanes. Episodes
 are seeded per (master seed, iteration, episode index), and each lane's
@@ -32,38 +42,32 @@ from .policy import (
 )
 from .simulate import run_day
 
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+CLIP_RATIO = 0.2
+MINIBATCH_SIZE = 128
+EPOCHS = 4
+VALUE_COEF = 0.5
+ENTROPY_COEF = 0.01
+START_OVERHANG = 0.12
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters for the clipped-surrogate trainer."""
+    """What a training run varies: step budget, seed, batch and step size."""
 
     total_env_steps: int
     seed: int
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_ratio: float = 0.2
     batch_size: int = 256
-    minibatch_size: int = 128
-    epochs: int = 4
     learning_rate: float = 3e-4
-    value_coef: float = 0.5
-    entropy_coef: float = 0.01
-    start_overhang: float = 0.12
 
     def validate(self) -> None:
         if self.total_env_steps < 0:
             raise ValidationError("total_env_steps must be >= 0")
-        if not (0 < self.gamma <= 1) or not (0 <= self.gae_lambda <= 1):
-            raise ValidationError("gamma must be in (0, 1], lambda in [0, 1]")
-        if self.clip_ratio <= 0:
-            raise ValidationError("clip_ratio must be > 0")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValidationError("batch_size, epochs must be >= 1")
-        if self.minibatch_size < 1:
-            raise ValidationError("minibatch_size must be >= 1")
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValidationError("learning_rate must be finite and >= 0")
-        if self.start_overhang < 0:
-            raise ValidationError("start_overhang must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,7 @@ def _collect_lanes(
     for idx in episodes:
         cfg_ss, act_ss = _episode_seed(cfg.seed, iteration, idx).spawn(2)
         rng = np.random.default_rng(cfg_ss)
-        config = sample_episode(spec.topology, rng, start_overhang=cfg.start_overhang)
+        config = sample_episode(spec.topology, rng, START_OVERHANG)
         levels.append(config.initial_levels)
         demands.append(config.demands.as_array())
         act_rngs.append(np.random.default_rng(act_ss))
@@ -243,46 +247,38 @@ def make_optimizer(params: PolicyParameters, cfg: TrainConfig) -> Adam:
 def ppo_update(
     params: PolicyParameters,
     batch: RolloutBatch,
-    cfg: TrainConfig,
-    optimizer: Adam | None = None,
-    shuffle_rng: np.random.Generator | None = None,
+    optimizer: Adam,
+    shuffle_rng: np.random.Generator,
 ) -> tuple[PolicyParameters, dict]:
-    """Run ``epochs`` shuffled-minibatch clipped-surrogate passes.
+    """Run ``EPOCHS`` shuffled-minibatch clipped-surrogate passes.
 
     Advantages are normalized to zero mean / unit variance over the whole
     batch before any epoch runs. The reported stats are recomputed on the
     full batch with the final parameters.
     """
-    cfg.validate()
     if len(batch) == 0:
         raise ValidationError("cannot update from an empty batch")
-    if optimizer is None:
-        optimizer = make_optimizer(params, cfg)
-    if shuffle_rng is None:
-        shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(6, 0))
-        )
 
     advantages, returns = compute_gae(
-        batch.rewards, batch.values, batch.dones, cfg.gamma, cfg.gae_lambda
+        batch.rewards, batch.values, batch.dones, GAMMA, GAE_LAMBDA
     )
     adv_std = advantages.std()
     norm_adv = (advantages - advantages.mean()) / (adv_std + 1e-8)
 
     n = len(batch)
-    mb = min(cfg.minibatch_size, n)
+    mb = min(MINIBATCH_SIZE, n)
     current = params
     # Overflow shows up as the non-finite gradient or loss checked below, so
     # numpy's warnings would only repeat that error.
     with np.errstate(all="ignore"):
-        for _ in range(cfg.epochs):
+        for _ in range(EPOCHS):
             order = shuffle_rng.permutation(n)
             for start in range(0, n, mb):
                 idx = order[start : start + mb]
                 current = _minibatch_step(
-                    current, batch, norm_adv, returns, idx, cfg, optimizer
+                    current, batch, norm_adv, returns, idx, optimizer
                 )
-        stats = _batch_stats(current, batch, norm_adv, returns, cfg)
+        stats = _batch_stats(current, batch, norm_adv, returns)
     if not np.isfinite(stats["total_loss"]):
         raise NumericError(
             "non-finite loss during update: "
@@ -291,16 +287,16 @@ def ppo_update(
     return current, stats
 
 
-def _minibatch_step(params, batch, norm_adv, returns, idx, cfg, optimizer):
+def _minibatch_step(params, batch, norm_adv, returns, idx, optimizer):
     obs = batch.observations[idx]
     actions = batch.actions[idx]
     old_logps = batch.log_probs[idx]
     m = len(idx)
 
     logps, actor_gw, actor_gb, grad_log_sigma = _policy_gradients(
-        params, obs, actions, old_logps, norm_adv[idx], cfg, m
+        params, obs, actions, old_logps, norm_adv[idx], m
     )
-    critic_gw, critic_gb = _value_gradients(params, obs, returns[idx], cfg, m)
+    critic_gw, critic_gb = _value_gradients(params, obs, returns[idx], m)
     grads = actor_gw + actor_gb + [grad_log_sigma] + critic_gw + critic_gb
     if any(not np.all(np.isfinite(g)) for g in grads):
         raise NumericError("non-finite gradient during update")
@@ -308,13 +304,13 @@ def _minibatch_step(params, batch, norm_adv, returns, idx, cfg, optimizer):
     return params.replace_arrays(new_arrays)
 
 
-def _policy_gradients(params, obs, actions, old_logps, norm_adv, cfg, m):
+def _policy_gradients(params, obs, actions, old_logps, norm_adv, m):
     """Gradient of the clipped surrogate plus entropy bonus w.r.t. the actor."""
     means, _ = params.actor.forward(obs)
     logps = gaussian_logp(actions, means, params.log_sigma)
     ratio = np.exp(logps - old_logps)
     surr1 = ratio * norm_adv
-    surr2 = np.clip(ratio, 1 - cfg.clip_ratio, 1 + cfg.clip_ratio) * norm_adv
+    surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
     # The loss is -mean(min(surr1, surr2)); gradient flows only where the
     # unclipped branch is active (inside the band both branches agree).
     use_unclipped = surr1 <= surr2
@@ -323,20 +319,20 @@ def _policy_gradients(params, obs, actions, old_logps, norm_adv, cfg, m):
         params, obs, actions, dloss_dlogp
     )
     # Entropy bonus: d(-coef * H)/d log_sigma = -coef per dimension.
-    grad_log_sigma = grad_log_sigma - cfg.entropy_coef
+    grad_log_sigma = grad_log_sigma - ENTROPY_COEF
     return logps, gw, gb, grad_log_sigma
 
 
-def _value_gradients(params, obs, returns, cfg, m):
-    """Gradient of value_coef * mean((v - R)^2) w.r.t. the critic."""
+def _value_gradients(params, obs, returns, m):
+    """Gradient of VALUE_COEF * mean((v - R)^2) w.r.t. the critic."""
     out, acts = params.critic.forward(obs)
     values = out[:, 0]
-    dloss_dv = cfg.value_coef * 2.0 * (values - returns) / m
+    dloss_dv = VALUE_COEF * 2.0 * (values - returns) / m
     gw, gb = params.critic.backward(acts, dloss_dv[:, None])
     return gw, gb
 
 
-def _batch_stats(params, batch, norm_adv, returns, cfg):
+def _batch_stats(params, batch, norm_adv, returns):
     """Full-batch diagnostics with the given (post-update) parameters."""
     means, _ = params.actor.forward(batch.observations)
     logps = gaussian_logp(batch.actions, means, params.log_sigma)
@@ -344,7 +340,7 @@ def _batch_stats(params, batch, norm_adv, returns, cfg):
     values = out[:, 0]
     ratio = np.exp(logps - batch.log_probs)
     surr1 = ratio * norm_adv
-    surr2 = np.clip(ratio, 1 - cfg.clip_ratio, 1 + cfg.clip_ratio) * norm_adv
+    surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
     policy_loss = -float(np.minimum(surr1, surr2).mean())
     value_loss = float(np.mean((values - returns) ** 2))
     ent = entropy(params)
@@ -352,8 +348,8 @@ def _batch_stats(params, batch, norm_adv, returns, cfg):
         "policy_loss": policy_loss,
         "value_loss": value_loss,
         "entropy": ent,
-        "total_loss": policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * ent,
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > cfg.clip_ratio)),
+        "total_loss": policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * ent,
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > CLIP_RATIO)),
         "approx_kl": float(np.mean(batch.log_probs - logps)),
     }
 
@@ -365,11 +361,7 @@ class TrainResult:
     stats: dict
 
 
-def train(
-    spec: EnvSpec,
-    cfg: TrainConfig,
-    out_dir: str | Path | None = None,
-) -> TrainResult:
+def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
     """Alternate rollout collection and updates until the step budget is spent.
 
     The reward curve holds one point per iteration: cumulative environment
@@ -393,11 +385,8 @@ def train(
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(6, iteration))
         )
-        params, stats = ppo_update(params, batch, cfg, optimizer, shuffle_rng)
+        params, stats = ppo_update(params, batch, optimizer, shuffle_rng)
         iteration += 1
-
-    if out_dir is not None:
-        save_reward_curve(curve, Path(out_dir) / "reward_curve.csv")
     return TrainResult(params=params, curve=curve, stats=stats)
 
 

@@ -1,5 +1,6 @@
 """The command line contract, exercised through real ``pumpsched`` processes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -68,6 +69,30 @@ def test_command_exits_zero_and_writes_artifacts(workflow, command):
     assert result.stderr == ""
     for name in ARTIFACTS[command]:
         assert (out / name).stat().st_size > 0, name
+
+
+# SHA-256 of each canonical artifact the workflow writes, recorded with
+# numpy 2.4.6 on x86-64. A refactor that keeps them all is
+# byte-identical end to end.
+WORKFLOW_DIGESTS = {
+    "network.json": "d2c12fef163ed33d118b8df404c1616d265c307298ad688732c4a182c33c7a13",
+    "history.csv": "25239ee406e601c6a3fa71355acc1e4ba71bcbedba8d1b31332890f9f47f22f8",
+    "checkpoint.json": "72302aa56ef587818b6a9dc48d6310e12629e16ec28dcc81d17c18bb53a60c1c",
+    "reward_curve.csv": "8a3eba9a0df9ef338aa2320bd335d893f47e5e4ce332b061894e9cacc11dedc0",
+    "comparison.csv": "283e1e4a6835c4f4ab12805a89716ac6ed4ff56070850ff3db6f1e3fcaf54f32",
+    "comparison.json": "ab64e1f87c9094bc6120cf0b0e6f7c4a4568294e01756dd9f8e9c034d0a23188",
+    "strategy_report.csv": "9cd0dbd60869876445e71091a4890e348edae6bd303fb156c185f021979b9516",
+    "strategy_report.json": "d951da524a8e9e17a9d0d8a4a75dda22917ee70a0c7c97e9f12d4f11ef386b07",
+}
+
+
+def test_workflow_artifacts_match_recorded_digests(workflow):
+    out, _ = workflow
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in WORKFLOW_DIGESTS
+    }
+    assert digests == WORKFLOW_DIGESTS
 
 
 def test_hybrid_repairs_a_final_state_only_violation(workflow):
@@ -159,7 +184,7 @@ def _bad_network(where=None, value=None, steps=96, extra=()):
         network.write_text(json.dumps(doc))
         return (
             "train", "--network", network, "--steps", steps, "--batch-size", 96,
-            "--out", tmp_path, *extra,
+            "--out", tmp_path / "out", *extra,
         )
 
     return build
@@ -175,17 +200,17 @@ def _bad_artifact(name, text):
     return build
 
 
-def _bad_checkpoint(edit):
-    """``eval`` with the workflow's checkpoint.json edited in place by ``edit``."""
+def _bad_checkpoint(edit, command="eval"):
+    """``command`` with the workflow's checkpoint.json edited by ``edit``."""
 
     def build(out, tmp_path):
         doc = json.loads((out / "checkpoint.json").read_text())
         edit(doc)
         checkpoint = tmp_path / "checkpoint.json"
         checkpoint.write_text(json.dumps(doc))
+        inputs = _inputs(out, command, {"--checkpoint"})
         return (
-            "eval", "--network", out / "network.json", "--checkpoint", checkpoint,
-            "--episodes", 1, "--out", tmp_path,
+            command, *inputs, "--checkpoint", checkpoint, "--out", tmp_path / "out",
         )
 
     return build
@@ -206,7 +231,9 @@ def _not_utf8(flag):
         inputs[flag] = tmp_path / "not_utf8"
         inputs[flag].write_bytes(data[:half] + b"\xff" + data[half:])
         flags = [item for pair in inputs.items() for item in pair]
-        return ("hybrid", *flags, "--seed", 2, "--cases", 1, "--out", tmp_path)
+        return (
+            "hybrid", *flags, "--seed", 2, "--cases", 1, "--out", tmp_path / "out",
+        )
 
     return build
 
@@ -224,17 +251,12 @@ def _inputs(out, command, skip=()):
     return tuple(x for flag, v in flags.items() if flag not in skip for x in (flag, v))
 
 
-def _zero_workers(command, from_config=False):
-    """``command`` on the workflow's inputs with ``--workers 0``, given as a
-    flag or through ``--config``."""
+def _with(command, flag, value):
+    """``command`` on the workflow's inputs with ``flag`` set to ``value``."""
 
     def build(out, tmp_path):
-        workers = ("--workers", 0)
-        if from_config:
-            config = tmp_path / "config.json"
-            config.write_text('{"workers": 0}')
-            workers = ("--config", config)
-        return (command, *_inputs(out, command), *workers, "--out", tmp_path)
+        inputs = _inputs(out, command, {flag})
+        return (command, *inputs, flag, value, "--out", tmp_path / "out")
 
     return build
 
@@ -248,7 +270,7 @@ def _bad_config(command, doc):
         config.write_text(json.dumps(doc))
         skip = {"--" + key.replace("_", "-") for key in doc}
         inputs = _inputs(out, command, skip)
-        return (command, *inputs, "--config", config, "--out", tmp_path)
+        return (command, *inputs, "--config", config, "--out", tmp_path / "out")
 
     return build
 
@@ -276,6 +298,7 @@ BAD_INPUTS = {
     "zero_steps": _bad_network(steps=0),
     "frame_skip_zero": _bad_network(extra=("--frame-skip", 0)),
     "frame_skip_negative": _bad_network(extra=("--frame-skip", -3)),
+    "frame_skip_not_dividing_the_day": _bad_network(extra=("--frame-skip", 7)),
     "learning_rate_nan": _bad_network(extra=("--learning-rate", "nan")),
     "malformed_manifest": _bad_artifact("manifest.json", '{"command": '),
     "text_reward": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96,abc\n"),
@@ -298,6 +321,9 @@ BAD_INPUTS = {
     "checkpoint_frame_skip_zero": _bad_checkpoint(
         lambda doc: doc["meta"].update(frame_skip=0)
     ),
+    "hybrid_constraint_checkpoint": _bad_checkpoint(
+        lambda doc: doc["meta"].update(agent="constraint"), "hybrid"
+    ),
     "non_utf8_network": _not_utf8("--network"),
     "non_utf8_history": _not_utf8("--history"),
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),
@@ -305,10 +331,12 @@ BAD_INPUTS = {
     # numpy rejects these archive sizes before allocating anything
     "gen_days_beyond_int64": _gen_days(10**20),
     "gen_days_too_big_to_allocate": _gen_days(10**17),
-    "gen_zero_workers": _zero_workers("gen"),
-    "eval_zero_workers": _zero_workers("eval"),
-    "hybrid_zero_workers": _zero_workers("hybrid"),
-    "hybrid_zero_workers_from_config": _zero_workers("hybrid", from_config=True),
+    "gen_zero_workers": _with("gen", "--workers", 0),
+    "eval_zero_workers": _with("eval", "--workers", 0),
+    "hybrid_zero_workers": _with("hybrid", "--workers", 0),
+    "hybrid_zero_workers_from_config": _bad_config("hybrid", {"workers": 0}),
+    "eval_zero_episodes": _with("eval", "--episodes", 0),
+    "hybrid_zero_cases": _with("hybrid", "--cases", 0),
     "train_zero_workers": _bad_network(extra=("--workers", 0)),
     "eval_fractional_episodes_from_config": _bad_config("eval", {"episodes": 1.5}),
     "gen_fractional_days_from_config": _bad_config("gen", {"days": 2.5}),

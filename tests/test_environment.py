@@ -26,14 +26,17 @@ from pumpsched.network import STEPS_PER_DAY
 from pumpsched.simulate import run_day
 
 
-def _config(world, agent_kind=AgentKind.CONSTRAINT, levels=None):
+def _config(world, levels=None):
     return EpisodeConfig(
         initial_levels=(
             world.initial_levels_array() if levels is None else np.asarray(levels)
         ),
         demands=generate_demands(world, seed=8),
-        agent_kind=agent_kind,
     )
+
+
+def _env(world, kind=AgentKind.CONSTRAINT):
+    return PumpSchedulingEnv(world, kind)
 
 
 # -- reward oracles -----------------------------------------------------------
@@ -141,23 +144,22 @@ def test_energy_max_spans_rated_energy(world):
 
 
 def test_observation_dimensions(world):
-    env = PumpSchedulingEnv(world)
-    obs = env.reset(_config(world, AgentKind.CONSTRAINT))
+    obs = _env(world, AgentKind.CONSTRAINT).reset(_config(world))
     assert obs.shape == (6,)
 
-    obs = env.reset(_config(world, AgentKind.DUAL))
+    obs = _env(world, AgentKind.DUAL).reset(_config(world))
     assert obs.shape == (103,)
 
 
 def test_levels_normalized_by_physical_cap(world):
-    env = PumpSchedulingEnv(world)
+    env = _env(world)
     obs = env.reset(_config(world, levels=world.caps_array()))
     np.testing.assert_allclose(obs, np.ones(6))
 
 
 def test_dual_observation_layout(world):
-    env = PumpSchedulingEnv(world)
-    obs = env.reset(_config(world, AgentKind.DUAL))
+    env = _env(world, AgentKind.DUAL)
+    obs = env.reset(_config(world))
     np.testing.assert_allclose(
         obs[:6], world.initial_levels_array() / world.caps_array()
     )
@@ -170,7 +172,7 @@ def test_dual_observation_layout(world):
 
 
 def test_episode_terminates_at_96(world):
-    env = PumpSchedulingEnv(world)
+    env = _env(world)
     env.reset(_config(world))
     action = np.full(6, 0.4)
     for t in range(STEPS_PER_DAY):
@@ -181,13 +183,13 @@ def test_episode_terminates_at_96(world):
 
 
 def test_step_before_reset_rejected(world):
-    env = PumpSchedulingEnv(world)
+    env = _env(world)
     with pytest.raises(ValidationError, match="reset"):
         env.step(np.zeros(6))
 
 
 def test_reset_validates_levels(world):
-    env = PumpSchedulingEnv(world)
+    env = _env(world)
     with pytest.raises(ValidationError):
         env.reset(_config(world, levels=np.full(6, 100.0)))
     with pytest.raises(ValidationError):
@@ -195,7 +197,7 @@ def test_reset_validates_levels(world):
 
 
 def test_constraint_reward_flows_through_env(world):
-    env = PumpSchedulingEnv(world)
+    env = _env(world)
     env.reset(_config(world))
     result = env.step(np.full(6, 0.5))
     lb, ub = world.bounds_arrays()
@@ -208,7 +210,7 @@ def test_constraint_reward_flows_through_env(world):
 def test_trajectory_matches_simulator(world):
     from pumpsched import simulate
 
-    env = PumpSchedulingEnv(world)
+    env = _env(world)
     config = _config(world)
     env.reset(config)
     rng = np.random.default_rng(3)
@@ -225,8 +227,8 @@ def test_trajectory_matches_simulator(world):
 
 
 def test_frame_skip_decision_count(world):
-    env = FrameSkipEnv(PumpSchedulingEnv(world), 8)
-    env.reset(_config(world, AgentKind.DUAL))
+    env = FrameSkipEnv(_env(world, AgentKind.DUAL), 8)
+    env.reset(_config(world))
     steps = 0
     done = False
     while not done:
@@ -238,21 +240,21 @@ def test_frame_skip_decision_count(world):
 
 def test_frame_skip_rejects_bad_window(world):
     with pytest.raises(ValidationError):
-        FrameSkipEnv(PumpSchedulingEnv(world), 7)  # does not divide 96
+        FrameSkipEnv(_env(world), 7)  # does not divide 96
     with pytest.raises(ValidationError):
-        FrameSkipEnv(PumpSchedulingEnv(world), 0)
+        FrameSkipEnv(_env(world), 0)
 
 
 def test_frame_skip_reward_sums_inner_rewards(world):
     rng = np.random.default_rng(5)
     decisions = rng.uniform(0.2, 0.8, (12, 6))
 
-    wrapped = FrameSkipEnv(PumpSchedulingEnv(world), 8)
-    wrapped.reset(_config(world, AgentKind.DUAL))
+    wrapped = FrameSkipEnv(_env(world, AgentKind.DUAL), 8)
+    wrapped.reset(_config(world))
     wrapped_rewards = [wrapped.step(decisions[i]).reward for i in range(12)]
 
-    plain = PumpSchedulingEnv(world)
-    plain.reset(_config(world, AgentKind.DUAL))
+    plain = _env(world, AgentKind.DUAL)
+    plain.reset(_config(world))
     inner = [plain.step(decisions[t // 8]).reward for t in range(STEPS_PER_DAY)]
 
     for i in range(12):
@@ -263,9 +265,9 @@ def test_frame_skip_reward_sums_inner_rewards(world):
 
 def test_frame_skip_window_one_is_identity(world):
     action = np.full(6, 0.45)
-    wrapped = FrameSkipEnv(PumpSchedulingEnv(world), 1)
+    wrapped = FrameSkipEnv(_env(world), 1)
     wrapped.reset(_config(world))
-    plain = PumpSchedulingEnv(world)
+    plain = _env(world)
     plain.reset(_config(world))
     for _ in range(STEPS_PER_DAY):
         a = wrapped.step(action)
@@ -277,12 +279,12 @@ def test_frame_skip_window_one_is_identity(world):
 
 def test_frame_skip_whole_day_window(world):
     action = np.full(6, 0.35)
-    wrapped = FrameSkipEnv(PumpSchedulingEnv(world), 96)
+    wrapped = FrameSkipEnv(_env(world), 96)
     wrapped.reset(_config(world))
     result = wrapped.step(action)
     assert result.done
 
-    plain = PumpSchedulingEnv(world)
+    plain = _env(world)
     plain.reset(_config(world))
     total = sum(plain.step(action).reward for _ in range(STEPS_PER_DAY))
     assert result.reward == pytest.approx(total, abs=1e-12)
@@ -290,7 +292,7 @@ def test_frame_skip_whole_day_window(world):
 
 def test_frame_skip_toggle_bound(world):
     rng = np.random.default_rng(1)
-    env = FrameSkipEnv(PumpSchedulingEnv(world), 8)
+    env = FrameSkipEnv(_env(world), 8)
     env.reset(_config(world))
     done = False
     while not done:
@@ -308,8 +310,8 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
     def act_fn(obs):
         return np.clip(0.5 + obs @ weights[: obs.shape[0]], 0.0, 1.0)
 
-    config = _config(world, kind)
-    env = FrameSkipEnv(PumpSchedulingEnv(world), window)
+    config = _config(world)
+    env = FrameSkipEnv(_env(world, kind), window)
     obs = env.reset(config)
     for _ in range(STEPS_PER_DAY // window):
         obs = env.step(act_fn(obs)).observation
@@ -353,24 +355,12 @@ def test_sample_episode_overhang_widens_starts(world):
 
 
 def test_sample_operational_episode_deterministic(world):
-    a, margins_a = sample_operational_episode(
-        world, np.random.default_rng(31), agent_kind=AgentKind.DUAL
-    )
-    b, margins_b = sample_operational_episode(
-        world, np.random.default_rng(31), agent_kind=AgentKind.DUAL
-    )
+    a, margins_a = sample_operational_episode(world, np.random.default_rng(31))
+    b, margins_b = sample_operational_episode(world, np.random.default_rng(31))
     np.testing.assert_array_equal(a.initial_levels, b.initial_levels)
     np.testing.assert_array_equal(a.demands.as_array(), b.demands.as_array())
     np.testing.assert_array_equal(margins_a.triggers, margins_b.triggers)
     np.testing.assert_array_equal(margins_a.releases, margins_b.releases)
-    assert a.agent_kind == AgentKind.DUAL
-
-
-def test_sample_operational_episode_without_burn_starts_at_rest(world):
-    config, _ = sample_operational_episode(
-        world, np.random.default_rng(7), burn_days=0
-    )
-    np.testing.assert_array_equal(config.initial_levels, world.initial_levels_array())
 
 
 def test_sample_operational_episode_burn_moves_levels(world):

@@ -35,7 +35,7 @@ def _assert_same_archive(a: HistoryArchive, b: HistoryArchive) -> None:
 
 
 def test_perfect_margins_sit_inside_band(world):
-    margins = margins_for(world, 0.0)
+    margins = margins_for(world, 0.0, np.random.default_rng(0))
     for j, station in enumerate(world.stations):
         tank = world.tanks[world.tank_index(station.primary_tank())]
         band = tank.upper_bound - tank.lower_bound
@@ -55,9 +55,9 @@ def test_margins_keep_release_above_trigger(world):
 
 def test_margins_imperfection_validated(world):
     with pytest.raises(ValidationError):
-        margins_for(world, 1.5)
+        margins_for(world, 1.5, np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        margins_for(world, -0.1)
+        margins_for(world, -0.1, np.random.default_rng(0))
 
 
 def _tank_levels_for_watched(world, watched: np.ndarray) -> np.ndarray:
@@ -70,7 +70,7 @@ def _tank_levels_for_watched(world, watched: np.ndarray) -> np.ndarray:
 
 
 def test_controller_hysteresis(world):
-    margins = margins_for(world, 0.0)
+    margins = margins_for(world, 0.0, np.random.default_rng(0))
     controller = RuleBasedController(world, margins)
     low = _tank_levels_for_watched(world, margins.triggers - 0.1)
     controller.reset(low)
@@ -91,16 +91,8 @@ def test_controller_hysteresis(world):
     np.testing.assert_array_equal(action, np.zeros(6))
 
 
-def test_controller_duty_validated(world):
-    margins = margins_for(world, 0.0)
-    with pytest.raises(ValidationError):
-        RuleBasedController(world, margins, duty=0.0)
-    with pytest.raises(ValidationError):
-        RuleBasedController(world, margins, duty=1.2)
-
-
 def test_perfect_margins_keep_day_in_band(world):
-    margins = margins_for(world, 0.0)
+    margins = margins_for(world, 0.0, np.random.default_rng(0))
     controller = RuleBasedController(world, margins)
     demands = generate_demands(world, seed=4)
     traj = run_controlled_day(world, world.initial_levels_array(), controller, demands)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pumpsched import (
+    AgentKind,
     HybridCase,
     InjectionPlan,
     ValidationError,
@@ -136,7 +137,7 @@ def test_inject_closed_loop_sees_its_own_states(world, case_pool):
     act = _mid_band_act_fn(world)
     plan = InjectionPlan(start=0, end=STEPS_PER_DAY)
     states = inject(world, case, [plan], act)[:, 0]
-    day = _whole_day(world, case, closed_loop(world, case.config.agent_kind, act))
+    day = _whole_day(world, case, closed_loop(world, AgentKind.DUAL, act))
     np.testing.assert_array_equal(states, day)
 
 
@@ -148,7 +149,7 @@ def _whole_day(world, case, act):
 
 def _rolled_alone(world, case, plan, act_fn):
     """The day under ``plan`` rolled on its own from step 0, one row a step."""
-    policy = closed_loop(world, case.config.agent_kind, act_fn)
+    policy = closed_loop(world, AgentKind.DUAL, act_fn)
 
     def act(t, levels):
         if plan.start <= t < plan.end:

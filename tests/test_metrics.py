@@ -72,11 +72,12 @@ def test_initial_state_never_counts():
 
 
 def test_episode_cost_flat_tariff(tiny_world, zero_demands):
+    # Station 1 at full speed all day: 200 kW * 0.25 h at every step's tariff.
     schedule = np.zeros((STEPS_PER_DAY, 2))
     schedule[:, 0] = 1.0
-    flat = np.full(STEPS_PER_DAY, 0.1)
-    traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands, tariff=flat)
-    assert episode_cost(traj) == pytest.approx(480.0, abs=1e-9)
+    traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
+    expected = 200.0 * 0.25 * tiny_world.tariff.as_array().sum()
+    assert episode_cost(traj) == pytest.approx(expected, abs=1e-9)
 
 
 def _pool(label, area, count, cost):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pumpsched import (
     PolicyParameters,
-    TrainConfig,
     init_policy,
     load_checkpoint,
     save_checkpoint,
@@ -21,7 +20,7 @@ from pumpsched.policy import (
     forward_batch,
     gaussian_logp,
 )
-from pumpsched.training import _sample_lanes, _value_gradients
+from pumpsched.training import VALUE_COEF, _sample_lanes, _value_gradients
 
 
 def _small_policy(seed=0, obs_dim=3, action_dim=2, hidden=(5, 4)):
@@ -151,7 +150,8 @@ def test_tiny_sigma_sampling_collapses_to_mean():
 
 def test_deterministic_action_clips_high_means():
     rng = np.random.default_rng(2)
-    params = init_policy(3, 2, rng, hidden=(4,), initial_action=1.5)
+    params = init_policy(3, 2, rng, hidden=(4,))
+    params.actor.biases[-1][:] = 1.5  # the actor mean starts above full speed
     action = deterministic_action(params, np.zeros(3))
     assert np.all(action <= 1.0)
 
@@ -195,13 +195,12 @@ def test_critic_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     obs = rng.normal(size=(5, 3))
     returns = rng.normal(size=5)
-    cfg = TrainConfig(total_env_steps=0, seed=0)
 
     def objective():
         values, _ = params.critic.forward(obs)
-        return cfg.value_coef * float(np.mean((values[:, 0] - returns) ** 2))
+        return VALUE_COEF * float(np.mean((values[:, 0] - returns) ** 2))
 
-    gw, gb = _value_gradients(params, obs, returns, cfg, len(obs))
+    gw, gb = _value_gradients(params, obs, returns, len(obs))
     _fd_check(objective, params.critic.weights + params.critic.biases, gw + gb, rng)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pumpsched import (
+    DemandSet,
     ValidationError,
     build_index,
     generate_history,
@@ -47,7 +48,8 @@ def corner_index(world, corner_archive):
 
 
 def _forecast(n_zones, per_step):
-    return np.full((STEPS_PER_DAY, n_zones), per_step)
+    zone_ids = tuple(f"z{k}" for k in range(n_zones))
+    return DemandSet(zone_ids, np.full((n_zones, STEPS_PER_DAY), per_step))
 
 
 def test_corner_days_normalize_to_unit_cube_corners(corner_index):
@@ -91,10 +93,12 @@ def test_self_retrieval_over_generated_history(world):
     # The index summarizes all days at once, a query one day at a time; the
     # features must agree exactly for a day to retrieve itself at distance 0.
     archive = generate_history(world, days=10, seed=21)
+    zone_ids = tuple(z.id for z in world.zones)
     for per_zone in (False, True):
         index = build_index(world, archive, per_zone_demand=per_zone)
         for pos in range(archive.n_days):
-            result = recommend(index, archive.levels[pos, 0], archive.demands[pos])
+            forecast = DemandSet(zone_ids, archive.demands[pos].T)
+            result = recommend(index, archive.levels[pos, 0], forecast)
             assert result.day == archive.days[pos]
             assert result.distance == 0.0
             np.testing.assert_array_equal(result.schedule, archive.actions[pos])
@@ -109,19 +113,6 @@ def test_recommend_deterministic(world):
     b = recommend(index, levels, forecast)
     assert a.day == b.day
     assert a.distance == b.distance
-
-
-def test_demand_set_and_array_forecasts_agree(world):
-    from pumpsched import generate_demands
-
-    archive = generate_history(world, days=6, seed=3)
-    index = build_index(world, archive)
-    demands = generate_demands(world, seed=17)
-    levels = np.full(6, 4.2)
-    via_set = recommend(index, levels, demands)
-    via_array = recommend(index, levels, demands.as_array().T)
-    assert via_set.day == via_array.day
-    assert via_set.distance == via_array.distance
 
 
 def test_constant_feature_rejected_by_name(world):

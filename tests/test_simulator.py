@@ -21,7 +21,12 @@ from pumpsched import (
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY
 from pumpsched.policy import gaussian_logp
 from pumpsched.simulate import resume_lanes, run_day
-from pumpsched.training import _collect_lanes, _episode_seed, collect_rollouts
+from pumpsched.training import (
+    START_OVERHANG,
+    _collect_lanes,
+    _episode_seed,
+    collect_rollouts,
+)
 
 from conftest import flat_demands
 
@@ -47,7 +52,7 @@ def _last_step(topology, levels, speeds, demand, tariff_t):
 
 def _env(topology, levels=(4.0, 4.0), demand=0.0):
     """A constraint-agent env reset to ``levels`` under a flat zone demand."""
-    env = PumpSchedulingEnv(topology)
+    env = PumpSchedulingEnv(topology, AgentKind.CONSTRAINT)
     env.reset(
         EpisodeConfig(
             initial_levels=np.asarray(levels, dtype=float),
@@ -189,13 +194,15 @@ def test_non_finite_levels_raise_numeric_error(tiny_world, zero_demands):
 
 
 def test_full_day_cost_oracle(tiny_world, zero_demands):
-    # Cost depends on the schedule alone: 200 kW * 0.25 h * 96 steps * 0.1 = 480,
-    # even though tank 1 hits its physical cap partway through the day.
+    # Cost depends on the schedule alone: 200 kW * 0.25 h at every step's
+    # tariff, 48 steps at 0.1 and 48 at 0.2, gives 720, even though tank 1
+    # hits its physical cap partway through the day.
     schedule = np.zeros((STEPS_PER_DAY, 2))
     schedule[:, 0] = 1.0
-    flat = np.full(STEPS_PER_DAY, 0.1)
-    traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands, tariff=flat)
-    assert traj.costs.sum() == pytest.approx(480.0, abs=1e-9)
+    traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
+    expected = 200.0 * 0.25 * tiny_world.tariff.as_array().sum()
+    assert expected == pytest.approx(720.0)
+    assert traj.costs.sum() == pytest.approx(expected, abs=1e-9)
     assert traj.clamp_flags.any()
     assert traj.states[-1, 0] == pytest.approx(8.0)
 
@@ -459,16 +466,18 @@ def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
             assert lane.tobytes() == getattr(alone, name).tobytes(), name
 
 
-def _episode_through_the_env(spec, params, seed, iteration, idx, overhang):
+def _episode_through_the_env(spec, params, seed, iteration, idx):
     """Episode ``idx`` of a collection, stepped alone through the env with
     one-row forwards: observations, raw actions, log-probs, rewards, values
     and dones, one row per decision."""
     cfg_ss, act_ss = _episode_seed(seed, iteration, idx).spawn(2)
     config = sample_episode(
-        spec.topology, np.random.default_rng(cfg_ss), spec.agent_kind, overhang
+        spec.topology, np.random.default_rng(cfg_ss), START_OVERHANG
     )
     act_rng = np.random.default_rng(act_ss)
-    env = FrameSkipEnv(PumpSchedulingEnv(spec.topology), spec.frame_skip)
+    env = FrameSkipEnv(
+        PumpSchedulingEnv(spec.topology, spec.agent_kind), spec.frame_skip
+    )
     obs = env.reset(config)
     rows = []
     for _ in range(spec.decisions_per_episode):
@@ -512,9 +521,7 @@ def test_lockstep_collection_equals_episodes_stepped_alone(
     batch = collect_rollouts(spec, params, cfg, iteration)
     assert len(batch) == episodes * n
     for k in range(episodes):
-        expected = _episode_through_the_env(
-            spec, params, seed, iteration, k, cfg.start_overhang
-        )
+        expected = _episode_through_the_env(spec, params, seed, iteration, k)
         for name, column in zip(_BATCH_FIELDS, expected):
             got = getattr(batch, name)[k * n : (k + 1) * n]
             assert got.tobytes() == column.tobytes(), name

@@ -10,8 +10,14 @@ from pumpsched import (
     policy_act_fn,
     train,
 )
-from pumpsched.policy import deterministic_action, init_policy
+from pumpsched.policy import deterministic_action, entropy, init_policy
 from pumpsched.training import (
+    CLIP_RATIO,
+    ENTROPY_COEF,
+    EPOCHS,
+    GAE_LAMBDA,
+    GAMMA,
+    VALUE_COEF,
     RolloutBatch,
     collect_rollouts,
     compute_gae,
@@ -25,9 +31,17 @@ from pumpsched.network import STEPS_PER_DAY
 
 
 def _cfg(**overrides):
-    base = dict(total_env_steps=0, seed=0, batch_size=96, minibatch_size=48)
+    base = dict(total_env_steps=0, seed=0, batch_size=96)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _update(params, batch, optimizer=None):
+    """``ppo_update`` through ``optimizer`` (default: a fresh one at the
+    default learning rate) and a fixed shuffle stream."""
+    if optimizer is None:
+        optimizer = make_optimizer(params, _cfg())
+    return ppo_update(params, batch, optimizer, np.random.default_rng(0))
 
 
 # -- generalized advantage estimation ------------------------------------------
@@ -88,28 +102,18 @@ def test_gae_shape_mismatch():
 
 
 def test_train_config_defaults_match_contract():
-    cfg = _cfg()
-    assert cfg.gamma == 0.99
-    assert cfg.gae_lambda == 0.95
-    assert cfg.clip_ratio == 0.2
-    assert cfg.epochs == 4
+    assert (GAMMA, GAE_LAMBDA, CLIP_RATIO, EPOCHS) == (0.99, 0.95, 0.2, 4)
+    assert (VALUE_COEF, ENTROPY_COEF) == (0.5, 0.01)
+    cfg = TrainConfig(total_env_steps=0, seed=0)
     assert cfg.learning_rate == 3e-4
-    assert cfg.value_coef == 0.5
-    assert cfg.entropy_coef == 0.01
-    assert TrainConfig(total_env_steps=0, seed=0).batch_size == 256
+    assert cfg.batch_size == 256
 
 
 @pytest.mark.parametrize(
     "overrides",
     [
         {"total_env_steps": -1},
-        {"gamma": 0.0},
-        {"gae_lambda": 1.5},
-        {"clip_ratio": 0.0},
-        {"epochs": 0},
-        {"minibatch_size": 0},
         {"learning_rate": -1e-4},
-        {"start_overhang": -0.1},
         {"batch_size": 0},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
@@ -193,7 +197,8 @@ def test_zero_learning_rate_is_a_no_op(tiny_world):
     spec = EnvSpec(topology=tiny_world)
     params = _tiny_policy(spec)
     batch = collect_rollouts(spec, params, _cfg())
-    updated, stats = ppo_update(params, batch, _cfg(learning_rate=0.0))
+    zero_lr = make_optimizer(params, _cfg(learning_rate=0.0))
+    updated, stats = _update(params, batch, zero_lr)
     for a, b in zip(params.arrays(), updated.arrays()):
         np.testing.assert_array_equal(a, b)
     assert np.isfinite(stats["total_loss"])
@@ -213,7 +218,7 @@ def test_constant_rewards_only_move_sigma_and_critic(tiny_world):
         episode_rewards=[0.0],
         env_steps=batch.env_steps,
     )
-    updated, _ = ppo_update(params, flat, _cfg())
+    updated, _ = _update(params, flat)
     # All advantages are identical, so the normalized advantage is zero and
     # the surrogate provides no actor gradient; only the entropy bonus acts.
     for a, b in zip(params.actor.weights, updated.actor.weights):
@@ -230,7 +235,6 @@ def test_clipped_surrogate_gradient_matches_finite_differences():
     obs = rng.normal(size=(4, 2))
     actions = rng.uniform(0.0, 1.0, size=(4, 1))
     norm_adv = np.array([1.0, -1.0, 0.5, -2.0])
-    cfg = _cfg(entropy_coef=0.0)
 
     # Old log-probs chosen so ratios sit well away from the clip boundaries.
     from pumpsched.policy import gaussian_logp
@@ -244,12 +248,10 @@ def test_clipped_surrogate_gradient_matches_finite_differences():
         logps = gaussian_logp(actions, means, params.log_sigma)
         ratio = np.exp(logps - old_logps)
         surr1 = ratio * norm_adv
-        surr2 = np.clip(ratio, 1 - cfg.clip_ratio, 1 + cfg.clip_ratio) * norm_adv
-        return float(-np.minimum(surr1, surr2).mean())
+        surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
+        return float(-np.minimum(surr1, surr2).mean()) - ENTROPY_COEF * entropy(params)
 
-    _, gw, gb, gs = _policy_gradients(
-        params, obs, actions, old_logps, norm_adv, cfg, 4
-    )
+    _, gw, gb, gs = _policy_gradients(params, obs, actions, old_logps, norm_adv, 4)
     arrays = params.actor.weights + params.actor.biases + [params.log_sigma]
     grads = gw + gb + [gs]
     h = 1e-6
@@ -280,7 +282,7 @@ def test_update_rejects_empty_batch():
     rng = np.random.default_rng(0)
     params = init_policy(2, 2, rng, hidden=(4,))
     with pytest.raises(ValidationError):
-        ppo_update(params, empty, _cfg())
+        _update(params, empty)
 
 
 def test_optimizer_state_persists_across_updates(tiny_world):
@@ -292,10 +294,10 @@ def test_optimizer_state_persists_across_updates(tiny_world):
     cfg = _cfg()
 
     shared = make_optimizer(params, cfg)
-    p1, _ = ppo_update(params, batch, cfg, shared)
-    p2_shared, _ = ppo_update(p1, batch, cfg, shared)
+    p1, _ = _update(params, batch, shared)
+    p2_shared, _ = _update(p1, batch, shared)
 
-    p2_fresh, _ = ppo_update(p1, batch, cfg, make_optimizer(params, cfg))
+    p2_fresh, _ = _update(p1, batch, make_optimizer(params, cfg))
     assert any(
         not np.array_equal(a, b)
         for a, b in zip(p2_shared.arrays(), p2_fresh.arrays())
@@ -345,9 +347,9 @@ def test_train_deterministic(tiny_world):
 
 def test_train_writes_reward_curve(tmp_path, tiny_world):
     spec = EnvSpec(topology=tiny_world)
-    result = train(spec, _cfg(total_env_steps=STEPS_PER_DAY), out_dir=tmp_path)
-    loaded = load_reward_curve(tmp_path / "reward_curve.csv")
-    assert loaded == [(s, pytest.approx(r)) for s, r in result.curve]
+    result = train(spec, _cfg(total_env_steps=STEPS_PER_DAY))
+    save_reward_curve(result.curve, tmp_path / "reward_curve.csv")
+    assert load_reward_curve(tmp_path / "reward_curve.csv") == result.curve
 
 
 def test_reward_curve_round_trip(tmp_path):
