@@ -49,15 +49,14 @@ from .metrics import (
 )
 from .network import (
     STEPS_PER_DAY,
-    DemandSet,
-    generate_demands,
+    NetworkTopology,
     generate_synthetic_network,
     load_network,
     save_network,
 )
 from .policy import load_checkpoint, save_checkpoint
 from .query import build_index
-from .simulate import run_day, simulate
+from .simulate import run_day
 from .training import (
     EnvSpec,
     TrainConfig,
@@ -67,6 +66,7 @@ from .training import (
 )
 
 _EVAL_EPISODE_NAMESPACE = 5  # seed spawn-key namespace for held-out eval days
+_EVAL_LANES = 256  # eval episodes rolled as lanes of one day per pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,18 +248,6 @@ def _outdir(args: argparse.Namespace) -> Path:
 # gen
 
 
-def _save_demand_forecast(demands: DemandSet, path: Path) -> None:
-    import csv as _csv
-
-    values = demands.as_array()
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["zone_id", "t", "demand"])
-        for z, zone_id in enumerate(demands.zone_ids):
-            for t in range(values.shape[1]):
-                writer.writerow([zone_id, t, repr(float(values[z, t]))])
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     started = time.time()
     topology = generate_synthetic_network(args.seed)
@@ -269,8 +257,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     out = _outdir(args)
     save_network(topology, out / "network.json")
     save_history(archive, out / "history.csv")
-    forecast = generate_demands(topology, args.seed)
-    _save_demand_forecast(forecast, out / "demands.csv")
     _write_manifest(
         out,
         "gen",
@@ -279,13 +265,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "network": "network.json",
             "history": "history.csv",
             "history_arrays": "history.csv.arrays",
-            "demand_forecast": "demands.csv",
         },
         started,
     )
-    print(
-        f"gen: network.json, history.csv ({args.days} days), demands.csv -> {out}"
-    )
+    print(f"gen: network.json, history.csv ({args.days} days) -> {out}")
     return 0
 
 
@@ -297,8 +280,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
-    if args.frame_skip < 1:
-        raise ValidationError("--frame-skip must be >= 1")
     topology = load_network(args.network)
     kind = AgentKind(args.agent)
     spec = EnvSpec(topology=topology, agent_kind=kind, frame_skip=args.frame_skip)
@@ -338,6 +319,46 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
+def _eval_scores(
+    topology: NetworkTopology, policy, seed: int, imperfection: float, episodes: range
+) -> dict[str, np.ndarray]:
+    """Area, count and cost rows of the held-out days ``episodes`` per label:
+    the rule-based controller, the ``policy`` callback of ``run_day`` and random
+    control each roll them as lanes of one day, each scored on its own copy."""
+    rngs = [
+        np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(_EVAL_EPISODE_NAMESPACE, k))
+        )
+        for k in episodes
+    ]
+    config, margins = sample_operational_episode(topology, rngs, imperfection)
+    shape = (STEPS_PER_DAY, topology.n_stations)
+    schedules = np.array([rng.random(shape) for rng in rngs])
+    levels, demands = config.initial_levels, config.demands
+    rule = RuleBasedController(topology, margins)
+
+    def day(act):
+        tariff = topology.tariff.as_array()
+        return run_day(topology, levels, demands.as_array(), tariff, act)
+
+    trajs = {
+        "rule_based": run_controlled_day(topology, levels, rule, demands),
+        "policy": day(policy),
+        "random": day(lambda t, _: schedules[:, t]),
+    }
+    bounds = topology.bounds_arrays()
+
+    def score(lane):
+        area = area_outside_boundary(lane, bounds)
+        return area, violation_count(lane, bounds), episode_cost(lane)
+
+    lanes = range(len(rngs))
+    return {
+        label: np.array([score(traj.lane(k)) for k in lanes]).T
+        for label, traj in trajs.items()
+    }
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     started = time.time()
     topology = load_network(args.network)
@@ -345,61 +366,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         kind = AgentKind(meta.get("agent", "constraint"))
         frame_skip = int(meta.get("frame_skip", 1))
-        if frame_skip < 1:
-            raise ValueError(f"frame_skip {frame_skip} is below 1")
-    except (TypeError, ValueError) as exc:
+        policy = closed_loop(topology, kind, policy_act_fn(params), frame_skip)
+    except (TypeError, ValueError, ValidationError) as exc:
         raise SchemaError(f"{args.checkpoint}: bad checkpoint meta ({exc})") from None
-    act_fn = policy_act_fn(params)
-    bounds = topology.bounds_arrays()
     if args.episodes < 1:
         raise ValidationError("--episodes must be >= 1")
 
-    pools: dict[str, dict[str, list[float]]] = {
-        label: {"area": [], "count": [], "cost": []}
-        for label in ("rule_based", "policy", "random")
-    }
-    for k in range(args.episodes):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=args.seed, spawn_key=(_EVAL_EPISODE_NAMESPACE, k)
-            )
-        )
-        config, margins = sample_operational_episode(
-            topology, rng, imperfection=args.imperfection
-        )
-        random_schedule = rng.random((STEPS_PER_DAY, topology.n_stations))
-
-        controller = RuleBasedController(topology, margins)
-        trajs = {
-            "policy": run_day(
-                topology,
-                config.initial_levels,
-                config.demands.as_array(),
-                topology.tariff.as_array(),
-                closed_loop(topology, kind, act_fn, frame_skip),
-            ),
-            "rule_based": run_controlled_day(
-                topology, config.initial_levels, controller, config.demands
-            ),
-            "random": simulate(
-                topology, config.initial_levels, random_schedule, config.demands
-            ),
-        }
-        for label, traj in trajs.items():
-            pools[label]["area"].append(area_outside_boundary(traj, bounds))
-            pools[label]["count"].append(float(violation_count(traj, bounds)))
-            pools[label]["cost"].append(episode_cost(traj))
-
-    seeds = tuple(range(args.episodes))
+    episodes = range(args.episodes)
+    passes = [
+        _eval_scores(topology, policy, args.seed, args.imperfection, part)
+        for part in (episodes[k : k + _EVAL_LANES] for k in episodes[::_EVAL_LANES])
+    ]
+    seeds = tuple(episodes)
     results = {
-        label: PoolResult(
-            label=label,
-            episode_seeds=seeds,
-            areas=np.array(vals["area"]),
-            counts=np.array(vals["count"]),
-            costs=np.array(vals["cost"]),
-        )
-        for label, vals in pools.items()
+        label: PoolResult(label, seeds, *np.hstack([p[label] for p in passes]))
+        for label in passes[0]
     }
     rows = compare(results["rule_based"], [results["policy"], results["random"]])
     out = _outdir(args)

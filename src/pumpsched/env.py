@@ -16,6 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .history import (
+    DEFAULT_IMPERFECTION,
+    HysteresisMargins,
+    RuleBasedController,
+    margins_for,
+    run_controlled_day,
+)
 from .network import (
     DT_HOURS,
     STEPS_PER_DAY,
@@ -282,39 +289,37 @@ def sample_episode(
 
 def sample_operational_episode(
     topology: NetworkTopology,
-    rng: np.random.Generator,
-    imperfection: float | None = None,
+    rngs: list[np.random.Generator],
+    imperfection: float = DEFAULT_IMPERFECTION,
 ):
-    """Draw an evaluation day from the operating distribution the archive records.
+    """Draw an evaluation day per generator from the operating distribution
+    the archive records. Each lane runs ``BURN_DAYS`` of hysteresis operation
+    with fresh demands and margins each day, levels carrying over between
+    days, then takes the day that follows: the carried-over levels, a fresh
+    demand draw, and the margins the operator would use that day. Comparing a
+    policy against the hysteresis controller under those margins on this exact
+    day reproduces the agent-versus-recorded-practice setting, including the
+    slow drift that makes a realistic share of operating days violate their
+    bounds.
 
-    Runs ``BURN_DAYS`` of hysteresis operation with fresh demands and margins
-    each day, levels carrying over between days, then returns the day that
-    follows: the carried-over levels, a fresh demand draw, and the margins the
-    operator would use that day. Comparing a policy against the hysteresis
-    controller under those margins on this exact day reproduces the
-    agent-versus-recorded-practice setting, including the slow drift that
-    makes a realistic share of operating days violate their bounds.
-
-    Returns ``(config, margins)``.
+    A burn day is one ``run_controlled_day`` of B = ``len(rngs)`` lanes, and
+    generator k draws lane k's demands then margins day by day, so each lane
+    equals its episode sampled alone. Returns ``(config, margins)`` of B lanes.
     """
-    from .history import (
-        DEFAULT_IMPERFECTION,
-        RuleBasedController,
-        margins_for,
-        run_controlled_day,
-    )
-
-    if imperfection is None:
-        imperfection = DEFAULT_IMPERFECTION
-    levels = topology.initial_levels_array()
-    for _ in range(BURN_DAYS):
-        demands = demands_from_rng(topology, rng)
-        margins = margins_for(topology, imperfection, rng)
-        controller = RuleBasedController(topology, margins)
-        traj = run_controlled_day(topology, levels, controller, demands)
-        levels = traj.states[-1]
-    demands = demands_from_rng(topology, rng)
-    margins = margins_for(topology, imperfection, rng)
+    zone_ids = tuple(z.id for z in topology.zones)
+    levels = np.repeat(topology.initial_levels_array()[None], len(rngs), axis=0)
+    for day in range(BURN_DAYS + 1):
+        values, triggers, releases = [], [], []
+        for rng in rngs:
+            values.append(demands_from_rng(topology, rng).values)
+            lane_margins = margins_for(topology, imperfection, rng)
+            triggers.append(lane_margins.triggers)
+            releases.append(lane_margins.releases)
+        demands = DemandSet(zone_ids, np.stack(values))
+        margins = HysteresisMargins(np.stack(triggers), np.stack(releases))
+        if day < BURN_DAYS:
+            rule = RuleBasedController(topology, margins)
+            levels = run_controlled_day(topology, levels, rule, demands).states[-1]
     return EpisodeConfig(levels, demands), margins
 
 

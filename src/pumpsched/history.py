@@ -93,22 +93,22 @@ def margins_for(
 
 
 class RuleBasedController:
-    """Stateful hysteresis control: duty speed below trigger, off above release."""
+    """Stateful hysteresis control: duty speed below trigger, off above release.
+    Margins (B, n_stations) control B lanes of levels (B, n_tanks)."""
 
     def __init__(self, topology: NetworkTopology, margins: HysteresisMargins):
-        self.topology = topology
         self.margins = margins
         self._primary = np.array(
             [topology.tank_index(s.primary_tank()) for s in topology.stations]
         )
-        self._on = np.zeros(topology.n_stations, dtype=bool)
+        self._on = np.zeros(np.shape(margins.triggers), dtype=bool)
 
     def reset(self, levels: np.ndarray) -> None:
-        watched = np.asarray(levels, dtype=float)[self._primary]
+        watched = np.asarray(levels, dtype=float)[..., self._primary]
         self._on = watched < (self.margins.triggers + self.margins.releases) / 2.0
 
     def act(self, levels: np.ndarray) -> np.ndarray:
-        watched = np.asarray(levels, dtype=float)[self._primary]
+        watched = np.asarray(levels, dtype=float)[..., self._primary]
         self._on = np.where(
             watched < self.margins.triggers,
             True,
@@ -123,7 +123,8 @@ def run_controlled_day(
     controller,
     demands: DemandSet,
 ) -> Trajectory:
-    """Closed-loop day under any object exposing reset(levels)/act(levels)."""
+    """Closed-loop day under any object exposing reset(levels)/act(levels);
+    levels, demands and a controller of B lanes roll B lanes of one day."""
     controller.reset(np.asarray(initial_levels, dtype=float))
     return run_day(
         topology,

@@ -243,7 +243,7 @@ class DemandSet:
 
     def __init__(self, zone_ids: tuple[str, ...], values: np.ndarray):
         values = np.asarray(values, dtype=float)
-        if values.shape != (len(zone_ids), STEPS_PER_DAY):
+        if values.ndim > 3 or values.shape[-2:] != (len(zone_ids), STEPS_PER_DAY):
             raise ValidationError(
                 f"demand set: expected shape ({len(zone_ids)}, {STEPS_PER_DAY}), "
                 f"got {values.shape}"
@@ -257,7 +257,7 @@ class DemandSet:
         self.values.setflags(write=False)
 
     def as_array(self) -> np.ndarray:
-        """(n_zones, 96) demand array."""
+        """(n_zones, 96) demand array, (B, n_zones, 96) for B lanes."""
         return self.values
 
 
@@ -490,21 +490,23 @@ def generate_synthetic_network(seed: int) -> NetworkTopology:
     return topology
 
 
-def _demand_profile(zone: DemandZoneSpec, rng: np.random.Generator) -> np.ndarray:
+def demands_from_rng(topology: NetworkTopology, rng: np.random.Generator) -> DemandSet:
+    """One day of per-zone demands drawn from an existing generator: a diurnal
+    double peak times ``1 + noise_scale * z``. One (n_zones, 96) normal draw
+    gives zone k the ``z`` of the k-th of n_zones successive 96-value draws."""
+    zones = topology.zones
+    morning, evening, noise_scale, base = np.array(
+        [[z.morning_peak, z.evening_peak, z.noise_scale, z.base_demand] for z in zones]
+    ).T[..., None]
     hours = (np.arange(STEPS_PER_DAY) + 0.5) * DT_HOURS
     shape = (
         1.0
-        + zone.morning_peak * np.exp(-((hours - 7.5) ** 2) / (2 * 1.5**2))
-        + zone.evening_peak * np.exp(-((hours - 19.0) ** 2) / (2 * 2.0**2))
+        + morning * np.exp(-((hours - 7.5) ** 2) / (2 * 1.5**2))
+        + evening * np.exp(-((hours - 19.0) ** 2) / (2 * 2.0**2))
     )
-    noise = 1.0 + zone.noise_scale * rng.standard_normal(STEPS_PER_DAY)
-    return np.maximum(zone.base_demand * shape * noise, 0.0)
-
-
-def demands_from_rng(topology: NetworkTopology, rng: np.random.Generator) -> DemandSet:
-    """One day of per-zone demands drawn from an existing generator."""
-    values = np.stack([_demand_profile(zone, rng) for zone in topology.zones])
-    return DemandSet(tuple(z.id for z in topology.zones), values)
+    noise = 1.0 + noise_scale * rng.standard_normal((len(zones), STEPS_PER_DAY))
+    values = np.maximum(base * shape * noise, 0.0)
+    return DemandSet(tuple(z.id for z in zones), values)
 
 
 def generate_demands(topology: NetworkTopology, seed: int) -> DemandSet:

@@ -1,10 +1,10 @@
 """Deterministic tank mass-balance simulator with one day-rollout core.
 
 ``run_day`` is the only loop that advances one day's tank levels: it rolls a
-day from step ``t0`` to the end under an ``act(t, levels)`` callback, so a
-fixed schedule, the hysteresis controller, a policy injected into a schedule
-and PPO's lockstep episodes (lanes of one day) all share it, and
-``PumpSchedulingEnv`` advances the same record one agent step at a time.
+day from step ``t0`` to the end under an ``act(t, levels)`` callback. A fixed
+schedule, the archive's hysteresis days, and, as lanes of one day, eval's burn,
+policy, rule-based and random days, a case's plans and PPO's episodes all
+share it; ``PumpSchedulingEnv`` advances the same record one step at a time.
 ``resume_lanes`` advances many resumes of one fixed schedule as lanes of one
 array; pump flows depend only on commanded speeds (affinity laws), never on
 tank levels, so lanes that run the same action share one kernel call. Every
@@ -47,6 +47,13 @@ class Trajectory:
             arr = np.asarray(getattr(self, f.name))
             arr.setflags(write=False)
             setattr(self, f.name, arr)
+
+    def lane(self, k: int) -> Trajectory:
+        """Lane ``k`` of days rolled as lanes, each record a contiguous copy
+        (a sum over a strided view may round otherwise than the lane alone)."""
+        lanes = [f.name for f in fields(self) if f.name != "tariff"]
+        records = {name: getattr(self, name)[:, k].copy() for name in lanes}
+        return Trajectory(**records, tariff=self.tariff)
 
 
 class _Compiled:

@@ -1,6 +1,7 @@
 """The command line contract, exercised through real ``pumpsched`` processes."""
 
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -8,7 +9,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pumpsched import (
+    DEFAULT_IMPERFECTION,
+    AgentKind,
+    cli,
+    save_checkpoint,
+    save_network,
+)
+from pumpsched.env import BURN_DAYS, closed_loop
+from pumpsched.policy import init_policy
+from pumpsched.training import policy_act_fn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,7 +66,7 @@ def workflow(tmp_path_factory):
 
 
 ARTIFACTS = {
-    "gen": ("network.json", "history.csv", "history.csv.arrays", "demands.csv"),
+    "gen": ("network.json", "history.csv", "history.csv.arrays"),
     "train": ("checkpoint.json", "reward_curve.csv"),
     "eval": ("comparison.csv", "comparison.json"),
     "hybrid": ("strategy_report.json", "strategy_report.csv"),
@@ -356,3 +369,76 @@ def test_bad_input_exits_one_with_a_one_line_error(workflow, tmp_path, case):
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert sorted(tmp_path.iterdir()) == before  # the command wrote nothing
+
+
+# ----------------------------------------------------------------------------
+# eval as lanes of one day, run in process
+
+
+def _dual_policy(world, seed=0):
+    obs_dim = world.n_tanks + 1 + 96
+    return init_policy(obs_dim, world.n_stations, np.random.default_rng(seed))
+
+
+def test_eval_lanes_score_each_episode_as_if_alone(world):
+    policy = closed_loop(world, AgentKind.DUAL, policy_act_fn(_dual_policy(world)), 4)
+
+    def scores(episodes):
+        return cli._eval_scores(world, policy, 3, DEFAULT_IMPERFECTION, episodes)
+
+    lanes = scores(range(5))
+    assert sorted(lanes) == ["policy", "random", "rule_based"]
+    for k in range(5):
+        alone = scores(range(k, k + 1))
+        for label, rows in lanes.items():
+            assert rows.shape == (3, 5)  # area, count, cost per episode
+            assert rows[:, k].tobytes() == alone[label][:, 0].tobytes(), (label, k)
+
+
+@pytest.fixture
+def eval_inputs(world, tmp_path):
+    save_network(world, tmp_path / "network.json")
+    save_checkpoint(
+        _dual_policy(world), tmp_path / "checkpoint.json", meta={"agent": "dual"}
+    )
+    return (
+        "eval", "--network", tmp_path / "network.json",
+        "--checkpoint", tmp_path / "checkpoint.json", "--seed", 4,
+    )  # fmt: skip
+
+
+@pytest.mark.parametrize("episodes", [1, 5, 12])
+def test_eval_rolls_a_fixed_number_of_days(
+    eval_inputs, tmp_path, monkeypatch, episodes
+):
+    """Burn days, then the policy, rule-based and random days: each one
+    ``run_day`` call for all episodes together."""
+    modules = [
+        importlib.import_module(f"pumpsched.{name}")
+        for name in ("simulate", "history", "env", "cli", "hybrid", "training")
+    ]
+    original, calls = modules[0].run_day, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, "run_day", None) is original:
+            monkeypatch.setattr(module, "run_day", counted)
+    argv = [*eval_inputs, "--episodes", episodes, "--out", tmp_path / "out"]
+    assert cli.main(list(map(str, argv))) == 0
+    assert len(calls) == BURN_DAYS + 3
+
+
+def test_eval_in_passes_of_lanes_writes_the_same_comparison(
+    eval_inputs, tmp_path, monkeypatch
+):
+    outputs = []
+    for lanes in (512, 2):
+        monkeypatch.setattr(cli, "_EVAL_LANES", lanes)
+        out = tmp_path / f"lanes{lanes}"
+        argv = [*eval_inputs, "--episodes", 5, "--out", out]
+        assert cli.main(list(map(str, argv))) == 0
+        outputs.append((out / "comparison.json").read_bytes())
+    assert outputs[0] == outputs[1]

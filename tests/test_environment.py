@@ -355,16 +355,41 @@ def test_sample_episode_overhang_widens_starts(world):
 
 
 def test_sample_operational_episode_deterministic(world):
-    a, margins_a = sample_operational_episode(world, np.random.default_rng(31))
-    b, margins_b = sample_operational_episode(world, np.random.default_rng(31))
+    seeds = (31, 32)
+    a, margins_a = sample_operational_episode(
+        world, [np.random.default_rng(s) for s in seeds]
+    )
+    b, margins_b = sample_operational_episode(
+        world, [np.random.default_rng(s) for s in seeds]
+    )
+    assert a.initial_levels.shape == (2, world.n_tanks)
+    assert a.demands.as_array().shape == (2, world.n_zones, STEPS_PER_DAY)
+    assert margins_a.triggers.shape == (2, world.n_stations)
     np.testing.assert_array_equal(a.initial_levels, b.initial_levels)
     np.testing.assert_array_equal(a.demands.as_array(), b.demands.as_array())
     np.testing.assert_array_equal(margins_a.triggers, margins_b.triggers)
     np.testing.assert_array_equal(margins_a.releases, margins_b.releases)
 
 
+def test_sample_operational_episode_lanes_equal_episodes_alone(world):
+    seeds = (3, 4, 5)
+    config, margins = sample_operational_episode(
+        world, [np.random.default_rng(s) for s in seeds]
+    )
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        alone, alone_margins = sample_operational_episode(world, [rng])
+        for lanes, single in (
+            (config.initial_levels, alone.initial_levels),
+            (config.demands.as_array(), alone.demands.as_array()),
+            (margins.triggers, alone_margins.triggers),
+            (margins.releases, alone_margins.releases),
+        ):
+            assert lanes[k].tobytes() == single[0].tobytes()
+
+
 def test_sample_operational_episode_burn_moves_levels(world):
-    config, _ = sample_operational_episode(world, np.random.default_rng(7))
-    assert not np.array_equal(config.initial_levels, world.initial_levels_array())
+    config, _ = sample_operational_episode(world, [np.random.default_rng(7)])
+    assert not np.array_equal(config.initial_levels[0], world.initial_levels_array())
     assert np.all(config.initial_levels >= 0.0)
     assert np.all(config.initial_levels <= world.caps_array())

@@ -20,7 +20,7 @@ from pumpsched import (
     simulate,
 )
 from pumpsched.errors import SchemaError
-from pumpsched.history import DUTY_SPEED, HistoryArchive
+from pumpsched.history import DUTY_SPEED, HistoryArchive, HysteresisMargins
 from pumpsched.metrics import area_outside_boundary, violation_count
 from pumpsched.network import STEPS_PER_DAY
 
@@ -89,6 +89,40 @@ def test_controller_hysteresis(world):
     np.testing.assert_array_equal(action, np.zeros(6))
     action = controller.act(mid)
     np.testing.assert_array_equal(action, np.zeros(6))
+
+
+def test_controlled_day_lanes_equal_days_alone(world):
+    """A B=4 lane day equals four single-lane days byte for byte."""
+    days = []
+    for k in range(4):
+        rng = np.random.default_rng(40 + k)
+        demands = generate_demands(world, seed=40 + k)
+        margins = margins_for(world, DEFAULT_IMPERFECTION, rng)
+        levels = rng.uniform(0.5, 7.5, world.n_tanks)
+        days.append((levels, demands, margins))
+    lanes = run_controlled_day(
+        world,
+        np.array([levels for levels, _, _ in days]),
+        RuleBasedController(
+            world,
+            HysteresisMargins(
+                triggers=np.array([m.triggers for _, _, m in days]),
+                releases=np.array([m.releases for _, _, m in days]),
+            ),
+        ),
+        DemandSet(
+            tuple(z.id for z in world.zones),
+            np.array([d.as_array() for _, d, _ in days]),
+        ),
+    )
+    assert lanes.states.shape == (STEPS_PER_DAY + 1, 4, world.n_tanks)
+    for k, (levels, demands, margins) in enumerate(days):
+        alone = run_controlled_day(
+            world, levels, RuleBasedController(world, margins), demands
+        )
+        lane = lanes.lane(k)
+        for name in ("states", "actions", "costs"):
+            assert getattr(lane, name).tobytes() == getattr(alone, name).tobytes()
 
 
 def test_perfect_margins_keep_day_in_band(world):

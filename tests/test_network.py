@@ -10,6 +10,7 @@ from pumpsched import (
     TariffSchedule,
     SchemaError,
     ValidationError,
+    demands_from_rng,
     generate_demands,
     generate_synthetic_network,
     load_network,
@@ -17,7 +18,7 @@ from pumpsched import (
     topology_from_dict,
     topology_to_dict,
 )
-from pumpsched.network import STEPS_PER_DAY
+from pumpsched.network import DT_HOURS, STEPS_PER_DAY
 
 
 def test_synthetic_network_sizing(world):
@@ -134,6 +135,28 @@ def test_generate_demands_deterministic(world):
     a = generate_demands(world, seed=9)
     b = generate_demands(world, seed=9)
     np.testing.assert_array_equal(a.as_array(), b.as_array())
+
+
+def _zone_profile_oracle(zone, rng):
+    """One zone's day drawn on its own, as the per-zone loop drew demands."""
+    hours = (np.arange(STEPS_PER_DAY) + 0.5) * DT_HOURS
+    shape = (
+        1.0
+        + zone.morning_peak * np.exp(-((hours - 7.5) ** 2) / (2 * 1.5**2))
+        + zone.evening_peak * np.exp(-((hours - 19.0) ** 2) / (2 * 2.0**2))
+    )
+    noise = 1.0 + zone.noise_scale * rng.standard_normal(STEPS_PER_DAY)
+    return np.maximum(zone.base_demand * shape * noise, 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_demands_from_rng_equals_the_per_zone_loop(world, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):  # successive days from one stream
+        values = demands_from_rng(world, rng).as_array()
+        expected = np.stack([_zone_profile_oracle(z, oracle_rng) for z in world.zones])
+        assert values.tobytes() == expected.tobytes()
+    assert rng.random() == oracle_rng.random()
 
 
 def test_demands_nonnegative_and_shaped(world):
