@@ -80,15 +80,12 @@ def margins_for(
             _MARGIN_FLOOR,
             _MARGIN_CEIL,
         )
-    triggers = np.empty(n_s)
-    releases = np.empty(n_s)
-    for j, station in enumerate(topology.stations):
-        tank = topology.tanks[topology.tank_index(station.primary_tank())]
-        band = tank.upper_bound - tank.lower_bound
-        triggers[j] = tank.lower_bound + band * trig_off[j]
-        releases[j] = tank.upper_bound - band * rel_off[j]
-        if releases[j] < triggers[j] + 0.05 * band:
-            releases[j] = triggers[j] + 0.05 * band
+    _, lower, upper = topology.primary_tanks
+    band = upper - lower
+    triggers = lower + band * trig_off
+    releases = upper - band * rel_off
+    least = triggers + 0.05 * band
+    releases = np.where(releases < least, least, releases)
     return HysteresisMargins(triggers=triggers, releases=releases)
 
 
@@ -98,9 +95,7 @@ class RuleBasedController:
 
     def __init__(self, topology: NetworkTopology, margins: HysteresisMargins):
         self.margins = margins
-        self._primary = np.array(
-            [topology.tank_index(s.primary_tank()) for s in topology.stations]
-        )
+        self._primary = topology.primary_tanks[0]
         self._on = np.zeros(np.shape(margins.triggers), dtype=bool)
 
     def reset(self, levels: np.ndarray) -> None:

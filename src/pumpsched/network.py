@@ -8,6 +8,7 @@ A day is resolved into 96 quarter-hour steps.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -221,6 +222,16 @@ class NetworkTopology:
             if tank.id == tank_id:
                 return i
         raise ValidationError(f"unknown tank id {tank_id}")
+
+    @functools.cached_property
+    def primary_tanks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index, lower and upper bound of each station's primary tank, in
+        station order; worked out once per topology and read-only."""
+        index = np.array([self.tank_index(s.primary_tank()) for s in self.stations])
+        lower, upper = (b[index] for b in self.bounds_arrays())
+        for a in (index, lower, upper):
+            a.setflags(write=False)
+        return index, lower, upper
 
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) operational bounds per tank."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 
 @dataclass
@@ -74,8 +74,7 @@ class MLP:
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Gradient of sum(grad_out * output) w.r.t. weights and biases."""
         grad = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grad_w = [np.empty_like(w) for w in self.weights]
-        grad_b = [np.empty_like(b) for b in self.biases]
+        grad_w, grad_b = [None] * len(self.weights), [None] * len(self.biases)
         for i in range(len(self.weights) - 1, -1, -1):
             h_in = activations[i]
             grad_w[i] = h_in.T @ grad
@@ -92,27 +91,34 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Standard Adam over a list of parameter arrays, with the moment decays
-    and epsilon of Kingma and Ba (arXiv 1412.6980)."""
+    """Adam with the moment decays and epsilon of Kingma and Ba (arXiv
+    1412.6980). The moments ``m`` and ``v`` are flat vectors, the arrays laid
+    end to end, updated in place in the per-array rule's order of arithmetic."""
 
     def __init__(self, shapes: list[tuple[int, ...]], lr: float):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        ends = np.cumsum([int(np.prod(s)) for s in shapes])
+        self._slices = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+        self.m, self.v, self._g, self._a = np.zeros((4, ends[-1]))  # _g, _a: scratch
 
     def step(
         self, params: list[np.ndarray], grads: list[np.ndarray]
     ) -> list[np.ndarray]:
-        """One update; returns new arrays, never mutating the inputs."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+        """One update; returns new arrays, never mutating the inputs. A
+        non-finite gradient anywhere raises before the moments change."""
+        if len(params) != len(self._slices) or len(grads) != len(self._slices):
             raise ValidationError("parameter/gradient count mismatch")
+        g, a, m, v = self._g, self._a, self.m, self.v
+        if not np.isfinite(np.concatenate([np.ravel(x) for x in grads], out=g)).all():
+            raise NumericError("non-finite gradient during update")
         self.t += 1
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[i] / (1 - ADAM_BETA1**self.t)
-            v_hat = self.v[i] / (1 - ADAM_BETA2**self.t)
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        return out
+        m *= ADAM_BETA1  # m = b1*m + (1-b1)*g
+        m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2  # v = b2*v + ((1-b2)*g)*g
+        v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, out=a), g, out=a)
+        # (lr*m_hat) / (sqrt(v_hat)+eps); g is spent, so it holds the root.
+        np.multiply(np.divide(m, 1 - ADAM_BETA1**self.t, out=a), self.lr, out=a)
+        root = np.sqrt(np.divide(v, 1 - ADAM_BETA2**self.t, out=g), out=g)
+        a /= np.add(root, ADAM_EPS, out=root)
+        return [p - a[s].reshape(p.shape) for p, s in zip(params, self._slices)]

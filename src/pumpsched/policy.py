@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,18 +52,14 @@ class PolicyParameters:
         )
 
     def replace_arrays(self, arrays: list[np.ndarray]) -> "PolicyParameters":
-        n_a = len(self.actor.weights)
-        n_c = len(self.critic.weights)
-        expected = 2 * n_a + 1 + 2 * n_c
-        if len(arrays) != expected:
+        """New parameters from arrays in the order ``arrays`` gives."""
+        n_a, n_c = len(self.actor.weights), len(self.critic.weights)
+        if len(arrays) != 2 * n_a + 1 + 2 * n_c:
             raise ValidationError("array list does not match policy structure")
-        i = 0
-        actor = MLP(weights=list(arrays[i : i + n_a]), biases=list(arrays[i + n_a : i + 2 * n_a]))
-        i += 2 * n_a
-        log_sigma = arrays[i]
-        i += 1
-        critic = MLP(weights=list(arrays[i : i + n_c]), biases=list(arrays[i + n_c : i + 2 * n_c]))
-        return PolicyParameters(actor=actor, log_sigma=log_sigma, critic=critic)
+        s, c = 2 * n_a, 2 * n_a + 1 + n_c  # log_sigma, then the critic's biases
+        actor = MLP(weights=list(arrays[:n_a]), biases=list(arrays[n_a:s]))
+        critic = MLP(weights=list(arrays[s + 1 : c]), biases=list(arrays[c:]))
+        return PolicyParameters(actor=actor, log_sigma=arrays[s], critic=critic)
 
 
 def init_policy(
@@ -145,9 +142,10 @@ def actor_logp_and_grads(
     params: PolicyParameters,
     obs: np.ndarray,
     actions: np.ndarray,
-    grad_logp: np.ndarray,
+    grad_logp: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Log-probs plus gradients of sum(grad_logp * logp).
+    """Log-probs plus gradients of sum(c * logp), c = grad_logp(logps), from
+    one actor forward pass.
 
     Returns (logps, actor weight grads, actor bias grads, log_sigma grad).
     """
@@ -155,14 +153,14 @@ def actor_logp_and_grads(
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if actions.shape != (arr.shape[0], params.action_dim):
         raise ValidationError("action batch shape does not match policy output")
-    coeff = np.asarray(grad_logp, dtype=float).reshape(-1)
-    if coeff.shape[0] != arr.shape[0]:
-        raise ValidationError("grad_logp must have one entry per observation")
 
     means, acts = params.actor.forward(arr)
+    logps = gaussian_logp(actions, means, params.log_sigma)
+    coeff = np.asarray(grad_logp(logps), dtype=float).reshape(-1)
+    if coeff.shape[0] != arr.shape[0]:
+        raise ValidationError("grad_logp must have one entry per observation")
     sigma = np.exp(params.log_sigma)
     diff = actions - means
-    logps = gaussian_logp(actions, means, params.log_sigma)
 
     # d logp / d mean = diff / sigma^2; d logp / d log_sigma = diff^2/sigma^2 - 1
     grad_mean = coeff[:, None] * diff / sigma**2

@@ -14,8 +14,8 @@ A batch's episodes run in lockstep as lanes of one ``run_day`` day in one
 process: the actor and critic run once per decision for all lanes. Episodes
 are seeded per (master seed, iteration, episode index), and each lane's
 arithmetic is that of its episode stepped alone through ``PumpSchedulingEnv``,
-so a batch is identical for any lane count. The optimizer state lives across
-iterations, and updates never mutate parameter arrays in place.
+so a batch is identical for any lane count. Adam's flat moments live across
+iterations, updated in place; parameter arrays are never mutated in place.
 """
 
 from __future__ import annotations
@@ -118,15 +118,14 @@ def _episode_seed(master_seed: int, iteration: int, episode_index: int):
 
 
 def _sample_lanes(
-    means: np.ndarray, params: PolicyParameters, rngs: list[np.random.Generator]
+    means: np.ndarray, params: PolicyParameters, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one action per lane, lane k from ``rngs[k]``.
+    """One action per lane: ``means`` plus sigma times standard normal ``noise``.
 
     Returns the raw samples, the clipped executable samples and the log-probs
     of the raw samples. The surrogate ratio needs the action the log-prob was
     computed for, which is the raw sample; only the executed action is clipped.
     """
-    noise = np.array([rng.standard_normal(means.shape[1]) for rng in rngs])
     raw = means + np.exp(params.log_sigma) * noise
     return raw, np.clip(raw, 0.0, 1.0), gaussian_logp(raw, means, params.log_sigma)
 
@@ -141,18 +140,19 @@ def _collect_lanes(
     """Roll the listed episodes of one iteration in lockstep, as lanes of a day.
 
     Returns observations, raw actions, log-probs, rewards and values, each
-    with one leading row per episode and one column per decision.
+    with one leading row per episode and one column per decision. A lane's
+    day of noise is one draw, equal to a draw per decision bit for bit.
     """
-    levels, demands, act_rngs = [], [], []
-    for idx in episodes:
+    lanes, n = len(episodes), spec.decisions_per_episode
+    levels, demands, noise = [], [], np.empty((n, lanes, spec.action_dim))
+    for k, idx in enumerate(episodes):
         cfg_ss, act_ss = _episode_seed(cfg.seed, iteration, idx).spawn(2)
         rng = np.random.default_rng(cfg_ss)
         config = sample_episode(spec.topology, rng, START_OVERHANG)
         levels.append(config.initial_levels)
         demands.append(config.demands.as_array())
-        act_rngs.append(np.random.default_rng(act_ss))
-
-    lanes, n = len(act_rngs), spec.decisions_per_episode
+        act_rng = np.random.default_rng(act_ss)
+        noise[:, k] = act_rng.standard_normal((n, spec.action_dim))
     observations = np.empty((lanes, n, spec.obs_dim))
     actions = np.empty((lanes, n, spec.action_dim))
     log_probs, values = np.empty((2, lanes, n))
@@ -162,7 +162,7 @@ def _collect_lanes(
         i = next(decisions)
         means, _, values[:, i] = forward_batch(params, obs)
         actions[:, i], executed, log_probs[:, i] = _sample_lanes(
-            means, params, act_rngs
+            means, params, noise[i]
         )
         observations[:, i] = obs
         return executed
@@ -288,34 +288,28 @@ def ppo_update(
 
 
 def _minibatch_step(params, batch, norm_adv, returns, idx, optimizer):
-    obs = batch.observations[idx]
-    actions = batch.actions[idx]
-    old_logps = batch.log_probs[idx]
-    m = len(idx)
-
-    logps, actor_gw, actor_gb, grad_log_sigma = _policy_gradients(
-        params, obs, actions, old_logps, norm_adv[idx], m
+    obs, m = batch.observations[idx], len(idx)
+    _, actor_gw, actor_gb, grad_log_sigma = _policy_gradients(
+        params, obs, batch.actions[idx], batch.log_probs[idx], norm_adv[idx], m
     )
     critic_gw, critic_gb = _value_gradients(params, obs, returns[idx], m)
     grads = actor_gw + actor_gb + [grad_log_sigma] + critic_gw + critic_gb
-    if any(not np.all(np.isfinite(g)) for g in grads):
-        raise NumericError("non-finite gradient during update")
-    new_arrays = optimizer.step(params.arrays(), grads)
-    return params.replace_arrays(new_arrays)
+    return params.replace_arrays(optimizer.step(params.arrays(), grads))
 
 
 def _policy_gradients(params, obs, actions, old_logps, norm_adv, m):
     """Gradient of the clipped surrogate plus entropy bonus w.r.t. the actor."""
-    means, _ = params.actor.forward(obs)
-    logps = gaussian_logp(actions, means, params.log_sigma)
-    ratio = np.exp(logps - old_logps)
-    surr1 = ratio * norm_adv
-    surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
-    # The loss is -mean(min(surr1, surr2)); gradient flows only where the
-    # unclipped branch is active (inside the band both branches agree).
-    use_unclipped = surr1 <= surr2
-    dloss_dlogp = np.where(use_unclipped, -norm_adv * ratio, 0.0) / m
-    _, gw, gb, grad_log_sigma = actor_logp_and_grads(
+
+    def dloss_dlogp(logps):
+        ratio = np.exp(logps - old_logps)
+        surr1 = ratio * norm_adv
+        surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
+        # The loss is -mean(min(surr1, surr2)); gradient flows only where the
+        # unclipped branch is active (inside the band both branches agree).
+        use_unclipped = surr1 <= surr2
+        return np.where(use_unclipped, -norm_adv * ratio, 0.0) / m
+
+    logps, gw, gb, grad_log_sigma = actor_logp_and_grads(
         params, obs, actions, dloss_dlogp
     )
     # Entropy bonus: d(-coef * H)/d log_sigma = -coef per dimension.

@@ -108,6 +108,33 @@ def test_workflow_artifacts_match_recorded_digests(workflow):
     assert digests == WORKFLOW_DIGESTS
 
 
+# SHA-256 of a three-iteration constraint run with frame skip 4, recorded as
+# above. Batch 150 rolls 7 episodes of 24 decisions, 168 transitions, so each
+# epoch ends on a short minibatch of 40; Adam's moments carry across the
+# iterations and every lane draws a 24-decision day of noise.
+MULTI_ITERATION_DIGESTS = {
+    "checkpoint.json": "8ea55ce5a8a4c7567ac38b4a20d6efcdc085bf9119d6171c0f6722f3bc2ae113",
+    "reward_curve.csv": "88b8a91d60ed3cb0325ee2f0d27354c2b0f9d7cfedc1522648efd20fbc411eb5",
+}
+
+
+def test_multi_iteration_training_matches_recorded_digests(world, tmp_path):
+    save_network(world, tmp_path / "network.json")
+    argv = [
+        "train", "--network", tmp_path / "network.json", "--agent", "constraint",
+        "--frame-skip", 4, "--steps", 3 * 7 * 96, "--batch-size", 150,
+        "--seed", 5, "--out", tmp_path,
+    ]  # fmt: skip
+    assert cli.main(list(map(str, argv))) == 0
+    curve = (tmp_path / "reward_curve.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in curve[1:]] == ["672", "1344", "2016"]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in MULTI_ITERATION_DIGESTS
+    }
+    assert digests == MULTI_ITERATION_DIGESTS
+
+
 def test_hybrid_repairs_a_final_state_only_violation(workflow):
     out, results = workflow
     assert results["hybrid"].returncode == 0, results["hybrid"].stderr

@@ -53,6 +53,29 @@ def test_margins_keep_release_above_trigger(world):
             assert margins.releases[j] >= margins.triggers[j] + 0.05 * band - 1e-12
 
 
+@pytest.mark.parametrize("imperfection", [0.0, DEFAULT_IMPERFECTION, 1.0])
+def test_margins_equal_the_per_station_loop(world, imperfection):
+    """The band arithmetic written out one station at a time, as the oracle."""
+    rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(50):
+        margins = margins_for(world, imperfection, rng)
+        offsets = np.full((2, world.n_stations), 0.30)
+        if imperfection:
+            for row in offsets:
+                swing = imperfection * 0.55 * oracle_rng.uniform(-1, 1, len(row))
+                row[:] = np.clip(0.30 + swing, -0.08, 0.45)
+        for j, station in enumerate(world.stations):
+            tank = world.tanks[world.tank_index(station.primary_tank())]
+            band = tank.upper_bound - tank.lower_bound
+            trigger = tank.lower_bound + band * offsets[0, j]
+            release = tank.upper_bound - band * offsets[1, j]
+            if release < trigger + 0.05 * band:
+                release = trigger + 0.05 * band
+            assert margins.triggers[j].tobytes() == trigger.tobytes()
+            assert margins.releases[j].tobytes() == release.tobytes()
+    assert rng.uniform() == oracle_rng.uniform()
+
+
 def test_margins_imperfection_validated(world):
     with pytest.raises(ValidationError):
         margins_for(world, 1.5, np.random.default_rng(0))

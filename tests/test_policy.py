@@ -128,7 +128,7 @@ def test_sample_action_clipped_and_logp_unclipped():
     rng = np.random.default_rng(0)
     means, _, _ = forward_batch(params, np.zeros((1, 3)))
     for _ in range(50):
-        raw, action, logp = _sample_lanes(means, params, [rng])
+        raw, action, logp = _sample_lanes(means, params, rng.standard_normal((1, 2)))
         assert np.all(action >= 0.0) and np.all(action <= 1.0)
         np.testing.assert_array_equal(action, np.clip(raw, 0.0, 1.0))
         assert logp[0] == gaussian_logp(raw, means, params.log_sigma)[0]
@@ -141,7 +141,7 @@ def test_tiny_sigma_sampling_collapses_to_mean():
     )
     rng = np.random.default_rng(5)
     means, _, _ = forward_batch(frozen, np.zeros((1, 3)))
-    _, action, _ = _sample_lanes(means, frozen, [rng])
+    _, action, _ = _sample_lanes(means, frozen, rng.standard_normal((1, 2)))
     np.testing.assert_allclose(action[0], np.clip(means[0], 0.0, 1.0), atol=1e-7)
     np.testing.assert_array_equal(
         deterministic_action(frozen, np.zeros(3)), np.clip(means[0], 0.0, 1.0)
@@ -212,10 +212,10 @@ def test_actor_gradients_match_finite_differences():
     coeff = rng.normal(size=5)
 
     def objective():
-        logps, _, _, _ = actor_logp_and_grads(params, obs, actions, coeff)
-        return float((coeff * logps).sum())
+        means, _ = params.actor.forward(obs)
+        return float((coeff * gaussian_logp(actions, means, params.log_sigma)).sum())
 
-    _, gw, gb, gs = actor_logp_and_grads(params, obs, actions, coeff)
+    _, gw, gb, gs = actor_logp_and_grads(params, obs, actions, lambda _: coeff)
     _fd_check(
         objective,
         params.actor.weights + params.actor.biases + [params.log_sigma],
@@ -228,9 +228,9 @@ def test_gradient_shapes_validated():
     params = _small_policy()
     obs = np.zeros((4, 3))
     with pytest.raises(ValidationError):
-        actor_logp_and_grads(params, obs, np.zeros((4, 3)), np.ones(4))
+        actor_logp_and_grads(params, obs, np.zeros((4, 3)), lambda _: np.ones(4))
     with pytest.raises(ValidationError):
-        actor_logp_and_grads(params, obs, np.zeros((4, 2)), np.ones(5))
+        actor_logp_and_grads(params, obs, np.zeros((4, 2)), lambda _: np.ones(5))
 
 
 # -- checkpoints --------------------------------------------------------------

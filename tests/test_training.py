@@ -4,13 +4,16 @@ import pytest
 from pumpsched import (
     AgentKind,
     EnvSpec,
+    NumericError,
     TrainConfig,
     TrainingError,
     ValidationError,
     policy_act_fn,
     train,
 )
-from pumpsched.policy import deterministic_action, entropy, init_policy
+from pumpsched import training
+from pumpsched.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam
+from pumpsched.policy import deterministic_action, entropy, gaussian_logp, init_policy
 from pumpsched.training import (
     CLIP_RATIO,
     ENTROPY_COEF,
@@ -25,6 +28,7 @@ from pumpsched.training import (
     make_optimizer,
     ppo_update,
     save_reward_curve,
+    _episode_seed,
     _policy_gradients,
 )
 from pumpsched.network import STEPS_PER_DAY
@@ -182,6 +186,19 @@ def test_collect_rollouts_deterministic(tiny_world):
     assert not np.array_equal(a.actions, c.actions)
 
 
+@pytest.mark.parametrize("window", [1, 4])
+def test_a_day_of_noise_in_one_draw_equals_a_draw_per_decision(world, window):
+    spec = EnvSpec(topology=world, agent_kind=AgentKind.DUAL, frame_skip=window)
+    n, d = spec.decisions_per_episode, spec.action_dim
+    for idx in range(3):
+        act_ss = _episode_seed(7, 2, idx).spawn(2)[1]
+        whole, stepped = np.random.default_rng(act_ss), np.random.default_rng(act_ss)
+        day = whole.standard_normal((n, d))
+        per_decision = np.array([stepped.standard_normal(d) for _ in range(n)])
+        assert day.tobytes() == per_decision.tobytes()
+        assert whole.standard_normal(d).tobytes() == stepped.standard_normal(d).tobytes()
+
+
 def test_collect_rollouts_maps_a_failed_rollout_to_training_error(tiny_world):
     spec = EnvSpec(topology=tiny_world)
     params = _tiny_policy(spec)
@@ -268,6 +285,94 @@ def test_clipped_surrogate_gradient_matches_finite_differences():
             numeric = (up - down) / (2 * h)
             scale = max(1.0, abs(numeric), abs(gflat[idx]))
             assert abs(numeric - gflat[idx]) / scale <= 1e-4
+
+
+def test_policy_gradients_in_one_pass_equal_the_two_pass_path():
+    rng = np.random.default_rng(21)
+    params = init_policy(5, 3, rng, hidden=(16, 16))
+    obs = rng.normal(size=(40, 5))
+    actions = rng.uniform(0.0, 1.0, size=(40, 3))
+    norm_adv = rng.normal(size=40)
+    means, _ = params.actor.forward(obs)
+    old_logps = gaussian_logp(actions, means, params.log_sigma) + rng.normal(
+        0.0, 0.3, 40
+    )
+
+    # The two-pass path: an actor forward for the ratio, then a second one
+    # whose activations the backward pass runs from.
+    logps = gaussian_logp(actions, params.actor.forward(obs)[0], params.log_sigma)
+    ratio = np.exp(logps - old_logps)
+    surr1 = ratio * norm_adv
+    surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
+    coeff = np.where(surr1 <= surr2, -norm_adv * ratio, 0.0) / 40
+    assert 0 < np.count_nonzero(coeff) < 40  # both branches of the clip act
+    means, acts = params.actor.forward(obs)
+    sigma = np.exp(params.log_sigma)
+    diff = actions - means
+    gw, gb = params.actor.backward(acts, coeff[:, None] * diff / sigma**2)
+    gs = (coeff[:, None] * (diff**2 / sigma**2 - 1.0)).sum(axis=0) - ENTROPY_COEF
+
+    forward, calls = params.actor.forward, []
+    params.actor.forward = lambda x: calls.append(1) or forward(x)
+    got = _policy_gradients(params, obs, actions, old_logps, norm_adv, 40)
+    assert len(calls) == 1
+    got = [got[0], *got[1], *got[2], got[3]]
+    for a, b in zip(got, [logps, *gw, *gb, gs], strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_flat_adam_equals_the_per_array_rule():
+    rng = np.random.default_rng(4)
+    params = init_policy(6, 3, rng, hidden=(8, 8)).arrays()
+    shapes = [p.shape for p in params]
+    lr = 3e-3
+    adam = Adam(shapes, lr)
+    ref, m, v = params, [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+    for t in range(1, 8):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 3) for s in shapes]
+        given = [p.copy() for p in params]
+        params = adam.step(params, grads)
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(ref, given))
+        # Kingma and Ba's update, one array at a time, moments carried over.
+        out = []
+        for i, (p, g) in enumerate(zip(ref, grads)):
+            m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+            v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = m[i] / (1 - ADAM_BETA1**t)
+            v_hat = v[i] / (1 - ADAM_BETA2**t)
+            out.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        ref = out
+        for got, want in zip(params, ref):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _poison(grad_fn, pick):
+    def poisoned(*args):
+        grads = grad_fn(*args)
+        pick(grads).reshape(-1)[-1] = np.nan
+        return grads
+
+    return poisoned
+
+
+@pytest.mark.parametrize(
+    "where, pick",
+    [
+        ("_policy_gradients", lambda grads: grads[3]),  # log_sigma
+        ("_value_gradients", lambda grads: grads[1][-1]),  # critic's last bias
+    ],
+)
+def test_a_non_finite_gradient_in_any_segment_stops_the_update(
+    tiny_world, monkeypatch, where, pick
+):
+    spec = EnvSpec(topology=tiny_world)
+    params = _tiny_policy(spec)
+    batch = collect_rollouts(spec, params, _cfg())
+    monkeypatch.setattr(training, where, _poison(getattr(training, where), pick))
+    optimizer = make_optimizer(params, _cfg())
+    with pytest.raises(NumericError, match="^non-finite gradient during update$"):
+        _update(params, batch, optimizer)
+    assert optimizer.t == 0 and not optimizer.m.any() and not optimizer.v.any()
 
 
 def test_update_rejects_empty_batch():
