@@ -169,6 +169,7 @@ class PumpSchedulingEnv:
         action = np.asarray(action, dtype=float)
         _check_speeds(action)
         day.advance(action)
+        day.record()  # the reward and the info read this step's energy and cost
         levels = day.levels
         if not np.all(np.isfinite(levels)):
             raise NumericError("non-finite level update")

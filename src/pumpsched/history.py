@@ -82,10 +82,10 @@ def margins_for(
         )
     _, lower, upper = topology.primary_tanks
     band = upper - lower
+    # Both offsets stay below half the band (_MARGIN_CEIL), so the release
+    # sits at least 0.1 band above the trigger.
     triggers = lower + band * trig_off
     releases = upper - band * rel_off
-    least = triggers + 0.05 * band
-    releases = np.where(releases < least, least, releases)
     return HysteresisMargins(triggers=triggers, releases=releases)
 
 

@@ -5,10 +5,12 @@ Four injection strategies repair it: fixed early/midday windows (untargeted),
 the violation hull (targeted), a searched resume time (dynamic end), and a
 searched lead-in plus resume time (dynamic start/end). ``inject`` rolls any
 number of plans as lanes of one day, and act functions get one observation
-row per lane. The searches read the states of those lanes and never roll a
-plan twice: every candidate start is a lane of one ``inject`` pass, and every
-candidate resume step is scored on the exact day it produces, all of them
-re-simulated in one ``resume_lanes`` pass whose winning lane is the result.
+row per lane. ``evaluate_strategies`` rolls the union of a case's plans, both
+untargeted windows, the hull and every candidate start, in one ``inject``
+pass, and each strategy reads the lanes of its plans. No plan is rolled
+twice: every candidate resume step is scored on the exact day it produces,
+all of them re-simulated in one ``resume_lanes`` pass whose winning lane is
+the result.
 
 Metric regions are fixed per case so strategies stay comparable: for the
 violation hull [hs, he), the during-region is states hs+1..he (what injected
@@ -24,7 +26,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +56,8 @@ _START_LOOKBACK = 16  # steps of earlier start explored by dynamic_start_end
 
 # Observation rows (lanes, obs_dim) to pump speed rows (lanes, n_stations).
 ActFn = Callable[[np.ndarray], np.ndarray]
+# The states (97, n_tanks) of a case's day under each of its plans.
+PlanStates = Mapping["InjectionPlan", np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,9 @@ def inject(
 
     Lane k runs the policy closed loop inside ``plans[k]``, on the observations
     a dual agent would see live, and the baseline schedule everywhere else;
-    ``act_fn`` gets the rows of the lanes inside their plan. The day starts at the
-    earliest plan start from the baseline's state there, and the baseline
-    prefix is put back in front. Both are exact: a day rolled from a mid-day
-    state equals its tail, and each lane equals its day rolled alone.
+    ``act_fn`` gets the rows of the lanes inside their plan. Every lane rolls
+    from step 0, so before its plan it replays the baseline states exactly;
+    each lane equals its day rolled alone.
     """
     if not plans:
         raise ValidationError("inject needs at least one plan")
@@ -162,7 +165,7 @@ def inject(
         plan.validate()
     starts = np.array([plan.start for plan in plans])
     ends = np.array([plan.end for plan in plans])
-    lanes, t0 = len(plans), int(starts.min())
+    lanes = len(plans)
     schedule = case.baseline_schedule
     policy = closed_loop(topology, AgentKind.DUAL, act_fn)
 
@@ -173,16 +176,13 @@ def inject(
             action[inside] = policy(t, levels[inside])
         return action
 
-    day = run_day(
+    return run_day(
         topology,
-        np.repeat(case.baseline_states[t0][None], lanes, axis=0),
+        np.repeat(case.baseline_states[0][None], lanes, axis=0),
         np.repeat(case.config.demands.as_array()[None], lanes, axis=0),
         topology.tariff.as_array(),
         act,
-        t0,
-    )
-    prefix = np.repeat(case.baseline_states[:t0, None], lanes, axis=1)
-    return np.concatenate([prefix, day.states])
+    ).states
 
 
 # ----------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def _pct(baseline: float, hybrid: float) -> float | None:
 def strategy_untargeted(
     topology: NetworkTopology,
     case: HybridCase,
-    act_fn: ActFn,
+    states: PlanStates,
     window: tuple[int, int],
 ) -> CaseOutcome:
     """Inject over a fixed clock window regardless of where violations sit.
@@ -261,23 +261,21 @@ def strategy_untargeted(
     if not case.windows:
         raise ValidationError("untargeted strategy needs a violating case")
     plan = InjectionPlan(start=window[0], end=window[1])
-    states = inject(topology, case, [plan], act_fn)[:, 0]
     during = (max(plan.start + 1, 1), plan.end)
-    return _region_outcome(case, name, plan, states, during)
+    return _region_outcome(case, name, plan, states[plan], during)
 
 
 def strategy_targeted(
-    topology: NetworkTopology, case: HybridCase, act_fn: ActFn
+    topology: NetworkTopology, case: HybridCase, states: PlanStates
 ) -> CaseOutcome:
     """Inject over the hull of all violation windows."""
     hs, he = case.hull
     plan = InjectionPlan(start=hs, end=he)
-    states = inject(topology, case, [plan], act_fn)[:, 0]
-    return _region_outcome(case, "targeted", plan, states, (hs + 1, he))
+    return _region_outcome(case, "targeted", plan, states[plan], (hs + 1, he))
 
 
 def strategy_dynamic_end(
-    topology: NetworkTopology, case: HybridCase, act_fn: ActFn
+    topology: NetworkTopology, case: HybridCase, states: PlanStates
 ) -> CaseOutcome:
     """Search the resume step minimizing total during+post area.
 
@@ -285,10 +283,10 @@ def strategy_dynamic_end(
     exact day it produces; that day of the winner is the result.
     """
     hs, he = case.hull
-    full = inject(topology, case, [InjectionPlan(hs, STEPS_PER_DAY)], act_fn)[:, 0]
-    e_star, states = _best_end(topology, case, full, hs, he)
+    full = states[InjectionPlan(hs, STEPS_PER_DAY)]
+    e_star, day = _best_end(topology, case, full, hs, he)
     plan = InjectionPlan(start=hs, end=e_star)
-    return _region_outcome(case, "dynamic_end", plan, states, (hs + 1, he))
+    return _region_outcome(case, "dynamic_end", plan, day, (hs + 1, he))
 
 
 def _best_end(
@@ -309,7 +307,6 @@ def _best_end(
         full[he:],
         case.baseline_schedule,
         case.config.demands.as_array(),
-        topology.tariff.as_array(),
         he,
     )
     tail_area = _exceedance(tails, case.bounds).sum(axis=2) * DT_HOURS
@@ -325,29 +322,25 @@ def _best_end(
 
 
 def strategy_dynamic_start_end(
-    topology: NetworkTopology, case: HybridCase, act_fn: ActFn
+    topology: NetworkTopology, case: HybridCase, states: PlanStates
 ) -> CaseOutcome:
     """Search earlier starts too, minimizing the during-region area.
 
     Every candidate start re-runs the policy closed loop (its observations
-    change), all of them as lanes of one ``inject`` pass; the latest start
-    wins ties, so the search degrades to dynamic_end when an earlier start
-    does not strictly help. States up to the hull end do not depend on the
-    end, so only the winning start's end is searched, and start hs is a
-    candidate, so the chosen during-area never exceeds dynamic_end's.
+    change), each its own lane; the latest start wins ties, so the search
+    degrades to dynamic_end when an earlier start does not strictly help.
+    States up to the hull end do not depend on the end, so only the winning
+    start's end is searched, and start hs is a candidate, so the chosen
+    during-area never exceeds dynamic_end's.
     """
     hs, he = case.hull
     starts = range(max(0, hs - _START_LOOKBACK), hs + 1)
-    plans = [InjectionPlan(start=s, end=STEPS_PER_DAY) for s in starts]
-    lanes = inject(topology, case, plans, act_fn)
-    during = [
-        _range_area(_state_area(lanes[:, k], case.bounds), hs + 1, he)
-        for k in range(len(starts))
-    ]
+    lanes = [states[InjectionPlan(s, STEPS_PER_DAY)] for s in starts]
+    during = [_range_area(_state_area(x, case.bounds), hs + 1, he) for x in lanes]
     k = min(range(len(starts)), key=lambda k: (during[k], -starts[k]))
-    e_star, states = _best_end(topology, case, lanes[:, k], hs, he)
+    e_star, day = _best_end(topology, case, lanes[k], hs, he)
     plan = InjectionPlan(start=starts[k], end=e_star)
-    return _region_outcome(case, "dynamic_start_end", plan, states, (hs + 1, he))
+    return _region_outcome(case, "dynamic_start_end", plan, day, (hs + 1, he))
 
 
 # ----------------------------------------------------------------------------
@@ -457,12 +450,25 @@ def _case_dict(r: CaseOutcome) -> dict:
 def evaluate_strategies(
     topology: NetworkTopology, cases: list[HybridCase], act_fn: ActFn
 ) -> StrategyReport:
-    """Apply all five strategy variants to every case in the pool."""
+    """Apply all five strategy variants to every case in the pool.
+
+    Each case is rolled once, all of its plans as lanes of one ``inject``
+    day; each strategy reads contiguous copies of its plans' lanes.
+    """
     if not cases:
         raise ValidationError("strategy evaluation needs a non-empty case pool")
     outcomes: dict[str, list[CaseOutcome]] = {name: [] for name in STRATEGY_NAMES}
     for case in cases:
-        run = (topology, case, act_fn)
+        # Every plan the strategies read, in order and without repeats: both
+        # untargeted windows, the hull, each candidate start to the day's end.
+        hs, he = case.hull
+        starts = range(max(0, hs - _START_LOOKBACK), hs + 1)
+        spans = [UNTARGETED_EARLY, UNTARGETED_MIDDAY, (hs, he)]
+        spans += [(s, STEPS_PER_DAY) for s in starts]
+        plans = list(dict.fromkeys(InjectionPlan(*span) for span in spans))
+        lanes = inject(topology, case, plans, act_fn)
+        states = {plan: lanes[:, k].copy() for k, plan in enumerate(plans)}
+        run = (topology, case, states)
         for outcome in (
             strategy_untargeted(*run, UNTARGETED_EARLY),
             strategy_untargeted(*run, UNTARGETED_MIDDAY),

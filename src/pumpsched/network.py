@@ -233,6 +233,11 @@ class NetworkTopology:
             a.setflags(write=False)
         return index, lower, upper
 
+    @functools.cached_property
+    def compiled(self) -> CompiledTopology:
+        """Arrays for the simulator's hot loop, worked out once per topology."""
+        return CompiledTopology(self)
+
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) operational bounds per tank."""
         lb = np.array([t.lower_bound for t in self.tanks], dtype=float)
@@ -247,6 +252,30 @@ class NetworkTopology:
 
     def initial_levels_array(self) -> np.ndarray:
         return np.array([t.initial_level for t in self.tanks], dtype=float)
+
+
+class CompiledTopology:
+    """Station fill/draw fractions, zone-to-tank routing, pump ratings, areas and
+    caps of a topology as read-only arrays."""
+
+    def __init__(self, topology: NetworkTopology):
+        n_t, n_s, n_z = topology.n_tanks, topology.n_stations, topology.n_zones
+        self.fill = np.zeros((n_s, n_t))
+        self.draw = np.zeros((n_s, n_t))
+        for j, station in enumerate(topology.stations):
+            for tank_id, frac in station.fills:
+                self.fill[j, topology.tank_index(tank_id)] += frac
+            if station.draws_from is not None:
+                self.draw[j, topology.tank_index(station.draws_from)] = 1.0
+        self.max_flow = np.array([s.max_flow for s in topology.stations])
+        self.rated_power = np.array([s.rated_power for s in topology.stations])
+        self.zone_to_tank = np.zeros((n_t, n_z))
+        for k, zone in enumerate(topology.zones):
+            self.zone_to_tank[topology.tank_index(zone.served_by), k] = 1.0
+        self.areas = topology.areas_array()
+        self.caps = topology.caps_array()
+        for a in vars(self).values():
+            a.setflags(write=False)
 
 
 class DemandSet:

@@ -79,23 +79,10 @@ def init_policy(
     return PolicyParameters(actor=actor, log_sigma=log_sigma, critic=critic)
 
 
-def _check_obs(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
-    arr = np.asarray(obs, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != params.obs_dim:
-            raise ValidationError(
-                f"observation width {arr.shape[0]} does not match policy input "
-                f"{params.obs_dim}"
-            )
-    elif arr.ndim != 2 or arr.shape[1] != params.obs_dim:
-        raise ValidationError("observation batch has the wrong width")
-    return arr
-
-
 def forward_batch(
     params: PolicyParameters, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(means, sigmas, values) for a batch of observations, row-exact.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(means, values) for a batch of observations, row-exact.
 
     Row k equals the one-row forward of ``obs[k]`` byte for byte, so an
     episode's actions do not depend on how many episodes share the batch.
@@ -104,11 +91,10 @@ def forward_batch(
     differ in the last bits. The stacked form ``obs[:, None, :] @ W`` runs the
     one-row product once per row instead.
     """
-    stacked = np.atleast_2d(_check_obs(params, obs))[:, None, :]
+    stacked = np.atleast_2d(obs)[:, None, :]
     means = params.actor.forward(stacked)[0][:, 0]
     values = params.critic.forward(stacked)[0][:, 0, 0]
-    sigma = np.exp(params.log_sigma)
-    return means, np.broadcast_to(sigma, means.shape), values
+    return means, values
 
 
 def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
@@ -124,8 +110,7 @@ def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray)
 def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
     """Greedy action: the clipped actor mean; the critic is not evaluated.
     Rows of observations run row-exact, as in ``forward_batch``."""
-    arr = _check_obs(params, obs)
-    mean, _ = params.actor.forward(arr[..., None, :])
+    mean, _ = params.actor.forward(np.asarray(obs, dtype=float)[..., None, :])
     return np.clip(mean[..., 0, :], 0.0, 1.0)
 
 
@@ -149,7 +134,7 @@ def actor_logp_and_grads(
 
     Returns (logps, actor weight grads, actor bias grads, log_sigma grad).
     """
-    arr = np.atleast_2d(_check_obs(params, obs))
+    arr = np.atleast_2d(np.asarray(obs, dtype=float))
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if actions.shape != (arr.shape[0], params.action_dim):
         raise ValidationError("action batch shape does not match policy output")

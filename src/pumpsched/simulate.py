@@ -7,21 +7,31 @@ policy, rule-based and random days, a case's plans and PPO's episodes all
 share it; ``PumpSchedulingEnv`` advances the same record one step at a time.
 ``resume_lanes`` advances many resumes of one fixed schedule as lanes of one
 array; pump flows depend only on commanded speeds (affinity laws), never on
-tank levels, so lanes that run the same action share one kernel call. Every
-step goes through the kernel ``step``; inputs are validated once per day at the
-boundary. A lane's bytes equal those of its day rolled alone.
+tank levels, so lanes that run the same action share one kernel call.
+
+Every step goes through the kernel ``step``, which only advances levels: the
+day's per-tank demand is worked out for every step up front, and the records
+that do not feed back into levels (powers, energies, costs, clamp flags) are
+filled for many steps at once, in the per-step order of arithmetic. Inputs are
+validated once per day at the boundary. A lane's bytes equal those of its day
+rolled alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .network import DT_HOURS, STEPS_PER_DAY, DemandSet, NetworkTopology
+from .network import (
+    DT_HOURS,
+    STEPS_PER_DAY,
+    CompiledTopology,
+    DemandSet,
+    NetworkTopology,
+)
 
 
 @dataclass
@@ -56,32 +66,6 @@ class Trajectory:
         return Trajectory(**records, tariff=self.tariff)
 
 
-class _Compiled:
-    """Topology cross-references lowered to arrays for the hot loop."""
-
-    def __init__(self, topology: NetworkTopology):
-        n_t, n_s, n_z = topology.n_tanks, topology.n_stations, topology.n_zones
-        self.fill = np.zeros((n_s, n_t))
-        self.draw = np.zeros((n_s, n_t))
-        for j, station in enumerate(topology.stations):
-            for tank_id, frac in station.fills:
-                self.fill[j, topology.tank_index(tank_id)] += frac
-            if station.draws_from is not None:
-                self.draw[j, topology.tank_index(station.draws_from)] = 1.0
-        self.max_flow = np.array([s.max_flow for s in topology.stations])
-        self.rated_power = np.array([s.rated_power for s in topology.stations])
-        self.zone_to_tank = np.zeros((n_t, n_z))
-        for k, zone in enumerate(topology.zones):
-            self.zone_to_tank[topology.tank_index(zone.served_by), k] = 1.0
-        self.areas = topology.areas_array()
-        self.caps = topology.caps_array()
-
-
-@lru_cache(maxsize=32)
-def _compiled(topology: NetworkTopology) -> _Compiled:
-    return _Compiled(topology)
-
-
 def _check_speeds(speeds: np.ndarray) -> None:
     if not np.all(np.isfinite(speeds)):
         raise ValidationError("pump speed must be finite")
@@ -90,44 +74,41 @@ def _check_speeds(speeds: np.ndarray) -> None:
 
 
 def step(
-    c: _Compiled,
+    c: CompiledTopology,
     levels: np.ndarray,
-    action: np.ndarray,
-    zone_demands_t: np.ndarray,
-    tariff_t: float,
-):
-    """One step of the mass balance under commanded pump speeds.
+    flows: np.ndarray,
+    tank_demand_t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the level recursion: the mass balance under the pump
+    ``flows`` (m^3/h per station) and the step's demand column
+    ``tank_demand_t`` (m^3/h per tank, trailing axis of 1).
 
-    ``c`` is the topology lowered by ``_compiled``; the inputs are not
-    validated here, ``run_day`` and ``PumpSchedulingEnv.step`` do that.
-
-    ``zone_demands_t`` is the per-zone demand during the step in m^3/h;
-    ``tariff_t`` prices the step's energy. Returns the clamped next levels,
-    the per-station flows, powers and energies, the step cost, and the
-    per-tank clamp flags. Leading lane axes broadcast; the stacked mat-vecs
-    run the one-lane BLAS product per lane, so every lane is exact.
+    ``c`` is ``topology.compiled``; the inputs are not validated here,
+    ``run_day`` and ``PumpSchedulingEnv.step`` do that. Returns the clamped
+    next levels and the unclamped ones, which the clamp flags are read from.
+    Leading lane axes broadcast; the stacked mat-vecs run the one-lane BLAS
+    product per lane, so every lane is exact.
     """
-    flows = c.max_flow * action
-    powers = c.rated_power * action**3
-    energies = powers * DT_HOURS
-    cost = energies.sum(axis=-1) * tariff_t
-
     cols = flows[..., None]
     inflow = c.fill.T @ cols
     outflow = c.draw.T @ cols
-    tank_demand = c.zone_to_tank @ zone_demands_t[..., None]
-    raw = levels + DT_HOURS * (inflow - outflow - tank_demand)[..., 0] / c.areas
-    clamp_flags = (raw < 0.0) | (raw > c.caps)
-    levels = np.minimum(np.maximum(raw, 0.0), c.caps)  # np.clip's bytes, faster
-    return levels, flows, powers, energies, cost, clamp_flags
+    raw = levels + DT_HOURS * (inflow - outflow - tank_demand_t)[..., 0] / c.areas
+    return np.minimum(np.maximum(raw, 0.0), c.caps), raw  # np.clip's bytes, faster
+
+
+def _tank_demand(c: CompiledTopology, zone_values: np.ndarray, t0: int) -> np.ndarray:
+    """The demand column of every step from ``t0`` on, (96 - t0, *lanes,
+    n_tanks, 1): one stacked mat-vec, the one-step product for each step."""
+    return c.zone_to_tank @ np.moveaxis(zone_values[..., t0:], -1, 0)[..., None]
 
 
 class _Rollout:
     """Preallocated record of one day (or of lanes of days) rolled from ``t0``.
 
     The constructor validates the day's inputs; ``advance`` applies the
-    action for step ``t`` to ``levels`` and records it; ``trajectory``
-    returns the record.
+    action for step ``t`` to ``levels`` and records it with its flows;
+    ``record`` fills the other records of the steps advanced since its last
+    call; ``trajectory`` returns the record.
     """
 
     def __init__(
@@ -138,7 +119,7 @@ class _Rollout:
         tariff: np.ndarray,
         t0: int = 0,
     ):
-        c = _compiled(topology)
+        c = topology.compiled
         if not 0 <= t0 <= STEPS_PER_DAY:
             raise ValidationError(f"cannot start a day at step {t0}")
         levels = np.array(initial_levels, dtype=float)
@@ -165,16 +146,18 @@ class _Rollout:
         n = STEPS_PER_DAY - t0
         n_t, n_s = topology.n_tanks, topology.n_stations
         self.c, self.zone_values, self.tariff = c, zone_values, tariff
+        self.tank_demand = _tank_demand(c, zone_values, t0)
         self.t0 = self.t = t0
+        self._recorded = 0  # steps whose powers, costs and flags are filled
         self.levels = levels
         self.states = np.empty((n + 1, *lanes, n_t))
         self.states[0] = levels
-        self.actions = np.empty((n, *lanes, n_s))
-        self.flows = np.empty((n, *lanes, n_s))
-        self.powers = np.empty((n, *lanes, n_s))
-        self.energies = np.empty((n, *lanes, n_s))
+        self.actions, self.flows, self.powers, self.energies = np.empty(
+            (4, n, *lanes, n_s)
+        )
         self.costs = np.empty((n, *lanes))
         self.clamp_flags = np.empty((n, *lanes, n_t), dtype=bool)
+        self._raw = np.empty((n, *lanes, n_t))  # unclamped levels
 
     def advance(self, action: np.ndarray) -> None:
         t = self.t
@@ -185,19 +168,26 @@ class _Rollout:
                 f"{self.actions.shape[-1]}"
             )
         self.actions[i] = action
-        zone_t = self.zone_values[..., t]
-        (
-            self.levels,
-            self.flows[i],
-            self.powers[i],
-            self.energies[i],
-            self.costs[i],
-            self.clamp_flags[i],
-        ) = step(self.c, self.levels, self.actions[i], zone_t, self.tariff[t])
+        self.flows[i] = self.c.max_flow * self.actions[i]
+        self.levels, self._raw[i] = step(
+            self.c, self.levels, self.flows[i], self.tank_demand[i]
+        )
         self.states[i + 1] = self.levels
         self.t = t + 1
 
+    def record(self) -> None:
+        c, lo, hi = self.c, self._recorded, self.t - self.t0
+        self.powers[lo:hi] = c.rated_power * self.actions[lo:hi] ** 3
+        self.energies[lo:hi] = self.powers[lo:hi] * DT_HOURS
+        tariff = self.tariff[self.t0 + lo : self.t0 + hi]
+        tariff = tariff.reshape(-1, *(1,) * (self.costs.ndim - 1))  # per lane
+        self.costs[lo:hi] = self.energies[lo:hi].sum(axis=-1) * tariff
+        raw = self._raw[lo:hi]
+        self.clamp_flags[lo:hi] = (raw < 0.0) | (raw > c.caps)
+        self._recorded = hi
+
     def trajectory(self) -> Trajectory:
+        self.record()
         return Trajectory(
             states=self.states,
             actions=self.actions,
@@ -242,7 +232,6 @@ def resume_lanes(
     branch_states: np.ndarray,
     schedule: np.ndarray,
     zone_values: np.ndarray,
-    tariff: np.ndarray,
     t0: int,
 ) -> np.ndarray:
     """Resume ``schedule`` at every step from ``t0`` on, all lanes in one pass.
@@ -255,15 +244,14 @@ def resume_lanes(
     earlier columns hold ``branch_states[:k]``. Returns (96 - t0, 97 - t0,
     n_tanks). The inputs come from validated days and are not checked again.
     """
-    c = _compiled(topology)
+    c = topology.compiled
     n = STEPS_PER_DAY - t0
+    tank_demand = _tank_demand(c, zone_values, t0)
     states = np.empty((n, n + 1, topology.n_tanks))
     for j in range(n):
-        t = t0 + j
+        flows = c.max_flow * schedule[t0 + j]
         states[j:, j] = branch_states[j]
-        states[: j + 1, j + 1] = step(
-            c, states[: j + 1, j], schedule[t], zone_values[:, t], tariff[t]
-        )[0]
+        states[: j + 1, j + 1] = step(c, states[: j + 1, j], flows, tank_demand[j])[0]
     return states
 
 

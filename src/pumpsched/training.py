@@ -160,7 +160,7 @@ def _collect_lanes(
 
     def act_fn(obs: np.ndarray) -> np.ndarray:
         i = next(decisions)
-        means, _, values[:, i] = forward_batch(params, obs)
+        means, values[:, i] = forward_batch(params, obs)
         actions[:, i], executed, log_probs[:, i] = _sample_lanes(
             means, params, noise[i]
         )

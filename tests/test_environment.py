@@ -223,6 +223,30 @@ def test_trajectory_matches_simulator(world):
     np.testing.assert_array_equal(traj.costs, ref.costs)
 
 
+def test_every_env_step_reports_its_cost_energy_and_reward(world):
+    # The env fills a step's energy and cost right after advancing, before
+    # the dual reward and the step info read them.
+    from pumpsched import simulate
+
+    env = _env(world, AgentKind.DUAL)
+    config = _config(world)
+    env.reset(config)
+    schedule = np.random.default_rng(4).uniform(0.0, 1.0, (STEPS_PER_DAY, 6))
+    results = [env.step(schedule[t]) for t in range(STEPS_PER_DAY)]
+    ref = simulate(world, config.initial_levels, schedule, config.demands)
+    lb, ub = world.bounds_arrays()
+    tariff_norm = normalize_tariff(ref.tariff)
+    for t, result in enumerate(results):
+        assert result.info["step_cost"] == float(ref.costs[t])
+        assert result.info["step_energy"] == float(ref.energies[t].sum())
+        reward = reward_dual(
+            ref.states[t + 1], lb, ub, ref.energies[t], float(tariff_norm[t]),
+            _energy_max(world),
+        )  # fmt: skip
+        assert result.reward == reward
+    assert env.trajectory().energies.tobytes() == ref.energies.tobytes()
+
+
 # -- frame-skip wrapper -------------------------------------------------------
 
 

@@ -53,6 +53,31 @@ def test_margins_keep_release_above_trigger(world):
             assert margins.releases[j] >= margins.triggers[j] + 0.05 * band - 1e-12
 
 
+class _FixedDraws:
+    """A generator stand-in whose uniform draws are the given values in turn."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def uniform(self, low, high, size):
+        return np.full(size, next(self._values))
+
+
+@pytest.mark.parametrize("trigger_draw", [-1.0, 1.0])
+@pytest.mark.parametrize("release_draw", [-1.0, 1.0])
+def test_margins_leave_a_tenth_of_the_band_at_the_extreme_draws(
+    world, trigger_draw, release_draw
+):
+    """At the largest imperfection and either end of both draws, the release
+    still sits a tenth of the band above the trigger, so margins need no
+    clamp keeping them apart."""
+    margins = margins_for(world, 1.0, _FixedDraws(trigger_draw, release_draw))
+    _, lower, upper = world.primary_tanks
+    band = upper - lower
+    # Exactly a tenth in real arithmetic at the ceiling, so allow rounding.
+    assert np.all(margins.releases - margins.triggers >= 0.1 * band - 1e-12)
+
+
 @pytest.mark.parametrize("imperfection", [0.0, DEFAULT_IMPERFECTION, 1.0])
 def test_margins_equal_the_per_station_loop(world, imperfection):
     """The band arithmetic written out one station at a time, as the oracle."""

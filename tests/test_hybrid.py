@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -24,9 +25,11 @@ from pumpsched.hybrid import (
     UNTARGETED_EARLY,
     UNTARGETED_MIDDAY,
     _best_end,
+    _range_area,
+    _region_outcome,
+    _state_area,
     strategy_targeted,
     strategy_untargeted,
-    _state_area,
 )
 from pumpsched.metrics import _exceedance, area_outside_boundary
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY
@@ -187,7 +190,9 @@ def test_every_inject_lane_equals_its_plan_injected_alone(world, case_pool, lane
 
 def test_regions_partition_the_day(world, case_pool):
     case = case_pool[0]
-    outcome = strategy_targeted(world, case, _mid_band_act_fn(world))
+    plan = InjectionPlan(*case.hull)
+    states = {plan: inject(world, case, [plan], _mid_band_act_fn(world))[:, 0]}
+    outcome = strategy_targeted(world, case, states)
     hs, he = case.hull
     area = _state_area(case.baseline_states, case.bounds)
     pre = float(area[1:hs + 1].sum())
@@ -285,6 +290,93 @@ def test_during_regions_identical_across_strategies(report, case_pool):
             )
 
 
+def _injected_from_first_start(world, case, plans, act_fn):
+    """States (97, lanes, n_tanks) of ``plans`` rolled as lanes from the
+    earliest plan start, from the baseline's state there, behind the
+    baseline's earlier states."""
+    t0, lanes = min(plan.start for plan in plans), len(plans)
+    policy = closed_loop(world, AgentKind.DUAL, act_fn)
+
+    def act(t, levels):
+        action = np.repeat(case.baseline_schedule[t][None], lanes, axis=0)
+        inside = np.array([plan.start <= t < plan.end for plan in plans])
+        if inside.any():
+            action[inside] = policy(t, levels[inside])
+        return action
+
+    day = run_day(
+        world,
+        np.repeat(case.baseline_states[t0][None], lanes, axis=0),
+        np.repeat(case.config.demands.as_array()[None], lanes, axis=0),
+        world.tariff.as_array(),
+        act,
+        t0,
+    )
+    prefix = np.repeat(case.baseline_states[:t0, None], lanes, axis=1)
+    return np.concatenate([prefix, day.states])
+
+
+def _rolled_per_strategy(world, case, act_fn):
+    """The five strategies each rolling their own plans from the earliest of
+    them, as the oracle of one roll per case."""
+    inject = functools.partial(_injected_from_first_start, world, case)
+    hs, he = case.hull
+    outcomes = []
+    for window, name in (
+        (UNTARGETED_EARLY, "untargeted_0_2"),
+        (UNTARGETED_MIDDAY, "untargeted_12_14"),
+    ):
+        plan = InjectionPlan(*window)
+        states = inject([plan], act_fn)[:, 0]
+        during = (max(plan.start + 1, 1), plan.end)
+        outcomes.append(_region_outcome(case, name, plan, states, during))
+    plan = InjectionPlan(hs, he)
+    states = inject([plan], act_fn)[:, 0]
+    outcomes.append(_region_outcome(case, "targeted", plan, states, (hs + 1, he)))
+    full = inject([InjectionPlan(hs, STEPS_PER_DAY)], act_fn)[:, 0]
+    e_star, states = _best_end(world, case, full, hs, he)
+    plan = InjectionPlan(hs, e_star)
+    outcomes.append(_region_outcome(case, "dynamic_end", plan, states, (hs + 1, he)))
+    starts = range(max(0, hs - 16), hs + 1)
+    plans = [InjectionPlan(s, STEPS_PER_DAY) for s in starts]
+    lanes = inject(plans, act_fn)
+    during = [
+        _range_area(_state_area(lanes[:, k], case.bounds), hs + 1, he)
+        for k in range(len(starts))
+    ]
+    k = min(range(len(starts)), key=lambda k: (during[k], -starts[k]))
+    e_star, states = _best_end(world, case, lanes[:, k], hs, he)
+    plan = InjectionPlan(starts[k], e_star)
+    outcomes.append(
+        _region_outcome(case, "dynamic_start_end", plan, states, (hs + 1, he))
+    )
+    return outcomes
+
+
+def test_one_roll_per_case_equals_a_roll_per_strategy(world, case_pool):
+    # Hulls starting before the lookback (hs < 16, the candidate starts clip
+    # at 0 and one of them is untargeted_0_2's start) and reaching the end of
+    # the day (he == 96, the targeted plan is dynamic_end's) among the cases.
+    early = ViolationWindow(start=5, end=12, tanks=(0,))
+    late = ViolationWindow(start=70, end=STEPS_PER_DAY + 1, tanks=(1,))
+    pool = [*case_pool]
+    for windows in ((early,), (late,), (early, late)):
+        pool.append(
+            dataclasses.replace(case_pool[1], case_id=len(pool), windows=windows)
+        )
+    hulls = [case.hull for case in pool]
+    assert any(hs < 16 for hs, _ in hulls)
+    assert any(he == STEPS_PER_DAY for _, he in hulls)
+    for act_fn in (_mid_band_act_fn(world), _flat_out):
+        report = evaluate_strategies(world, pool, act_fn)
+        for case in pool:
+            for expected in _rolled_per_strategy(world, case, act_fn):
+                got = report.outcomes[expected.strategy][case.case_id]
+                for field in dataclasses.fields(expected):
+                    name = field.name
+                    assert getattr(got, name) == getattr(expected, name), name
+
+
 def test_untargeted_windows_fixed(report):
     for outcome in report.outcomes["untargeted_0_2"]:
         assert (outcome.plan.start, outcome.plan.end) == (0, 8)
@@ -297,14 +389,17 @@ def test_untargeted_windows_fixed(report):
 def test_untargeted_names_its_window_and_rejects_any_other(world, case_pool):
     act = _mid_band_act_fn(world)
     case = case_pool[0]
+    plans = [InjectionPlan(*UNTARGETED_EARLY), InjectionPlan(*UNTARGETED_MIDDAY)]
+    lanes = inject(world, case, plans, act)
+    states = {plan: lanes[:, k].copy() for k, plan in enumerate(plans)}
     for window, name in (
         (UNTARGETED_EARLY, "untargeted_0_2"),
         (UNTARGETED_MIDDAY, "untargeted_12_14"),
     ):
-        assert strategy_untargeted(world, case, act, window).strategy == name
+        assert strategy_untargeted(world, case, states, window).strategy == name
     for window in ((20, 30), (0, 9), (48, 55)):
         with pytest.raises(ValidationError, match="untargeted window"):
-            strategy_untargeted(world, case, act, window)
+            strategy_untargeted(world, case, states, window)
 
 
 def test_zero_baseline_region_reports_none(report):
@@ -341,7 +436,6 @@ def _tails(world, case, states, e):
         states[e:],
         case.baseline_schedule,
         case.config.demands.as_array(),
-        world.tariff.as_array(),
         e,
     )
 

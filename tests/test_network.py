@@ -94,6 +94,20 @@ def test_network_json_round_trip(tmp_path, world):
     assert json.loads(path.read_text())["dt_hours"] == 0.25
 
 
+def test_compiled_topology_is_held_on_the_instance(tmp_path, world):
+    # Worked out once per topology, never by hashing it; an equal topology
+    # loaded on its own lowers to equal arrays, which no caller can change.
+    assert world.compiled is world.compiled
+    path = tmp_path / "network.json"
+    save_network(world, path)
+    again = load_network(path)
+    assert again == world and again.compiled is not world.compiled
+    for name, array in vars(world.compiled).items():
+        np.testing.assert_array_equal(getattr(again.compiled, name), array)
+        assert not array.flags.writeable, name
+    assert again.compiled is again.compiled
+
+
 def test_load_network_reports_bad_bounds(tmp_path, world):
     obj = topology_to_dict(world)
     obj["tanks"][2]["lower_bound"] = obj["tanks"][2]["upper_bound"] + 1.0

@@ -61,9 +61,9 @@ def test_init_policy_shapes_and_start():
     assert params.action_dim == 2
     np.testing.assert_allclose(np.exp(params.log_sigma), 0.3)
     # The mean head starts near mid-range so initial actions hover around 0.5.
-    means, sigmas, values = forward_batch(params, np.zeros((1, 3)))
+    means, values = forward_batch(params, np.zeros((1, 3)))
     np.testing.assert_allclose(means[0], 0.5, atol=0.05)
-    assert sigmas.shape == (1, 2)
+    assert means.shape == (1, 2)
     assert values.shape == (1,) and np.isfinite(values[0])
 
 
@@ -105,14 +105,12 @@ def test_forward_batch_matches_single(seed, obs_dim):
             for x in obs
         ]
         for batch in range(1, 65):
-            means, sigmas, values = forward_batch(params, obs[:batch])
+            means, values = forward_batch(params, obs[:batch])
             greedy = deterministic_action(params, obs[:batch])
             for k in range(batch):
                 assert means[k].tobytes() == rows[k][0].tobytes()
                 assert values[k].tobytes() == rows[k][1].tobytes()
                 assert greedy[k].tobytes() == rows[k][2].tobytes()
-            sigma_rows = np.tile(np.exp(params.log_sigma), (batch, 1))
-            np.testing.assert_array_equal(sigmas, sigma_rows)
 
 
 def test_forward_batch_checks_width():
@@ -126,7 +124,7 @@ def test_forward_batch_checks_width():
 def test_sample_action_clipped_and_logp_unclipped():
     params = _small_policy()
     rng = np.random.default_rng(0)
-    means, _, _ = forward_batch(params, np.zeros((1, 3)))
+    means, _ = forward_batch(params, np.zeros((1, 3)))
     for _ in range(50):
         raw, action, logp = _sample_lanes(means, params, rng.standard_normal((1, 2)))
         assert np.all(action >= 0.0) and np.all(action <= 1.0)
@@ -140,7 +138,7 @@ def test_tiny_sigma_sampling_collapses_to_mean():
         actor=params.actor, log_sigma=np.full(2, -20.0), critic=params.critic
     )
     rng = np.random.default_rng(5)
-    means, _, _ = forward_batch(frozen, np.zeros((1, 3)))
+    means, _ = forward_batch(frozen, np.zeros((1, 3)))
     _, action, _ = _sample_lanes(means, frozen, rng.standard_normal((1, 2)))
     np.testing.assert_allclose(action[0], np.clip(means[0], 0.0, 1.0), atol=1e-7)
     np.testing.assert_array_equal(

@@ -425,7 +425,7 @@ def test_every_resume_lane_equals_a_rollout_from_its_state(world, seed, t0, high
         demands,
     ).states[t0:]  # fmt: skip
     tariff = world.tariff.as_array()
-    lanes = resume_lanes(world, branch, schedule, demands.as_array(), tariff, t0)
+    lanes = resume_lanes(world, branch, schedule, demands.as_array(), t0)
     assert lanes.shape == (STEPS_PER_DAY - t0, STEPS_PER_DAY + 1 - t0, world.n_tanks)
     for k, row in enumerate(lanes):
         exact = run_day(
@@ -464,6 +464,59 @@ def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
         for name in _TRAJECTORY_FIELDS:
             lane = getattr(day, name) if name == "tariff" else getattr(day, name)[:, k]
             assert lane.tobytes() == getattr(alone, name).tobytes(), name
+
+
+def _all_in_one_step(c, levels, action, zone_demands_t, tariff_t):
+    """The kernel as it was when every record came out of each step: flows,
+    powers, energies, cost and clamp flags beside the level recursion."""
+    flows = c.max_flow * action
+    powers = c.rated_power * action**3
+    energies = powers * DT_HOURS
+    cost = energies.sum(axis=-1) * tariff_t
+    cols = flows[..., None]
+    inflow = c.fill.T @ cols
+    outflow = c.draw.T @ cols
+    tank_demand = c.zone_to_tank @ zone_demands_t[..., None]
+    raw = levels + DT_HOURS * (inflow - outflow - tank_demand)[..., 0] / c.areas
+    clamp_flags = (raw < 0.0) | (raw > c.caps)
+    levels = np.minimum(np.maximum(raw, 0.0), c.caps)
+    return levels, flows, powers, energies, cost, clamp_flags
+
+
+@pytest.mark.parametrize(
+    "lanes, t0", [(None, 0), (None, 61), (1, 0), (4, 0), (3, 37), (5, 95)]
+)
+def test_day_records_equal_the_all_in_one_step(world, lanes, t0):
+    # Levels from empty to full and speeds up to flat out clamp at both rails;
+    # ``lanes`` None rolls one day without a lane axis.
+    from pumpsched import generate_demands
+
+    n = 1 if lanes is None else lanes
+    rng = np.random.default_rng(n * 100 + t0)
+    schedules = rng.uniform(0.0, 1.0, (STEPS_PER_DAY, n, world.n_stations))
+    levels = rng.uniform(0.0, 1.0, (n, world.n_tanks)) * world.caps_array()
+    demands = np.array([generate_demands(world, t0 + k).as_array() for k in range(n)])
+    if lanes is None:
+        schedules, levels, demands = schedules[:, 0], levels[0], demands[0]
+    tariff = world.tariff.as_array()
+    day = run_day(world, levels, demands, tariff, lambda t, lv: schedules[t], t0)
+
+    rows, current = [], levels
+    for t in range(t0, STEPS_PER_DAY):
+        rows.append(
+            _all_in_one_step(
+                world.compiled, current, schedules[t], demands[..., t], tariff[t]
+            )
+        )
+        current = rows[-1][0]
+    expected = {"states": np.array([levels] + [row[0] for row in rows])}
+    for i, name in enumerate(("flows", "powers", "energies", "costs", "clamp_flags")):
+        expected[name] = np.array([row[i + 1] for row in rows])
+    for name, array in expected.items():
+        assert getattr(day, name).tobytes() == array.tobytes(), name
+    assert day.actions.tobytes() == schedules[t0:].tobytes()
+    if t0 == 0:
+        assert day.clamp_flags.any() and not day.clamp_flags.all()
 
 
 def _episode_through_the_env(spec, params, seed, iteration, idx):

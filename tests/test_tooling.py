@@ -50,12 +50,12 @@ def test_span_tracer_wraps_and_restores_the_package(world):
 def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
     """The benchmark times the strategies by their ``hybrid.strategy_*`` span
     names and the strategy tag of each result, and counts ``hybrid.inject``.
-    Each strategy rolls its plans in one ``inject`` call, and only the two
-    end searches run ``_best_end``, once each."""
+    Each case is rolled in one ``inject`` call, made by ``evaluate_strategies``
+    itself, and only the two end searches run ``_best_end``, once each."""
     spans = _load_spans()
     archive = pumpsched.generate_history(world, days=40, seed=42)
     index = pumpsched.build_index(world, archive)
-    (case,) = pumpsched.build_case_pool(world, index, n_cases=1, seed=7)
+    cases = pumpsched.build_case_pool(world, index, n_cases=2, seed=7)
     tracer = spans.Tracer()
     best_end, best_end_calls = hybrid_module._best_end, []
 
@@ -66,7 +66,7 @@ def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
     monkeypatch.setattr(hybrid_module, "_best_end", counted_best_end)
     with spans.instrument(tracer):
         pumpsched.evaluate_strategies(
-            world, [case], lambda obs: np.full((len(obs), world.n_stations), 0.5)
+            world, cases, lambda obs: np.full((len(obs), world.n_stations), 0.5)
         )
     records = tracer.spans
     strategies = {
@@ -74,20 +74,29 @@ def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
         for i, rec in enumerate(records)
         if rec[0].startswith("hybrid.strategy_")
     }
-    assert sorted(strategies.values()) == [
-        ("dynamic_end", "dynamic_end"),
-        ("dynamic_start_end", "dynamic_start_end"),
-        ("targeted", "targeted"),
-        ("untargeted", "untargeted_0_2"),
-        ("untargeted", "untargeted_12_14"),
+    assert sorted(strategies.values()) == sorted(
+        [
+            ("dynamic_end", "dynamic_end"),
+            ("dynamic_start_end", "dynamic_start_end"),
+            ("targeted", "targeted"),
+            ("untargeted", "untargeted_0_2"),
+            ("untargeted", "untargeted_12_14"),
+        ]
+        * len(cases)
+    )
+    (evaluate,) = [
+        i for i, rec in enumerate(records) if rec[0] == "hybrid.evaluate_strategies"
     ]
-    inject_parents = [rec[3] for rec in records if rec[0] == "hybrid.inject"]
-    assert sorted(inject_parents) == sorted(strategies)
+    injects = [i for i, rec in enumerate(records) if rec[0] == "hybrid.inject"]
+    assert [records[i][3] for i in injects] == [evaluate] * len(cases)
+    # Each case's inject comes before that case's five strategies.
+    assert [sum(i < at for i in strategies) for at in injects] == [0, 5]
     owners = [max(i for i in strategies if i < at) for at in best_end_calls]
-    assert [strategies[i][1] for i in owners] == ["dynamic_end", "dynamic_start_end"]
+    owner_names = [strategies[i][1] for i in owners]
+    assert owner_names == ["dynamic_end", "dynamic_start_end"] * len(cases)
 
     metrics = spans.layer_metrics(records)
-    assert metrics["hybrid.inject.calls"] == len(hybrid_module.STRATEGY_NAMES)
+    assert metrics["hybrid.inject.calls"] == len(cases)
     for name in hybrid_module.STRATEGY_NAMES:
         assert metrics[f"hybrid.strategy.{name}.s_per_case"] > 0
 
