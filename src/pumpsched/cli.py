@@ -50,6 +50,7 @@ from .metrics import (
 from .network import (
     STEPS_PER_DAY,
     NetworkTopology,
+    _read_json,
     generate_synthetic_network,
     load_network,
     save_network,
@@ -220,7 +221,10 @@ def _write_manifest(
     args: argparse.Namespace,
     artifacts: dict[str, str],
     started: float,
+    phase_ends: dict[str, float] | None = None,
 ) -> None:
+    """``phase_ends`` maps each phase of the command, in order, to the
+    ``time.time()`` it ended; the first began at ``started``."""
     echo = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -233,8 +237,11 @@ def _write_manifest(
         "artifacts": artifacts,
         "wall_clock_seconds": round(time.time() - started, 3),
     }
+    if phase_ends:
+        seconds = np.diff([started, *phase_ends.values()]).round(4).tolist()
+        payload["phase_seconds"] = dict(zip(phase_ends, seconds))
     tmp = out / "manifest.json.tmp"
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(json.dumps(payload, indent=2) + "\n")  # phases in run order
     os.replace(tmp, out / "manifest.json")
 
 
@@ -304,7 +311,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         out,
         "train",
         args,
-        {"checkpoint": "checkpoint.json", "reward_curve": "reward_curve.csv"},
+        {
+            "checkpoint": "checkpoint.json",
+            "checkpoint_arrays": "checkpoint.json.arrays",
+            "reward_curve": "reward_curve.csv",
+        },
         started,
     )
     last = result.curve[-1] if result.curve else (0, float("nan"))
@@ -360,9 +371,11 @@ def _eval_scores(
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    started = time.time()
+    started, phase_ends = time.time(), {}
     topology = load_network(args.network)
+    phase_ends["load_network"] = time.time()
     params, meta = load_checkpoint(args.checkpoint)
+    phase_ends["load_checkpoint"] = time.time()
     try:
         kind = AgentKind(meta.get("agent", "constraint"))
         frame_skip = int(meta.get("frame_skip", 1))
@@ -383,15 +396,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for label in passes[0]
     }
     rows = compare(results["rule_based"], [results["policy"], results["random"]])
+    phase_ends["score"] = time.time()
     out = _outdir(args)
     save_comparison_csv(rows, out / "comparison.csv")
     save_comparison_json(rows, out / "comparison.json")
+    phase_ends["write_artifacts"] = time.time()
     _write_manifest(
         out,
         "eval",
         args,
         {"comparison_csv": "comparison.csv", "comparison_json": "comparison.json"},
         started,
+        phase_ends,
     )
     for row in rows:
         extra = ""
@@ -413,10 +429,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_hybrid(args: argparse.Namespace) -> int:
-    started = time.time()
+    started, phase_ends = time.time(), {}
     topology = load_network(args.network)
+    phase_ends["load_network"] = time.time()
     archive = load_history(args.history)
+    phase_ends["load_history"] = time.time()
     params, meta = load_checkpoint(args.checkpoint)
+    phase_ends["load_checkpoint"] = time.time()
     if meta.get("agent") != "dual":
         raise ValidationError(
             "hybrid injection needs a checkpoint trained with --agent dual"
@@ -424,9 +443,11 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     index = build_index(topology, archive, per_zone_demand=args.per_zone_demand)
     cases = build_case_pool(topology, index, n_cases=args.cases, seed=args.seed)
     report = evaluate_strategies(topology, cases, policy_act_fn(params))
+    phase_ends["repair"] = time.time()
     out = _outdir(args)
     save_strategy_report_json(report, out / "strategy_report.json")
     save_strategy_report_csv(report, out / "strategy_report.csv")
+    phase_ends["write_artifacts"] = time.time()
     _write_manifest(
         out,
         "hybrid",
@@ -436,6 +457,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
             "strategy_report_csv": "strategy_report.csv",
         },
         started,
+        phase_ends,
     )
     for s in report.to_json_obj():
         during, post = _pct_text(s["mean_during_pct"]), _pct_text(s["mean_post_pct"])
@@ -445,13 +467,6 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------------
 # report
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _is_number(value) -> bool:
@@ -489,11 +504,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
             manifest.get("artifacts", {}), dict
         ):
             raise SchemaError(f"{manifest_path}: expected an object with artifacts")
+        phases = manifest.get("phase_seconds", {})
+        if not isinstance(phases, dict) or not all(map(_is_number, phases.values())):
+            raise SchemaError(f"{manifest_path}: phase_seconds must hold numbers")
         print(
             f"run: {manifest.get('command')} "
             f"(package {manifest.get('package_version')}, "
             f"{manifest.get('wall_clock_seconds')}s)"
         )
+        for name, seconds in phases.items():
+            print(f"  phase {name}: {seconds:.4f}s")
         for name, rel in manifest.get("artifacts", {}).items():
             print(f"  artifact {name}: {rel}")
 

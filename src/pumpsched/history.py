@@ -11,11 +11,11 @@ plus level, action, power, demand and tariff arrays shaped (day, step, ...),
 saved to and loaded from CSV with one row per (day, step).
 
 The CSV is the archive's canonical format. ``save_history`` also writes a
-binary companion beside it, ``<csv>.arrays``: the SHA-256 of the CSV bytes on
-one ASCII line, then the same numbers as one ``np.save`` array. Like a
-hash-based ``.pyc`` file it is a cache keyed on content, not on time:
-``load_history`` reads it, never unpickling, only when the key matches the
-CSV it is loading, and otherwise parses the CSV text as before.
+binary companion beside it, ``<csv>.arrays``, as ``save_checkpoint`` does
+beside a checkpoint: one float64 array keyed on the SHA-256 of the text's
+bytes (see ``_write_companion``). Like a hash-based ``.pyc`` file it is a
+cache keyed on content, not on time: a loader reads it only while the key
+matches the text it is loading, and otherwise parses the text as before.
 """
 
 from __future__ import annotations
@@ -236,6 +236,47 @@ def generate_history(
 
 
 # ----------------------------------------------------------------------------
+# Binary companions
+
+
+def _key(path: str | Path) -> bytes:
+    """The key line of the artifact at ``path``, hashed in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:  # small reads: a 1 MB one shows in peak RSS
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return f"{digest.hexdigest()}\n".encode()
+
+
+def _write_companion(path: str | Path, array: np.ndarray, header: bytes = b"") -> None:
+    """Write ``<path>.arrays``: the SHA-256 hex digest of the artifact now at
+    ``path`` on one line, ``header`` as given, then ``array`` by ``np.save``
+    without pickling. Its bytes depend on the artifact and the arguments alone."""
+    with open(f"{path}.arrays", "wb") as fh:
+        fh.write(_key(path) + header)
+        np.save(fh, array, allow_pickle=False)
+
+
+def _read_companion(
+    path: str | Path, header: bool = False
+) -> tuple[bytes, np.ndarray] | None:
+    """(header line or b"", float64 array) of the companion of ``path``, never
+    unpickled, or None unless it is keyed to the artifact's current bytes and
+    well-formed. The array's shape is the caller's to check."""
+    try:
+        with open(f"{path}.arrays", "rb") as fh:
+            if fh.readline(80) != _key(path):
+                return None
+            head = fh.readline() if header else b""
+            array = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if isinstance(array, np.ndarray) and array.dtype == np.float64:
+        return head, array
+    return None
+
+
+# ----------------------------------------------------------------------------
 # CSV round-trip
 
 _GROUP_RE = re.compile(r"^(level|action|power|demand)_(\d+)$")
@@ -249,11 +290,6 @@ def _header(n_tanks: int, n_stations: int, n_zones: int) -> list[str]:
         + [f"demand_{k + 1}" for k in range(n_zones)]
         + ["tariff"]
     )
-
-
-def _companion(path: str | Path) -> Path:
-    """The binary companion of the archive CSV at ``path``."""
-    return Path(f"{path}.arrays")
 
 
 def _csv_chunks(header: list[str], days: np.ndarray, table: np.ndarray):
@@ -274,11 +310,10 @@ def _csv_chunks(header: list[str], days: np.ndarray, table: np.ndarray):
 def save_history(archive: HistoryArchive, path: str | Path) -> None:
     """Write one CSV row per (day, step), then the CSV's binary companion.
 
-    Floats round-trip exactly via repr. The companion, ``<path>.arrays``,
-    only spares ``load_history`` the text parse: one ASCII line with the
-    SHA-256 hex digest of the CSV bytes, hashed as they are written, then the
-    CSV's numbers, stamps included, as one float64 ``np.save`` array written
-    without pickling. Both files' bytes depend on the archive alone.
+    Floats round-trip exactly via repr. The companion (see
+    ``_write_companion``) only spares ``load_history`` the text parse: it
+    holds the CSV's numbers, stamps included, as one 2-D array, with no
+    header line. Both files' bytes depend on the archive alone.
     """
     archive.validate()
     if archive.n_days == 0:
@@ -302,14 +337,9 @@ def save_history(archive: HistoryArchive, path: str | Path) -> None:
         axis=2,
         dtype=np.float64,
     )
-    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for chunk in _csv_chunks(header, archive.days, table):
-            digest.update(chunk)
-            fh.write(chunk)
-    with open(_companion(path), "wb") as fh:
-        fh.write(f"{digest.hexdigest()}\n".encode())
-        np.save(fh, table.reshape(-1, len(header)), allow_pickle=False)
+        fh.writelines(_csv_chunks(header, archive.days, table))
+    _write_companion(path, table.reshape(-1, len(header)))
 
 
 def _group_counts(header: list[str]) -> tuple[int, int, int]:
@@ -356,46 +386,17 @@ def _body_lines(fh):
         raise ValueError("no rows")
 
 
-def _read_companion(path: str | Path, width: int) -> np.ndarray | None:
-    """The companion's table, or None unless it is keyed to the CSV's bytes.
-
-    The CSV is streamed through SHA-256 in chunks, never read whole. The
-    table is loaded without unpickling and used only as a float64 array of
-    the CSV's width; a missing, stale, truncated or malformed companion gives
-    None.
-    """
-    try:
-        with open(_companion(path), "rb") as fh:
-            key = fh.readline(80)
-            digest = hashlib.sha256()
-            with open(path, "rb") as csv_fh:
-                for chunk in iter(lambda: csv_fh.read(1 << 20), b""):
-                    digest.update(chunk)
-            if key != f"{digest.hexdigest()}\n".encode():
-                return None
-            table = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return None
-    if (
-        isinstance(table, np.ndarray)
-        and table.dtype == np.float64
-        and table.ndim == 2
-        and table.shape[1] == width
-    ):
-        return table
-    return None
-
-
 def load_history(path: str | Path) -> HistoryArchive:
     """Load and validate an operating archive from CSV.
 
     After the header is checked, the body comes from the binary companion
-    ``save_history`` wrote beside the CSV when that companion is keyed to the
-    CSV's current bytes (see ``_read_companion``). Otherwise it is parsed by
-    one ``np.loadtxt`` call streaming from the open file, so memory stays
-    close to the arrays'. Should that fail, a ``csv.reader`` scan reads the
-    body row by row instead, and a bad row fails with a one-line error naming
-    its line. Whichever way the numbers were read, they pass the same checks.
+    ``save_history`` wrote beside the CSV when ``_read_companion`` finds it
+    keyed to the CSV's current bytes and it is a table of the CSV's width.
+    Otherwise it is parsed by one ``np.loadtxt`` call streaming from the open
+    file, so memory stays close to the arrays'. Should that fail, a
+    ``csv.reader`` scan reads the body row by row instead, and a bad row
+    fails with a one-line error naming its line. Whichever way the numbers
+    were read, they pass the same checks.
     """
     try:
         with open(path, newline="") as fh:
@@ -409,8 +410,9 @@ def load_history(path: str | Path) -> HistoryArchive:
                 raise SchemaError(
                     f"{path}: header does not match the documented column order"
                 )
-            data = _read_companion(path, len(expected))
-            if data is None:
+            found = _read_companion(path)
+            data = found[1] if found and found[1].ndim == 2 else None
+            if data is None or data.shape[1] != len(expected):
                 try:
                     data = np.loadtxt(
                         _body_lines(fh),

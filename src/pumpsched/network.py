@@ -418,12 +418,18 @@ def topology_from_dict(obj: dict) -> NetworkTopology:
     return topology
 
 
-def load_network(path: str | Path) -> NetworkTopology:
-    """Load and validate a network topology from a JSON document."""
+def _read_json(path: str | Path):
+    """The JSON document at ``path``; a file that is not one, or not UTF-8,
+    raises a one-line ``SchemaError``."""
     try:
-        obj = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+
+
+def load_network(path: str | Path) -> NetworkTopology:
+    """Load and validate a network topology from a JSON document."""
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     return topology_from_dict(obj)

@@ -8,6 +8,7 @@ sample so the density stays well-defined.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -15,6 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .history import _read_companion, _write_companion
+from .network import _read_json
 from .nn import MLP
 
 HIDDEN_SIZES = (64, 64)
@@ -158,13 +161,6 @@ def actor_logp_and_grads(
 # Checkpoints
 
 
-def _mlp_to_dict(mlp: MLP) -> dict:
-    return {
-        "weights": [w.tolist() for w in mlp.weights],
-        "biases": [b.tolist() for b in mlp.biases],
-    }
-
-
 def _mlp_from_dict(obj: dict, where: str) -> MLP:
     try:
         weights = [np.asarray(w, dtype=float) for w in obj["weights"]]
@@ -189,24 +185,63 @@ def _mlp_from_dict(obj: dict, where: str) -> MLP:
 def save_checkpoint(
     params: PolicyParameters, path: str | Path, meta: dict | None = None
 ) -> None:
-    """Write a versioned, exactly-round-tripping checkpoint document."""
+    """Write a versioned, exactly-round-tripping checkpoint document, then its
+    binary companion (see ``history._write_companion``): a header line of the
+    document with each array replaced by its shape, and ``params.arrays()``
+    laid end to end as one float64 vector. Both depend on params and meta alone.
+    """
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "obs_dim": params.obs_dim,
         "action_dim": params.action_dim,
-        "actor": _mlp_to_dict(params.actor),
-        "log_sigma": params.log_sigma.tolist(),
-        "critic": _mlp_to_dict(params.critic),
+        "actor": vars(params.actor),  # the MLP's weights and biases lists
+        "log_sigma": params.log_sigma,
+        "critic": vars(params.critic),
         "meta": meta or {},
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    Path(path).write_text(json.dumps(doc, default=np.ndarray.tolist) + "\n")
+    vector = np.concatenate([a.ravel() for a in params.arrays()], dtype=np.float64)
+    _write_companion(path, vector, f"{json.dumps(doc, default=np.shape)}\n".encode())
+
+
+def _doc_from_companion(path: str | Path) -> dict | None:
+    """The checkpoint document rebuilt from its companion, each array a fresh
+    C-contiguous copy, never a view of the vector; None unless the companion
+    is keyed to the document's bytes and its shapes use up its vector exactly."""
+    found = _read_companion(path, header=True)
+    if found is None or found[1].ndim != 1:
+        return None
+    head, vector = found
+    try:
+        doc = json.loads(head)
+        actor, critic = doc["actor"], doc["critic"]
+        shapes = [*actor["weights"], *actor["biases"], doc["log_sigma"]]
+        shapes += [*critic["weights"], *critic["biases"]]
+        parts = np.split(vector, np.cumsum([math.prod(s) for s in shapes])[:-1])
+        # Each reshape, the last one's too, fails unless its part fills it.
+        arrays = [p.reshape(s).copy() for p, s in zip(parts, shapes)]
+    except (ValueError, TypeError, KeyError):
+        return None
+    if [list(a.shape) for a in arrays] != shapes:  # a -1 was inferred
+        return None
+    a, b = len(actor["weights"]), len(actor["weights"]) + len(actor["biases"])
+    c = b + 1 + len(critic["weights"])
+    actor.update(weights=arrays[:a], biases=arrays[a:b])
+    critic.update(weights=arrays[b + 1 : c], biases=arrays[c:])
+    doc["log_sigma"] = arrays[b]
+    return doc
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    """Load and check a checkpoint written by ``save_checkpoint``.
+
+    The arrays come from its companion ``<path>.arrays`` while that is keyed
+    to the SHA-256 of the document's bytes (see ``_doc_from_companion``); a
+    missing, stale, truncated or malformed one falls back to parsing the JSON.
+    Both paths then pass the same checks: format version, layer chaining,
+    declared dimensions, ``log_sigma`` shape, critic output and ``meta`` type.
+    """
+    doc = _doc_from_companion(path) or _read_json(path)
     if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:
         raise SchemaError(
             f"{path}: unsupported checkpoint format "

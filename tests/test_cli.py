@@ -67,7 +67,7 @@ def workflow(tmp_path_factory):
 
 ARTIFACTS = {
     "gen": ("network.json", "history.csv", "history.csv.arrays"),
-    "train": ("checkpoint.json", "reward_curve.csv"),
+    "train": ("checkpoint.json", "checkpoint.json.arrays", "reward_curve.csv"),
     "eval": ("comparison.csv", "comparison.json"),
     "hybrid": ("strategy_report.json", "strategy_report.csv"),
     "report": (),
@@ -206,6 +206,77 @@ def test_hybrid_rejects_an_edited_history_beside_its_stale_companion(
     ]
 
 
+def test_eval_and_hybrid_reject_an_edited_checkpoint_beside_its_stale_companion(
+    workflow, tmp_path
+):
+    out, _ = workflow
+    for name in ("checkpoint.json", "checkpoint.json.arrays"):
+        shutil.copyfile(out / name, tmp_path / name)
+    checkpoint = tmp_path / "checkpoint.json"
+    doc = json.loads(checkpoint.read_text())
+    doc["log_sigma"] = ["wide"] * len(doc["log_sigma"])
+    checkpoint.write_text(json.dumps(doc) + "\n")
+    for command in ("eval", "hybrid"):
+        inputs = _inputs(out, command, {"--checkpoint"})
+        result = run_cli(
+            command, *inputs, "--checkpoint", checkpoint, "--seed", 2,
+            "--out", tmp_path / command,
+        )  # fmt: skip
+        assert result.returncode == 1, command
+        assert result.stderr.splitlines() == [
+            f"error: {checkpoint}: malformed log_sigma "
+            "(could not convert string to float: 'wide')"
+        ], command
+
+
+def test_manifests_list_the_companion_and_time_each_phase(workflow, tmp_path, capsys):
+    """``train`` lists the checkpoint's companion; ``eval`` and ``hybrid`` time
+    their phases, in run order, inside the wall clock, and ``report`` prints
+    them if present."""
+    out, results = workflow
+    argv = [
+        "train", "--network", out / "network.json", "--agent", "dual",
+        "--steps", 96, "--batch-size", 96, "--out", tmp_path / "train",
+    ]  # fmt: skip
+    assert cli.main(list(map(str, argv))) == 0
+    argv = [
+        "eval", "--network", out / "network.json", "--episodes", 1,
+        "--checkpoint", tmp_path / "train" / "checkpoint.json",
+        "--out", tmp_path / "eval",
+    ]  # fmt: skip
+    assert cli.main(list(map(str, argv))) == 0
+    manifests = {
+        name: json.loads((path / "manifest.json").read_text())
+        for name, path in (
+            ("train", tmp_path / "train"), ("eval", tmp_path / "eval"), ("hybrid", out)
+        )
+    }  # fmt: skip
+    assert manifests["train"]["artifacts"]["checkpoint_arrays"] == (
+        "checkpoint.json.arrays"
+    )
+    assert "phase_seconds" not in manifests["train"]
+    assert list(manifests["eval"]["phase_seconds"]) == [
+        "load_network", "load_checkpoint", "score", "write_artifacts"
+    ]  # fmt: skip
+    assert list(manifests["hybrid"]["phase_seconds"]) == [
+        "load_network", "load_history", "load_checkpoint", "repair",
+        "write_artifacts",
+    ]  # fmt: skip
+    for manifest in (manifests["eval"], manifests["hybrid"]):
+        phases = manifest["phase_seconds"].values()
+        assert min(phases) >= 0
+        assert sum(phases) <= manifest["wall_clock_seconds"] + 1e-3
+
+    printed = results["report"].stdout.splitlines()
+    assert [line for line in printed if line.startswith("  phase ")] == [
+        f"  phase {name}: {seconds:.4f}s"
+        for name, seconds in manifests["hybrid"]["phase_seconds"].items()
+    ]
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(tmp_path / "train")]) == 0
+    assert "phase" not in capsys.readouterr().out
+
+
 def _edit(obj, where, value):
     for key in where[:-1]:
         obj = obj[key]
@@ -341,6 +412,12 @@ BAD_INPUTS = {
     "frame_skip_not_dividing_the_day": _bad_network(extra=("--frame-skip", 7)),
     "learning_rate_nan": _bad_network(extra=("--learning-rate", "nan")),
     "malformed_manifest": _bad_artifact("manifest.json", '{"command": '),
+    "text_phase_seconds": _bad_artifact(
+        "manifest.json", '{"command": "eval", "phase_seconds": {"score": "slow"}}'
+    ),
+    "phase_seconds_not_an_object": _bad_artifact(
+        "manifest.json", '{"command": "eval", "phase_seconds": [0.1, 0.2]}'
+    ),
     "text_reward": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96,abc\n"),
     "short_reward_row": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96\n"),
     "comparison_of_numbers": _bad_artifact("comparison.json", "[1, 2]"),

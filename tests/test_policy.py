@@ -1,5 +1,7 @@
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +273,166 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="dimensions"):
         load_checkpoint(path)
+
+
+# -- checkpoint companions -----------------------------------------------------
+
+COMPANION_POLICIES = {
+    "small": dict(seed=3),
+    "dual_sized": dict(seed=0, obs_dim=103, action_dim=6, hidden=(64, 64)),
+}
+
+
+@pytest.fixture
+def decoded_texts(monkeypatch):
+    """The texts ``json.loads`` decodes; the companion's shape line is bytes."""
+    texts = []
+    real = json.loads
+
+    def counted(text, *args, **kwargs):
+        texts.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return texts
+
+
+def _assert_same_checkpoint(a, b):
+    for x, y in zip(a.arrays(), b.arrays(), strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("policy", list(COMPANION_POLICIES))
+def test_companion_load_equals_the_json_parse(tmp_path, policy, decoded_texts):
+    params = _small_policy(**COMPANION_POLICIES[policy])
+    path = tmp_path / "checkpoint.json"
+    meta = {"agent": "dual", "frame_skip": 4, "nested": {"steps": [1, 2.5]}}
+    save_checkpoint(params, path, meta=meta)
+    document = path.read_text()
+
+    from_companion, meta_companion = load_checkpoint(path)
+    assert decoded_texts.count(document) == 0
+    (tmp_path / "checkpoint.json.arrays").unlink()
+    parsed, meta_parsed = load_checkpoint(path)
+    assert decoded_texts.count(document) == 1
+    assert meta_companion == meta_parsed == meta
+    _assert_same_checkpoint(from_companion, parsed)
+    _assert_same_checkpoint(from_companion, params)
+    for array in from_companion.arrays() + parsed.arrays():
+        assert array.flags.c_contiguous and array.flags.owndata
+
+    obs = np.random.default_rng(1).uniform(-1, 2, (17, params.obs_dim))
+    assert (
+        deterministic_action(from_companion, obs).tobytes()
+        == deterministic_action(parsed, obs).tobytes()
+    )
+
+
+def test_saving_a_checkpoint_twice_writes_identical_files(tmp_path):
+    params = _small_policy(seed=4)
+    for name in ("a.json", "b.json"):
+        save_checkpoint(params, tmp_path / name, meta={"agent": "dual"})
+    for suffix in ("", ".arrays"):
+        first = (tmp_path / f"a.json{suffix}").read_bytes()
+        assert first == (tmp_path / f"b.json{suffix}").read_bytes(), suffix
+
+
+def _broken_checkpoint_companions(path):
+    """Companions that must not be used, by name: each falls back to the JSON."""
+    data = Path(f"{path}.arrays").read_bytes()
+    key, header, _ = data.split(b"\n", 2)
+    key, header = key + b"\n", header + b"\n"
+    vector = np.load(io.BytesIO(data[len(key) + len(header) :]), allow_pickle=False)
+    shapes = json.loads(header)
+
+    def saved(array, head=header, **kwargs):
+        buf = io.BytesIO()
+        np.save(buf, array, **kwargs)
+        return key + head + buf.getvalue()
+
+    def reshaped(edit):
+        doc = json.loads(header)
+        edit(doc)
+        return saved(vector, json.dumps(doc).encode() + b"\n")
+
+    yield "missing", None
+    for cut in (10, len(key), len(key) + 30, len(key) + len(header), len(data) - 8):
+        yield f"truncated_at_{cut}", data[:cut]
+    yield "garbage", bytes(range(256)) * 64
+    yield "garbage_after_the_key", key + bytes(range(256)) * 64
+    yield "garbage_after_the_shapes", key + header + bytes(range(256)) * 64
+    yield "stale_key", b"0" * 64 + data[len(key) - 1 :]
+    yield "float32", saved(vector.astype(np.float32))
+    yield "two_dimensional", saved(vector.reshape(1, -1))
+    yield "too_short", saved(vector[:-1])
+    yield "too_long", saved(np.append(vector, 0.0))
+    yield "shapes_not_json", saved(vector, b"weights and biases\n")
+    yield "shapes_not_an_object", saved(vector, b"[1, 2]\n")
+    yield "text_shapes", reshaped(lambda d: d.update(log_sigma=["2"]))
+    yield "float_shapes", reshaped(lambda d: d.update(log_sigma=[2.0]))
+    yield "scalar_shape", reshaped(lambda d: d.update(log_sigma=2))
+    first = shapes["actor"]["weights"][0]
+    yield "negative_shapes", reshaped(
+        lambda d: d["actor"]["weights"].__setitem__(0, [-n for n in first])
+    )
+    yield "inferred_shape", reshaped(
+        lambda d: d["critic"]["biases"].__setitem__(-1, [-1])
+    )
+    yield "pickled_object_array", saved(vector.astype(object), allow_pickle=True)
+
+
+def test_a_broken_companion_falls_back_to_the_json(tmp_path, decoded_texts):
+    params = _small_policy(seed=5)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(params, path, meta={"agent": "dual"})
+    document = path.read_text()
+    companion = tmp_path / "checkpoint.json.arrays"
+    cases = list(_broken_checkpoint_companions(path)) + [("directory", "dir")]
+    for name, content in cases:
+        companion.unlink(missing_ok=True)
+        if content == "dir":
+            companion.mkdir()
+        elif content is not None:
+            companion.write_bytes(content)
+        decoded_texts.clear()
+        loaded, meta = load_checkpoint(path)
+        assert decoded_texts.count(document) == 1, name
+        assert meta == {"agent": "dual"}, name
+        _assert_same_checkpoint(loaded, params)
+    companion.rmdir()
+
+
+def _narrow_first_hidden_layer(doc):
+    actor = doc["actor"]
+    actor["weights"][0] = [row[:-1] for row in actor["weights"][0]]
+    actor["biases"][0] = actor["biases"][0][:-1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(log_sigma=["wide"] * 2), "malformed log_sigma"),
+        (_narrow_first_hidden_layer, "layer 1 takes 5 inputs but layer 0 gives 4"),
+        (None, "not valid JSON"),
+    ],
+    ids=["text_log_sigma", "unchained_layers", "not_utf8"],
+)
+def test_a_checkpoint_edited_in_place_ignores_its_stale_companion(
+    tmp_path, edit, message
+):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(_small_policy(), path)
+    if edit is None:
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+    else:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(SchemaError, match=message) as beside_companion:
+        load_checkpoint(path)
+    (tmp_path / "checkpoint.json.arrays").unlink()
+    with pytest.raises(SchemaError) as alone:
+        load_checkpoint(path)
+    assert str(beside_companion.value) == str(alone.value)
