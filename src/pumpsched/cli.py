@@ -175,10 +175,7 @@ def _apply_config_file(argv: list[str], parser: _Parser) -> None:
     known, _ = scan.parse_known_args(argv)
     if known.config is None:
         return
-    try:
-        values = json.loads(Path(known.config).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"config file {known.config} is not valid JSON: {exc}")
+    values = _read_json(known.config)
     if not isinstance(values, dict):
         raise SchemaError("config file must hold a JSON object of flag defaults")
     # Defaults land on every subparser holding a matching destination.

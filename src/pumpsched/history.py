@@ -14,8 +14,9 @@ The CSV is the archive's canonical format. ``save_history`` also writes a
 binary companion beside it, ``<csv>.arrays``, as ``save_checkpoint`` does
 beside a checkpoint: one float64 array keyed on the SHA-256 of the text's
 bytes (see ``_write_companion``). Like a hash-based ``.pyc`` file it is a
-cache keyed on content, not on time: a loader reads it only while the key
-matches the text it is loading, and otherwise parses the text as before.
+cache keyed on content, not on time: ``load_history`` reads it only while
+the key matches the text it is loading, and otherwise scans the text row by
+row with ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -355,35 +357,19 @@ def _group_counts(header: list[str]) -> tuple[int, int, int]:
     return counts["level"], counts["action"], counts["demand"]
 
 
-def _scan_body(path: str | Path, width: int) -> np.ndarray:
-    """The rows after the header, read row by row so a bad one names its line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise SchemaError(f"{path} row {lineno}: wrong column count")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise SchemaError(f"{path} row {lineno}: {exc}") from None
-    return np.array(rows, dtype=float).reshape(-1, width)
-
-
-def _body_lines(fh):
-    """The lines ``loadtxt`` parses; a blank line or an empty body stops it.
-
-    ``loadtxt`` would skip the one and warn on the other, where the archive
-    format rejects a blank row and reads an empty body as zero rows.
-    """
-    line = None
-    for line in fh:
-        if not line.strip():
-            raise ValueError("blank line")
-        yield line
-    if line is None:
-        raise ValueError("no rows")
+def _scan_body(path: str | Path, reader, width: int) -> np.ndarray:
+    """The rows ``reader`` holds after the header, read one by one so a bad
+    row names its line, into a flat buffer of doubles rather than a Python
+    float per value."""
+    values = array("d")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise SchemaError(f"{path} row {lineno}: wrong column count")
+        try:
+            values.extend(map(float, row))
+        except ValueError as exc:
+            raise SchemaError(f"{path} row {lineno}: {exc}") from None
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def load_history(path: str | Path) -> HistoryArchive:
@@ -392,16 +378,15 @@ def load_history(path: str | Path) -> HistoryArchive:
     After the header is checked, the body comes from the binary companion
     ``save_history`` wrote beside the CSV when ``_read_companion`` finds it
     keyed to the CSV's current bytes and it is a table of the CSV's width.
-    Otherwise it is parsed by one ``np.loadtxt`` call streaming from the open
-    file, so memory stays close to the arrays'. Should that fail, a
-    ``csv.reader`` scan reads the body row by row instead, and a bad row
-    fails with a one-line error naming its line. Whichever way the numbers
-    were read, they pass the same checks.
+    Otherwise a ``csv.reader`` scan parses the body row by row, and a bad row
+    fails with a one-line error naming its line. Either way the numbers pass
+    the same checks.
     """
     try:
         with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                header = next(csv.reader(fh))
+                header = next(reader)
             except StopIteration:
                 raise SchemaError(f"{path}: empty file") from None
             n_tanks, n_stations, n_zones = _group_counts(header)
@@ -413,20 +398,7 @@ def load_history(path: str | Path) -> HistoryArchive:
             found = _read_companion(path)
             data = found[1] if found and found[1].ndim == 2 else None
             if data is None or data.shape[1] != len(expected):
-                try:
-                    data = np.loadtxt(
-                        _body_lines(fh),
-                        delimiter=",",
-                        comments=None,
-                        quotechar='"',
-                        ndmin=2,
-                    )
-                except UnicodeDecodeError:
-                    raise
-                except ValueError:
-                    data = None
-        if data is None or data.shape[1] != len(expected):
-            data = _scan_body(path, len(expected))
+                data = _scan_body(path, reader, len(expected))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not a text file ({exc})") from None
 

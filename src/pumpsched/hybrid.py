@@ -352,17 +352,15 @@ def build_case_pool(
     index: QueryIndex,
     n_cases: int,
     seed: int,
-    max_attempts: int | None = None,
 ) -> list[HybridCase]:
     """Sample episodes whose retrieved schedule violates the boundaries.
 
-    Raises a validation error when the attempt budget runs out before enough
-    violating cases appear (archives generated with imperfection 0 rarely
-    yield any; raise the knob or enlarge the archive).
+    Raises a validation error when the attempt budget, ``max(60 * n_cases,
+    240)`` sampled episodes, runs out before enough violating cases appear.
     """
     if n_cases < 1:
         raise ValidationError("n_cases must be >= 1")
-    attempts = max_attempts if max_attempts is not None else max(60 * n_cases, 240)
+    attempts = max(60 * n_cases, 240)
     bounds = topology.bounds_arrays()
     cases: list[HybridCase] = []
     for attempt in range(attempts):

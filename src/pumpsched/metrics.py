@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -136,36 +136,20 @@ def _delta(ref: float, value: float) -> float | None:
     return (value - ref) / ref * 100.0
 
 
-_COMPARISON_FIELDS = [
-    "label",
-    "mean_area",
-    "mean_count",
-    "mean_cost",
-    "area_improvement_pct",
-    "count_improvement_pct",
-    "cost_delta_pct",
-]
-
-
 def _csv_cell(value) -> str:
     """A CSV cell that round-trips exactly: repr of the value, empty for None."""
     return "" if value is None else repr(value)
 
 
-def comparison_to_dicts(rows: list[ComparisonRow]) -> list[dict]:
-    return [{f: getattr(row, f) for f in _COMPARISON_FIELDS} for row in rows]
-
-
 def save_comparison_csv(rows: list[ComparisonRow], path: str | Path) -> None:
+    """One row per ``ComparisonRow``, its fields as the columns."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_COMPARISON_FIELDS)
+        writer.writerow(f.name for f in fields(ComparisonRow))
         for row in rows:
-            writer.writerow(
-                [row.label]
-                + [_csv_cell(getattr(row, f)) for f in _COMPARISON_FIELDS[1:]]
-            )
+            label, *values = asdict(row).values()
+            writer.writerow([label] + [_csv_cell(v) for v in values])
 
 
 def save_comparison_json(rows: list[ComparisonRow], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(comparison_to_dicts(rows), indent=2) + "\n")
+    Path(path).write_text(json.dumps([asdict(row) for row in rows], indent=2) + "\n")

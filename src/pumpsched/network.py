@@ -305,96 +305,54 @@ class DemandSet:
 # JSON serialization
 
 
-def _tank_from_dict(obj: dict, pos: int) -> TankSpec:
-    try:
-        return TankSpec(
-            id=str(obj["id"]),
-            surface_area=float(obj["surface_area"]),
-            level_max_physical=float(obj["level_max_physical"]),
-            lower_bound=float(obj["lower_bound"]),
-            upper_bound=float(obj["upper_bound"]),
-            initial_level=float(obj["initial_level"]),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"tanks[{pos}]: missing field {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"tanks[{pos}]: {exc}") from None
+# The document's sections, keyed as the topology's fields; an entry's keys are
+# its spec's fields in order.
+_SECTIONS = {"tanks": TankSpec, "stations": PumpStationSpec, "zones": DemandZoneSpec}
 
 
-def _station_from_dict(obj: dict, pos: int) -> PumpStationSpec:
-    try:
-        fills = tuple((str(t), float(f)) for t, f in obj["fills"])
+def _field_from_dict(obj: dict, f) -> object:
+    """Field ``f``'s value from the key of its name, as its declared type (a
+    string here, under ``from __future__ import annotations``)."""
+    if f.name == "fills":
+        return tuple((str(t), float(frac)) for t, frac in obj["fills"])
+    if f.name == "draws_from":
         draws = obj.get("draws_from")
-        return PumpStationSpec(
-            id=str(obj["id"]),
-            max_flow=float(obj["max_flow"]),
-            rated_power=float(obj["rated_power"]),
-            fills=fills,
-            draws_from=None if draws is None else str(draws),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"stations[{pos}]: missing field {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"stations[{pos}]: {exc}") from None
+        return None if draws is None else str(draws)
+    return (float if f.type == "float" else str)(obj[f.name])
 
 
-def _zone_from_dict(obj: dict, pos: int) -> DemandZoneSpec:
+def _spec_from_dict(cls, obj: dict, where: str):
     try:
-        return DemandZoneSpec(
-            id=str(obj["id"]),
-            served_by=str(obj["served_by"]),
-            base_demand=float(obj["base_demand"]),
-            morning_peak=float(obj["morning_peak"]),
-            evening_peak=float(obj["evening_peak"]),
-            noise_scale=float(obj["noise_scale"]),
-        )
+        return cls(**{f.name: _field_from_dict(obj, f) for f in fields(cls)})
     except KeyError as exc:
-        raise SchemaError(f"zones[{pos}]: missing field {exc.args[0]}") from None
+        raise SchemaError(f"{where}: missing field {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"zones[{pos}]: {exc}") from None
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+def _spec_to_dict(spec) -> dict:
+    obj = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    if "fills" in obj:
+        obj["fills"] = [list(fill) for fill in obj["fills"]]
+    return obj
 
 
 def topology_to_dict(topology: NetworkTopology) -> dict:
-    return {
-        "dt_hours": DT_HOURS,
-        "tanks": [
-            {
-                "id": t.id,
-                "surface_area": t.surface_area,
-                "level_max_physical": t.level_max_physical,
-                "lower_bound": t.lower_bound,
-                "upper_bound": t.upper_bound,
-                "initial_level": t.initial_level,
-            }
-            for t in topology.tanks
-        ],
-        "stations": [
-            {
-                "id": s.id,
-                "max_flow": s.max_flow,
-                "rated_power": s.rated_power,
-                "fills": [[tank_id, frac] for tank_id, frac in s.fills],
-                "draws_from": s.draws_from,
-            }
-            for s in topology.stations
-        ],
-        "zones": [
-            {
-                "id": z.id,
-                "served_by": z.served_by,
-                "base_demand": z.base_demand,
-                "morning_peak": z.morning_peak,
-                "evening_peak": z.evening_peak,
-                "noise_scale": z.noise_scale,
-            }
-            for z in topology.zones
-        ],
-        "tariff": list(topology.tariff.values),
+    """The network document: ``dt_hours``, then one list per section whose
+    entries' keys are the spec's fields in order, then the tariff values."""
+    sections = {
+        key: [_spec_to_dict(spec) for spec in getattr(topology, key)]
+        for key in _SECTIONS
     }
+    return {"dt_hours": DT_HOURS, **sections, "tariff": list(topology.tariff.values)}
 
 
 def topology_from_dict(obj: dict) -> NetworkTopology:
-    for key in ("tanks", "stations", "zones", "tariff"):
+    """Read and validate a network document as ``topology_to_dict`` writes it:
+    after ``dt_hours``, each entry's keys are its spec's fields in order. A
+    missing or malformed field raises a one-line ``SchemaError`` naming the
+    entry, such as ``tanks[2]: missing field surface_area``."""
+    for key in (*_SECTIONS, "tariff"):
         if key not in obj:
             raise SchemaError(f"network document: missing top-level key {key!r}")
         if not isinstance(obj[key], list):
@@ -409,9 +367,13 @@ def topology_from_dict(obj: dict) -> NetworkTopology:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"tariff: {exc}") from None
     topology = NetworkTopology(
-        tanks=tuple(_tank_from_dict(t, i) for i, t in enumerate(obj["tanks"])),
-        stations=tuple(_station_from_dict(s, i) for i, s in enumerate(obj["stations"])),
-        zones=tuple(_zone_from_dict(z, i) for i, z in enumerate(obj["zones"])),
+        **{
+            key: tuple(
+                _spec_from_dict(cls, entry, f"{key}[{i}]")
+                for i, entry in enumerate(obj[key])
+            )
+            for key, cls in _SECTIONS.items()
+        },
         tariff=tariff,
     )
     topology.validate()

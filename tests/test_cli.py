@@ -374,12 +374,13 @@ def _with(command, flag, value):
 
 def _bad_config(command, doc):
     """``command`` on the workflow's inputs with the flag defaults ``doc`` from
-    ``--config``; the flags ``doc`` sets are left off the command line."""
+    ``--config``; the flags ``doc`` sets are left off the command line. A text
+    ``doc`` is the file's content as it stands."""
 
     def build(out, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        skip = {"--" + key.replace("_", "-") for key in doc}
+        config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        skip = {"--" + key.replace("_", "-") for key in doc if isinstance(doc, dict)}
         inputs = _inputs(out, command, skip)
         return (command, *inputs, "--config", config, "--out", tmp_path / "out")
 
@@ -460,6 +461,7 @@ BAD_INPUTS = {
     "hybrid_bool_cases_from_config": _bad_config("hybrid", {"cases": True}),
     "hybrid_text_workers_from_config": _bad_config("hybrid", {"workers": "2"}),
     "gen_text_imperfection_from_config": _bad_config("gen", {"imperfection": "x"}),
+    "config_not_json": _bad_config("gen", "{"),
 }
 
 

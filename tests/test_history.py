@@ -19,6 +19,7 @@ from pumpsched import (
     save_history,
     simulate,
 )
+from pumpsched import history
 from pumpsched.errors import SchemaError
 from pumpsched.history import DUTY_SPEED, HistoryArchive, HysteresisMargins
 from pumpsched.metrics import area_outside_boundary, violation_count
@@ -376,21 +377,21 @@ def _companion_key(path) -> bytes:
 
 
 @pytest.fixture
-def loadtxt_calls(monkeypatch):
+def scan_calls(monkeypatch):
     """Counts the text parses ``load_history`` makes."""
     calls = []
-    real = np.loadtxt
+    real = history._scan_body
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", counted)
+    monkeypatch.setattr(history, "_scan_body", counted)
     return calls
 
 
 @pytest.mark.parametrize("days", [1, 2, 40])
-def test_companion_load_equals_the_csv_parse(tmp_path, world, days, loadtxt_calls):
+def test_companion_load_equals_the_csv_parse(tmp_path, world, days, scan_calls):
     archive = generate_history(world, days=days, seed=days)
     path = tmp_path / "history.csv"
     save_history(archive, path)
@@ -398,10 +399,10 @@ def test_companion_load_equals_the_csv_parse(tmp_path, world, days, loadtxt_call
     assert companion.read_bytes().startswith(_companion_key(path))
 
     from_companion = load_history(path)
-    assert loadtxt_calls == []
+    assert scan_calls == []
     companion.unlink()
     parsed = load_history(path)
-    assert loadtxt_calls == [1]
+    assert scan_calls == [1]
     for name in ARCHIVE_ARRAYS:
         a, b = getattr(from_companion, name), getattr(parsed, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -458,7 +459,7 @@ def _broken_companions(path):
     yield "pickled_object_array", saved(table.astype(object), allow_pickle=True)
 
 
-def test_a_broken_companion_falls_back_to_the_parse(tmp_path, world, loadtxt_calls):
+def test_a_broken_companion_falls_back_to_the_parse(tmp_path, world, scan_calls):
     archive = generate_history(world, days=2, seed=5)
     path = tmp_path / "history.csv"
     save_history(archive, path)
@@ -467,9 +468,9 @@ def test_a_broken_companion_falls_back_to_the_parse(tmp_path, world, loadtxt_cal
         companion.unlink(missing_ok=True)
         if content is not None:
             companion.write_bytes(content)
-        loadtxt_calls.clear()
+        scan_calls.clear()
         loaded = load_history(path)
-        assert loadtxt_calls == [1], name
+        assert scan_calls == [1], name
         for array in ARCHIVE_ARRAYS:
             assert (
                 getattr(loaded, array).tobytes() == getattr(archive, array).tobytes()

@@ -222,10 +222,18 @@ def test_case_pool_is_violating_and_deterministic(world, case_pool):
 
 
 def test_case_pool_exhaustion_error(world):
-    archive = generate_history(world, days=12, seed=3, imperfection=0.0)
-    index = build_index(world, archive)
-    with pytest.raises(ValidationError, match="violating cases"):
-        build_case_pool(world, index, n_cases=8, max_attempts=6, seed=0)
+    # Bands spanning each whole tank: levels are clamped to it, so no day violates.
+    wide = dataclasses.replace(
+        world,
+        tanks=tuple(
+            dataclasses.replace(t, lower_bound=0.0, upper_bound=t.level_max_physical)
+            for t in world.tanks
+        ),
+    )
+    archive = generate_history(wide, days=12, seed=3, imperfection=0.0)
+    index = build_index(wide, archive)
+    with pytest.raises(ValidationError, match="0 of 1 violating cases found in 240"):
+        build_case_pool(wide, index, n_cases=1, seed=0)
 
 
 # -- strategy dominance ---------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from pumpsched import (
     DemandZoneSpec,
+    PumpStationSpec,
     TankSpec,
     TariffSchedule,
     SchemaError,
@@ -143,6 +144,37 @@ def test_topology_dict_round_trip(world):
     assert topology_to_dict(topology_from_dict(topology_to_dict(world))) == (
         topology_to_dict(world)
     )
+
+
+@pytest.mark.parametrize(
+    "key, spec",
+    [("tanks", TankSpec), ("stations", PumpStationSpec), ("zones", DemandZoneSpec)],
+)
+def test_every_spec_field_is_read_and_named_in_its_errors(world, key, spec):
+    # The last station draws from a tank, so dropping draws_from changes it.
+    pos = len(getattr(world, key)) - 1
+    for field in dataclasses.fields(spec):
+        obj = topology_to_dict(world)
+        del obj[key][pos][field.name]
+        if field.name == "draws_from":
+            assert getattr(topology_from_dict(obj), key)[pos].draws_from is None
+            continue
+        with pytest.raises(SchemaError) as info:
+            topology_from_dict(obj)
+        assert str(info.value) == f"{key}[{pos}]: missing field {field.name}"
+    floats = [f.name for f in dataclasses.fields(spec) if f.type in ("float", float)]
+    assert floats
+    for name in floats + (["fills"] if key == "stations" else []):
+        obj = topology_to_dict(world)
+        entry = obj[key][pos]
+        if name == "fills":
+            entry["fills"][0][1] = "half"
+        else:
+            entry[name] = "high"
+        with pytest.raises(SchemaError) as info:
+            topology_from_dict(obj)
+        message = str(info.value)
+        assert message.startswith(f"{key}[{pos}]: ") and "\n" not in message, name
 
 
 def test_generate_demands_deterministic(world):
