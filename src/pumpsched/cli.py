@@ -346,15 +346,14 @@ def _eval_scores(
     rule = RuleBasedController(topology, margins)
 
     def day(act):
-        tariff = topology.tariff.as_array()
-        return run_day(topology, levels, demands.as_array(), tariff, act)
+        return run_day(topology, levels, demands.as_array(), act)
 
     trajs = {
         "rule_based": run_controlled_day(topology, levels, rule, demands),
         "policy": day(policy),
         "random": day(lambda t, _: schedules[:, t]),
     }
-    bounds = topology.bounds_arrays()
+    bounds = topology.compiled.lower, topology.compiled.upper
 
     def score(lane):
         area = area_outside_boundary(lane, bounds)

@@ -24,8 +24,8 @@ from .history import (
     run_controlled_day,
 )
 from .network import (
-    DT_HOURS,
     STEPS_PER_DAY,
+    CompiledTopology,
     DemandSet,
     NetworkTopology,
     demands_from_rng,
@@ -40,17 +40,6 @@ class AgentKind(enum.Enum):
 
 CONSTRAINT_WEIGHT = 0.7  # dual reward: share of the normalized constraint term
 ENERGY_WEIGHT = 0.3  # dual reward: share of the energy-cost term
-
-
-def _energy_max(topology: NetworkTopology) -> np.ndarray:
-    """Each station's per-step energy at full speed, rated power * dt: the
-    span [0, energy_max] the dual reward normalizes station energy by."""
-    rated = np.array([s.rated_power for s in topology.stations], dtype=float)
-    if np.any(rated <= 0):
-        raise ValidationError(
-            "dual reward needs strictly positive rated power on every station"
-        )
-    return rated * DT_HOURS
 
 
 def reward_constraint_step(
@@ -68,33 +57,29 @@ def reward_dual(
     upper: np.ndarray,
     energies: np.ndarray,
     tariff_norm_t: float | np.ndarray,
-    energy_max: np.ndarray,
+    energy_span: np.ndarray,
 ) -> float | np.ndarray:
     """Blend of normalized constraint reward and an energy-cost term, in [0, 1].
 
     The energy term rewards pumping when energy is cheap: it is one minus the
-    mean of per-station energy over ``energy_max`` times the normalized
-    tariff. Tanks and stations lie along the last axes; ``tariff_norm_t``
-    broadcasts.
+    mean of per-station energy over its span [0, ``energy_span``] times the
+    normalized tariff. Tanks and stations lie along the last axes;
+    ``tariff_norm_t`` broadcasts. A station with no span, rated power 0,
+    raises ``ValidationError``.
     """
+    if np.any(energy_span <= 0):
+        raise ValidationError(
+            "dual reward needs strictly positive rated power on every station"
+        )
     n_tanks = np.shape(levels)[-1]
     raw = reward_constraint_step(levels, lower, upper)
     constraint_part = (raw + n_tanks) / (2 * n_tanks)
 
-    energy_norm = np.asarray(energies, dtype=float) / energy_max
+    energy_norm = np.asarray(energies, dtype=float) / energy_span
     tariff_part = np.expand_dims(tariff_norm_t, -1)
     energy_part = 1.0 - np.mean(energy_norm * tariff_part, axis=-1)
 
     return CONSTRAINT_WEIGHT * constraint_part + ENERGY_WEIGHT * energy_part
-
-
-def normalize_tariff(tariff: np.ndarray) -> np.ndarray:
-    """Min-max normalize one day's tariff into [0, 1]."""
-    arr = np.asarray(tariff, dtype=float)
-    lo, hi = arr.min(), arr.max()
-    if not hi > lo:
-        raise ValidationError("tariff must have min strictly below max")
-    return (arr - lo) / (hi - lo)
 
 
 @dataclass
@@ -114,21 +99,18 @@ class StepResult:
 
 
 def _observation(
-    kind: AgentKind,
-    levels: np.ndarray,
-    t: int,
-    tariff_norm: np.ndarray,
-    caps: np.ndarray,
+    kind: AgentKind, levels: np.ndarray, t: int, c: CompiledTopology
 ) -> np.ndarray:
-    """Before step ``t``: levels / caps (dual: + clock, tariff), a row per lane."""
-    levels_norm = levels / caps
+    """Before step ``t``: levels / caps (dual: + clock, normalized tariff), a
+    row per lane; ``c`` is the topology's ``compiled``."""
+    levels_norm = levels / c.caps
     if kind == AgentKind.CONSTRAINT:
         return levels_norm
     n_t = levels.shape[-1]
     obs = np.empty((*levels.shape[:-1], n_t + 1 + STEPS_PER_DAY))
     obs[..., :n_t] = levels_norm
     obs[..., n_t] = t / STEPS_PER_DAY
-    obs[..., n_t + 1 :] = tariff_norm
+    obs[..., n_t + 1 :] = c.tariff_norm
     return obs
 
 
@@ -144,19 +126,9 @@ class PumpSchedulingEnv:
     # -- episode plumbing ----------------------------------------------------
 
     def reset(self, config: EpisodeConfig) -> np.ndarray:
-        day = _Rollout(
-            self.topology,
-            config.initial_levels,
-            config.demands.as_array(),
-            self.topology.tariff.as_array(),
+        self._day = _Rollout(
+            self.topology, config.initial_levels, config.demands.as_array()
         )
-        if self.kind == AgentKind.DUAL:
-            self._energy_max = _energy_max(self.topology)
-
-        self._day = day
-        self._tariff_norm = normalize_tariff(day.tariff)
-        self._caps = self.topology.caps_array()
-        self._lb, self._ub = self.topology.bounds_arrays()
         return self._observe()
 
     def step(self, action: np.ndarray) -> StepResult:
@@ -170,22 +142,22 @@ class PumpSchedulingEnv:
         _check_speeds(action)
         day.advance(action)
         day.record()  # the reward and the info read this step's energy and cost
-        levels = day.levels
+        levels, c = day.levels, day.c
         if not np.all(np.isfinite(levels)):
             raise NumericError("non-finite level update")
 
         if self.kind == AgentKind.CONSTRAINT:
-            reward = reward_constraint_step(levels, self._lb, self._ub)
+            reward = reward_constraint_step(levels, c.lower, c.upper)
         else:
             reward = reward_dual(
                 levels,
-                self._lb,
-                self._ub,
+                c.lower,
+                c.upper,
                 day.energies[t],
-                float(self._tariff_norm[t]),
-                self._energy_max,
+                float(c.tariff_norm[t]),
+                c.energy_span,
             )
-        inside = (levels >= self._lb) & (levels <= self._ub)
+        inside = (levels >= c.lower) & (levels <= c.upper)
         return StepResult(
             observation=self._observe(),
             reward=reward,
@@ -202,7 +174,7 @@ class PumpSchedulingEnv:
 
     def _observe(self) -> np.ndarray:
         day = self._day
-        return _observation(self.kind, day.levels, day.t, self._tariff_norm, self._caps)
+        return _observation(self.kind, day.levels, day.t, day.c)
 
     def trajectory(self) -> Trajectory:
         """Full-day trajectory; only valid after the episode finished."""
@@ -212,13 +184,13 @@ class PumpSchedulingEnv:
 
 
 def day_rewards(topology: NetworkTopology, kind: AgentKind, day: Trajectory):
-    """The env's reward for every step and lane of days rolled as lanes."""
-    lb, ub = topology.bounds_arrays()
+    """The env's reward for every step and lane of whole days rolled as lanes."""
+    c = topology.compiled
     if kind == AgentKind.CONSTRAINT:
-        return reward_constraint_step(day.states[1:], lb, ub)
-    tariff_norm = normalize_tariff(day.tariff)[:, None]
+        return reward_constraint_step(day.states[1:], c.lower, c.upper)
+    tariff_norm = c.tariff_norm[:, None]
     return reward_dual(
-        day.states[1:], lb, ub, day.energies, tariff_norm, _energy_max(topology)
+        day.states[1:], c.lower, c.upper, day.energies, tariff_norm, c.energy_span
     )
 
 
@@ -278,11 +250,12 @@ def sample_episode(
     """
     if start_overhang < 0:
         raise ValidationError("start_overhang must be >= 0")
-    lb, ub = topology.bounds_arrays()
-    caps = topology.caps_array()
-    band = ub - lb
-    lo = np.maximum(lb - start_overhang * band, _START_CAP_CLEARANCE * caps)
-    hi = np.minimum(ub + start_overhang * band, (1 - _START_CAP_CLEARANCE) * caps)
+    c = topology.compiled
+    band = c.upper - c.lower
+    lo = np.maximum(c.lower - start_overhang * band, _START_CAP_CLEARANCE * c.caps)
+    hi = np.minimum(
+        c.upper + start_overhang * band, (1 - _START_CAP_CLEARANCE) * c.caps
+    )
     initial = rng.uniform(lo, hi)
     demands = demands_from_rng(topology, rng)
     return EpisodeConfig(initial, demands)
@@ -308,7 +281,7 @@ def sample_operational_episode(
     equals its episode sampled alone. Returns ``(config, margins)`` of B lanes.
     """
     zone_ids = tuple(z.id for z in topology.zones)
-    levels = np.repeat(topology.initial_levels_array()[None], len(rngs), axis=0)
+    levels = np.repeat(topology.compiled.initial_levels[None], len(rngs), axis=0)
     for day in range(BURN_DAYS + 1):
         values, triggers, releases = [], [], []
         for rng in rngs:
@@ -337,14 +310,13 @@ def closed_loop(
     under ``FrameSkipEnv``, its action is held for ``window`` steps.
     """
     _check_window(window)
-    tariff_norm = normalize_tariff(topology.tariff.as_array())
-    caps = topology.caps_array()
+    c = topology.compiled
     held = None
 
     def act(t: int, levels: np.ndarray) -> np.ndarray:
         nonlocal held
         if t % window == 0:
-            held = act_fn(_observation(kind, levels, t, tariff_norm, caps))
+            held = act_fn(_observation(kind, levels, t, c))
         return held
 
     return act

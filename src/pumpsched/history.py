@@ -82,12 +82,12 @@ def margins_for(
             _MARGIN_FLOOR,
             _MARGIN_CEIL,
         )
-    _, lower, upper = topology.primary_tanks
-    band = upper - lower
+    c = topology.compiled
+    band = c.primary_upper - c.primary_lower
     # Both offsets stay below half the band (_MARGIN_CEIL), so the release
     # sits at least 0.1 band above the trigger.
-    triggers = lower + band * trig_off
-    releases = upper - band * rel_off
+    triggers = c.primary_lower + band * trig_off
+    releases = c.primary_upper - band * rel_off
     return HysteresisMargins(triggers=triggers, releases=releases)
 
 
@@ -97,7 +97,7 @@ class RuleBasedController:
 
     def __init__(self, topology: NetworkTopology, margins: HysteresisMargins):
         self.margins = margins
-        self._primary = topology.primary_tanks[0]
+        self._primary = topology.compiled.primary
         self._on = np.zeros(np.shape(margins.triggers), dtype=bool)
 
     def reset(self, levels: np.ndarray) -> None:
@@ -124,11 +124,7 @@ def run_controlled_day(
     levels, demands and a controller of B lanes roll B lanes of one day."""
     controller.reset(np.asarray(initial_levels, dtype=float))
     return run_day(
-        topology,
-        initial_levels,
-        demands.as_array(),
-        topology.tariff.as_array(),
-        lambda t, levels: controller.act(levels),
+        topology, initial_levels, demands.as_array(), lambda t, lv: controller.act(lv)
     )
 
 
@@ -207,7 +203,8 @@ def generate_history(
         tariff = np.empty((days, STEPS_PER_DAY))
     except ValueError:  # numpy rejects the size before allocating
         raise ValidationError(f"a history of {days} days is too large") from None
-    start = topology.initial_levels_array()
+    tariff[:] = topology.compiled.tariff
+    start = topology.compiled.initial_levels
     for day in range(days):
         demand_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(0, day))
@@ -223,7 +220,6 @@ def generate_history(
         actions[day] = traj.actions
         powers[day] = traj.powers
         demands[day] = traj.zone_demands
-        tariff[day] = traj.tariff
         start = traj.states[-1]
     archive = HistoryArchive(
         days=np.arange(days),

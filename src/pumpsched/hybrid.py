@@ -8,9 +8,9 @@ number of plans as lanes of one day, and act functions get one observation
 row per lane. ``evaluate_strategies`` rolls the union of a case's plans, both
 untargeted windows, the hull and every candidate start, in one ``inject``
 pass, and each strategy reads the lanes of its plans. No plan is rolled
-twice: every candidate resume step is scored on the exact day it produces,
-all of them re-simulated in one ``resume_lanes`` pass whose winning lane is
-the result.
+twice, nor any start's end searched twice: every candidate resume step is
+scored on the exact day it produces, all of them re-simulated in one
+``resume_lanes`` pass whose winning lane is the result.
 
 Metric regions are fixed per case so strategies stay comparable: for the
 violation hull [hs, he), the during-region is states hs+1..he (what injected
@@ -26,7 +26,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,8 +56,6 @@ _START_LOOKBACK = 16  # steps of earlier start explored by dynamic_start_end
 
 # Observation rows (lanes, obs_dim) to pump speed rows (lanes, n_stations).
 ActFn = Callable[[np.ndarray], np.ndarray]
-# The states (97, n_tanks) of a case's day under each of its plans.
-PlanStates = Mapping["InjectionPlan", np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,6 @@ def inject(
         topology,
         np.repeat(case.baseline_states[0][None], lanes, axis=0),
         np.repeat(case.config.demands.as_array()[None], lanes, axis=0),
-        topology.tariff.as_array(),
         act,
     ).states
 
@@ -241,6 +238,25 @@ def _pct(baseline: float, hybrid: float) -> float | None:
 # Strategies
 
 
+class PlanStates(dict):
+    """The states (97, n_tanks) of a case's day under each of its plans, and
+    the end search of each start run on them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._ends: dict[int, tuple[int, np.ndarray]] = {}
+
+    def best_end(
+        self, topology: NetworkTopology, case: HybridCase, start: int
+    ) -> tuple[int, np.ndarray]:
+        """``_best_end`` of the day injected from ``start`` to the end, run
+        once per start, so strategies that share a start share its search."""
+        if start not in self._ends:
+            full = self[InjectionPlan(start, STEPS_PER_DAY)]
+            self._ends[start] = _best_end(topology, case, full, *case.hull)
+        return self._ends[start]
+
+
 def strategy_untargeted(
     topology: NetworkTopology,
     case: HybridCase,
@@ -283,8 +299,7 @@ def strategy_dynamic_end(
     exact day it produces; that day of the winner is the result.
     """
     hs, he = case.hull
-    full = states[InjectionPlan(hs, STEPS_PER_DAY)]
-    e_star, day = _best_end(topology, case, full, hs, he)
+    e_star, day = states.best_end(topology, case, hs)
     plan = InjectionPlan(start=hs, end=e_star)
     return _region_outcome(case, "dynamic_end", plan, day, (hs + 1, he))
 
@@ -331,14 +346,15 @@ def strategy_dynamic_start_end(
     degrades to dynamic_end when an earlier start does not strictly help.
     States up to the hull end do not depend on the end, so only the winning
     start's end is searched, and start hs is a candidate, so the chosen
-    during-area never exceeds dynamic_end's.
+    during-area never exceeds dynamic_end's; when hs wins, dynamic_end's
+    search is read, not run again.
     """
     hs, he = case.hull
     starts = range(max(0, hs - _START_LOOKBACK), hs + 1)
     lanes = [states[InjectionPlan(s, STEPS_PER_DAY)] for s in starts]
     during = [_range_area(_state_area(x, case.bounds), hs + 1, he) for x in lanes]
     k = min(range(len(starts)), key=lambda k: (during[k], -starts[k]))
-    e_star, day = _best_end(topology, case, lanes[k], hs, he)
+    e_star, day = states.best_end(topology, case, starts[k])
     plan = InjectionPlan(start=starts[k], end=e_star)
     return _region_outcome(case, "dynamic_start_end", plan, day, (hs + 1, he))
 
@@ -361,7 +377,7 @@ def build_case_pool(
     if n_cases < 1:
         raise ValidationError("n_cases must be >= 1")
     attempts = max(60 * n_cases, 240)
-    bounds = topology.bounds_arrays()
+    bounds = topology.compiled.lower, topology.compiled.upper
     cases: list[HybridCase] = []
     for attempt in range(attempts):
         rng = np.random.default_rng(
@@ -465,7 +481,7 @@ def evaluate_strategies(
         spans += [(s, STEPS_PER_DAY) for s in starts]
         plans = list(dict.fromkeys(InjectionPlan(*span) for span in spans))
         lanes = inject(topology, case, plans, act_fn)
-        states = {plan: lanes[:, k].copy() for k, plan in enumerate(plans)}
+        states = PlanStates((plan, lanes[:, k].copy()) for k, plan in enumerate(plans))
         run = (topology, case, states)
         for outcome in (
             strategy_untargeted(*run, UNTARGETED_EARLY),

@@ -148,9 +148,6 @@ class TariffSchedule:
         if not arr.min() < arr.max():
             raise ValidationError("tariff: min must be strictly below max")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
 
 @dataclass(frozen=True)
 class NetworkTopology:
@@ -224,39 +221,22 @@ class NetworkTopology:
         raise ValidationError(f"unknown tank id {tank_id}")
 
     @functools.cached_property
-    def primary_tanks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index, lower and upper bound of each station's primary tank, in
-        station order; worked out once per topology and read-only."""
-        index = np.array([self.tank_index(s.primary_tank()) for s in self.stations])
-        lower, upper = (b[index] for b in self.bounds_arrays())
-        for a in (index, lower, upper):
-            a.setflags(write=False)
-        return index, lower, upper
-
-    @functools.cached_property
     def compiled(self) -> CompiledTopology:
-        """Arrays for the simulator's hot loop, worked out once per topology."""
+        """Every array the topology implies, worked out once per topology."""
         return CompiledTopology(self)
-
-    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) operational bounds per tank."""
-        lb = np.array([t.lower_bound for t in self.tanks], dtype=float)
-        ub = np.array([t.upper_bound for t in self.tanks], dtype=float)
-        return lb, ub
-
-    def caps_array(self) -> np.ndarray:
-        return np.array([t.level_max_physical for t in self.tanks], dtype=float)
-
-    def areas_array(self) -> np.ndarray:
-        return np.array([t.surface_area for t in self.tanks], dtype=float)
-
-    def initial_levels_array(self) -> np.ndarray:
-        return np.array([t.initial_level for t in self.tanks], dtype=float)
 
 
 class CompiledTopology:
-    """Station fill/draw fractions, zone-to-tank routing, pump ratings, areas and
-    caps of a topology as read-only arrays."""
+    """The arrays a topology implies, read-only, in tank, station and step
+    order: the step kernel's station fill/draw fractions, zone-to-tank
+    routing, pump ratings, tank areas and caps; the operational bounds and
+    start levels; the tariff and its min-max normalization; each station's
+    per-step energy at full speed, rated power * dt, which the dual reward
+    normalizes by; and each station's primary tank with that tank's bounds.
+
+    A tariff without spread has no normalization and fails to compile; a
+    validated topology never has one.
+    """
 
     def __init__(self, topology: NetworkTopology):
         n_t, n_s, n_z = topology.n_tanks, topology.n_stations, topology.n_zones
@@ -269,11 +249,30 @@ class CompiledTopology:
                 self.draw[j, topology.tank_index(station.draws_from)] = 1.0
         self.max_flow = np.array([s.max_flow for s in topology.stations])
         self.rated_power = np.array([s.rated_power for s in topology.stations])
+        self.energy_span = self.rated_power * DT_HOURS
         self.zone_to_tank = np.zeros((n_t, n_z))
         for k, zone in enumerate(topology.zones):
             self.zone_to_tank[topology.tank_index(zone.served_by), k] = 1.0
-        self.areas = topology.areas_array()
-        self.caps = topology.caps_array()
+        self.areas, self.caps, self.lower, self.upper, self.initial_levels = np.array(
+            [
+                [t.surface_area for t in topology.tanks],
+                [t.level_max_physical for t in topology.tanks],
+                [t.lower_bound for t in topology.tanks],
+                [t.upper_bound for t in topology.tanks],
+                [t.initial_level for t in topology.tanks],
+            ],
+            dtype=float,
+        )
+        self.tariff = np.array(topology.tariff.values, dtype=float)
+        lo, hi = self.tariff.min(), self.tariff.max()
+        if not hi > lo:
+            raise ValidationError("tariff must have min strictly below max")
+        self.tariff_norm = (self.tariff - lo) / (hi - lo)
+        self.primary = np.array(
+            [topology.tank_index(s.primary_tank()) for s in topology.stations]
+        )
+        self.primary_lower = self.lower[self.primary]
+        self.primary_upper = self.upper[self.primary]
         for a in vars(self).values():
             a.setflags(write=False)
 
@@ -310,15 +309,33 @@ class DemandSet:
 _SECTIONS = {"tanks": TankSpec, "stations": PumpStationSpec, "zones": DemandZoneSpec}
 
 
+_JSON_TYPES = {"str": (str, "string"), "float": ((int, float), "number")}
+
+
+def _json_value(value, kind: str, name: str) -> float | str:
+    """``value`` of field ``name`` as a ``kind``, "str" or "float", if it is a
+    JSON string or a JSON number (a bool is not one); ``TypeError`` if not."""
+    types, word = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{name} must be a JSON {word}")
+    return float(value) if kind == "float" else value
+
+
 def _field_from_dict(obj: dict, f) -> object:
     """Field ``f``'s value from the key of its name, as its declared type (a
     string here, under ``from __future__ import annotations``)."""
     if f.name == "fills":
-        return tuple((str(t), float(frac)) for t, frac in obj["fills"])
+        return tuple(
+            (
+                _json_value(tank, "str", "fill tank"),
+                _json_value(share, "float", "fill share"),
+            )
+            for tank, share in obj["fills"]
+        )
     if f.name == "draws_from":
         draws = obj.get("draws_from")
-        return None if draws is None else str(draws)
-    return (float if f.type == "float" else str)(obj[f.name])
+        return None if draws is None else _json_value(draws, "str", f.name)
+    return _json_value(obj[f.name], f.type, f.name)
 
 
 def _spec_from_dict(cls, obj: dict, where: str):
@@ -326,7 +343,7 @@ def _spec_from_dict(cls, obj: dict, where: str):
         return cls(**{f.name: _field_from_dict(obj, f) for f in fields(cls)})
     except KeyError as exc:
         raise SchemaError(f"{where}: missing field {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
 
@@ -363,8 +380,9 @@ def topology_from_dict(obj: dict) -> NetworkTopology:
             f"network document: dt_hours must be {DT_HOURS} (got {dt_hours!r})"
         )
     try:
-        tariff = TariffSchedule(values=tuple(float(v) for v in obj["tariff"]))
-    except (TypeError, ValueError) as exc:
+        values = tuple(_json_value(v, "float", "values") for v in obj["tariff"])
+        tariff = TariffSchedule(values=values)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"tariff: {exc}") from None
     topology = NetworkTopology(
         **{

@@ -78,7 +78,7 @@ def build_index(
     n_tanks = topology.n_tanks
     if archive.levels.shape[2] != n_tanks:
         raise ValidationError("archive tank count does not match topology")
-    areas = topology.areas_array()
+    areas = topology.compiled.areas
     demand = _demand_feature(archive.demands, per_zone_demand)
     raw = np.array(
         [

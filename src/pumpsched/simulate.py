@@ -36,7 +36,8 @@ from .network import (
 
 @dataclass
 class Trajectory:
-    """Record of one simulated day from step ``t0`` (0 for a whole day).
+    """Record of one simulated day from step ``t0`` (0 for a whole day),
+    priced at its topology's tariff.
 
     ``states`` has ``97 - t0`` rows (levels before step t0 through after step
     95), the other step arrays ``96 - t0``; lanes add an axis after the rows.
@@ -50,7 +51,6 @@ class Trajectory:
     costs: np.ndarray  # (96 - t0,)
     clamp_flags: np.ndarray  # (96 - t0, n_tanks) bool
     zone_demands: np.ndarray  # (96 - t0, n_zones)
-    tariff: np.ndarray  # (96 - t0,)
 
     def __post_init__(self):
         for f in fields(self):
@@ -61,9 +61,8 @@ class Trajectory:
     def lane(self, k: int) -> Trajectory:
         """Lane ``k`` of days rolled as lanes, each record a contiguous copy
         (a sum over a strided view may round otherwise than the lane alone)."""
-        lanes = [f.name for f in fields(self) if f.name != "tariff"]
-        records = {name: getattr(self, name)[:, k].copy() for name in lanes}
-        return Trajectory(**records, tariff=self.tariff)
+        records = {f.name: getattr(self, f.name)[:, k].copy() for f in fields(self)}
+        return Trajectory(**records)
 
 
 def _check_speeds(speeds: np.ndarray) -> None:
@@ -108,7 +107,8 @@ class _Rollout:
     The constructor validates the day's inputs; ``advance`` applies the
     action for step ``t`` to ``levels`` and records it with its flows;
     ``record`` fills the other records of the steps advanced since its last
-    call; ``trajectory`` returns the record.
+    call, pricing energy at the topology's tariff; ``trajectory`` returns the
+    record.
     """
 
     def __init__(
@@ -116,7 +116,6 @@ class _Rollout:
         topology: NetworkTopology,
         initial_levels: np.ndarray,
         zone_values: np.ndarray,
-        tariff: np.ndarray,
         t0: int = 0,
     ):
         c = topology.compiled
@@ -137,15 +136,12 @@ class _Rollout:
                 f"demand shape {zone_values.shape}, expected "
                 f"{(*lanes, topology.n_zones, STEPS_PER_DAY)}"
             )
-        tariff = np.asarray(tariff, dtype=float)
-        if tariff.shape != (STEPS_PER_DAY,):
-            raise ValidationError("tariff must hold one value per step")
         if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(zone_values))):
             raise NumericError("non-finite simulator input")
 
         n = STEPS_PER_DAY - t0
         n_t, n_s = topology.n_tanks, topology.n_stations
-        self.c, self.zone_values, self.tariff = c, zone_values, tariff
+        self.c, self.zone_values = c, zone_values
         self.tank_demand = _tank_demand(c, zone_values, t0)
         self.t0 = self.t = t0
         self._recorded = 0  # steps whose powers, costs and flags are filled
@@ -179,7 +175,7 @@ class _Rollout:
         c, lo, hi = self.c, self._recorded, self.t - self.t0
         self.powers[lo:hi] = c.rated_power * self.actions[lo:hi] ** 3
         self.energies[lo:hi] = self.powers[lo:hi] * DT_HOURS
-        tariff = self.tariff[self.t0 + lo : self.t0 + hi]
+        tariff = c.tariff[self.t0 + lo : self.t0 + hi]
         tariff = tariff.reshape(-1, *(1,) * (self.costs.ndim - 1))  # per lane
         self.costs[lo:hi] = self.energies[lo:hi].sum(axis=-1) * tariff
         raw = self._raw[lo:hi]
@@ -197,7 +193,6 @@ class _Rollout:
             costs=self.costs,
             clamp_flags=self.clamp_flags,
             zone_demands=np.moveaxis(self.zone_values[..., self.t0 :], -1, 0).copy(),
-            tariff=self.tariff[self.t0 :].copy(),
         )
 
 
@@ -205,20 +200,19 @@ def run_day(
     topology: NetworkTopology,
     initial_levels: np.ndarray,
     zone_values: np.ndarray,
-    tariff: np.ndarray,
     act: Callable[[int, np.ndarray], np.ndarray],
     t0: int = 0,
 ) -> Trajectory:
     """Roll the day from step ``t0`` to its end under ``act``.
 
-    ``zone_values`` is the (n_zones, 96) demand array and ``tariff`` the
-    per-step price of the whole day. ``act(t, levels)`` returns the pump
-    speeds for step ``t`` given the levels before it. Speeds outside [0, 1]
+    ``zone_values`` is the (n_zones, 96) demand array; costs are priced at
+    the topology's tariff. ``act(t, levels)`` returns the pump speeds for
+    step ``t`` given the levels before it. Speeds outside [0, 1]
     or non-finite raise ``ValidationError`` and non-finite levels raise
     ``NumericError``, both checked once for the day. Initial levels (B, n_tanks)
     with demands (B, n_zones, 96) roll B lanes; ``act`` gets a row per lane.
     """
-    day = _Rollout(topology, initial_levels, zone_values, tariff, t0)
+    day = _Rollout(topology, initial_levels, zone_values, t0)
     for t in range(t0, STEPS_PER_DAY):
         day.advance(act(t, day.levels))
     _check_speeds(day.actions)
@@ -270,10 +264,6 @@ def simulate(
             f"({STEPS_PER_DAY}, {topology.n_stations})"
         )
     return run_day(
-        topology,
-        initial_levels,
-        demands.as_array(),
-        topology.tariff.as_array(),
-        lambda t, levels: schedule[t],
+        topology, initial_levels, demands.as_array(), lambda t, _: schedule[t]
     )
 

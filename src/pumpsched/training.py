@@ -141,7 +141,8 @@ def _collect_lanes(
 
     Returns observations, raw actions, log-probs, rewards and values, each
     with one leading row per episode and one column per decision. A lane's
-    day of noise is one draw, equal to a draw per decision bit for bit.
+    day of noise is one draw, equal to a draw per decision bit for bit. A
+    rollout that fails on non-finite actions or levels raises ``TrainingError``.
     """
     lanes, n = len(episodes), spec.decisions_per_episode
     levels, demands, noise = [], [], np.empty((n, lanes, spec.action_dim))
@@ -168,9 +169,11 @@ def _collect_lanes(
         return executed
 
     window = spec.frame_skip
-    tariff = spec.topology.tariff.as_array()
     act = closed_loop(spec.topology, spec.agent_kind, act_fn, window)
-    day = run_day(spec.topology, np.array(levels), np.array(demands), tariff, act)
+    try:
+        day = run_day(spec.topology, np.array(levels), np.array(demands), act)
+    except (NumericError, ValidationError) as exc:  # non-finite actions or levels
+        raise TrainingError(f"rollout failed: {exc}") from exc
     # A decision earns its window's step rewards added in step order, as
     # FrameSkipEnv adds them; numpy's pairwise sum of 8 or more would differ.
     per_step = day_rewards(spec.topology, spec.agent_kind, day)
@@ -189,12 +192,9 @@ def collect_rollouts(
     """Collect whole episodes until at least ``batch_size`` transitions exist."""
     n = spec.decisions_per_episode
     n_episodes = -(-cfg.batch_size // n)  # ceil
-    try:
-        obs, actions, log_probs, rewards, values = _collect_lanes(
-            spec, params, cfg, iteration, range(n_episodes)
-        )
-    except (NumericError, ValidationError) as exc:  # non-finite actions or levels
-        raise TrainingError(f"rollout failed: {exc}") from exc
+    obs, actions, log_probs, rewards, values = _collect_lanes(
+        spec, params, cfg, iteration, range(n_episodes)
+    )
 
     dones = np.zeros((n_episodes, n))
     dones[:, -1] = 1.0

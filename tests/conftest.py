@@ -1,5 +1,17 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
+
+# When a @given test fails, hypothesis imports its patch writer, whose libcst
+# import raises a DeprecationWarning from mypy_extensions. Under the "error"
+# warning filter that ends the session with INTERNALERROR, hiding every later
+# result, so import it here with warnings ignored; other warnings stay errors.
+# Without libcst hypothesis skips the patch, as it does here.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore")
+    import hypothesis.extra._patching  # noqa: F401
 
 from pumpsched import (
     DemandSet,

@@ -407,6 +407,8 @@ BAD_INPUTS = {
     "tanks_not_a_list": _bad_network(("tanks",), 5),
     "infinite_max_flow": _bad_network(("stations", 0, "max_flow"), float("inf")),
     "hourly_dt": _bad_network(("dt_hours",), 1.0),
+    "null_zone_id": _bad_network(("zones", 0, "id"), None),
+    "bool_surface_area": _bad_network(("tanks", 0, "surface_area"), True),
     "zero_steps": _bad_network(steps=0),
     "frame_skip_zero": _bad_network(extra=("--frame-skip", 0)),
     "frame_skip_negative": _bad_network(extra=("--frame-skip", -3)),
@@ -475,6 +477,18 @@ def test_bad_input_exits_one_with_a_one_line_error(workflow, tmp_path, case):
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert sorted(tmp_path.iterdir()) == before  # the command wrote nothing
+
+
+def test_zero_rated_power_fails_the_dual_reward_only(workflow, tmp_path):
+    out, _ = workflow
+    argv = _bad_network(("stations", 2, "rated_power"), 0.0)(out, tmp_path)
+    constraint = run_cli(*argv, "--agent", "constraint")
+    assert constraint.returncode == 0, constraint.stderr
+    dual = run_cli(*argv, "--agent", "dual")
+    assert dual.returncode == 1
+    assert dual.stderr.splitlines() == [
+        "error: dual reward needs strictly positive rated power on every station"
+    ]
 
 
 # ----------------------------------------------------------------------------

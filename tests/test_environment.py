@@ -16,9 +16,7 @@ from pumpsched import (
 from pumpsched.env import (
     CONSTRAINT_WEIGHT,
     ENERGY_WEIGHT,
-    _energy_max,
     closed_loop,
-    normalize_tariff,
     reward_constraint_step,
     reward_dual,
 )
@@ -29,7 +27,7 @@ from pumpsched.simulate import run_day
 def _config(world, levels=None):
     return EpisodeConfig(
         initial_levels=(
-            world.initial_levels_array() if levels is None else np.asarray(levels)
+            world.compiled.initial_levels if levels is None else np.asarray(levels)
         ),
         demands=generate_demands(world, seed=8),
     )
@@ -126,17 +124,11 @@ def test_dual_reward_stays_in_unit_interval(levels, energy, tariff):
     assert 0.0 <= r <= 1.0
 
 
-def test_normalize_tariff_unit_range(world):
-    norm = normalize_tariff(world.tariff.as_array())
-    assert norm.min() == 0.0
-    assert norm.max() == 1.0
-    with pytest.raises(ValidationError):
-        normalize_tariff(np.full(STEPS_PER_DAY, 0.1))
-
-
-def test_energy_max_spans_rated_energy(world):
-    rated = np.array([s.rated_power for s in world.stations])
-    np.testing.assert_allclose(_energy_max(world), rated * 0.25)
+def test_dual_reward_needs_an_energy_span_on_every_station():
+    levels, bounds = np.full(6, 4.0), (np.full(6, 2.0), np.full(6, 6.0))
+    span = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])  # a station rated at 0 kW
+    with pytest.raises(ValidationError, match="strictly positive rated power"):
+        reward_dual(levels, *bounds, np.zeros(6), 0.5, span)
     assert CONSTRAINT_WEIGHT + ENERGY_WEIGHT == 1.0
 
 
@@ -153,7 +145,7 @@ def test_observation_dimensions(world):
 
 def test_levels_normalized_by_physical_cap(world):
     env = _env(world)
-    obs = env.reset(_config(world, levels=world.caps_array()))
+    obs = env.reset(_config(world, levels=world.compiled.caps))
     np.testing.assert_allclose(obs, np.ones(6))
 
 
@@ -161,10 +153,12 @@ def test_dual_observation_layout(world):
     env = _env(world, AgentKind.DUAL)
     obs = env.reset(_config(world))
     np.testing.assert_allclose(
-        obs[:6], world.initial_levels_array() / world.caps_array()
+        obs[:6], world.compiled.initial_levels / world.compiled.caps
     )
     assert obs[6] == 0.0  # t/96 at reset
-    np.testing.assert_allclose(obs[7:], normalize_tariff(world.tariff.as_array()))
+    tariff = np.array(world.tariff.values)
+    tariff_norm = (tariff - tariff.min()) / (tariff.max() - tariff.min())
+    np.testing.assert_allclose(obs[7:], tariff_norm)
 
     result = env.step(np.full(6, 0.5))
     assert result.observation[6] == pytest.approx(1.0 / STEPS_PER_DAY)
@@ -200,7 +194,7 @@ def test_constraint_reward_flows_through_env(world):
     env = _env(world)
     env.reset(_config(world))
     result = env.step(np.full(6, 0.5))
-    lb, ub = world.bounds_arrays()
+    lb, ub = world.compiled.lower, world.compiled.upper
     levels = env.trajectory().states[1] if result.done else None
     # Reward must equal the rule applied to the post-step levels.
     inside = result.info["in_bounds"]
@@ -234,14 +228,14 @@ def test_every_env_step_reports_its_cost_energy_and_reward(world):
     schedule = np.random.default_rng(4).uniform(0.0, 1.0, (STEPS_PER_DAY, 6))
     results = [env.step(schedule[t]) for t in range(STEPS_PER_DAY)]
     ref = simulate(world, config.initial_levels, schedule, config.demands)
-    lb, ub = world.bounds_arrays()
-    tariff_norm = normalize_tariff(ref.tariff)
+    lb, ub = world.compiled.lower, world.compiled.upper
+    tariff_norm, energy_span = world.compiled.tariff_norm, world.compiled.energy_span
     for t, result in enumerate(results):
         assert result.info["step_cost"] == float(ref.costs[t])
         assert result.info["step_energy"] == float(ref.energies[t].sum())
         reward = reward_dual(
             ref.states[t + 1], lb, ub, ref.energies[t], float(tariff_norm[t]),
-            _energy_max(world),
+            energy_span,
         )  # fmt: skip
         assert result.reward == reward
     assert env.trajectory().energies.tobytes() == ref.energies.tobytes()
@@ -344,7 +338,6 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
         world,
         config.initial_levels,
         config.demands.as_array(),
-        world.tariff.as_array(),
         closed_loop(world, kind, act_fn, window),
     )
     for name in ("states", "actions", "flows", "costs", "clamp_flags"):
@@ -357,7 +350,7 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
 
 
 def test_sample_episode_levels_in_band(world):
-    lb, ub = world.bounds_arrays()
+    lb, ub = world.compiled.lower, world.compiled.upper
     rng = np.random.default_rng(2)
     for _ in range(20):
         config = sample_episode(world, rng)
@@ -366,13 +359,13 @@ def test_sample_episode_levels_in_band(world):
 
 
 def test_sample_episode_overhang_widens_starts(world):
-    lb, ub = world.bounds_arrays()
+    lb, ub = world.compiled.lower, world.compiled.upper
     rng = np.random.default_rng(2)
     seen_outside = False
     for _ in range(200):
         config = sample_episode(world, rng, start_overhang=0.5)
         assert np.all(config.initial_levels >= 0.0)
-        assert np.all(config.initial_levels <= world.caps_array())
+        assert np.all(config.initial_levels <= world.compiled.caps)
         if np.any(config.initial_levels < lb) or np.any(config.initial_levels > ub):
             seen_outside = True
     assert seen_outside
@@ -414,6 +407,6 @@ def test_sample_operational_episode_lanes_equal_episodes_alone(world):
 
 def test_sample_operational_episode_burn_moves_levels(world):
     config, _ = sample_operational_episode(world, [np.random.default_rng(7)])
-    assert not np.array_equal(config.initial_levels[0], world.initial_levels_array())
+    assert not np.array_equal(config.initial_levels[0], world.compiled.initial_levels)
     assert np.all(config.initial_levels >= 0.0)
-    assert np.all(config.initial_levels <= world.caps_array())
+    assert np.all(config.initial_levels <= world.compiled.caps)

@@ -73,8 +73,7 @@ def test_margins_leave_a_tenth_of_the_band_at_the_extreme_draws(
     still sits a tenth of the band above the trigger, so margins need no
     clamp keeping them apart."""
     margins = margins_for(world, 1.0, _FixedDraws(trigger_draw, release_draw))
-    _, lower, upper = world.primary_tanks
-    band = upper - lower
+    band = world.compiled.primary_upper - world.compiled.primary_lower
     # Exactly a tenth in real arithmetic at the ceiling, so allow rounding.
     assert np.all(margins.releases - margins.triggers >= 0.1 * band - 1e-12)
 
@@ -178,8 +177,8 @@ def test_perfect_margins_keep_day_in_band(world):
     margins = margins_for(world, 0.0, np.random.default_rng(0))
     controller = RuleBasedController(world, margins)
     demands = generate_demands(world, seed=4)
-    traj = run_controlled_day(world, world.initial_levels_array(), controller, demands)
-    bounds = world.bounds_arrays()
+    traj = run_controlled_day(world, world.compiled.initial_levels, controller, demands)
+    bounds = world.compiled.lower, world.compiled.upper
     assert violation_count(traj, bounds) == 0
     assert area_outside_boundary(traj, bounds) == 0.0
     assert not traj.clamp_flags.any()
@@ -217,14 +216,14 @@ def test_generate_history_deterministic(world):
 
 def test_perfect_history_has_no_violations(world):
     archive = generate_history(world, days=5, seed=2, imperfection=0.0)
-    lb, ub = world.bounds_arrays()
+    lb, ub = world.compiled.lower, world.compiled.upper
     assert np.all(archive.levels >= lb - 1e-12)
     assert np.all(archive.levels <= ub + 1e-12)
 
 
 def test_default_imperfection_produces_violating_days(world):
     archive = generate_history(world, days=20, seed=42)
-    lb, ub = world.bounds_arrays()
+    lb, ub = world.compiled.lower, world.compiled.upper
     outside = (archive.levels < lb) | (archive.levels > ub)
     violating = int(outside.any(axis=(1, 2)).sum())
     assert 0 < violating < archive.n_days

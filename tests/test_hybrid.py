@@ -39,8 +39,8 @@ from pumpsched.simulate import resume_lanes, run_day
 
 def _mid_band_act_fn(world):
     """Pure proportional push toward mid-band; pure in the observation rows."""
-    caps = world.caps_array()
-    lb, ub = world.bounds_arrays()
+    caps = world.compiled.caps
+    lb, ub = world.compiled.lower, world.compiled.upper
     primary = np.array(
         [world.tank_index(s.primary_tank()) for s in world.stations]
     )
@@ -127,7 +127,7 @@ def test_inject_preserves_schedule_outside_plan(world, case_pool):
     # The baseline with the policy's actions on these states blended in,
     # replayed open-loop, reproduces the same day.
     schedule = case.baseline_schedule.copy()
-    schedule[20:40] = act(states[20:40] / world.caps_array())
+    schedule[20:40] = act(states[20:40] / world.compiled.caps)
     replay = simulate(
         world, case.config.initial_levels, schedule, case.config.demands
     )
@@ -146,8 +146,8 @@ def test_inject_closed_loop_sees_its_own_states(world, case_pool):
 
 def _whole_day(world, case, act):
     """States of the case's day rolled from step 0 under ``act(t, levels)``."""
-    demands, tariff = case.config.demands.as_array(), world.tariff.as_array()
-    return run_day(world, case.config.initial_levels, demands, tariff, act).states
+    demands = case.config.demands.as_array()
+    return run_day(world, case.config.initial_levels, demands, act).states
 
 
 def _rolled_alone(world, case, plan, act_fn):
@@ -170,7 +170,7 @@ def test_every_inject_lane_equals_its_plan_injected_alone(world, case_pool, lane
     starts = [0, STEPS_PER_DAY - 1, *rng.integers(0, STEPS_PER_DAY, 15).tolist()]
     ends = [int(rng.integers(s + 1, STEPS_PER_DAY + 1)) for s in starts]
     plans = [InjectionPlan(s, e) for s, e in zip(starts, ends)]
-    caps, clamped = world.caps_array(), []
+    caps, clamped = world.compiled.caps, []
     for case in case_pool[:2]:
         for act_fn in (_mid_band_act_fn(world), _flat_out):
             for first in range(0, len(plans), lanes):
@@ -316,7 +316,6 @@ def _injected_from_first_start(world, case, plans, act_fn):
         world,
         np.repeat(case.baseline_states[t0][None], lanes, axis=0),
         np.repeat(case.config.demands.as_array()[None], lanes, axis=0),
-        world.tariff.as_array(),
         act,
         t0,
     )
@@ -454,7 +453,6 @@ def _resimulated(world, case, states, e):
         world,
         states[e],
         case.config.demands.as_array(),
-        world.tariff.as_array(),
         lambda t, levels: case.baseline_schedule[t],
         t0=e,
     ).states
@@ -492,7 +490,7 @@ def _reference_best_end(world, case, full, hs, he):
 def test_best_end_tails_equal_a_reference_loop(world, case_pool):
     # The states ``_best_end`` returns are those of its end injected afresh,
     # so no strategy has to roll its winning plan again.
-    caps, clamped = world.caps_array(), []
+    caps, clamped = world.compiled.caps, []
     for case in case_pool:
         hs, he = case.hull
         # Pumping flat out drives levels into the clamp as well.

@@ -31,7 +31,6 @@ def _traj_from_states(states: np.ndarray) -> Trajectory:
         costs=np.zeros(n_steps),
         clamp_flags=np.zeros((n_steps, n_tanks), dtype=bool),
         zone_demands=np.zeros((n_steps, 1)),
-        tariff=np.zeros(n_steps),
     )
 
 
@@ -76,7 +75,7 @@ def test_episode_cost_flat_tariff(tiny_world, zero_demands):
     schedule = np.zeros((STEPS_PER_DAY, 2))
     schedule[:, 0] = 1.0
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
-    expected = 200.0 * 0.25 * tiny_world.tariff.as_array().sum()
+    expected = 200.0 * 0.25 * sum(tiny_world.tariff.values)
     assert episode_cost(traj) == pytest.approx(expected, abs=1e-9)
 
 

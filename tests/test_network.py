@@ -42,14 +42,14 @@ def test_synthetic_network_seed_sensitivity():
 
 
 def test_tariff_shape_and_spread(world):
-    values = world.tariff.as_array()
+    values = np.array(world.tariff.values)
     assert values.shape == (STEPS_PER_DAY,)
     assert values.min() < values.max()
     assert np.all(values >= 0)
 
 
 def test_tariff_two_tier_pattern(world):
-    values = world.tariff.as_array()
+    values = np.array(world.tariff.values)
     night = np.concatenate([values[:28], values[88:]])
     day = values[28:88]
     assert night.max() < day.min()
@@ -108,6 +108,31 @@ def test_compiled_topology_is_held_on_the_instance(tmp_path, world):
         assert not array.flags.writeable, name
     assert again.compiled is again.compiled
 
+    c = world.compiled
+    for name, attr in (
+        ("areas", "surface_area"),
+        ("caps", "level_max_physical"),
+        ("lower", "lower_bound"),
+        ("upper", "upper_bound"),
+        ("initial_levels", "initial_level"),
+    ):
+        assert getattr(c, name).tolist() == [getattr(t, attr) for t in world.tanks]
+    rated = [station.rated_power for station in world.stations]
+    assert c.energy_span.tolist() == [r * DT_HOURS for r in rated]
+    tariff = world.tariff.values
+    lo, hi = min(tariff), max(tariff)
+    assert c.tariff.tolist() == list(tariff)
+    assert c.tariff_norm.tolist() == [(v - lo) / (hi - lo) for v in tariff]
+    assert c.tariff_norm.min() == 0.0 and c.tariff_norm.max() == 1.0
+    primary = [world.tank_index(s.primary_tank()) for s in world.stations]
+    assert c.primary.tolist() == primary
+    assert c.primary_lower.tolist() == [world.tanks[i].lower_bound for i in primary]
+    assert c.primary_upper.tolist() == [world.tanks[i].upper_bound for i in primary]
+    # Only an unvalidated topology can hold a tariff without spread.
+    flat = TariffSchedule(values=(0.1,) * STEPS_PER_DAY)
+    with pytest.raises(ValidationError, match="tariff must have min strictly below"):
+        dataclasses.replace(world, tariff=flat).compiled
+
 
 def test_load_network_reports_bad_bounds(tmp_path, world):
     obj = topology_to_dict(world)
@@ -125,8 +150,23 @@ def test_load_network_reports_bad_bounds(tmp_path, world):
         (("tanks",), 5, SchemaError),
         (("stations", 0, "max_flow"), float("inf"), ValidationError),
         (("dt_hours",), 1.0, SchemaError),
+        (("zones", 0, "id"), None, SchemaError),
+        (("tanks", 0, "surface_area"), True, SchemaError),
+        (("stations", 2, "fills", 1, 0), 4, SchemaError),
+        (("tariff", 0), False, SchemaError),
+        (("tanks", 0, "surface_area"), 10**400, SchemaError),
     ],
-    ids=["text_tariff", "tanks_not_a_list", "infinite_max_flow", "hourly_dt"],
+    ids=[
+        "text_tariff",
+        "tanks_not_a_list",
+        "infinite_max_flow",
+        "hourly_dt",
+        "null_zone_id",
+        "bool_surface_area",
+        "numeric_fill_tank",
+        "bool_tariff",
+        "huge_integer_area",
+    ],
 )
 def test_load_network_rejects_malformed_documents(tmp_path, world, where, value, error):
     obj = topology_to_dict(world)

@@ -30,21 +30,17 @@ from pumpsched.training import (
 
 from conftest import flat_demands
 
-FLAT_TARIFF = np.full(STEPS_PER_DAY, 0.1)
-
-
 def _constant_act(speeds):
     action = np.asarray(speeds, dtype=float)
     return lambda t, levels: action
 
 
-def _last_step(topology, levels, speeds, demand, tariff_t):
+def _last_step(topology, levels, speeds, demand):
     """The day's final step alone: ``run_day`` from t0 = 95."""
     return run_day(
         topology,
         np.asarray(levels, dtype=float),
         np.full((topology.n_zones, STEPS_PER_DAY), float(demand)),
-        np.full(STEPS_PER_DAY, tariff_t),
         _constant_act(speeds),
         t0=STEPS_PER_DAY - 1,
     )
@@ -104,7 +100,7 @@ def test_pump_speed_rejected(tiny_world, zero_demands, speed):
     with pytest.raises(ValidationError, match="pump speed"):
         simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
     with pytest.raises(ValidationError, match="pump speed"):
-        _last_step(tiny_world, [4.0, 4.0], [speed, 0.0], 0.0, 0.1)
+        _last_step(tiny_world, [4.0, 4.0], [speed, 0.0], 0.0)
     with pytest.raises(ValidationError, match="pump speed"):
         _env_first_step(tiny_world, [4.0, 4.0], [speed, 0.0], 0.0)
 
@@ -112,26 +108,26 @@ def test_pump_speed_rejected(tiny_world, zero_demands, speed):
 def test_single_step_mass_balance(tiny_world):
     # Station 1 pushes 400 m^3/h into tank 1 (area 1000 m^2) while its zone
     # draws 200 m^3/h: the level must rise exactly (400-200)*0.25/1000 = 0.05 m.
-    traj = _last_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0, 0.1)
+    traj = _last_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0)
     assert traj.states.shape == (2, 2) and traj.costs.shape == (1,)
     assert traj.states[1, 0] == pytest.approx(4.05, abs=1e-12)
     # Tank 2 (area 500) only drains: -200*0.25/500 = -0.1 m.
     assert traj.states[1, 1] == pytest.approx(3.9, abs=1e-12)
     assert not traj.clamp_flags.any()
     assert traj.powers[0, 0] == pytest.approx(200.0)
-    assert traj.costs[0] == pytest.approx(200.0 * DT_HOURS * 0.1)
+    # The tiny-world tariff is 0.1 in the first half of the day, 0.2 after.
+    assert traj.costs[0] == pytest.approx(200.0 * DT_HOURS * 0.2)
 
     result = _env_first_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0)
     assert result.info["t"] == 1
-    # The env's tiny-world tariff is 0.1 for the first half of the day.
-    assert result.info["step_cost"] == traj.costs[0]
+    assert result.info["step_cost"] == pytest.approx(200.0 * DT_HOURS * 0.1)
     np.testing.assert_array_equal(result.observation, traj.states[1] / 8.0)
 
 
 def test_step_rejects_finished_day(tiny_world, zero_demands):
     def from_step(t0):
         return run_day(
-            tiny_world, [4.0, 4.0], zero_demands.as_array(), FLAT_TARIFF,
+            tiny_world, [4.0, 4.0], zero_demands.as_array(),
             _constant_act([0.0, 0.0]), t0,
         )  # fmt: skip
 
@@ -154,14 +150,13 @@ def test_step_rejects_bad_shapes(tiny_world, zero_demands):
     zeros = zero_demands.as_array()
     with pytest.raises(ValidationError):
         simulate(tiny_world, initial, np.zeros((STEPS_PER_DAY, 3)), zero_demands)
-    for levels, zone_values, tariff, speeds in (
-        (initial, zeros, FLAT_TARIFF, np.zeros(3)),
-        (initial, np.zeros((5, STEPS_PER_DAY)), FLAT_TARIFF, np.zeros(2)),
-        (initial, zeros, np.zeros(95), np.zeros(2)),
-        (np.zeros(3), zeros, FLAT_TARIFF, np.zeros(2)),
+    for levels, zone_values, speeds in (
+        (initial, zeros, np.zeros(3)),
+        (initial, np.zeros((5, STEPS_PER_DAY)), np.zeros(2)),
+        (np.zeros(3), zeros, np.zeros(2)),
     ):
         with pytest.raises(ValidationError):
-            run_day(tiny_world, levels, zone_values, tariff, _constant_act(speeds))
+            run_day(tiny_world, levels, zone_values, _constant_act(speeds))
     env = _env(tiny_world)
     with pytest.raises(ValidationError, match="action shape"):
         env.step(np.zeros(3))
@@ -177,7 +172,6 @@ def test_non_finite_levels_raise_numeric_error(tiny_world, zero_demands):
             tiny_world,
             [4.0, 4.0],
             np.full((2, STEPS_PER_DAY), np.inf),
-            FLAT_TARIFF,
             _constant_act([0.0, 0.0]),
         )
     with pytest.raises(NumericError):
@@ -200,7 +194,7 @@ def test_full_day_cost_oracle(tiny_world, zero_demands):
     schedule = np.zeros((STEPS_PER_DAY, 2))
     schedule[:, 0] = 1.0
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
-    expected = 200.0 * 0.25 * tiny_world.tariff.as_array().sum()
+    expected = 200.0 * 0.25 * sum(tiny_world.tariff.values)
     assert expected == pytest.approx(720.0)
     assert traj.costs.sum() == pytest.approx(expected, abs=1e-9)
     assert traj.clamp_flags.any()
@@ -236,20 +230,11 @@ def test_simulate_deterministic(world):
     from pumpsched import generate_demands
 
     demands = generate_demands(world, seed=5)
-    initial = world.initial_levels_array()
+    initial = world.compiled.initial_levels
     a = simulate(world, initial, schedule, demands)
     b = simulate(world, initial, schedule, demands)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.costs, b.costs)
-
-
-def test_default_tariff_comes_from_topology(world):
-    from pumpsched import generate_demands
-
-    demands = generate_demands(world, seed=5)
-    schedule = np.full((STEPS_PER_DAY, world.n_stations), 0.5)
-    traj = simulate(world, world.initial_levels_array(), schedule, demands)
-    np.testing.assert_array_equal(traj.tariff, world.tariff.as_array())
 
 
 @settings(max_examples=50, deadline=None)
@@ -269,9 +254,9 @@ def test_step_matches_hand_balance(tiny_world, speeds, demand, level):
     expect = np.clip([raw_1, raw_2], 0.0, 8.0)
     energy = (200.0 * speeds[0] ** 3 + 80.0 * speeds[1] ** 3) * DT_HOURS
 
-    traj = _last_step(tiny_world, [level, level], speeds, demand, 0.15)
+    traj = _last_step(tiny_world, [level, level], speeds, demand)
     np.testing.assert_allclose(traj.states[1], expect, atol=1e-9)
-    assert traj.costs[0] == pytest.approx(energy * 0.15, abs=1e-9)
+    assert traj.costs[0] == pytest.approx(energy * 0.2, abs=1e-9)
 
     result = _env_first_step(tiny_world, [level, level], speeds, demand)
     np.testing.assert_allclose(result.observation * 8.0, expect, atol=1e-9)
@@ -287,10 +272,10 @@ def test_mass_conserved_over_full_day(world, seed):
     from pumpsched import generate_demands
 
     demands = generate_demands(world, seed=seed)
-    traj = simulate(world, world.initial_levels_array(), schedule, demands)
+    traj = simulate(world, world.compiled.initial_levels, schedule, demands)
     if traj.clamp_flags.any():
         return  # clamping discards water by design; skip those draws
-    areas = world.areas_array()
+    areas = world.compiled.areas
     stored = float(((traj.states[-1] - traj.states[0]) * areas).sum())
     external = 0.0
     for j, station in enumerate(world.stations):
@@ -313,7 +298,7 @@ def _clamp_free_day(world):
     controller = RuleBasedController(world, margins)
     demands = generate_demands(world, seed=2)
     traj = run_controlled_day(
-        world, world.initial_levels_array(), controller, demands
+        world, world.compiled.initial_levels, controller, demands
     )
     return traj.actions, demands
 
@@ -323,7 +308,7 @@ def test_shift_theorem_against_resimulation(world):
     ``delta`` higher stays ``delta`` higher at every step."""
     rng = np.random.default_rng(11)
     schedule, demands = _clamp_free_day(world)
-    initial = world.initial_levels_array()
+    initial = world.compiled.initial_levels
     base = simulate(world, initial, schedule, demands)
     assert not base.clamp_flags.any()
 
@@ -355,7 +340,7 @@ def _controlled_day(world, seed, imperfection, start):
     rng = np.random.default_rng(seed)
     margins = margins_for(world, imperfection, rng)
     demands = generate_demands(world, seed=seed)
-    initial = start * world.caps_array()
+    initial = start * world.compiled.caps
     controller = RuleBasedController(world, margins)
     return run_controlled_day(world, initial, controller, demands), demands
 
@@ -378,7 +363,6 @@ _TRAJECTORY_FIELDS = (
     "costs",
     "clamp_flags",
     "zone_demands",
-    "tariff",
 )
 
 
@@ -393,12 +377,11 @@ def test_rollout_from_a_mid_day_state_equals_the_tail(world, seed, e, high):
 
     schedule = np.random.default_rng(seed).uniform(0.0, high, (STEPS_PER_DAY, 6))
     demands = generate_demands(world, seed=seed)
-    day = simulate(world, world.initial_levels_array(), schedule, demands)
+    day = simulate(world, world.compiled.initial_levels, schedule, demands)
     tail = run_day(
         world,
         day.states[e],
         demands.as_array(),
-        day.tariff,
         lambda t, levels: schedule[t],
         t0=e,
     )
@@ -421,10 +404,9 @@ def test_every_resume_lane_equals_a_rollout_from_its_state(world, seed, t0, high
     demands = generate_demands(world, seed=seed)
     # Lanes branch off a day run under another schedule, as an injection does.
     branch = simulate(
-        world, world.initial_levels_array(), rng.uniform(0.0, 1.0, (STEPS_PER_DAY, 6)),
+        world, world.compiled.initial_levels, rng.uniform(0.0, 1.0, (STEPS_PER_DAY, 6)),
         demands,
     ).states[t0:]  # fmt: skip
-    tariff = world.tariff.as_array()
     lanes = resume_lanes(world, branch, schedule, demands.as_array(), t0)
     assert lanes.shape == (STEPS_PER_DAY - t0, STEPS_PER_DAY + 1 - t0, world.n_tanks)
     for k, row in enumerate(lanes):
@@ -432,7 +414,6 @@ def test_every_resume_lane_equals_a_rollout_from_its_state(world, seed, t0, high
             world,
             branch[k],
             demands.as_array(),
-            tariff,
             lambda t, levels: schedule[t],
             t0=t0 + k,
         )
@@ -451,18 +432,15 @@ def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
 
     rng = np.random.default_rng(seed)
     schedules = rng.uniform(0.0, 1.0, (lanes, STEPS_PER_DAY, 6))
-    levels = rng.uniform(0.0, 1.0, (lanes, world.n_tanks)) * world.caps_array()
+    levels = rng.uniform(0.0, 1.0, (lanes, world.n_tanks)) * world.compiled.caps
     demands = np.array(
         [generate_demands(world, seed + k).as_array() for k in range(lanes)]
     )
-    tariff = world.tariff.as_array()
-    day = run_day(world, levels, demands, tariff, lambda t, lv: schedules[:, t], t0)
+    day = run_day(world, levels, demands, lambda t, lv: schedules[:, t], t0)
     for k in range(lanes):
-        alone = run_day(
-            world, levels[k], demands[k], tariff, lambda t, lv: schedules[k, t], t0
-        )
+        alone = run_day(world, levels[k], demands[k], lambda t, lv: schedules[k, t], t0)
         for name in _TRAJECTORY_FIELDS:
-            lane = getattr(day, name) if name == "tariff" else getattr(day, name)[:, k]
+            lane = getattr(day, name)[:, k]
             assert lane.tobytes() == getattr(alone, name).tobytes(), name
 
 
@@ -494,12 +472,12 @@ def test_day_records_equal_the_all_in_one_step(world, lanes, t0):
     n = 1 if lanes is None else lanes
     rng = np.random.default_rng(n * 100 + t0)
     schedules = rng.uniform(0.0, 1.0, (STEPS_PER_DAY, n, world.n_stations))
-    levels = rng.uniform(0.0, 1.0, (n, world.n_tanks)) * world.caps_array()
+    levels = rng.uniform(0.0, 1.0, (n, world.n_tanks)) * world.compiled.caps
     demands = np.array([generate_demands(world, t0 + k).as_array() for k in range(n)])
     if lanes is None:
         schedules, levels, demands = schedules[:, 0], levels[0], demands[0]
-    tariff = world.tariff.as_array()
-    day = run_day(world, levels, demands, tariff, lambda t, lv: schedules[t], t0)
+    tariff = world.compiled.tariff
+    day = run_day(world, levels, demands, lambda t, lv: schedules[t], t0)
 
     rows, current = [], levels
     for t in range(t0, STEPS_PER_DAY):
@@ -604,7 +582,7 @@ def test_levels_stay_in_caps_and_clamp_flags_mark_every_clamp(world, seed, high,
 
     schedule = np.random.default_rng(seed).uniform(0.0, high, (STEPS_PER_DAY, 6))
     demands = generate_demands(world, seed=seed)
-    caps = world.caps_array()
+    caps = world.compiled.caps
     traj = simulate(world, start * caps, schedule, demands)
     assert np.all(traj.states >= 0.0) and np.all(traj.states <= caps)
 
@@ -617,7 +595,7 @@ def test_levels_stay_in_caps_and_clamp_flags_mark_every_clamp(world, seed, high,
             net_inflow[:, world.tank_index(station.draws_from)] -= traj.flows[:, j]
     for k, zone in enumerate(world.zones):
         net_inflow[:, world.tank_index(zone.served_by)] -= traj.zone_demands[:, k]
-    raw = traj.states[:-1] + DT_HOURS * net_inflow / world.areas_array()
+    raw = traj.states[:-1] + DT_HOURS * net_inflow / world.compiled.areas
     np.testing.assert_allclose(traj.states[1:], np.clip(raw, 0.0, caps), atol=1e-9)
     clamped = (raw < -1e-9) | (raw > caps + 1e-9)
     inside = (raw > 1e-9) & (raw < caps - 1e-9)

@@ -39,7 +39,7 @@ def test_span_tracer_wraps_and_restores_the_package(world):
         assert pumpsched.simulate is not before[0]["simulate"]
         schedule = np.full((96, world.n_stations), 0.5)
         demands = pumpsched.generate_demands(world, seed=0)
-        pumpsched.simulate(world, world.initial_levels_array(), schedule, demands)
+        pumpsched.simulate(world, world.compiled.initial_levels, schedule, demands)
     assert (_functions(pumpsched), _functions(simulate_module)) == before
 
     names = [rec[0] for rec in tracer.spans]
@@ -51,11 +51,14 @@ def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
     """The benchmark times the strategies by their ``hybrid.strategy_*`` span
     names and the strategy tag of each result, and counts ``hybrid.inject``.
     Each case is rolled in one ``inject`` call, made by ``evaluate_strategies``
-    itself, and only the two end searches run ``_best_end``, once each."""
+    itself, and only the two end searches run ``_best_end``, once per distinct
+    winning start: dynamic_start_end reads dynamic_end's search when the hull
+    start wins."""
     spans = _load_spans()
     archive = pumpsched.generate_history(world, days=40, seed=42)
     index = pumpsched.build_index(world, archive)
-    cases = pumpsched.build_case_pool(world, index, n_cases=2, seed=7)
+    # The hull start wins dynamic_start_end on the third case only.
+    cases = pumpsched.build_case_pool(world, index, n_cases=3, seed=7)
     tracer = spans.Tracer()
     best_end, best_end_calls = hybrid_module._best_end, []
 
@@ -65,7 +68,7 @@ def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
 
     monkeypatch.setattr(hybrid_module, "_best_end", counted_best_end)
     with spans.instrument(tracer):
-        pumpsched.evaluate_strategies(
+        report = pumpsched.evaluate_strategies(
             world, cases, lambda obs: np.full((len(obs), world.n_stations), 0.5)
         )
     records = tracer.spans
@@ -90,10 +93,15 @@ def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
     injects = [i for i, rec in enumerate(records) if rec[0] == "hybrid.inject"]
     assert [records[i][3] for i in injects] == [evaluate] * len(cases)
     # Each case's inject comes before that case's five strategies.
-    assert [sum(i < at for i in strategies) for at in injects] == [0, 5]
+    assert [sum(i < at for i in strategies) for at in injects] == [0, 5, 10]
     owners = [max(i for i in strategies if i < at) for at in best_end_calls]
     owner_names = [strategies[i][1] for i in owners]
-    assert owner_names == ["dynamic_end", "dynamic_start_end"] * len(cases)
+    expected = []
+    for case, outcome in zip(cases, report.outcomes["dynamic_start_end"]):
+        expected.append("dynamic_end")
+        if outcome.plan.start != case.hull[0]:
+            expected.append("dynamic_start_end")
+    assert owner_names == expected and len(expected) == 2 * len(cases) - 1
 
     metrics = spans.layer_metrics(records)
     assert metrics["hybrid.inject.calls"] == len(cases)
