@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from pumpsched import (
     EpisodeConfig,
     FrameSkipEnv,
     PumpSchedulingEnv,
+    TariffSchedule,
     ValidationError,
     generate_demands,
     sample_episode,
@@ -122,6 +125,16 @@ def test_dual_reward_stays_in_unit_interval(levels, energy, tariff):
         UNIT_ENERGY,
     )
     assert 0.0 <= r <= 1.0
+
+
+def test_normalize_tariff_unit_range(world):
+    norm = world.compiled.tariff_norm
+    assert norm.min() == 0.0
+    assert norm.max() == 1.0
+    # Only an unvalidated topology can hold a tariff without spread.
+    flat = TariffSchedule(values=(0.1,) * STEPS_PER_DAY)
+    with pytest.raises(ValidationError, match="tariff must have min strictly below"):
+        dataclasses.replace(world, tariff=flat).compiled
 
 
 def test_dual_reward_needs_an_energy_span_on_every_station():
