@@ -253,14 +253,16 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    started = time.time()
+    started, phase_ends = time.time(), {}
     topology = generate_synthetic_network(args.seed)
     archive = generate_history(
         topology, days=args.days, seed=args.seed, imperfection=args.imperfection
     )
+    phase_ends["generate"] = time.time()
     out = _outdir(args)
     save_network(topology, out / "network.json")
     save_history(archive, out / "history.csv")
+    phase_ends["write_artifacts"] = time.time()
     _write_manifest(
         out,
         "gen",
@@ -271,6 +273,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "history_arrays": "history.csv.arrays",
         },
         started,
+        phase_ends,
     )
     print(f"gen: network.json, history.csv ({args.days} days) -> {out}")
     return 0
@@ -281,10 +284,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    started = time.time()
+    started, phase_ends = time.time(), {}
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
     topology = load_network(args.network)
+    phase_ends["load_network"] = time.time()
     kind = AgentKind(args.agent)
     spec = EnvSpec(topology=topology, agent_kind=kind, frame_skip=args.frame_skip)
     cfg = TrainConfig(
@@ -294,6 +298,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         learning_rate=args.learning_rate,
     )
     result = train(spec, cfg)
+    phase_ends["train"] = time.time()
     out = _outdir(args)
     save_reward_curve(result.curve, out / "reward_curve.csv")
     meta = {
@@ -304,6 +309,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "batch_size": args.batch_size,
     }
     save_checkpoint(result.params, out / "checkpoint.json", meta=meta)
+    phase_ends["write_artifacts"] = time.time()
     _write_manifest(
         out,
         "train",
@@ -314,6 +320,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "reward_curve": "reward_curve.csv",
         },
         started,
+        phase_ends,
     )
     last = result.curve[-1] if result.curve else (0, float("nan"))
     print(
@@ -325,6 +332,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------------
 # eval
+
+
+def _check_widths(
+    path: str, params, kind: AgentKind, topology: NetworkTopology
+) -> None:
+    """Reject, before any rollout, a checkpoint whose input or output width is
+    not the ``kind`` agent's on this network."""
+    got = params.obs_dim, params.action_dim
+    want = kind.obs_dim(topology.n_tanks), topology.n_stations
+    if got != want:
+        raise SchemaError(
+            f"{path}: checkpoint maps {got[0]} inputs to {got[1]} stations, but "
+            f"a {kind.value} agent on this network maps {want[0]} to {want[1]}; "
+            "retrain it"
+        )
 
 
 def _eval_scores(
@@ -378,6 +400,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         policy = closed_loop(topology, kind, policy_act_fn(params), frame_skip)
     except (TypeError, ValueError, ValidationError) as exc:
         raise SchemaError(f"{args.checkpoint}: bad checkpoint meta ({exc})") from None
+    _check_widths(args.checkpoint, params, kind, topology)
     if args.episodes < 1:
         raise ValidationError("--episodes must be >= 1")
 
@@ -436,6 +459,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
         raise ValidationError(
             "hybrid injection needs a checkpoint trained with --agent dual"
         )
+    _check_widths(args.checkpoint, params, AgentKind.DUAL, topology)
     index = build_index(topology, archive, per_zone_demand=args.per_zone_demand)
     cases = build_case_pool(topology, index, n_cases=args.cases, seed=args.seed)
     report = evaluate_strategies(topology, cases, policy_act_fn(params))
@@ -532,6 +556,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
                     f"    vs reference: area {_pct_text(row['area_improvement_pct'])}, "
                     f"cost {_pct_text(row.get('cost_delta_pct'))}"
                 )
+        area = {row.get("label"): row["mean_area"] for row in rows}
+        if {"policy", "random"} <= area.keys() and area["policy"] > area["random"]:
+            print(
+                "warning: the policy leaves more violation area than random "
+                f"control ({area['policy']:.3f} > {area['random']:.3f} m*h)"
+            )
 
     strategy_path = out / "strategy_report.json"
     if strategy_path.exists():

@@ -2,9 +2,9 @@
 
 Two agent framings share the dynamics. The constraint agent sees only
 normalized tank levels and earns +/-1 per tank inside/outside its band. The
-dual agent additionally sees the day clock and the full normalized tariff, and
-earns a weighted blend of the normalized constraint reward and an energy-cost
-term.
+dual agent additionally sees the day clock and the current normalized price,
+and earns a weighted blend of the normalized constraint reward and an
+energy-cost term.
 """
 
 from __future__ import annotations
@@ -35,7 +35,11 @@ from .simulate import Trajectory, _check_speeds, _Rollout
 
 class AgentKind(enum.Enum):
     CONSTRAINT = "constraint"  # levels only, +/-1 per tank
-    DUAL = "dual"  # levels + clock + tariff, blended reward
+    DUAL = "dual"  # levels + clock + current price, blended reward
+
+    def obs_dim(self, n_tanks: int) -> int:
+        """Levels over caps; the dual agent adds the clock and current price."""
+        return n_tanks if self is AgentKind.CONSTRAINT else n_tanks + 2
 
 
 CONSTRAINT_WEIGHT = 0.7  # dual reward: share of the normalized constraint term
@@ -101,16 +105,17 @@ class StepResult:
 def _observation(
     kind: AgentKind, levels: np.ndarray, t: int, c: CompiledTopology
 ) -> np.ndarray:
-    """Before step ``t``: levels / caps (dual: + clock, normalized tariff), a
-    row per lane; ``c`` is the topology's ``compiled``."""
+    """Before step ``t``: levels / caps (dual: + clock ``t / 96``, price of step
+    ``t``, the next day's first at t = 96), a row per lane; ``c`` is the
+    topology's ``compiled``."""
     levels_norm = levels / c.caps
     if kind == AgentKind.CONSTRAINT:
         return levels_norm
     n_t = levels.shape[-1]
-    obs = np.empty((*levels.shape[:-1], n_t + 1 + STEPS_PER_DAY))
+    obs = np.empty((*levels.shape[:-1], kind.obs_dim(n_t)))
     obs[..., :n_t] = levels_norm
     obs[..., n_t] = t / STEPS_PER_DAY
-    obs[..., n_t + 1 :] = c.tariff_norm
+    obs[..., n_t + 1] = c.tariff_norm[t % STEPS_PER_DAY]
     return obs
 
 

@@ -85,9 +85,8 @@ class EnvSpec:
 
     @property
     def obs_dim(self) -> int:
-        if self.agent_kind == AgentKind.CONSTRAINT:
-            return self.topology.n_tanks
-        return self.topology.n_tanks + 1 + STEPS_PER_DAY
+        """The agent's observation width, ``AgentKind.obs_dim``."""
+        return self.agent_kind.obs_dim(self.topology.n_tanks)
 
     @property
     def action_dim(self) -> int:

@@ -86,16 +86,17 @@ def test_command_exits_zero_and_writes_artifacts(workflow, command):
 
 # SHA-256 of each canonical artifact the workflow writes, recorded with
 # numpy 2.4.6 on x86-64. A refactor that keeps them all is
-# byte-identical end to end.
+# byte-identical end to end. The dual artifacts, checkpoint.json on, were
+# recorded for the 8-input dual observation (levels, clock, current price).
 WORKFLOW_DIGESTS = {
     "network.json": "d2c12fef163ed33d118b8df404c1616d265c307298ad688732c4a182c33c7a13",
     "history.csv": "25239ee406e601c6a3fa71355acc1e4ba71bcbedba8d1b31332890f9f47f22f8",
-    "checkpoint.json": "72302aa56ef587818b6a9dc48d6310e12629e16ec28dcc81d17c18bb53a60c1c",
-    "reward_curve.csv": "8a3eba9a0df9ef338aa2320bd335d893f47e5e4ce332b061894e9cacc11dedc0",
-    "comparison.csv": "283e1e4a6835c4f4ab12805a89716ac6ed4ff56070850ff3db6f1e3fcaf54f32",
-    "comparison.json": "ab64e1f87c9094bc6120cf0b0e6f7c4a4568294e01756dd9f8e9c034d0a23188",
-    "strategy_report.csv": "9cd0dbd60869876445e71091a4890e348edae6bd303fb156c185f021979b9516",
-    "strategy_report.json": "d951da524a8e9e17a9d0d8a4a75dda22917ee70a0c7c97e9f12d4f11ef386b07",
+    "checkpoint.json": "34ed2977a16a44720ed2d2ce2e904c552ae197ec71a1ec87740d209f2b36d4ec",
+    "reward_curve.csv": "bdd77493ce8548379aab8c1f56a9a8ae4dc9f421fd433b25c93480f529878067",
+    "comparison.csv": "0c841e492e0035db6d71c5f6a8ec962a09c76783b6ecf62e1e9d8870c12d6c0e",
+    "comparison.json": "70d0877ddb6f6d8444ea32f99cc07fd9afb4d9232a270302d214cbd5267f20b0",
+    "strategy_report.csv": "88a05489298aec4ddd90fe9f06543a6c1ee57660c41e2b4f35601608011d5a5b",
+    "strategy_report.json": "bc0c11cf34c8cdf06ec9b40b738d96373743d2752f7119954f4ea5fc662a2f19",
 }
 
 
@@ -230,10 +231,12 @@ def test_eval_and_hybrid_reject_an_edited_checkpoint_beside_its_stale_companion(
 
 
 def test_manifests_list_the_companion_and_time_each_phase(workflow, tmp_path, capsys):
-    """``train`` lists the checkpoint's companion; ``eval`` and ``hybrid`` time
-    their phases, in run order, inside the wall clock, and ``report`` prints
-    them if present."""
+    """``train`` lists the checkpoint's companion; ``gen``, ``train``, ``eval``
+    and ``hybrid`` time their phases, in run order, inside the wall clock, and
+    ``report`` prints them if present."""
     out, results = workflow
+    argv = ["gen", "--days", 2, "--out", tmp_path / "gen"]
+    assert cli.main(list(map(str, argv))) == 0
     argv = [
         "train", "--network", out / "network.json", "--agent", "dual",
         "--steps", 96, "--batch-size", 96, "--out", tmp_path / "train",
@@ -248,13 +251,17 @@ def test_manifests_list_the_companion_and_time_each_phase(workflow, tmp_path, ca
     manifests = {
         name: json.loads((path / "manifest.json").read_text())
         for name, path in (
-            ("train", tmp_path / "train"), ("eval", tmp_path / "eval"), ("hybrid", out)
+            ("gen", tmp_path / "gen"), ("train", tmp_path / "train"),
+            ("eval", tmp_path / "eval"), ("hybrid", out),
         )
     }  # fmt: skip
     assert manifests["train"]["artifacts"]["checkpoint_arrays"] == (
         "checkpoint.json.arrays"
     )
-    assert "phase_seconds" not in manifests["train"]
+    assert list(manifests["gen"]["phase_seconds"]) == ["generate", "write_artifacts"]
+    assert list(manifests["train"]["phase_seconds"]) == [
+        "load_network", "train", "write_artifacts"
+    ]  # fmt: skip
     assert list(manifests["eval"]["phase_seconds"]) == [
         "load_network", "load_checkpoint", "score", "write_artifacts"
     ]  # fmt: skip
@@ -262,7 +269,7 @@ def test_manifests_list_the_companion_and_time_each_phase(workflow, tmp_path, ca
         "load_network", "load_history", "load_checkpoint", "repair",
         "write_artifacts",
     ]  # fmt: skip
-    for manifest in (manifests["eval"], manifests["hybrid"]):
+    for manifest in manifests.values():
         phases = manifest["phase_seconds"].values()
         assert min(phases) >= 0
         assert sum(phases) <= manifest["wall_clock_seconds"] + 1e-3
@@ -274,7 +281,12 @@ def test_manifests_list_the_companion_and_time_each_phase(workflow, tmp_path, ca
     ]
     capsys.readouterr()
     assert cli.main(["report", "--out", str(tmp_path / "train")]) == 0
-    assert "phase" not in capsys.readouterr().out
+    assert [
+        line for line in capsys.readouterr().out.splitlines() if "phase" in line
+    ] == [
+        f"  phase {name}: {seconds:.4f}s"
+        for name, seconds in manifests["train"]["phase_seconds"].items()
+    ]
 
 
 def _edit(obj, where, value):
@@ -496,7 +508,7 @@ def test_zero_rated_power_fails_the_dual_reward_only(workflow, tmp_path):
 
 
 def _dual_policy(world, seed=0):
-    obs_dim = world.n_tanks + 1 + 96
+    obs_dim = AgentKind.DUAL.obs_dim(world.n_tanks)
     return init_policy(obs_dim, world.n_stations, np.random.default_rng(seed))
 
 
@@ -562,3 +574,55 @@ def test_eval_in_passes_of_lanes_writes_the_same_comparison(
         assert cli.main(list(map(str, argv))) == 0
         outputs.append((out / "comparison.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_eval_and_hybrid_reject_a_checkpoint_of_another_width(workflow, tmp_path):
+    """A checkpoint whose widths are not this network's for its agent (an older
+    dual layout of 103 inputs, a constraint agent trained on five tanks, a dual
+    agent for five stations) fails in one line before any rollout."""
+    out, _ = workflow
+    stale = [
+        ("dual", 6 + 1 + 96, 6, ("eval", "hybrid")),
+        ("constraint", 5, 6, ("eval",)),
+        ("dual", 8, 5, ("eval", "hybrid")),
+    ]
+    for agent, width, stations, commands in stale:
+        params = init_policy(width, stations, np.random.default_rng(0))
+        checkpoint = tmp_path / f"{agent}{width}x{stations}.json"
+        save_checkpoint(params, checkpoint, meta={"agent": agent})
+        want = 8 if agent == "dual" else 6
+        for command in commands:
+            inputs = _inputs(out, command, {"--checkpoint"})
+            result = run_cli(
+                command, *inputs, "--checkpoint", checkpoint, "--seed", 2,
+                "--out", tmp_path / command,
+            )  # fmt: skip
+            assert result.returncode == 1, command
+            assert result.stderr.splitlines() == [
+                f"error: {checkpoint}: checkpoint maps {width} inputs to "
+                f"{stations} stations, but a {agent} agent on this network "
+                f"maps {want} to 6; retrain it"
+            ], command
+            assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("policy_area, warned", [(2.5, True), (0.5, False)])
+def test_report_warns_when_the_policy_is_worse_than_random(
+    tmp_path, capsys, policy_area, warned
+):
+    rows = [
+        {"label": "rule_based", "mean_area": 0.1, "mean_count": 1.0, "mean_cost": 9.0},
+        {"label": "policy", "mean_area": policy_area, "mean_count": 2.0,
+         "mean_cost": 8.0},
+        {"label": "random", "mean_area": 1.5, "mean_count": 3.0, "mean_cost": 7.0},
+    ]  # fmt: skip
+    (tmp_path / "comparison.json").write_text(json.dumps(rows))
+    assert cli.main(["report", "--out", str(tmp_path)]) == 0
+    warnings = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("warning:")
+    ]  # fmt: skip
+    assert warnings == (
+        ["warning: the policy leaves more violation area than random control "
+         "(2.500 > 1.500 m*h)"] if warned else []
+    )  # fmt: skip

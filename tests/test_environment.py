@@ -25,6 +25,7 @@ from pumpsched.env import (
 )
 from pumpsched.network import STEPS_PER_DAY
 from pumpsched.simulate import run_day
+from pumpsched.training import EnvSpec
 
 
 def _config(world, levels=None):
@@ -153,7 +154,7 @@ def test_observation_dimensions(world):
     assert obs.shape == (6,)
 
     obs = _env(world, AgentKind.DUAL).reset(_config(world))
-    assert obs.shape == (103,)
+    assert obs.shape == (8,)
 
 
 def test_levels_normalized_by_physical_cap(world):
@@ -171,11 +172,15 @@ def test_dual_observation_layout(world):
     assert obs[6] == 0.0  # t/96 at reset
     tariff = np.array(world.tariff.values)
     tariff_norm = (tariff - tariff.min()) / (tariff.max() - tariff.min())
-    np.testing.assert_allclose(obs[7:], tariff_norm)
+    assert obs[7] == pytest.approx(tariff_norm[0])  # the price of step 0
 
-    result = env.step(np.full(6, 0.5))
-    assert result.observation[6] == pytest.approx(1.0 / STEPS_PER_DAY)
-    np.testing.assert_allclose(result.observation[7:], obs[7:])
+    for t in range(1, STEPS_PER_DAY + 1):
+        result = env.step(np.full(6, 0.5))
+        assert result.observation[6] == pytest.approx(t / STEPS_PER_DAY)
+        # After the last step the price is the next day's first.
+        price = tariff_norm[t % STEPS_PER_DAY]
+        assert result.observation[7] == pytest.approx(price)
+    assert result.done
 
 
 def test_episode_terminates_at_96(world):
@@ -252,6 +257,37 @@ def test_every_env_step_reports_its_cost_energy_and_reward(world):
         )  # fmt: skip
         assert result.reward == reward
     assert env.trajectory().energies.tobytes() == ref.energies.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(AgentKind))
+def test_each_observation_row_is_levels_clock_and_current_price(world, kind):
+    # Before step t, every lane sees its levels over caps; the dual agent also
+    # sees t/96 and the min-max normalized price of step t. No other input.
+    tariff = np.array(world.tariff.values)
+    tariff_norm = (tariff - tariff.min()) / (tariff.max() - tariff.min())
+    rng = np.random.default_rng(9)
+    configs = [sample_episode(world, rng) for _ in range(3)]
+    rows = []
+
+    def act_fn(obs):
+        rows.append(obs.copy())
+        return np.full((len(configs), 6), 0.4)
+
+    day = run_day(
+        world,
+        np.array([c.initial_levels for c in configs]),
+        np.array([c.demands.as_array() for c in configs]),
+        closed_loop(world, kind, act_fn),
+    )
+    caps = world.compiled.caps
+    for t, row in enumerate(rows):
+        for k in range(len(configs)):
+            expected = day.states[t, k] / caps
+            if kind == AgentKind.DUAL:
+                expected = [*expected, t / STEPS_PER_DAY, tariff_norm[t]]
+            np.testing.assert_allclose(row[k], expected, rtol=1e-12)
+            assert EnvSpec(world, kind).obs_dim == len(row[k]) == len(expected)
+    assert len(rows) == STEPS_PER_DAY
 
 
 # -- frame-skip wrapper -------------------------------------------------------
@@ -336,7 +372,7 @@ def test_frame_skip_toggle_bound(world):
 @pytest.mark.parametrize("kind", list(AgentKind))
 @pytest.mark.parametrize("window", [1, 8])
 def test_closed_loop_day_matches_the_env_episode(world, kind, window):
-    weights = np.random.default_rng(4).normal(0.0, 0.1, (6 + 1 + STEPS_PER_DAY, 6))
+    weights = np.random.default_rng(4).normal(0.0, 0.1, (6 + 2, 6))
 
     def act_fn(obs):
         return np.clip(0.5 + obs @ weights[: obs.shape[0]], 0.0, 1.0)

@@ -279,7 +279,7 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
 
 COMPANION_POLICIES = {
     "small": dict(seed=3),
-    "dual_sized": dict(seed=0, obs_dim=103, action_dim=6, hidden=(64, 64)),
+    "dual_sized": dict(seed=0, obs_dim=8, action_dim=6, hidden=(64, 64)),
 }
 
 

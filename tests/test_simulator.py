@@ -550,7 +550,7 @@ def test_lockstep_collection_equals_episodes_stepped_alone(
     n = spec.decisions_per_episode
     cfg = TrainConfig(total_env_steps=0, seed=seed, batch_size=episodes * n)
     batch = collect_rollouts(spec, params, cfg, iteration)
-    assert len(batch) == episodes * n
+    assert batch.observations.shape == (episodes * n, spec.obs_dim)
     for k in range(episodes):
         expected = _episode_through_the_env(spec, params, seed, iteration, k)
         for name, column in zip(_BATCH_FIELDS, expected):

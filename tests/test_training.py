@@ -135,7 +135,7 @@ def test_env_spec_dimensions(tiny_world):
     assert spec.decisions_per_episode == STEPS_PER_DAY
 
     dual = EnvSpec(topology=tiny_world, agent_kind=AgentKind.DUAL, frame_skip=8)
-    assert dual.obs_dim == 2 + 1 + STEPS_PER_DAY
+    assert dual.obs_dim == 2 + 2  # levels, the clock and the current price
     assert dual.decisions_per_episode == 12
 
     for window in (7, 0, -3):
