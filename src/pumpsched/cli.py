@@ -432,7 +432,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         extra = ""
         if row.area_improvement_pct is not None:
             extra = (
-                f"  area {row.area_improvement_pct:+.1f}%"
+                f"  area {row.area_improvement_pct:+.1f}% "
+                f"({row.mean_area - rows[0].mean_area:+.3f} m*h)"
                 f"  cost {row.cost_delta_pct:+.1f}%"
             )
         print(
@@ -553,7 +554,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
             if row.get("area_improvement_pct") is not None:
                 print(
-                    f"    vs reference: area {_pct_text(row['area_improvement_pct'])}, "
+                    f"    vs reference: area {_pct_text(row['area_improvement_pct'])} "
+                    f"({row['mean_area'] - rows[0]['mean_area']:+.3f} m*h), "
                     f"cost {_pct_text(row.get('cost_delta_pct'))}"
                 )
         area = {row.get("label"): row["mean_area"] for row in rows}

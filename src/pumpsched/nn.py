@@ -92,33 +92,29 @@ ADAM_EPS = 1e-8
 
 class Adam:
     """Adam with the moment decays and epsilon of Kingma and Ba (arXiv
-    1412.6980). The moments ``m`` and ``v`` are flat vectors, the arrays laid
-    end to end, updated in place in the per-array rule's order of arithmetic."""
+    1412.6980), over one parameter vector of ``size`` entries. The moments
+    ``m`` and ``v`` live across steps, updated in place."""
 
-    def __init__(self, shapes: list[tuple[int, ...]], lr: float):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
-        ends = np.cumsum([int(np.prod(s)) for s in shapes])
-        self._slices = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-        self.m, self.v, self._g, self._a = np.zeros((4, ends[-1]))  # _g, _a: scratch
+        self.m, self.v, self._a, self._r = np.zeros((4, size))  # _a, _r: scratch
 
-    def step(
-        self, params: list[np.ndarray], grads: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """One update; returns new arrays, never mutating the inputs. A
+    def step(self, vector: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """One update: a new ``vector - update``, mutating neither input. A
         non-finite gradient anywhere raises before the moments change."""
-        if len(params) != len(self._slices) or len(grads) != len(self._slices):
-            raise ValidationError("parameter/gradient count mismatch")
-        g, a, m, v = self._g, self._a, self.m, self.v
-        if not np.isfinite(np.concatenate([np.ravel(x) for x in grads], out=g)).all():
+        if vector.shape != self.m.shape or grad.shape != self.m.shape:
+            raise ValidationError("parameter/gradient size mismatch")
+        if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient during update")
+        g, a, r, m, v = grad, self._a, self._r, self.m, self.v
         self.t += 1
         m *= ADAM_BETA1  # m = b1*m + (1-b1)*g
         m += np.multiply(g, 1 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2  # v = b2*v + ((1-b2)*g)*g
         v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, out=a), g, out=a)
-        # (lr*m_hat) / (sqrt(v_hat)+eps); g is spent, so it holds the root.
+        # (lr*m_hat) / (sqrt(v_hat)+eps)
         np.multiply(np.divide(m, 1 - ADAM_BETA1**self.t, out=a), self.lr, out=a)
-        root = np.sqrt(np.divide(v, 1 - ADAM_BETA2**self.t, out=g), out=g)
+        root = np.sqrt(np.divide(v, 1 - ADAM_BETA2**self.t, out=r), out=r)
         a /= np.add(root, ADAM_EPS, out=root)
-        return [p - a[s].reshape(p.shape) for p, s in zip(params, self._slices)]
+        return vector - a

@@ -30,11 +30,38 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class PolicyParameters:
-    """Actor mean network, state-independent log-sigma, critic network."""
+    """Actor mean network, state-independent log-sigma and critic network,
+    each of their arrays a view of the one owned float64 ``vector``.
+
+    Without ``vector``, the given arrays are copied into a new one. With it,
+    each given array, or shape list, only shapes its view of ``vector``; so
+    ``dataclasses.replace(params, vector=v)`` is the same structure on new
+    numbers, and a vector the shapes do not fill exactly raises ValueError.
+    """
 
     actor: MLP
     log_sigma: np.ndarray
     critic: MLP
+    vector: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        # The layout, in both directions: actor weights, actor biases,
+        # log_sigma, critic weights, critic biases, each C-ordered, end to end.
+        a, c = self.actor, self.critic
+        parts = [*a.weights, *a.biases, self.log_sigma, *c.weights, *c.biases]
+        if self.vector is None:
+            self.vector = np.concatenate(parts, axis=None, dtype=float)
+        shapes = [tuple(getattr(p, "shape", p)) for p in parts]
+        views, end = [], 0
+        for shape in shapes:
+            start, end = end, end + math.prod(shape)
+            views.append(self.vector[start:end].reshape(shape))
+        if self.vector.shape != (end,) or [v.shape for v in views] != shapes:
+            raise ValueError("parameter shapes do not fill the vector exactly")
+        rest = iter(views)
+        self.actor = MLP(*([next(rest) for _ in x] for x in (a.weights, a.biases)))
+        self.log_sigma = next(rest)
+        self.critic = MLP(*([next(rest) for _ in x] for x in (c.weights, c.biases)))
 
     @property
     def obs_dim(self) -> int:
@@ -43,26 +70,6 @@ class PolicyParameters:
     @property
     def action_dim(self) -> int:
         return self.actor.sizes[-1]
-
-    def arrays(self) -> list[np.ndarray]:
-        """Flat list view in a fixed order (actor, log_sigma, critic)."""
-        return (
-            self.actor.weights
-            + self.actor.biases
-            + [self.log_sigma]
-            + self.critic.weights
-            + self.critic.biases
-        )
-
-    def replace_arrays(self, arrays: list[np.ndarray]) -> "PolicyParameters":
-        """New parameters from arrays in the order ``arrays`` gives."""
-        n_a, n_c = len(self.actor.weights), len(self.critic.weights)
-        if len(arrays) != 2 * n_a + 1 + 2 * n_c:
-            raise ValidationError("array list does not match policy structure")
-        s, c = 2 * n_a, 2 * n_a + 1 + n_c  # log_sigma, then the critic's biases
-        actor = MLP(weights=list(arrays[:n_a]), biases=list(arrays[n_a:s]))
-        critic = MLP(weights=list(arrays[s + 1 : c]), biases=list(arrays[c:]))
-        return PolicyParameters(actor=actor, log_sigma=arrays[s], critic=critic)
 
 
 def init_policy(
@@ -187,8 +194,8 @@ def save_checkpoint(
 ) -> None:
     """Write a versioned, exactly-round-tripping checkpoint document, then its
     binary companion (see ``history._write_companion``): a header line of the
-    document with each array replaced by its shape, and ``params.arrays()``
-    laid end to end as one float64 vector. Both depend on params and meta alone.
+    document with each array replaced by its shape, and ``params.vector``.
+    Both depend on params and meta alone.
     """
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -200,36 +207,27 @@ def save_checkpoint(
         "meta": meta or {},
     }
     Path(path).write_text(json.dumps(doc, default=np.ndarray.tolist) + "\n")
-    vector = np.concatenate([a.ravel() for a in params.arrays()], dtype=np.float64)
-    _write_companion(path, vector, f"{json.dumps(doc, default=np.shape)}\n".encode())
+    header = f"{json.dumps(doc, default=np.shape)}\n".encode()
+    _write_companion(path, params.vector, header)
 
 
 def _doc_from_companion(path: str | Path) -> dict | None:
-    """The checkpoint document rebuilt from its companion, each array a fresh
-    C-contiguous copy, never a view of the vector; None unless the companion
-    is keyed to the document's bytes and its shapes use up its vector exactly."""
+    """The checkpoint document rebuilt from its companion, each array a view
+    of the companion's vector; None unless the companion is keyed to the
+    document's bytes and its shapes fill its vector exactly."""
     found = _read_companion(path, header=True)
-    if found is None or found[1].ndim != 1:
+    if found is None:
         return None
     head, vector = found
     try:
         doc = json.loads(head)
-        actor, critic = doc["actor"], doc["critic"]
-        shapes = [*actor["weights"], *actor["biases"], doc["log_sigma"]]
-        shapes += [*critic["weights"], *critic["biases"]]
-        parts = np.split(vector, np.cumsum([math.prod(s) for s in shapes])[:-1])
-        # Each reshape, the last one's too, fails unless its part fills it.
-        arrays = [p.reshape(s).copy() for p, s in zip(parts, shapes)]
+        params = PolicyParameters(
+            MLP(**doc["actor"]), doc["log_sigma"], MLP(**doc["critic"]), vector
+        )
     except (ValueError, TypeError, KeyError):
         return None
-    if [list(a.shape) for a in arrays] != shapes:  # a -1 was inferred
-        return None
-    a, b = len(actor["weights"]), len(actor["weights"]) + len(actor["biases"])
-    c = b + 1 + len(critic["weights"])
-    actor.update(weights=arrays[:a], biases=arrays[a:b])
-    critic.update(weights=arrays[b + 1 : c], biases=arrays[c:])
-    doc["log_sigma"] = arrays[b]
-    return doc
+    actor, critic = vars(params.actor), vars(params.critic)
+    return {**doc, "actor": actor, "log_sigma": params.log_sigma, "critic": critic}
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
@@ -240,6 +238,7 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
     missing, stale, truncated or malformed one falls back to parsing the JSON.
     Both paths then pass the same checks: format version, layer chaining,
     declared dimensions, ``log_sigma`` shape, critic output and ``meta`` type.
+    Either way the result owns a new vector that its arrays are views of.
     """
     doc = _doc_from_companion(path) or _read_json(path)
     if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:

@@ -14,15 +14,17 @@ A batch's episodes run in lockstep as lanes of one ``run_day`` day in one
 process: the actor and critic run once per decision for all lanes. Episodes
 are seeded per (master seed, iteration, episode index), and each lane's
 arithmetic is that of its episode stepped alone through ``PumpSchedulingEnv``,
-so a batch is identical for any lane count. Adam's flat moments live across
-iterations, updated in place; parameter arrays are never mutated in place.
+so a batch is identical for any lane count. A batch keeps the lanes' grid,
+episodes by decisions; only the update flattens it, to draw minibatches. Each
+update steps the policy's one parameter vector into a new one through Adam,
+whose moments live across iterations.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ import numpy as np
 from .env import AgentKind, _check_window, closed_loop, day_rewards, sample_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
 from .network import STEPS_PER_DAY, NetworkTopology
-from .nn import Adam
+from .nn import MLP, Adam
 from .policy import (
     PolicyParameters,
     actor_logp_and_grads,
@@ -95,19 +97,19 @@ class EnvSpec:
 
 @dataclass
 class RolloutBatch:
-    """Concatenated whole episodes plus per-episode totals."""
+    """Whole episodes on their grid: row k is episode k, column i its decision
+    i, and observations and actions add a feature axis. Every row ends its
+    episode, so the grid marks every episode boundary."""
 
-    observations: np.ndarray
-    actions: np.ndarray
-    log_probs: np.ndarray
-    rewards: np.ndarray
-    values: np.ndarray
-    dones: np.ndarray
-    episode_rewards: list[float] = field(default_factory=list)
+    observations: np.ndarray  # (episodes, decisions, obs_dim)
+    actions: np.ndarray  # (episodes, decisions, action_dim), raw samples
+    log_probs: np.ndarray  # (episodes, decisions)
+    rewards: np.ndarray  # (episodes, decisions)
+    values: np.ndarray  # (episodes, decisions)
     env_steps: int = 0
 
     def __len__(self) -> int:
-        return self.observations.shape[0]
+        return self.rewards.size
 
 
 def _episode_seed(master_seed: int, iteration: int, episode_index: int):
@@ -189,58 +191,30 @@ def collect_rollouts(
     iteration: int = 0,
 ) -> RolloutBatch:
     """Collect whole episodes until at least ``batch_size`` transitions exist."""
-    n = spec.decisions_per_episode
-    n_episodes = -(-cfg.batch_size // n)  # ceil
-    obs, actions, log_probs, rewards, values = _collect_lanes(
-        spec, params, cfg, iteration, range(n_episodes)
-    )
-
-    dones = np.zeros((n_episodes, n))
-    dones[:, -1] = 1.0
-    return RolloutBatch(
-        observations=obs.reshape(-1, spec.obs_dim),
-        actions=actions.reshape(-1, spec.action_dim),
-        log_probs=log_probs.reshape(-1),
-        rewards=rewards.reshape(-1),
-        values=values.reshape(-1),
-        dones=dones.reshape(-1),
-        episode_rewards=[float(r.sum()) for r in rewards],
-        env_steps=n_episodes * STEPS_PER_DAY,
-    )
+    n_episodes = -(-cfg.batch_size // spec.decisions_per_episode)  # ceil
+    grids = _collect_lanes(spec, params, cfg, iteration, range(n_episodes))
+    return RolloutBatch(*grids, env_steps=n_episodes * STEPS_PER_DAY)
 
 
 def compute_gae(
-    rewards: np.ndarray,
-    values: np.ndarray,
-    dones: np.ndarray,
-    gamma: float,
-    lam: float,
+    rewards: np.ndarray, values: np.ndarray, gamma: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimates and value targets.
-
-    ``dones[t] == 1`` marks the step whose successor state is terminal;
-    the batch may concatenate several episodes back to back.
+    """Generalized advantage estimates and value targets (Schulman et al.,
+    arXiv 1506.02438) of whole episodes: decisions along the last axis, one
+    episode per row of the leading axes. Each episode ends after its last
+    decision, so that decision has no successor value.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
-    dones = np.asarray(dones, dtype=float)
-    if not (rewards.shape == values.shape == dones.shape):
-        raise ValidationError("rewards, values, dones must share a shape")
-    n = rewards.shape[0]
-    advantages = np.zeros(n)
-    last_adv = 0.0
-    for t in range(n - 1, -1, -1):
-        nonterminal = 1.0 - dones[t]
-        next_value = values[t + 1] if t + 1 < n else 0.0
-        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
-        last_adv = delta + gamma * lam * nonterminal * last_adv
-        advantages[t] = last_adv
-    returns = advantages + values
-    return advantages, returns
-
-
-def make_optimizer(params: PolicyParameters, cfg: TrainConfig) -> Adam:
-    return Adam([a.shape for a in params.arrays()], lr=cfg.learning_rate)
+    if rewards.shape != values.shape:
+        raise ValidationError("rewards and values must share a shape")
+    advantages = np.empty_like(rewards)
+    last_adv = next_value = np.zeros(rewards.shape[:-1])
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        delta = rewards[..., t] + gamma * next_value - values[..., t]
+        last_adv = advantages[..., t] = delta + gamma * lam * last_adv
+        next_value = values[..., t]
+    return advantages, advantages + values
 
 
 def ppo_update(
@@ -255,16 +229,17 @@ def ppo_update(
     batch before any epoch runs. The reported stats are recomputed on the
     full batch with the final parameters.
     """
-    if len(batch) == 0:
+    n = len(batch)
+    if n == 0:
         raise ValidationError("cannot update from an empty batch")
 
-    advantages, returns = compute_gae(
-        batch.rewards, batch.values, batch.dones, GAMMA, GAE_LAMBDA
-    )
-    adv_std = advantages.std()
-    norm_adv = (advantages - advantages.mean()) / (adv_std + 1e-8)
+    advantages, returns = compute_gae(batch.rewards, batch.values, GAMMA, GAE_LAMBDA)
+    # A minibatch draws transitions from anywhere in the grid: one row each.
+    grids = batch.observations, batch.actions, batch.log_probs, advantages, returns
+    obs, actions, old_logps, adv, returns = (g.reshape(n, *g.shape[2:]) for g in grids)
+    norm_adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    columns = obs, actions, old_logps, norm_adv, returns
 
-    n = len(batch)
     mb = min(MINIBATCH_SIZE, n)
     current = params
     # Overflow shows up as the non-finite gradient or loss checked below, so
@@ -274,10 +249,9 @@ def ppo_update(
             order = shuffle_rng.permutation(n)
             for start in range(0, n, mb):
                 idx = order[start : start + mb]
-                current = _minibatch_step(
-                    current, batch, norm_adv, returns, idx, optimizer
-                )
-        stats = _batch_stats(current, batch, norm_adv, returns)
+                minibatch = [column[idx] for column in columns]
+                current = _minibatch_step(current, optimizer, *minibatch)
+        stats = _batch_stats(current, *columns)
     if not np.isfinite(stats["total_loss"]):
         raise NumericError(
             "non-finite loss during update: "
@@ -286,14 +260,16 @@ def ppo_update(
     return current, stats
 
 
-def _minibatch_step(params, batch, norm_adv, returns, idx, optimizer):
-    obs, m = batch.observations[idx], len(idx)
+def _minibatch_step(params, optimizer, obs, actions, old_logps, norm_adv, returns):
+    m = len(obs)
     _, actor_gw, actor_gb, grad_log_sigma = _policy_gradients(
-        params, obs, batch.actions[idx], batch.log_probs[idx], norm_adv[idx], m
+        params, obs, actions, old_logps, norm_adv, m
     )
-    critic_gw, critic_gb = _value_gradients(params, obs, returns[idx], m)
-    grads = actor_gw + actor_gb + [grad_log_sigma] + critic_gw + critic_gb
-    return params.replace_arrays(optimizer.step(params.arrays(), grads))
+    critic_gw, critic_gb = _value_gradients(params, obs, returns, m)
+    grad = PolicyParameters(  # the gradient, laid out as the parameters
+        MLP(actor_gw, actor_gb), grad_log_sigma, MLP(critic_gw, critic_gb)
+    ).vector
+    return replace(params, vector=optimizer.step(params.vector, grad))
 
 
 def _policy_gradients(params, obs, actions, old_logps, norm_adv, m):
@@ -325,13 +301,13 @@ def _value_gradients(params, obs, returns, m):
     return gw, gb
 
 
-def _batch_stats(params, batch, norm_adv, returns):
+def _batch_stats(params, obs, actions, old_logps, norm_adv, returns):
     """Full-batch diagnostics with the given (post-update) parameters."""
-    means, _ = params.actor.forward(batch.observations)
-    logps = gaussian_logp(batch.actions, means, params.log_sigma)
-    out, _ = params.critic.forward(batch.observations)
+    means, _ = params.actor.forward(obs)
+    logps = gaussian_logp(actions, means, params.log_sigma)
+    out, _ = params.critic.forward(obs)
     values = out[:, 0]
-    ratio = np.exp(logps - batch.log_probs)
+    ratio = np.exp(logps - old_logps)
     surr1 = ratio * norm_adv
     surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
     policy_loss = -float(np.minimum(surr1, surr2).mean())
@@ -343,7 +319,7 @@ def _batch_stats(params, batch, norm_adv, returns):
         "entropy": ent,
         "total_loss": policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * ent,
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > CLIP_RATIO)),
-        "approx_kl": float(np.mean(batch.log_probs - logps)),
+        "approx_kl": float(np.mean(old_logps - logps)),
     }
 
 
@@ -365,7 +341,7 @@ def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,))
     )
     params = init_policy(spec.obs_dim, spec.action_dim, init_rng)
-    optimizer = make_optimizer(params, cfg)
+    optimizer = Adam(params.vector.size, cfg.learning_rate)
     curve: list[tuple[int, float]] = []
     stats: dict = {}
 
@@ -374,7 +350,7 @@ def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
     while steps_done < cfg.total_env_steps:
         batch = collect_rollouts(spec, params, cfg, iteration)
         steps_done += batch.env_steps
-        curve.append((steps_done, float(np.mean(batch.episode_rewards))))
+        curve.append((steps_done, float(np.mean(batch.rewards.sum(axis=1)))))
         shuffle_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(6, iteration))
         )

@@ -115,6 +115,7 @@ def test_workflow_artifacts_match_recorded_digests(workflow):
 # iterations and every lane draws a 24-decision day of noise.
 MULTI_ITERATION_DIGESTS = {
     "checkpoint.json": "8ea55ce5a8a4c7567ac38b4a20d6efcdc085bf9119d6171c0f6722f3bc2ae113",
+    "checkpoint.json.arrays": "318329469c4b70fc16046890387695d4fed722b20bcf576edb02cfc3c75ce66a",
     "reward_curve.csv": "88b8a91d60ed3cb0325ee2f0d27354c2b0f9d7cfedc1522648efd20fbc411eb5",
 }
 
@@ -613,16 +614,44 @@ def test_report_warns_when_the_policy_is_worse_than_random(
     rows = [
         {"label": "rule_based", "mean_area": 0.1, "mean_count": 1.0, "mean_cost": 9.0},
         {"label": "policy", "mean_area": policy_area, "mean_count": 2.0,
-         "mean_cost": 8.0},
+         "mean_cost": 8.0, "area_improvement_pct": (0.1 - policy_area) * 1e3,
+         "cost_delta_pct": -11.1},
         {"label": "random", "mean_area": 1.5, "mean_count": 3.0, "mean_cost": 7.0},
     ]  # fmt: skip
     (tmp_path / "comparison.json").write_text(json.dumps(rows))
     assert cli.main(["report", "--out", str(tmp_path)]) == 0
-    warnings = [
-        line for line in capsys.readouterr().out.splitlines()
-        if line.startswith("warning:")
-    ]  # fmt: skip
+    printed = capsys.readouterr().out.splitlines()
+    warnings = [line for line in printed if line.startswith("warning:")]
     assert warnings == (
         ["warning: the policy leaves more violation area than random control "
          "(2.500 > 1.500 m*h)"] if warned else []
     )  # fmt: skip
+    # A percentage of a near-zero reference area is followed by the
+    # difference of the mean areas, in m*h.
+    assert [line for line in printed if "vs reference" in line] == [
+        f"    vs reference: area {(0.1 - policy_area) * 1e3:+.1f}% "
+        f"({policy_area - 0.1:+.3f} m*h), cost -11.1%"
+    ]
+
+
+def test_eval_prints_the_area_difference_after_the_percentage(
+    workflow, tmp_path, capsys
+):
+    out, _ = workflow
+    argv = [
+        "eval", "--network", out / "network.json", "--checkpoint",
+        out / "checkpoint.json", "--episodes", 4, "--seed", 1, "--out", tmp_path,
+    ]  # fmt: skip
+    capsys.readouterr()
+    assert cli.main(list(map(str, argv))) == 0
+    printed = capsys.readouterr().out.splitlines()
+    rows = json.loads((tmp_path / "comparison.json").read_text())
+    assert 0 < rows[0]["mean_area"] < 0.1  # a near-zero reference area
+    assert len(printed) == len(rows)
+    for line, row in zip(printed, rows):
+        difference = row["mean_area"] - rows[0]["mean_area"]
+        assert line.startswith(f"eval[{row['label']}]: ")
+        assert line.endswith(
+            f"  area {row['area_improvement_pct']:+.1f}% ({difference:+.3f} m*h)"
+            f"  cost {row['cost_delta_pct']:+.1f}%"
+        )

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -72,8 +73,7 @@ def test_init_policy_shapes_and_start():
 def test_init_policy_deterministic():
     a = _small_policy(seed=12)
     b = _small_policy(seed=12)
-    for x, y in zip(a.arrays(), b.arrays()):
-        np.testing.assert_array_equal(x, y)
+    assert a.vector.tobytes() == b.vector.tobytes()
 
 
 def test_init_policy_rejects_bad_dims():
@@ -82,10 +82,37 @@ def test_init_policy_rejects_bad_dims():
         init_policy(0, 2, rng)
 
 
+def test_parameters_are_views_of_one_vector():
+    params = _small_policy(seed=6)
+    arrays = _arrays(params)
+    assert params.vector.flags.owndata and params.vector.dtype == np.float64
+    assert params.vector.size == sum(a.size for a in arrays)
+    assert all(np.shares_memory(a, params.vector) for a in arrays)
+    # The layout: actor weights, actor biases, log_sigma, critic weights,
+    # critic biases, each in C order, end to end.
+    laid_out = np.concatenate([a.ravel() for a in arrays])
+    assert laid_out.tobytes() == params.vector.tobytes()
+
+    # Arrays given alone are copied into a new vector of that layout.
+    copied = PolicyParameters(params.actor, params.log_sigma, params.critic)
+    assert copied.vector.tobytes() == params.vector.tobytes()
+    assert not np.shares_memory(copied.vector, params.vector)
+
+    # A new vector keeps the structure; the old arrays stay as they were.
+    moved = dataclasses.replace(params, vector=params.vector + 1.0)
+    assert all(np.shares_memory(a, moved.vector) for a in _arrays(moved))
+    for old, new in zip(arrays, _arrays(moved), strict=True):
+        assert new.shape == old.shape and np.array_equal(new, old + 1.0)
+    assert params.vector.tobytes() == laid_out.tobytes()
+    for vector in (params.vector[:-1], np.append(params.vector, 0.0)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, vector=vector)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    obs_dim=st.sampled_from([6, 103]),
+    obs_dim=st.sampled_from([6, 8, 103]),
 )
 def test_forward_batch_matches_single(seed, obs_dim):
     # At every batch width from 1 to 64, every row equals the one-row forward
@@ -95,9 +122,8 @@ def test_forward_batch_matches_single(seed, obs_dim):
     obs = rng.normal(size=(64, obs_dim))
     for hidden in ((64, 64), (8,)):
         params = init_policy(obs_dim, 6, rng, hidden=hidden)
-        params = params.replace_arrays(
-            [a + rng.normal(0.0, 0.3, a.shape) for a in params.arrays()]
-        )
+        noise = rng.normal(0.0, 0.3, params.vector.size)
+        params = dataclasses.replace(params, vector=params.vector + noise)
         rows = [
             (
                 params.actor.forward(x)[0][0],
@@ -242,8 +268,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(params, path, meta={"agent": "constraint", "steps": 1000})
     loaded, meta = load_checkpoint(path)
     assert meta == {"agent": "constraint", "steps": 1000}
-    for a, b in zip(params.arrays(), loaded.arrays()):
-        np.testing.assert_array_equal(a, b)
+    _assert_same_checkpoint(loaded, params)
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
@@ -297,10 +322,16 @@ def decoded_texts(monkeypatch):
     return texts
 
 
+def _arrays(params):
+    """Every array of the policy, each a view of its vector."""
+    a, c = params.actor, params.critic
+    return [*a.weights, *a.biases, params.log_sigma, *c.weights, *c.biases]
+
+
 def _assert_same_checkpoint(a, b):
-    for x, y in zip(a.arrays(), b.arrays(), strict=True):
-        assert x.dtype == y.dtype and x.shape == y.shape
-        assert x.tobytes() == y.tobytes()
+    assert a.vector.dtype == b.vector.dtype == np.float64
+    assert a.vector.tobytes() == b.vector.tobytes()
+    assert [x.shape for x in _arrays(a)] == [y.shape for y in _arrays(b)]
 
 
 @pytest.mark.parametrize("policy", list(COMPANION_POLICIES))
@@ -319,8 +350,10 @@ def test_companion_load_equals_the_json_parse(tmp_path, policy, decoded_texts):
     assert meta_companion == meta_parsed == meta
     _assert_same_checkpoint(from_companion, parsed)
     _assert_same_checkpoint(from_companion, params)
-    for array in from_companion.arrays() + parsed.arrays():
-        assert array.flags.c_contiguous and array.flags.owndata
+    for loaded in (from_companion, parsed):
+        vector = loaded.vector
+        assert vector.flags.owndata and vector.flags.c_contiguous
+        assert all(np.shares_memory(a, vector) for a in _arrays(loaded))
 
     obs = np.random.default_rng(1).uniform(-1, 2, (17, params.obs_dim))
     assert (

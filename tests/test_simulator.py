@@ -523,15 +523,14 @@ def _episode_through_the_env(spec, params, seed, iteration, idx):
     return [np.array(column) for column in zip(*rows)]
 
 
-_BATCH_FIELDS = ("observations", "actions", "log_probs", "rewards", "values", "dones")
+_BATCH_FIELDS = ("observations", "actions", "log_probs", "rewards", "values")
 
 
 def _noisy_policy(spec, seed):
     rng = np.random.default_rng(seed)
     params = init_policy(spec.obs_dim, spec.action_dim, rng)
-    return params.replace_arrays(
-        [a + rng.normal(0.0, 0.3, a.shape) for a in params.arrays()]
-    )
+    noise = rng.normal(0.0, 0.3, params.vector.size)
+    return dataclasses.replace(params, vector=params.vector + noise)
 
 
 @settings(max_examples=16, deadline=None)
@@ -550,13 +549,16 @@ def test_lockstep_collection_equals_episodes_stepped_alone(
     n = spec.decisions_per_episode
     cfg = TrainConfig(total_env_steps=0, seed=seed, batch_size=episodes * n)
     batch = collect_rollouts(spec, params, cfg, iteration)
-    assert batch.observations.shape == (episodes * n, spec.obs_dim)
+    assert batch.observations.shape == (episodes, n, spec.obs_dim)
+    totals = batch.rewards.sum(axis=1)  # the reward curve's episode totals
     for k in range(episodes):
         expected = _episode_through_the_env(spec, params, seed, iteration, k)
         for name, column in zip(_BATCH_FIELDS, expected):
-            got = getattr(batch, name)[k * n : (k + 1) * n]
+            got = getattr(batch, name)[k]
             assert got.tobytes() == column.tobytes(), name
-        assert batch.episode_rewards[k] == float(expected[3].sum())
+        # The env ends the episode at the row's last decision, nowhere else.
+        assert expected[5].tolist() == [0.0] * (n - 1) + [1.0]
+        assert totals[k] == float(expected[3].sum())
 
 
 @pytest.mark.parametrize("kind", list(AgentKind))

@@ -109,6 +109,24 @@ def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
         assert metrics[f"hybrid.strategy.{name}.s_per_case"] > 0
 
 
+def test_span_tracer_measures_a_training_iteration(tiny_world):
+    """The benchmark's training metrics come from the ``collect_rollouts``
+    span, tagged with the result's ``env_steps``, and from the traced ``nn``
+    methods; a one-iteration run on the tiny world must produce all of them."""
+    spans = _load_spans()
+    spec = pumpsched.EnvSpec(topology=tiny_world)
+    cfg = pumpsched.TrainConfig(total_env_steps=1, seed=0, batch_size=96)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        result = pumpsched.train(spec, cfg)
+    assert [steps for steps, _ in result.curve] == [96]
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["training.iterations"] == 1
+    assert metrics["training.rollout_env_steps_per_s"] > 0
+    names = {rec[0] for rec in tracer.spans}
+    assert {"nn.Adam.step", "nn.MLP.backward"} <= names
+
+
 def test_cli_import_loads_no_process_pool_machinery():
     """Every CLI process pays for what ``import pumpsched.cli`` loads, and
     training runs in one process, so neither pool module belongs there."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from pumpsched.training import (
     collect_rollouts,
     compute_gae,
     load_reward_curve,
-    make_optimizer,
     ppo_update,
     save_reward_curve,
     _episode_seed,
@@ -44,7 +45,7 @@ def _update(params, batch, optimizer=None):
     """``ppo_update`` through ``optimizer`` (default: a fresh one at the
     default learning rate) and a fixed shuffle stream."""
     if optimizer is None:
-        optimizer = make_optimizer(params, _cfg())
+        optimizer = Adam(params.vector.size, _cfg().learning_rate)
     return ppo_update(params, batch, optimizer, np.random.default_rng(0))
 
 
@@ -53,53 +54,62 @@ def _update(params, batch, optimizer=None):
 
 def test_gae_two_step_worked_example():
     advantages, returns = compute_gae(
-        rewards=np.array([1.0, 1.0]),
-        values=np.array([0.5, 0.5]),
-        dones=np.array([0.0, 1.0]),
+        rewards=np.array([[1.0, 1.0]]),
+        values=np.array([[0.5, 0.5]]),
         gamma=0.99,
         lam=0.95,
     )
     # delta_1 = 1 + 0.99*0.5 - 0.5 = 0.995; delta_2 = 0.5;
     # A_1 = 0.995 + 0.99*0.95*0.5 = 1.46525.
-    np.testing.assert_allclose(advantages, [1.46525, 0.5], atol=1e-12)
-    np.testing.assert_allclose(returns, [1.96525, 1.0], atol=1e-12)
+    np.testing.assert_allclose(advantages, [[1.46525, 0.5]], atol=1e-12)
+    np.testing.assert_allclose(returns, [[1.96525, 1.0]], atol=1e-12)
 
 
 def test_gae_zero_lambda_is_one_step_td():
     rng = np.random.default_rng(0)
-    rewards = rng.normal(size=10)
-    values = rng.normal(size=10)
-    dones = np.zeros(10)
-    dones[-1] = 1.0
-    advantages, _ = compute_gae(rewards, values, dones, gamma=0.9, lam=0.0)
+    rewards = rng.normal(size=(3, 10))
+    values = rng.normal(size=(3, 10))
+    advantages, _ = compute_gae(rewards, values, gamma=0.9, lam=0.0)
     expect = rewards.copy()
-    expect[:-1] += 0.9 * values[1:]
+    expect[:, :-1] += 0.9 * values[:, 1:]
     expect -= values
     np.testing.assert_allclose(advantages, expect, atol=1e-12)
 
 
-def test_gae_respects_episode_boundaries():
-    rng = np.random.default_rng(1)
-    r1, v1 = rng.normal(size=5), rng.normal(size=5)
-    r2, v2 = rng.normal(size=7), rng.normal(size=7)
-    d1 = np.array([0, 0, 0, 0, 1.0])
-    d2 = np.array([0, 0, 0, 0, 0, 0, 1.0])
+def _gae_over_a_stream(rewards, values, dones, gamma, lam):
+    """GAE over episodes laid back to back, ``dones`` marking the last step
+    of each: the reference the grid form must equal."""
+    n = len(rewards)
+    advantages, last_adv = np.zeros(n), 0.0
+    for t in range(n - 1, -1, -1):
+        nonterminal = 1.0 - dones[t]
+        next_value = values[t + 1] if t + 1 < n else 0.0
+        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
+        last_adv = delta + gamma * lam * nonterminal * last_adv
+        advantages[t] = last_adv
+    return advantages
 
-    a1, _ = compute_gae(r1, v1, d1, 0.99, 0.95)
-    a2, _ = compute_gae(r2, v2, d2, 0.99, 0.95)
-    a_cat, _ = compute_gae(
-        np.concatenate([r1, r2]),
-        np.concatenate([v1, v2]),
-        np.concatenate([d1, d2]),
-        0.99,
-        0.95,
-    )
-    np.testing.assert_allclose(a_cat, np.concatenate([a1, a2]), atol=1e-12)
+
+def test_gae_respects_episode_boundaries():
+    # Each row of the grid is its own episode: the grid's advantages equal,
+    # byte for byte, those of its rows laid back to back with their ends
+    # marked, and each row's equal those of the row alone.
+    rng = np.random.default_rng(1)
+    rewards, values = rng.normal(size=(2, 4, 7))
+    advantages, returns = compute_gae(rewards, values, 0.99, 0.95)
+    dones = np.zeros((4, 7))
+    dones[:, -1] = 1.0
+    flat = [a.ravel() for a in (rewards, values, dones)]
+    stream = _gae_over_a_stream(*flat, 0.99, 0.95)
+    assert advantages.tobytes() == stream.tobytes()
+    assert returns.tobytes() == (advantages + values).tobytes()
+    single = compute_gae(rewards[2], values[2], 0.99, 0.95)[0]  # one 1-D episode
+    assert single.tobytes() == advantages[2].tobytes()
 
 
 def test_gae_shape_mismatch():
     with pytest.raises(ValidationError):
-        compute_gae(np.zeros(3), np.zeros(4), np.zeros(3), 0.99, 0.95)
+        compute_gae(np.zeros((2, 3)), np.zeros((2, 4)), 0.99, 0.95)
 
 
 # -- config and spec ------------------------------------------------------------
@@ -158,9 +168,11 @@ def test_collect_rollouts_whole_episodes(tiny_world):
     # 100 transitions need ceil(100/96) = 2 whole episodes.
     assert len(batch) == 2 * STEPS_PER_DAY
     assert batch.env_steps == 2 * STEPS_PER_DAY
-    assert len(batch.episode_rewards) == 2
-    assert batch.dones.sum() == 2.0
-    assert batch.dones[STEPS_PER_DAY - 1] == 1.0
+    # One row per episode, one column per decision.
+    assert batch.observations.shape == (2, STEPS_PER_DAY, spec.obs_dim)
+    assert batch.actions.shape == (2, STEPS_PER_DAY, spec.action_dim)
+    for name in ("log_probs", "rewards", "values"):
+        assert getattr(batch, name).shape == (2, STEPS_PER_DAY), name
 
 
 def test_collect_rollouts_counts_real_steps_under_frame_skip(tiny_world):
@@ -214,10 +226,9 @@ def test_zero_learning_rate_is_a_no_op(tiny_world):
     spec = EnvSpec(topology=tiny_world)
     params = _tiny_policy(spec)
     batch = collect_rollouts(spec, params, _cfg())
-    zero_lr = make_optimizer(params, _cfg(learning_rate=0.0))
+    zero_lr = Adam(params.vector.size, 0.0)
     updated, stats = _update(params, batch, zero_lr)
-    for a, b in zip(params.arrays(), updated.arrays()):
-        np.testing.assert_array_equal(a, b)
+    assert updated.vector.tobytes() == params.vector.tobytes()
     assert np.isfinite(stats["total_loss"])
 
 
@@ -225,15 +236,8 @@ def test_constant_rewards_only_move_sigma_and_critic(tiny_world):
     spec = EnvSpec(topology=tiny_world)
     params = _tiny_policy(spec)
     batch = collect_rollouts(spec, params, _cfg())
-    flat = RolloutBatch(
-        observations=batch.observations,
-        actions=batch.actions,
-        log_probs=batch.log_probs,
-        rewards=np.zeros_like(batch.rewards),
-        values=np.zeros_like(batch.values),
-        dones=batch.dones,
-        episode_rewards=[0.0],
-        env_steps=batch.env_steps,
+    flat = dataclasses.replace(
+        batch, rewards=np.zeros_like(batch.rewards), values=np.zeros_like(batch.values)
     )
     updated, _ = _update(params, flat)
     # All advantages are identical, so the normalized advantage is zero and
@@ -321,29 +325,50 @@ def test_policy_gradients_in_one_pass_equal_the_two_pass_path():
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _arrays(params):
+    """Every array of the policy, each a view of its vector."""
+    a, c = params.actor, params.critic
+    return [*a.weights, *a.biases, params.log_sigma, *c.weights, *c.biases]
+
+
 def test_flat_adam_equals_the_per_array_rule():
+    # One step of the whole vector equals Kingma and Ba's update run on each
+    # array of the policy alone, byte for byte, and mutates neither input.
     rng = np.random.default_rng(4)
-    params = init_policy(6, 3, rng, hidden=(8, 8)).arrays()
-    shapes = [p.shape for p in params]
-    lr = 3e-3
-    adam = Adam(shapes, lr)
-    ref, m, v = params, [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+    params = init_policy(6, 3, rng, hidden=(8, 8))
+    n, lr = params.vector.size, 3e-3
+    adam = Adam(n, lr)
+
+    def on(vector):  # the policy's arrays as views of ``vector``
+        return _arrays(dataclasses.replace(params, vector=vector))
+
+    vector, ref, m, v = params.vector, params.vector, np.zeros(n), np.zeros(n)
     for t in range(1, 8):
-        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 3) for s in shapes]
-        given = [p.copy() for p in params]
-        params = adam.step(params, grads)
-        assert all(p.tobytes() == q.tobytes() for p, q in zip(ref, given))
-        # Kingma and Ba's update, one array at a time, moments carried over.
-        out = []
-        for i, (p, g) in enumerate(zip(ref, grads)):
-            m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
-            v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g * g
-            m_hat = m[i] / (1 - ADAM_BETA1**t)
-            v_hat = v[i] / (1 - ADAM_BETA2**t)
-            out.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        grad = np.empty(n)
+        for g in on(grad):  # each array's gradient on its own scale
+            g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-4, 3)
+        before = vector.tobytes(), grad.tobytes()
+        stepped = adam.step(vector, grad)
+        assert (vector.tobytes(), grad.tobytes()) == before
+        vector = stepped
+        out = np.empty(n)
+        for p, g, mi, vi, o in zip(on(ref), on(grad), on(m), on(v), on(out)):
+            mi[...] = ADAM_BETA1 * mi + (1 - ADAM_BETA1) * g
+            vi[...] = ADAM_BETA2 * vi + (1 - ADAM_BETA2) * g * g
+            m_hat = mi / (1 - ADAM_BETA1**t)
+            v_hat = vi / (1 - ADAM_BETA2**t)
+            o[...] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         ref = out
-        for got, want in zip(params, ref):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert vector.tobytes() == ref.tobytes()
+
+
+def test_adam_rejects_a_vector_of_another_size():
+    adam = Adam(5, 1e-3)
+    with pytest.raises(ValidationError, match="size mismatch"):
+        adam.step(np.zeros(5), np.zeros(4))
+    with pytest.raises(ValidationError, match="size mismatch"):
+        adam.step(np.zeros(6), np.zeros(6))
+    assert adam.t == 0
 
 
 def _poison(grad_fn, pick):
@@ -369,7 +394,7 @@ def test_a_non_finite_gradient_in_any_segment_stops_the_update(
     params = _tiny_policy(spec)
     batch = collect_rollouts(spec, params, _cfg())
     monkeypatch.setattr(training, where, _poison(getattr(training, where), pick))
-    optimizer = make_optimizer(params, _cfg())
+    optimizer = Adam(params.vector.size, _cfg().learning_rate)
     with pytest.raises(NumericError, match="^non-finite gradient during update$"):
         _update(params, batch, optimizer)
     assert optimizer.t == 0 and not optimizer.m.any() and not optimizer.v.any()
@@ -377,16 +402,15 @@ def test_a_non_finite_gradient_in_any_segment_stops_the_update(
 
 def test_update_rejects_empty_batch():
     empty = RolloutBatch(
-        observations=np.zeros((0, 2)),
-        actions=np.zeros((0, 2)),
-        log_probs=np.zeros(0),
-        rewards=np.zeros(0),
-        values=np.zeros(0),
-        dones=np.zeros(0),
+        observations=np.zeros((0, STEPS_PER_DAY, 2)),
+        actions=np.zeros((0, STEPS_PER_DAY, 2)),
+        log_probs=np.zeros((0, STEPS_PER_DAY)),
+        rewards=np.zeros((0, STEPS_PER_DAY)),
+        values=np.zeros((0, STEPS_PER_DAY)),
     )
     rng = np.random.default_rng(0)
     params = init_policy(2, 2, rng, hidden=(4,))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="empty batch"):
         _update(params, empty)
 
 
@@ -398,15 +422,12 @@ def test_optimizer_state_persists_across_updates(tiny_world):
     batch = collect_rollouts(spec, params, _cfg())
     cfg = _cfg()
 
-    shared = make_optimizer(params, cfg)
+    shared = Adam(params.vector.size, cfg.learning_rate)
     p1, _ = _update(params, batch, shared)
     p2_shared, _ = _update(p1, batch, shared)
 
-    p2_fresh, _ = _update(p1, batch, make_optimizer(params, cfg))
-    assert any(
-        not np.array_equal(a, b)
-        for a, b in zip(p2_shared.arrays(), p2_fresh.arrays())
-    )
+    p2_fresh, _ = _update(p1, batch, Adam(params.vector.size, cfg.learning_rate))
+    assert not np.array_equal(p2_shared.vector, p2_fresh.vector)
 
 
 # -- the training loop ------------------------------------------------------------
@@ -421,8 +442,7 @@ def test_train_zero_budget_returns_initial_policy(tiny_world):
         np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(3,))),
     )
     assert result.curve == []
-    for a, b in zip(result.params.arrays(), fresh.arrays()):
-        np.testing.assert_array_equal(a, b)
+    assert result.params.vector.tobytes() == fresh.vector.tobytes()
 
 
 def test_train_curve_tracks_cumulative_steps(tiny_world):
@@ -446,8 +466,7 @@ def test_train_deterministic(tiny_world):
     a = train(spec, cfg)
     b = train(spec, cfg)
     assert a.curve == b.curve
-    for x, y in zip(a.params.arrays(), b.params.arrays()):
-        np.testing.assert_array_equal(x, y)
+    assert a.params.vector.tobytes() == b.params.vector.tobytes()
 
 
 def test_train_writes_reward_curve(tmp_path, tiny_world):
