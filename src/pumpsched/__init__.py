@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .env import (
     AgentKind,
-    EpisodeConfig,
     FrameSkipEnv,
     PumpSchedulingEnv,
     sample_episode,
@@ -38,14 +37,12 @@ from .hybrid import (
     inject,
 )
 from .metrics import (
-    PoolResult,
     area_outside_boundary,
     compare,
     episode_cost,
     violation_count,
 )
 from .network import (
-    DemandSet,
     DemandZoneSpec,
     NetworkTopology,
     PumpStationSpec,
@@ -71,11 +68,9 @@ from .training import EnvSpec, TrainConfig, policy_act_fn, train
 
 __all__ = [
     "AgentKind",
-    "DemandSet",
     "DemandZoneSpec",
     "DEFAULT_IMPERFECTION",
     "EnvSpec",
-    "EpisodeConfig",
     "FrameSkipEnv",
     "HistoryArchive",
     "HybridCase",
@@ -83,7 +78,6 @@ __all__ = [
     "NetworkTopology",
     "NumericError",
     "PolicyParameters",
-    "PoolResult",
     "PumpSchedulingEnv",
     "PumpschedError",
     "PumpStationSpec",

@@ -39,7 +39,6 @@ from .hybrid import (
     save_strategy_report_json,
 )
 from .metrics import (
-    PoolResult,
     area_outside_boundary,
     compare,
     episode_cost,
@@ -361,14 +360,15 @@ def _eval_scores(
         )
         for k in episodes
     ]
-    config, margins = sample_operational_episode(topology, rngs, imperfection)
+    levels, demands, margins = sample_operational_episode(
+        topology, rngs, imperfection
+    )
     shape = (STEPS_PER_DAY, topology.n_stations)
     schedules = np.array([rng.random(shape) for rng in rngs])
-    levels, demands = config.initial_levels, config.demands
     rule = RuleBasedController(topology, margins)
 
     def day(act):
-        return run_day(topology, levels, demands.as_array(), act)
+        return run_day(topology, levels, demands, act)
 
     trajs = {
         "rule_based": run_controlled_day(topology, levels, rule, demands),
@@ -409,12 +409,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         _eval_scores(topology, policy, args.seed, args.imperfection, part)
         for part in (episodes[k : k + _EVAL_LANES] for k in episodes[::_EVAL_LANES])
     ]
-    seeds = tuple(episodes)
-    results = {
-        label: PoolResult(label, seeds, *np.hstack([p[label] for p in passes]))
-        for label in passes[0]
-    }
-    rows = compare(results["rule_based"], [results["policy"], results["random"]])
+    scores = {label: np.hstack([p[label] for p in passes]) for label in passes[0]}
+    rows = compare(scores)
     phase_ends["score"] = time.time()
     out = _outdir(args)
     save_comparison_csv(rows, out / "comparison.csv")
@@ -429,17 +425,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         phase_ends,
     )
     for row in rows:
-        extra = ""
-        if row.area_improvement_pct is not None:
-            extra = (
-                f"  area {row.area_improvement_pct:+.1f}% "
-                f"({row.mean_area - rows[0].mean_area:+.3f} m*h)"
-                f"  cost {row.cost_delta_pct:+.1f}%"
-            )
         print(
             f"eval[{row.label}]: mean area {row.mean_area:.3f} m*h, "
-            f"mean violations {row.mean_count:.1f}, "
-            f"mean cost {row.mean_cost:.2f}{extra}"
+            f"mean violations {row.mean_count:.1f}, mean cost {row.mean_cost:.2f}"
+            f"  area {_pct_text(row.area_improvement_pct)} "
+            f"({row.mean_area - rows[0].mean_area:+.3f} m*h)"
+            f"  cost {_pct_text(row.cost_delta_pct)}"
         )
     return 0
 
@@ -552,12 +543,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"  {row.get('label')}: area {row['mean_area']:.3f} m*h, "
                 f"violations {row['mean_count']:.1f}, cost {row['mean_cost']:.2f}"
             )
-            if row.get("area_improvement_pct") is not None:
-                print(
-                    f"    vs reference: area {_pct_text(row['area_improvement_pct'])} "
-                    f"({row['mean_area'] - rows[0]['mean_area']:+.3f} m*h), "
-                    f"cost {_pct_text(row.get('cost_delta_pct'))}"
-                )
+            print(
+                f"    vs reference: area {_pct_text(row.get('area_improvement_pct'))} "
+                f"({row['mean_area'] - rows[0]['mean_area']:+.3f} m*h), "
+                f"cost {_pct_text(row.get('cost_delta_pct'))}"
+            )
         area = {row.get("label"): row["mean_area"] for row in rows}
         if {"policy", "random"} <= area.keys() and area["policy"] > area["random"]:
             print(
@@ -609,6 +599,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValidationError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,9 @@ normalized tank levels and earns +/-1 per tank inside/outside its band. The
 dual agent additionally sees the day clock and the current normalized price,
 and earns a weighted blend of the normalized constraint reward and an
 energy-cost term.
+
+An episode is two arrays on a fixed topology: start levels (n_tanks,) and zone
+demands (n_zones, 96), with a leading axis of B for B lanes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .history import (
 from .network import (
     STEPS_PER_DAY,
     CompiledTopology,
-    DemandSet,
     NetworkTopology,
     demands_from_rng,
 )
@@ -87,14 +89,6 @@ def reward_dual(
 
 
 @dataclass
-class EpisodeConfig:
-    """Everything that varies between episodes on a fixed topology."""
-
-    initial_levels: np.ndarray
-    demands: DemandSet
-
-
-@dataclass
 class StepResult:
     observation: np.ndarray
     reward: float
@@ -130,10 +124,8 @@ class PumpSchedulingEnv:
 
     # -- episode plumbing ----------------------------------------------------
 
-    def reset(self, config: EpisodeConfig) -> np.ndarray:
-        self._day = _Rollout(
-            self.topology, config.initial_levels, config.demands.as_array()
-        )
+    def reset(self, initial_levels: np.ndarray, zone_values: np.ndarray) -> np.ndarray:
+        self._day = _Rollout(self.topology, initial_levels, zone_values)
         return self._observe()
 
     def step(self, action: np.ndarray) -> StepResult:
@@ -218,8 +210,8 @@ class FrameSkipEnv:
         self.env = env
         self.window = window
 
-    def reset(self, config: EpisodeConfig) -> np.ndarray:
-        return self.env.reset(config)
+    def reset(self, initial_levels: np.ndarray, zone_values: np.ndarray) -> np.ndarray:
+        return self.env.reset(initial_levels, zone_values)
 
     def step(self, action: np.ndarray) -> StepResult:
         total = 0.0
@@ -246,8 +238,9 @@ def sample_episode(
     topology: NetworkTopology,
     rng: np.random.Generator,
     start_overhang: float = 0.0,
-) -> EpisodeConfig:
-    """Draw an episode: diverse start levels within the band, fresh demands.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw an episode, ``(initial_levels, zone_values)``: diverse start levels
+    within the band, fresh demands.
 
     ``start_overhang`` stretches the start-level range past each boundary by
     that fraction of the band. Evaluation keeps it at 0 (operations start
@@ -262,8 +255,7 @@ def sample_episode(
         c.upper + start_overhang * band, (1 - _START_CAP_CLEARANCE) * c.caps
     )
     initial = rng.uniform(lo, hi)
-    demands = demands_from_rng(topology, rng)
-    return EpisodeConfig(initial, demands)
+    return initial, demands_from_rng(topology, rng)
 
 
 def sample_operational_episode(
@@ -283,23 +275,24 @@ def sample_operational_episode(
 
     A burn day is one ``run_controlled_day`` of B = ``len(rngs)`` lanes, and
     generator k draws lane k's demands then margins day by day, so each lane
-    equals its episode sampled alone. Returns ``(config, margins)`` of B lanes.
+    equals its episode sampled alone. Returns ``(levels, zone_values,
+    margins)`` of B lanes: (B, n_tanks), (B, n_zones, 96) and margins
+    (B, n_stations).
     """
-    zone_ids = tuple(z.id for z in topology.zones)
     levels = np.repeat(topology.compiled.initial_levels[None], len(rngs), axis=0)
     for day in range(BURN_DAYS + 1):
         values, triggers, releases = [], [], []
         for rng in rngs:
-            values.append(demands_from_rng(topology, rng).values)
+            values.append(demands_from_rng(topology, rng))
             lane_margins = margins_for(topology, imperfection, rng)
             triggers.append(lane_margins.triggers)
             releases.append(lane_margins.releases)
-        demands = DemandSet(zone_ids, np.stack(values))
+        zone_values = np.stack(values)
         margins = HysteresisMargins(np.stack(triggers), np.stack(releases))
         if day < BURN_DAYS:
             rule = RuleBasedController(topology, margins)
-            levels = run_controlled_day(topology, levels, rule, demands).states[-1]
-    return EpisodeConfig(levels, demands), margins
+            levels = run_controlled_day(topology, levels, rule, zone_values).states[-1]
+    return levels, zone_values, margins
 
 
 def closed_loop(

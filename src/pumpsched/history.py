@@ -31,12 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .network import (
-    STEPS_PER_DAY,
-    DemandSet,
-    NetworkTopology,
-    demands_from_rng,
-)
+from .network import STEPS_PER_DAY, NetworkTopology, demands_from_rng
 from .simulate import Trajectory, run_day
 
 DUTY_SPEED = 0.85
@@ -118,13 +113,14 @@ def run_controlled_day(
     topology: NetworkTopology,
     initial_levels: np.ndarray,
     controller,
-    demands: DemandSet,
+    zone_values: np.ndarray,
 ) -> Trajectory:
-    """Closed-loop day under any object exposing reset(levels)/act(levels);
-    levels, demands and a controller of B lanes roll B lanes of one day."""
+    """Closed-loop day on the (n_zones, 96) zone demands under any object
+    exposing reset(levels)/act(levels); levels (B, n_tanks), demands
+    (B, n_zones, 96) and a controller of B lanes roll B lanes of one day."""
     controller.reset(np.asarray(initial_levels, dtype=float))
     return run_day(
-        topology, initial_levels, demands.as_array(), lambda t, lv: controller.act(lv)
+        topology, initial_levels, zone_values, lambda t, lv: controller.act(lv)
     )
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import AgentKind, EpisodeConfig, closed_loop, sample_episode
+from .env import AgentKind, closed_loop, sample_episode
 from .errors import ValidationError
 from .metrics import Bounds, _csv_cell, _exceedance
 from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology
@@ -83,10 +83,12 @@ class InjectionPlan:
 
 @dataclass
 class HybridCase:
-    """A violating retrieved schedule plus everything needed to repair it."""
+    """A violating retrieved schedule plus everything needed to repair it: the
+    day's zone demands (n_zones, 96), and its start levels as
+    ``baseline_states[0]``."""
 
     case_id: int
-    config: EpisodeConfig
+    demands: np.ndarray
     baseline_schedule: np.ndarray
     baseline_states: np.ndarray  # (97, n_tanks) under the baseline schedule
     windows: tuple[ViolationWindow, ...]
@@ -177,7 +179,7 @@ def inject(
     return run_day(
         topology,
         np.repeat(case.baseline_states[0][None], lanes, axis=0),
-        np.repeat(case.config.demands.as_array()[None], lanes, axis=0),
+        np.repeat(case.demands[None], lanes, axis=0),
         act,
     ).states
 
@@ -317,13 +319,7 @@ def _best_end(
     ending at 96 resumes nothing and keeps ``full``.
     """
     full_area = _state_area(full, case.bounds)
-    tails = resume_lanes(
-        topology,
-        full[he:],
-        case.baseline_schedule,
-        case.config.demands.as_array(),
-        he,
-    )
+    tails = resume_lanes(topology, full[he:], case.baseline_schedule, case.demands, he)
     tail_area = _exceedance(tails, case.bounds).sum(axis=2) * DT_HOURS
     post = [float(row[k + 1 :].sum()) for k, row in enumerate(tail_area)] + [0.0]
     totals = [
@@ -383,18 +379,16 @@ def build_case_pool(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(4, attempt))
         )
-        config = sample_episode(topology, rng)
-        result = recommend(index, config.initial_levels, config.demands)
-        states = simulate(
-            topology, config.initial_levels, result.schedule, config.demands
-        ).states
+        levels, demands = sample_episode(topology, rng)
+        result = recommend(index, levels, demands)
+        states = simulate(topology, levels, result.schedule, demands).states
         windows = detect_violations(states, bounds)
         if not windows:
             continue
         cases.append(
             HybridCase(
                 case_id=len(cases),
-                config=config,
+                demands=demands,
                 baseline_schedule=result.schedule,
                 baseline_states=states,
                 windows=windows,

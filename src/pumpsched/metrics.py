@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
 from .network import DT_HOURS
 from .simulate import Trajectory
 
@@ -42,39 +41,6 @@ def episode_cost(traj: Trajectory) -> float:
 
 
 @dataclass(frozen=True)
-class PoolResult:
-    """Per-episode metrics for one policy evaluated over an episode pool."""
-
-    label: str
-    episode_seeds: tuple[int, ...]
-    areas: np.ndarray
-    counts: np.ndarray
-    costs: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.episode_seeds)
-        for name in ("areas", "counts", "costs"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValidationError(
-                    f"pool result {self.label}: {name} must have one entry per episode"
-                )
-            object.__setattr__(self, name, arr)
-
-    @property
-    def mean_area(self) -> float:
-        return float(self.areas.mean())
-
-    @property
-    def mean_count(self) -> float:
-        return float(self.counts.mean())
-
-    @property
-    def mean_cost(self) -> float:
-        return float(self.costs.mean())
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     label: str
     mean_area: float
@@ -85,42 +51,22 @@ class ComparisonRow:
     cost_delta_pct: float | None
 
 
-def compare(reference: PoolResult, others: list[PoolResult]) -> list[ComparisonRow]:
-    """Comparison table against a reference row (reference listed first).
+def compare(scores: dict[str, np.ndarray]) -> list[ComparisonRow]:
+    """Comparison table of labels scored on the same episodes: each label's
+    (3, n) rows of per-episode area, violation count and cost. The first
+    label is the reference, listed first with percentages of 0.0.
 
     Improvements are (reference - value) / reference; the cost column is a
-    signed delta where negative means cheaper than the reference.
+    signed delta where negative means cheaper than the reference. Against a
+    reference mean of 0 a percentage is None.
     """
-    rows = [
-        ComparisonRow(
-            label=reference.label,
-            mean_area=reference.mean_area,
-            mean_count=reference.mean_count,
-            mean_cost=reference.mean_cost,
-            area_improvement_pct=0.0,
-            count_improvement_pct=0.0,
-            cost_delta_pct=0.0,
-        )
-    ]
-    for result in others:
-        if result.episode_seeds != reference.episode_seeds:
-            raise ValidationError(
-                f"pool mismatch: {result.label} was evaluated on different episodes "
-                f"than {reference.label}"
-            )
-        rows.append(
-            ComparisonRow(
-                label=result.label,
-                mean_area=result.mean_area,
-                mean_count=result.mean_count,
-                mean_cost=result.mean_cost,
-                area_improvement_pct=_improvement(reference.mean_area, result.mean_area),
-                count_improvement_pct=_improvement(
-                    reference.mean_count, result.mean_count
-                ),
-                cost_delta_pct=_delta(reference.mean_cost, result.mean_cost),
-            )
-        )
+    means = {label: [float(row.mean()) for row in s] for label, s in scores.items()}
+    (reference, (area0, count0, cost0)), *others = means.items()
+    rows = [ComparisonRow(reference, area0, count0, cost0, 0.0, 0.0, 0.0)]
+    for label, (area, count, cost) in others:
+        area_pct, count_pct = _improvement(area0, area), _improvement(count0, count)
+        delta = _delta(cost0, cost)
+        rows.append(ComparisonRow(label, area, count, cost, area_pct, count_pct, delta))
     return rows
 
 

@@ -277,29 +277,6 @@ class CompiledTopology:
             a.setflags(write=False)
 
 
-class DemandSet:
-    """Per-zone demand series for one day, aligned to a topology's zone order."""
-
-    def __init__(self, zone_ids: tuple[str, ...], values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.ndim > 3 or values.shape[-2:] != (len(zone_ids), STEPS_PER_DAY):
-            raise ValidationError(
-                f"demand set: expected shape ({len(zone_ids)}, {STEPS_PER_DAY}), "
-                f"got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("demand set: values must be finite")
-        if np.any(values < 0):
-            raise ValidationError("demand set: values must be >= 0")
-        self.zone_ids = tuple(zone_ids)
-        self.values = values.copy()
-        self.values.setflags(write=False)
-
-    def as_array(self) -> np.ndarray:
-        """(n_zones, 96) demand array, (B, n_zones, 96) for B lanes."""
-        return self.values
-
-
 # ----------------------------------------------------------------------------
 # JSON serialization
 
@@ -516,10 +493,13 @@ def generate_synthetic_network(seed: int) -> NetworkTopology:
     return topology
 
 
-def demands_from_rng(topology: NetworkTopology, rng: np.random.Generator) -> DemandSet:
-    """One day of per-zone demands drawn from an existing generator: a diurnal
-    double peak times ``1 + noise_scale * z``. One (n_zones, 96) normal draw
-    gives zone k the ``z`` of the k-th of n_zones successive 96-value draws."""
+def demands_from_rng(
+    topology: NetworkTopology, rng: np.random.Generator
+) -> np.ndarray:
+    """One day of per-zone demands, (n_zones, 96), drawn from an existing
+    generator: a diurnal double peak times ``1 + noise_scale * z``. One
+    (n_zones, 96) normal draw gives zone k the ``z`` of the k-th of n_zones
+    successive 96-value draws."""
     zones = topology.zones
     morning, evening, noise_scale, base = np.array(
         [[z.morning_peak, z.evening_peak, z.noise_scale, z.base_demand] for z in zones]
@@ -531,10 +511,10 @@ def demands_from_rng(topology: NetworkTopology, rng: np.random.Generator) -> Dem
         + evening * np.exp(-((hours - 19.0) ** 2) / (2 * 2.0**2))
     )
     noise = 1.0 + noise_scale * rng.standard_normal((len(zones), STEPS_PER_DAY))
-    values = np.maximum(base * shape * noise, 0.0)
-    return DemandSet(tuple(z.id for z in zones), values)
+    return np.maximum(base * shape * noise, 0.0)
 
 
-def generate_demands(topology: NetworkTopology, seed: int) -> DemandSet:
-    """One day of per-zone demands: diurnal double peak plus seeded noise."""
+def generate_demands(topology: NetworkTopology, seed: int) -> np.ndarray:
+    """One day of per-zone demands, (n_zones, 96): diurnal double peak plus
+    seeded noise."""
     return demands_from_rng(topology, np.random.default_rng(seed))

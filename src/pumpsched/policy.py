@@ -28,6 +28,13 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 CHECKPOINT_VERSION = 1
 
 
+def parameter_layout(actor_w, actor_b, log_sigma, critic_w, critic_b) -> list:
+    """The order of the parameter vector, for the parameters and their gradient
+    alike: actor weights, actor biases, log_sigma, critic weights, critic
+    biases, each C-ordered, end to end."""
+    return [*actor_w, *actor_b, log_sigma, *critic_w, *critic_b]
+
+
 @dataclass
 class PolicyParameters:
     """Actor mean network, state-independent log-sigma and critic network,
@@ -45,10 +52,10 @@ class PolicyParameters:
     vector: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        # The layout, in both directions: actor weights, actor biases,
-        # log_sigma, critic weights, critic biases, each C-ordered, end to end.
         a, c = self.actor, self.critic
-        parts = [*a.weights, *a.biases, self.log_sigma, *c.weights, *c.biases]
+        parts = parameter_layout(
+            a.weights, a.biases, self.log_sigma, c.weights, c.biases
+        )
         if self.vector is None:
             self.vector = np.concatenate(parts, axis=None, dtype=float)
         shapes = [tuple(getattr(p, "shape", p)) for p in parts]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .history import HistoryArchive
-from .network import DT_HOURS, DemandSet, NetworkTopology
+from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,10 @@ def build_index(
 def recommend(
     index: QueryIndex,
     levels: np.ndarray,
-    demand_forecast: DemandSet,
+    demand_forecast: np.ndarray,
 ) -> QueryResult:
-    """Nearest archived day for the given start levels and demand forecast.
+    """Nearest archived day for the given start levels and (n_zones, 96) zone
+    demand forecast.
 
     Query features are normalized with the index bounds and clipped into
     [0, 1] before the linear scan; exact distance ties resolve to the most
@@ -132,9 +133,17 @@ def recommend(
     levels = np.asarray(levels, dtype=float)
     if levels.shape != (len(index.surface_areas),):
         raise ValidationError("query levels shape does not match the index")
+    forecast = np.asarray(demand_forecast, dtype=float)
+    if forecast.ndim != 2 or forecast.shape[1] != STEPS_PER_DAY:
+        raise ValidationError(
+            f"demand forecast shape {forecast.shape}, expected (n_zones, "
+            f"{STEPS_PER_DAY})"
+        )
+    if not np.all(np.isfinite(forecast)):
+        raise ValidationError("demand forecast must be finite")
     # (96, n_zones) rows laid out as the index's days, so that an archived
     # day's demands sum to its index feature to the last bit.
-    day_demands = np.ascontiguousarray(demand_forecast.as_array().T)
+    day_demands = np.ascontiguousarray(forecast.T)
     demand = _demand_feature(day_demands, index.per_zone_demand)
     raw = _raw_features(levels, demand, index.surface_areas)
     if raw.shape != index.mins.shape:

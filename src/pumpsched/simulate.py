@@ -29,7 +29,6 @@ from .network import (
     DT_HOURS,
     STEPS_PER_DAY,
     CompiledTopology,
-    DemandSet,
     NetworkTopology,
 )
 
@@ -104,11 +103,12 @@ def _tank_demand(c: CompiledTopology, zone_values: np.ndarray, t0: int) -> np.nd
 class _Rollout:
     """Preallocated record of one day (or of lanes of days) rolled from ``t0``.
 
-    The constructor validates the day's inputs; ``advance`` applies the
-    action for step ``t`` to ``levels`` and records it with its flows;
-    ``record`` fills the other records of the steps advanced since its last
-    call, pricing energy at the topology's tariff; ``trajectory`` returns the
-    record.
+    The constructor validates the day's inputs: start levels inside the tanks,
+    and finite, non-negative zone demands (n_zones, 96) per lane; ``advance``
+    applies the action for step ``t`` to ``levels`` and records it with its
+    flows; ``record`` fills the other records of the steps advanced since its
+    last call, pricing energy at the topology's tariff; ``trajectory`` returns
+    the record.
     """
 
     def __init__(
@@ -138,6 +138,8 @@ class _Rollout:
             )
         if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(zone_values))):
             raise NumericError("non-finite simulator input")
+        if np.any(zone_values < 0):
+            raise ValidationError("zone demands must be >= 0")
 
         n = STEPS_PER_DAY - t0
         n_t, n_s = topology.n_tanks, topology.n_stations
@@ -253,17 +255,15 @@ def simulate(
     topology: NetworkTopology,
     initial_levels: np.ndarray,
     schedule: np.ndarray,
-    demands: DemandSet,
+    zone_values: np.ndarray,
 ) -> Trajectory:
-    """Run a full 96-step day under a fixed control schedule, priced at the
-    topology's tariff."""
+    """Run a full 96-step day under a fixed control schedule (96, n_stations)
+    on the (n_zones, 96) zone demands, priced at the topology's tariff."""
     schedule = np.asarray(schedule, dtype=float)
     if schedule.shape != (STEPS_PER_DAY, topology.n_stations):
         raise ValidationError(
             f"schedule shape {schedule.shape}, expected "
             f"({STEPS_PER_DAY}, {topology.n_stations})"
         )
-    return run_day(
-        topology, initial_levels, demands.as_array(), lambda t, _: schedule[t]
-    )
+    return run_day(topology, initial_levels, zone_values, lambda t, _: schedule[t])
 

@@ -32,7 +32,7 @@ import numpy as np
 from .env import AgentKind, _check_window, closed_loop, day_rewards, sample_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
 from .network import STEPS_PER_DAY, NetworkTopology
-from .nn import MLP, Adam
+from .nn import Adam
 from .policy import (
     PolicyParameters,
     actor_logp_and_grads,
@@ -41,6 +41,7 @@ from .policy import (
     forward_batch,
     gaussian_logp,
     init_policy,
+    parameter_layout,
 )
 from .simulate import run_day
 
@@ -150,9 +151,9 @@ def _collect_lanes(
     for k, idx in enumerate(episodes):
         cfg_ss, act_ss = _episode_seed(cfg.seed, iteration, idx).spawn(2)
         rng = np.random.default_rng(cfg_ss)
-        config = sample_episode(spec.topology, rng, START_OVERHANG)
-        levels.append(config.initial_levels)
-        demands.append(config.demands.as_array())
+        start, day_demands = sample_episode(spec.topology, rng, START_OVERHANG)
+        levels.append(start)
+        demands.append(day_demands)
         act_rng = np.random.default_rng(act_ss)
         noise[:, k] = act_rng.standard_normal((n, spec.action_dim))
     observations = np.empty((lanes, n, spec.obs_dim))
@@ -266,9 +267,10 @@ def _minibatch_step(params, optimizer, obs, actions, old_logps, norm_adv, return
         params, obs, actions, old_logps, norm_adv, m
     )
     critic_gw, critic_gb = _value_gradients(params, obs, returns, m)
-    grad = PolicyParameters(  # the gradient, laid out as the parameters
-        MLP(actor_gw, actor_gb), grad_log_sigma, MLP(critic_gw, critic_gb)
-    ).vector
+    grad = np.concatenate(
+        parameter_layout(actor_gw, actor_gb, grad_log_sigma, critic_gw, critic_gb),
+        axis=None,
+    )
     return replace(params, vector=optimizer.step(params.vector, grad))
 
 

@@ -14,7 +14,6 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):
     import hypothesis.extra._patching  # noqa: F401
 
 from pumpsched import (
-    DemandSet,
     NetworkTopology,
     PumpStationSpec,
     TankSpec,
@@ -91,10 +90,8 @@ def tiny_world():
     )
 
 
-def flat_demands(topology: NetworkTopology, value: float) -> DemandSet:
-    zone_ids = tuple(z.id for z in topology.zones)
-    values = np.full((len(zone_ids), STEPS_PER_DAY), float(value))
-    return DemandSet(zone_ids, values)
+def flat_demands(topology: NetworkTopology, value: float) -> np.ndarray:
+    return np.full((topology.n_zones, STEPS_PER_DAY), float(value))
 
 
 @pytest.fixture

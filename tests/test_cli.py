@@ -626,32 +626,73 @@ def test_report_warns_when_the_policy_is_worse_than_random(
         ["warning: the policy leaves more violation area than random control "
          "(2.500 > 1.500 m*h)"] if warned else []
     )  # fmt: skip
-    # A percentage of a near-zero reference area is followed by the
-    # difference of the mean areas, in m*h.
+    # Every row is set against the reference: a percentage of a near-zero
+    # reference area is followed by the difference of the mean areas, in m*h,
+    # and a percentage the row lacks reads n/a.
     assert [line for line in printed if "vs reference" in line] == [
+        "    vs reference: area n/a (+0.000 m*h), cost n/a",
         f"    vs reference: area {(0.1 - policy_area) * 1e3:+.1f}% "
-        f"({policy_area - 0.1:+.3f} m*h), cost -11.1%"
+        f"({policy_area - 0.1:+.3f} m*h), cost -11.1%",
+        "    vs reference: area n/a (+1.400 m*h), cost n/a",
     ]
 
 
 def test_eval_prints_the_area_difference_after_the_percentage(
     workflow, tmp_path, capsys
 ):
+    """Each line ends with the area percentage, the difference of the mean
+    areas in m*h and the cost delta. Against hysteresis with perfect margins,
+    whose mean area is 0, the area percentage reads n/a and the rest stays."""
     out, _ = workflow
-    argv = [
-        "eval", "--network", out / "network.json", "--checkpoint",
-        out / "checkpoint.json", "--episodes", 4, "--seed", 1, "--out", tmp_path,
-    ]  # fmt: skip
-    capsys.readouterr()
-    assert cli.main(list(map(str, argv))) == 0
-    printed = capsys.readouterr().out.splitlines()
-    rows = json.loads((tmp_path / "comparison.json").read_text())
-    assert 0 < rows[0]["mean_area"] < 0.1  # a near-zero reference area
-    assert len(printed) == len(rows)
-    for line, row in zip(printed, rows):
-        difference = row["mean_area"] - rows[0]["mean_area"]
-        assert line.startswith(f"eval[{row['label']}]: ")
-        assert line.endswith(
-            f"  area {row['area_improvement_pct']:+.1f}% ({difference:+.3f} m*h)"
-            f"  cost {row['cost_delta_pct']:+.1f}%"
-        )
+    for reference, extra in (("near_zero", ()), ("zero", ("--imperfection", 0))):
+        argv = [
+            "eval", "--network", out / "network.json", "--checkpoint",
+            out / "checkpoint.json", "--episodes", 4, "--seed", 1,
+            "--out", tmp_path / reference, *extra,
+        ]  # fmt: skip
+        capsys.readouterr()
+        assert cli.main(list(map(str, argv))) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = json.loads((tmp_path / reference / "comparison.json").read_text())
+        if extra:
+            assert rows[0]["mean_area"] == 0.0
+            assert [row["area_improvement_pct"] for row in rows[1:]] == [None, None]
+        else:
+            assert 0 < rows[0]["mean_area"] < 0.1
+        assert len(printed) == len(rows)
+        for line, row in zip(printed, rows):
+            difference = row["mean_area"] - rows[0]["mean_area"]
+            pct = row["area_improvement_pct"]
+            area = "n/a" if pct is None else f"{pct:+.1f}%"
+            assert line.startswith(f"eval[{row['label']}]: ")
+            assert line.endswith(
+                f"  area {area} ({difference:+.3f} m*h)"
+                f"  cost {row['cost_delta_pct']:+.1f}%"
+            )
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "hybrid"])
+def test_a_negative_seed_exits_one_with_a_one_line_error(
+    tmp_path, capsys, command, source
+):
+    """numpy seeds only with non-negative integers, so a negative ``--seed``,
+    given as a flag or by ``--config``, fails in one line before any work."""
+    inputs = {
+        "gen": (),
+        "train": ("--network", "network.json"),
+        "eval": ("--network", "network.json", "--checkpoint", "checkpoint.json"),
+        "hybrid": (
+            "--network", "network.json", "--history", "history.csv",
+            "--checkpoint", "checkpoint.json",
+        ),
+    }[command]  # fmt: skip
+    if source == "flag":
+        seed = ("--seed", "-1")
+    else:
+        (tmp_path / "config.json").write_text('{"seed": -1}')
+        seed = ("--config", str(tmp_path / "config.json"))
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, *seed, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()

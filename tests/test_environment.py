@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pumpsched import (
     AgentKind,
-    EpisodeConfig,
     FrameSkipEnv,
     PumpSchedulingEnv,
     TariffSchedule,
@@ -28,13 +27,10 @@ from pumpsched.simulate import run_day
 from pumpsched.training import EnvSpec
 
 
-def _config(world, levels=None):
-    return EpisodeConfig(
-        initial_levels=(
-            world.compiled.initial_levels if levels is None else np.asarray(levels)
-        ),
-        demands=generate_demands(world, seed=8),
-    )
+def _episode(world, levels=None):
+    """An episode's start levels and zone demands."""
+    start = world.compiled.initial_levels if levels is None else np.asarray(levels)
+    return start, generate_demands(world, seed=8)
 
 
 def _env(world, kind=AgentKind.CONSTRAINT):
@@ -150,22 +146,22 @@ def test_dual_reward_needs_an_energy_span_on_every_station():
 
 
 def test_observation_dimensions(world):
-    obs = _env(world, AgentKind.CONSTRAINT).reset(_config(world))
+    obs = _env(world, AgentKind.CONSTRAINT).reset(*_episode(world))
     assert obs.shape == (6,)
 
-    obs = _env(world, AgentKind.DUAL).reset(_config(world))
+    obs = _env(world, AgentKind.DUAL).reset(*_episode(world))
     assert obs.shape == (8,)
 
 
 def test_levels_normalized_by_physical_cap(world):
     env = _env(world)
-    obs = env.reset(_config(world, levels=world.compiled.caps))
+    obs = env.reset(*_episode(world, levels=world.compiled.caps))
     np.testing.assert_allclose(obs, np.ones(6))
 
 
 def test_dual_observation_layout(world):
     env = _env(world, AgentKind.DUAL)
-    obs = env.reset(_config(world))
+    obs = env.reset(*_episode(world))
     np.testing.assert_allclose(
         obs[:6], world.compiled.initial_levels / world.compiled.caps
     )
@@ -185,7 +181,7 @@ def test_dual_observation_layout(world):
 
 def test_episode_terminates_at_96(world):
     env = _env(world)
-    env.reset(_config(world))
+    env.reset(*_episode(world))
     action = np.full(6, 0.4)
     for t in range(STEPS_PER_DAY):
         result = env.step(action)
@@ -203,14 +199,14 @@ def test_step_before_reset_rejected(world):
 def test_reset_validates_levels(world):
     env = _env(world)
     with pytest.raises(ValidationError):
-        env.reset(_config(world, levels=np.full(6, 100.0)))
+        env.reset(*_episode(world, levels=np.full(6, 100.0)))
     with pytest.raises(ValidationError):
-        env.reset(_config(world, levels=np.full(5, 4.0)))
+        env.reset(*_episode(world, levels=np.full(5, 4.0)))
 
 
 def test_constraint_reward_flows_through_env(world):
     env = _env(world)
-    env.reset(_config(world))
+    env.reset(*_episode(world))
     result = env.step(np.full(6, 0.5))
     lb, ub = world.compiled.lower, world.compiled.upper
     levels = env.trajectory().states[1] if result.done else None
@@ -223,14 +219,14 @@ def test_trajectory_matches_simulator(world):
     from pumpsched import simulate
 
     env = _env(world)
-    config = _config(world)
-    env.reset(config)
+    levels, demands = _episode(world)
+    env.reset(levels, demands)
     rng = np.random.default_rng(3)
     schedule = rng.uniform(0.2, 0.8, (STEPS_PER_DAY, 6))
     for t in range(STEPS_PER_DAY):
         env.step(schedule[t])
     traj = env.trajectory()
-    ref = simulate(world, config.initial_levels, schedule, config.demands)
+    ref = simulate(world, levels, schedule, demands)
     np.testing.assert_array_equal(traj.states, ref.states)
     np.testing.assert_array_equal(traj.costs, ref.costs)
 
@@ -241,11 +237,11 @@ def test_every_env_step_reports_its_cost_energy_and_reward(world):
     from pumpsched import simulate
 
     env = _env(world, AgentKind.DUAL)
-    config = _config(world)
-    env.reset(config)
+    levels, demands = _episode(world)
+    env.reset(levels, demands)
     schedule = np.random.default_rng(4).uniform(0.0, 1.0, (STEPS_PER_DAY, 6))
     results = [env.step(schedule[t]) for t in range(STEPS_PER_DAY)]
-    ref = simulate(world, config.initial_levels, schedule, config.demands)
+    ref = simulate(world, levels, schedule, demands)
     lb, ub = world.compiled.lower, world.compiled.upper
     tariff_norm, energy_span = world.compiled.tariff_norm, world.compiled.energy_span
     for t, result in enumerate(results):
@@ -266,22 +262,18 @@ def test_each_observation_row_is_levels_clock_and_current_price(world, kind):
     tariff = np.array(world.tariff.values)
     tariff_norm = (tariff - tariff.min()) / (tariff.max() - tariff.min())
     rng = np.random.default_rng(9)
-    configs = [sample_episode(world, rng) for _ in range(3)]
+    episodes = [sample_episode(world, rng) for _ in range(3)]
+    levels, demands = (np.array(arrays) for arrays in zip(*episodes))
     rows = []
 
     def act_fn(obs):
         rows.append(obs.copy())
-        return np.full((len(configs), 6), 0.4)
+        return np.full((len(levels), 6), 0.4)
 
-    day = run_day(
-        world,
-        np.array([c.initial_levels for c in configs]),
-        np.array([c.demands.as_array() for c in configs]),
-        closed_loop(world, kind, act_fn),
-    )
+    day = run_day(world, levels, demands, closed_loop(world, kind, act_fn))
     caps = world.compiled.caps
     for t, row in enumerate(rows):
-        for k in range(len(configs)):
+        for k in range(len(levels)):
             expected = day.states[t, k] / caps
             if kind == AgentKind.DUAL:
                 expected = [*expected, t / STEPS_PER_DAY, tariff_norm[t]]
@@ -295,7 +287,7 @@ def test_each_observation_row_is_levels_clock_and_current_price(world, kind):
 
 def test_frame_skip_decision_count(world):
     env = FrameSkipEnv(_env(world, AgentKind.DUAL), 8)
-    env.reset(_config(world))
+    env.reset(*_episode(world))
     steps = 0
     done = False
     while not done:
@@ -317,11 +309,11 @@ def test_frame_skip_reward_sums_inner_rewards(world):
     decisions = rng.uniform(0.2, 0.8, (12, 6))
 
     wrapped = FrameSkipEnv(_env(world, AgentKind.DUAL), 8)
-    wrapped.reset(_config(world))
+    wrapped.reset(*_episode(world))
     wrapped_rewards = [wrapped.step(decisions[i]).reward for i in range(12)]
 
     plain = _env(world, AgentKind.DUAL)
-    plain.reset(_config(world))
+    plain.reset(*_episode(world))
     inner = [plain.step(decisions[t // 8]).reward for t in range(STEPS_PER_DAY)]
 
     for i in range(12):
@@ -333,9 +325,9 @@ def test_frame_skip_reward_sums_inner_rewards(world):
 def test_frame_skip_window_one_is_identity(world):
     action = np.full(6, 0.45)
     wrapped = FrameSkipEnv(_env(world), 1)
-    wrapped.reset(_config(world))
+    wrapped.reset(*_episode(world))
     plain = _env(world)
-    plain.reset(_config(world))
+    plain.reset(*_episode(world))
     for _ in range(STEPS_PER_DAY):
         a = wrapped.step(action)
         b = plain.step(action)
@@ -347,12 +339,12 @@ def test_frame_skip_window_one_is_identity(world):
 def test_frame_skip_whole_day_window(world):
     action = np.full(6, 0.35)
     wrapped = FrameSkipEnv(_env(world), 96)
-    wrapped.reset(_config(world))
+    wrapped.reset(*_episode(world))
     result = wrapped.step(action)
     assert result.done
 
     plain = _env(world)
-    plain.reset(_config(world))
+    plain.reset(*_episode(world))
     total = sum(plain.step(action).reward for _ in range(STEPS_PER_DAY))
     assert result.reward == pytest.approx(total, abs=1e-12)
 
@@ -360,7 +352,7 @@ def test_frame_skip_whole_day_window(world):
 def test_frame_skip_toggle_bound(world):
     rng = np.random.default_rng(1)
     env = FrameSkipEnv(_env(world), 8)
-    env.reset(_config(world))
+    env.reset(*_episode(world))
     done = False
     while not done:
         done = env.step(rng.uniform(0.0, 1.0, 6)).done
@@ -377,18 +369,13 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
     def act_fn(obs):
         return np.clip(0.5 + obs @ weights[: obs.shape[0]], 0.0, 1.0)
 
-    config = _config(world)
+    levels, demands = _episode(world)
     env = FrameSkipEnv(_env(world, kind), window)
-    obs = env.reset(config)
+    obs = env.reset(levels, demands)
     for _ in range(STEPS_PER_DAY // window):
         obs = env.step(act_fn(obs)).observation
     expected = env.trajectory()
-    traj = run_day(
-        world,
-        config.initial_levels,
-        config.demands.as_array(),
-        closed_loop(world, kind, act_fn, window),
-    )
+    traj = run_day(world, levels, demands, closed_loop(world, kind, act_fn, window))
     for name in ("states", "actions", "flows", "costs", "clamp_flags"):
         np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
     with pytest.raises(ValidationError):
@@ -402,9 +389,9 @@ def test_sample_episode_levels_in_band(world):
     lb, ub = world.compiled.lower, world.compiled.upper
     rng = np.random.default_rng(2)
     for _ in range(20):
-        config = sample_episode(world, rng)
-        assert np.all(config.initial_levels >= lb)
-        assert np.all(config.initial_levels <= ub)
+        levels, _ = sample_episode(world, rng)
+        assert np.all(levels >= lb)
+        assert np.all(levels <= ub)
 
 
 def test_sample_episode_overhang_widens_starts(world):
@@ -412,42 +399,44 @@ def test_sample_episode_overhang_widens_starts(world):
     rng = np.random.default_rng(2)
     seen_outside = False
     for _ in range(200):
-        config = sample_episode(world, rng, start_overhang=0.5)
-        assert np.all(config.initial_levels >= 0.0)
-        assert np.all(config.initial_levels <= world.compiled.caps)
-        if np.any(config.initial_levels < lb) or np.any(config.initial_levels > ub):
+        levels, _ = sample_episode(world, rng, start_overhang=0.5)
+        assert np.all(levels >= 0.0)
+        assert np.all(levels <= world.compiled.caps)
+        if np.any(levels < lb) or np.any(levels > ub):
             seen_outside = True
     assert seen_outside
 
 
 def test_sample_operational_episode_deterministic(world):
     seeds = (31, 32)
-    a, margins_a = sample_operational_episode(
+    levels_a, demands_a, margins_a = sample_operational_episode(
         world, [np.random.default_rng(s) for s in seeds]
     )
-    b, margins_b = sample_operational_episode(
+    levels_b, demands_b, margins_b = sample_operational_episode(
         world, [np.random.default_rng(s) for s in seeds]
     )
-    assert a.initial_levels.shape == (2, world.n_tanks)
-    assert a.demands.as_array().shape == (2, world.n_zones, STEPS_PER_DAY)
+    assert levels_a.shape == (2, world.n_tanks)
+    assert demands_a.shape == (2, world.n_zones, STEPS_PER_DAY)
     assert margins_a.triggers.shape == (2, world.n_stations)
-    np.testing.assert_array_equal(a.initial_levels, b.initial_levels)
-    np.testing.assert_array_equal(a.demands.as_array(), b.demands.as_array())
+    np.testing.assert_array_equal(levels_a, levels_b)
+    np.testing.assert_array_equal(demands_a, demands_b)
     np.testing.assert_array_equal(margins_a.triggers, margins_b.triggers)
     np.testing.assert_array_equal(margins_a.releases, margins_b.releases)
 
 
 def test_sample_operational_episode_lanes_equal_episodes_alone(world):
     seeds = (3, 4, 5)
-    config, margins = sample_operational_episode(
+    levels, demands, margins = sample_operational_episode(
         world, [np.random.default_rng(s) for s in seeds]
     )
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        alone, alone_margins = sample_operational_episode(world, [rng])
+        alone_levels, alone_demands, alone_margins = sample_operational_episode(
+            world, [rng]
+        )
         for lanes, single in (
-            (config.initial_levels, alone.initial_levels),
-            (config.demands.as_array(), alone.demands.as_array()),
+            (levels, alone_levels),
+            (demands, alone_demands),
             (margins.triggers, alone_margins.triggers),
             (margins.releases, alone_margins.releases),
         ):
@@ -455,7 +444,7 @@ def test_sample_operational_episode_lanes_equal_episodes_alone(world):
 
 
 def test_sample_operational_episode_burn_moves_levels(world):
-    config, _ = sample_operational_episode(world, [np.random.default_rng(7)])
-    assert not np.array_equal(config.initial_levels[0], world.compiled.initial_levels)
-    assert np.all(config.initial_levels >= 0.0)
-    assert np.all(config.initial_levels <= world.compiled.caps)
+    levels, _, _ = sample_operational_episode(world, [np.random.default_rng(7)])
+    assert not np.array_equal(levels[0], world.compiled.initial_levels)
+    assert np.all(levels >= 0.0)
+    assert np.all(levels <= world.compiled.caps)

@@ -8,7 +8,6 @@ import pytest
 
 from pumpsched import (
     DEFAULT_IMPERFECTION,
-    DemandSet,
     RuleBasedController,
     ValidationError,
     generate_demands,
@@ -158,10 +157,7 @@ def test_controlled_day_lanes_equal_days_alone(world):
                 releases=np.array([m.releases for _, _, m in days]),
             ),
         ),
-        DemandSet(
-            tuple(z.id for z in world.zones),
-            np.array([d.as_array() for _, d, _ in days]),
-        ),
+        np.array([demands for _, demands, _ in days]),
     )
     assert lanes.states.shape == (STEPS_PER_DAY + 1, 4, world.n_tanks)
     for k, (levels, demands, margins) in enumerate(days):
@@ -201,7 +197,7 @@ def test_generate_history_shape_and_carry_over(world):
             world,
             archive.levels[pos, 0],
             archive.actions[pos],
-            DemandSet(tuple(z.id for z in world.zones), archive.demands[pos].T),
+            archive.demands[pos].T,
         )
         np.testing.assert_allclose(
             traj.states[-1], archive.levels[pos + 1, 0], atol=1e-9
@@ -237,7 +233,7 @@ def test_replaying_recorded_actions_reproduces_levels(world):
             world,
             archive.levels[pos, 0],
             archive.actions[pos],
-            DemandSet(tuple(z.id for z in world.zones), archive.demands[pos].T),
+            archive.demands[pos].T,
         )
         np.testing.assert_allclose(traj.states[:-1], archive.levels[pos], atol=1e-9)
 

@@ -128,9 +128,7 @@ def test_inject_preserves_schedule_outside_plan(world, case_pool):
     # replayed open-loop, reproduces the same day.
     schedule = case.baseline_schedule.copy()
     schedule[20:40] = act(states[20:40] / world.compiled.caps)
-    replay = simulate(
-        world, case.config.initial_levels, schedule, case.config.demands
-    )
+    replay = simulate(world, case.baseline_states[0], schedule, case.demands)
     np.testing.assert_array_equal(states, replay.states)
 
 
@@ -146,8 +144,7 @@ def test_inject_closed_loop_sees_its_own_states(world, case_pool):
 
 def _whole_day(world, case, act):
     """States of the case's day rolled from step 0 under ``act(t, levels)``."""
-    demands = case.config.demands.as_array()
-    return run_day(world, case.config.initial_levels, demands, act).states
+    return run_day(world, case.baseline_states[0], case.demands, act).states
 
 
 def _rolled_alone(world, case, plan, act_fn):
@@ -199,7 +196,7 @@ def test_regions_partition_the_day(world, case_pool):
     during = outcome.baseline_during_area
     post = outcome.baseline_post_area
     baseline = simulate(
-        world, case.config.initial_levels, case.baseline_schedule, case.config.demands
+        world, case.baseline_states[0], case.baseline_schedule, case.demands
     )
     np.testing.assert_array_equal(baseline.states, case.baseline_states)
     total = area_outside_boundary(baseline, case.bounds)
@@ -214,7 +211,8 @@ def test_case_pool_is_violating_and_deterministic(world, case_pool):
     for a, b in zip(case_pool, again):
         assert a.case_id == b.case_id
         assert a.matched_day == b.matched_day
-        np.testing.assert_array_equal(a.config.initial_levels, b.config.initial_levels)
+        np.testing.assert_array_equal(a.baseline_states[0], b.baseline_states[0])
+        np.testing.assert_array_equal(a.demands, b.demands)
         assert a.windows == b.windows
         assert len(a.windows) >= 1
         hs, he = a.hull
@@ -315,7 +313,7 @@ def _injected_from_first_start(world, case, plans, act_fn):
     day = run_day(
         world,
         np.repeat(case.baseline_states[t0][None], lanes, axis=0),
-        np.repeat(case.config.demands.as_array()[None], lanes, axis=0),
+        np.repeat(case.demands[None], lanes, axis=0),
         act,
         t0,
     )
@@ -442,7 +440,7 @@ def _tails(world, case, states, e):
         world,
         states[e:],
         case.baseline_schedule,
-        case.config.demands.as_array(),
+        case.demands,
         e,
     )
 
@@ -452,7 +450,7 @@ def _resimulated(world, case, states, e):
     return run_day(
         world,
         states[e],
-        case.config.demands.as_array(),
+        case.demands,
         lambda t, levels: case.baseline_schedule[t],
         t0=e,
     ).states

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from pumpsched import (
-    PoolResult,
-    ValidationError,
     area_outside_boundary,
     compare,
     episode_cost,
@@ -79,20 +77,15 @@ def test_episode_cost_flat_tariff(tiny_world, zero_demands):
     assert episode_cost(traj) == pytest.approx(expected, abs=1e-9)
 
 
-def _pool(label, area, count, cost):
-    return PoolResult(
-        label=label,
-        episode_seeds=(0,),
-        areas=np.array([area]),
-        counts=np.array([count]),
-        costs=np.array([cost]),
-    )
+def _scores(*rows):
+    """One episode per label: its (3, 1) area, count and cost rows."""
+    return {label: np.array(values)[:, None] for label, *values in rows}
 
 
 def test_compare_reproduces_headline_percentages():
-    reference = _pool("baseline", 51475.0, 1185.0, 100.0)
-    agent = _pool("agent", 5314.0, 239.0, 101.0)
-    rows = compare(reference, [agent])
+    rows = compare(
+        _scores(("baseline", 51475.0, 1185.0, 100.0), ("agent", 5314.0, 239.0, 101.0))
+    )
     assert rows[0].label == "baseline"
     assert rows[0].area_improvement_pct == 0.0
     assert rows[1].area_improvement_pct == pytest.approx(89.7, abs=0.05)
@@ -101,42 +94,36 @@ def test_compare_reproduces_headline_percentages():
 
 
 def test_compare_zero_reference_yields_none():
-    reference = _pool("clean", 0.0, 0.0, 0.0)
-    other = _pool("agent", 1.0, 1.0, 1.0)
-    rows = compare(reference, [other])
+    rows = compare(_scores(("clean", 0.0, 0.0, 0.0), ("agent", 1.0, 1.0, 1.0)))
+    assert rows[0].area_improvement_pct == 0.0  # the reference against itself
+    assert rows[0].count_improvement_pct == 0.0
+    assert rows[0].cost_delta_pct == 0.0
     assert rows[1].area_improvement_pct is None
     assert rows[1].count_improvement_pct is None
     assert rows[1].cost_delta_pct is None
 
 
-def test_compare_rejects_pool_mismatch():
-    reference = _pool("baseline", 1.0, 1.0, 1.0)
-    other = PoolResult(
-        label="agent",
-        episode_seeds=(0, 1),
-        areas=np.array([1.0, 2.0]),
-        counts=np.array([0.0, 0.0]),
-        costs=np.array([1.0, 1.0]),
-    )
-    with pytest.raises(ValidationError, match="agent"):
-        compare(reference, [other])
-
-
-def test_pool_result_validates_lengths():
-    with pytest.raises(ValidationError):
-        PoolResult(
-            label="bad",
-            episode_seeds=(0, 1),
-            areas=np.array([1.0]),
-            counts=np.array([0.0, 0.0]),
-            costs=np.array([1.0, 1.0]),
-        )
+def test_compare_averages_each_label_over_its_episodes():
+    scores = {
+        "reference": np.array([[1.0, 3.0], [2.0, 4.0], [10.0, 30.0]]),
+        "policy": np.array([[0.0, 1.0], [1.0, 0.0], [30.0, 30.0]]),
+        "random": np.array([[4.0, 6.0], [5.0, 7.0], [20.0, 20.0]]),
+    }
+    rows = compare(scores)
+    assert [row.label for row in rows] == ["reference", "policy", "random"]
+    assert [(r.mean_area, r.mean_count, r.mean_cost) for r in rows] == [
+        (2.0, 3.0, 20.0), (0.5, 0.5, 30.0), (5.0, 6.0, 20.0),
+    ]  # fmt: skip
+    assert rows[1].area_improvement_pct == 75.0
+    assert rows[2].area_improvement_pct == -150.0
+    assert rows[1].cost_delta_pct == 50.0
+    assert rows[2].cost_delta_pct == 0.0
 
 
 def test_comparison_files_round_trip(tmp_path):
-    reference = _pool("baseline", 51475.0, 1185.0, 100.0)
-    agent = _pool("agent", 5314.0, 239.0, 101.0)
-    rows = compare(reference, [agent])
+    rows = compare(
+        _scores(("baseline", 51475.0, 1185.0, 100.0), ("agent", 5314.0, 239.0, 101.0))
+    )
 
     csv_path = tmp_path / "comparison.csv"
     save_comparison_csv(rows, csv_path)

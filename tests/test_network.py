@@ -215,7 +215,7 @@ def test_every_spec_field_is_read_and_named_in_its_errors(world, key, spec):
 def test_generate_demands_deterministic(world):
     a = generate_demands(world, seed=9)
     b = generate_demands(world, seed=9)
-    np.testing.assert_array_equal(a.as_array(), b.as_array())
+    np.testing.assert_array_equal(a, b)
 
 
 def _zone_profile_oracle(zone, rng):
@@ -234,15 +234,14 @@ def _zone_profile_oracle(zone, rng):
 def test_demands_from_rng_equals_the_per_zone_loop(world, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):  # successive days from one stream
-        values = demands_from_rng(world, rng).as_array()
+        values = demands_from_rng(world, rng)
         expected = np.stack([_zone_profile_oracle(z, oracle_rng) for z in world.zones])
         assert values.tobytes() == expected.tobytes()
     assert rng.random() == oracle_rng.random()
 
 
 def test_demands_nonnegative_and_shaped(world):
-    demands = generate_demands(world, seed=3)
-    values = demands.as_array()
+    values = generate_demands(world, seed=3)
     assert values.shape == (world.n_zones, STEPS_PER_DAY)
     assert np.all(values >= 0)
 
@@ -250,7 +249,7 @@ def test_demands_nonnegative_and_shaped(world):
 def test_zero_noise_demand_has_two_peaks(world):
     calm = dataclasses.replace(world.zones[0], noise_scale=0.0)
     topo = dataclasses.replace(world, zones=(calm,) + world.zones[1:])
-    values = generate_demands(topo, seed=1).as_array()[0]
+    values = generate_demands(topo, seed=1)[0]
     # Smooth double-peak: one local max in the morning half, one in the evening.
     morning = values[: STEPS_PER_DAY // 2]
     evening = values[STEPS_PER_DAY // 2 :]
@@ -263,5 +262,5 @@ def test_zero_noise_demand_has_two_peaks(world):
 def test_zero_base_demand_zone_is_silent(world):
     silent = dataclasses.replace(world.zones[0], base_demand=0.0)
     topo = dataclasses.replace(world, zones=(silent,) + world.zones[1:])
-    values = generate_demands(topo, seed=1).as_array()
+    values = generate_demands(topo, seed=1)
     assert np.all(values[0] == 0.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pumpsched import (
-    DemandSet,
     ValidationError,
     build_index,
     generate_history,
@@ -48,8 +47,7 @@ def corner_index(world, corner_archive):
 
 
 def _forecast(n_zones, per_step):
-    zone_ids = tuple(f"z{k}" for k in range(n_zones))
-    return DemandSet(zone_ids, np.full((n_zones, STEPS_PER_DAY), per_step))
+    return np.full((n_zones, STEPS_PER_DAY), per_step)
 
 
 def test_corner_days_normalize_to_unit_cube_corners(corner_index):
@@ -93,11 +91,10 @@ def test_self_retrieval_over_generated_history(world):
     # The index summarizes all days at once, a query one day at a time; the
     # features must agree exactly for a day to retrieve itself at distance 0.
     archive = generate_history(world, days=10, seed=21)
-    zone_ids = tuple(z.id for z in world.zones)
     for per_zone in (False, True):
         index = build_index(world, archive, per_zone_demand=per_zone)
         for pos in range(archive.n_days):
-            forecast = DemandSet(zone_ids, archive.demands[pos].T)
+            forecast = archive.demands[pos].T
             result = recommend(index, archive.levels[pos, 0], forecast)
             assert result.day == archive.days[pos]
             assert result.distance == 0.0
@@ -145,3 +142,19 @@ def test_per_zone_demand_features(world, corner_archive):
 def test_recommend_validates_level_shape(corner_index):
     with pytest.raises(ValidationError):
         recommend(corner_index, np.full(5, 2.4), _forecast(18, 11.0))
+
+
+@pytest.mark.parametrize(
+    "forecast, message",
+    [
+        (np.full(18 * STEPS_PER_DAY, 11.0), r"shape \(1728,\), expected \(n_zones"),
+        (np.full((18, STEPS_PER_DAY - 1), 11.0), r"shape \(18, 95\)"),
+        (np.full((1, 18, STEPS_PER_DAY), 11.0), r"shape \(1, 18, 96\)"),
+        (np.full((18, STEPS_PER_DAY), np.nan), "must be finite"),
+    ],
+)
+def test_recommend_rejects_a_malformed_forecast(corner_index, forecast, message):
+    """A forecast is a finite (n_zones, 96) array: a flat day, a short day, a
+    stack of days or a NaN day fails in one message before any distance."""
+    with pytest.raises(ValidationError, match="demand forecast " + message):
+        recommend(corner_index, np.full(6, 2.4), forecast)

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from pumpsched import (
     AgentKind,
     EnvSpec,
-    EpisodeConfig,
     FrameSkipEnv,
     NumericError,
     PumpSchedulingEnv,
+    RuleBasedController,
     TrainConfig,
     ValidationError,
     init_policy,
+    margins_for,
+    run_controlled_day,
     sample_episode,
     simulate,
 )
@@ -49,12 +51,7 @@ def _last_step(topology, levels, speeds, demand):
 def _env(topology, levels=(4.0, 4.0), demand=0.0):
     """A constraint-agent env reset to ``levels`` under a flat zone demand."""
     env = PumpSchedulingEnv(topology, AgentKind.CONSTRAINT)
-    env.reset(
-        EpisodeConfig(
-            initial_levels=np.asarray(levels, dtype=float),
-            demands=flat_demands(topology, demand),
-        )
-    )
+    env.reset(np.asarray(levels, dtype=float), flat_demands(topology, demand))
     return env
 
 
@@ -127,9 +124,8 @@ def test_single_step_mass_balance(tiny_world):
 def test_step_rejects_finished_day(tiny_world, zero_demands):
     def from_step(t0):
         return run_day(
-            tiny_world, [4.0, 4.0], zero_demands.as_array(),
-            _constant_act([0.0, 0.0]), t0,
-        )  # fmt: skip
+            tiny_world, [4.0, 4.0], zero_demands, _constant_act([0.0, 0.0]), t0
+        )
 
     for t0 in (-1, STEPS_PER_DAY + 1):
         with pytest.raises(ValidationError, match="cannot start"):
@@ -146,10 +142,9 @@ def test_step_rejects_finished_day(tiny_world, zero_demands):
 
 
 def test_step_rejects_bad_shapes(tiny_world, zero_demands):
-    initial = np.array([4.0, 4.0])
-    zeros = zero_demands.as_array()
+    initial, zeros = np.array([4.0, 4.0]), zero_demands
     with pytest.raises(ValidationError):
-        simulate(tiny_world, initial, np.zeros((STEPS_PER_DAY, 3)), zero_demands)
+        simulate(tiny_world, initial, np.zeros((STEPS_PER_DAY, 3)), zeros)
     for levels, zone_values, speeds in (
         (initial, zeros, np.zeros(3)),
         (initial, np.zeros((5, STEPS_PER_DAY)), np.zeros(2)),
@@ -211,12 +206,30 @@ def test_upper_clamp_freezes_level(tiny_world, zero_demands):
     assert not traj.clamp_flags[:40, 0].any()
 
 
-def test_lower_clamp_floors_level(tiny_world):
-    from pumpsched import DemandSet
+def test_every_simulated_day_rejects_a_negative_demand(tiny_world, zero_demands):
+    """A whole day, a day from mid-day, lanes of days, a controlled day and an
+    env episode all reject a negative zone demand before they roll."""
+    negative = zero_demands.copy()
+    negative[1, 50] = -1e-9
+    start, act = np.array([4.0, 4.0]), _constant_act([0.0, 0.0])
+    starts, lanes = np.stack([start] * 3), np.stack([zero_demands, negative, negative])
+    rule = RuleBasedController(tiny_world, margins_for(tiny_world, 0.0, None))
+    env = PumpSchedulingEnv(tiny_world, AgentKind.CONSTRAINT)
+    for roll in (
+        lambda: simulate(tiny_world, start, np.zeros((STEPS_PER_DAY, 2)), negative),
+        lambda: run_day(tiny_world, start, negative, act, 70),
+        lambda: run_day(tiny_world, starts, lanes, lambda t, lv: np.zeros((3, 2))),
+        lambda: run_controlled_day(tiny_world, start, rule, negative),
+        lambda: env.reset(start, negative),
+    ):
+        with pytest.raises(ValidationError, match="zone demands must be >= 0"):
+            roll()
+    run_day(tiny_world, start, zero_demands, act)  # a demand of 0 is fine
 
-    values = np.zeros((2, STEPS_PER_DAY))
-    values[0, :] = 400.0  # -0.1 m per step on tank 1
-    demands = DemandSet(tuple(z.id for z in tiny_world.zones), values)
+
+def test_lower_clamp_floors_level(tiny_world):
+    demands = np.zeros((2, STEPS_PER_DAY))
+    demands[0, :] = 400.0  # -0.1 m per step on tank 1
     schedule = np.zeros((STEPS_PER_DAY, 2))
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, demands)
     assert traj.states[40, 0] == pytest.approx(0.0)
@@ -381,7 +394,7 @@ def test_rollout_from_a_mid_day_state_equals_the_tail(world, seed, e, high):
     tail = run_day(
         world,
         day.states[e],
-        demands.as_array(),
+        demands,
         lambda t, levels: schedule[t],
         t0=e,
     )
@@ -407,13 +420,13 @@ def test_every_resume_lane_equals_a_rollout_from_its_state(world, seed, t0, high
         world, world.compiled.initial_levels, rng.uniform(0.0, 1.0, (STEPS_PER_DAY, 6)),
         demands,
     ).states[t0:]  # fmt: skip
-    lanes = resume_lanes(world, branch, schedule, demands.as_array(), t0)
+    lanes = resume_lanes(world, branch, schedule, demands, t0)
     assert lanes.shape == (STEPS_PER_DAY - t0, STEPS_PER_DAY + 1 - t0, world.n_tanks)
     for k, row in enumerate(lanes):
         exact = run_day(
             world,
             branch[k],
-            demands.as_array(),
+            demands,
             lambda t, levels: schedule[t],
             t0=t0 + k,
         )
@@ -433,9 +446,7 @@ def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
     rng = np.random.default_rng(seed)
     schedules = rng.uniform(0.0, 1.0, (lanes, STEPS_PER_DAY, 6))
     levels = rng.uniform(0.0, 1.0, (lanes, world.n_tanks)) * world.compiled.caps
-    demands = np.array(
-        [generate_demands(world, seed + k).as_array() for k in range(lanes)]
-    )
+    demands = np.array([generate_demands(world, seed + k) for k in range(lanes)])
     day = run_day(world, levels, demands, lambda t, lv: schedules[:, t], t0)
     for k in range(lanes):
         alone = run_day(world, levels[k], demands[k], lambda t, lv: schedules[k, t], t0)
@@ -473,7 +484,7 @@ def test_day_records_equal_the_all_in_one_step(world, lanes, t0):
     rng = np.random.default_rng(n * 100 + t0)
     schedules = rng.uniform(0.0, 1.0, (STEPS_PER_DAY, n, world.n_stations))
     levels = rng.uniform(0.0, 1.0, (n, world.n_tanks)) * world.compiled.caps
-    demands = np.array([generate_demands(world, t0 + k).as_array() for k in range(n)])
+    demands = np.array([generate_demands(world, t0 + k) for k in range(n)])
     if lanes is None:
         schedules, levels, demands = schedules[:, 0], levels[0], demands[0]
     tariff = world.compiled.tariff
@@ -502,14 +513,14 @@ def _episode_through_the_env(spec, params, seed, iteration, idx):
     one-row forwards: observations, raw actions, log-probs, rewards, values
     and dones, one row per decision."""
     cfg_ss, act_ss = _episode_seed(seed, iteration, idx).spawn(2)
-    config = sample_episode(
+    episode = sample_episode(
         spec.topology, np.random.default_rng(cfg_ss), START_OVERHANG
     )
     act_rng = np.random.default_rng(act_ss)
     env = FrameSkipEnv(
         PumpSchedulingEnv(spec.topology, spec.agent_kind), spec.frame_skip
     )
-    obs = env.reset(config)
+    obs = env.reset(*episode)
     rows = []
     for _ in range(spec.decisions_per_episode):
         mean = params.actor.forward(obs)[0][0]
