@@ -50,6 +50,7 @@ from .network import (
     STEPS_PER_DAY,
     NetworkTopology,
     _read_json,
+    _seed_stream,
     generate_synthetic_network,
     load_network,
     save_network,
@@ -65,7 +66,6 @@ from .training import (
     train,
 )
 
-_EVAL_EPISODE_NAMESPACE = 5  # seed spawn-key namespace for held-out eval days
 _EVAL_LANES = 256  # eval episodes rolled as lanes of one day per pass
 
 
@@ -355,10 +355,7 @@ def _eval_scores(
     the rule-based controller, the ``policy`` callback of ``run_day`` and random
     control each roll them as lanes of one day, each scored on its own copy."""
     rngs = [
-        np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(_EVAL_EPISODE_NAMESPACE, k))
-        )
-        for k in episodes
+        np.random.default_rng(_seed_stream(seed, "eval_episode", k)) for k in episodes
     ]
     levels, demands, margins = sample_operational_episode(
         topology, rngs, imperfection

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .network import STEPS_PER_DAY, NetworkTopology, demands_from_rng
+from .network import STEPS_PER_DAY, NetworkTopology, _seed_stream, demands_from_rng
 from .simulate import Trajectory, run_day
 
 DUTY_SPEED = 0.85
@@ -202,12 +202,8 @@ def generate_history(
     tariff[:] = topology.compiled.tariff
     start = topology.compiled.initial_levels
     for day in range(days):
-        demand_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(0, day))
-        )
-        margin_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(1, day))
-        )
+        demand_rng = np.random.default_rng(_seed_stream(seed, "history_demands", day))
+        margin_rng = np.random.default_rng(_seed_stream(seed, "history_margins", day))
         day_demands = demands_from_rng(topology, demand_rng)
         margins = margins_for(topology, imperfection, margin_rng)
         controller = RuleBasedController(topology, margins)
@@ -215,7 +211,7 @@ def generate_history(
         levels[day] = traj.states[:-1]
         actions[day] = traj.actions
         powers[day] = traj.powers
-        demands[day] = traj.zone_demands
+        demands[day] = day_demands.T
         start = traj.states[-1]
     archive = HistoryArchive(
         days=np.arange(days),

@@ -18,13 +18,17 @@ actions can influence), the post-region is states he+1..96, and the pre-region
 is everything earlier. Untargeted strategies use their own fixed window the
 same way. Percent changes are (hybrid - baseline) / baseline, so negative
 means improvement; cells with zero baseline area are reported as n/a.
+
+A ``CaseOutcome`` row states the report's format: its fields but the strategy
+are the keys of a JSON case, and those but the two region bounds are the
+columns of the CSV after the strategy.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -32,8 +36,8 @@ import numpy as np
 
 from .env import AgentKind, closed_loop, sample_episode
 from .errors import ValidationError
-from .metrics import Bounds, _csv_cell, _exceedance
-from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology
+from .metrics import Bounds, _csv_cell, _delta, _exceedance
+from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology, _seed_stream
 from .query import QueryIndex, recommend
 from .simulate import resume_lanes, run_day, simulate
 
@@ -109,15 +113,20 @@ class HybridCase:
         return start, min(self.windows[-1].end, STEPS_PER_DAY)
 
 
+_REGION = {"region": True}  # a state range: a JSON case key, not a CSV column
+
+
 @dataclass
 class CaseOutcome:
-    """One strategy applied to one case, measured on the case's regions."""
+    """One strategy applied to one case, measured on the case's regions; the
+    policy controlled action steps injection_start..injection_end-1."""
 
     case_id: int
     strategy: str
-    plan: InjectionPlan
-    during_states: tuple[int, int]  # inclusive state range
-    post_states: tuple[int, int] | None
+    injection_start: int
+    injection_end: int
+    during_states: tuple[int, int] = field(metadata=_REGION)  # inclusive range
+    post_states: tuple[int, int] | None = field(metadata=_REGION)
     baseline_during_area: float
     hybrid_during_area: float
     baseline_post_area: float
@@ -218,22 +227,17 @@ def _region_outcome(
     return CaseOutcome(
         case_id=case.case_id,
         strategy=strategy,
-        plan=plan,
+        injection_start=plan.start,
+        injection_end=plan.end,
         during_states=during,
         post_states=post,
         baseline_during_area=b_during,
         hybrid_during_area=h_during,
         baseline_post_area=b_post,
         hybrid_post_area=h_post,
-        during_pct=_pct(b_during, h_during),
-        post_pct=_pct(b_post, h_post),
+        during_pct=_delta(b_during, h_during),
+        post_pct=_delta(b_post, h_post),
     )
-
-
-def _pct(baseline: float, hybrid: float) -> float | None:
-    if baseline <= 0.0:
-        return None
-    return (hybrid - baseline) / baseline * 100.0
 
 
 # ----------------------------------------------------------------------------
@@ -376,9 +380,7 @@ def build_case_pool(
     bounds = topology.compiled.lower, topology.compiled.upper
     cases: list[HybridCase] = []
     for attempt in range(attempts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(4, attempt))
-        )
+        rng = np.random.default_rng(_seed_stream(seed, "hybrid_attempt", attempt))
         levels, demands = sample_episode(topology, rng)
         result = recommend(index, levels, demands)
         states = simulate(topology, levels, result.schedule, demands).states
@@ -430,8 +432,8 @@ class StrategyReport:
             "mean_during_area_hybrid": h_during / max(len(rows), 1),
             "mean_post_area_baseline": b_post / max(len(rows), 1),
             "mean_post_area_hybrid": h_post / max(len(rows), 1),
-            "pooled_during_pct": _pct(b_during, h_during),
-            "pooled_post_pct": _pct(b_post, h_post),
+            "pooled_during_pct": _delta(b_during, h_during),
+            "pooled_post_pct": _delta(b_post, h_post),
             "cases": [_case_dict(r) for r in rows],
         }
 
@@ -440,19 +442,9 @@ class StrategyReport:
 
 
 def _case_dict(r: CaseOutcome) -> dict:
-    return {
-        "case_id": r.case_id,
-        "injection_start": r.plan.start,
-        "injection_end": r.plan.end,
-        "during_states": list(r.during_states),
-        "post_states": list(r.post_states) if r.post_states else None,
-        "baseline_during_area": r.baseline_during_area,
-        "hybrid_during_area": r.hybrid_during_area,
-        "baseline_post_area": r.baseline_post_area,
-        "hybrid_post_area": r.hybrid_post_area,
-        "during_pct": r.during_pct,
-        "post_pct": r.post_pct,
-    }
+    case = asdict(r)
+    del case["strategy"]
+    return case
 
 
 def evaluate_strategies(
@@ -492,18 +484,15 @@ def save_strategy_report_json(report: StrategyReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report.to_json_obj(), indent=2) + "\n")
 
 
-_CSV_FIELDS = (  # the case fields of the JSON report but the region bounds
-    "case_id", "injection_start", "injection_end", "baseline_during_area",
-    "hybrid_during_area", "baseline_post_area", "hybrid_post_area",
-    "during_pct", "post_pct",
-)  # fmt: skip
-
-
 def save_strategy_report_csv(report: StrategyReport, path: str | Path) -> None:
+    columns = [
+        f.name
+        for f in fields(CaseOutcome)
+        if f.name != "strategy" and not f.metadata.get("region")
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["strategy", *_CSV_FIELDS])
+        writer.writerow(["strategy", *columns])
         for name in STRATEGY_NAMES:
             for r in report.outcomes[name]:
-                case = _case_dict(r)
-                writer.writerow([name] + [_csv_cell(case[k]) for k in _CSV_FIELDS])
+                writer.writerow([name] + [_csv_cell(getattr(r, k)) for k in columns])

@@ -25,6 +25,23 @@ TANK_COUNT = 6
 STATION_COUNT = 6
 ZONE_COUNT = 18
 
+# Spawn-key namespace of each seed stream drawn from a run's seed. Distinct
+# namespaces keep the streams apart: no draw of one repeats another's.
+SEED_STREAMS = {
+    "history_demands": 0,
+    "history_margins": 1,
+    "train_episode": 2,
+    "policy_init": 3,
+    "hybrid_attempt": 4,
+    "eval_episode": 5,
+    "ppo_shuffle": 6,
+}
+
+
+def _seed_stream(seed: int, stream: str, *key: int) -> np.random.SeedSequence:
+    """Entry ``key`` of the named stream of ``seed``."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(SEED_STREAMS[stream], *key))
+
 
 def _check_finite(spec, label: str) -> None:
     """Reject a non-finite value in any float field of a spec dataclass."""

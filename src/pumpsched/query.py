@@ -133,6 +133,8 @@ def recommend(
     levels = np.asarray(levels, dtype=float)
     if levels.shape != (len(index.surface_areas),):
         raise ValidationError("query levels shape does not match the index")
+    if not np.all(np.isfinite(levels)):
+        raise ValidationError("query levels must be finite")
     forecast = np.asarray(demand_forecast, dtype=float)
     if forecast.ndim != 2 or forecast.shape[1] != STEPS_PER_DAY:
         raise ValidationError(

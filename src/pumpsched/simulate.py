@@ -11,10 +11,10 @@ tank levels, so lanes that run the same action share one kernel call.
 
 Every step goes through the kernel ``step``, which only advances levels: the
 day's per-tank demand is worked out for every step up front, and the records
-that do not feed back into levels (powers, energies, costs, clamp flags) are
-filled for many steps at once, in the per-step order of arithmetic. Inputs are
-validated once per day at the boundary. A lane's bytes equal those of its day
-rolled alone.
+that do not feed back into levels (powers, energies, costs) are filled for
+many steps at once, in the per-step order of arithmetic. Inputs are validated
+once per day at the boundary. A lane's bytes equal those of its day rolled
+alone.
 """
 
 from __future__ import annotations
@@ -44,12 +44,9 @@ class Trajectory:
 
     states: np.ndarray  # (97 - t0, n_tanks)
     actions: np.ndarray  # (96 - t0, n_stations)
-    flows: np.ndarray  # (96 - t0, n_stations)
     powers: np.ndarray  # (96 - t0, n_stations)
     energies: np.ndarray  # (96 - t0, n_stations)
     costs: np.ndarray  # (96 - t0,)
-    clamp_flags: np.ndarray  # (96 - t0, n_tanks) bool
-    zone_demands: np.ndarray  # (96 - t0, n_zones)
 
     def __post_init__(self):
         for f in fields(self):
@@ -76,22 +73,21 @@ def step(
     levels: np.ndarray,
     flows: np.ndarray,
     tank_demand_t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One step of the level recursion: the mass balance under the pump
     ``flows`` (m^3/h per station) and the step's demand column
     ``tank_demand_t`` (m^3/h per tank, trailing axis of 1).
 
     ``c`` is ``topology.compiled``; the inputs are not validated here,
-    ``run_day`` and ``PumpSchedulingEnv.step`` do that. Returns the clamped
-    next levels and the unclamped ones, which the clamp flags are read from.
-    Leading lane axes broadcast; the stacked mat-vecs run the one-lane BLAS
-    product per lane, so every lane is exact.
+    ``run_day`` and ``PumpSchedulingEnv.step`` do that. Returns the next
+    levels, clamped to [0, cap]. Leading lane axes broadcast; the stacked
+    mat-vecs run the one-lane BLAS product per lane, so every lane is exact.
     """
     cols = flows[..., None]
     inflow = c.fill.T @ cols
     outflow = c.draw.T @ cols
     raw = levels + DT_HOURS * (inflow - outflow - tank_demand_t)[..., 0] / c.areas
-    return np.minimum(np.maximum(raw, 0.0), c.caps), raw  # np.clip's bytes, faster
+    return np.minimum(np.maximum(raw, 0.0), c.caps)  # np.clip's bytes, faster
 
 
 def _tank_demand(c: CompiledTopology, zone_values: np.ndarray, t0: int) -> np.ndarray:
@@ -105,10 +101,10 @@ class _Rollout:
 
     The constructor validates the day's inputs: start levels inside the tanks,
     and finite, non-negative zone demands (n_zones, 96) per lane; ``advance``
-    applies the action for step ``t`` to ``levels`` and records it with its
-    flows; ``record`` fills the other records of the steps advanced since its
-    last call, pricing energy at the topology's tariff; ``trajectory`` returns
-    the record.
+    applies the action for step ``t`` to ``levels`` and records both;
+    ``record`` fills the other records of the steps advanced since its last
+    call, pricing energy at the topology's tariff; ``trajectory`` returns the
+    record.
     """
 
     def __init__(
@@ -143,19 +139,15 @@ class _Rollout:
 
         n = STEPS_PER_DAY - t0
         n_t, n_s = topology.n_tanks, topology.n_stations
-        self.c, self.zone_values = c, zone_values
+        self.c = c
         self.tank_demand = _tank_demand(c, zone_values, t0)
         self.t0 = self.t = t0
-        self._recorded = 0  # steps whose powers, costs and flags are filled
+        self._recorded = 0  # steps whose powers and costs are filled
         self.levels = levels
         self.states = np.empty((n + 1, *lanes, n_t))
         self.states[0] = levels
-        self.actions, self.flows, self.powers, self.energies = np.empty(
-            (4, n, *lanes, n_s)
-        )
+        self.actions, self.powers, self.energies = np.empty((3, n, *lanes, n_s))
         self.costs = np.empty((n, *lanes))
-        self.clamp_flags = np.empty((n, *lanes, n_t), dtype=bool)
-        self._raw = np.empty((n, *lanes, n_t))  # unclamped levels
 
     def advance(self, action: np.ndarray) -> None:
         t = self.t
@@ -166,10 +158,8 @@ class _Rollout:
                 f"{self.actions.shape[-1]}"
             )
         self.actions[i] = action
-        self.flows[i] = self.c.max_flow * self.actions[i]
-        self.levels, self._raw[i] = step(
-            self.c, self.levels, self.flows[i], self.tank_demand[i]
-        )
+        flows = self.c.max_flow * self.actions[i]
+        self.levels = step(self.c, self.levels, flows, self.tank_demand[i])
         self.states[i + 1] = self.levels
         self.t = t + 1
 
@@ -180,8 +170,6 @@ class _Rollout:
         tariff = c.tariff[self.t0 + lo : self.t0 + hi]
         tariff = tariff.reshape(-1, *(1,) * (self.costs.ndim - 1))  # per lane
         self.costs[lo:hi] = self.energies[lo:hi].sum(axis=-1) * tariff
-        raw = self._raw[lo:hi]
-        self.clamp_flags[lo:hi] = (raw < 0.0) | (raw > c.caps)
         self._recorded = hi
 
     def trajectory(self) -> Trajectory:
@@ -189,12 +177,9 @@ class _Rollout:
         return Trajectory(
             states=self.states,
             actions=self.actions,
-            flows=self.flows,
             powers=self.powers,
             energies=self.energies,
             costs=self.costs,
-            clamp_flags=self.clamp_flags,
-            zone_demands=np.moveaxis(self.zone_values[..., self.t0 :], -1, 0).copy(),
         )
 
 
@@ -247,7 +232,7 @@ def resume_lanes(
     for j in range(n):
         flows = c.max_flow * schedule[t0 + j]
         states[j:, j] = branch_states[j]
-        states[: j + 1, j + 1] = step(c, states[: j + 1, j], flows, tank_demand[j])[0]
+        states[: j + 1, j + 1] = step(c, states[: j + 1, j], flows, tank_demand[j])
     return states
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .env import AgentKind, _check_window, closed_loop, day_rewards, sample_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
-from .network import STEPS_PER_DAY, NetworkTopology
+from .network import STEPS_PER_DAY, NetworkTopology, _seed_stream
 from .nn import Adam
 from .policy import (
     PolicyParameters,
@@ -113,12 +113,6 @@ class RolloutBatch:
         return self.rewards.size
 
 
-def _episode_seed(master_seed: int, iteration: int, episode_index: int):
-    return np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(2, iteration, episode_index)
-    )
-
-
 def _sample_lanes(
     means: np.ndarray, params: PolicyParameters, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,7 +143,8 @@ def _collect_lanes(
     lanes, n = len(episodes), spec.decisions_per_episode
     levels, demands, noise = [], [], np.empty((n, lanes, spec.action_dim))
     for k, idx in enumerate(episodes):
-        cfg_ss, act_ss = _episode_seed(cfg.seed, iteration, idx).spawn(2)
+        stream = _seed_stream(cfg.seed, "train_episode", iteration, idx)
+        cfg_ss, act_ss = stream.spawn(2)
         rng = np.random.default_rng(cfg_ss)
         start, day_demands = sample_episode(spec.topology, rng, START_OVERHANG)
         levels.append(start)
@@ -274,13 +269,20 @@ def _minibatch_step(params, optimizer, obs, actions, old_logps, norm_adv, return
     return replace(params, vector=optimizer.step(params.vector, grad))
 
 
+def _surrogate(logps, old_logps, norm_adv):
+    """The probability ratio and the unclipped and clipped surrogate terms;
+    the PPO policy loss is -mean(min(surr1, surr2))."""
+    ratio = np.exp(logps - old_logps)
+    surr1 = ratio * norm_adv
+    surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
+    return ratio, surr1, surr2
+
+
 def _policy_gradients(params, obs, actions, old_logps, norm_adv, m):
     """Gradient of the clipped surrogate plus entropy bonus w.r.t. the actor."""
 
     def dloss_dlogp(logps):
-        ratio = np.exp(logps - old_logps)
-        surr1 = ratio * norm_adv
-        surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
+        ratio, surr1, surr2 = _surrogate(logps, old_logps, norm_adv)
         # The loss is -mean(min(surr1, surr2)); gradient flows only where the
         # unclipped branch is active (inside the band both branches agree).
         use_unclipped = surr1 <= surr2
@@ -309,9 +311,7 @@ def _batch_stats(params, obs, actions, old_logps, norm_adv, returns):
     logps = gaussian_logp(actions, means, params.log_sigma)
     out, _ = params.critic.forward(obs)
     values = out[:, 0]
-    ratio = np.exp(logps - old_logps)
-    surr1 = ratio * norm_adv
-    surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
+    ratio, surr1, surr2 = _surrogate(logps, old_logps, norm_adv)
     policy_loss = -float(np.minimum(surr1, surr2).mean())
     value_loss = float(np.mean((values - returns) ** 2))
     ent = entropy(params)
@@ -339,9 +339,7 @@ def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
     steps and the mean total episode reward of that iteration's batch.
     """
     cfg.validate()
-    init_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,))
-    )
+    init_rng = np.random.default_rng(_seed_stream(cfg.seed, "policy_init"))
     params = init_policy(spec.obs_dim, spec.action_dim, init_rng)
     optimizer = Adam(params.vector.size, cfg.learning_rate)
     curve: list[tuple[int, float]] = []
@@ -354,7 +352,7 @@ def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
         steps_done += batch.env_steps
         curve.append((steps_done, float(np.mean(batch.rewards.sum(axis=1)))))
         shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(6, iteration))
+            _seed_stream(cfg.seed, "ppo_shuffle", iteration)
         )
         params, stats = ppo_update(params, batch, optimizer, shuffle_rng)
         iteration += 1

@@ -84,14 +84,16 @@ def test_command_exits_zero_and_writes_artifacts(workflow, command):
         assert (out / name).stat().st_size > 0, name
 
 
-# SHA-256 of each canonical artifact the workflow writes, recorded with
-# numpy 2.4.6 on x86-64. A refactor that keeps them all is
-# byte-identical end to end. The dual artifacts, checkpoint.json on, were
+# SHA-256 of each canonical artifact the workflow writes and of the binary
+# companions beside history.csv and checkpoint.json, recorded with numpy 2.4.6
+# on x86-64. A refactor that keeps them all is byte-identical end to end. The dual artifacts, checkpoint.json on, were
 # recorded for the 8-input dual observation (levels, clock, current price).
 WORKFLOW_DIGESTS = {
     "network.json": "d2c12fef163ed33d118b8df404c1616d265c307298ad688732c4a182c33c7a13",
     "history.csv": "25239ee406e601c6a3fa71355acc1e4ba71bcbedba8d1b31332890f9f47f22f8",
+    "history.csv.arrays": "9f320d1316acdd009a9d06a0c14117afeb11b690ce55dc67aa46603d633a9094",
     "checkpoint.json": "34ed2977a16a44720ed2d2ce2e904c552ae197ec71a1ec87740d209f2b36d4ec",
+    "checkpoint.json.arrays": "5c9ae82702b149cd54019bb3499781d92f61d60ea64e911f6ec76934dcb8aa73",
     "reward_curve.csv": "bdd77493ce8548379aab8c1f56a9a8ae4dc9f421fd433b25c93480f529878067",
     "comparison.csv": "0c841e492e0035db6d71c5f6a8ec962a09c76783b6ecf62e1e9d8870c12d6c0e",
     "comparison.json": "70d0877ddb6f6d8444ea32f99cc07fd9afb4d9232a270302d214cbd5267f20b0",

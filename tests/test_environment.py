@@ -376,7 +376,7 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
         obs = env.step(act_fn(obs)).observation
     expected = env.trajectory()
     traj = run_day(world, levels, demands, closed_loop(world, kind, act_fn, window))
-    for name in ("states", "actions", "flows", "costs", "clamp_flags"):
+    for name in ("states", "actions", "powers", "energies", "costs"):
         np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
     with pytest.raises(ValidationError):
         closed_loop(world, kind, act_fn, 7)

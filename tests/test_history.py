@@ -177,7 +177,7 @@ def test_perfect_margins_keep_day_in_band(world):
     bounds = world.compiled.lower, world.compiled.upper
     assert violation_count(traj, bounds) == 0
     assert area_outside_boundary(traj, bounds) == 0.0
-    assert not traj.clamp_flags.any()
+    assert np.all((traj.states > 0.0) & (traj.states < world.compiled.caps))
 
 
 def test_generate_history_shape_and_carry_over(world):

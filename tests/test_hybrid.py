@@ -245,8 +245,8 @@ def test_all_strategies_cover_every_case(report, case_pool):
 
 def test_targeted_plan_covers_the_hull(world, case_pool, report):
     for case, outcome in zip(case_pool, report.outcomes["targeted"]):
-        assert outcome.plan.start == case.hull[0]
-        assert outcome.plan.end == case.hull[1]
+        assert outcome.injection_start == case.hull[0]
+        assert outcome.injection_end == case.hull[1]
         assert outcome.during_states == (case.hull[0] + 1, case.hull[1])
 
 
@@ -262,7 +262,7 @@ def test_final_state_only_violation_injects_last_action(world, case_pool):
     report = evaluate_strategies(world, [case], _mid_band_act_fn(world))
     for name in ("targeted", "dynamic_end"):
         (outcome,) = report.outcomes[name]
-        assert (outcome.plan.start, outcome.plan.end) == case.hull
+        assert (outcome.injection_start, outcome.injection_end) == case.hull
         assert outcome.during_states == (STEPS_PER_DAY, STEPS_PER_DAY)
         assert outcome.post_states is None
 
@@ -283,7 +283,8 @@ def test_dynamic_start_end_never_worse_during(report):
     ):
         assert dse.hybrid_during_area <= de.hybrid_during_area + 1e-12
         if dse.hybrid_during_area == de.hybrid_during_area:
-            assert dse.plan.start == de.plan.start  # the latest start wins ties
+            # the latest start wins ties
+            assert dse.injection_start == de.injection_start
 
 
 def test_during_regions_identical_across_strategies(report, case_pool):
@@ -384,10 +385,10 @@ def test_one_roll_per_case_equals_a_roll_per_strategy(world, case_pool):
 
 def test_untargeted_windows_fixed(report):
     for outcome in report.outcomes["untargeted_0_2"]:
-        assert (outcome.plan.start, outcome.plan.end) == (0, 8)
+        assert (outcome.injection_start, outcome.injection_end) == (0, 8)
         assert outcome.during_states == (1, 8)
     for outcome in report.outcomes["untargeted_12_14"]:
-        assert (outcome.plan.start, outcome.plan.end) == (48, 56)
+        assert (outcome.injection_start, outcome.injection_end) == (48, 56)
         assert outcome.during_states == (49, 56)
 
 
@@ -544,3 +545,29 @@ def test_report_csv_layout(tmp_path, report):
     assert {row["strategy"] for row in rows} == set(STRATEGY_NAMES)
     for row in rows:
         assert float(row["hybrid_during_area"]) >= 0.0
+
+
+def test_report_keys_are_the_case_outcome_fields(tmp_path, report):
+    """A JSON case holds every ``CaseOutcome`` field but the strategy, in
+    order; the CSV header is the strategy, then those fields but the two
+    region bounds."""
+    from pumpsched.hybrid import (
+        CaseOutcome,
+        save_strategy_report_csv,
+        save_strategy_report_json,
+    )
+
+    names = [f.name for f in dataclasses.fields(CaseOutcome)]
+    names.remove("strategy")
+    save_strategy_report_json(report, tmp_path / "report.json")
+    for entry in json.loads((tmp_path / "report.json").read_text()):
+        assert [list(case) for case in entry["cases"]] == [names] * report.n_cases
+    save_strategy_report_csv(report, tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == [
+        "strategy", "case_id", "injection_start", "injection_end",
+        "baseline_during_area", "hybrid_during_area", "baseline_post_area",
+        "hybrid_post_area", "during_pct", "post_pct",
+    ]  # fmt: skip
+    assert header[1:] == [n for n in names if n not in ("during_states", "post_states")]

@@ -19,16 +19,13 @@ from pumpsched.simulate import Trajectory
 def _traj_from_states(states: np.ndarray) -> Trajectory:
     """Wrap a bare level history in a trajectory; other fields are unused."""
     states = np.asarray(states, dtype=float)
-    n_steps, n_tanks = states.shape[0] - 1, states.shape[1]
+    n_steps = states.shape[0] - 1
     return Trajectory(
         states=states,
         actions=np.zeros((n_steps, 1)),
-        flows=np.zeros((n_steps, 1)),
         powers=np.zeros((n_steps, 1)),
         energies=np.zeros((n_steps, 1)),
         costs=np.zeros(n_steps),
-        clamp_flags=np.zeros((n_steps, n_tanks), dtype=bool),
-        zone_demands=np.zeros((n_steps, 1)),
     )
 
 

@@ -19,7 +19,7 @@ from pumpsched import (
     topology_from_dict,
     topology_to_dict,
 )
-from pumpsched.network import DT_HOURS, STEPS_PER_DAY
+from pumpsched.network import DT_HOURS, SEED_STREAMS, STEPS_PER_DAY, _seed_stream
 
 
 def test_synthetic_network_sizing(world):
@@ -264,3 +264,14 @@ def test_zero_base_demand_zone_is_silent(world):
     topo = dataclasses.replace(world, zones=(silent,) + world.zones[1:])
     values = generate_demands(topo, seed=1)
     assert np.all(values[0] == 0.0)
+
+
+def test_seed_streams_have_distinct_namespaces():
+    """Each named stream owns one spawn-key namespace, so no two streams of a
+    seed share a draw; entry ``key`` of a stream is the seed's sequence at
+    spawn key ``(namespace, *key)``."""
+    assert sorted(SEED_STREAMS.values()) == list(range(len(SEED_STREAMS)))
+    for name, namespace in SEED_STREAMS.items():
+        got = np.random.default_rng(_seed_stream(3, name, 8, 1)).random(4)
+        want = np.random.SeedSequence(entropy=3, spawn_key=(namespace, 8, 1))
+        assert got.tobytes() == np.random.default_rng(want).random(4).tobytes()

@@ -6,6 +6,7 @@ import pytest
 from pumpsched import (
     ValidationError,
     build_index,
+    generate_demands,
     generate_history,
     recommend,
 )
@@ -142,6 +143,14 @@ def test_per_zone_demand_features(world, corner_archive):
 def test_recommend_validates_level_shape(corner_index):
     with pytest.raises(ValidationError):
         recommend(corner_index, np.full(5, 2.4), _forecast(18, 11.0))
+
+
+def test_recommend_rejects_non_finite_levels(world):
+    """NaN start levels make every distance NaN; they fail in one message
+    rather than retrieving the last archived day at distance NaN."""
+    index = build_index(world, generate_history(world, days=10, seed=1))
+    with pytest.raises(ValidationError, match="query levels must be finite"):
+        recommend(index, np.full(6, np.nan), generate_demands(world, 0))
 
 
 @pytest.mark.parametrize(

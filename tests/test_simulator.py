@@ -20,15 +20,10 @@ from pumpsched import (
     sample_episode,
     simulate,
 )
-from pumpsched.network import DT_HOURS, STEPS_PER_DAY
+from pumpsched.network import DT_HOURS, STEPS_PER_DAY, _seed_stream
 from pumpsched.policy import gaussian_logp
-from pumpsched.simulate import resume_lanes, run_day
-from pumpsched.training import (
-    START_OVERHANG,
-    _collect_lanes,
-    _episode_seed,
-    collect_rollouts,
-)
+from pumpsched.simulate import Trajectory, resume_lanes, run_day
+from pumpsched.training import START_OVERHANG, _collect_lanes, collect_rollouts
 
 from conftest import flat_demands
 
@@ -81,11 +76,14 @@ def test_pump_power_cubic(tiny_world):
 
 
 def test_pump_flow_linear(tiny_world):
-    # Station 1 moves at most 400 m^3/h.
-    for speed, flow in ((0.5, 200.0), (0.0, 0.0)):
+    # Station 1 moves at most 400 m^3/h into tank 1 (area 1000 m^2); with no
+    # demand and station 2 off, tank 1 rises by flow * 0.25 h / 1000 m^2 a step.
+    for speed, flow in ((0.5, 200.0), (0.25, 100.0), (0.0, 0.0)):
         for traj in _station_1_day(tiny_world, speed):
-            assert np.all(traj.flows[:, 0] == flow)
-            assert np.all(traj.flows[:, 1] == 0.0)
+            flows = tiny_world.compiled.max_flow * traj.actions
+            assert np.all(flows[:, 0] == flow) and np.all(flows[:, 1] == 0.0)
+            rise = np.diff(traj.states[:21, 0])
+            np.testing.assert_allclose(rise, flow * DT_HOURS / 1000.0, atol=1e-12)
 
 
 # An inf speed overflows the step arithmetic before the day's check rejects it.
@@ -110,7 +108,6 @@ def test_single_step_mass_balance(tiny_world):
     assert traj.states[1, 0] == pytest.approx(4.05, abs=1e-12)
     # Tank 2 (area 500) only drains: -200*0.25/500 = -0.1 m.
     assert traj.states[1, 1] == pytest.approx(3.9, abs=1e-12)
-    assert not traj.clamp_flags.any()
     assert traj.powers[0, 0] == pytest.approx(200.0)
     # The tiny-world tariff is 0.1 in the first half of the day, 0.2 after.
     assert traj.costs[0] == pytest.approx(200.0 * DT_HOURS * 0.2)
@@ -192,8 +189,7 @@ def test_full_day_cost_oracle(tiny_world, zero_demands):
     expected = 200.0 * 0.25 * sum(tiny_world.tariff.values)
     assert expected == pytest.approx(720.0)
     assert traj.costs.sum() == pytest.approx(expected, abs=1e-9)
-    assert traj.clamp_flags.any()
-    assert traj.states[-1, 0] == pytest.approx(8.0)
+    assert traj.states[-1, 0] == 8.0  # the cap
 
 
 def test_upper_clamp_freezes_level(tiny_world, zero_demands):
@@ -202,8 +198,9 @@ def test_upper_clamp_freezes_level(tiny_world, zero_demands):
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
     np.testing.assert_allclose(traj.states[40:, 0], 8.0, atol=1e-9)
     assert np.all(traj.states[41:, 0] == 8.0)
-    assert traj.clamp_flags[40:, 0].all()
-    assert not traj.clamp_flags[:40, 0].any()
+    raw = traj.states[:-1, 0] + DT_HOURS * 400.0 / 1000.0  # the unclamped update
+    np.testing.assert_array_equal(traj.states[1:, 0], np.clip(raw, 0.0, 8.0))
+    assert np.all(raw[40:] > 8.0) and np.all(raw[:40] <= 8.0)
 
 
 def test_every_simulated_day_rejects_a_negative_demand(tiny_world, zero_demands):
@@ -234,7 +231,9 @@ def test_lower_clamp_floors_level(tiny_world):
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, demands)
     assert traj.states[40, 0] == pytest.approx(0.0)
     assert np.all(traj.states[40:, 0] == 0.0)
-    assert traj.clamp_flags[40:, 0].all()
+    raw = traj.states[:-1, 0] - DT_HOURS * 400.0 / 1000.0  # the unclamped update
+    np.testing.assert_array_equal(traj.states[1:, 0], np.clip(raw, 0.0, 8.0))
+    assert np.all(raw[40:] < 0.0)
 
 
 def test_simulate_deterministic(world):
@@ -276,6 +275,12 @@ def test_step_matches_hand_balance(tiny_world, speeds, demand, level):
     assert result.info["step_cost"] == pytest.approx(energy * 0.1, abs=1e-9)
 
 
+def _inside_the_rails(topology, traj):
+    """No step clamped: a clamped level lands on 0 or on its tank's cap."""
+    states = traj.states[1:]
+    return bool(np.all((states > 0.0) & (states < topology.compiled.caps)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_mass_conserved_over_full_day(world, seed):
@@ -286,15 +291,16 @@ def test_mass_conserved_over_full_day(world, seed):
 
     demands = generate_demands(world, seed=seed)
     traj = simulate(world, world.compiled.initial_levels, schedule, demands)
-    if traj.clamp_flags.any():
+    if not _inside_the_rails(world, traj):
         return  # clamping discards water by design; skip those draws
     areas = world.compiled.areas
     stored = float(((traj.states[-1] - traj.states[0]) * areas).sum())
+    flows = world.compiled.max_flow * schedule
     external = 0.0
     for j, station in enumerate(world.stations):
         if station.draws_from is None:
-            external += float(traj.flows[:, j].sum()) * DT_HOURS
-    delivered = float(traj.zone_demands.sum()) * DT_HOURS
+            external += float(flows[:, j].sum()) * DT_HOURS
+    delivered = float(demands.sum()) * DT_HOURS
     assert stored == pytest.approx(external - delivered, abs=1e-9 * max(1.0, abs(external)))
 
 
@@ -323,14 +329,13 @@ def test_shift_theorem_against_resimulation(world):
     schedule, demands = _clamp_free_day(world)
     initial = world.compiled.initial_levels
     base = simulate(world, initial, schedule, demands)
-    assert not base.clamp_flags.any()
+    assert _inside_the_rails(world, base)
 
     delta = rng.uniform(-0.2, 0.2, world.n_tanks)
     resim = simulate(world, initial + delta, schedule, demands)
-    assert not resim.clamp_flags.any()
+    assert _inside_the_rails(world, resim)
     np.testing.assert_allclose(resim.states, base.states + delta, atol=1e-9)
     np.testing.assert_array_equal(resim.costs, base.costs)
-    np.testing.assert_array_equal(resim.flows, base.flows)
 
 
 # -- properties of the day-rollout core ----------------------------------------
@@ -367,16 +372,11 @@ def test_controlled_day_replays_as_a_fixed_schedule(world, seed, imperfection, s
     np.testing.assert_array_equal(replay.costs, traj.costs)
 
 
-_TRAJECTORY_FIELDS = (
-    "states",
-    "actions",
-    "flows",
-    "powers",
-    "energies",
-    "costs",
-    "clamp_flags",
-    "zone_demands",
-)
+_TRAJECTORY_FIELDS = ("states", "actions", "powers", "energies", "costs")
+
+
+def test_a_day_record_holds_five_arrays():
+    assert tuple(f.name for f in dataclasses.fields(Trajectory)) == _TRAJECTORY_FIELDS
 
 
 @settings(max_examples=25, deadline=None)
@@ -455,9 +455,9 @@ def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
             assert lane.tobytes() == getattr(alone, name).tobytes(), name
 
 
-def _all_in_one_step(c, levels, action, zone_demands_t, tariff_t):
-    """The kernel as it was when every record came out of each step: flows,
-    powers, energies, cost and clamp flags beside the level recursion."""
+def _all_in_one_step(c, levels, action, zone_values_t, tariff_t):
+    """The kernel as it was when every record came out of each step: powers,
+    energies and cost beside the level recursion, and where it clamped."""
     flows = c.max_flow * action
     powers = c.rated_power * action**3
     energies = powers * DT_HOURS
@@ -465,11 +465,11 @@ def _all_in_one_step(c, levels, action, zone_demands_t, tariff_t):
     cols = flows[..., None]
     inflow = c.fill.T @ cols
     outflow = c.draw.T @ cols
-    tank_demand = c.zone_to_tank @ zone_demands_t[..., None]
+    tank_demand = c.zone_to_tank @ zone_values_t[..., None]
     raw = levels + DT_HOURS * (inflow - outflow - tank_demand)[..., 0] / c.areas
-    clamp_flags = (raw < 0.0) | (raw > c.caps)
+    clamped = (raw < 0.0) | (raw > c.caps)
     levels = np.minimum(np.maximum(raw, 0.0), c.caps)
-    return levels, flows, powers, energies, cost, clamp_flags
+    return levels, powers, energies, cost, clamped
 
 
 @pytest.mark.parametrize(
@@ -499,20 +499,21 @@ def test_day_records_equal_the_all_in_one_step(world, lanes, t0):
         )
         current = rows[-1][0]
     expected = {"states": np.array([levels] + [row[0] for row in rows])}
-    for i, name in enumerate(("flows", "powers", "energies", "costs", "clamp_flags")):
+    for i, name in enumerate(("powers", "energies", "costs")):
         expected[name] = np.array([row[i + 1] for row in rows])
     for name, array in expected.items():
         assert getattr(day, name).tobytes() == array.tobytes(), name
     assert day.actions.tobytes() == schedules[t0:].tobytes()
     if t0 == 0:
-        assert day.clamp_flags.any() and not day.clamp_flags.all()
+        clamped = np.array([row[4] for row in rows])
+        assert clamped.any() and not clamped.all()
 
 
 def _episode_through_the_env(spec, params, seed, iteration, idx):
     """Episode ``idx`` of a collection, stepped alone through the env with
     one-row forwards: observations, raw actions, log-probs, rewards, values
     and dones, one row per decision."""
-    cfg_ss, act_ss = _episode_seed(seed, iteration, idx).spawn(2)
+    cfg_ss, act_ss = _seed_stream(seed, "train_episode", iteration, idx).spawn(2)
     episode = sample_episode(
         spec.topology, np.random.default_rng(cfg_ss), START_OVERHANG
     )
@@ -590,7 +591,7 @@ def test_episode_bytes_do_not_depend_on_lane_count(world, kind):
     high=st.floats(min_value=0.3, max_value=1.0),
     start=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_levels_stay_in_caps_and_clamp_flags_mark_every_clamp(world, seed, high, start):
+def test_levels_stay_in_caps_and_equal_the_clipped_recursion(world, seed, high, start):
     from pumpsched import generate_demands
 
     schedule = np.random.default_rng(seed).uniform(0.0, high, (STEPS_PER_DAY, 6))
@@ -599,19 +600,16 @@ def test_levels_stay_in_caps_and_clamp_flags_mark_every_clamp(world, seed, high,
     traj = simulate(world, start * caps, schedule, demands)
     assert np.all(traj.states >= 0.0) and np.all(traj.states <= caps)
 
-    # The unclamped update, step by step, from the recorded flows.
+    # The unclamped update, step by step, from the flows the schedule commands.
+    flows = world.compiled.max_flow * schedule
     net_inflow = np.zeros((STEPS_PER_DAY, world.n_tanks))
     for j, station in enumerate(world.stations):
         for tank_id, frac in station.fills:
-            net_inflow[:, world.tank_index(tank_id)] += frac * traj.flows[:, j]
+            net_inflow[:, world.tank_index(tank_id)] += frac * flows[:, j]
         if station.draws_from is not None:
-            net_inflow[:, world.tank_index(station.draws_from)] -= traj.flows[:, j]
+            net_inflow[:, world.tank_index(station.draws_from)] -= flows[:, j]
     for k, zone in enumerate(world.zones):
-        net_inflow[:, world.tank_index(zone.served_by)] -= traj.zone_demands[:, k]
+        net_inflow[:, world.tank_index(zone.served_by)] -= demands[k]
     raw = traj.states[:-1] + DT_HOURS * net_inflow / world.compiled.areas
     np.testing.assert_allclose(traj.states[1:], np.clip(raw, 0.0, caps), atol=1e-9)
-    clamped = (raw < -1e-9) | (raw > caps + 1e-9)
-    inside = (raw > 1e-9) & (raw < caps - 1e-9)
-    assert np.all(traj.clamp_flags[clamped])
-    assert not np.any(traj.clamp_flags[inside])
 

@@ -120,7 +120,7 @@ def test_span_tracer_times_every_hybrid_strategy(world, monkeypatch):
     expected = []
     for case, outcome in zip(cases, report.outcomes["dynamic_start_end"]):
         expected.append("dynamic_end")
-        if outcome.plan.start != case.hull[0]:
+        if outcome.injection_start != case.hull[0]:
             expected.append("dynamic_start_end")
     assert owner_names == expected and len(expected) == 2 * len(cases) - 1
 

@@ -29,10 +29,9 @@ from pumpsched.training import (
     load_reward_curve,
     ppo_update,
     save_reward_curve,
-    _episode_seed,
     _policy_gradients,
 )
-from pumpsched.network import STEPS_PER_DAY
+from pumpsched.network import STEPS_PER_DAY, _seed_stream
 
 
 def _cfg(**overrides):
@@ -203,7 +202,7 @@ def test_a_day_of_noise_in_one_draw_equals_a_draw_per_decision(world, window):
     spec = EnvSpec(topology=world, agent_kind=AgentKind.DUAL, frame_skip=window)
     n, d = spec.decisions_per_episode, spec.action_dim
     for idx in range(3):
-        act_ss = _episode_seed(7, 2, idx).spawn(2)[1]
+        act_ss = _seed_stream(7, "train_episode", 2, idx).spawn(2)[1]
         whole, stepped = np.random.default_rng(act_ss), np.random.default_rng(act_ss)
         day = whole.standard_normal((n, d))
         per_decision = np.array([stepped.standard_normal(d) for _ in range(n)])
