@@ -218,9 +218,11 @@ def _write_manifest(
     artifacts: dict[str, str],
     started: float,
     phase_ends: dict[str, float] | None = None,
+    train_seconds: dict[str, float] | None = None,
 ) -> None:
     """``phase_ends`` maps each phase of the command, in order, to the
-    ``time.time()`` it ended; the first began at ``started``."""
+    ``time.time()`` it ended; the first began at ``started``.
+    ``train_seconds`` names the parts of training, each with its seconds."""
     echo = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -236,6 +238,8 @@ def _write_manifest(
     if phase_ends:
         seconds = np.diff([started, *phase_ends.values()]).round(4).tolist()
         payload["phase_seconds"] = dict(zip(phase_ends, seconds))
+    if train_seconds:
+        payload["train_seconds"] = {k: round(v, 4) for k, v in train_seconds.items()}
     tmp = out / "manifest.json.tmp"
     tmp.write_text(json.dumps(payload, indent=2) + "\n")  # phases in run order
     os.replace(tmp, out / "manifest.json")
@@ -320,6 +324,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         },
         started,
         phase_ends,
+        {"collect": result.collect_seconds, "update": result.update_seconds},
     )
     last = result.curve[-1] if result.curve else (0, float("nan"))
     print(
@@ -513,16 +518,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
             manifest.get("artifacts", {}), dict
         ):
             raise SchemaError(f"{manifest_path}: expected an object with artifacts")
-        phases = manifest.get("phase_seconds", {})
-        if not isinstance(phases, dict) or not all(map(_is_number, phases.values())):
-            raise SchemaError(f"{manifest_path}: phase_seconds must hold numbers")
+        timings = {}
+        for key in ("phase_seconds", "train_seconds"):
+            timings[key] = manifest.get(key, {})
+            if not isinstance(timings[key], dict) or not all(
+                map(_is_number, timings[key].values())
+            ):
+                raise SchemaError(f"{manifest_path}: {key} must hold numbers")
         print(
             f"run: {manifest.get('command')} "
             f"(package {manifest.get('package_version')}, "
             f"{manifest.get('wall_clock_seconds')}s)"
         )
-        for name, seconds in phases.items():
+        for name, seconds in timings["phase_seconds"].items():
             print(f"  phase {name}: {seconds:.4f}s")
+        for name, seconds in timings["train_seconds"].items():
+            print(f"  train {name}: {seconds:.4f}s")
         for name, rel in manifest.get("artifacts", {}).items():
             print(f"  artifact {name}: {rel}")
 

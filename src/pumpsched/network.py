@@ -249,7 +249,9 @@ class CompiledTopology:
     routing, pump ratings, tank areas and caps; the operational bounds and
     start levels; the tariff and its min-max normalization; each station's
     per-step energy at full speed, rated power * dt, which the dual reward
-    normalizes by; and each station's primary tank with that tank's bounds.
+    normalizes by; each station's primary tank with that tank's bounds; and
+    each zone's diurnal demand profile, base demand times its double peak,
+    (n_zones, 96), with its noise scale as a column, (n_zones, 1).
 
     A tariff without spread has no normalization and fails to compile; a
     validated topology never has one.
@@ -290,6 +292,19 @@ class CompiledTopology:
         )
         self.primary_lower = self.lower[self.primary]
         self.primary_upper = self.upper[self.primary]
+        morning, evening, self.noise_scale, base = np.array(
+            [
+                [z.morning_peak, z.evening_peak, z.noise_scale, z.base_demand]
+                for z in topology.zones
+            ]
+        ).T[..., None]
+        hours = (np.arange(STEPS_PER_DAY) + 0.5) * DT_HOURS
+        shape = (
+            1.0
+            + morning * np.exp(-((hours - 7.5) ** 2) / (2 * 1.5**2))
+            + evening * np.exp(-((hours - 19.0) ** 2) / (2 * 2.0**2))
+        )
+        self.demand_profile = base * shape
         for a in vars(self).values():
             a.setflags(write=False)
 
@@ -514,21 +529,12 @@ def demands_from_rng(
     topology: NetworkTopology, rng: np.random.Generator
 ) -> np.ndarray:
     """One day of per-zone demands, (n_zones, 96), drawn from an existing
-    generator: a diurnal double peak times ``1 + noise_scale * z``. One
-    (n_zones, 96) normal draw gives zone k the ``z`` of the k-th of n_zones
-    successive 96-value draws."""
-    zones = topology.zones
-    morning, evening, noise_scale, base = np.array(
-        [[z.morning_peak, z.evening_peak, z.noise_scale, z.base_demand] for z in zones]
-    ).T[..., None]
-    hours = (np.arange(STEPS_PER_DAY) + 0.5) * DT_HOURS
-    shape = (
-        1.0
-        + morning * np.exp(-((hours - 7.5) ** 2) / (2 * 1.5**2))
-        + evening * np.exp(-((hours - 19.0) ** 2) / (2 * 2.0**2))
-    )
-    noise = 1.0 + noise_scale * rng.standard_normal((len(zones), STEPS_PER_DAY))
-    return np.maximum(base * shape * noise, 0.0)
+    generator: the compiled diurnal profile times ``1 + noise_scale * z``.
+    One (n_zones, 96) normal draw gives zone k the ``z`` of the k-th of
+    n_zones successive 96-value draws."""
+    c = topology.compiled
+    z = rng.standard_normal(c.demand_profile.shape)
+    return np.maximum(c.demand_profile * (1.0 + c.noise_scale * z), 0.0)
 
 
 def generate_demands(topology: NetworkTopology, seed: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Actions are sampled from a diagonal Gaussian around the actor mean and clipped
 into [0, 1] at execution time; log-probabilities always refer to the unclipped
-sample so the density stays well-defined.
+sample so the density stays well-defined. Acting needs only the actor: the
+critic's values and the samples' log-probs are read by the update alone, so
+rollout collection works them out once its episodes have ended.
 """
 
 from __future__ import annotations
@@ -96,39 +98,34 @@ def init_policy(
     return PolicyParameters(actor=actor, log_sigma=log_sigma, critic=critic)
 
 
-def forward_batch(
-    params: PolicyParameters, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(means, values) for a batch of observations, row-exact.
+def forward_rows(net: MLP, obs: np.ndarray) -> np.ndarray:
+    """``net``'s output for each row of observations, row-exact.
 
     Row k equals the one-row forward of ``obs[k]`` byte for byte, so an
-    episode's actions do not depend on how many episodes share the batch.
-    A ``(B, n) @ W`` product does not give that: it runs a matrix-matrix BLAS
-    kernel, which sums in another order than the one-row product, so its rows
-    differ in the last bits. The stacked form ``obs[:, None, :] @ W`` runs the
-    one-row product once per row instead.
+    episode's actions and values do not depend on how many episodes or
+    decisions share the call. A ``(B, n) @ W`` product does not give that: it
+    runs a matrix-matrix BLAS kernel, which sums in another order than the
+    one-row product, so its rows differ in the last bits. The stacked form
+    ``obs[..., None, :] @ W`` runs the one-row product once per row instead.
     """
-    stacked = np.atleast_2d(obs)[:, None, :]
-    means = params.actor.forward(stacked)[0][:, 0]
-    values = params.critic.forward(stacked)[0][:, 0, 0]
-    return means, values
+    return net.forward(np.asarray(obs, dtype=float)[..., None, :])[0][..., 0, :]
 
 
 def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
-    """Log density of a diagonal Gaussian, summed over action dimensions."""
+    """Log density of a diagonal Gaussian, summed over action dimensions, the
+    last axis; leading axes, at least one, index the samples."""
     actions = np.atleast_2d(actions)
     means = np.atleast_2d(means)
     sigma = np.exp(log_sigma)
     z = (actions - means) / sigma
     per_dim = -0.5 * _LOG2PI - log_sigma - 0.5 * z**2
-    return per_dim.sum(axis=1)
+    return per_dim.sum(axis=-1)
 
 
 def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
-    """Greedy action: the clipped actor mean; the critic is not evaluated.
-    Rows of observations run row-exact, as in ``forward_batch``."""
-    mean, _ = params.actor.forward(np.asarray(obs, dtype=float)[..., None, :])
-    return np.clip(mean[..., 0, :], 0.0, 1.0)
+    """Greedy action: the clipped actor mean, row-exact (``forward_rows``);
+    the critic is not evaluated."""
+    return np.clip(forward_rows(params.actor, obs), 0.0, 1.0)
 
 
 def entropy(params: PolicyParameters) -> float:

@@ -11,7 +11,9 @@ band past its bounds, so the policy learns to recover. Only the step budget,
 seed, batch size and learning rate vary, through ``TrainConfig``.
 
 A batch's episodes run in lockstep as lanes of one ``run_day`` day in one
-process: the actor and critic run once per decision for all lanes. Episodes
+process: only the actor runs in the closed loop, once per decision for all
+lanes. The critic's values and the samples' log-probs are read by the update
+alone, so they are worked out after the day, over the whole grid. Episodes
 are seeded per (master seed, iteration, episode index), and each lane's
 arithmetic is that of its episode stepped alone through ``PumpSchedulingEnv``,
 so a batch is identical for any lane count. A batch keeps the lanes' grid,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from .policy import (
     actor_logp_and_grads,
     deterministic_action,
     entropy,
-    forward_batch,
+    forward_rows,
     gaussian_logp,
     init_policy,
     parameter_layout,
@@ -100,7 +103,9 @@ class EnvSpec:
 class RolloutBatch:
     """Whole episodes on their grid: row k is episode k, column i its decision
     i, and observations and actions add a feature axis. Every row ends its
-    episode, so the grid marks every episode boundary."""
+    episode, so the grid marks every episode boundary. ``log_probs`` and
+    ``values`` are the acting policy's, worked out from the grid once the
+    episodes have ended."""
 
     observations: np.ndarray  # (episodes, decisions, obs_dim)
     actions: np.ndarray  # (episodes, decisions, action_dim), raw samples
@@ -111,19 +116,6 @@ class RolloutBatch:
 
     def __len__(self) -> int:
         return self.rewards.size
-
-
-def _sample_lanes(
-    means: np.ndarray, params: PolicyParameters, noise: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One action per lane: ``means`` plus sigma times standard normal ``noise``.
-
-    Returns the raw samples, the clipped executable samples and the log-probs
-    of the raw samples. The surrogate ratio needs the action the log-prob was
-    computed for, which is the raw sample; only the executed action is clipped.
-    """
-    raw = means + np.exp(params.log_sigma) * noise
-    return raw, np.clip(raw, 0.0, 1.0), gaussian_logp(raw, means, params.log_sigma)
 
 
 def _collect_lanes(
@@ -137,8 +129,16 @@ def _collect_lanes(
 
     Returns observations, raw actions, log-probs, rewards and values, each
     with one leading row per episode and one column per decision. A lane's
-    day of noise is one draw, equal to a draw per decision bit for bit. A
-    rollout that fails on non-finite actions or levels raises ``TrainingError``.
+    day of noise is one draw, equal to a draw per decision bit for bit.
+
+    Each decision runs only the actor: the raw sample is its mean plus sigma
+    times the noise, and the lanes execute the sample clipped into [0, 1].
+    The log-probs of the raw samples then come from one ``gaussian_logp`` over
+    the grid, and the values from one row-exact critic forward per episode
+    row (``forward_rows``). Both equal byte for byte what a pass per decision
+    gives, and the critic holds one row's activations at a time.
+    A rollout that fails on non-finite actions or levels raises
+    ``TrainingError``.
     """
     lanes, n = len(episodes), spec.decisions_per_episode
     levels, demands, noise = [], [], np.empty((n, lanes, spec.action_dim))
@@ -152,18 +152,16 @@ def _collect_lanes(
         act_rng = np.random.default_rng(act_ss)
         noise[:, k] = act_rng.standard_normal((n, spec.action_dim))
     observations = np.empty((lanes, n, spec.obs_dim))
-    actions = np.empty((lanes, n, spec.action_dim))
-    log_probs, values = np.empty((2, lanes, n))
+    actions, means = np.empty((2, lanes, n, spec.action_dim))
+    sigma = np.exp(params.log_sigma)
     decisions = iter(range(n))
 
     def act_fn(obs: np.ndarray) -> np.ndarray:
         i = next(decisions)
-        means, values[:, i] = forward_batch(params, obs)
-        actions[:, i], executed, log_probs[:, i] = _sample_lanes(
-            means, params, noise[i]
-        )
+        means[:, i] = mean = forward_rows(params.actor, obs)
+        actions[:, i] = raw = mean + sigma * noise[i]
         observations[:, i] = obs
-        return executed
+        return np.clip(raw, 0.0, 1.0)
 
     window = spec.frame_skip
     act = closed_loop(spec.topology, spec.agent_kind, act_fn, window)
@@ -177,6 +175,8 @@ def _collect_lanes(
     rewards = per_step[::window]
     for j in range(1, window):
         rewards = rewards + per_step[j::window]
+    log_probs = gaussian_logp(actions, means, params.log_sigma)
+    values = np.array([forward_rows(params.critic, row)[:, 0] for row in observations])
     return observations, actions, log_probs, np.ascontiguousarray(rewards.T), values
 
 
@@ -327,9 +327,15 @@ def _batch_stats(params, obs, actions, old_logps, norm_adv, returns):
 
 @dataclass
 class TrainResult:
+    """The trained policy, its reward curve and last update's stats, and the
+    wall-clock seconds spent collecting rollouts and updating, summed over
+    iterations."""
+
     params: PolicyParameters
     curve: list[tuple[int, float]]
     stats: dict
+    collect_seconds: float
+    update_seconds: float
 
 
 def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
@@ -344,19 +350,24 @@ def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
     optimizer = Adam(params.vector.size, cfg.learning_rate)
     curve: list[tuple[int, float]] = []
     stats: dict = {}
+    collect_s = update_s = 0.0
 
     steps_done = 0
     iteration = 0
     while steps_done < cfg.total_env_steps:
+        started = time.perf_counter()
         batch = collect_rollouts(spec, params, cfg, iteration)
+        collect_s += time.perf_counter() - started
         steps_done += batch.env_steps
         curve.append((steps_done, float(np.mean(batch.rewards.sum(axis=1)))))
         shuffle_rng = np.random.default_rng(
             _seed_stream(cfg.seed, "ppo_shuffle", iteration)
         )
+        started = time.perf_counter()
         params, stats = ppo_update(params, batch, optimizer, shuffle_rng)
+        update_s += time.perf_counter() - started
         iteration += 1
-    return TrainResult(params=params, curve=curve, stats=stats)
+    return TrainResult(params, curve, stats, collect_s, update_s)
 
 
 def save_reward_curve(curve: list[tuple[int, float]], path: str | Path) -> None:

@@ -235,8 +235,9 @@ def test_eval_and_hybrid_reject_an_edited_checkpoint_beside_its_stale_companion(
 
 def test_manifests_list_the_companion_and_time_each_phase(workflow, tmp_path, capsys):
     """``train`` lists the checkpoint's companion; ``gen``, ``train``, ``eval``
-    and ``hybrid`` time their phases, in run order, inside the wall clock, and
-    ``report`` prints them if present."""
+    and ``hybrid`` time their phases, in run order, inside the wall clock;
+    ``train`` also sums its collection and update seconds; and ``report``
+    prints all of them if present."""
     out, results = workflow
     argv = ["gen", "--days", 2, "--out", tmp_path / "gen"]
     assert cli.main(list(map(str, argv))) == 0
@@ -276,6 +277,12 @@ def test_manifests_list_the_companion_and_time_each_phase(workflow, tmp_path, ca
         phases = manifest["phase_seconds"].values()
         assert min(phases) >= 0
         assert sum(phases) <= manifest["wall_clock_seconds"] + 1e-3
+    # Training's collection and update time, summed over iterations, lie
+    # inside its phase; only train's manifest has them.
+    parts = manifests["train"]["train_seconds"]
+    assert list(parts) == ["collect", "update"] and min(parts.values()) > 0
+    assert sum(parts.values()) <= manifests["train"]["phase_seconds"]["train"] + 1e-3
+    assert all("train_seconds" not in m for c, m in manifests.items() if c != "train")
 
     printed = results["report"].stdout.splitlines()
     assert [line for line in printed if line.startswith("  phase ")] == [
@@ -284,11 +291,13 @@ def test_manifests_list_the_companion_and_time_each_phase(workflow, tmp_path, ca
     ]
     capsys.readouterr()
     assert cli.main(["report", "--out", str(tmp_path / "train")]) == 0
-    assert [
-        line for line in capsys.readouterr().out.splitlines() if "phase" in line
-    ] == [
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if "phase" in line] == [
         f"  phase {name}: {seconds:.4f}s"
         for name, seconds in manifests["train"]["phase_seconds"].items()
+    ]
+    assert [line for line in printed if line.startswith("  train ")] == [
+        f"  train {name}: {seconds:.4f}s" for name, seconds in parts.items()
     ]
 
 
@@ -435,6 +444,9 @@ BAD_INPUTS = {
     ),
     "phase_seconds_not_an_object": _bad_artifact(
         "manifest.json", '{"command": "eval", "phase_seconds": [0.1, 0.2]}'
+    ),
+    "text_train_seconds": _bad_artifact(
+        "manifest.json", '{"command": "train", "train_seconds": {"update": "slow"}}'
     ),
     "text_reward": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96,abc\n"),
     "short_reward_row": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96\n"),

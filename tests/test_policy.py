@@ -20,10 +20,18 @@ from pumpsched.policy import (
     actor_logp_and_grads,
     deterministic_action,
     entropy,
-    forward_batch,
+    forward_rows,
     gaussian_logp,
 )
-from pumpsched.training import VALUE_COEF, _sample_lanes, _value_gradients
+from pumpsched.simulate import run_day
+from pumpsched.training import (
+    VALUE_COEF,
+    EnvSpec,
+    TrainConfig,
+    _collect_lanes,
+    _value_gradients,
+)
+from pumpsched import training
 
 
 def _small_policy(seed=0, obs_dim=3, action_dim=2, hidden=(5, 4)):
@@ -64,10 +72,11 @@ def test_init_policy_shapes_and_start():
     assert params.action_dim == 2
     np.testing.assert_allclose(np.exp(params.log_sigma), 0.3)
     # The mean head starts near mid-range so initial actions hover around 0.5.
-    means, values = forward_batch(params, np.zeros((1, 3)))
+    means = forward_rows(params.actor, np.zeros((1, 3)))
+    values = forward_rows(params.critic, np.zeros((1, 3)))
     np.testing.assert_allclose(means[0], 0.5, atol=0.05)
     assert means.shape == (1, 2)
-    assert values.shape == (1,) and np.isfinite(values[0])
+    assert values.shape == (1, 1) and np.isfinite(values[0, 0])
 
 
 def test_init_policy_deterministic():
@@ -114,10 +123,11 @@ def test_parameters_are_views_of_one_vector():
     seed=st.integers(min_value=0, max_value=10_000),
     obs_dim=st.sampled_from([6, 8, 103]),
 )
-def test_forward_batch_matches_single(seed, obs_dim):
-    # At every batch width from 1 to 64, every row equals the one-row forward
-    # byte for byte, for the default net and the tiny one alike, and so does
-    # every row of the greedy action.
+def test_forward_rows_matches_single(seed, obs_dim):
+    # At every batch width from 1 to 64, every row of the actor and the critic
+    # equals the one-row forward byte for byte, for the default net and the
+    # tiny one alike, and so does every row of the greedy action; a grid of
+    # rows, with two leading axes, runs the same products.
     rng = np.random.default_rng(seed)
     obs = rng.normal(size=(64, obs_dim))
     for hidden in ((64, 64), (8,)):
@@ -127,51 +137,71 @@ def test_forward_batch_matches_single(seed, obs_dim):
         rows = [
             (
                 params.actor.forward(x)[0][0],
-                params.critic.forward(x)[0][0, 0],
+                params.critic.forward(x)[0][0],
                 deterministic_action(params, x),
             )
             for x in obs
         ]
         for batch in range(1, 65):
-            means, values = forward_batch(params, obs[:batch])
+            means = forward_rows(params.actor, obs[:batch])
+            values = forward_rows(params.critic, obs[:batch])
             greedy = deterministic_action(params, obs[:batch])
             for k in range(batch):
                 assert means[k].tobytes() == rows[k][0].tobytes()
                 assert values[k].tobytes() == rows[k][1].tobytes()
                 assert greedy[k].tobytes() == rows[k][2].tobytes()
+        grid = forward_rows(params.critic, obs.reshape(8, 8, obs_dim))
+        assert grid.tobytes() == np.array([row[1] for row in rows]).tobytes()
 
 
-def test_forward_batch_checks_width():
+def test_forward_rows_checks_width():
     params = _small_policy()
-    with pytest.raises(ValidationError):
-        forward_batch(params, np.zeros((2, 4)))
-    with pytest.raises(ValidationError):
-        forward_batch(params, np.zeros(4))
+    for net in (params.actor, params.critic):
+        with pytest.raises(ValidationError):
+            forward_rows(net, np.zeros((2, 4)))
+        with pytest.raises(ValidationError):
+            forward_rows(net, np.zeros(4))
 
 
-def test_sample_action_clipped_and_logp_unclipped():
-    params = _small_policy()
-    rng = np.random.default_rng(0)
-    means, _ = forward_batch(params, np.zeros((1, 3)))
-    for _ in range(50):
-        raw, action, logp = _sample_lanes(means, params, rng.standard_normal((1, 2)))
-        assert np.all(action >= 0.0) and np.all(action <= 1.0)
-        np.testing.assert_array_equal(action, np.clip(raw, 0.0, 1.0))
-        assert logp[0] == gaussian_logp(raw, means, params.log_sigma)[0]
+def _collect_one_day(world, log_sigma, monkeypatch):
+    """A small policy of noise ``log_sigma``, two episodes of ``_collect_lanes``
+    on ``world`` under it, and the lanes' day as ``run_day`` rolled it, its
+    executed actions included."""
+    days = []
 
+    def recording(*args):
+        days.append(run_day(*args))
+        return days[-1]
 
-def test_tiny_sigma_sampling_collapses_to_mean():
-    params = _small_policy()
-    frozen = PolicyParameters(
-        actor=params.actor, log_sigma=np.full(2, -20.0), critic=params.critic
+    monkeypatch.setattr(training, "run_day", recording)
+    spec = EnvSpec(topology=world)
+    params = init_policy(
+        spec.obs_dim, spec.action_dim, np.random.default_rng(0), hidden=(5, 4)
     )
-    rng = np.random.default_rng(5)
-    means, _ = forward_batch(frozen, np.zeros((1, 3)))
-    _, action, _ = _sample_lanes(means, frozen, rng.standard_normal((1, 2)))
-    np.testing.assert_allclose(action[0], np.clip(means[0], 0.0, 1.0), atol=1e-7)
-    np.testing.assert_array_equal(
-        deterministic_action(frozen, np.zeros(3)), np.clip(means[0], 0.0, 1.0)
-    )
+    params.log_sigma[:] = log_sigma
+    cfg = TrainConfig(total_env_steps=0, seed=0)
+    return params, _collect_lanes(spec, params, cfg, 0, range(2)), days[0]
+
+
+def test_sample_action_clipped_and_logp_unclipped(tiny_world, monkeypatch):
+    # Sigma 1: many raw samples leave [0, 1].
+    params, grids, day = _collect_one_day(tiny_world, 0.0, monkeypatch)
+    obs, raw, logp = grids[:3]
+    assert (raw < 0.0).any() and (raw > 1.0).any()
+    # Lane k of the day executes episode k's raw samples clipped into [0, 1].
+    executed = np.clip(raw, 0.0, 1.0)
+    assert day.actions.tobytes() == executed.transpose(1, 0, 2).tobytes()
+    # The log-probs score the raw samples, not the executed actions.
+    means = forward_rows(params.actor, obs)
+    assert logp.tobytes() == gaussian_logp(raw, means, params.log_sigma).tobytes()
+    assert not np.array_equal(logp, gaussian_logp(executed, means, params.log_sigma))
+
+
+def test_tiny_sigma_sampling_collapses_to_mean(tiny_world, monkeypatch):
+    params, (obs, *_), day = _collect_one_day(tiny_world, -20.0, monkeypatch)
+    greedy = np.clip(forward_rows(params.actor, obs), 0.0, 1.0)
+    np.testing.assert_allclose(day.actions, greedy.transpose(1, 0, 2), atol=1e-7)
+    np.testing.assert_array_equal(deterministic_action(params, obs), greedy)
 
 
 def test_deterministic_action_clips_high_means():

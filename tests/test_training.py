@@ -14,7 +14,7 @@ from pumpsched import (
     train,
 )
 from pumpsched import training
-from pumpsched.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam
+from pumpsched.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MLP, Adam
 from pumpsched.policy import deterministic_action, entropy, gaussian_logp, init_policy
 from pumpsched.training import (
     CLIP_RATIO,
@@ -208,6 +208,27 @@ def test_a_day_of_noise_in_one_draw_equals_a_draw_per_decision(world, window):
         per_decision = np.array([stepped.standard_normal(d) for _ in range(n)])
         assert day.tobytes() == per_decision.tobytes()
         assert whole.standard_normal(d).tobytes() == stepped.standard_normal(d).tobytes()
+
+
+@pytest.mark.parametrize("window", [1, 8])
+def test_collection_runs_the_actor_per_decision_and_the_critic_per_episode(
+    world, window, monkeypatch
+):
+    # Only the actor acts; the critic's values wait for the end of the day,
+    # then take one forward per episode row.
+    spec = EnvSpec(topology=world, agent_kind=AgentKind.DUAL, frame_skip=window)
+    params = init_policy(spec.obs_dim, spec.action_dim, np.random.default_rng(0))
+    forward, calls = MLP.forward, []
+
+    def counting(net, x):
+        calls.append({id(params.actor): "actor", id(params.critic): "critic"}[id(net)])
+        return forward(net, x)
+
+    monkeypatch.setattr(MLP, "forward", counting)
+    training._collect_lanes(spec, params, _cfg(), 0, range(3))
+    assert calls.count("actor") == STEPS_PER_DAY // window
+    assert calls.count("critic") == 3
+    assert len(calls) == STEPS_PER_DAY // window + 3
 
 
 def test_collect_rollouts_maps_a_failed_rollout_to_training_error(tiny_world):
