@@ -197,7 +197,7 @@ def generate_history(
         powers = np.empty((days, STEPS_PER_DAY, topology.n_stations))
         demands = np.empty((days, STEPS_PER_DAY, topology.n_zones))
         tariff = np.empty((days, STEPS_PER_DAY))
-    except ValueError:  # numpy rejects the size before allocating
+    except (ValueError, MemoryError):  # refused before anything is allocated
         raise ValidationError(f"a history of {days} days is too large") from None
     tariff[:] = topology.compiled.tariff
     start = topology.compiled.initial_levels

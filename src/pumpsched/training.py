@@ -18,8 +18,9 @@ are seeded per (master seed, iteration, episode index), and each lane's
 arithmetic is that of its episode stepped alone through ``PumpSchedulingEnv``,
 so a batch is identical for any lane count. A batch keeps the lanes' grid,
 episodes by decisions; only the update flattens it, to draw minibatches. Each
-update steps the policy's one parameter vector into a new one through Adam,
-whose moments live across iterations.
+update copies the policy's one parameter vector once and steps the copy in
+place through Adam, whose moments live across iterations. An update's stats
+come from its last epoch's minibatch passes.
 """
 
 from __future__ import annotations
@@ -137,11 +138,17 @@ def _collect_lanes(
     the grid, and the values from one row-exact critic forward per episode
     row (``forward_rows``). Both equal byte for byte what a pass per decision
     gives, and the critic holds one row's activations at a time.
-    A rollout that fails on non-finite actions or levels raises
-    ``TrainingError``.
+    A batch too large to allocate raises ``ValidationError``; a rollout that
+    fails on non-finite actions or levels raises ``TrainingError``.
     """
     lanes, n = len(episodes), spec.decisions_per_episode
-    levels, demands, noise = [], [], np.empty((n, lanes, spec.action_dim))
+    try:
+        noise = np.empty((n, lanes, spec.action_dim))
+        observations = np.empty((lanes, n, spec.obs_dim))
+        actions, means = np.empty((2, lanes, n, spec.action_dim))
+    except (ValueError, MemoryError):  # refused before any episode runs
+        raise ValidationError(f"a batch of {lanes} episodes is too large") from None
+    levels, demands = [], []
     for k, idx in enumerate(episodes):
         stream = _seed_stream(cfg.seed, "train_episode", iteration, idx)
         cfg_ss, act_ss = stream.spawn(2)
@@ -151,8 +158,6 @@ def _collect_lanes(
         demands.append(day_demands)
         act_rng = np.random.default_rng(act_ss)
         noise[:, k] = act_rng.standard_normal((n, spec.action_dim))
-    observations = np.empty((lanes, n, spec.obs_dim))
-    actions, means = np.empty((2, lanes, n, spec.action_dim))
     sigma = np.exp(params.log_sigma)
     decisions = iter(range(n))
 
@@ -222,8 +227,16 @@ def ppo_update(
     """Run ``EPOCHS`` shuffled-minibatch clipped-surrogate passes.
 
     Advantages are normalized to zero mean / unit variance over the whole
-    batch before any epoch runs. The reported stats are recomputed on the
-    full batch with the final parameters.
+    batch before any epoch runs. The steps write into one copy of the
+    policy's vector, so ``params`` is left as it was. Each epoch gathers the
+    batch once in its shuffled order, and its minibatches are consecutive
+    slices of that gather.
+
+    The reported ``policy_loss``, ``value_loss``, ``clip_fraction`` and
+    ``approx_kl`` are means over the last epoch's transitions, each taken in
+    its minibatch with the parameters that minibatch stepped from; the
+    ``entropy`` is the returned policy's. A non-finite ``total_loss`` raises
+    ``NumericError``.
     """
     n = len(batch)
     if n == 0:
@@ -233,21 +246,33 @@ def ppo_update(
     # A minibatch draws transitions from anywhere in the grid: one row each.
     grids = batch.observations, batch.actions, batch.log_probs, advantages, returns
     obs, actions, old_logps, adv, returns = (g.reshape(n, *g.shape[2:]) for g in grids)
-    norm_adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    columns = obs, actions, old_logps, norm_adv, returns
 
     mb = min(MINIBATCH_SIZE, n)
-    current = params
+    current = replace(params, vector=params.vector.copy())
     # Overflow shows up as the non-finite gradient or loss checked below, so
     # numpy's warnings would only repeat that error.
     with np.errstate(all="ignore"):
-        for _ in range(EPOCHS):
+        norm_adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        columns = obs, actions, old_logps, norm_adv, returns
+        sums = np.zeros(4)
+        for epoch in range(EPOCHS):
             order = shuffle_rng.permutation(n)
+            shuffled = [column[order] for column in columns]
             for start in range(0, n, mb):
-                idx = order[start : start + mb]
-                minibatch = [column[idx] for column in columns]
-                current = _minibatch_step(current, optimizer, *minibatch)
-        stats = _batch_stats(current, *columns)
+                minibatch = [column[start : start + mb] for column in shuffled]
+                logps, errors = _minibatch_step(current, optimizer, *minibatch)
+                if epoch == EPOCHS - 1:
+                    sums += _stat_sums(logps, errors, *minibatch[2:4])
+        min_surrogate, value_loss, clip_fraction, approx_kl = (sums / n).tolist()
+    policy_loss, ent = -min_surrogate, entropy(current)
+    stats = {
+        "policy_loss": policy_loss,
+        "value_loss": value_loss,
+        "entropy": ent,
+        "total_loss": policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * ent,
+        "clip_fraction": clip_fraction,
+        "approx_kl": approx_kl,
+    }
     if not np.isfinite(stats["total_loss"]):
         raise NumericError(
             "non-finite loss during update: "
@@ -257,16 +282,32 @@ def ppo_update(
 
 
 def _minibatch_step(params, optimizer, obs, actions, old_logps, norm_adv, returns):
+    """Step ``params``'s vector in place by one Adam step on the minibatch's
+    loss; returns the log-probs and value errors of the parameters it stepped
+    from."""
     m = len(obs)
-    _, actor_gw, actor_gb, grad_log_sigma = _policy_gradients(
+    logps, actor_gw, actor_gb, grad_log_sigma = _policy_gradients(
         params, obs, actions, old_logps, norm_adv, m
     )
-    critic_gw, critic_gb = _value_gradients(params, obs, returns, m)
+    critic_gw, critic_gb, errors = _value_gradients(params, obs, returns, m)
     grad = np.concatenate(
         parameter_layout(actor_gw, actor_gb, grad_log_sigma, critic_gw, critic_gb),
         axis=None,
     )
-    return replace(params, vector=optimizer.step(params.vector, grad))
+    params.vector[...] = optimizer.step(params.vector, grad)
+    return logps, errors
+
+
+def _stat_sums(logps, errors, old_logps, norm_adv):
+    """A minibatch's sums of the clipped-surrogate minimum, the squared value
+    error, the clipped ratios and ``old_logps - logps``."""
+    ratio, surr1, surr2 = _surrogate(logps, old_logps, norm_adv)
+    return (
+        np.minimum(surr1, surr2).sum(),
+        errors @ errors,
+        np.count_nonzero(np.abs(ratio - 1.0) > CLIP_RATIO),
+        (old_logps - logps).sum(),
+    )
 
 
 def _surrogate(logps, old_logps, norm_adv):
@@ -297,39 +338,21 @@ def _policy_gradients(params, obs, actions, old_logps, norm_adv, m):
 
 
 def _value_gradients(params, obs, returns, m):
-    """Gradient of VALUE_COEF * mean((v - R)^2) w.r.t. the critic."""
+    """Gradient of VALUE_COEF * mean((v - R)^2) w.r.t. the critic, and the
+    errors v - R."""
     out, acts = params.critic.forward(obs)
-    values = out[:, 0]
-    dloss_dv = VALUE_COEF * 2.0 * (values - returns) / m
+    errors = out[:, 0] - returns
+    dloss_dv = VALUE_COEF * 2.0 * errors / m
     gw, gb = params.critic.backward(acts, dloss_dv[:, None])
-    return gw, gb
-
-
-def _batch_stats(params, obs, actions, old_logps, norm_adv, returns):
-    """Full-batch diagnostics with the given (post-update) parameters."""
-    means, _ = params.actor.forward(obs)
-    logps = gaussian_logp(actions, means, params.log_sigma)
-    out, _ = params.critic.forward(obs)
-    values = out[:, 0]
-    ratio, surr1, surr2 = _surrogate(logps, old_logps, norm_adv)
-    policy_loss = -float(np.minimum(surr1, surr2).mean())
-    value_loss = float(np.mean((values - returns) ** 2))
-    ent = entropy(params)
-    return {
-        "policy_loss": policy_loss,
-        "value_loss": value_loss,
-        "entropy": ent,
-        "total_loss": policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * ent,
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > CLIP_RATIO)),
-        "approx_kl": float(np.mean(old_logps - logps)),
-    }
+    return gw, gb, errors
 
 
 @dataclass
 class TrainResult:
-    """The trained policy, its reward curve and last update's stats, and the
-    wall-clock seconds spent collecting rollouts and updating, summed over
-    iterations."""
+    """The trained policy, its reward curve, the last update's stats (means
+    over that update's last epoch of minibatches, see ``ppo_update``), and
+    the wall-clock seconds spent collecting rollouts and updating, summed
+    over iterations."""
 
     params: PolicyParameters
     curve: list[tuple[int, float]]

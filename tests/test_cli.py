@@ -478,6 +478,12 @@ BAD_INPUTS = {
     # numpy rejects these archive sizes before allocating anything
     "gen_days_beyond_int64": _gen_days(10**20),
     "gen_days_too_big_to_allocate": _gen_days(10**17),
+    # the allocator refuses these at once: they exceed any 64-bit address
+    # space, so no overcommit policy lets them through
+    "gen_days_refused_by_the_allocator": _gen_days(10**14),
+    "train_batch_refused_by_the_allocator": _bad_network(
+        extra=("--batch-size", 10**16)
+    ),
     "gen_zero_workers": _with("gen", "--workers", 0),
     "eval_zero_workers": _with("eval", "--workers", 0),
     "hybrid_zero_workers": _with("hybrid", "--workers", 0),

@@ -256,7 +256,7 @@ def test_critic_gradients_match_finite_differences():
         values, _ = params.critic.forward(obs)
         return VALUE_COEF * float(np.mean((values[:, 0] - returns) ** 2))
 
-    gw, gb = _value_gradients(params, obs, returns, len(obs))
+    gw, gb, _ = _value_gradients(params, obs, returns, len(obs))
     _fd_check(objective, params.critic.weights + params.critic.biases, gw + gb, rng)
 
 

@@ -22,6 +22,7 @@ from pumpsched.training import (
     EPOCHS,
     GAE_LAMBDA,
     GAMMA,
+    MINIBATCH_SIZE,
     VALUE_COEF,
     RolloutBatch,
     collect_rollouts,
@@ -270,6 +271,66 @@ def test_constant_rewards_only_move_sigma_and_critic(tiny_world):
     )
 
 
+def test_an_update_steps_a_copy_and_leaves_its_input_as_it_was(tiny_world):
+    spec = EnvSpec(topology=tiny_world)
+    params = _tiny_policy(spec)
+    batch = collect_rollouts(spec, params, _cfg())
+    before = params.vector.tobytes()
+    updated, _ = _update(params, batch)
+    assert params.vector.tobytes() == before
+    assert updated.vector.tobytes() != before
+    assert not np.shares_memory(updated.vector, params.vector)
+    for array in _arrays(updated):
+        assert array.base is updated.vector
+
+
+def test_update_stats_are_means_over_the_last_epochs_minibatches(tiny_world):
+    # 3 episodes of 96 decisions: each epoch is minibatches of 128, 128 and 32.
+    spec = EnvSpec(topology=tiny_world)
+    params = _tiny_policy(spec)
+    batch = collect_rollouts(spec, params, _cfg(batch_size=200))
+    n = len(batch)
+    optimizer, stepped_from = Adam(params.vector.size, 1e-2), []
+    step = optimizer.step
+
+    def recording(vector, grad):  # keeps the parameters each step starts from
+        stepped_from.append(vector.copy())
+        return step(vector, grad)
+
+    optimizer.step = recording
+    updated, stats = _update(params, batch, optimizer)
+
+    adv, returns = compute_gae(batch.rewards, batch.values, GAMMA, GAE_LAMBDA)
+    adv, returns = adv.ravel(), returns.ravel()
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    obs, actions = batch.observations.reshape(n, -1), batch.actions.reshape(n, -1)
+    old_logps = batch.log_probs.ravel()
+    shuffle = np.random.default_rng(0)
+    order = [shuffle.permutation(n) for _ in range(EPOCHS)][-1]
+    starts = range(0, n, MINIBATCH_SIZE)
+    assert len(stepped_from) == EPOCHS * len(starts) == 12
+    surrogate, squared_error, clipped, kl = [], [], [], []
+    for start, vector in zip(starts, stepped_from[-len(starts) :]):
+        idx = order[start : start + MINIBATCH_SIZE]
+        p = dataclasses.replace(params, vector=vector)
+        logps = gaussian_logp(actions[idx], p.actor.forward(obs[idx])[0], p.log_sigma)
+        ratio = np.exp(logps - old_logps[idx])
+        bounded = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO)
+        surrogate += np.minimum(ratio * adv[idx], bounded * adv[idx]).tolist()
+        values = p.critic.forward(obs[idx])[0][:, 0]
+        squared_error += ((values - returns[idx]) ** 2).tolist()
+        clipped += (np.abs(ratio - 1.0) > CLIP_RATIO).tolist()
+        kl += (old_logps[idx] - logps).tolist()
+    want = [-np.mean(surrogate), np.mean(squared_error), np.mean(clipped), np.mean(kl)]
+    names = "policy_loss", "value_loss", "clip_fraction", "approx_kl"
+    got = [stats[name] for name in names]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert 0 < stats["clip_fraction"] < 1
+    assert stats["entropy"] == entropy(updated)
+    total = got[0] + VALUE_COEF * got[1] - ENTROPY_COEF * stats["entropy"]
+    assert stats["total_loss"] == total
+
+
 def test_clipped_surrogate_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
     params = init_policy(2, 1, rng, hidden=(4,))
@@ -418,6 +479,17 @@ def test_a_non_finite_gradient_in_any_segment_stops_the_update(
     with pytest.raises(NumericError, match="^non-finite gradient during update$"):
         _update(params, batch, optimizer)
     assert optimizer.t == 0 and not optimizer.m.any() and not optimizer.v.any()
+
+
+def test_an_overflowing_batch_raises_the_non_finite_loss_error(tiny_world):
+    # Rewards of 1e200 overflow the advantages' variance and the value error;
+    # the update reports that as a non-finite loss, with no numpy warning first.
+    spec = EnvSpec(topology=tiny_world)
+    params = _tiny_policy(spec)
+    batch = collect_rollouts(spec, params, _cfg())
+    huge = dataclasses.replace(batch, rewards=np.full_like(batch.rewards, 1e200))
+    with pytest.raises(NumericError, match="^non-finite loss during update: "):
+        _update(params, huge)
 
 
 def test_update_rejects_empty_batch():
