@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .env import AgentKind, closed_loop, sample_operational_episode
+from .env import AgentKind, _check_window, closed_loop, sample_operational_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
 from .history import (
     DEFAULT_IMPERFECTION,
@@ -55,7 +55,7 @@ from .network import (
     load_network,
     save_network,
 )
-from .policy import load_checkpoint, save_checkpoint
+from .policy import PolicyParameters, load_checkpoint, save_checkpoint
 from .query import build_index
 from .simulate import run_day
 from .training import (
@@ -338,11 +338,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
-def _check_widths(
-    path: str, params, kind: AgentKind, topology: NetworkTopology
-) -> None:
-    """Reject, before any rollout, a checkpoint whose input or output width is
-    not the ``kind`` agent's on this network."""
+def _load_agent(
+    path: str, topology: NetworkTopology
+) -> tuple[PolicyParameters, AgentKind, int]:
+    """The checkpoint at ``path``, its agent kind and its frame skip, read from
+    its meta. A malformed meta, or an input or output width that is not the
+    agent's on this network, fails before any rollout."""
+    params, meta = load_checkpoint(path)
+    try:
+        kind = AgentKind(meta.get("agent", "constraint"))
+        frame_skip = int(meta.get("frame_skip", 1))
+        _check_window(frame_skip)
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise SchemaError(f"{path}: bad checkpoint meta ({exc})") from None
     got = params.obs_dim, params.action_dim
     want = kind.obs_dim(topology.n_tanks), topology.n_stations
     if got != want:
@@ -351,6 +359,7 @@ def _check_widths(
             f"a {kind.value} agent on this network maps {want[0]} to {want[1]}; "
             "retrain it"
         )
+    return params, kind, frame_skip
 
 
 def _eval_scores(
@@ -394,15 +403,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     started, phase_ends = time.time(), {}
     topology = load_network(args.network)
     phase_ends["load_network"] = time.time()
-    params, meta = load_checkpoint(args.checkpoint)
+    params, kind, frame_skip = _load_agent(args.checkpoint, topology)
     phase_ends["load_checkpoint"] = time.time()
-    try:
-        kind = AgentKind(meta.get("agent", "constraint"))
-        frame_skip = int(meta.get("frame_skip", 1))
-        policy = closed_loop(topology, kind, policy_act_fn(params), frame_skip)
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise SchemaError(f"{args.checkpoint}: bad checkpoint meta ({exc})") from None
-    _check_widths(args.checkpoint, params, kind, topology)
+    policy = closed_loop(topology, kind, policy_act_fn(params), frame_skip)
     if args.episodes < 1:
         raise ValidationError("--episodes must be >= 1")
 
@@ -430,7 +433,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(
             f"eval[{row.label}]: mean area {row.mean_area:.3f} m*h, "
             f"mean violations {row.mean_count:.1f}, mean cost {row.mean_cost:.2f}"
-            f"  area {_pct_text(row.area_improvement_pct)} "
+            f"  area {_pct_text(row.area_delta_pct)} "
             f"({row.mean_area - rows[0].mean_area:+.3f} m*h)"
             f"  cost {_pct_text(row.cost_delta_pct)}"
         )
@@ -447,13 +450,14 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     phase_ends["load_network"] = time.time()
     archive = load_history(args.history)
     phase_ends["load_history"] = time.time()
-    params, meta = load_checkpoint(args.checkpoint)
+    params, kind, frame_skip = _load_agent(args.checkpoint, topology)
     phase_ends["load_checkpoint"] = time.time()
-    if meta.get("agent") != "dual":
+    # A plan may start at any step, so the policy must act at every step.
+    if (kind, frame_skip) != (AgentKind.DUAL, 1):
         raise ValidationError(
-            "hybrid injection needs a checkpoint trained with --agent dual"
+            "hybrid injection needs a checkpoint trained with --agent dual "
+            "--frame-skip 1"
         )
-    _check_widths(args.checkpoint, params, AgentKind.DUAL, topology)
     index = build_index(topology, archive, per_zone_demand=args.per_zone_demand)
     cases = build_case_pool(topology, index, n_cases=args.cases, seed=args.seed)
     report = evaluate_strategies(topology, cases, policy_act_fn(params))
@@ -474,8 +478,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
         phase_ends,
     )
     for s in report.to_json_obj():
-        during, post = _pct_text(s["mean_during_pct"]), _pct_text(s["mean_post_pct"])
-        print(f"hybrid[{s['strategy']}]: during {during}, post {post}")
+        print(f"hybrid[{s['strategy']}]: {_strategy_text(s)}")
     return 0
 
 
@@ -504,6 +507,17 @@ def _report_rows(
 
 def _pct_text(value: float | None) -> str:
     return "n/a" if value is None else f"{value:+.1f}%"
+
+
+def _strategy_text(s: dict) -> str:
+    """A strategy summary's pooled percent change of each region's area, each
+    followed by the change of the mean area per case in m*h."""
+    return ", ".join(
+        f"{region} {_pct_text(s.get(f'pooled_{region}_pct'))} ("
+        f"{s[f'mean_{region}_area_hybrid'] - s[f'mean_{region}_area_baseline']:+.3f}"
+        " m*h per case)"
+        for region in ("during", "post")
+    )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -543,16 +557,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         rows = _report_rows(
             comparison_path,
             ("mean_area", "mean_count", "mean_cost"),
-            ("area_improvement_pct", "cost_delta_pct"),
+            ("area_delta_pct", "cost_delta_pct"),
         )
-        print("comparison (first row is the reference):")
+        print("comparison to the first row (percent = (row - first) / first):")
         for row in rows:
             print(
                 f"  {row.get('label')}: area {row['mean_area']:.3f} m*h, "
                 f"violations {row['mean_count']:.1f}, cost {row['mean_cost']:.2f}"
             )
             print(
-                f"    vs reference: area {_pct_text(row.get('area_improvement_pct'))} "
+                f"    vs reference: area {_pct_text(row.get('area_delta_pct'))} "
                 f"({row['mean_area'] - rows[0]['mean_area']:+.3f} m*h), "
                 f"cost {_pct_text(row.get('cost_delta_pct'))}"
             )
@@ -568,16 +582,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         found = True
         summaries = _report_rows(
             strategy_path,
-            ("n_during_pct_defined", "n_cases"),
-            ("mean_during_pct", "mean_post_pct"),
+            ("mean_during_area_baseline", "mean_during_area_hybrid",
+             "mean_post_area_baseline", "mean_post_area_hybrid"),
+            ("pooled_during_pct", "pooled_post_pct"),
         )
-        print("injection strategies (negative percent = smaller violation area):")
+        print("injection strategies (pooled percent = (hybrid - baseline) / baseline):")
         for s in summaries:
-            print(
-                f"  {s.get('strategy')}: during {_pct_text(s.get('mean_during_pct'))} "
-                f"({s['n_during_pct_defined']}/{s['n_cases']} cases), "
-                f"post {_pct_text(s.get('mean_post_pct'))}"
-            )
+            print(f"  {s.get('strategy')}: {_strategy_text(s)}")
 
     curve_path = out / "reward_curve.csv"
     if curve_path.exists():

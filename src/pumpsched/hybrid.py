@@ -16,8 +16,9 @@ Metric regions are fixed per case so strategies stay comparable: for the
 violation hull [hs, he), the during-region is states hs+1..he (what injected
 actions can influence), the post-region is states he+1..96, and the pre-region
 is everything earlier. Untargeted strategies use their own fixed window the
-same way. Percent changes are (hybrid - baseline) / baseline, so negative
-means improvement; cells with zero baseline area are reported as n/a.
+same way. A strategy's percentages are ``metrics._delta`` of its areas pooled
+over the cases: (hybrid - baseline) / baseline * 100, negative meaning less
+violation area, None when the pooled baseline area is 0.
 
 A ``CaseOutcome`` row states the report's format: its fields but the strategy
 are the keys of a JSON case, and those but the two region bounds are the
@@ -26,7 +27,6 @@ columns of the CSV after the strategy.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -36,7 +36,7 @@ import numpy as np
 
 from .env import AgentKind, closed_loop, sample_episode
 from .errors import ValidationError
-from .metrics import Bounds, _csv_cell, _delta, _exceedance
+from .metrics import Bounds, _delta, _exceedance, _save_csv
 from .network import DT_HOURS, STEPS_PER_DAY, NetworkTopology, _seed_stream
 from .query import QueryIndex, recommend
 from .simulate import resume_lanes, run_day, simulate
@@ -112,6 +112,12 @@ class HybridCase:
         start = min(self.windows[0].start, STEPS_PER_DAY - 1)
         return start, min(self.windows[-1].end, STEPS_PER_DAY)
 
+    @property
+    def starts(self) -> range:
+        """The starts dynamic_start_end tries: the hull's, ``_START_LOOKBACK``
+        before it and every step between."""
+        return range(max(0, self.hull[0] - _START_LOOKBACK), self.hull[0] + 1)
+
 
 _REGION = {"region": True}  # a state range: a JSON case key, not a CSV column
 
@@ -131,8 +137,6 @@ class CaseOutcome:
     hybrid_during_area: float
     baseline_post_area: float
     hybrid_post_area: float
-    during_pct: float | None
-    post_pct: float | None
 
 
 def detect_violations(states: np.ndarray, bounds: Bounds) -> tuple[ViolationWindow, ...]:
@@ -220,10 +224,6 @@ def _region_outcome(
     hyb_area = _state_area(hybrid_states, case.bounds)
     d_first, d_last = during
     post = (d_last + 1, STEPS_PER_DAY) if d_last < STEPS_PER_DAY else None
-    b_during = _range_area(base_area, d_first, d_last)
-    h_during = _range_area(hyb_area, d_first, d_last)
-    b_post = _range_area(base_area, d_last + 1, STEPS_PER_DAY)  # 0.0 if empty
-    h_post = _range_area(hyb_area, d_last + 1, STEPS_PER_DAY)
     return CaseOutcome(
         case_id=case.case_id,
         strategy=strategy,
@@ -231,12 +231,10 @@ def _region_outcome(
         injection_end=plan.end,
         during_states=during,
         post_states=post,
-        baseline_during_area=b_during,
-        hybrid_during_area=h_during,
-        baseline_post_area=b_post,
-        hybrid_post_area=h_post,
-        during_pct=_delta(b_during, h_during),
-        post_pct=_delta(b_post, h_post),
+        baseline_during_area=_range_area(base_area, d_first, d_last),
+        hybrid_during_area=_range_area(hyb_area, d_first, d_last),
+        baseline_post_area=_range_area(base_area, d_last + 1, STEPS_PER_DAY),
+        hybrid_post_area=_range_area(hyb_area, d_last + 1, STEPS_PER_DAY),
     )
 
 
@@ -350,7 +348,7 @@ def strategy_dynamic_start_end(
     search is read, not run again.
     """
     hs, he = case.hull
-    starts = range(max(0, hs - _START_LOOKBACK), hs + 1)
+    starts = case.starts
     lanes = [states[InjectionPlan(s, STEPS_PER_DAY)] for s in starts]
     during = [_range_area(_state_area(x, case.bounds), hs + 1, he) for x in lanes]
     k = min(range(len(starts)), key=lambda k: (during[k], -starts[k]))
@@ -414,9 +412,9 @@ class StrategyReport:
     outcomes: dict[str, list[CaseOutcome]]
 
     def strategy_summary(self, name: str) -> dict:
+        """The strategy's cases, their mean region areas and the pooled
+        percent change of each region's area from the baseline's."""
         rows = self.outcomes[name]
-        during = [r.during_pct for r in rows if r.during_pct is not None]
-        post = [r.post_pct for r in rows if r.post_pct is not None]
         b_during = float(np.sum([r.baseline_during_area for r in rows]))
         h_during = float(np.sum([r.hybrid_during_area for r in rows]))
         b_post = float(np.sum([r.baseline_post_area for r in rows]))
@@ -424,27 +422,19 @@ class StrategyReport:
         return {
             "strategy": name,
             "n_cases": len(rows),
-            "mean_during_pct": float(np.mean(during)) if during else None,
-            "n_during_pct_defined": len(during),
-            "mean_post_pct": float(np.mean(post)) if post else None,
-            "n_post_pct_defined": len(post),
             "mean_during_area_baseline": b_during / max(len(rows), 1),
             "mean_during_area_hybrid": h_during / max(len(rows), 1),
             "mean_post_area_baseline": b_post / max(len(rows), 1),
             "mean_post_area_hybrid": h_post / max(len(rows), 1),
             "pooled_during_pct": _delta(b_during, h_during),
             "pooled_post_pct": _delta(b_post, h_post),
-            "cases": [_case_dict(r) for r in rows],
+            "cases": [
+                {k: v for k, v in asdict(r).items() if k != "strategy"} for r in rows
+            ],
         }
 
     def to_json_obj(self) -> list[dict]:
         return [self.strategy_summary(name) for name in STRATEGY_NAMES]
-
-
-def _case_dict(r: CaseOutcome) -> dict:
-    case = asdict(r)
-    del case["strategy"]
-    return case
 
 
 def evaluate_strategies(
@@ -461,10 +451,8 @@ def evaluate_strategies(
     for case in cases:
         # Every plan the strategies read, in order and without repeats: both
         # untargeted windows, the hull, each candidate start to the day's end.
-        hs, he = case.hull
-        starts = range(max(0, hs - _START_LOOKBACK), hs + 1)
-        spans = [UNTARGETED_EARLY, UNTARGETED_MIDDAY, (hs, he)]
-        spans += [(s, STEPS_PER_DAY) for s in starts]
+        spans = [UNTARGETED_EARLY, UNTARGETED_MIDDAY, case.hull]
+        spans += [(s, STEPS_PER_DAY) for s in case.starts]
         plans = list(dict.fromkeys(InjectionPlan(*span) for span in spans))
         lanes = inject(topology, case, plans, act_fn)
         states = PlanStates((plan, lanes[:, k].copy()) for k, plan in enumerate(plans))
@@ -485,14 +473,10 @@ def save_strategy_report_json(report: StrategyReport, path: str | Path) -> None:
 
 
 def save_strategy_report_csv(report: StrategyReport, path: str | Path) -> None:
-    columns = [
+    columns = ["strategy"] + [
         f.name
         for f in fields(CaseOutcome)
         if f.name != "strategy" and not f.metadata.get("region")
     ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", *columns])
-        for name in STRATEGY_NAMES:
-            for r in report.outcomes[name]:
-                writer.writerow([name] + [_csv_cell(getattr(r, k)) for k in columns])
+    rows = (r for name in STRATEGY_NAMES for r in report.outcomes[name])
+    _save_csv(path, columns, ([getattr(r, k) for k in columns] for r in rows))

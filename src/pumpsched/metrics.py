@@ -2,6 +2,10 @@
 
 All boundary metrics evaluate states t=1..96: the initial state is given, not
 controlled, so it never counts against a schedule.
+
+Every percentage the package reports follows one rule, ``_delta``:
+(value - reference) / reference * 100, negative meaning less than the
+reference, and None when the reference is 0.
 """
 
 from __future__ import annotations
@@ -46,55 +50,51 @@ class ComparisonRow:
     mean_area: float
     mean_count: float
     mean_cost: float
-    area_improvement_pct: float | None
-    count_improvement_pct: float | None
+    area_delta_pct: float | None
+    count_delta_pct: float | None
     cost_delta_pct: float | None
 
 
 def compare(scores: dict[str, np.ndarray]) -> list[ComparisonRow]:
     """Comparison table of labels scored on the same episodes: each label's
     (3, n) rows of per-episode area, violation count and cost. The first
-    label is the reference, listed first with percentages of 0.0.
+    label is the reference and is listed first.
 
-    Improvements are (reference - value) / reference; the cost column is a
-    signed delta where negative means cheaper than the reference. Against a
-    reference mean of 0 a percentage is None.
+    Each row's percentages are ``_delta`` of its mean area, count and cost
+    against the reference's: (value - reference) / reference * 100, negative
+    meaning less than the reference, None against a reference mean of 0.
     """
     means = {label: [float(row.mean()) for row in s] for label, s in scores.items()}
-    (reference, (area0, count0, cost0)), *others = means.items()
-    rows = [ComparisonRow(reference, area0, count0, cost0, 0.0, 0.0, 0.0)]
-    for label, (area, count, cost) in others:
-        area_pct, count_pct = _improvement(area0, area), _improvement(count0, count)
-        delta = _delta(cost0, cost)
-        rows.append(ComparisonRow(label, area, count, cost, area_pct, count_pct, delta))
-    return rows
-
-
-def _improvement(ref: float, value: float) -> float | None:
-    if ref == 0.0:
-        return None
-    return (ref - value) / ref * 100.0
+    reference = next(iter(means.values()))
+    return [
+        ComparisonRow(label, *values, *map(_delta, reference, values))
+        for label, values in means.items()
+    ]
 
 
 def _delta(ref: float, value: float) -> float | None:
+    """Percent change of ``value`` from ``ref``; None when ``ref`` is 0."""
     if ref == 0.0:
         return None
     return (value - ref) / ref * 100.0
 
 
-def _csv_cell(value) -> str:
-    """A CSV cell that round-trips exactly: repr of the value, empty for None."""
-    return "" if value is None else repr(value)
+def _save_csv(path: str | Path, header: list[str], rows) -> None:
+    """A CSV whose cells round-trip exactly: a string as it is, the repr of
+    any other value, empty for None."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                v if isinstance(v, str) else "" if v is None else repr(v) for v in row
+            )
 
 
 def save_comparison_csv(rows: list[ComparisonRow], path: str | Path) -> None:
     """One row per ``ComparisonRow``, its fields as the columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(ComparisonRow))
-        for row in rows:
-            label, *values = asdict(row).values()
-            writer.writerow([label] + [_csv_cell(v) for v in values])
+    header = [f.name for f in fields(ComparisonRow)]
+    _save_csv(path, header, (asdict(row).values() for row in rows))
 
 
 def save_comparison_json(rows: list[ComparisonRow], path: str | Path) -> None:

@@ -75,9 +75,13 @@ def build_index(
     archive.validate()
     if archive.n_days < 2:
         raise ValidationError("query index needs at least two archived days")
+    counts = "{} tanks, {} stations and {} zones".format
+    recorded = archive.levels, archive.actions, archive.demands
+    got = counts(*(a.shape[2] for a in recorded))
+    want = counts(topology.n_tanks, topology.n_stations, topology.n_zones)
+    if got != want:
+        raise ValidationError(f"archive has {got}, but the network has {want}")
     n_tanks = topology.n_tanks
-    if archive.levels.shape[2] != n_tanks:
-        raise ValidationError("archive tank count does not match topology")
     areas = topology.compiled.areas
     demand = _demand_feature(archive.demands, per_zone_demand)
     raw = np.array(

@@ -35,6 +35,7 @@ import numpy as np
 
 from .env import AgentKind, _check_window, closed_loop, day_rewards, sample_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
+from .metrics import _save_csv
 from .network import STEPS_PER_DAY, NetworkTopology, _seed_stream
 from .nn import Adam
 from .policy import (
@@ -394,11 +395,7 @@ def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
 
 
 def save_reward_curve(curve: list[tuple[int, float]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["steps", "mean_reward"])
-        for steps, reward in curve:
-            writer.writerow([steps, repr(float(reward))])
+    _save_csv(path, ["steps", "mean_reward"], curve)
 
 
 def load_reward_curve(path: str | Path) -> list[tuple[int, float]]:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pumpsched import (
     DEFAULT_IMPERFECTION,
@@ -20,6 +22,13 @@ from pumpsched import (
     save_network,
 )
 from pumpsched.env import BURN_DAYS, closed_loop
+from pumpsched.hybrid import (
+    STRATEGY_NAMES,
+    CaseOutcome,
+    StrategyReport,
+    save_strategy_report_json,
+)
+from pumpsched.metrics import compare, save_comparison_json
 from pumpsched.policy import init_policy
 from pumpsched.training import policy_act_fn
 
@@ -87,7 +96,9 @@ def test_command_exits_zero_and_writes_artifacts(workflow, command):
 # SHA-256 of each canonical artifact the workflow writes and of the binary
 # companions beside history.csv and checkpoint.json, recorded with numpy 2.4.6
 # on x86-64. A refactor that keeps them all is byte-identical end to end. The dual artifacts, checkpoint.json on, were
-# recorded for the 8-input dual observation (levels, clock, current price).
+# recorded for the 8-input dual observation (levels, clock, current price); the
+# two reports, comparison.csv on, for percentages that all read (value -
+# reference) / reference, pooled in the strategy report.
 WORKFLOW_DIGESTS = {
     "network.json": "d2c12fef163ed33d118b8df404c1616d265c307298ad688732c4a182c33c7a13",
     "history.csv": "25239ee406e601c6a3fa71355acc1e4ba71bcbedba8d1b31332890f9f47f22f8",
@@ -95,10 +106,10 @@ WORKFLOW_DIGESTS = {
     "checkpoint.json": "34ed2977a16a44720ed2d2ce2e904c552ae197ec71a1ec87740d209f2b36d4ec",
     "checkpoint.json.arrays": "5c9ae82702b149cd54019bb3499781d92f61d60ea64e911f6ec76934dcb8aa73",
     "reward_curve.csv": "bdd77493ce8548379aab8c1f56a9a8ae4dc9f421fd433b25c93480f529878067",
-    "comparison.csv": "0c841e492e0035db6d71c5f6a8ec962a09c76783b6ecf62e1e9d8870c12d6c0e",
-    "comparison.json": "70d0877ddb6f6d8444ea32f99cc07fd9afb4d9232a270302d214cbd5267f20b0",
-    "strategy_report.csv": "88a05489298aec4ddd90fe9f06543a6c1ee57660c41e2b4f35601608011d5a5b",
-    "strategy_report.json": "bc0c11cf34c8cdf06ec9b40b738d96373743d2752f7119954f4ea5fc662a2f19",
+    "comparison.csv": "a4785b0a8accd32070069a6650125d211af527b403d7113a4b205a443c85cbfe",
+    "comparison.json": "5b8d8c4a73d22b16bb2c412be367b1c5ed27a3d9b6b1a910dbfad3f273a7c26f",
+    "strategy_report.csv": "769fbd07af2b23d7e501eb404eabd5e8f6e50a36adfc14b2f71b042fa1894042",
+    "strategy_report.json": "1f8b7ce4820447c4a15f7c8e0b56603cd5253922cc739cb78df0a1a5f75204b5",
 }
 
 
@@ -351,6 +362,26 @@ def _bad_checkpoint(edit, command="eval"):
     return build
 
 
+def _cut_network(part):
+    """``hybrid`` on the workflow's archive and its network less its last
+    ``part`` ("zones" or "stations"), with a dual checkpoint of the cut
+    network's widths."""
+
+    def build(out, tmp_path):
+        doc = json.loads((out / "network.json").read_text())
+        del doc[part][-1]
+        network, checkpoint = tmp_path / "network.json", tmp_path / "checkpoint.json"
+        network.write_text(json.dumps(doc))
+        params = init_policy(8, len(doc["stations"]), np.random.default_rng(0))
+        save_checkpoint(params, checkpoint, meta={"agent": "dual"})
+        return (
+            "hybrid", "--network", network, "--history", out / "history.csv",
+            "--checkpoint", checkpoint, "--cases", 1, "--out", tmp_path / "out",
+        )  # fmt: skip
+
+    return build
+
+
 def _not_utf8(flag):
     """``hybrid`` on the workflow's inputs with ``flag``'s file broken mid-way
     by a byte that is not UTF-8 (``--config`` gets a JSON object so broken)."""
@@ -471,6 +502,13 @@ BAD_INPUTS = {
     "hybrid_constraint_checkpoint": _bad_checkpoint(
         lambda doc: doc["meta"].update(agent="constraint"), "hybrid"
     ),
+    # a plan starts at any step, so hybrid cannot hold actions for a window
+    "hybrid_frame_skip_checkpoint": _bad_checkpoint(
+        lambda doc: doc["meta"].update(frame_skip=4), "hybrid"
+    ),
+    # the archive was recorded on 18 zones and six stations
+    "hybrid_archive_of_more_zones": _cut_network("zones"),
+    "hybrid_archive_of_more_stations": _cut_network("stations"),
     "non_utf8_network": _not_utf8("--network"),
     "non_utf8_history": _not_utf8("--history"),
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),
@@ -634,7 +672,7 @@ def test_report_warns_when_the_policy_is_worse_than_random(
     rows = [
         {"label": "rule_based", "mean_area": 0.1, "mean_count": 1.0, "mean_cost": 9.0},
         {"label": "policy", "mean_area": policy_area, "mean_count": 2.0,
-         "mean_cost": 8.0, "area_improvement_pct": (0.1 - policy_area) * 1e3,
+         "mean_cost": 8.0, "area_delta_pct": (policy_area - 0.1) * 1e3,
          "cost_delta_pct": -11.1},
         {"label": "random", "mean_area": 1.5, "mean_count": 3.0, "mean_cost": 7.0},
     ]  # fmt: skip
@@ -651,7 +689,7 @@ def test_report_warns_when_the_policy_is_worse_than_random(
     # and a percentage the row lacks reads n/a.
     assert [line for line in printed if "vs reference" in line] == [
         "    vs reference: area n/a (+0.000 m*h), cost n/a",
-        f"    vs reference: area {(0.1 - policy_area) * 1e3:+.1f}% "
+        f"    vs reference: area {(policy_area - 0.1) * 1e3:+.1f}% "
         f"({policy_area - 0.1:+.3f} m*h), cost -11.1%",
         "    vs reference: area n/a (+1.400 m*h), cost n/a",
     ]
@@ -661,7 +699,8 @@ def test_eval_prints_the_area_difference_after_the_percentage(
     workflow, tmp_path, capsys
 ):
     """Each line ends with the area percentage, the difference of the mean
-    areas in m*h and the cost delta. Against hysteresis with perfect margins,
+    areas in m*h and the cost percentage, all of the same sign convention:
+    (value - reference) / reference. Against hysteresis with perfect margins,
     whose mean area is 0, the area percentage reads n/a and the rest stays."""
     out, _ = workflow
     for reference, extra in (("near_zero", ()), ("zero", ("--imperfection", 0))):
@@ -676,19 +715,117 @@ def test_eval_prints_the_area_difference_after_the_percentage(
         rows = json.loads((tmp_path / reference / "comparison.json").read_text())
         if extra:
             assert rows[0]["mean_area"] == 0.0
-            assert [row["area_improvement_pct"] for row in rows[1:]] == [None, None]
+            assert [row["area_delta_pct"] for row in rows] == [None, None, None]
         else:
             assert 0 < rows[0]["mean_area"] < 0.1
         assert len(printed) == len(rows)
         for line, row in zip(printed, rows):
             difference = row["mean_area"] - rows[0]["mean_area"]
-            pct = row["area_improvement_pct"]
+            pct = row["area_delta_pct"]
             area = "n/a" if pct is None else f"{pct:+.1f}%"
+            if pct is not None and difference != 0.0:
+                assert (pct > 0) == (difference > 0)
             assert line.startswith(f"eval[{row['label']}]: ")
             assert line.endswith(
                 f"  area {area} ({difference:+.3f} m*h)"
                 f"  cost {row['cost_delta_pct']:+.1f}%"
             )
+
+
+# ----------------------------------------------------------------------------
+# one percent convention: (value - reference) / reference, pooled
+
+
+def _percentages(name, rows):
+    """(key, percentage, value, reference) of each ``*_pct`` key that a
+    comparison.json or strategy_report.json holds."""
+    for row in rows:
+        assert not [k for case in row.get("cases", []) for k in case if "pct" in k]
+        for key, pct in row.items():
+            if not key.endswith("_pct"):
+                continue
+            if name == "comparison.json":
+                column = "mean_" + key.removesuffix("_delta_pct")
+                yield key, pct, row[column], rows[0][column]
+            else:
+                region = key.removeprefix("pooled_").removesuffix("_pct")
+                mean = f"mean_{region}_area_"
+                yield key, pct, row[mean + "hybrid"], row[mean + "baseline"]
+
+
+def _assert_one_convention(out):
+    keys = set()
+    for name in ("comparison.json", "strategy_report.json"):
+        rows = json.loads((out / name).read_text())
+        for key, pct, value, reference in _percentages(name, rows):
+            keys.add(key)
+            if reference == 0.0:
+                assert pct is None, key
+            else:
+                want = 100.0 * (value - reference) / reference
+                assert pct == pytest.approx(want, rel=1e-12), key
+    assert keys == {
+        "area_delta_pct", "count_delta_pct", "cost_delta_pct",
+        "pooled_during_pct", "pooled_post_pct",
+    }  # fmt: skip
+
+
+def _strategy_report(areas):
+    """Every strategy with the same cases, one per (baseline during, hybrid
+    during, baseline post, hybrid post) area tuple."""
+    outcomes = {
+        name: [
+            CaseOutcome(k, name, 0, 8, (1, 8), (9, 96), *case)
+            for k, case in enumerate(areas)
+        ]
+        for name in STRATEGY_NAMES
+    }
+    return StrategyReport(len(areas), outcomes)
+
+
+def test_the_workflow_reports_every_percentage_by_one_rule(workflow):
+    _assert_one_convention(workflow[0])
+
+
+_AREA = st.one_of(st.just(0.0), st.floats(1e-3, 100.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    labels=st.lists(st.tuples(_AREA, _AREA, _AREA), min_size=1, max_size=3),
+    cases=st.lists(st.tuples(_AREA, _AREA, _AREA, _AREA), min_size=1, max_size=4),
+)
+def test_every_reported_percentage_follows_one_rule(tmp_path_factory, labels, cases):
+    """Every ``*_pct`` the two reports write is 100 * (value - reference) /
+    reference, and None exactly when the reference is 0."""
+    out = tmp_path_factory.mktemp("pct")
+    scores = {f"label{k}": np.array(row)[:, None] for k, row in enumerate(labels)}
+    save_comparison_json(compare(scores), out / "comparison.json")
+    save_strategy_report_json(_strategy_report(cases), out / "strategy_report.json")
+    _assert_one_convention(out)
+
+
+def test_strategy_headlines_are_pooled_with_the_area_change(tmp_path, capsys):
+    """Post areas of 0.004 -> 0.35 and 3.9 -> 2.0 m*h: the mean of the two
+    cases' percentages would read +4300.6%, but the pooled area falls by
+    39.8%, 0.777 m*h per case, and that is the headline."""
+    report = _strategy_report([(1.0, 0.5, 0.004, 0.35), (2.0, 1.0, 3.9, 2.0)])
+    save_strategy_report_json(report, tmp_path / "strategy_report.json")
+    assert cli.main(["report", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    text = "during -50.0% (-0.750 m*h per case), post -39.8% (-0.777 m*h per case)"
+    assert printed[1:] == [f"  {name}: {text}" for name in STRATEGY_NAMES]
+
+
+def test_hybrid_prints_the_headlines_report_renders(workflow):
+    out, results = workflow
+    summaries = json.loads((out / "strategy_report.json").read_text())
+    texts = [(s["strategy"], cli._strategy_text(s)) for s in summaries]
+    assert results["hybrid"].stdout.splitlines() == [
+        f"hybrid[{name}]: {text}" for name, text in texts
+    ]
+    report = results["report"].stdout.splitlines()
+    assert all(f"  {name}: {text}" in report for name, text in texts)
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

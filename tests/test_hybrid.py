@@ -24,6 +24,7 @@ from pumpsched.hybrid import (
     STRATEGY_NAMES,
     UNTARGETED_EARLY,
     UNTARGETED_MIDDAY,
+    StrategyReport,
     _best_end,
     _range_area,
     _region_outcome,
@@ -410,12 +411,15 @@ def test_untargeted_names_its_window_and_rejects_any_other(world, case_pool):
 
 def test_zero_baseline_region_reports_none(report):
     # Untargeted early-morning windows often contain no baseline violation;
-    # percent change is undefined there and must surface as None, never 0.
+    # percent change is undefined there and must surface as None, never 0,
+    # also in the pooled percentage of a strategy of that one case.
     for outcome in report.outcomes["untargeted_0_2"]:
+        alone = StrategyReport(1, {"untargeted_0_2": [outcome]})
+        pct = alone.strategy_summary("untargeted_0_2")["pooled_during_pct"]
         if outcome.baseline_during_area == 0.0:
-            assert outcome.during_pct is None
+            assert pct is None
         else:
-            assert outcome.during_pct is not None
+            assert pct is not None
 
 
 def test_evaluate_strategies_rejects_empty_pool(world):
@@ -530,8 +534,8 @@ def test_report_json_layout(tmp_path, report):
     for entry in data:
         assert entry["n_cases"] == report.n_cases
         assert len(entry["cases"]) == report.n_cases
-        if entry["n_during_pct_defined"] == 0:
-            assert entry["mean_during_pct"] is None
+        if entry["mean_during_area_baseline"] == 0.0:
+            assert entry["pooled_during_pct"] is None
 
 
 def test_report_csv_layout(tmp_path, report):
@@ -568,6 +572,6 @@ def test_report_keys_are_the_case_outcome_fields(tmp_path, report):
     assert header == [
         "strategy", "case_id", "injection_start", "injection_end",
         "baseline_during_area", "hybrid_during_area", "baseline_post_area",
-        "hybrid_post_area", "during_pct", "post_pct",
+        "hybrid_post_area",
     ]  # fmt: skip
     assert header[1:] == [n for n in names if n not in ("during_states", "post_states")]

@@ -80,24 +80,26 @@ def _scores(*rows):
 
 
 def test_compare_reproduces_headline_percentages():
+    # One rule for every column: (value - reference) / reference, so an agent
+    # with 89.7% less area than the baseline reads -89.7%, and 1% dearer +1.0%.
     rows = compare(
         _scores(("baseline", 51475.0, 1185.0, 100.0), ("agent", 5314.0, 239.0, 101.0))
     )
     assert rows[0].label == "baseline"
-    assert rows[0].area_improvement_pct == 0.0
-    assert rows[1].area_improvement_pct == pytest.approx(89.7, abs=0.05)
-    assert rows[1].count_improvement_pct == pytest.approx(79.8, abs=0.05)
+    assert rows[0].area_delta_pct == 0.0
+    assert rows[1].area_delta_pct == pytest.approx(-89.7, abs=0.05)
+    assert rows[1].count_delta_pct == pytest.approx(-79.8, abs=0.05)
     assert rows[1].cost_delta_pct == pytest.approx(1.0, abs=1e-9)
 
 
 def test_compare_zero_reference_yields_none():
+    # Against a reference mean of 0 every row's percentage is None, the
+    # reference's own row included.
     rows = compare(_scores(("clean", 0.0, 0.0, 0.0), ("agent", 1.0, 1.0, 1.0)))
-    assert rows[0].area_improvement_pct == 0.0  # the reference against itself
-    assert rows[0].count_improvement_pct == 0.0
-    assert rows[0].cost_delta_pct == 0.0
-    assert rows[1].area_improvement_pct is None
-    assert rows[1].count_improvement_pct is None
-    assert rows[1].cost_delta_pct is None
+    for row in rows:
+        assert row.area_delta_pct is None
+        assert row.count_delta_pct is None
+        assert row.cost_delta_pct is None
 
 
 def test_compare_averages_each_label_over_its_episodes():
@@ -111,8 +113,8 @@ def test_compare_averages_each_label_over_its_episodes():
     assert [(r.mean_area, r.mean_count, r.mean_cost) for r in rows] == [
         (2.0, 3.0, 20.0), (0.5, 0.5, 30.0), (5.0, 6.0, 20.0),
     ]  # fmt: skip
-    assert rows[1].area_improvement_pct == 75.0
-    assert rows[2].area_improvement_pct == -150.0
+    assert rows[1].area_delta_pct == -75.0
+    assert rows[2].area_delta_pct == 150.0
     assert rows[1].cost_delta_pct == 50.0
     assert rows[2].cost_delta_pct == 0.0
 
@@ -128,9 +130,7 @@ def test_comparison_files_round_trip(tmp_path):
         read = list(csv.DictReader(fh))
     assert [r["label"] for r in read] == ["baseline", "agent"]
     assert float(read[1]["mean_area"]) == 5314.0
-    assert float(read[1]["area_improvement_pct"]) == pytest.approx(
-        rows[1].area_improvement_pct
-    )
+    assert float(read[1]["area_delta_pct"]) == pytest.approx(rows[1].area_delta_pct)
 
     json_path = tmp_path / "comparison.json"
     save_comparison_json(rows, json_path)

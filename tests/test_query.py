@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -129,6 +130,26 @@ def test_index_needs_at_least_two_days(world):
     archive = _constant_archive([(2.0, 0.0, 10.0)])
     with pytest.raises(ValidationError, match="two"):
         build_index(world, archive)
+
+
+@pytest.mark.parametrize(
+    "part, counts", [("zones", "6 tanks, 6 stations and 17 zones"),
+                     ("stations", "6 tanks, 5 stations and 18 zones")],
+)  # fmt: skip
+def test_index_rejects_an_archive_of_another_network(
+    world, corner_archive, part, counts
+):
+    """An archive recorded on the 18-zone, six-station network does not index
+    against that network less one zone or one station, with or without
+    per-zone demand features, and the error names both counts."""
+    topology = dataclasses.replace(world, **{part: getattr(world, part)[:-1]})
+    for per_zone in (False, True):
+        with pytest.raises(ValidationError) as err:
+            build_index(topology, corner_archive, per_zone_demand=per_zone)
+        assert str(err.value) == (
+            "archive has 6 tanks, 6 stations and 18 zones, but the network has "
+            + counts
+        )
 
 
 def test_per_zone_demand_features(world, corner_archive):
