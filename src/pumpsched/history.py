@@ -360,6 +360,13 @@ def _scan_body(path: str | Path, reader, width: int) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
+def _first_row(bad: np.ndarray) -> int:
+    """The index of the first row of ``bad`` holding a True. A caller first
+    checks the whole array with one ``bad.any()``, so a clean archive never
+    searches its rows."""
+    return int(np.flatnonzero(bad.any(axis=1))[0])
+
+
 def load_history(path: str | Path) -> HistoryArchive:
     """Load and validate an operating archive from CSV.
 
@@ -393,18 +400,18 @@ def load_history(path: str | Path) -> HistoryArchive:
     stamps, levels, actions, powers, demands, tariff = np.split(
         data, np.cumsum([2, n_tanks, n_stations, n_stations, n_zones]), axis=1
     )
-    odd = np.flatnonzero((stamps != np.floor(stamps)).any(axis=1))
-    if odd.size:
-        raise SchemaError(f"{path} row {odd[0] + 2}: day and t must be integers")
+    odd = stamps != np.floor(stamps)
+    if odd.any():
+        row = _first_row(odd) + 2
+        raise SchemaError(f"{path} row {row}: day and t must be integers")
     for bad, what in (
         (~np.isfinite(data), "non-finite value"),
         ((actions < 0) | (actions > 1), "action outside [0, 1]"),
         (demands < 0, "negative demand"),
         (tariff < 0, "negative tariff"),
     ):
-        hit = np.flatnonzero(bad.any(axis=1))
-        if hit.size:
-            raise ValidationError(f"{path} row {hit[0] + 2}: {what}")
+        if bad.any():
+            raise ValidationError(f"{path} row {_first_row(bad) + 2}: {what}")
 
     if len(data) % STEPS_PER_DAY:
         raise ValidationError(
@@ -413,13 +420,11 @@ def load_history(path: str | Path) -> HistoryArchive:
         )
     day_ids = stamps[:, 0].reshape(-1, STEPS_PER_DAY)
     steps = stamps[:, 1].reshape(-1, STEPS_PER_DAY)
-    broken = np.flatnonzero(
-        (day_ids != day_ids[:, :1]).any(axis=1)
-        | (steps != np.arange(STEPS_PER_DAY)).any(axis=1)
-    )
-    if broken.size:
+    broken = (day_ids != day_ids[:, :1]) | (steps != np.arange(STEPS_PER_DAY))
+    if broken.any():
         raise ValidationError(
-            f"{path}: day {int(day_ids[broken[0], 0])} is incomplete or out of order"
+            f"{path}: day {int(day_ids[_first_row(broken), 0])} is incomplete "
+            "or out of order"
         )
     per_day = (-1, STEPS_PER_DAY)
     archive = HistoryArchive(

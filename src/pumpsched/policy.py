@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -30,13 +30,6 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 CHECKPOINT_VERSION = 1
 
 
-def parameter_layout(actor_w, actor_b, log_sigma, critic_w, critic_b) -> list:
-    """The order of the parameter vector, for the parameters and their gradient
-    alike: actor weights, actor biases, log_sigma, critic weights, critic
-    biases, each C-ordered, end to end."""
-    return [*actor_w, *actor_b, log_sigma, *critic_w, *critic_b]
-
-
 @dataclass
 class PolicyParameters:
     """Actor mean network, state-independent log-sigma and critic network,
@@ -46,6 +39,9 @@ class PolicyParameters:
     each given array, or shape list, only shapes its view of ``vector``; so
     ``dataclasses.replace(params, vector=v)`` is the same structure on new
     numbers, and a vector the shapes do not fill exactly raises ValueError.
+    The vector holds actor weights, actor biases, log_sigma, critic weights
+    and critic biases, each C-ordered, end to end; the PPO update lays its
+    gradient out the same way, as ``replace(params, vector=grad)``.
     """
 
     actor: MLP
@@ -55,9 +51,7 @@ class PolicyParameters:
 
     def __post_init__(self) -> None:
         a, c = self.actor, self.critic
-        parts = parameter_layout(
-            a.weights, a.biases, self.log_sigma, c.weights, c.biases
-        )
+        parts = [*a.weights, *a.biases, self.log_sigma, *c.weights, *c.biases]
         if self.vector is None:
             self.vector = np.concatenate(parts, axis=None, dtype=float)
         shapes = [tuple(getattr(p, "shape", p)) for p in parts]
@@ -119,7 +113,7 @@ def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray)
     sigma = np.exp(log_sigma)
     z = (actions - means) / sigma
     per_dim = -0.5 * _LOG2PI - log_sigma - 0.5 * z**2
-    return per_dim.sum(axis=-1)
+    return np.add.reduce(per_dim, axis=-1)  # sum, minus its wrapper
 
 
 def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
@@ -142,29 +136,41 @@ def actor_logp_and_grads(
     obs: np.ndarray,
     actions: np.ndarray,
     grad_logp: Callable[[np.ndarray], np.ndarray],
+    grads: PolicyParameters | None = None,
+    buffers: tuple[list | None, list | None] = (None, None),
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Log-probs plus gradients of sum(c * logp), c = grad_logp(logps), from
     one actor forward pass.
 
-    Returns (logps, actor weight grads, actor bias grads, log_sigma grad).
+    Returns (logps, actor weight grads, actor bias grads, log_sigma grad); the
+    gradients are the actor and ``log_sigma`` arrays of ``grads``, a gradient
+    laid out like ``params``. ``buffers`` are the actor's activation buffers
+    and backprop scratch for these rows (``MLP.forward``, ``MLP.backward``).
+    Whatever is not given is allocated, with the same arithmetic.
     """
     arr = np.atleast_2d(np.asarray(obs, dtype=float))
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if actions.shape != (arr.shape[0], params.action_dim):
         raise ValidationError("action batch shape does not match policy output")
+    if grads is None:
+        grads = replace(params, vector=np.empty_like(params.vector))
 
-    means, acts = params.actor.forward(arr)
+    acts_out, scratch = buffers
+    means, acts = params.actor.forward(arr, acts_out)
     logps = gaussian_logp(actions, means, params.log_sigma)
     coeff = np.asarray(grad_logp(logps), dtype=float).reshape(-1)
     if coeff.shape[0] != arr.shape[0]:
         raise ValidationError("grad_logp must have one entry per observation")
-    sigma = np.exp(params.log_sigma)
+    var = np.exp(params.log_sigma) ** 2
     diff = actions - means
 
     # d logp / d mean = diff / sigma^2; d logp / d log_sigma = diff^2/sigma^2 - 1
-    grad_mean = coeff[:, None] * diff / sigma**2
-    gw, gb = params.actor.backward(acts, grad_mean)
-    grad_log_sigma = (coeff[:, None] * (diff**2 / sigma**2 - 1.0)).sum(axis=0)
+    grad_mean = coeff[:, None] * diff / var
+    out = grads.actor.weights, grads.actor.biases
+    gw, gb = params.actor.backward(acts, grad_mean, out, scratch)
+    grad_log_sigma = np.add.reduce(
+        coeff[:, None] * (diff**2 / var - 1.0), axis=0, out=grads.log_sigma
+    )
     return logps, gw, gb, grad_log_sigma
 
 

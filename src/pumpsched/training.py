@@ -18,9 +18,13 @@ are seeded per (master seed, iteration, episode index), and each lane's
 arithmetic is that of its episode stepped alone through ``PumpSchedulingEnv``,
 so a batch is identical for any lane count. A batch keeps the lanes' grid,
 episodes by decisions; only the update flattens it, to draw minibatches. Each
-update copies the policy's one parameter vector once and steps the copy in
-place through Adam, whose moments live across iterations. An update's stats
-come from its last epoch's minibatch passes.
+update copies the policy's one parameter vector once, and Adam steps the copy
+in place; Adam's moments live across iterations. The update's other working
+arrays, the batch's shuffled columns, a gradient vector laid out like the
+parameters and each network's activation and backprop buffers for one
+minibatch, live for one update: they are allocated when it starts, and every
+epoch or minibatch reuses them. An update's stats come from its last epoch's
+minibatch passes.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .env import AgentKind, _check_window, closed_loop, day_rewards, sample_epis
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
 from .metrics import _save_csv
 from .network import STEPS_PER_DAY, NetworkTopology, _seed_stream
-from .nn import Adam
+from .nn import MLP, Adam
 from .policy import (
     PolicyParameters,
     actor_logp_and_grads,
@@ -46,7 +50,6 @@ from .policy import (
     forward_rows,
     gaussian_logp,
     init_policy,
-    parameter_layout,
 )
 from .simulate import run_day
 
@@ -159,15 +162,15 @@ def _collect_lanes(
         demands.append(day_demands)
         act_rng = np.random.default_rng(act_ss)
         noise[:, k] = act_rng.standard_normal((n, spec.action_dim))
-    sigma = np.exp(params.log_sigma)
+    noise *= np.exp(params.log_sigma)  # sigma times the noise, per decision
     decisions = iter(range(n))
 
     def act_fn(obs: np.ndarray) -> np.ndarray:
         i = next(decisions)
         means[:, i] = mean = forward_rows(params.actor, obs)
-        actions[:, i] = raw = mean + sigma * noise[i]
+        actions[:, i] = raw = mean + noise[i]
         observations[:, i] = obs
-        return np.clip(raw, 0.0, 1.0)
+        return np.minimum(np.maximum(raw, 0.0), 1.0)  # np.clip's bytes
 
     window = spec.frame_skip
     act = closed_loop(spec.topology, spec.agent_kind, act_fn, window)
@@ -228,10 +231,17 @@ def ppo_update(
     """Run ``EPOCHS`` shuffled-minibatch clipped-surrogate passes.
 
     Advantages are normalized to zero mean / unit variance over the whole
-    batch before any epoch runs. The steps write into one copy of the
-    policy's vector, so ``params`` is left as it was. Each epoch gathers the
-    batch once in its shuffled order, and its minibatches are consecutive
-    slices of that gather.
+    batch before any epoch runs. Adam steps one copy of the policy's vector in
+    place, so ``params`` is left as it was. Each epoch gathers the batch once
+    in its shuffled order, and its minibatches are consecutive slices of that
+    gather.
+
+    The call allocates its working arrays once and frees them on return:
+    the five shuffled columns, which every epoch gathers into anew; one flat
+    gradient, laid out like ``params`` (``dataclasses.replace(params,
+    vector=grad)``), that every minibatch overwrites; and each network's
+    activation and backprop buffers for a full minibatch, of which a short
+    last minibatch uses the leading rows.
 
     The reported ``policy_loss``, ``value_loss``, ``clip_fraction`` and
     ``approx_kl`` are means over the last epoch's transitions, each taken in
@@ -250,18 +260,28 @@ def ppo_update(
 
     mb = min(MINIBATCH_SIZE, n)
     current = replace(params, vector=params.vector.copy())
+    grads = replace(params, vector=np.empty_like(params.vector))
+    buffers = [_buffers(net, mb) for net in (params.actor, params.critic)]
+    tail = [_leading_rows(b, n % mb) for b in buffers]  # a short last minibatch's
     # Overflow shows up as the non-finite gradient or loss checked below, so
     # numpy's warnings would only repeat that error.
     with np.errstate(all="ignore"):
         norm_adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         columns = obs, actions, old_logps, norm_adv, returns
+        shuffled = [np.empty_like(column) for column in columns]
         sums = np.zeros(4)
         for epoch in range(EPOCHS):
             order = shuffle_rng.permutation(n)
-            shuffled = [column[order] for column in columns]
+            for column, gathered in zip(columns, shuffled):
+                # order is a permutation, so "clip" clips nothing; it spares
+                # the copy through a temporary that "raise" makes of ``out``.
+                np.take(column, order, axis=0, out=gathered, mode="clip")
             for start in range(0, n, mb):
                 minibatch = [column[start : start + mb] for column in shuffled]
-                logps, errors = _minibatch_step(current, optimizer, *minibatch)
+                work = buffers if start + mb <= n else tail
+                logps, errors = _minibatch_step(
+                    current, optimizer, grads, work, *minibatch
+                )
                 if epoch == EPOCHS - 1:
                     sums += _stat_sums(logps, errors, *minibatch[2:4])
         min_surrogate, value_loss, clip_fraction, approx_kl = (sums / n).tolist()
@@ -282,20 +302,34 @@ def ppo_update(
     return current, stats
 
 
-def _minibatch_step(params, optimizer, obs, actions, old_logps, norm_adv, returns):
+def _buffers(net: MLP, rows: int) -> tuple[list, list]:
+    """``net``'s activation buffers and backprop scratch for ``rows`` rows
+    (``MLP.forward``, ``MLP.backward``)."""
+    widths = net.sizes[1:]
+    acts = [np.empty((rows, w)) for w in widths]
+    return acts, [np.empty((2, rows, w)) for w in widths[:-1]]
+
+
+def _leading_rows(buffers: tuple[list, list], rows: int) -> tuple[list, list]:
+    """Views of the first ``rows`` rows of ``_buffers``' arrays."""
+    acts, scratch = buffers
+    return [a[:rows] for a in acts], [s[:, :rows] for s in scratch]
+
+
+def _minibatch_step(
+    params, optimizer, grads, buffers, obs, actions, old_logps, norm_adv, returns
+):
     """Step ``params``'s vector in place by one Adam step on the minibatch's
-    loss; returns the log-probs and value errors of the parameters it stepped
-    from."""
+    loss, whose gradient is written into ``grads`` and whose actor and critic
+    passes into ``buffers``, sized for the minibatch's rows; returns the
+    log-probs and value errors of the parameters it stepped from."""
     m = len(obs)
-    logps, actor_gw, actor_gb, grad_log_sigma = _policy_gradients(
-        params, obs, actions, old_logps, norm_adv, m
-    )
-    critic_gw, critic_gb, errors = _value_gradients(params, obs, returns, m)
-    grad = np.concatenate(
-        parameter_layout(actor_gw, actor_gb, grad_log_sigma, critic_gw, critic_gb),
-        axis=None,
-    )
-    params.vector[...] = optimizer.step(params.vector, grad)
+    actor, critic = buffers
+    logps = _policy_gradients(
+        params, obs, actions, old_logps, norm_adv, m, grads, actor
+    )[0]
+    errors = _value_gradients(params, obs, returns, m, grads, critic)[2]
+    optimizer.step(params.vector, grads.vector)
     return logps, errors
 
 
@@ -316,12 +350,16 @@ def _surrogate(logps, old_logps, norm_adv):
     the PPO policy loss is -mean(min(surr1, surr2))."""
     ratio = np.exp(logps - old_logps)
     surr1 = ratio * norm_adv
-    surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
+    clipped = np.minimum(np.maximum(ratio, 1 - CLIP_RATIO), 1 + CLIP_RATIO)
+    surr2 = clipped * norm_adv  # clipped: np.clip's bytes, faster
     return ratio, surr1, surr2
 
 
-def _policy_gradients(params, obs, actions, old_logps, norm_adv, m):
-    """Gradient of the clipped surrogate plus entropy bonus w.r.t. the actor."""
+def _policy_gradients(
+    params, obs, actions, old_logps, norm_adv, m, grads=None, buffers=(None, None)
+):
+    """Gradient of the clipped surrogate plus entropy bonus w.r.t. the actor,
+    written into ``grads`` (see ``actor_logp_and_grads``)."""
 
     def dloss_dlogp(logps):
         ratio, surr1, surr2 = _surrogate(logps, old_logps, norm_adv)
@@ -331,20 +369,23 @@ def _policy_gradients(params, obs, actions, old_logps, norm_adv, m):
         return np.where(use_unclipped, -norm_adv * ratio, 0.0) / m
 
     logps, gw, gb, grad_log_sigma = actor_logp_and_grads(
-        params, obs, actions, dloss_dlogp
+        params, obs, actions, dloss_dlogp, grads, buffers
     )
     # Entropy bonus: d(-coef * H)/d log_sigma = -coef per dimension.
-    grad_log_sigma = grad_log_sigma - ENTROPY_COEF
+    grad_log_sigma -= ENTROPY_COEF
     return logps, gw, gb, grad_log_sigma
 
 
-def _value_gradients(params, obs, returns, m):
+def _value_gradients(params, obs, returns, m, grads=None, buffers=(None, None)):
     """Gradient of VALUE_COEF * mean((v - R)^2) w.r.t. the critic, and the
-    errors v - R."""
-    out, acts = params.critic.forward(obs)
+    errors v - R. The gradient is written into ``grads``'s critic arrays, and
+    the passes into the critic's ``buffers``, when given."""
+    acts_out, scratch = buffers
+    out, acts = params.critic.forward(obs, acts_out)
     errors = out[:, 0] - returns
     dloss_dv = VALUE_COEF * 2.0 * errors / m
-    gw, gb = params.critic.backward(acts, dloss_dv[:, None])
+    grad_out = None if grads is None else (grads.critic.weights, grads.critic.biases)
+    gw, gb = params.critic.backward(acts, dloss_dv[:, None], grad_out, scratch)
     return gw, gb, errors
 
 

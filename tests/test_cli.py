@@ -132,22 +132,47 @@ MULTI_ITERATION_DIGESTS = {
     "reward_curve.csv": "88b8a91d60ed3cb0325ee2f0d27354c2b0f9d7cfedc1522648efd20fbc411eb5",
 }
 
+# SHA-256 of a two-iteration dual run, recorded as above. Batch 960 rolls 10
+# whole days, so each epoch ends on a short minibatch of 64 rows.
+DUAL_TAIL_DIGESTS = {
+    "checkpoint.json": "93b15b88e4468bd1cf4067d9b8f53dc2b17a4a5b3313c0af50174dc06369ef40",
+    "checkpoint.json.arrays": "71d308fa75216b1a0945ab5d1bf7a655f7970026f1372a589adee822fe6252fe",
+    "reward_curve.csv": "5842b2d8b0b41b5bb46ef7d830833cde6b4e9e4b8c8423d3fec593f91553f64d",
+}
 
-def test_multi_iteration_training_matches_recorded_digests(world, tmp_path):
-    save_network(world, tmp_path / "network.json")
-    argv = [
-        "train", "--network", tmp_path / "network.json", "--agent", "constraint",
-        "--frame-skip", 4, "--steps", 3 * 7 * 96, "--batch-size", 150,
-        "--seed", 5, "--out", tmp_path,
-    ]  # fmt: skip
+
+def _train_digests(world, out, *argv):
+    """Run ``train`` on ``world`` into ``out``; the SHA-256 of its artifacts
+    and the steps column of its reward curve."""
+    save_network(world, out / "network.json")
+    argv = ["train", "--network", out / "network.json", *argv, "--out", out]
     assert cli.main(list(map(str, argv))) == 0
-    curve = (tmp_path / "reward_curve.csv").read_text().splitlines()
-    assert [row.split(",")[0] for row in curve[1:]] == ["672", "1344", "2016"]
+    curve = (out / "reward_curve.csv").read_text().splitlines()
     digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in MULTI_ITERATION_DIGESTS
     }
+    return digests, [row.split(",")[0] for row in curve[1:]]
+
+
+def test_multi_iteration_training_matches_recorded_digests(world, tmp_path):
+    digests, steps = _train_digests(
+        world, tmp_path, "--agent", "constraint", "--frame-skip", 4,
+        "--steps", 3 * 7 * 96, "--batch-size", 150, "--seed", 5,
+    )  # fmt: skip
+    assert steps == ["672", "1344", "2016"]
     assert digests == MULTI_ITERATION_DIGESTS
+
+
+def test_dual_training_with_a_short_last_minibatch_matches_recorded_digests(
+    world, tmp_path
+):
+    digests, steps = _train_digests(
+        world, tmp_path, "--agent", "dual", "--batch-size", 960, "--steps", 1920,
+        "--seed", 3,
+    )  # fmt: skip
+    assert steps == ["960", "1920"]
+    assert digests == DUAL_TAIL_DIGESTS
 
 
 def test_hybrid_repairs_a_final_state_only_violation(workflow):

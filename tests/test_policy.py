@@ -28,7 +28,9 @@ from pumpsched.training import (
     VALUE_COEF,
     EnvSpec,
     TrainConfig,
+    _buffers,
     _collect_lanes,
+    _leading_rows,
     _value_gradients,
 )
 from pumpsched import training
@@ -287,6 +289,31 @@ def test_gradient_shapes_validated():
         actor_logp_and_grads(params, obs, np.zeros((4, 3)), lambda _: np.ones(4))
     with pytest.raises(ValidationError):
         actor_logp_and_grads(params, obs, np.zeros((4, 2)), lambda _: np.ones(5))
+
+
+@pytest.mark.parametrize("rows", [1, 64, 128])
+def test_passes_into_given_buffers_equal_the_allocating_passes(rows):
+    # The update's buffers: activations and scratch for 128 rows, of which a
+    # short minibatch uses the leading rows, and a gradient laid out like the
+    # policy. Each pair of buffers serves two different inputs in turn.
+    rng = np.random.default_rng(rows)
+    params = init_policy(8, 6, rng)
+    grads = dataclasses.replace(params, vector=np.empty_like(params.vector))
+    nets = (params.actor, grads.actor), (params.critic, grads.critic)
+    for net, grad in nets:
+        acts_out, scratch = _leading_rows(_buffers(net, 128), rows)
+        for _ in range(2):
+            x = rng.normal(size=(rows, net.sizes[0]))
+            grad_out = rng.normal(size=(rows, net.sizes[-1]))
+            want_out, want_acts = net.forward(x)
+            want_w, want_b = net.backward(want_acts, grad_out)
+            out, acts = net.forward(x, acts_out)
+            gw, gb = net.backward(acts, grad_out, (grad.weights, grad.biases), scratch)
+            assert all(a is b for a, b in zip(acts[1:], acts_out, strict=True))
+            assert gw is grad.weights and gb is grad.biases
+            want = [want_out, *want_acts, *want_w, *want_b]
+            for a, b in zip(want, [out, *acts, *gw, *gb], strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # -- checkpoints --------------------------------------------------------------
