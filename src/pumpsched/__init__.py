@@ -49,7 +49,6 @@ from .network import (
     TankSpec,
     TariffSchedule,
     demands_from_rng,
-    generate_demands,
     generate_synthetic_network,
     load_network,
     save_network,
@@ -99,7 +98,6 @@ __all__ = [
     "detect_violations",
     "episode_cost",
     "evaluate_strategies",
-    "generate_demands",
     "generate_history",
     "generate_synthetic_network",
     "init_policy",

@@ -347,7 +347,9 @@ def _load_agent(
     params, meta = load_checkpoint(path)
     try:
         kind = AgentKind(meta.get("agent", "constraint"))
-        frame_skip = int(meta.get("frame_skip", 1))
+        frame_skip = meta.get("frame_skip", 1)
+        if not (_is_number(frame_skip) and isinstance(frame_skip, int)):
+            raise TypeError(f"frame_skip {json.dumps(frame_skip)} is not an integer")
         _check_window(frame_skip)
     except (TypeError, ValueError, ValidationError) as exc:
         raise SchemaError(f"{path}: bad checkpoint meta ({exc})") from None

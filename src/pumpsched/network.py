@@ -535,9 +535,3 @@ def demands_from_rng(
     c = topology.compiled
     z = rng.standard_normal(c.demand_profile.shape)
     return np.maximum(c.demand_profile * (1.0 + c.noise_scale * z), 0.0)
-
-
-def generate_demands(topology: NetworkTopology, seed: int) -> np.ndarray:
-    """One day of per-zone demands, (n_zones, 96): diurnal double peak plus
-    seeded noise."""
-    return demands_from_rng(topology, np.random.default_rng(seed))

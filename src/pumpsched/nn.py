@@ -2,7 +2,7 @@
 
 Kept deliberately small: tanh hidden layers, linear output, float64
 throughout. Gradients are exercised against central finite differences in the
-test suite, so the backward pass is written for clarity over cleverness.
+test suite.
 """
 
 from __future__ import annotations

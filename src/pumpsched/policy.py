@@ -5,15 +5,18 @@ into [0, 1] at execution time; log-probabilities always refer to the unclipped
 sample so the density stays well-defined. Acting needs only the actor: the
 critic's values and the samples' log-probs are read by the update alone, so
 rollout collection works them out once its episodes have ended.
+
+The Gaussian head owns its density and its derivative, ``gaussian_logp`` and
+``gaussian_logp_grads``, side by side; the networks' passes and the loss they
+feed belong to the PPO update (``training._minibatch_gradient``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -116,6 +119,20 @@ def gaussian_logp(actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray)
     return np.add.reduce(per_dim, axis=-1)  # sum, minus its wrapper
 
 
+def gaussian_logp_grads(
+    actions: np.ndarray, means: np.ndarray, log_sigma: np.ndarray, coeff: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of sum(coeff * gaussian_logp(actions, means, log_sigma)) for
+    rows of samples: w.r.t. ``means``, one row per sample, and w.r.t.
+    ``log_sigma``, summed over the samples."""
+    var = np.exp(log_sigma) ** 2
+    diff = actions - means
+    # d logp / d mean = diff / sigma^2; d logp / d log_sigma = diff^2/sigma^2 - 1
+    grad_means = coeff[:, None] * diff / var
+    grad_log_sigma = np.add.reduce(coeff[:, None] * (diff**2 / var - 1.0), axis=0)
+    return grad_means, grad_log_sigma
+
+
 def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
     """Greedy action: the clipped actor mean, row-exact (``forward_rows``);
     the critic is not evaluated."""
@@ -125,53 +142,6 @@ def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarra
 def entropy(params: PolicyParameters) -> float:
     """Entropy of the (state-independent) Gaussian head."""
     return float(np.sum(0.5 * (1.0 + _LOG2PI) + params.log_sigma))
-
-
-# ----------------------------------------------------------------------------
-# Gradient surface (shared by the PPO update and the finite-difference tests)
-
-
-def actor_logp_and_grads(
-    params: PolicyParameters,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    grad_logp: Callable[[np.ndarray], np.ndarray],
-    grads: PolicyParameters | None = None,
-    buffers: tuple[list | None, list | None] = (None, None),
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Log-probs plus gradients of sum(c * logp), c = grad_logp(logps), from
-    one actor forward pass.
-
-    Returns (logps, actor weight grads, actor bias grads, log_sigma grad); the
-    gradients are the actor and ``log_sigma`` arrays of ``grads``, a gradient
-    laid out like ``params``. ``buffers`` are the actor's activation buffers
-    and backprop scratch for these rows (``MLP.forward``, ``MLP.backward``).
-    Whatever is not given is allocated, with the same arithmetic.
-    """
-    arr = np.atleast_2d(np.asarray(obs, dtype=float))
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    if actions.shape != (arr.shape[0], params.action_dim):
-        raise ValidationError("action batch shape does not match policy output")
-    if grads is None:
-        grads = replace(params, vector=np.empty_like(params.vector))
-
-    acts_out, scratch = buffers
-    means, acts = params.actor.forward(arr, acts_out)
-    logps = gaussian_logp(actions, means, params.log_sigma)
-    coeff = np.asarray(grad_logp(logps), dtype=float).reshape(-1)
-    if coeff.shape[0] != arr.shape[0]:
-        raise ValidationError("grad_logp must have one entry per observation")
-    var = np.exp(params.log_sigma) ** 2
-    diff = actions - means
-
-    # d logp / d mean = diff / sigma^2; d logp / d log_sigma = diff^2/sigma^2 - 1
-    grad_mean = coeff[:, None] * diff / var
-    out = grads.actor.weights, grads.actor.biases
-    gw, gb = params.actor.backward(acts, grad_mean, out, scratch)
-    grad_log_sigma = np.add.reduce(
-        coeff[:, None] * (diff**2 / var - 1.0), axis=0, out=grads.log_sigma
-    )
-    return logps, gw, gb, grad_log_sigma
 
 
 # ----------------------------------------------------------------------------

@@ -23,8 +23,8 @@ in place; Adam's moments live across iterations. The update's other working
 arrays, the batch's shuffled columns, a gradient vector laid out like the
 parameters and each network's activation and backprop buffers for one
 minibatch, live for one update: they are allocated when it starts, and every
-epoch or minibatch reuses them. An update's stats come from its last epoch's
-minibatch passes.
+epoch or minibatch reuses them. ``_minibatch_gradient`` is the one place the
+loss and its gradient are taken, and the update's stats come from its terms.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from .network import STEPS_PER_DAY, NetworkTopology, _seed_stream
 from .nn import MLP, Adam
 from .policy import (
     PolicyParameters,
-    actor_logp_and_grads,
     deterministic_action,
     entropy,
     forward_rows,
     gaussian_logp,
+    gaussian_logp_grads,
     init_policy,
 )
 from .simulate import run_day
@@ -243,11 +243,12 @@ def ppo_update(
     activation and backprop buffers for a full minibatch, of which a short
     last minibatch uses the leading rows.
 
-    The reported ``policy_loss``, ``value_loss``, ``clip_fraction`` and
-    ``approx_kl`` are means over the last epoch's transitions, each taken in
-    its minibatch with the parameters that minibatch stepped from; the
-    ``entropy`` is the returned policy's. A non-finite ``total_loss`` raises
-    ``NumericError``.
+    Each minibatch takes its loss and gradient from one ``_minibatch_gradient``
+    call, then one Adam step. The reported ``policy_loss``, ``value_loss``,
+    ``clip_fraction`` and ``approx_kl`` are means over the last epoch's
+    transitions, summed from that call's terms, so each is taken with the
+    parameters its minibatch stepped from; the ``entropy`` is the returned
+    policy's. A non-finite ``total_loss`` raises ``NumericError``.
     """
     n = len(batch)
     if n == 0:
@@ -279,11 +280,17 @@ def ppo_update(
             for start in range(0, n, mb):
                 minibatch = [column[start : start + mb] for column in shuffled]
                 work = buffers if start + mb <= n else tail
-                logps, errors = _minibatch_step(
-                    current, optimizer, grads, work, *minibatch
+                logps, ratio, surr1, surr2, errors = _minibatch_gradient(
+                    current, grads, work, *minibatch
                 )
+                optimizer.step(current.vector, grads.vector)
                 if epoch == EPOCHS - 1:
-                    sums += _stat_sums(logps, errors, *minibatch[2:4])
+                    sums += (
+                        np.minimum(surr1, surr2).sum(),
+                        errors @ errors,
+                        np.count_nonzero(np.abs(ratio - 1.0) > CLIP_RATIO),
+                        (minibatch[2] - logps).sum(),  # old_logps - logps
+                    )
         min_surrogate, value_loss, clip_fraction, approx_kl = (sums / n).tolist()
     policy_loss, ent = -min_surrogate, entropy(current)
     stats = {
@@ -316,35 +323,6 @@ def _leading_rows(buffers: tuple[list, list], rows: int) -> tuple[list, list]:
     return [a[:rows] for a in acts], [s[:, :rows] for s in scratch]
 
 
-def _minibatch_step(
-    params, optimizer, grads, buffers, obs, actions, old_logps, norm_adv, returns
-):
-    """Step ``params``'s vector in place by one Adam step on the minibatch's
-    loss, whose gradient is written into ``grads`` and whose actor and critic
-    passes into ``buffers``, sized for the minibatch's rows; returns the
-    log-probs and value errors of the parameters it stepped from."""
-    m = len(obs)
-    actor, critic = buffers
-    logps = _policy_gradients(
-        params, obs, actions, old_logps, norm_adv, m, grads, actor
-    )[0]
-    errors = _value_gradients(params, obs, returns, m, grads, critic)[2]
-    optimizer.step(params.vector, grads.vector)
-    return logps, errors
-
-
-def _stat_sums(logps, errors, old_logps, norm_adv):
-    """A minibatch's sums of the clipped-surrogate minimum, the squared value
-    error, the clipped ratios and ``old_logps - logps``."""
-    ratio, surr1, surr2 = _surrogate(logps, old_logps, norm_adv)
-    return (
-        np.minimum(surr1, surr2).sum(),
-        errors @ errors,
-        np.count_nonzero(np.abs(ratio - 1.0) > CLIP_RATIO),
-        (old_logps - logps).sum(),
-    )
-
-
 def _surrogate(logps, old_logps, norm_adv):
     """The probability ratio and the unclipped and clipped surrogate terms;
     the PPO policy loss is -mean(min(surr1, surr2))."""
@@ -355,38 +333,38 @@ def _surrogate(logps, old_logps, norm_adv):
     return ratio, surr1, surr2
 
 
-def _policy_gradients(
-    params, obs, actions, old_logps, norm_adv, m, grads=None, buffers=(None, None)
+def _minibatch_gradient(
+    params, grads, buffers, obs, actions, old_logps, norm_adv, returns
 ):
-    """Gradient of the clipped surrogate plus entropy bonus w.r.t. the actor,
-    written into ``grads`` (see ``actor_logp_and_grads``)."""
+    """The gradient of one minibatch's PPO loss (Schulman et al., eq. 9),
+    -mean(min(surr1, surr2)) - ENTROPY_COEF * H + VALUE_COEF * mean((v - R)^2),
+    written into ``grads``, laid out like ``params``.
 
-    def dloss_dlogp(logps):
-        ratio, surr1, surr2 = _surrogate(logps, old_logps, norm_adv)
-        # The loss is -mean(min(surr1, surr2)); gradient flows only where the
-        # unclipped branch is active (inside the band both branches agree).
-        use_unclipped = surr1 <= surr2
-        return np.where(use_unclipped, -norm_adv * ratio, 0.0) / m
-
-    logps, gw, gb, grad_log_sigma = actor_logp_and_grads(
-        params, obs, actions, dloss_dlogp, grads, buffers
-    )
+    The actor and the critic each run forward once, into their ``buffers``
+    (``_buffers``, sized for the minibatch's rows), and ``_surrogate`` runs
+    once. Returns the log-probs, the ratio, both surrogate terms and the value
+    errors v - R.
+    """
+    m = len(obs)
+    (actor_acts, actor_scratch), (critic_acts, critic_scratch) = buffers
+    means, acts = params.actor.forward(obs, actor_acts)
+    logps = gaussian_logp(actions, means, params.log_sigma)
+    ratio, surr1, surr2 = _surrogate(logps, old_logps, norm_adv)
+    # Gradient flows only where the unclipped branch is the minimum (inside
+    # the band both branches agree).
+    coeff = np.where(surr1 <= surr2, -norm_adv * ratio, 0.0) / m
+    g_means, g_log_sigma = gaussian_logp_grads(actions, means, params.log_sigma, coeff)
+    out = grads.actor.weights, grads.actor.biases
+    params.actor.backward(acts, g_means, out, actor_scratch)
     # Entropy bonus: d(-coef * H)/d log_sigma = -coef per dimension.
-    grad_log_sigma -= ENTROPY_COEF
-    return logps, gw, gb, grad_log_sigma
+    np.subtract(g_log_sigma, ENTROPY_COEF, out=grads.log_sigma)
 
-
-def _value_gradients(params, obs, returns, m, grads=None, buffers=(None, None)):
-    """Gradient of VALUE_COEF * mean((v - R)^2) w.r.t. the critic, and the
-    errors v - R. The gradient is written into ``grads``'s critic arrays, and
-    the passes into the critic's ``buffers``, when given."""
-    acts_out, scratch = buffers
-    out, acts = params.critic.forward(obs, acts_out)
-    errors = out[:, 0] - returns
+    values, acts = params.critic.forward(obs, critic_acts)
+    errors = values[:, 0] - returns
     dloss_dv = VALUE_COEF * 2.0 * errors / m
-    grad_out = None if grads is None else (grads.critic.weights, grads.critic.biases)
-    gw, gb = params.critic.backward(acts, dloss_dv[:, None], grad_out, scratch)
-    return gw, gb, errors
+    out = grads.critic.weights, grads.critic.biases
+    params.critic.backward(acts, dloss_dv[:, None], out, critic_scratch)
+    return logps, ratio, surr1, surr2, errors
 
 
 @dataclass
@@ -440,19 +418,22 @@ def save_reward_curve(curve: list[tuple[int, float]], path: str | Path) -> None:
 
 
 def load_reward_curve(path: str | Path) -> list[tuple[int, float]]:
+    """The curve ``save_reward_curve`` wrote; bad input fails in one line."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a text file ({exc})") from None
+    if rows[:1] != [["steps", "mean_reward"]]:
+        raise ValidationError(f"{path}: unexpected reward curve header")
     curve = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["steps", "mean_reward"]:
-            raise ValidationError(f"{path}: unexpected reward curve header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise SchemaError(f"{path} row {lineno}: expected 2 columns")
-            try:
-                curve.append((int(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise SchemaError(f"{path} row {lineno}: {exc}") from None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise SchemaError(f"{path} row {lineno}: expected 2 columns")
+        try:
+            curve.append((int(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise SchemaError(f"{path} row {lineno}: {exc}") from None
     return curve
 
 

@@ -362,10 +362,12 @@ def _bad_network(where=None, value=None, steps=96, extra=()):
 
 
 def _bad_artifact(name, text):
-    """``report`` on a directory holding one hand-written artifact."""
+    """``report`` on a directory holding one hand-written artifact, ``text``
+    or, given bytes, those bytes."""
 
     def build(out, tmp_path):
-        (tmp_path / name).write_text(text)
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / name).write_bytes(data)
         return ("report", "--out", tmp_path)
 
     return build
@@ -506,6 +508,7 @@ BAD_INPUTS = {
     ),
     "text_reward": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96,abc\n"),
     "short_reward_row": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96\n"),
+    "non_utf8_reward_curve": _bad_artifact("reward_curve.csv", b"\xff\xfe\x00bad"),
     "comparison_of_numbers": _bad_artifact("comparison.json", "[1, 2]"),
     "comparison_text_area": _bad_artifact(
         "comparison.json", '[{"label": "policy", "mean_area": "low"}]'
@@ -523,6 +526,12 @@ BAD_INPUTS = {
     "unknown_agent": _bad_checkpoint(lambda doc: doc["meta"].update(agent="greedy")),
     "checkpoint_frame_skip_zero": _bad_checkpoint(
         lambda doc: doc["meta"].update(frame_skip=0)
+    ),
+    "checkpoint_fractional_frame_skip": _bad_checkpoint(
+        lambda doc: doc["meta"].update(frame_skip=4.7)
+    ),
+    "checkpoint_bool_frame_skip": _bad_checkpoint(
+        lambda doc: doc["meta"].update(frame_skip=True)
     ),
     "hybrid_constraint_checkpoint": _bad_checkpoint(
         lambda doc: doc["meta"].update(agent="constraint"), "hybrid"

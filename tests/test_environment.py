@@ -11,7 +11,7 @@ from pumpsched import (
     PumpSchedulingEnv,
     TariffSchedule,
     ValidationError,
-    generate_demands,
+    demands_from_rng,
     sample_episode,
     sample_operational_episode,
 )
@@ -30,7 +30,7 @@ from pumpsched.training import EnvSpec
 def _episode(world, levels=None):
     """An episode's start levels and zone demands."""
     start = world.compiled.initial_levels if levels is None else np.asarray(levels)
-    return start, generate_demands(world, seed=8)
+    return start, demands_from_rng(world, np.random.default_rng(8))
 
 
 def _env(world, kind=AgentKind.CONSTRAINT):

@@ -10,7 +10,7 @@ from pumpsched import (
     DEFAULT_IMPERFECTION,
     RuleBasedController,
     ValidationError,
-    generate_demands,
+    demands_from_rng,
     generate_history,
     load_history,
     margins_for,
@@ -143,7 +143,7 @@ def test_controlled_day_lanes_equal_days_alone(world):
     days = []
     for k in range(4):
         rng = np.random.default_rng(40 + k)
-        demands = generate_demands(world, seed=40 + k)
+        demands = demands_from_rng(world, np.random.default_rng(40 + k))
         margins = margins_for(world, DEFAULT_IMPERFECTION, rng)
         levels = rng.uniform(0.5, 7.5, world.n_tanks)
         days.append((levels, demands, margins))
@@ -172,7 +172,7 @@ def test_controlled_day_lanes_equal_days_alone(world):
 def test_perfect_margins_keep_day_in_band(world):
     margins = margins_for(world, 0.0, np.random.default_rng(0))
     controller = RuleBasedController(world, margins)
-    demands = generate_demands(world, seed=4)
+    demands = demands_from_rng(world, np.random.default_rng(4))
     traj = run_controlled_day(world, world.compiled.initial_levels, controller, demands)
     bounds = world.compiled.lower, world.compiled.upper
     assert violation_count(traj, bounds) == 0

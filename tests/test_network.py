@@ -12,7 +12,6 @@ from pumpsched import (
     SchemaError,
     ValidationError,
     demands_from_rng,
-    generate_demands,
     generate_synthetic_network,
     load_network,
     save_network,
@@ -213,8 +212,8 @@ def test_every_spec_field_is_read_and_named_in_its_errors(world, key, spec):
 
 
 def test_generate_demands_deterministic(world):
-    a = generate_demands(world, seed=9)
-    b = generate_demands(world, seed=9)
+    a = demands_from_rng(world, np.random.default_rng(9))
+    b = demands_from_rng(world, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
 
 
@@ -241,7 +240,7 @@ def test_demands_from_rng_equals_the_per_zone_loop(world, seed):
 
 
 def test_demands_nonnegative_and_shaped(world):
-    values = generate_demands(world, seed=3)
+    values = demands_from_rng(world, np.random.default_rng(3))
     assert values.shape == (world.n_zones, STEPS_PER_DAY)
     assert np.all(values >= 0)
 
@@ -249,7 +248,7 @@ def test_demands_nonnegative_and_shaped(world):
 def test_zero_noise_demand_has_two_peaks(world):
     calm = dataclasses.replace(world.zones[0], noise_scale=0.0)
     topo = dataclasses.replace(world, zones=(calm,) + world.zones[1:])
-    values = generate_demands(topo, seed=1)[0]
+    values = demands_from_rng(topo, np.random.default_rng(1))[0]
     # Smooth double-peak: one local max in the morning half, one in the evening.
     morning = values[: STEPS_PER_DAY // 2]
     evening = values[STEPS_PER_DAY // 2 :]
@@ -262,7 +261,7 @@ def test_zero_noise_demand_has_two_peaks(world):
 def test_zero_base_demand_zone_is_silent(world):
     silent = dataclasses.replace(world.zones[0], base_demand=0.0)
     topo = dataclasses.replace(world, zones=(silent,) + world.zones[1:])
-    values = generate_demands(topo, seed=1)
+    values = demands_from_rng(topo, np.random.default_rng(1))
     assert np.all(values[0] == 0.0)
 
 

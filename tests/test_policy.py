@@ -17,21 +17,23 @@ from pumpsched import (
 )
 from pumpsched.errors import SchemaError, ValidationError
 from pumpsched.policy import (
-    actor_logp_and_grads,
     deterministic_action,
     entropy,
     forward_rows,
     gaussian_logp,
+    gaussian_logp_grads,
 )
 from pumpsched.simulate import run_day
 from pumpsched.training import (
+    CLIP_RATIO,
+    ENTROPY_COEF,
     VALUE_COEF,
     EnvSpec,
     TrainConfig,
     _buffers,
     _collect_lanes,
     _leading_rows,
-    _value_gradients,
+    _minibatch_gradient,
 )
 from pumpsched import training
 
@@ -248,21 +250,78 @@ def _fd_check(objective, arrays, grads, rng, n_coords=12, h=1e-6, tol=1e-4):
     assert checked > 0
 
 
+def test_minibatch_gradient_matches_finite_differences_of_the_full_loss():
+    # PPO's loss on one minibatch, its clipped surrogate, entropy bonus and
+    # value error, against central differences at sampled coordinates of
+    # every segment: actor weights and biases, log_sigma, critic weights and
+    # biases. The ratios sit well away from the clip kinks at 0.8 and 1.2,
+    # and the clipped branch is the minimum at rows 1 and 5 only.
+    params = _small_policy(seed=9)
+    rng = np.random.default_rng(9)
+    obs = rng.normal(size=(6, 3))
+    actions = rng.uniform(0.0, 1.0, size=(6, 2))
+    norm_adv = np.array([1.0, -1.0, -1.0, 0.5, -2.0, 2.0])
+    returns = rng.normal(size=6)
+    logps = gaussian_logp(actions, params.actor.forward(obs)[0], params.log_sigma)
+    old_logps = logps - np.log([0.5, 0.5, 0.95, 1.1, 1.4, 1.4])
+
+    def loss():
+        logps = gaussian_logp(actions, params.actor.forward(obs)[0], params.log_sigma)
+        ratio = np.exp(logps - old_logps)
+        surr1 = ratio * norm_adv
+        surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
+        values = params.critic.forward(obs)[0][:, 0]
+        return (
+            -float(np.minimum(surr1, surr2).mean())
+            - ENTROPY_COEF * entropy(params)
+            + VALUE_COEF * float(np.mean((values - returns) ** 2))
+        )
+
+    grads = dataclasses.replace(params, vector=np.empty_like(params.vector))
+    buffers = [_buffers(net, len(obs)) for net in (params.actor, params.critic)]
+    got = _minibatch_gradient(
+        params, grads, buffers, obs, actions, old_logps, norm_adv, returns
+    )
+    _, _, surr1, surr2, _ = got
+    assert (surr2 < surr1).tolist() == [False, True, False, False, False, True]
+    _fd_check(loss, _segments(params), _segments(grads), rng)
+
+
+def _segments(params):
+    """The policy's arrays in its vector's order."""
+    a, c = params.actor, params.critic
+    return [*a.weights, *a.biases, params.log_sigma, *c.weights, *c.biases]
+
+
 def test_critic_gradients_match_finite_differences():
+    # The critic's segments of the minibatch gradient are those of the value
+    # term alone: the surrogate and the entropy do not depend on the critic.
     params = _small_policy(seed=7)
     rng = np.random.default_rng(7)
     obs = rng.normal(size=(5, 3))
+    actions = rng.uniform(0.0, 1.0, size=(5, 2))
     returns = rng.normal(size=5)
+    old_logps = gaussian_logp(actions, params.actor.forward(obs)[0], params.log_sigma)
 
     def objective():
         values, _ = params.critic.forward(obs)
         return VALUE_COEF * float(np.mean((values[:, 0] - returns) ** 2))
 
-    gw, gb, _ = _value_gradients(params, obs, returns, len(obs))
-    _fd_check(objective, params.critic.weights + params.critic.biases, gw + gb, rng)
+    grads = dataclasses.replace(params, vector=np.empty_like(params.vector))
+    buffers = [_buffers(net, len(obs)) for net in (params.actor, params.critic)]
+    _minibatch_gradient(
+        params, grads, buffers, obs, actions, old_logps, rng.normal(size=5), returns
+    )
+    _fd_check(
+        objective,
+        params.critic.weights + params.critic.biases,
+        grads.critic.weights + grads.critic.biases,
+        rng,
+    )
 
 
 def test_actor_gradients_match_finite_differences():
+    # The Gaussian head's derivative, backpropagated through the actor.
     params = _small_policy(seed=8)
     rng = np.random.default_rng(8)
     obs = rng.normal(size=(5, 3))
@@ -273,22 +332,15 @@ def test_actor_gradients_match_finite_differences():
         means, _ = params.actor.forward(obs)
         return float((coeff * gaussian_logp(actions, means, params.log_sigma)).sum())
 
-    _, gw, gb, gs = actor_logp_and_grads(params, obs, actions, lambda _: coeff)
+    means, acts = params.actor.forward(obs)
+    grad_means, gs = gaussian_logp_grads(actions, means, params.log_sigma, coeff)
+    gw, gb = params.actor.backward(acts, grad_means)
     _fd_check(
         objective,
         params.actor.weights + params.actor.biases + [params.log_sigma],
         gw + gb + [gs],
         rng,
     )
-
-
-def test_gradient_shapes_validated():
-    params = _small_policy()
-    obs = np.zeros((4, 3))
-    with pytest.raises(ValidationError):
-        actor_logp_and_grads(params, obs, np.zeros((4, 3)), lambda _: np.ones(4))
-    with pytest.raises(ValidationError):
-        actor_logp_and_grads(params, obs, np.zeros((4, 2)), lambda _: np.ones(5))
 
 
 @pytest.mark.parametrize("rows", [1, 64, 128])

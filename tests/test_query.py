@@ -7,7 +7,7 @@ import pytest
 from pumpsched import (
     ValidationError,
     build_index,
-    generate_demands,
+    demands_from_rng,
     generate_history,
     recommend,
 )
@@ -170,8 +170,9 @@ def test_recommend_rejects_non_finite_levels(world):
     """NaN start levels make every distance NaN; they fail in one message
     rather than retrieving the last archived day at distance NaN."""
     index = build_index(world, generate_history(world, days=10, seed=1))
+    demands = demands_from_rng(world, np.random.default_rng(0))
     with pytest.raises(ValidationError, match="query levels must be finite"):
-        recommend(index, np.full(6, np.nan), generate_demands(world, 0))
+        recommend(index, np.full(6, np.nan), demands)
 
 
 @pytest.mark.parametrize(

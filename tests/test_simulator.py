@@ -239,9 +239,9 @@ def test_lower_clamp_floors_level(tiny_world):
 def test_simulate_deterministic(world):
     rng = np.random.default_rng(7)
     schedule = rng.uniform(0.2, 0.8, (STEPS_PER_DAY, world.n_stations))
-    from pumpsched import generate_demands
+    from pumpsched import demands_from_rng
 
-    demands = generate_demands(world, seed=5)
+    demands = demands_from_rng(world, np.random.default_rng(5))
     initial = world.compiled.initial_levels
     a = simulate(world, initial, schedule, demands)
     b = simulate(world, initial, schedule, demands)
@@ -287,9 +287,9 @@ def test_mass_conserved_over_full_day(world, seed):
     """Volume change equals net pumped volume minus delivered demand."""
     rng = np.random.default_rng(seed)
     schedule = rng.uniform(0.3, 0.7, (STEPS_PER_DAY, world.n_stations))
-    from pumpsched import generate_demands
+    from pumpsched import demands_from_rng
 
-    demands = generate_demands(world, seed=seed)
+    demands = demands_from_rng(world, np.random.default_rng(seed))
     traj = simulate(world, world.compiled.initial_levels, schedule, demands)
     if not _inside_the_rails(world, traj):
         return  # clamping discards water by design; skip those draws
@@ -308,14 +308,14 @@ def _clamp_free_day(world):
     """A guaranteed in-band day: drive the hysteresis rule with exact margins."""
     from pumpsched import (
         RuleBasedController,
-        generate_demands,
+        demands_from_rng,
         margins_for,
         run_controlled_day,
     )
 
     margins = margins_for(world, 0.0, np.random.default_rng(0))
     controller = RuleBasedController(world, margins)
-    demands = generate_demands(world, seed=2)
+    demands = demands_from_rng(world, np.random.default_rng(2))
     traj = run_controlled_day(
         world, world.compiled.initial_levels, controller, demands
     )
@@ -350,14 +350,14 @@ _DAYS = dict(
 def _controlled_day(world, seed, imperfection, start):
     from pumpsched import (
         RuleBasedController,
-        generate_demands,
+        demands_from_rng,
         margins_for,
         run_controlled_day,
     )
 
     rng = np.random.default_rng(seed)
     margins = margins_for(world, imperfection, rng)
-    demands = generate_demands(world, seed=seed)
+    demands = demands_from_rng(world, np.random.default_rng(seed))
     initial = start * world.compiled.caps
     controller = RuleBasedController(world, margins)
     return run_controlled_day(world, initial, controller, demands), demands
@@ -386,10 +386,10 @@ def test_a_day_record_holds_five_arrays():
     high=st.floats(min_value=0.3, max_value=1.0),
 )
 def test_rollout_from_a_mid_day_state_equals_the_tail(world, seed, e, high):
-    from pumpsched import generate_demands
+    from pumpsched import demands_from_rng
 
     schedule = np.random.default_rng(seed).uniform(0.0, high, (STEPS_PER_DAY, 6))
-    demands = generate_demands(world, seed=seed)
+    demands = demands_from_rng(world, np.random.default_rng(seed))
     day = simulate(world, world.compiled.initial_levels, schedule, demands)
     tail = run_day(
         world,
@@ -410,11 +410,11 @@ def test_rollout_from_a_mid_day_state_equals_the_tail(world, seed, e, high):
     high=st.floats(min_value=0.3, max_value=1.0),
 )
 def test_every_resume_lane_equals_a_rollout_from_its_state(world, seed, t0, high):
-    from pumpsched import generate_demands
+    from pumpsched import demands_from_rng
 
     rng = np.random.default_rng(seed)
     schedule = rng.uniform(0.0, high, (STEPS_PER_DAY, 6))
-    demands = generate_demands(world, seed=seed)
+    demands = demands_from_rng(world, np.random.default_rng(seed))
     # Lanes branch off a day run under another schedule, as an injection does.
     branch = simulate(
         world, world.compiled.initial_levels, rng.uniform(0.0, 1.0, (STEPS_PER_DAY, 6)),
@@ -441,12 +441,13 @@ def test_every_resume_lane_equals_a_rollout_from_its_state(world, seed, t0, high
     t0=st.integers(min_value=0, max_value=STEPS_PER_DAY),
 )
 def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
-    from pumpsched import generate_demands
+    from pumpsched import demands_from_rng
 
     rng = np.random.default_rng(seed)
     schedules = rng.uniform(0.0, 1.0, (lanes, STEPS_PER_DAY, 6))
     levels = rng.uniform(0.0, 1.0, (lanes, world.n_tanks)) * world.compiled.caps
-    demands = np.array([generate_demands(world, seed + k) for k in range(lanes)])
+    rngs = [np.random.default_rng(seed + k) for k in range(lanes)]
+    demands = np.array([demands_from_rng(world, rng) for rng in rngs])
     day = run_day(world, levels, demands, lambda t, lv: schedules[:, t], t0)
     for k in range(lanes):
         alone = run_day(world, levels[k], demands[k], lambda t, lv: schedules[k, t], t0)
@@ -478,13 +479,14 @@ def _all_in_one_step(c, levels, action, zone_values_t, tariff_t):
 def test_day_records_equal_the_all_in_one_step(world, lanes, t0):
     # Levels from empty to full and speeds up to flat out clamp at both rails;
     # ``lanes`` None rolls one day without a lane axis.
-    from pumpsched import generate_demands
+    from pumpsched import demands_from_rng
 
     n = 1 if lanes is None else lanes
     rng = np.random.default_rng(n * 100 + t0)
     schedules = rng.uniform(0.0, 1.0, (STEPS_PER_DAY, n, world.n_stations))
     levels = rng.uniform(0.0, 1.0, (n, world.n_tanks)) * world.compiled.caps
-    demands = np.array([generate_demands(world, t0 + k) for k in range(n)])
+    rngs = [np.random.default_rng(t0 + k) for k in range(n)]
+    demands = np.array([demands_from_rng(world, rng) for rng in rngs])
     if lanes is None:
         schedules, levels, demands = schedules[:, 0], levels[0], demands[0]
     tariff = world.compiled.tariff
@@ -592,10 +594,10 @@ def test_episode_bytes_do_not_depend_on_lane_count(world, kind):
     start=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_levels_stay_in_caps_and_equal_the_clipped_recursion(world, seed, high, start):
-    from pumpsched import generate_demands
+    from pumpsched import demands_from_rng
 
     schedule = np.random.default_rng(seed).uniform(0.0, high, (STEPS_PER_DAY, 6))
-    demands = generate_demands(world, seed=seed)
+    demands = demands_from_rng(world, np.random.default_rng(seed))
     caps = world.compiled.caps
     traj = simulate(world, start * caps, schedule, demands)
     assert np.all(traj.states >= 0.0) and np.all(traj.states <= caps)

@@ -1,5 +1,7 @@
-"""The benchmark's span tracer still fits the package it instruments."""
+"""The benchmark's span tracer still fits the package it instruments, and the
+package exports no name that it does not use itself."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -59,7 +61,7 @@ def test_span_tracer_wraps_and_restores_the_package(world):
     with spans.instrument(tracer):
         assert pumpsched.simulate is not before[0]["simulate"]
         schedule = np.full((96, world.n_stations), 0.5)
-        demands = pumpsched.generate_demands(world, seed=0)
+        demands = pumpsched.demands_from_rng(world, np.random.default_rng(0))
         pumpsched.simulate(world, world.compiled.initial_levels, schedule, demands)
     assert (_functions(pumpsched), _functions(simulate_module)) == before
 
@@ -168,3 +170,23 @@ def test_cli_import_loads_no_process_pool_machinery():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Exported though only the tests use it: FrameSkipEnv is the per-step
+# frame-skip oracle that the lockstep rollouts are checked against.
+UNUSED_EXPORTS = {"FrameSkipEnv"}
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    """A public name that nothing in the package loads is code kept for the
+    tests alone; ``__init__.py``'s own imports and ``__all__`` do not count."""
+    loaded = set()
+    for path in (ROOT / "src" / "pumpsched").glob("*.py"):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            loaded |= {
+                node.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+    assert set(pumpsched.__all__) - loaded == UNUSED_EXPORTS

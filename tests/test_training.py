@@ -30,7 +30,8 @@ from pumpsched.training import (
     load_reward_curve,
     ppo_update,
     save_reward_curve,
-    _policy_gradients,
+    _buffers,
+    _minibatch_gradient,
 )
 from pumpsched.network import STEPS_PER_DAY, _seed_stream
 
@@ -339,8 +340,6 @@ def test_clipped_surrogate_gradient_matches_finite_differences():
     norm_adv = np.array([1.0, -1.0, 0.5, -2.0])
 
     # Old log-probs chosen so ratios sit well away from the clip boundaries.
-    from pumpsched.policy import gaussian_logp
-
     means, _ = params.actor.forward(obs)
     base_logps = gaussian_logp(actions, means, params.log_sigma)
     old_logps = base_logps - np.log([0.5, 0.95, 1.1, 1.4])
@@ -353,9 +352,13 @@ def test_clipped_surrogate_gradient_matches_finite_differences():
         surr2 = np.clip(ratio, 1 - CLIP_RATIO, 1 + CLIP_RATIO) * norm_adv
         return float(-np.minimum(surr1, surr2).mean()) - ENTROPY_COEF * entropy(params)
 
-    _, gw, gb, gs = _policy_gradients(params, obs, actions, old_logps, norm_adv, 4)
+    grads = dataclasses.replace(params, vector=np.empty_like(params.vector))
+    buffers = [_buffers(net, 4) for net in (params.actor, params.critic)]
+    _minibatch_gradient(
+        params, grads, buffers, obs, actions, old_logps, norm_adv, np.zeros(4)
+    )
     arrays = params.actor.weights + params.actor.biases + [params.log_sigma]
-    grads = gw + gb + [gs]
+    grads = grads.actor.weights + grads.actor.biases + [grads.log_sigma]
     h = 1e-6
     for arr, grad in zip(arrays, grads):
         flat = arr.reshape(-1)
@@ -372,19 +375,21 @@ def test_clipped_surrogate_gradient_matches_finite_differences():
             assert abs(numeric - gflat[idx]) / scale <= 1e-4
 
 
-def test_policy_gradients_in_one_pass_equal_the_two_pass_path():
+def test_policy_gradients_in_one_pass_equal_the_two_pass_path(monkeypatch):
+    # One actor forward, one critic forward and one surrogate evaluation give
+    # the bytes of a path that runs the actor twice, once for the ratio and
+    # once for the activations its backward pass runs from.
     rng = np.random.default_rng(21)
     params = init_policy(5, 3, rng, hidden=(16, 16))
     obs = rng.normal(size=(40, 5))
     actions = rng.uniform(0.0, 1.0, size=(40, 3))
     norm_adv = rng.normal(size=40)
+    returns = rng.normal(size=40)
     means, _ = params.actor.forward(obs)
     old_logps = gaussian_logp(actions, means, params.log_sigma) + rng.normal(
         0.0, 0.3, 40
     )
 
-    # The two-pass path: an actor forward for the ratio, then a second one
-    # whose activations the backward pass runs from.
     logps = gaussian_logp(actions, params.actor.forward(obs)[0], params.log_sigma)
     ratio = np.exp(logps - old_logps)
     surr1 = ratio * norm_adv
@@ -396,13 +401,26 @@ def test_policy_gradients_in_one_pass_equal_the_two_pass_path():
     diff = actions - means
     gw, gb = params.actor.backward(acts, coeff[:, None] * diff / sigma**2)
     gs = (coeff[:, None] * (diff**2 / sigma**2 - 1.0)).sum(axis=0) - ENTROPY_COEF
+    values, acts = params.critic.forward(obs)
+    errors = values[:, 0] - returns
+    cw, cb = params.critic.backward(acts, (VALUE_COEF * 2.0 * errors / 40)[:, None])
 
-    forward, calls = params.actor.forward, []
-    params.actor.forward = lambda *args: calls.append(1) or forward(*args)
-    got = _policy_gradients(params, obs, actions, old_logps, norm_adv, 40)
-    assert len(calls) == 1
-    got = [got[0], *got[1], *got[2], got[3]]
-    for a, b in zip(got, [logps, *gw, *gb, gs], strict=True):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    params.actor.forward = counted("actor", params.actor.forward)
+    params.critic.forward = counted("critic", params.critic.forward)
+    monkeypatch.setattr(training, "_surrogate", counted("surrogate", training._surrogate))
+    grads = dataclasses.replace(params, vector=np.empty_like(params.vector))
+    buffers = [_buffers(net, 40) for net in (params.actor, params.critic)]
+    got = _minibatch_gradient(
+        params, grads, buffers, obs, actions, old_logps, norm_adv, returns
+    )
+    assert sorted(calls) == ["actor", "critic", "surrogate"]
+    want = [logps, ratio, surr1, surr2, errors, *gw, *gb, gs, *cw, *cb]
+    for a, b in zip([*got, *_arrays(grads)], want, strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -452,29 +470,29 @@ def test_adam_rejects_a_vector_of_another_size():
     assert adam.t == 0
 
 
-def _poison(grad_fn, pick):
-    def poisoned(*args):
-        grads = grad_fn(*args)
-        pick(grads).reshape(-1)[-1] = np.nan
-        return grads
-
-    return poisoned
-
-
 @pytest.mark.parametrize(
-    "where, pick",
+    "pick",
     [
-        ("_policy_gradients", lambda grads: grads[3]),  # log_sigma
-        ("_value_gradients", lambda grads: grads[1][-1]),  # critic's last bias
+        lambda grads: grads.actor.weights[0],
+        lambda grads: grads.log_sigma,
+        lambda grads: grads.critic.biases[-1],
     ],
+    ids=["actor_first_weight", "log_sigma", "critic_last_bias"],
 )
 def test_a_non_finite_gradient_in_any_segment_stops_the_update(
-    tiny_world, monkeypatch, where, pick
+    tiny_world, monkeypatch, pick
 ):
     spec = EnvSpec(topology=tiny_world)
     params = _tiny_policy(spec)
     batch = collect_rollouts(spec, params, _cfg())
-    monkeypatch.setattr(training, where, _poison(getattr(training, where), pick))
+    gradient = training._minibatch_gradient
+
+    def poisoned(params, grads, *args):
+        result = gradient(params, grads, *args)
+        pick(grads).reshape(-1)[-1] = np.nan
+        return result
+
+    monkeypatch.setattr(training, "_minibatch_gradient", poisoned)
     optimizer = Adam(params.vector.size, _cfg().learning_rate)
     with pytest.raises(NumericError, match="^non-finite gradient during update$"):
         _update(params, batch, optimizer)
