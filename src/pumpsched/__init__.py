@@ -4,8 +4,6 @@ __version__ = "0.1.0"
 
 from .env import (
     AgentKind,
-    FrameSkipEnv,
-    PumpSchedulingEnv,
     sample_episode,
     sample_operational_episode,
 )
@@ -70,14 +68,12 @@ __all__ = [
     "DemandZoneSpec",
     "DEFAULT_IMPERFECTION",
     "EnvSpec",
-    "FrameSkipEnv",
     "HistoryArchive",
     "HybridCase",
     "InjectionPlan",
     "NetworkTopology",
     "NumericError",
     "PolicyParameters",
-    "PumpSchedulingEnv",
     "PumpschedError",
     "PumpStationSpec",
     "RuleBasedController",

@@ -198,38 +198,6 @@ def _check_window(window: int) -> None:
         )
 
 
-class FrameSkipEnv:
-    """Hold each commanded action for a fixed window of inner steps.
-
-    The wrapped reward is the sum of the inner rewards; the observation is the
-    one after the last inner step. A window of W yields 96/W decisions per day.
-    """
-
-    def __init__(self, env: PumpSchedulingEnv, window: int):
-        _check_window(window)
-        self.env = env
-        self.window = window
-
-    def reset(self, initial_levels: np.ndarray, zone_values: np.ndarray) -> np.ndarray:
-        return self.env.reset(initial_levels, zone_values)
-
-    def step(self, action: np.ndarray) -> StepResult:
-        total = 0.0
-        result: StepResult | None = None
-        for _ in range(self.window):
-            result = self.env.step(action)
-            total += result.reward
-        return StepResult(
-            observation=result.observation,
-            reward=total,
-            done=result.done,
-            info=result.info,
-        )
-
-    def trajectory(self) -> Trajectory:
-        return self.env.trajectory()
-
-
 _START_CAP_CLEARANCE = 0.02  # keep starts off the physical rails
 BURN_DAYS = 8  # hysteresis days run before an evaluation day
 
@@ -304,8 +272,9 @@ def closed_loop(
     """An ``act(t, levels)`` callback for ``run_day`` driven by ``act_fn``.
 
     ``act_fn`` sees the observation a ``kind`` agent would get from the env
-    before step ``t``, one row per lane when ``run_day`` rolls lanes, and, as
-    under ``FrameSkipEnv``, its action is held for ``window`` steps.
+    before step ``t``, one row per lane when ``run_day`` rolls lanes, and its
+    action is held for ``window`` steps: a decision every ``window`` steps,
+    96 / ``window`` a day.
     """
     _check_window(window)
     c = topology.compiled

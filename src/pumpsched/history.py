@@ -11,12 +11,11 @@ plus level, action, power, demand and tariff arrays shaped (day, step, ...),
 saved to and loaded from CSV with one row per (day, step).
 
 The CSV is the archive's canonical format. ``save_history`` also writes a
-binary companion beside it, ``<csv>.arrays``, as ``save_checkpoint`` does
-beside a checkpoint: one float64 array keyed on the SHA-256 of the text's
-bytes (see ``_write_companion``). Like a hash-based ``.pyc`` file it is a
-cache keyed on content, not on time: ``load_history`` reads it only while
-the key matches the text it is loading, and otherwise scans the text row by
-row with ``csv.reader``.
+binary companion beside it, ``<csv>.arrays``: one float64 array keyed on
+the SHA-256 of the text's bytes (see ``_write_companion``). Like a
+hash-based ``.pyc`` file it is a cache keyed on content, not on time:
+``load_history`` reads it only while the key matches the text it is
+loading, and otherwise scans the text row by row with ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -238,31 +237,28 @@ def _key(path: str | Path) -> bytes:
     return f"{digest.hexdigest()}\n".encode()
 
 
-def _write_companion(path: str | Path, array: np.ndarray, header: bytes = b"") -> None:
+def _write_companion(path: str | Path, array: np.ndarray) -> None:
     """Write ``<path>.arrays``: the SHA-256 hex digest of the artifact now at
-    ``path`` on one line, ``header`` as given, then ``array`` by ``np.save``
-    without pickling. Its bytes depend on the artifact and the arguments alone."""
+    ``path`` on one line, then ``array`` by ``np.save`` without pickling. Its
+    bytes depend on the artifact and the array alone."""
     with open(f"{path}.arrays", "wb") as fh:
-        fh.write(_key(path) + header)
+        fh.write(_key(path))
         np.save(fh, array, allow_pickle=False)
 
 
-def _read_companion(
-    path: str | Path, header: bool = False
-) -> tuple[bytes, np.ndarray] | None:
-    """(header line or b"", float64 array) of the companion of ``path``, never
-    unpickled, or None unless it is keyed to the artifact's current bytes and
-    well-formed. The array's shape is the caller's to check."""
+def _read_companion(path: str | Path) -> np.ndarray | None:
+    """The float64 array of the companion of ``path``, never unpickled, or
+    None unless it is keyed to the artifact's current bytes and well-formed.
+    The array's shape is the caller's to check."""
     try:
         with open(f"{path}.arrays", "rb") as fh:
             if fh.readline(80) != _key(path):
                 return None
-            head = fh.readline() if header else b""
             array = np.load(fh, allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
     if isinstance(array, np.ndarray) and array.dtype == np.float64:
-        return head, array
+        return array
     return None
 
 
@@ -301,9 +297,10 @@ def save_history(archive: HistoryArchive, path: str | Path) -> None:
     """Write one CSV row per (day, step), then the CSV's binary companion.
 
     Floats round-trip exactly via repr. The companion (see
-    ``_write_companion``) only spares ``load_history`` the text parse: it
-    holds the CSV's numbers, stamps included, as one 2-D array, with no
-    header line. Both files' bytes depend on the archive alone.
+    ``_write_companion``) only spares ``load_history`` the text parse: after
+    its key line it holds the CSV's numbers, stamps included, as one 2-D
+    array without the column names. Both files' bytes depend on the archive
+    alone.
     """
     archive.validate()
     if archive.n_days == 0:
@@ -390,9 +387,8 @@ def load_history(path: str | Path) -> HistoryArchive:
                 raise SchemaError(
                     f"{path}: header does not match the documented column order"
                 )
-            found = _read_companion(path)
-            data = found[1] if found and found[1].ndim == 2 else None
-            if data is None or data.shape[1] != len(expected):
+            data = _read_companion(path)
+            if data is None or data.ndim != 2 or data.shape[1] != len(expected):
                 data = _scan_body(path, reader, len(expected))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not a text file ({exc})") from None

@@ -9,10 +9,17 @@ rollout collection works them out once its episodes have ended.
 The Gaussian head owns its density and its derivative, ``gaussian_logp`` and
 ``gaussian_logp_grads``, side by side; the networks' passes and the loss they
 feed belong to the PPO update (``training._minibatch_gradient``).
+
+A checkpoint keeps each parameter once: ``<path>.arrays`` is the policy's
+one vector as ``np.save`` writes it, and the JSON document at ``path`` holds
+the shape of each array, the dimensions, the meta and the SHA-256 of that
+vector file, but no parameter value.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .history import _read_companion, _write_companion
 from .network import _read_json
 from .nn import MLP
 
@@ -30,7 +36,7 @@ INITIAL_SIGMA = 0.3  # exploration noise of a fresh policy
 INITIAL_ACTION = 0.5  # a fresh actor's mean: every pump near half speed
 _LOG2PI = float(np.log(2.0 * np.pi))
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -148,23 +154,36 @@ def entropy(params: PolicyParameters) -> float:
 # Checkpoints
 
 
-def _mlp_from_dict(obj: dict, where: str) -> MLP:
+def _shape(value, ndim: int, where: str) -> tuple[int, ...]:
+    """A shape a checkpoint records: a list of ``ndim`` positive integers."""
+    if not (
+        isinstance(value, list)
+        and len(value) == ndim
+        and all(type(n) is int and n > 0 for n in value)
+    ):
+        raise SchemaError(
+            f"{where}: expected a shape, a length-{ndim} list of positive integers"
+        )
+    return tuple(value)
+
+
+def _mlp_shapes(obj, where: str) -> MLP:
+    """The layer shapes a checkpoint records for one network, as an MLP of
+    shape tuples, once its layers are checked to chain."""
     try:
-        weights = [np.asarray(w, dtype=float) for w in obj["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in obj["biases"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: malformed network block ({exc})") from None
+        weights = [_shape(w, 2, f"{where} weights") for w in obj["weights"]]
+        biases = [_shape(b, 1, f"{where} biases") for b in obj["biases"]]
+    except (KeyError, TypeError):
+        raise SchemaError(f"{where}: malformed network block") from None
     if not weights or len(weights) != len(biases):
         raise SchemaError(f"{where}: needs one bias per weight matrix, at least one")
     for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.ndim != 2 or b.shape != w.shape[1:]:
+        if b != w[1:]:
+            raise SchemaError(f"{where}: layer {i} weights {w} do not match biases {b}")
+        if i and w[0] != weights[i - 1][1]:
             raise SchemaError(
-                f"{where}: layer {i} weights {w.shape} do not match biases {b.shape}"
-            )
-        if i and w.shape[0] != weights[i - 1].shape[1]:
-            raise SchemaError(
-                f"{where}: layer {i} takes {w.shape[0]} inputs but layer {i - 1} "
-                f"gives {weights[i - 1].shape[1]}"
+                f"{where}: layer {i} takes {w[0]} inputs but layer {i - 1} "
+                f"gives {weights[i - 1][1]}"
             )
     return MLP(weights=weights, biases=biases)
 
@@ -172,78 +191,73 @@ def _mlp_from_dict(obj: dict, where: str) -> MLP:
 def save_checkpoint(
     params: PolicyParameters, path: str | Path, meta: dict | None = None
 ) -> None:
-    """Write a versioned, exactly-round-tripping checkpoint document, then its
-    binary companion (see ``history._write_companion``): a header line of the
-    document with each array replaced by its shape, and ``params.vector``.
-    Both depend on params and meta alone.
+    """Write ``params.vector`` to ``<path>.arrays`` by ``np.save``, then the
+    checkpoint document at ``path``: format version, dimensions, the shape of
+    each array, ``meta`` and the arrays file's SHA-256. The document holds no
+    parameter value, and both files depend on params and meta alone.
     """
+    buf = io.BytesIO()
+    np.save(buf, params.vector, allow_pickle=False)
+    data = buf.getvalue()
+    Path(f"{path}.arrays").write_bytes(data)
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "obs_dim": params.obs_dim,
         "action_dim": params.action_dim,
-        "actor": vars(params.actor),  # the MLP's weights and biases lists
+        "actor": vars(params.actor),  # its weights' and biases' shapes
         "log_sigma": params.log_sigma,
         "critic": vars(params.critic),
         "meta": meta or {},
+        "arrays_sha256": hashlib.sha256(data).hexdigest(),
     }
-    Path(path).write_text(json.dumps(doc, default=np.ndarray.tolist) + "\n")
-    header = f"{json.dumps(doc, default=np.shape)}\n".encode()
-    _write_companion(path, params.vector, header)
-
-
-def _doc_from_companion(path: str | Path) -> dict | None:
-    """The checkpoint document rebuilt from its companion, each array a view
-    of the companion's vector; None unless the companion is keyed to the
-    document's bytes and its shapes fill its vector exactly."""
-    found = _read_companion(path, header=True)
-    if found is None:
-        return None
-    head, vector = found
-    try:
-        doc = json.loads(head)
-        params = PolicyParameters(
-            MLP(**doc["actor"]), doc["log_sigma"], MLP(**doc["critic"]), vector
-        )
-    except (ValueError, TypeError, KeyError):
-        return None
-    actor, critic = vars(params.actor), vars(params.critic)
-    return {**doc, "actor": actor, "log_sigma": params.log_sigma, "critic": critic}
+    Path(path).write_text(json.dumps(doc, default=np.shape) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
     """Load and check a checkpoint written by ``save_checkpoint``.
 
-    The arrays come from its companion ``<path>.arrays`` while that is keyed
-    to the SHA-256 of the document's bytes (see ``_doc_from_companion``); a
-    missing, stale, truncated or malformed one falls back to parsing the JSON.
-    Both paths then pass the same checks: format version, layer chaining,
-    declared dimensions, ``log_sigma`` shape, critic output and ``meta`` type.
-    Either way the result owns a new vector that its arrays are views of.
+    The document is read and checked first: format version, layer shapes and
+    their chaining. Then ``<path>.arrays`` must hash to the SHA-256 the
+    document records and hold one 1-D float64 vector that the shapes fill
+    exactly; the declared dimensions, the ``log_sigma`` shape, the critic's
+    output and the ``meta`` type are checked last. Any of these failing is a
+    one-line ``SchemaError``; a missing file is an ``OSError``. The result's
+    arrays are views of the one writable vector read from the file.
     """
-    doc = _doc_from_companion(path) or _read_json(path)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:
         raise SchemaError(
             f"{path}: unsupported checkpoint format "
             f"(expected version {CHECKPOINT_VERSION})"
         )
-    for key in ("actor", "log_sigma", "critic"):
-        if key not in doc:
-            raise SchemaError(f"{path}: missing checkpoint field {key!r}")
-    actor = _mlp_from_dict(doc["actor"], f"{path}: actor")
-    critic = _mlp_from_dict(doc["critic"], f"{path}: critic")
+    actor = _mlp_shapes(doc.get("actor"), f"{path}: actor")
+    critic = _mlp_shapes(doc.get("critic"), f"{path}: critic")
+    log_sigma = _shape(doc.get("log_sigma"), 1, f"{path}: log_sigma")
+    arrays = f"{path}.arrays"
+    with open(arrays, "rb") as fh:
+        if hashlib.sha256(fh.read()).hexdigest() != doc.get("arrays_sha256"):
+            raise SchemaError(f"{arrays}: does not match the SHA-256 {path} records")
+        fh.seek(0)
+        try:
+            vector = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise SchemaError(f"{arrays}: not a saved array ({exc})") from None
+    # an .npz archive loads as an NpzFile, which has no dtype
+    if getattr(vector, "dtype", None) != np.float64 or vector.ndim != 1:
+        raise SchemaError(f"{arrays}: expected one 1-D float64 vector")
     try:
-        log_sigma = np.asarray(doc["log_sigma"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed log_sigma ({exc})") from None
-    params = PolicyParameters(actor=actor, log_sigma=log_sigma, critic=critic)
+        params = PolicyParameters(actor, log_sigma, critic, vector)
+    except ValueError:
+        raise SchemaError(
+            f"{arrays}: {vector.size} values do not fill the shapes {path} records"
+        ) from None
     if params.obs_dim != doc.get("obs_dim") or params.action_dim != doc.get("action_dim"):
         raise SchemaError(f"{path}: declared dimensions do not match stored arrays")
-    if log_sigma.shape != (params.action_dim,):
+    if log_sigma != (params.action_dim,):
         raise SchemaError(
-            f"{path}: log_sigma has shape {log_sigma.shape}, "
-            f"expected ({params.action_dim},)"
+            f"{path}: log_sigma has shape {log_sigma}, expected ({params.action_dim},)"
         )
-    if critic.sizes[0] != params.obs_dim or critic.sizes[-1] != 1:
+    if params.critic.sizes[0] != params.obs_dim or params.critic.sizes[-1] != 1:
         raise SchemaError(f"{path}: critic must map {params.obs_dim} inputs to 1 value")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):

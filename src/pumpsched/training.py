@@ -178,8 +178,9 @@ def _collect_lanes(
         day = run_day(spec.topology, np.array(levels), np.array(demands), act)
     except (NumericError, ValidationError) as exc:  # non-finite actions or levels
         raise TrainingError(f"rollout failed: {exc}") from exc
-    # A decision earns its window's step rewards added in step order, as
-    # FrameSkipEnv adds them; numpy's pairwise sum of 8 or more would differ.
+    # A decision earns its window's step rewards added one by one in step
+    # order, as stepping the env would; numpy's pairwise sum of 8 or more
+    # would differ in the last bits.
     per_step = day_rewards(spec.topology, spec.agent_kind, day)
     rewards = per_step[::window]
     for j in range(1, window):

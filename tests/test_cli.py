@@ -94,17 +94,20 @@ def test_command_exits_zero_and_writes_artifacts(workflow, command):
 
 
 # SHA-256 of each canonical artifact the workflow writes and of the binary
-# companions beside history.csv and checkpoint.json, recorded with numpy 2.4.6
-# on x86-64. A refactor that keeps them all is byte-identical end to end. The dual artifacts, checkpoint.json on, were
-# recorded for the 8-input dual observation (levels, clock, current price); the
-# two reports, comparison.csv on, for percentages that all read (value -
-# reference) / reference, pooled in the strategy report.
+# files beside history.csv and checkpoint.json, recorded with numpy 2.4.6 on
+# x86-64. A refactor that keeps them all is byte-identical end to end. The
+# dual artifacts, checkpoint.json on, were recorded for the 8-input dual
+# observation (levels, clock, current price), and the checkpoint's two files
+# for version 2: the vector only in checkpoint.json.arrays, whose SHA-256 the
+# shapes-only checkpoint.json records. The two reports, comparison.csv on,
+# were recorded for percentages that all read (value - reference) /
+# reference, pooled in the strategy report.
 WORKFLOW_DIGESTS = {
     "network.json": "d2c12fef163ed33d118b8df404c1616d265c307298ad688732c4a182c33c7a13",
     "history.csv": "25239ee406e601c6a3fa71355acc1e4ba71bcbedba8d1b31332890f9f47f22f8",
     "history.csv.arrays": "9f320d1316acdd009a9d06a0c14117afeb11b690ce55dc67aa46603d633a9094",
-    "checkpoint.json": "34ed2977a16a44720ed2d2ce2e904c552ae197ec71a1ec87740d209f2b36d4ec",
-    "checkpoint.json.arrays": "5c9ae82702b149cd54019bb3499781d92f61d60ea64e911f6ec76934dcb8aa73",
+    "checkpoint.json": "71cac2884bd0dbe1fced7c3ef61673aafda22c4c42ff5a4884b5063e67af00b9",
+    "checkpoint.json.arrays": "9cef759f9b76025b7ecd37a3f7aef1f8af09a103a4e81e2c71c6c55a1649ce1e",
     "reward_curve.csv": "bdd77493ce8548379aab8c1f56a9a8ae4dc9f421fd433b25c93480f529878067",
     "comparison.csv": "a4785b0a8accd32070069a6650125d211af527b403d7113a4b205a443c85cbfe",
     "comparison.json": "5b8d8c4a73d22b16bb2c412be367b1c5ed27a3d9b6b1a910dbfad3f273a7c26f",
@@ -127,16 +130,16 @@ def test_workflow_artifacts_match_recorded_digests(workflow):
 # epoch ends on a short minibatch of 40; Adam's moments carry across the
 # iterations and every lane draws a 24-decision day of noise.
 MULTI_ITERATION_DIGESTS = {
-    "checkpoint.json": "8ea55ce5a8a4c7567ac38b4a20d6efcdc085bf9119d6171c0f6722f3bc2ae113",
-    "checkpoint.json.arrays": "318329469c4b70fc16046890387695d4fed722b20bcf576edb02cfc3c75ce66a",
+    "checkpoint.json": "a4586e1f9d7222d22c87b364990b7b75f0ee82f50e289b07e84a7ec88da6de58",
+    "checkpoint.json.arrays": "b354e06f80df45f660710ebb373b1bbcf92fc69f2d1eb626da237f9c4640ad16",
     "reward_curve.csv": "88b8a91d60ed3cb0325ee2f0d27354c2b0f9d7cfedc1522648efd20fbc411eb5",
 }
 
 # SHA-256 of a two-iteration dual run, recorded as above. Batch 960 rolls 10
 # whole days, so each epoch ends on a short minibatch of 64 rows.
 DUAL_TAIL_DIGESTS = {
-    "checkpoint.json": "93b15b88e4468bd1cf4067d9b8f53dc2b17a4a5b3313c0af50174dc06369ef40",
-    "checkpoint.json.arrays": "71d308fa75216b1a0945ab5d1bf7a655f7970026f1372a589adee822fe6252fe",
+    "checkpoint.json": "9ae1d592274778ed3bf8004a0776b3f925645fa4b9f0d11a94838679e6cd2111",
+    "checkpoint.json.arrays": "8c51fe5374034b111e21f38b81eb0584e2c5779370329818775d3db4e29df8d2",
     "reward_curve.csv": "5842b2d8b0b41b5bb46ef7d830833cde6b4e9e4b8c8423d3fec593f91553f64d",
 }
 
@@ -185,13 +188,17 @@ def test_hybrid_repairs_a_final_state_only_violation(workflow):
 
 
 def test_missing_checkpoint_exits_two(workflow, tmp_path):
+    """A missing checkpoint.json, or one whose arrays file is missing, is a
+    file error."""
     out, _ = workflow
-    result = run_cli(
-        "eval", "--network", out / "network.json",
-        "--checkpoint", tmp_path / "missing.json", "--out", tmp_path,
-    )
-    assert result.returncode == 2
-    assert len(result.stderr.strip().splitlines()) == 1
+    shutil.copyfile(out / "checkpoint.json", tmp_path / "no_arrays.json")
+    for checkpoint in ("missing.json", "no_arrays.json"):
+        result = run_cli(
+            "eval", "--network", out / "network.json",
+            "--checkpoint", tmp_path / checkpoint, "--out", tmp_path / "out",
+        )  # fmt: skip
+        assert result.returncode == 2, checkpoint
+        assert len(result.stderr.strip().splitlines()) == 1, checkpoint
 
 
 def test_train_artifacts_do_not_depend_on_workers(workflow, tmp_path):
@@ -254,7 +261,7 @@ def test_eval_and_hybrid_reject_an_edited_checkpoint_beside_its_stale_companion(
         shutil.copyfile(out / name, tmp_path / name)
     checkpoint = tmp_path / "checkpoint.json"
     doc = json.loads(checkpoint.read_text())
-    doc["log_sigma"] = ["wide"] * len(doc["log_sigma"])
+    doc["log_sigma"] = ["wide"]
     checkpoint.write_text(json.dumps(doc) + "\n")
     for command in ("eval", "hybrid"):
         inputs = _inputs(out, command, {"--checkpoint"})
@@ -264,8 +271,8 @@ def test_eval_and_hybrid_reject_an_edited_checkpoint_beside_its_stale_companion(
         )  # fmt: skip
         assert result.returncode == 1, command
         assert result.stderr.splitlines() == [
-            f"error: {checkpoint}: malformed log_sigma "
-            "(could not convert string to float: 'wide')"
+            f"error: {checkpoint}: log_sigma: expected a shape, a length-1 list "
+            "of positive integers"
         ], command
 
 
@@ -373,14 +380,18 @@ def _bad_artifact(name, text):
     return build
 
 
-def _bad_checkpoint(edit, command="eval"):
-    """``command`` with the workflow's checkpoint.json edited by ``edit``."""
+def _bad_checkpoint(edit, command="eval", arrays=None):
+    """``command`` with the workflow's checkpoint.json edited by ``edit``,
+    beside the workflow's arrays file or, given ``arrays``, the one that
+    ``arrays(tmp_path)`` returns."""
 
     def build(out, tmp_path):
         doc = json.loads((out / "checkpoint.json").read_text())
         edit(doc)
         checkpoint = tmp_path / "checkpoint.json"
         checkpoint.write_text(json.dumps(doc))
+        source = arrays(tmp_path) if arrays else out / "checkpoint.json.arrays"
+        shutil.copyfile(source, tmp_path / "checkpoint.json.arrays")
         inputs = _inputs(out, command, {"--checkpoint"})
         return (
             command, *inputs, "--checkpoint", checkpoint, "--out", tmp_path / "out",
@@ -480,8 +491,16 @@ def _gen_days(days):
 
 def _narrow_first_hidden_layer(doc):
     actor = doc["actor"]
-    actor["weights"][0] = [row[:-1] for row in actor["weights"][0]]
-    actor["biases"][0] = actor["biases"][0][:-1]
+    actor["weights"][0][1] -= 1
+    actor["biases"][0][0] -= 1
+
+
+def _other_runs_arrays(tmp_path):
+    """The arrays file of another dual checkpoint of the workflow's widths."""
+    other = tmp_path / "other" / "checkpoint.json"
+    other.parent.mkdir()
+    save_checkpoint(init_policy(8, 6, np.random.default_rng(0)), other)
+    return f"{other}.arrays"
 
 
 BAD_INPUTS = {
@@ -523,6 +542,10 @@ BAD_INPUTS = {
         lambda doc: doc.update(log_sigma=doc["log_sigma"][:-1])
     ),
     "unchained_hidden_layers": _bad_checkpoint(_narrow_first_hidden_layer),
+    "checkpoint_beside_another_runs_arrays": _bad_checkpoint(
+        lambda doc: None, arrays=_other_runs_arrays
+    ),
+    "checkpoint_version_1": _bad_checkpoint(lambda doc: doc.update(format_version=1)),
     "unknown_agent": _bad_checkpoint(lambda doc: doc["meta"].update(agent="greedy")),
     "checkpoint_frame_skip_zero": _bad_checkpoint(
         lambda doc: doc["meta"].update(frame_skip=0)

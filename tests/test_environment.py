@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from pumpsched import (
     AgentKind,
-    FrameSkipEnv,
-    PumpSchedulingEnv,
     TariffSchedule,
     ValidationError,
     demands_from_rng,
@@ -18,7 +16,9 @@ from pumpsched import (
 from pumpsched.env import (
     CONSTRAINT_WEIGHT,
     ENERGY_WEIGHT,
+    PumpSchedulingEnv,
     closed_loop,
+    day_rewards,
     reward_constraint_step,
     reward_dual,
 )
@@ -282,104 +282,123 @@ def test_each_observation_row_is_levels_clock_and_current_price(world, kind):
     assert len(rows) == STEPS_PER_DAY
 
 
-# -- frame-skip wrapper -------------------------------------------------------
+# -- frame skip: closed_loop holding each action for a window ---------------
+
+
+def _held_day(world, kind, act_fn, window):
+    """The day ``run_day`` rolls from ``_episode`` as one lane under
+    ``closed_loop``, with ``act_fn`` given and giving that lane's row, and
+    the lane's ``day_rewards``."""
+    levels, demands = _episode(world)
+    act = closed_loop(world, kind, lambda obs: act_fn(obs[0])[None], window)
+    day = run_day(world, levels[None], demands[None], act)
+    return day, day_rewards(world, kind, day)[:, 0]
 
 
 def test_frame_skip_decision_count(world):
-    env = FrameSkipEnv(_env(world, AgentKind.DUAL), 8)
-    env.reset(*_episode(world))
-    steps = 0
-    done = False
-    while not done:
-        result = env.step(np.full(6, 0.5))
-        steps += 1
-        done = result.done
-    assert steps == 12
+    """A window of 8 asks for 12 decisions a day, at the steps the dual
+    observation's clock names: 0, 8, ..., 88."""
+    clocks = []
+
+    def act_fn(obs):
+        clocks.append(round(obs[6] * STEPS_PER_DAY))
+        return np.full(6, 0.5)
+
+    _held_day(world, AgentKind.DUAL, act_fn, 8)
+    assert clocks == list(range(0, STEPS_PER_DAY, 8))
 
 
 def test_frame_skip_rejects_bad_window(world):
-    with pytest.raises(ValidationError):
-        FrameSkipEnv(_env(world), 7)  # does not divide 96
-    with pytest.raises(ValidationError):
-        FrameSkipEnv(_env(world), 0)
+    for window in (7, 0, -8, 2 * STEPS_PER_DAY):  # each fails to divide 96
+        with pytest.raises(ValidationError, match="frame-skip window"):
+            closed_loop(world, AgentKind.CONSTRAINT, lambda obs: obs, window)
 
 
 def test_frame_skip_reward_sums_inner_rewards(world):
-    rng = np.random.default_rng(5)
-    decisions = rng.uniform(0.2, 0.8, (12, 6))
-
-    wrapped = FrameSkipEnv(_env(world, AgentKind.DUAL), 8)
-    wrapped.reset(*_episode(world))
-    wrapped_rewards = [wrapped.step(decisions[i]).reward for i in range(12)]
+    """Under a window of 8, ``day_rewards`` gives the env's reward for every
+    step, and each decision's window sums the env's rewards of its steps."""
+    decisions = np.random.default_rng(5).uniform(0.2, 0.8, (12, 6))
+    chosen = iter(decisions)
+    _, per_step = _held_day(world, AgentKind.DUAL, lambda obs: next(chosen), 8)
 
     plain = _env(world, AgentKind.DUAL)
     plain.reset(*_episode(world))
     inner = [plain.step(decisions[t // 8]).reward for t in range(STEPS_PER_DAY)]
-
-    for i in range(12):
-        window_sum = sum(inner[i * 8 : (i + 1) * 8])
-        assert wrapped_rewards[i] == pytest.approx(window_sum, abs=1e-12)
-    assert sum(wrapped_rewards) == pytest.approx(sum(inner), abs=1e-12)
+    assert per_step.tobytes() == np.array(inner).tobytes()
+    window_sums = [sum(inner[i * 8 : (i + 1) * 8]) for i in range(12)]
+    np.testing.assert_allclose(
+        per_step.reshape(12, 8).sum(axis=1), window_sums, rtol=0, atol=1e-12
+    )
+    assert sum(window_sums) == pytest.approx(float(per_step.sum()), abs=1e-12)
 
 
 def test_frame_skip_window_one_is_identity(world):
-    action = np.full(6, 0.45)
-    wrapped = FrameSkipEnv(_env(world), 1)
-    wrapped.reset(*_episode(world))
-    plain = _env(world)
-    plain.reset(*_episode(world))
-    for _ in range(STEPS_PER_DAY):
-        a = wrapped.step(action)
-        b = plain.step(action)
-        assert a.reward == b.reward
-        np.testing.assert_array_equal(a.observation, b.observation)
-        assert a.done == b.done
+    """A window of 1 asks for a decision every step and holds nothing: the day
+    equals the one rolled from that schedule directly."""
+    schedule = np.random.default_rng(6).uniform(0.0, 1.0, (STEPS_PER_DAY, 6))
+    chosen = iter(schedule)
+    day, _ = _held_day(world, AgentKind.CONSTRAINT, lambda obs: next(chosen), 1)
+    levels, demands = _episode(world)
+    direct = run_day(
+        world, levels[None], demands[None], lambda t, lv: schedule[t][None]
+    )
+    assert next(chosen, None) is None
+    for name in ("states", "actions", "powers", "energies", "costs"):
+        assert getattr(day, name).tobytes() == getattr(direct, name).tobytes()
 
 
 def test_frame_skip_whole_day_window(world):
+    """A window of 96 asks for one decision and holds it all day; the day's
+    rewards add up to the env's over 96 steps of that action."""
     action = np.full(6, 0.35)
-    wrapped = FrameSkipEnv(_env(world), 96)
-    wrapped.reset(*_episode(world))
-    result = wrapped.step(action)
-    assert result.done
+    calls = []
+    day, rewards = _held_day(
+        world, AgentKind.CONSTRAINT, lambda obs: calls.append(obs) or action, 96
+    )
+    assert len(calls) == 1
+    assert np.all(day.actions == action)
 
     plain = _env(world)
     plain.reset(*_episode(world))
     total = sum(plain.step(action).reward for _ in range(STEPS_PER_DAY))
-    assert result.reward == pytest.approx(total, abs=1e-12)
+    assert float(rewards.sum()) == pytest.approx(total, abs=1e-12)
 
 
 def test_frame_skip_toggle_bound(world):
     rng = np.random.default_rng(1)
-    env = FrameSkipEnv(_env(world), 8)
-    env.reset(*_episode(world))
-    done = False
-    while not done:
-        done = env.step(rng.uniform(0.0, 1.0, 6)).done
-    actions = env.trajectory().actions
-    changes = int((np.abs(np.diff(actions, axis=0)).sum(axis=1) > 0).sum())
+    day, _ = _held_day(
+        world, AgentKind.CONSTRAINT, lambda obs: rng.uniform(0.0, 1.0, 6), 8
+    )
+    changes = int((np.abs(np.diff(day.actions[:, 0], axis=0)).sum(axis=1) > 0).sum())
     assert changes <= 11
 
 
 @pytest.mark.parametrize("kind", list(AgentKind))
 @pytest.mark.parametrize("window", [1, 8])
 def test_closed_loop_day_matches_the_env_episode(world, kind, window):
+    """``closed_loop`` rolls the day the env steps when each decision is held
+    for ``window`` steps, and ``day_rewards`` gives the env's step rewards."""
     weights = np.random.default_rng(4).normal(0.0, 0.1, (6 + 2, 6))
 
     def act_fn(obs):
         return np.clip(0.5 + obs @ weights[: obs.shape[0]], 0.0, 1.0)
 
     levels, demands = _episode(world)
-    env = FrameSkipEnv(_env(world, kind), window)
+    env = _env(world, kind)
     obs = env.reset(levels, demands)
+    rewards = []
     for _ in range(STEPS_PER_DAY // window):
-        obs = env.step(act_fn(obs)).observation
+        action = act_fn(obs)
+        for _ in range(window):
+            result = env.step(action)
+            rewards.append(result.reward)
+        obs = result.observation
     expected = env.trajectory()
     traj = run_day(world, levels, demands, closed_loop(world, kind, act_fn, window))
     for name in ("states", "actions", "powers", "energies", "costs"):
         np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
-    with pytest.raises(ValidationError):
-        closed_loop(world, kind, act_fn, 7)
+    _, lane_rewards = _held_day(world, kind, act_fn, window)
+    assert lane_rewards.tobytes() == np.array(rewards).tobytes()
 
 
 # -- episode sampling ---------------------------------------------------------

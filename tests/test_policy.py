@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -417,20 +418,6 @@ COMPANION_POLICIES = {
 }
 
 
-@pytest.fixture
-def decoded_texts(monkeypatch):
-    """The texts ``json.loads`` decodes; the companion's shape line is bytes."""
-    texts = []
-    real = json.loads
-
-    def counted(text, *args, **kwargs):
-        texts.append(text)
-        return real(text, *args, **kwargs)
-
-    monkeypatch.setattr(json, "loads", counted)
-    return texts
-
-
 def _arrays(params):
     """Every array of the policy, each a view of its vector."""
     a, c = params.actor, params.critic
@@ -443,32 +430,47 @@ def _assert_same_checkpoint(a, b):
     assert [x.shape for x in _arrays(a)] == [y.shape for y in _arrays(b)]
 
 
+def _saved(array, **kwargs):
+    """The bytes ``np.save`` writes for ``array``."""
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("policy", list(COMPANION_POLICIES))
-def test_companion_load_equals_the_json_parse(tmp_path, policy, decoded_texts):
+def test_checkpoint_load_returns_the_saved_vector(tmp_path, policy):
     params = _small_policy(**COMPANION_POLICIES[policy])
     path = tmp_path / "checkpoint.json"
     meta = {"agent": "dual", "frame_skip": 4, "nested": {"steps": [1, 2.5]}}
     save_checkpoint(params, path, meta=meta)
-    document = path.read_text()
 
-    from_companion, meta_companion = load_checkpoint(path)
-    assert decoded_texts.count(document) == 0
-    (tmp_path / "checkpoint.json.arrays").unlink()
-    parsed, meta_parsed = load_checkpoint(path)
-    assert decoded_texts.count(document) == 1
-    assert meta_companion == meta_parsed == meta
-    _assert_same_checkpoint(from_companion, parsed)
-    _assert_same_checkpoint(from_companion, params)
-    for loaded in (from_companion, parsed):
-        vector = loaded.vector
-        assert vector.flags.owndata and vector.flags.c_contiguous
-        assert all(np.shares_memory(a, vector) for a in _arrays(loaded))
+    # The document holds shapes, every one a list of ints, and no value; the
+    # arrays file is the vector as ``np.save`` writes it, and nothing else.
+    doc = json.loads(path.read_text())
+    a, c = doc["actor"], doc["critic"]
+    shapes = [*a["weights"], *a["biases"], doc["log_sigma"]]
+    shapes += [*c["weights"], *c["biases"]]
+    assert all(type(n) is int for shape in shapes for n in shape)
+    assert shapes == [list(x.shape) for x in _arrays(params)]
+    data = (tmp_path / "checkpoint.json.arrays").read_bytes()
+    assert data == _saved(params.vector, allow_pickle=False)
+    assert doc["arrays_sha256"] == hashlib.sha256(data).hexdigest()
 
+    loaded, loaded_meta = load_checkpoint(path)
+    assert loaded_meta == meta
+    _assert_same_checkpoint(loaded, params)
+    vector = loaded.vector
+    assert vector.flags.writeable and vector.flags.c_contiguous
+    assert all(np.shares_memory(x, vector) for x in _arrays(loaded))
     obs = np.random.default_rng(1).uniform(-1, 2, (17, params.obs_dim))
     assert (
-        deterministic_action(from_companion, obs).tobytes()
-        == deterministic_action(parsed, obs).tobytes()
+        deterministic_action(loaded, obs).tobytes()
+        == deterministic_action(params, obs).tobytes()
     )
+    save_checkpoint(loaded, tmp_path / "again.json", meta=loaded_meta)
+    for suffix in ("", ".arrays"):
+        again = (tmp_path / f"again.json{suffix}").read_bytes()
+        assert again == (tmp_path / f"checkpoint.json{suffix}").read_bytes(), suffix
 
 
 def test_saving_a_checkpoint_twice_writes_identical_files(tmp_path):
@@ -481,80 +483,85 @@ def test_saving_a_checkpoint_twice_writes_identical_files(tmp_path):
 
 
 def _broken_checkpoint_companions(path):
-    """Companions that must not be used, by name: each falls back to the JSON."""
+    """Checkpoints that must not load, by name: an edit of the document, the
+    bytes of the arrays file beside it and the error the load must raise. The
+    document records the SHA-256 of those bytes unless the edit says
+    otherwise, so each case reaches the check it is for."""
     data = Path(f"{path}.arrays").read_bytes()
-    key, header, _ = data.split(b"\n", 2)
-    key, header = key + b"\n", header + b"\n"
-    vector = np.load(io.BytesIO(data[len(key) + len(header) :]), allow_pickle=False)
-    shapes = json.loads(header)
+    vector = np.load(io.BytesIO(data), allow_pickle=False)
+    key = json.loads(Path(path).read_text())["arrays_sha256"]
 
-    def saved(array, head=header, **kwargs):
-        buf = io.BytesIO()
-        np.save(buf, array, **kwargs)
-        return key + head + buf.getvalue()
+    def same(doc):
+        pass
 
-    def reshaped(edit):
-        doc = json.loads(header)
-        edit(doc)
-        return saved(vector, json.dumps(doc).encode() + b"\n")
+    def negative_first_weights(doc):
+        doc["actor"]["weights"][0] = [-3, -5]
 
-    yield "missing", None
-    for cut in (10, len(key), len(key) + 30, len(key) + len(header), len(data) - 8):
-        yield f"truncated_at_{cut}", data[:cut]
-    yield "garbage", bytes(range(256)) * 64
-    yield "garbage_after_the_key", key + bytes(range(256)) * 64
-    yield "garbage_after_the_shapes", key + header + bytes(range(256)) * 64
-    yield "stale_key", b"0" * 64 + data[len(key) - 1 :]
-    yield "float32", saved(vector.astype(np.float32))
-    yield "two_dimensional", saved(vector.reshape(1, -1))
-    yield "too_short", saved(vector[:-1])
-    yield "too_long", saved(np.append(vector, 0.0))
-    yield "shapes_not_json", saved(vector, b"weights and biases\n")
-    yield "shapes_not_an_object", saved(vector, b"[1, 2]\n")
-    yield "text_shapes", reshaped(lambda d: d.update(log_sigma=["2"]))
-    yield "float_shapes", reshaped(lambda d: d.update(log_sigma=[2.0]))
-    yield "scalar_shape", reshaped(lambda d: d.update(log_sigma=2))
-    first = shapes["actor"]["weights"][0]
-    yield "negative_shapes", reshaped(
-        lambda d: d["actor"]["weights"].__setitem__(0, [-n for n in first])
-    )
-    yield "inferred_shape", reshaped(
-        lambda d: d["critic"]["biases"].__setitem__(-1, [-1])
-    )
-    yield "pickled_object_array", saved(vector.astype(object), allow_pickle=True)
+    def inferred_last_bias(doc):
+        doc["critic"]["biases"][-1] = [-1]
+
+    stale, not_saved, not_a_vector = "SHA-256", "not a saved array", "1-D float64"
+    unfilled, bad_shape = "do not fill the shapes", "expected a shape"
+    yield "stale", lambda doc: doc.update(arrays_sha256=key), _saved(vector + 1), stale
+    yield "unrecorded", lambda doc: doc.pop("arrays_sha256"), data, stale
+    for cut in (0, 10, 64, 128, len(data) - 8):
+        yield f"truncated_at_{cut}", same, data[:cut], not_saved
+    yield "garbage", same, bytes(range(256)) * 64, not_saved
+    yield "pickled_object_array", same, _saved(vector.astype(object)), not_saved
+    yield "float32", same, _saved(vector.astype(np.float32)), not_a_vector
+    yield "two_dimensional", same, _saved(vector.reshape(1, -1)), not_a_vector
+    npz = io.BytesIO()
+    np.savez(npz, vector=vector)
+    yield "npz_archive", same, npz.getvalue(), not_a_vector
+    yield "too_short", same, _saved(vector[:-1]), unfilled
+    yield "too_long", same, _saved(np.append(vector, 0.0)), unfilled
+    yield "text_shapes", lambda d: d.update(log_sigma=["2"]), data, bad_shape
+    yield "float_shapes", lambda d: d.update(log_sigma=[2.0]), data, bad_shape
+    yield "scalar_shape", lambda d: d.update(log_sigma=2), data, bad_shape
+    yield "negative_shapes", negative_first_weights, data, bad_shape
+    yield "inferred_shape", inferred_last_bias, data, bad_shape
+    text_weights = {"weights": "2x3", "biases": [[1]]}
+    yield "shapes_not_a_list", lambda d: d.update(critic=text_weights), data, bad_shape
 
 
-def test_a_broken_companion_falls_back_to_the_json(tmp_path, decoded_texts):
+def test_a_broken_companion_is_a_one_line_schema_error(tmp_path):
     params = _small_policy(seed=5)
     path = tmp_path / "checkpoint.json"
     save_checkpoint(params, path, meta={"agent": "dual"})
-    document = path.read_text()
+    original = json.loads(path.read_text())
     companion = tmp_path / "checkpoint.json.arrays"
-    cases = list(_broken_checkpoint_companions(path)) + [("directory", "dir")]
-    for name, content in cases:
-        companion.unlink(missing_ok=True)
-        if content == "dir":
-            companion.mkdir()
-        elif content is not None:
-            companion.write_bytes(content)
-        decoded_texts.clear()
-        loaded, meta = load_checkpoint(path)
-        assert decoded_texts.count(document) == 1, name
-        assert meta == {"agent": "dual"}, name
-        _assert_same_checkpoint(loaded, params)
-    companion.rmdir()
+    for name, edit, content, message in _broken_checkpoint_companions(path):
+        doc = json.loads(json.dumps(original))
+        doc["arrays_sha256"] = hashlib.sha256(content).hexdigest()
+        edit(doc)
+        path.write_text(json.dumps(doc) + "\n")
+        companion.write_bytes(content)
+        with pytest.raises(SchemaError, match=message) as error:
+            load_checkpoint(path)
+        assert "\n" not in str(error.value), name
+    # A companion that cannot be read is a file error, as a missing document is.
+    path.write_text(json.dumps(original) + "\n")
+    companion.unlink()
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(path)
+    companion.mkdir()
+    with pytest.raises(OSError):
+        load_checkpoint(path)
 
 
 def _narrow_first_hidden_layer(doc):
     actor = doc["actor"]
-    actor["weights"][0] = [row[:-1] for row in actor["weights"][0]]
-    actor["biases"][0] = actor["biases"][0][:-1]
+    actor["weights"][0][1] -= 1
+    actor["biases"][0][0] -= 1
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda doc: doc.update(log_sigma=["wide"] * 2), "malformed log_sigma"),
+        (
+            lambda doc: doc.update(log_sigma=["wide"] * 2),
+            "log_sigma: expected a shape, a length-1 list of positive integers",
+        ),
         (_narrow_first_hidden_layer, "layer 1 takes 5 inputs but layer 0 gives 4"),
         (None, "not valid JSON"),
     ],
@@ -563,6 +570,8 @@ def _narrow_first_hidden_layer(doc):
 def test_a_checkpoint_edited_in_place_ignores_its_stale_companion(
     tmp_path, edit, message
 ):
+    """The document is checked before its companion is read, so an edit that
+    breaks it fails alike beside the companion and without one."""
     path = tmp_path / "checkpoint.json"
     save_checkpoint(_small_policy(), path)
     if edit is None:

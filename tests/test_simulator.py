@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from pumpsched import (
     AgentKind,
     EnvSpec,
-    FrameSkipEnv,
     NumericError,
-    PumpSchedulingEnv,
     RuleBasedController,
     TrainConfig,
     ValidationError,
@@ -20,6 +18,7 @@ from pumpsched import (
     sample_episode,
     simulate,
 )
+from pumpsched.env import PumpSchedulingEnv
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY, _seed_stream
 from pumpsched.policy import gaussian_logp
 from pumpsched.simulate import Trajectory, resume_lanes, run_day
@@ -513,16 +512,15 @@ def test_day_records_equal_the_all_in_one_step(world, lanes, t0):
 
 def _episode_through_the_env(spec, params, seed, iteration, idx):
     """Episode ``idx`` of a collection, stepped alone through the env with
-    one-row forwards: observations, raw actions, log-probs, rewards, values
-    and dones, one row per decision."""
+    one-row forwards, each action held for ``spec.frame_skip`` steps whose
+    rewards add up in step order: observations, raw actions, log-probs,
+    rewards, values and dones, one row per decision."""
     cfg_ss, act_ss = _seed_stream(seed, "train_episode", iteration, idx).spawn(2)
     episode = sample_episode(
         spec.topology, np.random.default_rng(cfg_ss), START_OVERHANG
     )
     act_rng = np.random.default_rng(act_ss)
-    env = FrameSkipEnv(
-        PumpSchedulingEnv(spec.topology, spec.agent_kind), spec.frame_skip
-    )
+    env = PumpSchedulingEnv(spec.topology, spec.agent_kind)
     obs = env.reset(*episode)
     rows = []
     for _ in range(spec.decisions_per_episode):
@@ -531,8 +529,11 @@ def _episode_through_the_env(spec, params, seed, iteration, idx):
         noise = act_rng.standard_normal(mean.shape[0])
         raw = mean + np.exp(params.log_sigma) * noise
         logp = gaussian_logp(raw, mean, params.log_sigma)[0]
-        result = env.step(np.clip(raw, 0.0, 1.0))
-        rows.append((obs, raw, logp, result.reward, value, float(result.done)))
+        reward = 0.0
+        for _ in range(spec.frame_skip):
+            result = env.step(np.clip(raw, 0.0, 1.0))
+            reward += result.reward
+        rows.append((obs, raw, logp, reward, value, float(result.done)))
         obs = result.observation
     return [np.array(column) for column in zip(*rows)]
 

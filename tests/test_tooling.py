@@ -172,11 +172,6 @@ def test_cli_import_loads_no_process_pool_machinery():
     assert result.stdout.strip() == "[]"
 
 
-# Exported though only the tests use it: FrameSkipEnv is the per-step
-# frame-skip oracle that the lockstep rollouts are checked against.
-UNUSED_EXPORTS = {"FrameSkipEnv"}
-
-
 def test_every_exported_name_is_used_inside_the_package():
     """A public name that nothing in the package loads is code kept for the
     tests alone; ``__init__.py``'s own imports and ``__all__`` do not count."""
@@ -189,4 +184,4 @@ def test_every_exported_name_is_used_inside_the_package():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             }
-    assert set(pumpsched.__all__) - loaded == UNUSED_EXPORTS
+    assert set(pumpsched.__all__) - loaded == set()
