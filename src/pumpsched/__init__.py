@@ -28,7 +28,6 @@ from .hybrid import (
     HybridCase,
     InjectionPlan,
     StrategyReport,
-    ViolationWindow,
     build_case_pool,
     detect_violations,
     evaluate_strategies,
@@ -85,7 +84,6 @@ __all__ = [
     "TrainingError",
     "Trajectory",
     "ValidationError",
-    "ViolationWindow",
     "area_outside_boundary",
     "build_case_pool",
     "build_index",

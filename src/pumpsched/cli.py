@@ -6,6 +6,10 @@ against rule-based and random control on held-out days, ``hybrid`` repairs
 retrieved schedules by policy injection, and ``report`` renders whatever
 artifacts an output directory holds.
 
+A run's flags are its only input besides the files they name, parsed and
+checked once by argparse; each command's ``manifest.json`` records every
+value they resolved to under ``arguments``.
+
 Exit codes: 0 success, 1 validation or schema problem, 2 file I/O problem,
 3 numeric failure during training or simulation.
 """
@@ -86,11 +90,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="accepted for compatibility, must be >= 1; has no effect "
         "(rollouts run as lanes of one day in one process)",
     )
-    sub.add_argument(
-        "--config",
-        default=None,
-        help="JSON file of flag defaults for this subcommand",
-    )
 
 
 def build_parser() -> _Parser:
@@ -167,46 +166,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(argv: list[str], parser: _Parser) -> None:
-    """Pre-scan for --config and fold its JSON values into parser defaults."""
-    scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--config", default=None)
-    known, _ = scan.parse_known_args(argv)
-    if known.config is None:
-        return
-    values = _read_json(known.config)
-    if not isinstance(values, dict):
-        raise SchemaError("config file must hold a JSON object of flag defaults")
-    # Defaults land on every subparser holding a matching destination.
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        for sub in action.choices.values():
-            flags = {a.dest: a for a in sub._actions}  # noqa: SLF001
-            usable = {k: v for k, v in values.items() if k in flags}
-            for key, value in usable.items():
-                _check_config_value(flags[key], value)
-            sub.set_defaults(**usable)
-
-
-def _check_config_value(action: argparse.Action, value) -> None:
-    """Reject a --config value of another JSON type than its flag parses to;
-    argparse converts only string defaults. A bool is no number."""
-    if action.type is int:
-        ok, want = _is_number(value) and isinstance(value, int), "an integer"
-    elif action.type is float:
-        ok, want = _is_number(value), "a number"
-    elif action.nargs == 0:
-        ok, want = isinstance(value, bool), "true or false"
-    elif action.choices:
-        ok, want = value in action.choices, "one of " + ", ".join(action.choices)
-    else:
-        ok, want = isinstance(value, str), "a string"
-    if not ok:
-        flag = action.option_strings[-1]
-        raise ValidationError(
-            f"config value {json.dumps(value)} for {flag} must be {want}"
-        )
-
-
 # ----------------------------------------------------------------------------
 # Manifest
 
@@ -226,7 +185,7 @@ def _write_manifest(
     echo = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "command", "config") and not callable(v)
+        if k not in ("func", "command") and not callable(v)
     }
     payload = {
         "command": command,
@@ -435,8 +394,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(
             f"eval[{row.label}]: mean area {row.mean_area:.3f} m*h, "
             f"mean violations {row.mean_count:.1f}, mean cost {row.mean_cost:.2f}"
-            f"  area {_pct_text(row.area_delta_pct)} "
-            f"({row.mean_area - rows[0].mean_area:+.3f} m*h)"
+            f"  area {_area_text(row.area_delta_pct, row.mean_area, rows[0].mean_area)}"
             f"  cost {_pct_text(row.cost_delta_pct)}"
         )
     return 0
@@ -511,6 +469,21 @@ def _pct_text(value: float | None) -> str:
     return "n/a" if value is None else f"{value:+.1f}%"
 
 
+_NEAR_ZERO_AREA = 0.01  # m*h; a percentage of a smaller reference says little
+
+
+def _area_text(pct: float | None, area: float, reference: float) -> str:
+    """A row's area change from the reference row's: its percentage, then the
+    difference in m*h, or the difference first when the reference is under
+    ``_NEAR_ZERO_AREA``."""
+    if reference < _NEAR_ZERO_AREA:
+        return (
+            f"{area - reference:+.3f} m*h ({_pct_text(pct)} of a reference "
+            f"under {_NEAR_ZERO_AREA} m*h)"
+        )
+    return f"{_pct_text(pct)} ({area - reference:+.3f} m*h)"
+
+
 def _strategy_text(s: dict) -> str:
     """A strategy summary's pooled percent change of each region's area, each
     followed by the change of the mean area per case in m*h."""
@@ -567,9 +540,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"  {row.get('label')}: area {row['mean_area']:.3f} m*h, "
                 f"violations {row['mean_count']:.1f}, cost {row['mean_cost']:.2f}"
             )
+            change = _area_text(
+                row.get("area_delta_pct"), row["mean_area"], rows[0]["mean_area"]
+            )
             print(
-                f"    vs reference: area {_pct_text(row.get('area_delta_pct'))} "
-                f"({row['mean_area'] - rows[0]['mean_area']:+.3f} m*h), "
+                f"    vs reference: area {change}, "
                 f"cost {_pct_text(row.get('cost_delta_pct'))}"
             )
         area = {row.get("label"): row["mean_area"] for row in rows}
@@ -613,11 +588,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser = build_parser()
-        _apply_config_file(argv, parser)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         if args.seed < 0:

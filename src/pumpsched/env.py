@@ -185,7 +185,7 @@ def day_rewards(topology: NetworkTopology, kind: AgentKind, day: Trajectory):
     c = topology.compiled
     if kind == AgentKind.CONSTRAINT:
         return reward_constraint_step(day.states[1:], c.lower, c.upper)
-    tariff_norm = c.tariff_norm[:, None]
+    tariff_norm = c.tariff_norm.reshape(-1, *(1,) * (day.costs.ndim - 1))  # per lane
     return reward_dual(
         day.states[1:], c.lower, c.upper, day.energies, tariff_norm, c.energy_span
     )

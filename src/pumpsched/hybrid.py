@@ -63,15 +63,6 @@ ActFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class ViolationWindow:
-    """Maximal run of consecutive violating states [start, end)."""
-
-    start: int
-    end: int
-    tanks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class InjectionPlan:
     """Policy controls action steps start..end-1."""
 
@@ -95,22 +86,9 @@ class HybridCase:
     demands: np.ndarray
     baseline_schedule: np.ndarray
     baseline_states: np.ndarray  # (97, n_tanks) under the baseline schedule
-    windows: tuple[ViolationWindow, ...]
+    hull: tuple[int, int]  # detect_violations of baseline_states
     bounds: Bounds
     matched_day: int
-
-    @property
-    def hull(self) -> tuple[int, int]:
-        """Action window spanning all violations.
-
-        Both ends clip into the day's actions 0..95. A window ending at state
-        96 clips its end to 96: there is no action 96 to inject, and the
-        during-region states hs+1..he stays inside the day. A window starting
-        at state 96 clips its start to 95, because action 95 is the only one
-        that moves state 96.
-        """
-        start = min(self.windows[0].start, STEPS_PER_DAY - 1)
-        return start, min(self.windows[-1].end, STEPS_PER_DAY)
 
     @property
     def starts(self) -> range:
@@ -139,23 +117,21 @@ class CaseOutcome:
     hybrid_post_area: float
 
 
-def detect_violations(states: np.ndarray, bounds: Bounds) -> tuple[ViolationWindow, ...]:
-    """Merged violation windows over states 1..96, any tank counting."""
-    exceed = _exceedance(states, bounds) > 0.0
-    exceed[0, :] = False  # the initial state is given, not controlled
-    any_bad = exceed.any(axis=1)
-    windows: list[ViolationWindow] = []
-    t = 1
-    while t <= STEPS_PER_DAY:
-        if any_bad[t]:
-            start = t
-            while t <= STEPS_PER_DAY and any_bad[t]:
-                t += 1
-            tanks = tuple(np.flatnonzero(exceed[start:t].any(axis=0)).tolist())
-            windows.append(ViolationWindow(start=start, end=t, tanks=tanks))
-        else:
-            t += 1
-    return tuple(windows)
+def detect_violations(states: np.ndarray, bounds: Bounds) -> tuple[int, int] | None:
+    """The action window [hs, he) spanning every violating state of 1..96,
+    any tank counting, or None for a day without one. The initial state is
+    given, not controlled, so it never counts.
+
+    Both ends clip into the day's actions 0..95. The end, one past the last
+    violating state, clips to 96: there is no action 96 to inject, and the
+    during-region states hs+1..he stays inside the day. A hull starting at
+    state 96 clips its start to 95, because action 95 is the only one that
+    moves state 96.
+    """
+    bad = np.flatnonzero((_exceedance(states[1:], bounds) > 0.0).any(axis=1)) + 1
+    if not bad.size:
+        return None
+    return min(int(bad[0]), STEPS_PER_DAY - 1), min(int(bad[-1]) + 1, STEPS_PER_DAY)
 
 
 def inject(
@@ -278,8 +254,6 @@ def strategy_untargeted(
             f"untargeted window {window} is neither {UNTARGETED_EARLY} "
             f"nor {UNTARGETED_MIDDAY}"
         )
-    if not case.windows:
-        raise ValidationError("untargeted strategy needs a violating case")
     plan = InjectionPlan(start=window[0], end=window[1])
     during = (max(plan.start + 1, 1), plan.end)
     return _region_outcome(case, name, plan, states[plan], during)
@@ -288,7 +262,7 @@ def strategy_untargeted(
 def strategy_targeted(
     topology: NetworkTopology, case: HybridCase, states: PlanStates
 ) -> CaseOutcome:
-    """Inject over the hull of all violation windows."""
+    """Inject over the hull of all violations."""
     hs, he = case.hull
     plan = InjectionPlan(start=hs, end=he)
     return _region_outcome(case, "targeted", plan, states[plan], (hs + 1, he))
@@ -382,8 +356,8 @@ def build_case_pool(
         levels, demands = sample_episode(topology, rng)
         result = recommend(index, levels, demands)
         states = simulate(topology, levels, result.schedule, demands).states
-        windows = detect_violations(states, bounds)
-        if not windows:
+        hull = detect_violations(states, bounds)
+        if hull is None:
             continue
         cases.append(
             HybridCase(
@@ -391,7 +365,7 @@ def build_case_pool(
                 demands=demands,
                 baseline_schedule=result.schedule,
                 baseline_states=states,
-                windows=windows,
+                hull=hull,
                 bounds=bounds,
                 matched_day=result.day,
             )

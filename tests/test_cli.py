@@ -422,7 +422,7 @@ def _cut_network(part):
 
 def _not_utf8(flag):
     """``hybrid`` on the workflow's inputs with ``flag``'s file broken mid-way
-    by a byte that is not UTF-8 (``--config`` gets a JSON object so broken)."""
+    by a byte that is not UTF-8."""
 
     def build(out, tmp_path):
         inputs = {
@@ -430,7 +430,7 @@ def _not_utf8(flag):
             "--history": out / "history.csv",
             "--checkpoint": out / "checkpoint.json",
         }
-        data = inputs[flag].read_bytes() if flag in inputs else b'{"cases": 1}'
+        data = inputs[flag].read_bytes()
         half = len(data) // 2
         inputs[flag] = tmp_path / "not_utf8"
         inputs[flag].write_bytes(data[:half] + b"\xff" + data[half:])
@@ -446,6 +446,8 @@ def _inputs(out, command, skip=()):
     """Flags that run ``command`` on the workflow's inputs, minus ``skip``."""
     flags = {
         "gen": {"--days": 1},
+        "train": {"--network": out / "network.json", "--steps": 96,
+                  "--batch-size": 96},
         "eval": {"--network": out / "network.json",
                  "--checkpoint": out / "checkpoint.json", "--episodes": 1},
         "hybrid": {"--network": out / "network.json",
@@ -461,21 +463,6 @@ def _with(command, flag, value):
     def build(out, tmp_path):
         inputs = _inputs(out, command, {flag})
         return (command, *inputs, flag, value, "--out", tmp_path / "out")
-
-    return build
-
-
-def _bad_config(command, doc):
-    """``command`` on the workflow's inputs with the flag defaults ``doc`` from
-    ``--config``; the flags ``doc`` sets are left off the command line. A text
-    ``doc`` is the file's content as it stands."""
-
-    def build(out, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-        skip = {"--" + key.replace("_", "-") for key in doc if isinstance(doc, dict)}
-        inputs = _inputs(out, command, skip)
-        return (command, *inputs, "--config", config, "--out", tmp_path / "out")
 
     return build
 
@@ -502,6 +489,19 @@ def _other_runs_arrays(tmp_path):
     save_checkpoint(init_policy(8, 6, np.random.default_rng(0)), other)
     return f"{other}.arrays"
 
+
+# Flags no command defines: a run's values come from its own flags alone.
+# Each misspelling is no prefix of a flag, which argparse would take for it.
+UNKNOWN_FLAGS = {
+    **{
+        f"{command}_config_flag": _with(command, "--config", "config.json")
+        for command in ("gen", "train", "eval", "hybrid")
+    },
+    "gen_misspelled_days": _with("gen", "--dayz", 5),
+    "train_misspelled_batch_size": _with("train", "--batchsize", 96),
+    "eval_misspelled_episodes": _with("eval", "--episods", 1),
+    "hybrid_misspelled_history": _with("hybrid", "--histroy", "history.csv"),
+}
 
 BAD_INPUTS = {
     "text_tariff": _bad_network(("tariff", 5), "cheap"),
@@ -569,7 +569,6 @@ BAD_INPUTS = {
     "non_utf8_network": _not_utf8("--network"),
     "non_utf8_history": _not_utf8("--history"),
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),
-    "non_utf8_config": _not_utf8("--config"),
     # numpy rejects these archive sizes before allocating anything
     "gen_days_beyond_int64": _gen_days(10**20),
     "gen_days_too_big_to_allocate": _gen_days(10**17),
@@ -582,16 +581,10 @@ BAD_INPUTS = {
     "gen_zero_workers": _with("gen", "--workers", 0),
     "eval_zero_workers": _with("eval", "--workers", 0),
     "hybrid_zero_workers": _with("hybrid", "--workers", 0),
-    "hybrid_zero_workers_from_config": _bad_config("hybrid", {"workers": 0}),
     "eval_zero_episodes": _with("eval", "--episodes", 0),
     "hybrid_zero_cases": _with("hybrid", "--cases", 0),
     "train_zero_workers": _bad_network(extra=("--workers", 0)),
-    "eval_fractional_episodes_from_config": _bad_config("eval", {"episodes": 1.5}),
-    "gen_fractional_days_from_config": _bad_config("gen", {"days": 2.5}),
-    "hybrid_bool_cases_from_config": _bad_config("hybrid", {"cases": True}),
-    "hybrid_text_workers_from_config": _bad_config("hybrid", {"workers": "2"}),
-    "gen_text_imperfection_from_config": _bad_config("gen", {"imperfection": "x"}),
-    "config_not_json": _bad_config("gen", "{"),
+    **UNKNOWN_FLAGS,
 }
 
 
@@ -604,6 +597,8 @@ def test_bad_input_exits_one_with_a_one_line_error(workflow, tmp_path, case):
     assert result.returncode == 1
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    if case in UNKNOWN_FLAGS:
+        assert lines[0].startswith("error: unrecognized arguments: --")
     assert sorted(tmp_path.iterdir()) == before  # the command wrote nothing
 
 
@@ -750,14 +745,32 @@ def test_report_warns_when_the_policy_is_worse_than_random(
         f"({policy_area - 0.1:+.3f} m*h), cost -11.1%",
         "    vs reference: area n/a (+1.400 m*h), cost n/a",
     ]
+    # Against a reference area under 0.01 m*h, the difference leads and the
+    # percentage follows it, marked as taken against so small a reference.
+    rows[0]["mean_area"] = 0.005
+    rows[2].update(mean_area=46.56, area_delta_pct=931100.0)
+    (tmp_path / "comparison.json").write_text(json.dumps(rows))
+    assert cli.main(["report", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if "vs reference" in line] == [
+        "    vs reference: area +0.000 m*h (n/a of a reference under 0.01 m*h), "
+        "cost n/a",
+        f"    vs reference: area {policy_area - 0.005:+.3f} m*h "
+        f"({(policy_area - 0.1) * 1e3:+.1f}% of a reference under 0.01 m*h), "
+        "cost -11.1%",
+        "    vs reference: area +46.555 m*h (+931100.0% of a reference under "
+        "0.01 m*h), cost n/a",
+    ]
 
 
 def test_eval_prints_the_area_difference_after_the_percentage(
     workflow, tmp_path, capsys
 ):
-    """Each line ends with the area percentage, the difference of the mean
-    areas in m*h and the cost percentage, all of the same sign convention:
-    (value - reference) / reference. Against hysteresis with perfect margins,
+    """Each line ends with the difference of the mean areas in m*h, the area
+    percentage and the cost percentage, all of the same sign convention:
+    (value - reference) / reference. The reference areas here are under
+    0.01 m*h, so the difference leads and the percentage is marked as taken
+    against so small a reference. Against hysteresis with perfect margins,
     whose mean area is 0, the area percentage reads n/a and the rest stays."""
     out, _ = workflow
     for reference, extra in (("near_zero", ()), ("zero", ("--imperfection", 0))):
@@ -774,7 +787,7 @@ def test_eval_prints_the_area_difference_after_the_percentage(
             assert rows[0]["mean_area"] == 0.0
             assert [row["area_delta_pct"] for row in rows] == [None, None, None]
         else:
-            assert 0 < rows[0]["mean_area"] < 0.1
+            assert 0 < rows[0]["mean_area"] < 0.01
         assert len(printed) == len(rows)
         for line, row in zip(printed, rows):
             difference = row["mean_area"] - rows[0]["mean_area"]
@@ -784,8 +797,8 @@ def test_eval_prints_the_area_difference_after_the_percentage(
                 assert (pct > 0) == (difference > 0)
             assert line.startswith(f"eval[{row['label']}]: ")
             assert line.endswith(
-                f"  area {area} ({difference:+.3f} m*h)"
-                f"  cost {row['cost_delta_pct']:+.1f}%"
+                f"  area {difference:+.3f} m*h ({area} of a reference under "
+                f"0.01 m*h)  cost {row['cost_delta_pct']:+.1f}%"
             )
 
 
@@ -885,13 +898,14 @@ def test_hybrid_prints_the_headlines_report_renders(workflow):
     assert all(f"  {name}: {text}" in report for name, text in texts)
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "equals"])
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "hybrid"])
 def test_a_negative_seed_exits_one_with_a_one_line_error(
     tmp_path, capsys, command, source
 ):
     """numpy seeds only with non-negative integers, so a negative ``--seed``,
-    given as a flag or by ``--config``, fails in one line before any work."""
+    given as its own word or joined by ``=``, fails in one line before any
+    work."""
     inputs = {
         "gen": (),
         "train": ("--network", "network.json"),
@@ -901,11 +915,7 @@ def test_a_negative_seed_exits_one_with_a_one_line_error(
             "--checkpoint", "checkpoint.json",
         ),
     }[command]  # fmt: skip
-    if source == "flag":
-        seed = ("--seed", "-1")
-    else:
-        (tmp_path / "config.json").write_text('{"seed": -1}')
-        seed = ("--config", str(tmp_path / "config.json"))
+    seed = ("--seed", "-1") if source == "flag" else ("--seed=-1",)
     out = tmp_path / "out"
     assert cli.main([command, *inputs, *seed, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"

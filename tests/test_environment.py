@@ -401,6 +401,19 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
     assert lane_rewards.tobytes() == np.array(rewards).tobytes()
 
 
+@pytest.mark.parametrize("kind", list(AgentKind))
+def test_day_rewards_of_a_lane_less_day_equal_its_one_lane_roll(world, kind):
+    """A day rolled without a lane axis gets one reward per step, the bytes of
+    lane 0 of the same day rolled as one lane."""
+    schedule = np.random.default_rng(7).uniform(0.0, 1.0, (STEPS_PER_DAY, 6))
+    levels, demands = _episode(world)
+    plain = run_day(world, levels, demands, lambda t, lv: schedule[t])
+    laned = run_day(world, levels[None], demands[None], lambda t, lv: schedule[t][None])
+    rewards = day_rewards(world, kind, plain)
+    assert rewards.shape == (STEPS_PER_DAY,)
+    assert rewards.tobytes() == day_rewards(world, kind, laned)[:, 0].copy().tobytes()
+
+
 # -- episode sampling ---------------------------------------------------------
 
 

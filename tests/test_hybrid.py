@@ -11,7 +11,6 @@ from pumpsched import (
     HybridCase,
     InjectionPlan,
     ValidationError,
-    ViolationWindow,
     build_case_pool,
     build_index,
     detect_violations,
@@ -76,32 +75,35 @@ def report(world, case_pool):
 # -- violation detection ------------------------------------------------------
 
 
+TWO_TANK_BOUNDS = (np.full(2, 2.0), np.full(2, 4.0))
+
+
 def test_detect_violations_merges_runs():
     states = np.full((STEPS_PER_DAY + 1, 2), 3.0)
     states[10:30, 0] = 1.0  # states 10..29 below a lower bound of 2
     states[50:55, 1] = 5.0  # states 50..54 above an upper bound of 4
-    windows = detect_violations(states, (np.full(2, 2.0), np.full(2, 4.0)))
-    assert len(windows) == 2
-    assert (windows[0].start, windows[0].end) == (10, 30)
-    assert windows[0].tanks == (0,)
-    assert (windows[1].start, windows[1].end) == (50, 55)
-    assert windows[1].tanks == (1,)
+    assert detect_violations(states, TWO_TANK_BOUNDS) == (10, 55)
 
 
 def test_detect_violations_ignores_initial_state():
     states = np.full((STEPS_PER_DAY + 1, 1), 3.0)
     states[0, 0] = 0.0
-    assert detect_violations(states, (np.array([2.0]), np.array([4.0]))) == ()
+    assert detect_violations(states, (np.array([2.0]), np.array([4.0]))) is None
 
 
 def test_detect_violations_unions_tanks_in_one_run():
     states = np.full((STEPS_PER_DAY + 1, 2), 3.0)
     states[20:25, 0] = 1.0
-    states[23:28, 1] = 5.0  # overlaps, so one merged window
-    windows = detect_violations(states, (np.full(2, 2.0), np.full(2, 4.0)))
-    assert len(windows) == 1
-    assert (windows[0].start, windows[0].end) == (20, 28)
-    assert windows[0].tanks == (0, 1)
+    states[23:28, 1] = 5.0  # overlaps the run of tank 0
+    assert detect_violations(states, TWO_TANK_BOUNDS) == (20, 28)
+
+
+def test_detect_violations_at_the_final_state_only_starts_at_the_last_action():
+    # Only action 95 can move state 96, and there is no action 96.
+    states = np.full((STEPS_PER_DAY + 1, 2), 3.0)
+    states[STEPS_PER_DAY, 1] = 5.0
+    hull = detect_violations(states, TWO_TANK_BOUNDS)
+    assert hull == (STEPS_PER_DAY - 1, STEPS_PER_DAY)
 
 
 def test_injection_plan_validation():
@@ -214,8 +216,7 @@ def test_case_pool_is_violating_and_deterministic(world, case_pool):
         assert a.matched_day == b.matched_day
         np.testing.assert_array_equal(a.baseline_states[0], b.baseline_states[0])
         np.testing.assert_array_equal(a.demands, b.demands)
-        assert a.windows == b.windows
-        assert len(a.windows) >= 1
+        assert a.hull == b.hull
         hs, he = a.hull
         assert 1 <= hs < he <= STEPS_PER_DAY
 
@@ -252,14 +253,8 @@ def test_targeted_plan_covers_the_hull(world, case_pool, report):
 
 
 def test_final_state_only_violation_injects_last_action(world, case_pool):
-    # Only action 95 can move state 96, so the hull starts there.
-    case = dataclasses.replace(
-        case_pool[0],
-        windows=(
-            ViolationWindow(start=STEPS_PER_DAY, end=STEPS_PER_DAY + 1, tanks=(0,)),
-        ),
-    )
-    assert case.hull == (STEPS_PER_DAY - 1, STEPS_PER_DAY)
+    # The hull of a violation at state 96 alone: only action 95 can move it.
+    case = dataclasses.replace(case_pool[0], hull=(STEPS_PER_DAY - 1, STEPS_PER_DAY))
     report = evaluate_strategies(world, [case], _mid_band_act_fn(world))
     for name in ("targeted", "dynamic_end"):
         (outcome,) = report.outcomes[name]
@@ -364,13 +359,9 @@ def test_one_roll_per_case_equals_a_roll_per_strategy(world, case_pool):
     # Hulls starting before the lookback (hs < 16, the candidate starts clip
     # at 0 and one of them is untargeted_0_2's start) and reaching the end of
     # the day (he == 96, the targeted plan is dynamic_end's) among the cases.
-    early = ViolationWindow(start=5, end=12, tanks=(0,))
-    late = ViolationWindow(start=70, end=STEPS_PER_DAY + 1, tanks=(1,))
     pool = [*case_pool]
-    for windows in ((early,), (late,), (early, late)):
-        pool.append(
-            dataclasses.replace(case_pool[1], case_id=len(pool), windows=windows)
-        )
+    for hull in ((5, 12), (70, STEPS_PER_DAY), (5, STEPS_PER_DAY)):
+        pool.append(dataclasses.replace(case_pool[1], case_id=len(pool), hull=hull))
     hulls = [case.hull for case in pool]
     assert any(hs < 16 for hs, _ in hulls)
     assert any(he == STEPS_PER_DAY for _, he in hulls)

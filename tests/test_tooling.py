@@ -1,6 +1,8 @@
-"""The benchmark's span tracer still fits the package it instruments, and the
-package exports no name that it does not use itself."""
+"""The benchmark's span tracer still fits the package it instruments, the
+package exports no name that it does not use itself, and the CLI defines no
+flag that its commands do not read."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import pumpsched
+from pumpsched import cli
 from pumpsched import hybrid as hybrid_module
 from pumpsched import simulate as simulate_module
 
@@ -185,3 +188,30 @@ def test_every_exported_name_is_used_inside_the_package():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             }
     assert set(pumpsched.__all__) - loaded == set()
+
+
+def test_every_cli_flag_is_read_by_its_command():
+    """A flag that no command reads as ``args.<dest>`` is a knob that does
+    nothing, or a second path to values the commands read otherwise."""
+    tree = ast.parse((ROOT / "src" / "pumpsched" / "cli.py").read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+        and isinstance(node.ctx, ast.Load)
+    }
+    (commands,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    unread = {
+        f"{name} {action.option_strings or action.dest}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._VersionAction))
+        and action.dest not in read
+    }
+    assert unread == set()
