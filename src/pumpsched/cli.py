@@ -7,8 +7,15 @@ retrieved schedules by policy injection, and ``report`` renders whatever
 artifacts an output directory holds.
 
 A run's flags are its only input besides the files they name, parsed and
-checked once by argparse; each command's ``manifest.json`` records every
-value they resolved to under ``arguments``.
+checked once by argparse, which takes no abbreviation of a flag; each
+command's ``manifest.json`` records every value they resolved to under
+``arguments``.
+
+Each process runs one command, so each command imports the layers it runs at
+the top of its ``_cmd_*`` function, before it starts its clock: a process
+compiles only what its command uses, and ``wall_clock_seconds`` still
+excludes imports. A helper called after the clock (``_load_agent``,
+``_eval_scores``) imports names from layers its command has loaded.
 
 Exit codes: 0 success, 1 validation or schema problem, 2 file I/O problem,
 3 numeric failure during training or simulation.
@@ -22,35 +29,14 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .env import AgentKind, _check_window, closed_loop, sample_operational_episode
 from .errors import NumericError, SchemaError, TrainingError, ValidationError
-from .history import (
-    DEFAULT_IMPERFECTION,
-    RuleBasedController,
-    generate_history,
-    load_history,
-    run_controlled_day,
-    save_history,
-)
-from .hybrid import (
-    build_case_pool,
-    evaluate_strategies,
-    save_strategy_report_csv,
-    save_strategy_report_json,
-)
-from .metrics import (
-    area_outside_boundary,
-    compare,
-    episode_cost,
-    save_comparison_csv,
-    save_comparison_json,
-    violation_count,
-)
 from .network import (
+    DEFAULT_IMPERFECTION,
     STEPS_PER_DAY,
     NetworkTopology,
     _read_json,
@@ -59,22 +45,21 @@ from .network import (
     load_network,
     save_network,
 )
-from .policy import PolicyParameters, load_checkpoint, save_checkpoint
-from .query import build_index
-from .simulate import run_day
-from .training import (
-    EnvSpec,
-    TrainConfig,
-    policy_act_fn,
-    save_reward_curve,
-    train,
-)
+
+if TYPE_CHECKING:
+    from .env import AgentKind
+    from .policy import PolicyParameters
 
 _EVAL_LANES = 256  # eval episodes rolled as lanes of one day per pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage problems through the validation exit code."""
+    """Argparse that reports usage problems through the validation exit code
+    and takes no abbreviation of a long flag; subcommand parsers are made by
+    this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ValidationError(message)
@@ -215,6 +200,8 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .history import generate_history, save_history
+
     started, phase_ends = time.time(), {}
     topology = generate_synthetic_network(args.seed)
     archive = generate_history(
@@ -246,6 +233,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .env import AgentKind
+    from .policy import save_checkpoint
+    from .training import EnvSpec, TrainConfig, save_reward_curve, train
+
     started, phase_ends = time.time(), {}
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
@@ -303,6 +294,9 @@ def _load_agent(
     """The checkpoint at ``path``, its agent kind and its frame skip, read from
     its meta. A malformed meta, or an input or output width that is not the
     agent's on this network, fails before any rollout."""
+    from .env import AgentKind, _check_window
+    from .policy import load_checkpoint
+
     params, meta = load_checkpoint(path)
     try:
         kind = AgentKind(meta.get("agent", "constraint"))
@@ -329,6 +323,14 @@ def _eval_scores(
     """Area, count and cost rows of the held-out days ``episodes`` per label:
     the rule-based controller, the ``policy`` callback of ``run_day`` and random
     control each roll them as lanes of one day, each scored on its own copy."""
+    from .history import (
+        RuleBasedController,
+        run_controlled_day,
+        sample_operational_episode,
+    )
+    from .metrics import area_outside_boundary, episode_cost, violation_count
+    from .simulate import run_day
+
     rngs = [
         np.random.default_rng(_seed_stream(seed, "eval_episode", k)) for k in episodes
     ]
@@ -361,6 +363,11 @@ def _eval_scores(
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import history  # noqa: F401  _eval_scores's layer, before the clock
+    from .env import closed_loop
+    from .metrics import compare, save_comparison_csv, save_comparison_json
+    from .policy import policy_act_fn
+
     started, phase_ends = time.time(), {}
     topology = load_network(args.network)
     phase_ends["load_network"] = time.time()
@@ -405,6 +412,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_hybrid(args: argparse.Namespace) -> int:
+    from .env import AgentKind
+    from .history import load_history
+    from .hybrid import (
+        build_case_pool,
+        evaluate_strategies,
+        save_strategy_report_csv,
+        save_strategy_report_json,
+    )
+    from .policy import policy_act_fn
+    from .query import build_index
+
     started, phase_ends = time.time(), {}
     topology = load_network(args.network)
     phase_ends["load_network"] = time.time()

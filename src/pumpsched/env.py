@@ -7,7 +7,10 @@ and earns a weighted blend of the normalized constraint reward and an
 energy-cost term.
 
 An episode is two arrays on a fixed topology: start levels (n_tanks,) and zone
-demands (n_zones, 96), with a leading axis of B for B lanes.
+demands (n_zones, 96), with a leading axis of B for B lanes. ``sample_episode``
+draws the training ones; evaluation days, which burn in under the hysteresis
+controller, come from ``history.sample_operational_episode``, beside that
+controller, so the env loads no controller code.
 """
 
 from __future__ import annotations
@@ -19,13 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .history import (
-    DEFAULT_IMPERFECTION,
-    HysteresisMargins,
-    RuleBasedController,
-    margins_for,
-    run_controlled_day,
-)
 from .network import (
     STEPS_PER_DAY,
     CompiledTopology,
@@ -199,7 +195,6 @@ def _check_window(window: int) -> None:
 
 
 _START_CAP_CLEARANCE = 0.02  # keep starts off the physical rails
-BURN_DAYS = 8  # hysteresis days run before an evaluation day
 
 
 def sample_episode(
@@ -224,43 +219,6 @@ def sample_episode(
     )
     initial = rng.uniform(lo, hi)
     return initial, demands_from_rng(topology, rng)
-
-
-def sample_operational_episode(
-    topology: NetworkTopology,
-    rngs: list[np.random.Generator],
-    imperfection: float = DEFAULT_IMPERFECTION,
-):
-    """Draw an evaluation day per generator from the operating distribution
-    the archive records. Each lane runs ``BURN_DAYS`` of hysteresis operation
-    with fresh demands and margins each day, levels carrying over between
-    days, then takes the day that follows: the carried-over levels, a fresh
-    demand draw, and the margins the operator would use that day. Comparing a
-    policy against the hysteresis controller under those margins on this exact
-    day reproduces the agent-versus-recorded-practice setting, including the
-    slow drift that makes a realistic share of operating days violate their
-    bounds.
-
-    A burn day is one ``run_controlled_day`` of B = ``len(rngs)`` lanes, and
-    generator k draws lane k's demands then margins day by day, so each lane
-    equals its episode sampled alone. Returns ``(levels, zone_values,
-    margins)`` of B lanes: (B, n_tanks), (B, n_zones, 96) and margins
-    (B, n_stations).
-    """
-    levels = np.repeat(topology.compiled.initial_levels[None], len(rngs), axis=0)
-    for day in range(BURN_DAYS + 1):
-        values, triggers, releases = [], [], []
-        for rng in rngs:
-            values.append(demands_from_rng(topology, rng))
-            lane_margins = margins_for(topology, imperfection, rng)
-            triggers.append(lane_margins.triggers)
-            releases.append(lane_margins.releases)
-        zone_values = np.stack(values)
-        margins = HysteresisMargins(np.stack(triggers), np.stack(releases))
-        if day < BURN_DAYS:
-            rule = RuleBasedController(topology, margins)
-            levels = run_controlled_day(topology, levels, rule, zone_values).states[-1]
-    return levels, zone_values, margins
 
 
 def closed_loop(

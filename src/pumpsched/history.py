@@ -8,7 +8,10 @@ violations.
 
 ``generate_history`` records such days into a ``HistoryArchive``: day ids
 plus level, action, power, demand and tariff arrays shaped (day, step, ...),
-saved to and loaded from CSV with one row per (day, step).
+saved to and loaded from CSV with one row per (day, step). The evaluation
+days' sampler, ``sample_operational_episode``, lives here too, beside the
+controller its ``BURN_DAYS`` of burn-in run: it draws a day from the
+operating distribution the archive records.
 
 The CSV is the archive's canonical format. ``save_history`` also writes a
 binary companion beside it, ``<csv>.arrays``: one float64 array keyed on
@@ -30,7 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .network import STEPS_PER_DAY, NetworkTopology, _seed_stream, demands_from_rng
+from .network import (
+    DEFAULT_IMPERFECTION,
+    STEPS_PER_DAY,
+    NetworkTopology,
+    _seed_stream,
+    demands_from_rng,
+)
 from .simulate import Trajectory, run_day
 
 DUTY_SPEED = 0.85
@@ -38,10 +47,6 @@ _PERFECT_MARGIN = 0.30  # fraction of the band kept clear of each boundary
 _MARGIN_SWING = 0.55
 _MARGIN_FLOOR = -0.08
 _MARGIN_CEIL = 0.45
-
-# Calibrated so roughly 30% of archive days on default worlds contain at
-# least one violation; see generate_history.
-DEFAULT_IMPERFECTION = 0.57
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,46 @@ def generate_history(
     )
     archive.validate()
     return archive
+
+
+BURN_DAYS = 8  # hysteresis days run before an evaluation day
+
+
+def sample_operational_episode(
+    topology: NetworkTopology,
+    rngs: list[np.random.Generator],
+    imperfection: float = DEFAULT_IMPERFECTION,
+):
+    """Draw an evaluation day per generator from the operating distribution
+    the archive records. Each lane runs ``BURN_DAYS`` of hysteresis operation
+    with fresh demands and margins each day, levels carrying over between
+    days, then takes the day that follows: the carried-over levels, a fresh
+    demand draw, and the margins the operator would use that day. Comparing a
+    policy against the hysteresis controller under those margins on this exact
+    day reproduces the agent-versus-recorded-practice setting, including the
+    slow drift that makes a realistic share of operating days violate their
+    bounds.
+
+    A burn day is one ``run_controlled_day`` of B = ``len(rngs)`` lanes, and
+    generator k draws lane k's demands then margins day by day, so each lane
+    equals its episode sampled alone. Returns ``(levels, zone_values,
+    margins)`` of B lanes: (B, n_tanks), (B, n_zones, 96) and margins
+    (B, n_stations).
+    """
+    levels = np.repeat(topology.compiled.initial_levels[None], len(rngs), axis=0)
+    for day in range(BURN_DAYS + 1):
+        values, triggers, releases = [], [], []
+        for rng in rngs:
+            values.append(demands_from_rng(topology, rng))
+            lane_margins = margins_for(topology, imperfection, rng)
+            triggers.append(lane_margins.triggers)
+            releases.append(lane_margins.releases)
+        zone_values = np.stack(values)
+        margins = HysteresisMargins(np.stack(triggers), np.stack(releases))
+        if day < BURN_DAYS:
+            rule = RuleBasedController(topology, margins)
+            levels = run_controlled_day(topology, levels, rule, zone_values).states[-1]
+    return levels, zone_values, margins
 
 
 # ----------------------------------------------------------------------------

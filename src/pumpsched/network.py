@@ -25,6 +25,12 @@ TANK_COUNT = 6
 STATION_COUNT = 6
 ZONE_COUNT = 18
 
+# Hysteresis margin sloppiness of the operators the archive records (see
+# ``history.margins_for``), calibrated so roughly 30% of archive days on
+# default worlds contain at least one violation. It lives here, beside the
+# other world defaults, so the CLI's flag default loads no controller code.
+DEFAULT_IMPERFECTION = 0.57
+
 # Spawn-key namespace of each seed stream drawn from a run's seed. Distinct
 # namespaces keep the streams apart: no draw of one repeats another's.
 SEED_STREAMS = {

@@ -18,6 +18,7 @@ vector file, but no parameter value.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -142,7 +143,13 @@ def gaussian_logp_grads(
 def deterministic_action(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
     """Greedy action: the clipped actor mean, row-exact (``forward_rows``);
     the critic is not evaluated."""
-    return np.clip(forward_rows(params.actor, obs), 0.0, 1.0)
+    means = forward_rows(params.actor, obs)
+    return np.minimum(np.maximum(means, 0.0), 1.0)  # np.clip's bytes, faster
+
+
+def policy_act_fn(params: PolicyParameters):
+    """Deterministic action function (clipped actor mean) for evaluation."""
+    return functools.partial(deterministic_action, params)
 
 
 def entropy(params: PolicyParameters) -> float:

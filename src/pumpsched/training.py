@@ -30,7 +30,6 @@ loss and its gradient are taken, and the update's stats come from its terms.
 from __future__ import annotations
 
 import csv
-import functools
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -44,7 +43,6 @@ from .network import STEPS_PER_DAY, NetworkTopology, _seed_stream
 from .nn import MLP, Adam
 from .policy import (
     PolicyParameters,
-    deterministic_action,
     entropy,
     forward_rows,
     gaussian_logp,
@@ -436,8 +434,3 @@ def load_reward_curve(path: str | Path) -> list[tuple[int, float]]:
         except ValueError as exc:
             raise SchemaError(f"{path} row {lineno}: {exc}") from None
     return curve
-
-
-def policy_act_fn(params: PolicyParameters):
-    """Deterministic action function (clipped actor mean) for evaluation."""
-    return functools.partial(deterministic_action, params)

@@ -21,7 +21,8 @@ from pumpsched import (
     save_checkpoint,
     save_network,
 )
-from pumpsched.env import BURN_DAYS, closed_loop
+from pumpsched.env import closed_loop
+from pumpsched.history import BURN_DAYS
 from pumpsched.hybrid import (
     STRATEGY_NAMES,
     CaseOutcome,
@@ -29,8 +30,7 @@ from pumpsched.hybrid import (
     save_strategy_report_json,
 )
 from pumpsched.metrics import compare, save_comparison_json
-from pumpsched.policy import init_policy
-from pumpsched.training import policy_act_fn
+from pumpsched.policy import init_policy, policy_act_fn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -491,7 +491,7 @@ def _other_runs_arrays(tmp_path):
 
 
 # Flags no command defines: a run's values come from its own flags alone.
-# Each misspelling is no prefix of a flag, which argparse would take for it.
+# A prefix of a flag is no flag either: argparse takes no abbreviation.
 UNKNOWN_FLAGS = {
     **{
         f"{command}_config_flag": _with(command, "--config", "config.json")
@@ -501,6 +501,10 @@ UNKNOWN_FLAGS = {
     "train_misspelled_batch_size": _with("train", "--batchsize", 96),
     "eval_misspelled_episodes": _with("eval", "--episods", 1),
     "hybrid_misspelled_history": _with("hybrid", "--histroy", "history.csv"),
+    "gen_prefix_of_days": _with("gen", "--day", 5),
+    "train_prefix_of_learning_rate": _with("train", "--learn", 0.1),
+    "eval_prefix_of_episodes": _with("eval", "--episode", 1),
+    "hybrid_prefix_of_history": _with("hybrid", "--hist", "history.csv"),
 }
 
 BAD_INPUTS = {

@@ -1,5 +1,6 @@
 """The benchmark's span tracer still fits the package it instruments, the
-package exports no name that it does not use itself, and the CLI defines no
+package exports no name that it does not use itself and resolves each one
+lazily, each CLI command loads only the layers it runs, and the CLI defines no
 flag that its commands do not read."""
 
 import argparse
@@ -7,17 +8,21 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pumpsched
 from pumpsched import cli
 from pumpsched import hybrid as hybrid_module
-from pumpsched import simulate as simulate_module
+
+# The submodule: ``from pumpsched import simulate`` is the function.
+simulate_module = importlib.import_module("pumpsched.simulate")
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -156,23 +161,91 @@ def test_span_tracer_measures_a_training_iteration(tiny_world):
     assert names.count("nn.MLP.backward") == 8
 
 
-def test_cli_import_loads_no_process_pool_machinery():
-    """Every CLI process pays for what ``import pumpsched.cli`` loads, and
-    training runs in one process, so neither pool module belongs there."""
+def _loaded_modules(code: str) -> list[str]:
+    """The ``pumpsched`` and process pool modules a fresh process has loaded
+    after running ``code``, whose output must end with them as a JSON list."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    code = (
-        "import sys, pumpsched.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))"
+    listing = (
+        "; import json, sys; print(json.dumps(sorted(m for m in sys.modules if "
+        "m.startswith(('pumpsched', 'concurrent.futures', 'multiprocessing')))))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code + listing], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+# What ``import pumpsched`` loads: it binds ``simulate`` at once (see its docstring).
+BASE_LAYERS = [
+    "pumpsched",
+    "pumpsched.errors",
+    "pumpsched.network",
+    "pumpsched.simulate",
+]
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    """Every CLI process pays for what ``import pumpsched.cli`` loads, and
+    training runs in one process, so neither pool module belongs there; nor
+    does any layer that not every command runs."""
+    loaded = _loaded_modules("import pumpsched.cli")
+    assert loaded == sorted([*BASE_LAYERS, "pumpsched.cli"])
+
+
+def test_import_pumpsched_loads_only_the_simulator_and_its_inputs():
+    assert _loaded_modules("import pumpsched") == BASE_LAYERS
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    """Each process runs one command and compiles the layers it imports, so a
+    command that loads a layer it does not run makes every run of it slower;
+    a stray top-level import in ``cli.py`` shows here."""
+    out = tmp_path
+    argvs = {
+        "gen": ["gen", "--days", "30"],
+        "train": ["train", "--network", out / "network.json", "--agent", "dual",
+                  "--steps", "96", "--batch-size", "96"],
+        "eval": ["eval", "--network", out / "network.json",
+                 "--checkpoint", out / "checkpoint.json", "--episodes", "1"],
+        "hybrid": ["hybrid", "--network", out / "network.json",
+                   "--history", out / "history.csv",
+                   "--checkpoint", out / "checkpoint.json", "--cases", "1"],
+    }  # fmt: skip
+    layers = {
+        "gen": ["history"],
+        "train": ["env", "metrics", "nn", "policy", "training"],
+        "eval": ["env", "history", "metrics", "nn", "policy"],
+        "hybrid": ["env", "history", "hybrid", "metrics", "nn", "policy", "query"],
+    }
+    for command, argv in argvs.items():
+        argv = [*map(str, argv), "--out", str(out)]
+        code = f"from pumpsched import cli; assert cli.main({argv!r}) == 0"
+        expected = [*BASE_LAYERS, "pumpsched.cli"]
+        expected += [f"pumpsched.{layer}" for layer in layers[command]]
+        assert _loaded_modules(code) == sorted(expected), command
+
+
+def test_package_exports_resolve_to_their_modules():
+    """Each export is the object its layer modules bind to that name, and
+    ``simulate`` stays the function after its submodule is imported again."""
+    layers = [
+        importlib.import_module(f"pumpsched.{path.stem}")
+        for path in (ROOT / "src" / "pumpsched").glob("*.py")
+        if path.stem != "__init__"
+    ]
+    for name in pumpsched.__all__:
+        owners = [vars(m)[name] for m in layers if name in vars(m)]
+        assert owners and all(o is getattr(pumpsched, name) for o in owners), name
+    importlib.import_module("pumpsched.simulate")
+    from pumpsched import simulate
+
+    assert simulate is simulate_module.simulate
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pumpsched.no_such_name  # noqa: B018
 
 
 def test_every_exported_name_is_used_inside_the_package():
