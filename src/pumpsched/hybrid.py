@@ -442,8 +442,11 @@ def evaluate_strategies(
     return StrategyReport(n_cases=len(cases), outcomes=outcomes)
 
 
-def save_strategy_report_json(report: StrategyReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_json_obj(), indent=2) + "\n")
+def save_strategy_report_json(report: StrategyReport, path: str | Path) -> list[dict]:
+    """Write the report's strategy summaries to ``path`` and return them."""
+    summaries = report.to_json_obj()
+    Path(path).write_text(json.dumps(summaries, indent=2) + "\n")
+    return summaries
 
 
 def save_strategy_report_csv(report: StrategyReport, path: str | Path) -> None:

@@ -1,4 +1,5 @@
-"""Violation, cost, and comparison metrics.
+"""Violation, cost, and comparison metrics, and the files of comparisons and
+of the training reward curve.
 
 All boundary metrics evaluate states t=1..96: the initial state is given, not
 controlled, so it never counts against a schedule.
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SchemaError, ValidationError
 from .network import DT_HOURS
 from .simulate import Trajectory
 
@@ -89,6 +91,30 @@ def _save_csv(path: str | Path, header: list[str], rows) -> None:
             writer.writerow(
                 v if isinstance(v, str) else "" if v is None else repr(v) for v in row
             )
+
+
+def save_reward_curve(curve: list[tuple[int, float]], path: str | Path) -> None:
+    _save_csv(path, ["steps", "mean_reward"], curve)
+
+
+def load_reward_curve(path: str | Path) -> list[tuple[int, float]]:
+    """The curve ``save_reward_curve`` wrote; bad input fails in one line."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a text file ({exc})") from None
+    if rows[:1] != [["steps", "mean_reward"]]:
+        raise ValidationError(f"{path}: unexpected reward curve header")
+    curve = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise SchemaError(f"{path} row {lineno}: expected 2 columns")
+        try:
+            curve.append((int(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise SchemaError(f"{path} row {lineno}: {exc}") from None
+    return curve
 
 
 def save_comparison_csv(rows: list[ComparisonRow], path: str | Path) -> None:

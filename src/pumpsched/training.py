@@ -29,16 +29,13 @@ loss and its gradient are taken, and the update's stats come from its terms.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .env import AgentKind, _check_window, closed_loop, day_rewards, sample_episode
-from .errors import NumericError, SchemaError, TrainingError, ValidationError
-from .metrics import _save_csv
+from .errors import NumericError, TrainingError, ValidationError
 from .network import STEPS_PER_DAY, NetworkTopology, _seed_stream
 from .nn import MLP, Adam
 from .policy import (
@@ -410,27 +407,3 @@ def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
         update_s += time.perf_counter() - started
         iteration += 1
     return TrainResult(params, curve, stats, collect_s, update_s)
-
-
-def save_reward_curve(curve: list[tuple[int, float]], path: str | Path) -> None:
-    _save_csv(path, ["steps", "mean_reward"], curve)
-
-
-def load_reward_curve(path: str | Path) -> list[tuple[int, float]]:
-    """The curve ``save_reward_curve`` wrote; bad input fails in one line."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not a text file ({exc})") from None
-    if rows[:1] != [["steps", "mean_reward"]]:
-        raise ValidationError(f"{path}: unexpected reward curve header")
-    curve = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise SchemaError(f"{path} row {lineno}: expected 2 columns")
-        try:
-            curve.append((int(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise SchemaError(f"{path} row {lineno}: {exc}") from None
-    return curve

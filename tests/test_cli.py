@@ -1,5 +1,6 @@
 """The command line contract, exercised through real ``pumpsched`` processes."""
 
+import gc
 import hashlib
 import importlib
 import json
@@ -35,16 +36,34 @@ from pumpsched.policy import init_policy, policy_act_fn
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*argv):
+def run_cli(*argv, launch=("-m", "pumpsched.cli")):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "pumpsched.cli", *map(str, argv)],
+        [sys.executable, *launch, *map(str, argv)],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+# Runs ``pumpsched.cli`` as ``__main__``, as ``python -m`` does, and prints the
+# frozen object count last when the interpreter exits.
+AS_MAIN_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+runpy.run_module("pumpsched.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_cli_as_main_probed(*argv):
+    """``run_cli`` through ``AS_MAIN_PROBE``: the result and the frozen object
+    count its atexit handler saw."""
+    result = run_cli(*argv, launch=("-c", AS_MAIN_PROBE))
+    label, count = result.stdout.splitlines()[-1].split()
+    assert label == "frozen", result.stdout
+    return result, int(count)
 
 
 @pytest.fixture(scope="module")
@@ -923,4 +942,30 @@ def test_a_negative_seed_exits_one_with_a_one_line_error(
     out = tmp_path / "out"
     assert cli.main([command, *inputs, *seed, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_a_module_run_freezes_its_heap_and_writes_what_main_writes(tmp_path):
+    """Run as ``__main__``, the process freezes its heap before exit, so the
+    exit collections skip it; atexit handlers still run, and the artifacts
+    match those of ``main()`` in process, which freezes nothing."""
+    argv = ["gen", "--days", 30, "--seed", 1]
+    result, frozen = run_cli_as_main_probed(*argv, "--out", tmp_path / "module")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert frozen > 0
+    before = gc.get_freeze_count()
+    assert cli.main(list(map(str, [*argv, "--out", tmp_path / "main"]))) == 0
+    assert gc.get_freeze_count() == before
+    for name in ARTIFACTS["gen"]:
+        module_run = (tmp_path / "module" / name).read_bytes()
+        assert module_run == (tmp_path / "main" / name).read_bytes(), name
+
+
+def test_a_bad_input_run_as_main_exits_one_with_a_one_line_error(tmp_path):
+    out = tmp_path / "out"
+    result, frozen = run_cli_as_main_probed("gen", "--seed", -1, "--out", out)
+    assert result.returncode == 1
+    assert result.stderr == "error: --seed must be >= 0, got -1\n"
+    assert frozen > 0
     assert not out.exists()

@@ -11,7 +11,13 @@ from pumpsched import (
     simulate,
     violation_count,
 )
-from pumpsched.metrics import save_comparison_csv, save_comparison_json
+from pumpsched.errors import ValidationError
+from pumpsched.metrics import (
+    load_reward_curve,
+    save_comparison_csv,
+    save_comparison_json,
+    save_reward_curve,
+)
 from pumpsched.network import STEPS_PER_DAY
 from pumpsched.simulate import Trajectory
 
@@ -137,3 +143,13 @@ def test_comparison_files_round_trip(tmp_path):
     data = json.loads(json_path.read_text())
     assert data[1]["mean_count"] == 239.0
     assert data[0]["cost_delta_pct"] == 0.0
+
+
+def test_reward_curve_round_trip(tmp_path):
+    curve = [(96, 1.5), (192, 2.25)]
+    path = tmp_path / "curve.csv"
+    save_reward_curve(curve, path)
+    assert load_reward_curve(path) == curve
+    path.write_text("wrong,header\n1,2\n")
+    with pytest.raises(ValidationError):
+        load_reward_curve(path)

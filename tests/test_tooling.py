@@ -161,22 +161,26 @@ def test_span_tracer_measures_a_training_iteration(tiny_world):
     assert names.count("nn.MLP.backward") == 8
 
 
-def _loaded_modules(code: str) -> list[str]:
-    """The ``pumpsched`` and process pool modules a fresh process has loaded
-    after running ``code``, whose output must end with them as a JSON list."""
+def _fresh_process(code: str) -> list[str]:
+    """The stdout lines of a fresh process that runs ``code``, the last of them
+    the ``pumpsched`` and process pool modules it then holds, as a JSON list."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     listing = (
-        "; import json, sys; print(json.dumps(sorted(m for m in sys.modules if "
+        "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if "
         "m.startswith(('pumpsched', 'concurrent.futures', 'multiprocessing')))))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code + listing], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
+    return result.stdout.strip().splitlines()
+
+
+def _loaded_modules(code: str) -> list[str]:
+    return json.loads(_fresh_process(code)[-1])
 
 
 # What ``import pumpsched`` loads: it binds ``simulate`` at once (see its docstring).
@@ -200,11 +204,28 @@ def test_import_pumpsched_loads_only_the_simulator_and_its_inputs():
     assert _loaded_modules("import pumpsched") == BASE_LAYERS
 
 
-def test_each_command_loads_only_the_layers_it_runs(tmp_path):
-    """Each process runs one command and compiles the layers it imports, so a
-    command that loads a layer it does not run makes every run of it slower;
-    a stray top-level import in ``cli.py`` shows here."""
-    out = tmp_path
+# Runs ``cli.main(argv)`` with ``cli.time`` hooked, then prints as JSON every
+# module loaded after the command's first clock read, or null without one.
+CLOCK_PROBE = """
+import json, sys, time, types
+from pumpsched import cli
+at_first_read = []
+def clock():
+    if not at_first_read:
+        at_first_read.append(set(sys.modules))
+    return time.time()
+cli.time = types.SimpleNamespace(time=clock)
+assert cli.main({argv!r}) == 0
+print(json.dumps(sorted(set(sys.modules) - at_first_read[0]) if at_first_read else None))
+"""
+
+
+@pytest.fixture(scope="module")
+def command_runs(tmp_path_factory):
+    """Each command run on tiny inputs in a fresh process, in workflow order:
+    the ``pumpsched`` modules it loaded, then the modules it imported inside
+    its clock (None for ``report``, which keeps none)."""
+    out = tmp_path_factory.mktemp("run")
     argvs = {
         "gen": ["gen", "--days", "30"],
         "train": ["train", "--network", out / "network.json", "--agent", "dual",
@@ -214,19 +235,39 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "hybrid": ["hybrid", "--network", out / "network.json",
                    "--history", out / "history.csv",
                    "--checkpoint", out / "checkpoint.json", "--cases", "1"],
+        "report": ["report"],
     }  # fmt: skip
+    runs = {}
+    for command, argv in argvs.items():
+        argv = [*map(str, argv), "--out", str(out)]
+        *_, in_clock, loaded = _fresh_process(CLOCK_PROBE.format(argv=argv))
+        runs[command] = json.loads(loaded), json.loads(in_clock)
+    return runs
+
+
+def test_each_command_loads_only_the_layers_it_runs(command_runs):
+    """Each process runs one command and compiles the layers it imports, so a
+    command that loads a layer it does not run makes every run of it slower;
+    a stray top-level import in ``cli.py`` shows here. ``report`` reads the
+    reward curve the train run left through ``metrics`` alone."""
     layers = {
         "gen": ["history"],
         "train": ["env", "metrics", "nn", "policy", "training"],
         "eval": ["env", "history", "metrics", "nn", "policy"],
         "hybrid": ["env", "history", "hybrid", "metrics", "nn", "policy", "query"],
+        "report": ["metrics"],
     }
-    for command, argv in argvs.items():
-        argv = [*map(str, argv), "--out", str(out)]
-        code = f"from pumpsched import cli; assert cli.main({argv!r}) == 0"
+    for command, (loaded, _) in command_runs.items():
         expected = [*BASE_LAYERS, "pumpsched.cli"]
         expected += [f"pumpsched.{layer}" for layer in layers[command]]
-        assert _loaded_modules(code) == sorted(expected), command
+        assert loaded == sorted(expected), command
+
+
+def test_no_command_imports_a_module_inside_its_clock(command_runs):
+    """``wall_clock_seconds`` times a command's work: every module it needs,
+    ``numpy.random`` too, is imported before its first clock read."""
+    in_clock = {command: late for command, (_, late) in command_runs.items()}
+    assert in_clock == {"gen": [], "train": [], "eval": [], "hybrid": [], "report": None}
 
 
 def test_package_exports_resolve_to_their_modules():

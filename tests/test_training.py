@@ -14,6 +14,7 @@ from pumpsched import (
     train,
 )
 from pumpsched import training
+from pumpsched.metrics import load_reward_curve, save_reward_curve
 from pumpsched.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MLP, Adam
 from pumpsched.policy import deterministic_action, entropy, gaussian_logp, init_policy
 from pumpsched.training import (
@@ -27,9 +28,7 @@ from pumpsched.training import (
     RolloutBatch,
     collect_rollouts,
     compute_gae,
-    load_reward_curve,
     ppo_update,
-    save_reward_curve,
     _buffers,
     _minibatch_gradient,
 )
@@ -585,15 +584,6 @@ def test_train_writes_reward_curve(tmp_path, tiny_world):
     save_reward_curve(result.curve, tmp_path / "reward_curve.csv")
     assert load_reward_curve(tmp_path / "reward_curve.csv") == result.curve
 
-
-def test_reward_curve_round_trip(tmp_path):
-    curve = [(96, 1.5), (192, 2.25)]
-    path = tmp_path / "curve.csv"
-    save_reward_curve(curve, path)
-    assert load_reward_curve(path) == curve
-    path.write_text("wrong,header\n1,2\n")
-    with pytest.raises(ValidationError):
-        load_reward_curve(path)
 
 
 def test_policy_act_fn_is_clipped_mean(tiny_world):
