@@ -371,7 +371,7 @@ def _eval_scores(
 
     def score(lane):
         area = area_outside_boundary(lane, bounds)
-        return area, violation_count(lane, bounds), episode_cost(lane)
+        return area, violation_count(lane, bounds), episode_cost(lane, topology)
 
     lanes = range(len(rngs))
     return {

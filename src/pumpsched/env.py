@@ -28,7 +28,8 @@ from .network import (
     NetworkTopology,
     demands_from_rng,
 )
-from .simulate import Trajectory, _check_speeds, _Rollout
+from .simulate import Trajectory, _check_speeds, _day_tail, _Rollout
+from .simulate import step_costs, step_energies
 
 
 class AgentKind(enum.Enum):
@@ -118,11 +119,9 @@ class PumpSchedulingEnv:
         self.kind = kind
         self._day: _Rollout | None = None
 
-    # -- episode plumbing ----------------------------------------------------
-
     def reset(self, initial_levels: np.ndarray, zone_values: np.ndarray) -> np.ndarray:
-        self._day = _Rollout(self.topology, initial_levels, zone_values)
-        return self._observe()
+        self._day = day = _Rollout(self.topology, initial_levels, zone_values)
+        return _observation(self.kind, day.levels, day.t, day.c)
 
     def step(self, action: np.ndarray) -> StepResult:
         day = self._day
@@ -134,56 +133,49 @@ class PumpSchedulingEnv:
         action = np.asarray(action, dtype=float)
         _check_speeds(action)
         day.advance(action)
-        day.record()  # the reward and the info read this step's energy and cost
         levels, c = day.levels, day.c
         if not np.all(np.isfinite(levels)):
             raise NumericError("non-finite level update")
 
+        energies = step_energies(c, action)
         if self.kind == AgentKind.CONSTRAINT:
             reward = reward_constraint_step(levels, c.lower, c.upper)
         else:
+            price = float(c.tariff_norm[t])
             reward = reward_dual(
-                levels,
-                c.lower,
-                c.upper,
-                day.energies[t],
-                float(c.tariff_norm[t]),
-                c.energy_span,
+                levels, c.lower, c.upper, energies, price, c.energy_span
             )
         inside = (levels >= c.lower) & (levels <= c.upper)
         return StepResult(
-            observation=self._observe(),
+            observation=_observation(self.kind, levels, day.t, c),
             reward=reward,
             done=day.t >= STEPS_PER_DAY,
             info={
                 "in_bounds": inside,
-                "step_cost": float(day.costs[t]),
-                "step_energy": float(day.energies[t].sum()),
+                # the env's day starts at step 0; steps not yet advanced idle
+                "step_cost": float(step_costs(c, day.actions)[t]),
+                "step_energy": float(energies.sum()),
                 "t": day.t,
             },
         )
-
-    # -- views ----------------------------------------------------------------
-
-    def _observe(self) -> np.ndarray:
-        day = self._day
-        return _observation(self.kind, day.levels, day.t, day.c)
 
     def trajectory(self) -> Trajectory:
         """Full-day trajectory; only valid after the episode finished."""
         if self._day is None or self._day.t < STEPS_PER_DAY:
             raise ValidationError("episode has not finished")
-        return self._day.trajectory()
+        return Trajectory(self._day.states, self._day.actions)
 
 
 def day_rewards(topology: NetworkTopology, kind: AgentKind, day: Trajectory):
-    """The env's reward for every step and lane of whole days rolled as lanes."""
+    """The env's reward for every step and lane of a day rolled alone or as
+    lanes, from step 96 - len(day.actions) on."""
     c = topology.compiled
     if kind == AgentKind.CONSTRAINT:
         return reward_constraint_step(day.states[1:], c.lower, c.upper)
-    tariff_norm = c.tariff_norm.reshape(-1, *(1,) * (day.costs.ndim - 1))  # per lane
+    energies = step_energies(c, day.actions)
+    tariff_norm = _day_tail(c.tariff_norm, day.actions)
     return reward_dual(
-        day.states[1:], c.lower, c.upper, day.energies, tariff_norm, c.energy_span
+        day.states[1:], c.lower, c.upper, energies, tariff_norm, c.energy_span
     )
 
 

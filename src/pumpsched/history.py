@@ -40,7 +40,7 @@ from .network import (
     _seed_stream,
     demands_from_rng,
 )
-from .simulate import Trajectory, run_day
+from .simulate import Trajectory, run_day, step_powers
 
 DUTY_SPEED = 0.85
 _PERFECT_MARGIN = 0.30  # fraction of the band kept clear of each boundary
@@ -214,7 +214,7 @@ def generate_history(
         traj = run_controlled_day(topology, start, controller, day_demands)
         levels[day] = traj.states[:-1]
         actions[day] = traj.actions
-        powers[day] = traj.powers
+        powers[day] = step_powers(topology.compiled, traj.actions)
         demands[day] = day_demands.T
         start = traj.states[-1]
     archive = HistoryArchive(
@@ -437,6 +437,8 @@ def load_history(path: str | Path) -> HistoryArchive:
                 data = _scan_body(path, reader, len(expected))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not a text file ({exc})") from None
+    except csv.Error as exc:  # a field over csv's size limit, say
+        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
 
     stamps, levels, actions, powers, demands, tariff = np.split(
         data, np.cumsum([2, n_tanks, n_stations, n_stations, n_zones]), axis=1

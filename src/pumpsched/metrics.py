@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
-from .network import DT_HOURS
-from .simulate import Trajectory
+from .errors import SchemaError
+from .network import DT_HOURS, NetworkTopology
+from .simulate import Trajectory, step_costs
 
 Bounds = tuple[np.ndarray, np.ndarray]
 
@@ -41,9 +41,9 @@ def violation_count(traj: Trajectory, bounds: Bounds) -> int:
     return int(np.count_nonzero(_exceedance(traj.states[1:], bounds) > 0.0))
 
 
-def episode_cost(traj: Trajectory) -> float:
-    """Total tariff-weighted energy cost of the day."""
-    return float(traj.costs.sum())
+def episode_cost(traj: Trajectory, topology: NetworkTopology) -> float:
+    """Total tariff-weighted energy cost of the day on ``topology``."""
+    return float(step_costs(topology.compiled, traj.actions).sum())
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,14 @@ def load_reward_curve(path: str | Path) -> list[tuple[int, float]]:
     """The curve ``save_reward_curve`` wrote; bad input fails in one line."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not a text file ({exc})") from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
     if rows[:1] != [["steps", "mean_reward"]]:
-        raise ValidationError(f"{path}: unexpected reward curve header")
+        raise SchemaError(f"{path}: unexpected reward curve header")
     curve = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 2:

@@ -1,20 +1,20 @@
 """Deterministic tank mass-balance simulator with one day-rollout core.
 
-``run_day`` is the only loop that advances one day's tank levels: it rolls a
-day from step ``t0`` to the end under an ``act(t, levels)`` callback. A fixed
-schedule, the archive's hysteresis days, and, as lanes of one day, eval's burn,
-policy, rule-based and random days, a case's plans and PPO's episodes all
-share it; ``PumpSchedulingEnv`` advances the same record one step at a time.
-``resume_lanes`` advances many resumes of one fixed schedule as lanes of one
-array; pump flows depend only on commanded speeds (affinity laws), never on
-tank levels, so lanes that run the same action share one kernel call.
+``run_day`` is the one loop the package runs to advance a day's tank levels,
+from step ``t0`` to the end under an ``act(t, levels)`` callback. A fixed
+schedule, the archive's hysteresis days, and, as lanes of one day, eval's
+burn, policy, rule-based and random days, a case's plans and PPO's episodes
+all share it; ``PumpSchedulingEnv`` steps the same day one step at a time, as
+the tests' lockstep oracle. ``resume_lanes`` advances many resumes of one
+fixed schedule as lanes of one array; pump flows depend only on commanded
+speeds (affinity laws), never on tank levels, so lanes that run the same
+action share one kernel call.
 
-Every step goes through the kernel ``step``, which only advances levels: the
-day's per-tank demand is worked out for every step up front, and the records
-that do not feed back into levels (powers, energies, costs) are filled for
-many steps at once, in the per-step order of arithmetic. Inputs are validated
-once per day at the boundary. A lane's bytes equal those of its day rolled
-alone.
+Every step goes through the kernel ``step``, which only advances levels; the
+day's per-tank demand is worked out for every step up front. A day records its
+states and actions alone: powers, energies and costs are functions of the
+actions, ``step_powers`` and the two built on it. Inputs are validated once
+per day at the boundary. A lane's bytes equal those of its day rolled alone.
 """
 
 from __future__ import annotations
@@ -35,18 +35,15 @@ from .network import (
 
 @dataclass
 class Trajectory:
-    """Record of one simulated day from step ``t0`` (0 for a whole day),
-    priced at its topology's tariff.
+    """Record of one simulated day from step ``t0`` (0 for a whole day): the
+    states and actions of its rollout, which ``step_costs`` and its kin price.
 
     ``states`` has ``97 - t0`` rows (levels before step t0 through after step
-    95), the other step arrays ``96 - t0``; lanes add an axis after the rows.
+    95), ``actions`` ``96 - t0``; lanes add an axis after the rows.
     """
 
     states: np.ndarray  # (97 - t0, n_tanks)
     actions: np.ndarray  # (96 - t0, n_stations)
-    powers: np.ndarray  # (96 - t0, n_stations)
-    energies: np.ndarray  # (96 - t0, n_stations)
-    costs: np.ndarray  # (96 - t0,)
 
     def __post_init__(self):
         for f in fields(self):
@@ -57,8 +54,31 @@ class Trajectory:
     def lane(self, k: int) -> Trajectory:
         """Lane ``k`` of days rolled as lanes, each record a contiguous copy
         (a sum over a strided view may round otherwise than the lane alone)."""
-        records = {f.name: getattr(self, f.name)[:, k].copy() for f in fields(self)}
-        return Trajectory(**records)
+        return Trajectory(self.states[:, k].copy(), self.actions[:, k].copy())
+
+
+def step_powers(c: CompiledTopology, actions: np.ndarray) -> np.ndarray:
+    """The power model, rated power times speed cubed: each station's kW at
+    the speeds ``actions`` (any leading axes); ``c`` is ``topology.compiled``."""
+    return c.rated_power * actions**3
+
+
+def step_energies(c: CompiledTopology, actions: np.ndarray) -> np.ndarray:
+    """Each station's energy in kWh over one step at the speeds ``actions``."""
+    return step_powers(c, actions) * DT_HOURS
+
+
+def _day_tail(per_step: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """The (96,) ``per_step`` values of the day tail ``actions``, from step
+    t0 = 96 - len(actions) on, a row per step broadcasting over its lanes."""
+    rows = per_step[STEPS_PER_DAY - len(actions) :]
+    return rows.reshape(-1, *(1,) * (np.ndim(actions) - 2))
+
+
+def step_costs(c: CompiledTopology, actions: np.ndarray) -> np.ndarray:
+    """The tariff-weighted energy cost of each step (and lane) of the day tail
+    ``actions``, (96 - t0, *lanes, n_stations), priced at ``tariff[t0:]``."""
+    return step_energies(c, actions).sum(axis=-1) * _day_tail(c.tariff, actions)
 
 
 def _check_speeds(speeds: np.ndarray) -> None:
@@ -78,10 +98,11 @@ def step(
     ``flows`` (m^3/h per station) and the step's demand column
     ``tank_demand_t`` (m^3/h per tank, trailing axis of 1).
 
-    ``c`` is ``topology.compiled``; the inputs are not validated here,
-    ``run_day`` and ``PumpSchedulingEnv.step`` do that. Returns the next
-    levels, clamped to [0, cap]. Leading lane axes broadcast; the stacked
-    mat-vecs run the one-lane BLAS product per lane, so every lane is exact.
+    ``c`` is ``topology.compiled``; the inputs are not validated here:
+    ``run_day`` does that, as does the tests' lockstep oracle
+    ``PumpSchedulingEnv.step``. Returns the next levels, clamped to [0, cap].
+    Leading lane axes broadcast; the stacked mat-vecs run the one-lane BLAS
+    product per lane, so every lane is exact.
     """
     cols = flows[..., None]
     inflow = c.fill.T @ cols
@@ -101,10 +122,8 @@ class _Rollout:
 
     The constructor validates the day's inputs: start levels inside the tanks,
     and finite, non-negative zone demands (n_zones, 96) per lane; ``advance``
-    applies the action for step ``t`` to ``levels`` and records both;
-    ``record`` fills the other records of the steps advanced since its last
-    call, pricing energy at the topology's tariff; ``trajectory`` returns the
-    record.
+    applies the action for step ``t`` to ``levels`` and records both (a step
+    not yet advanced holds speed 0).
     """
 
     def __init__(
@@ -142,12 +161,10 @@ class _Rollout:
         self.c = c
         self.tank_demand = _tank_demand(c, zone_values, t0)
         self.t0 = self.t = t0
-        self._recorded = 0  # steps whose powers and costs are filled
         self.levels = levels
         self.states = np.empty((n + 1, *lanes, n_t))
         self.states[0] = levels
-        self.actions, self.powers, self.energies = np.empty((3, n, *lanes, n_s))
-        self.costs = np.empty((n, *lanes))
+        self.actions = np.zeros((n, *lanes, n_s))
 
     def advance(self, action: np.ndarray) -> None:
         t = self.t
@@ -163,25 +180,6 @@ class _Rollout:
         self.states[i + 1] = self.levels
         self.t = t + 1
 
-    def record(self) -> None:
-        c, lo, hi = self.c, self._recorded, self.t - self.t0
-        self.powers[lo:hi] = c.rated_power * self.actions[lo:hi] ** 3
-        self.energies[lo:hi] = self.powers[lo:hi] * DT_HOURS
-        tariff = c.tariff[self.t0 + lo : self.t0 + hi]
-        tariff = tariff.reshape(-1, *(1,) * (self.costs.ndim - 1))  # per lane
-        self.costs[lo:hi] = self.energies[lo:hi].sum(axis=-1) * tariff
-        self._recorded = hi
-
-    def trajectory(self) -> Trajectory:
-        self.record()
-        return Trajectory(
-            states=self.states,
-            actions=self.actions,
-            powers=self.powers,
-            energies=self.energies,
-            costs=self.costs,
-        )
-
 
 def run_day(
     topology: NetworkTopology,
@@ -192,12 +190,11 @@ def run_day(
 ) -> Trajectory:
     """Roll the day from step ``t0`` to its end under ``act``.
 
-    ``zone_values`` is the (n_zones, 96) demand array; costs are priced at
-    the topology's tariff. ``act(t, levels)`` returns the pump speeds for
-    step ``t`` given the levels before it. Speeds outside [0, 1]
-    or non-finite raise ``ValidationError`` and non-finite levels raise
-    ``NumericError``, both checked once for the day. Initial levels (B, n_tanks)
-    with demands (B, n_zones, 96) roll B lanes; ``act`` gets a row per lane.
+    ``zone_values`` is the (n_zones, 96) demand array. ``act(t, levels)``
+    returns the pump speeds for step ``t`` given the levels before it. Speeds
+    outside [0, 1] or non-finite raise ``ValidationError`` and non-finite
+    levels raise ``NumericError``, both checked once for the day. Levels
+    (B, n_tanks) with demands (B, n_zones, 96) roll B lanes, ``act`` a row each.
     """
     day = _Rollout(topology, initial_levels, zone_values, t0)
     for t in range(t0, STEPS_PER_DAY):
@@ -205,7 +202,7 @@ def run_day(
     _check_speeds(day.actions)
     if not np.all(np.isfinite(day.states)):
         raise NumericError("non-finite level update")
-    return day.trajectory()
+    return Trajectory(day.states, day.actions)
 
 
 def resume_lanes(
@@ -243,7 +240,7 @@ def simulate(
     zone_values: np.ndarray,
 ) -> Trajectory:
     """Run a full 96-step day under a fixed control schedule (96, n_stations)
-    on the (n_zones, 96) zone demands, priced at the topology's tariff."""
+    on the (n_zones, 96) zone demands."""
     schedule = np.asarray(schedule, dtype=float)
     if schedule.shape != (STEPS_PER_DAY, topology.n_stations):
         raise ValidationError(

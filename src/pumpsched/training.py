@@ -15,8 +15,9 @@ process: only the actor runs in the closed loop, once per decision for all
 lanes. The critic's values and the samples' log-probs are read by the update
 alone, so they are worked out after the day, over the whole grid. Episodes
 are seeded per (master seed, iteration, episode index), and each lane's
-arithmetic is that of its episode stepped alone through ``PumpSchedulingEnv``,
-so a batch is identical for any lane count. A batch keeps the lanes' grid,
+arithmetic is that of its episode rolled alone by ``run_day`` (the tests'
+lockstep oracle, ``PumpSchedulingEnv``, steps it alone as well), so a batch
+is identical for any lane count. A batch keeps the lanes' grid,
 episodes by decisions; only the update flattens it, to draw minibatches. Each
 update copies the policy's one parameter vector once, and Adam steps the copy
 in place; Adam's moments live across iterations. The update's other working

@@ -461,6 +461,16 @@ def _not_utf8(flag):
     return build
 
 
+def _history_field_over_the_csv_limit(out, tmp_path):
+    """``hybrid`` on a copy of the workflow's archive, without its companion,
+    whose first field is longer than csv's limit of 131,072 characters."""
+    header, body = (out / "history.csv").read_bytes().split(b"\r\n", 1)
+    history = tmp_path / "history.csv"
+    history.write_bytes(header + b"\r\n" + b"0" * 131_072 + body)
+    inputs = _inputs(out, "hybrid", {"--history"})
+    return ("hybrid", *inputs, "--history", history, "--out", tmp_path / "out")
+
+
 def _inputs(out, command, skip=()):
     """Flags that run ``command`` on the workflow's inputs, minus ``skip``."""
     flags = {
@@ -551,6 +561,9 @@ BAD_INPUTS = {
     "text_reward": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96,abc\n"),
     "short_reward_row": _bad_artifact("reward_curve.csv", "steps,mean_reward\n96\n"),
     "non_utf8_reward_curve": _bad_artifact("reward_curve.csv", b"\xff\xfe\x00bad"),
+    "reward_curve_field_over_the_csv_limit": _bad_artifact(
+        "reward_curve.csv", "steps,mean_reward\n96," + "1" * 131_073 + "\n"
+    ),
     "comparison_of_numbers": _bad_artifact("comparison.json", "[1, 2]"),
     "comparison_text_area": _bad_artifact(
         "comparison.json", '[{"label": "policy", "mean_area": "low"}]'
@@ -591,6 +604,7 @@ BAD_INPUTS = {
     "hybrid_archive_of_more_stations": _cut_network("stations"),
     "non_utf8_network": _not_utf8("--network"),
     "non_utf8_history": _not_utf8("--history"),
+    "history_field_over_the_csv_limit": _history_field_over_the_csv_limit,
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),
     # numpy rejects these archive sizes before allocating anything
     "gen_days_beyond_int64": _gen_days(10**20),

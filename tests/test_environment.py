@@ -23,8 +23,10 @@ from pumpsched.env import (
     reward_dual,
 )
 from pumpsched.network import STEPS_PER_DAY
-from pumpsched.simulate import run_day
+from pumpsched.simulate import run_day, step_costs, step_energies
 from pumpsched.training import EnvSpec
+
+from test_simulator import _all_in_one_day
 
 
 def _episode(world, levels=None):
@@ -228,31 +230,31 @@ def test_trajectory_matches_simulator(world):
     traj = env.trajectory()
     ref = simulate(world, levels, schedule, demands)
     np.testing.assert_array_equal(traj.states, ref.states)
-    np.testing.assert_array_equal(traj.costs, ref.costs)
+    np.testing.assert_array_equal(traj.actions, ref.actions)
 
 
 def test_every_env_step_reports_its_cost_energy_and_reward(world):
-    # The env fills a step's energy and cost right after advancing, before
-    # the dual reward and the step info read them.
-    from pumpsched import simulate
-
+    # The env prices a step from its action after advancing, the cost at the
+    # tariff of the step it took; the oracle works out every record beside
+    # the level recursion, one step at a time.
     env = _env(world, AgentKind.DUAL)
     levels, demands = _episode(world)
     env.reset(levels, demands)
     schedule = np.random.default_rng(4).uniform(0.0, 1.0, (STEPS_PER_DAY, 6))
     results = [env.step(schedule[t]) for t in range(STEPS_PER_DAY)]
-    ref = simulate(world, levels, schedule, demands)
-    lb, ub = world.compiled.lower, world.compiled.upper
-    tariff_norm, energy_span = world.compiled.tariff_norm, world.compiled.energy_span
+    c = world.compiled
+    ref, _ = _all_in_one_day(c, levels, schedule, demands)
     for t, result in enumerate(results):
-        assert result.info["step_cost"] == float(ref.costs[t])
-        assert result.info["step_energy"] == float(ref.energies[t].sum())
+        assert result.info["step_cost"] == float(ref["costs"][t])
+        assert result.info["step_energy"] == float(ref["energies"][t].sum())
         reward = reward_dual(
-            ref.states[t + 1], lb, ub, ref.energies[t], float(tariff_norm[t]),
-            energy_span,
+            ref["states"][t + 1], c.lower, c.upper, ref["energies"][t],
+            float(c.tariff_norm[t]), c.energy_span,
         )  # fmt: skip
         assert result.reward == reward
-    assert env.trajectory().energies.tobytes() == ref.energies.tobytes()
+    actions = env.trajectory().actions
+    assert step_energies(c, actions).tobytes() == ref["energies"].tobytes()
+    assert step_costs(c, actions).tobytes() == ref["costs"].tobytes()
 
 
 @pytest.mark.parametrize("kind", list(AgentKind))
@@ -343,7 +345,7 @@ def test_frame_skip_window_one_is_identity(world):
         world, levels[None], demands[None], lambda t, lv: schedule[t][None]
     )
     assert next(chosen, None) is None
-    for name in ("states", "actions", "powers", "energies", "costs"):
+    for name in ("states", "actions"):
         assert getattr(day, name).tobytes() == getattr(direct, name).tobytes()
 
 
@@ -395,7 +397,7 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
         obs = result.observation
     expected = env.trajectory()
     traj = run_day(world, levels, demands, closed_loop(world, kind, act_fn, window))
-    for name in ("states", "actions", "powers", "energies", "costs"):
+    for name in ("states", "actions"):
         np.testing.assert_array_equal(getattr(traj, name), getattr(expected, name))
     _, lane_rewards = _held_day(world, kind, act_fn, window)
     assert lane_rewards.tobytes() == np.array(rewards).tobytes()

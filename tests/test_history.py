@@ -23,6 +23,7 @@ from pumpsched.errors import SchemaError
 from pumpsched.history import DUTY_SPEED, HistoryArchive, HysteresisMargins
 from pumpsched.metrics import area_outside_boundary, violation_count
 from pumpsched.network import STEPS_PER_DAY
+from pumpsched.simulate import step_costs
 
 ARCHIVE_ARRAYS = ("days", "levels", "actions", "powers", "demands", "tariff")
 
@@ -165,8 +166,10 @@ def test_controlled_day_lanes_equal_days_alone(world):
             world, levels, RuleBasedController(world, margins), demands
         )
         lane = lanes.lane(k)
-        for name in ("states", "actions", "costs"):
+        for name in ("states", "actions"):
             assert getattr(lane, name).tobytes() == getattr(alone, name).tobytes()
+        costs = step_costs(world.compiled, lane.actions)
+        assert costs.tobytes() == step_costs(world.compiled, alone.actions).tobytes()
 
 
 def test_perfect_margins_keep_day_in_band(world):

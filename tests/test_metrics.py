@@ -11,7 +11,7 @@ from pumpsched import (
     simulate,
     violation_count,
 )
-from pumpsched.errors import ValidationError
+from pumpsched.errors import SchemaError
 from pumpsched.metrics import (
     load_reward_curve,
     save_comparison_csv,
@@ -23,16 +23,9 @@ from pumpsched.simulate import Trajectory
 
 
 def _traj_from_states(states: np.ndarray) -> Trajectory:
-    """Wrap a bare level history in a trajectory; other fields are unused."""
+    """Wrap a bare level history in a trajectory; its actions are unused."""
     states = np.asarray(states, dtype=float)
-    n_steps = states.shape[0] - 1
-    return Trajectory(
-        states=states,
-        actions=np.zeros((n_steps, 1)),
-        powers=np.zeros((n_steps, 1)),
-        energies=np.zeros((n_steps, 1)),
-        costs=np.zeros(n_steps),
-    )
+    return Trajectory(states=states, actions=np.zeros((states.shape[0] - 1, 1)))
 
 
 def test_area_single_dip():
@@ -77,7 +70,7 @@ def test_episode_cost_flat_tariff(tiny_world, zero_demands):
     schedule[:, 0] = 1.0
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
     expected = 200.0 * 0.25 * sum(tiny_world.tariff.values)
-    assert episode_cost(traj) == pytest.approx(expected, abs=1e-9)
+    assert episode_cost(traj, tiny_world) == pytest.approx(expected, abs=1e-9)
 
 
 def _scores(*rows):
@@ -151,5 +144,5 @@ def test_reward_curve_round_trip(tmp_path):
     save_reward_curve(curve, path)
     assert load_reward_curve(path) == curve
     path.write_text("wrong,header\n1,2\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(SchemaError, match="unexpected reward curve header"):
         load_reward_curve(path)

@@ -21,10 +21,30 @@ from pumpsched import (
 from pumpsched.env import PumpSchedulingEnv
 from pumpsched.network import DT_HOURS, STEPS_PER_DAY, _seed_stream
 from pumpsched.policy import gaussian_logp
-from pumpsched.simulate import Trajectory, resume_lanes, run_day
+from pumpsched.simulate import (
+    Trajectory,
+    resume_lanes,
+    run_day,
+    step_costs,
+    step_energies,
+    step_powers,
+)
 from pumpsched.training import START_OVERHANG, _collect_lanes, collect_rollouts
 
 from conftest import flat_demands
+
+def _priced(topology, day):
+    """A day's records: its states and actions, and the powers, energies and
+    costs that its actions fix."""
+    c = topology.compiled
+    return {
+        "states": day.states,
+        "actions": day.actions,
+        "powers": step_powers(c, day.actions),
+        "energies": step_energies(c, day.actions),
+        "costs": step_costs(c, day.actions),
+    }
+
 
 def _constant_act(speeds):
     action = np.asarray(speeds, dtype=float)
@@ -70,8 +90,9 @@ def test_pump_power_cubic(tiny_world):
     # Station 1 is rated at 200 kW.
     for speed, power in ((0.5, 25.0), (1.0, 200.0), (0.0, 0.0)):
         for traj in _station_1_day(tiny_world, speed):
-            assert np.all(traj.powers[:, 0] == power)
-            assert np.all(traj.energies[:, 0] == power * DT_HOURS)
+            day = _priced(tiny_world, traj)
+            assert np.all(day["powers"][:, 0] == power)
+            assert np.all(day["energies"][:, 0] == power * DT_HOURS)
 
 
 def test_pump_flow_linear(tiny_world):
@@ -103,13 +124,14 @@ def test_single_step_mass_balance(tiny_world):
     # Station 1 pushes 400 m^3/h into tank 1 (area 1000 m^2) while its zone
     # draws 200 m^3/h: the level must rise exactly (400-200)*0.25/1000 = 0.05 m.
     traj = _last_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0)
-    assert traj.states.shape == (2, 2) and traj.costs.shape == (1,)
+    day = _priced(tiny_world, traj)
+    assert traj.states.shape == (2, 2) and day["costs"].shape == (1,)
     assert traj.states[1, 0] == pytest.approx(4.05, abs=1e-12)
     # Tank 2 (area 500) only drains: -200*0.25/500 = -0.1 m.
     assert traj.states[1, 1] == pytest.approx(3.9, abs=1e-12)
-    assert traj.powers[0, 0] == pytest.approx(200.0)
+    assert day["powers"][0, 0] == pytest.approx(200.0)
     # The tiny-world tariff is 0.1 in the first half of the day, 0.2 after.
-    assert traj.costs[0] == pytest.approx(200.0 * DT_HOURS * 0.2)
+    assert day["costs"][0] == pytest.approx(200.0 * DT_HOURS * 0.2)
 
     result = _env_first_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0)
     assert result.info["t"] == 1
@@ -187,7 +209,8 @@ def test_full_day_cost_oracle(tiny_world, zero_demands):
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
     expected = 200.0 * 0.25 * sum(tiny_world.tariff.values)
     assert expected == pytest.approx(720.0)
-    assert traj.costs.sum() == pytest.approx(expected, abs=1e-9)
+    costs = step_costs(tiny_world.compiled, traj.actions)
+    assert costs.sum() == pytest.approx(expected, abs=1e-9)
     assert traj.states[-1, 0] == 8.0  # the cap
 
 
@@ -244,8 +267,8 @@ def test_simulate_deterministic(world):
     initial = world.compiled.initial_levels
     a = simulate(world, initial, schedule, demands)
     b = simulate(world, initial, schedule, demands)
-    np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(a.costs, b.costs)
+    for name, array in _priced(world, a).items():
+        np.testing.assert_array_equal(array, _priced(world, b)[name])
 
 
 @settings(max_examples=50, deadline=None)
@@ -267,7 +290,8 @@ def test_step_matches_hand_balance(tiny_world, speeds, demand, level):
 
     traj = _last_step(tiny_world, [level, level], speeds, demand)
     np.testing.assert_allclose(traj.states[1], expect, atol=1e-9)
-    assert traj.costs[0] == pytest.approx(energy * 0.2, abs=1e-9)
+    cost = step_costs(tiny_world.compiled, traj.actions)[0]
+    assert cost == pytest.approx(energy * 0.2, abs=1e-9)
 
     result = _env_first_step(tiny_world, [level, level], speeds, demand)
     np.testing.assert_allclose(result.observation * 8.0, expect, atol=1e-9)
@@ -334,7 +358,10 @@ def test_shift_theorem_against_resimulation(world):
     resim = simulate(world, initial + delta, schedule, demands)
     assert _inside_the_rails(world, resim)
     np.testing.assert_allclose(resim.states, base.states + delta, atol=1e-9)
-    np.testing.assert_array_equal(resim.costs, base.costs)
+    np.testing.assert_array_equal(
+        step_costs(world.compiled, resim.actions),
+        step_costs(world.compiled, base.actions),
+    )
 
 
 # -- properties of the day-rollout core ----------------------------------------
@@ -367,15 +394,16 @@ def _controlled_day(world, seed, imperfection, start):
 def test_controlled_day_replays_as_a_fixed_schedule(world, seed, imperfection, start):
     traj, demands = _controlled_day(world, seed, imperfection, start)
     replay = simulate(world, traj.states[0], traj.actions, demands)
-    np.testing.assert_array_equal(replay.states, traj.states)
-    np.testing.assert_array_equal(replay.costs, traj.costs)
+    for name, array in _priced(world, replay).items():
+        np.testing.assert_array_equal(array, _priced(world, traj)[name])
 
 
-_TRAJECTORY_FIELDS = ("states", "actions", "powers", "energies", "costs")
-
-
-def test_a_day_record_holds_five_arrays():
-    assert tuple(f.name for f in dataclasses.fields(Trajectory)) == _TRAJECTORY_FIELDS
+def test_a_day_record_holds_only_its_states_and_actions():
+    # Powers, energies and costs are functions of the actions, not records.
+    assert tuple(f.name for f in dataclasses.fields(Trajectory)) == (
+        "states",
+        "actions",
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -398,8 +426,12 @@ def test_rollout_from_a_mid_day_state_equals_the_tail(world, seed, e, high):
         t0=e,
     )
     assert tail.states.shape == (STEPS_PER_DAY + 1 - e, world.n_tanks)
-    for name in _TRAJECTORY_FIELDS:
-        np.testing.assert_array_equal(getattr(tail, name), getattr(day, name)[e:])
+    # A tail from step e is priced at the tariff's steps from e on.
+    whole, records = _priced(world, day), _priced(world, tail)
+    oracle, _ = _all_in_one_day(world.compiled, day.states[e], schedule, demands, e)
+    for name, array in records.items():
+        assert array.tobytes() == whole[name][e:].tobytes(), name
+        assert array.tobytes() == oracle[name].tobytes(), name
 
 
 @settings(max_examples=15, deadline=None)
@@ -447,12 +479,17 @@ def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
     levels = rng.uniform(0.0, 1.0, (lanes, world.n_tanks)) * world.compiled.caps
     rngs = [np.random.default_rng(seed + k) for k in range(lanes)]
     demands = np.array([demands_from_rng(world, rng) for rng in rngs])
-    day = run_day(world, levels, demands, lambda t, lv: schedules[:, t], t0)
+    laned = run_day(world, levels, demands, lambda t, lv: schedules[:, t], t0)
+    day = _priced(world, laned)
     for k in range(lanes):
         alone = run_day(world, levels[k], demands[k], lambda t, lv: schedules[k, t], t0)
-        for name in _TRAJECTORY_FIELDS:
-            lane = getattr(day, name)[:, k]
-            assert lane.tobytes() == getattr(alone, name).tobytes(), name
+        oracle, _ = _all_in_one_day(
+            world.compiled, levels[k], schedules[k], demands[k], t0
+        )
+        for name, array in _priced(world, alone).items():
+            lane = day[name][:, k]
+            assert lane.tobytes() == array.tobytes(), name
+            assert lane.tobytes() == oracle[name].tobytes(), name
 
 
 def _all_in_one_step(c, levels, action, zone_values_t, tariff_t):
@@ -472,6 +509,24 @@ def _all_in_one_step(c, levels, action, zone_values_t, tariff_t):
     return levels, powers, energies, cost, clamped
 
 
+def _all_in_one_day(c, levels, schedule, demands, t0=0):
+    """The day from step ``t0`` through ``_all_in_one_step``, one step at a
+    time: its records, named as in ``_priced``, and where each step clamped."""
+    rows, current = [], levels
+    for t in range(t0, STEPS_PER_DAY):
+        rows.append(
+            _all_in_one_step(c, current, schedule[t], demands[..., t], c.tariff[t])
+        )
+        current = rows[-1][0]
+    records = {
+        "states": np.array([levels] + [row[0] for row in rows]),
+        "actions": np.array(schedule[t0:]),
+    }
+    for i, name in enumerate(("powers", "energies", "costs")):
+        records[name] = np.array([row[i + 1] for row in rows])
+    return records, np.array([row[4] for row in rows])
+
+
 @pytest.mark.parametrize(
     "lanes, t0", [(None, 0), (None, 61), (1, 0), (4, 0), (3, 37), (5, 95)]
 )
@@ -488,25 +543,13 @@ def test_day_records_equal_the_all_in_one_step(world, lanes, t0):
     demands = np.array([demands_from_rng(world, rng) for rng in rngs])
     if lanes is None:
         schedules, levels, demands = schedules[:, 0], levels[0], demands[0]
-    tariff = world.compiled.tariff
     day = run_day(world, levels, demands, lambda t, lv: schedules[t], t0)
 
-    rows, current = [], levels
-    for t in range(t0, STEPS_PER_DAY):
-        rows.append(
-            _all_in_one_step(
-                world.compiled, current, schedules[t], demands[..., t], tariff[t]
-            )
-        )
-        current = rows[-1][0]
-    expected = {"states": np.array([levels] + [row[0] for row in rows])}
-    for i, name in enumerate(("powers", "energies", "costs")):
-        expected[name] = np.array([row[i + 1] for row in rows])
-    for name, array in expected.items():
-        assert getattr(day, name).tobytes() == array.tobytes(), name
-    assert day.actions.tobytes() == schedules[t0:].tobytes()
+    expected, clamped = _all_in_one_day(world.compiled, levels, schedules, demands, t0)
+    for name, array in _priced(world, day).items():
+        assert array.shape == expected[name].shape, name
+        assert array.tobytes() == expected[name].tobytes(), name
     if t0 == 0:
-        clamped = np.array([row[4] for row in rows])
         assert clamped.any() and not clamped.all()
 
 

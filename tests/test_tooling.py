@@ -1,7 +1,7 @@
 """The benchmark's span tracer still fits the package it instruments, the
 package exports no name that it does not use itself and resolves each one
-lazily, each CLI command loads only the layers it runs, and the CLI defines no
-flag that its commands do not read."""
+lazily, each CLI command loads only the layers it runs, the CLI defines no
+flag that its commands do not read, and the power model has one copy."""
 
 import argparse
 import ast
@@ -329,3 +329,36 @@ def test_every_cli_flag_is_read_by_its_command():
         and action.dest not in read
     }
     assert unread == set()
+
+
+class _AttributeReaders(ast.NodeVisitor):
+    """The dotted names of the functions and classes (``<module>`` outside
+    any) that reach an attribute ``name`` of any object."""
+
+    def __init__(self, name):
+        self.name, self.scope, self.readers = name, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.readers.add(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
+
+
+def test_only_the_power_model_reads_rated_power():
+    """Every power, energy and cost comes from ``simulate.step_powers``, so
+    the power model cannot grow a second copy; ``network.py`` defines the
+    field and compiles it."""
+    readers = set()
+    for path in sorted((ROOT / "src" / "pumpsched").glob("*.py")):
+        if path.name != "network.py":
+            visitor = _AttributeReaders("rated_power")
+            visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+            readers |= {f"{path.stem}.{scope}" for scope in visitor.readers}
+    assert readers == {"simulate.step_powers"}
