@@ -21,13 +21,15 @@ otherwise load on the first ``np.random.default_rng``, inside the clock. They
 import it after their layers: loaded before them, it raised a process's peak
 RSS by about 0.4 MB.
 
-Process lifetime: run as ``python -m pumpsched.cli``, the process freezes its
-heap (``gc.freeze``) once ``main()`` has returned, so the interpreter's exit
-collections no longer traverse the tens of thousands of objects the imports
-made, memory the operating system takes back a moment later anyway. The exit
-is otherwise the usual one: atexit handlers, stream flushing and module
-teardown all still run, which ``os._exit`` would skip. ``main()`` called in
-process, as the tests and library callers do, leaves the collector as it is.
+Process lifetime: ``run()`` is the process's one exit path, for the
+``pumpsched`` console script and ``python -m pumpsched.cli`` alike. It freezes
+the heap (``gc.freeze``) once ``main()`` has returned, so the interpreter's
+exit collections no longer traverse the tens of thousands of objects the
+imports made, memory the operating system takes back a moment later anyway.
+The exit is otherwise the usual one: atexit handlers, stream flushing and
+module teardown all still run, which ``os._exit`` would skip. ``main()``
+called in process, as the tests and library callers do, leaves the collector
+as it is.
 
 Exit codes: 0 success, 1 validation or schema problem, 2 file I/O problem,
 3 numeric failure during training or simulation.
@@ -646,7 +648,12 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """``main()`` as a whole process: freeze the heap, then exit with its code."""
     code = main()
     gc.freeze()
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

@@ -7,8 +7,9 @@ shifts them day by day so a realistic share of archive days contains boundary
 violations.
 
 ``generate_history`` records such days into a ``HistoryArchive``: day ids
-plus level, action, power, demand and tariff arrays shaped (day, step, ...),
-saved to and loaded from CSV with one row per (day, step). The evaluation
+plus level, action and demand arrays shaped (day, step, ...), saved to and
+loaded from CSV with one row per (day, step); a day's power and cost are
+functions of its actions (``simulate.step_costs``). The evaluation
 days' sampler, ``sample_operational_episode``, lives here too, beside the
 controller its ``BURN_DAYS`` of burn-in run: it draws a day from the
 operating distribution the archive records.
@@ -40,7 +41,7 @@ from .network import (
     _seed_stream,
     demands_from_rng,
 )
-from .simulate import Trajectory, run_day, step_powers
+from .simulate import Trajectory, run_day
 
 DUTY_SPEED = 0.85
 _PERFECT_MARGIN = 0.30  # fraction of the band kept clear of each boundary
@@ -134,17 +135,14 @@ class HistoryArchive:
 
     ``days`` (D,) holds strictly increasing day ids. For every day and each
     of its 96 steps, ``levels`` (D, 96, n_tanks) holds the tank levels before
-    the step, ``actions`` and ``powers`` (D, 96, n_stations) the commanded
-    speeds and the power drawn during it, ``demands`` (D, 96, n_zones) the
-    realized zone demands and ``tariff`` (D, 96) the energy price.
+    the step, ``actions`` (D, 96, n_stations) the commanded speeds during it
+    and ``demands`` (D, 96, n_zones) the realized zone demands.
     """
 
     days: np.ndarray
     levels: np.ndarray
     actions: np.ndarray
-    powers: np.ndarray
     demands: np.ndarray
-    tariff: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
@@ -156,10 +154,9 @@ class HistoryArchive:
         if self.days.ndim != 1:
             raise ValidationError("archive day ids must form a 1-D array")
         n_days = len(self.days)
-        for name in ("levels", "actions", "powers", "demands", "tariff"):
+        for name in ("levels", "actions", "demands"):
             shape = getattr(self, name).shape
-            ndim = 2 if name == "tariff" else 3
-            if len(shape) != ndim or shape[0] != n_days:
+            if len(shape) != 3 or shape[0] != n_days:
                 raise ValidationError(
                     f"archive {name} has shape {shape} for {n_days} days"
                 )
@@ -168,8 +165,6 @@ class HistoryArchive:
                     f"archive {name} holds {shape[1]} steps per day, "
                     f"not whole {STEPS_PER_DAY}-step days"
                 )
-        if self.actions.shape[2] != self.powers.shape[2]:
-            raise ValidationError("archive actions and powers differ in station count")
         backwards = np.flatnonzero(np.diff(self.days) <= 0)
         if backwards.size:
             raise ValidationError(
@@ -198,12 +193,9 @@ def generate_history(
     try:
         levels = np.empty((days, STEPS_PER_DAY, topology.n_tanks))
         actions = np.empty((days, STEPS_PER_DAY, topology.n_stations))
-        powers = np.empty((days, STEPS_PER_DAY, topology.n_stations))
         demands = np.empty((days, STEPS_PER_DAY, topology.n_zones))
-        tariff = np.empty((days, STEPS_PER_DAY))
     except (ValueError, MemoryError):  # refused before anything is allocated
         raise ValidationError(f"a history of {days} days is too large") from None
-    tariff[:] = topology.compiled.tariff
     start = topology.compiled.initial_levels
     for day in range(days):
         demand_rng = np.random.default_rng(_seed_stream(seed, "history_demands", day))
@@ -214,16 +206,10 @@ def generate_history(
         traj = run_controlled_day(topology, start, controller, day_demands)
         levels[day] = traj.states[:-1]
         actions[day] = traj.actions
-        powers[day] = step_powers(topology.compiled, traj.actions)
         demands[day] = day_demands.T
         start = traj.states[-1]
     archive = HistoryArchive(
-        days=np.arange(days),
-        levels=levels,
-        actions=actions,
-        powers=powers,
-        demands=demands,
-        tariff=tariff,
+        days=np.arange(days), levels=levels, actions=actions, demands=demands
     )
     archive.validate()
     return archive
@@ -310,16 +296,14 @@ def _read_companion(path: str | Path) -> np.ndarray | None:
 # ----------------------------------------------------------------------------
 # CSV round-trip
 
-_GROUP_RE = re.compile(r"^(level|action|power|demand)_(\d+)$")
+_GROUP_RE = re.compile(r"^(level|action|demand)_(\d+)$")
 
 def _header(n_tanks: int, n_stations: int, n_zones: int) -> list[str]:
     return (
         ["day", "t"]
         + [f"level_{i + 1}" for i in range(n_tanks)]
         + [f"action_{j + 1}" for j in range(n_stations)]
-        + [f"power_{j + 1}" for j in range(n_stations)]
         + [f"demand_{k + 1}" for k in range(n_zones)]
-        + ["tariff"]
     )
 
 
@@ -362,9 +346,7 @@ def save_history(archive: HistoryArchive, path: str | Path) -> None:
             ),
             archive.levels,
             archive.actions,
-            archive.powers,
             archive.demands,
-            archive.tariff[:, :, None],
         ],
         axis=2,
         dtype=np.float64,
@@ -375,16 +357,27 @@ def save_history(archive: HistoryArchive, path: str | Path) -> None:
 
 
 def _group_counts(header: list[str]) -> tuple[int, int, int]:
-    counts = {"level": 0, "action": 0, "power": 0, "demand": 0}
+    counts = {"level": 0, "action": 0, "demand": 0}
     for name in header:
         match = _GROUP_RE.match(name)
         if match:
             counts[match.group(1)] += 1
-    if counts["action"] != counts["power"]:
-        raise SchemaError("history header: action and power column counts differ")
     if min(counts["level"], counts["action"], counts["demand"]) == 0:
         raise SchemaError("history header: level/action/demand columns are required")
     return counts["level"], counts["action"], counts["demand"]
+
+
+def _header_mismatch(header: list[str], expected: list[str]) -> str:
+    """Why ``header`` is not ``expected``: the columns it has that it should
+    not, then those it lacks, each in its own order."""
+    unexpected = [name for name in header if name not in expected]
+    missing = [name for name in expected if name not in header]
+    reasons = [
+        f"{what} columns {', '.join(names)}"
+        for what, names in (("unexpected", unexpected), ("missing", missing))
+        if names
+    ]
+    return "; ".join(reasons) or "header does not match the documented column order"
 
 
 def _scan_body(path: str | Path, reader, width: int) -> np.ndarray:
@@ -429,9 +422,7 @@ def load_history(path: str | Path) -> HistoryArchive:
             n_tanks, n_stations, n_zones = _group_counts(header)
             expected = _header(n_tanks, n_stations, n_zones)
             if header != expected:
-                raise SchemaError(
-                    f"{path}: header does not match the documented column order"
-                )
+                raise SchemaError(f"{path}: {_header_mismatch(header, expected)}")
             data = _read_companion(path)
             if data is None or data.ndim != 2 or data.shape[1] != len(expected):
                 data = _scan_body(path, reader, len(expected))
@@ -440,8 +431,8 @@ def load_history(path: str | Path) -> HistoryArchive:
     except csv.Error as exc:  # a field over csv's size limit, say
         raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
 
-    stamps, levels, actions, powers, demands, tariff = np.split(
-        data, np.cumsum([2, n_tanks, n_stations, n_stations, n_zones]), axis=1
+    stamps, levels, actions, demands = np.split(
+        data, np.cumsum([2, n_tanks, n_stations]), axis=1
     )
     odd = stamps != np.floor(stamps)
     if odd.any():
@@ -451,7 +442,6 @@ def load_history(path: str | Path) -> HistoryArchive:
         (~np.isfinite(data), "non-finite value"),
         ((actions < 0) | (actions > 1), "action outside [0, 1]"),
         (demands < 0, "negative demand"),
-        (tariff < 0, "negative tariff"),
     ):
         if bad.any():
             raise ValidationError(f"{path} row {_first_row(bad) + 2}: {what}")
@@ -474,9 +464,7 @@ def load_history(path: str | Path) -> HistoryArchive:
         days=day_ids[:, 0].astype(np.int64),
         levels=levels.reshape(*per_day, n_tanks),
         actions=actions.reshape(*per_day, n_stations),
-        powers=powers.reshape(*per_day, n_stations),
         demands=demands.reshape(*per_day, n_zones),
-        tariff=tariff.reshape(per_day),
     )
     archive.validate()
     return archive

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from pumpsched import (
     DEFAULT_IMPERFECTION,
     AgentKind,
     cli,
+    load_history,
+    load_network,
     save_checkpoint,
     save_network,
 )
@@ -32,6 +35,7 @@ from pumpsched.hybrid import (
 )
 from pumpsched.metrics import compare, save_comparison_json
 from pumpsched.policy import init_policy, policy_act_fn
+from pumpsched.simulate import step_powers
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -48,19 +52,34 @@ def run_cli(*argv, launch=("-m", "pumpsched.cli")):
     )
 
 
-# Runs ``pumpsched.cli`` as ``__main__``, as ``python -m`` does, and prints the
-# frozen object count last when the interpreter exits.
-AS_MAIN_PROBE = """
-import atexit, gc, runpy
+# Prints the frozen object count last when the interpreter exits.
+EXIT_PROBE = """
+import atexit, gc
 atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+"""
+
+# Runs ``pumpsched.cli`` as ``__main__``, as ``python -m`` does.
+AS_MAIN_PROBE = EXIT_PROBE + """
+import runpy
 runpy.run_module("pumpsched.cli", run_name="__main__", alter_sys=True)
 """
 
+# Calls the ``pumpsched`` console script's target as its generated wrapper
+# does: ``sys.exit(<target>())``.
+_MODULE, _TARGET = tomllib.loads((SRC.parent / "pyproject.toml").read_text())[
+    "project"
+]["scripts"]["pumpsched"].split(":")
+AS_SCRIPT_PROBE = EXIT_PROBE + f"""
+import sys
+from {_MODULE} import {_TARGET}
+sys.exit({_TARGET}())
+"""
 
-def run_cli_as_main_probed(*argv):
-    """``run_cli`` through ``AS_MAIN_PROBE``: the result and the frozen object
-    count its atexit handler saw."""
-    result = run_cli(*argv, launch=("-c", AS_MAIN_PROBE))
+
+def run_cli_probed(*argv, probe=AS_MAIN_PROBE):
+    """``run_cli`` through ``probe``: the result and the frozen object count
+    its atexit handler saw."""
+    result = run_cli(*argv, launch=("-c", probe))
     label, count = result.stdout.splitlines()[-1].split()
     assert label == "frozen", result.stdout
     return result, int(count)
@@ -120,11 +139,12 @@ def test_command_exits_zero_and_writes_artifacts(workflow, command):
 # for version 2: the vector only in checkpoint.json.arrays, whose SHA-256 the
 # shapes-only checkpoint.json records. The two reports, comparison.csv on,
 # were recorded for percentages that all read (value - reference) /
-# reference, pooled in the strategy report.
+# reference, pooled in the strategy report. The archive's two files were
+# recorded for its 32 columns: stamps, levels, actions and demands.
 WORKFLOW_DIGESTS = {
     "network.json": "d2c12fef163ed33d118b8df404c1616d265c307298ad688732c4a182c33c7a13",
-    "history.csv": "25239ee406e601c6a3fa71355acc1e4ba71bcbedba8d1b31332890f9f47f22f8",
-    "history.csv.arrays": "9f320d1316acdd009a9d06a0c14117afeb11b690ce55dc67aa46603d633a9094",
+    "history.csv": "d7bbe9fba065b5fa033e670fed04ee15c3c39ed3b1644ca8c7cc1b58da11ae65",
+    "history.csv.arrays": "cb7aa5a660a063ea1cd88dbe59befaa098a7784ef43cd5b871c15320235c1e38",
     "checkpoint.json": "71cac2884bd0dbe1fced7c3ef61673aafda22c4c42ff5a4884b5063e67af00b9",
     "checkpoint.json.arrays": "9cef759f9b76025b7ecd37a3f7aef1f8af09a103a4e81e2c71c6c55a1649ce1e",
     "reward_curve.csv": "bdd77493ce8548379aab8c1f56a9a8ae4dc9f421fd433b25c93480f529878067",
@@ -471,6 +491,29 @@ def _history_field_over_the_csv_limit(out, tmp_path):
     return ("hybrid", *inputs, "--history", history, "--out", tmp_path / "out")
 
 
+def _history_of_39_columns(out, tmp_path):
+    """``hybrid`` on the workflow's archive, without its companion, in the
+    layout that also held each station's power after the actions and the
+    tariff last."""
+    archive = load_history(out / "history.csv")
+    c = load_network(out / "network.json").compiled
+    header, *rows = (out / "history.csv").read_text().splitlines()
+    powers = step_powers(c, archive.actions).reshape(len(rows), -1).tolist()
+    tariff = np.tile(c.tariff, archive.n_days).tolist()
+    cut = 2 + archive.levels.shape[2] + archive.actions.shape[2]
+    names = header.split(",")
+    power_names = [f"power_{j + 1}" for j in range(len(powers[0]))]
+    lines = [",".join(names[:cut] + power_names + names[cut:] + ["tariff"])]
+    for row, power, price in zip(rows, powers, tariff):
+        cells = row.split(",")
+        cells[cut:cut] = map(repr, power)
+        lines.append(",".join(cells + [repr(price)]))
+    history = tmp_path / "history.csv"
+    history.write_text("\r\n".join(lines) + "\r\n")
+    inputs = _inputs(out, "hybrid", {"--history"})
+    return ("hybrid", *inputs, "--history", history, "--out", tmp_path / "out")
+
+
 def _inputs(out, command, skip=()):
     """Flags that run ``command`` on the workflow's inputs, minus ``skip``."""
     flags = {
@@ -605,6 +648,8 @@ BAD_INPUTS = {
     "non_utf8_network": _not_utf8("--network"),
     "non_utf8_history": _not_utf8("--history"),
     "history_field_over_the_csv_limit": _history_field_over_the_csv_limit,
+    # an archive with a power column per station and a tariff column
+    "history_of_39_columns": _history_of_39_columns,
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),
     # numpy rejects these archive sizes before allocating anything
     "gen_days_beyond_int64": _gen_days(10**20),
@@ -964,7 +1009,7 @@ def test_a_module_run_freezes_its_heap_and_writes_what_main_writes(tmp_path):
     exit collections skip it; atexit handlers still run, and the artifacts
     match those of ``main()`` in process, which freezes nothing."""
     argv = ["gen", "--days", 30, "--seed", 1]
-    result, frozen = run_cli_as_main_probed(*argv, "--out", tmp_path / "module")
+    result, frozen = run_cli_probed(*argv, "--out", tmp_path / "module")
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert frozen > 0
@@ -978,8 +1023,23 @@ def test_a_module_run_freezes_its_heap_and_writes_what_main_writes(tmp_path):
 
 def test_a_bad_input_run_as_main_exits_one_with_a_one_line_error(tmp_path):
     out = tmp_path / "out"
-    result, frozen = run_cli_as_main_probed("gen", "--seed", -1, "--out", out)
+    result, frozen = run_cli_probed("gen", "--seed", -1, "--out", out)
     assert result.returncode == 1
     assert result.stderr == "error: --seed must be >= 0, got -1\n"
     assert frozen > 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("days, code", [(1, 0), (0, 1)])
+def test_the_console_script_freezes_its_heap_and_exits_with_mains_code(
+    tmp_path, days, code
+):
+    """The ``pumpsched`` script's wrapper calls its target, not the
+    ``__main__`` block, so the target freezes the heap before exit too."""
+    out = tmp_path / "out"
+    result, frozen = run_cli_probed(
+        "gen", "--days", days, "--out", out, probe=AS_SCRIPT_PROBE
+    )
+    assert result.returncode == code, result.stderr
+    assert frozen > 0
+    assert out.exists() == (code == 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import warnings
@@ -25,7 +26,7 @@ from pumpsched.metrics import area_outside_boundary, violation_count
 from pumpsched.network import STEPS_PER_DAY
 from pumpsched.simulate import step_costs
 
-ARCHIVE_ARRAYS = ("days", "levels", "actions", "powers", "demands", "tariff")
+ARCHIVE_ARRAYS = tuple(f.name for f in dataclasses.fields(HistoryArchive))
 
 
 def _assert_same_archive(a: HistoryArchive, b: HistoryArchive) -> None:
@@ -189,9 +190,7 @@ def test_generate_history_shape_and_carry_over(world):
     assert archive.days.tolist() == [0, 1, 2]
     assert archive.levels.shape == (3, STEPS_PER_DAY, world.n_tanks)
     assert archive.actions.shape == (3, STEPS_PER_DAY, world.n_stations)
-    assert archive.powers.shape == (3, STEPS_PER_DAY, world.n_stations)
     assert archive.demands.shape == (3, STEPS_PER_DAY, world.n_zones)
-    assert archive.tariff.shape == (3, STEPS_PER_DAY)
     # Levels carry across midnight: day n+1 starts one step after day n's
     # recorded end, so replaying day n from its first level must land on
     # day n+1's first level.
@@ -254,9 +253,8 @@ def test_history_csv_round_trip(tmp_path, world):
     assert header[:2] == ["day", "t"]
     assert "level_6" in header
     assert "action_6" in header
-    assert "power_6" in header
-    assert "demand_18" in header
-    assert header[-1] == "tariff"
+    assert header[-1] == "demand_18"
+    assert not [name for name in header if name.startswith(("power", "tariff"))]
 
 
 def test_partial_day_rejected():
@@ -264,9 +262,7 @@ def test_partial_day_rejected():
         days=np.array([0]),
         levels=np.full((1, 40, 1), 4.0),
         actions=np.full((1, 40, 1), 0.5),
-        powers=np.full((1, 40, 1), 10.0),
         demands=np.full((1, 40, 1), 5.0),
-        tariff=np.full((1, 40), 0.1),
     )
     with pytest.raises(ValidationError, match="whole"):
         partial.validate()
@@ -349,8 +345,7 @@ def test_load_history_rejects_bad_rows(tmp_path, world):
 
     for column, value, message in (
         (2, "nan", "non-finite value"),
-        (2 + 6 + 6 + 6, "-1.0", "negative demand"),
-        (-1, "-0.5", "negative tariff"),
+        (2 + 6 + 6, "-1.0", "negative demand"),
     ):
         bad = tmp_path / "bad_value.csv"
         row = lines[7].split(",")
@@ -368,6 +363,32 @@ def test_load_history_rejects_bad_rows(tmp_path, world):
     bad.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValidationError, match="whole number"):
         load_history(bad)
+
+
+def test_a_header_that_differs_names_its_unexpected_and_missing_columns(
+    tmp_path, world
+):
+    """An archive in the layout that also recorded each station's power and
+    the tariff fails on its header, which names the columns it should not
+    have; a header without its step column names that one."""
+    archive = generate_history(world, days=1, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    powers = [f"power_{j + 1}" for j in range(world.n_stations)]
+    old = names[: 2 + 6 + 6] + powers + names[2 + 6 + 6 :] + ["tariff"]
+    bad = tmp_path / "old_format.csv"
+    bad.write_text("\n".join([",".join(old)] + rows) + "\n")
+    unexpected = ", ".join(powers + ["tariff"])
+    with pytest.raises(SchemaError) as raised:
+        load_history(bad)
+    assert str(raised.value) == f"{bad}: unexpected columns {unexpected}"
+
+    bad.write_text("\n".join([",".join(n for n in names if n != "t")] + rows))
+    with pytest.raises(SchemaError) as raised:
+        load_history(bad)
+    assert str(raised.value) == f"{bad}: missing columns t"
 
 
 def _companion_key(path) -> bytes:
@@ -480,9 +501,7 @@ def test_save_history_refuses_empty(tmp_path):
         days=np.zeros(0, dtype=np.int64),
         levels=np.zeros((0, STEPS_PER_DAY, 1)),
         actions=np.zeros((0, STEPS_PER_DAY, 1)),
-        powers=np.zeros((0, STEPS_PER_DAY, 1)),
         demands=np.zeros((0, STEPS_PER_DAY, 1)),
-        tariff=np.zeros((0, STEPS_PER_DAY)),
     )
     with pytest.raises(ValidationError):
         save_history(empty, tmp_path / "x.csv")

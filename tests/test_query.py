@@ -29,9 +29,7 @@ def _constant_archive(days):
         days=np.arange(len(days)),
         levels=per_day(levels, 6),
         actions=per_day(actions, 6),
-        powers=per_day([0.0] * len(days), 6),
         demands=per_day(demands, 18),
-        tariff=np.full((len(days), STEPS_PER_DAY), 0.1),
     )
     archive.validate()
     return archive

@@ -1,10 +1,12 @@
 """The benchmark's span tracer still fits the package it instruments, the
 package exports no name that it does not use itself and resolves each one
 lazily, each CLI command loads only the layers it runs, the CLI defines no
-flag that its commands do not read, and the power model has one copy."""
+flag that its commands do not read, the archive holds no field that nothing
+reads, and the power model has one copy."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -20,6 +22,7 @@ import pytest
 import pumpsched
 from pumpsched import cli
 from pumpsched import hybrid as hybrid_module
+from pumpsched.history import HistoryArchive
 
 # The submodule: ``from pumpsched import simulate`` is the function.
 simulate_module = importlib.import_module("pumpsched.simulate")
@@ -329,6 +332,24 @@ def test_every_cli_flag_is_read_by_its_command():
         and action.dest not in read
     }
     assert unread == set()
+
+
+def test_every_archive_field_is_read_outside_the_archive_module():
+    """A field that no module but ``history.py`` loads as ``archive.<field>``
+    is written by every ``gen`` and parsed by every ``hybrid`` for nothing."""
+    read = set()
+    for path in sorted((ROOT / "src" / "pumpsched").glob("*.py")):
+        if path.name != "history.py":
+            read |= {
+                node.attr
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "archive"
+                and isinstance(node.ctx, ast.Load)
+            }
+    fields = {f.name for f in dataclasses.fields(HistoryArchive)}
+    assert fields - read == set()
 
 
 class _AttributeReaders(ast.NodeVisitor):
