@@ -94,20 +94,23 @@ class StepResult:
 
 
 def _observation(
-    kind: AgentKind, levels: np.ndarray, t: int, c: CompiledTopology
+    kind: AgentKind,
+    levels: np.ndarray,
+    t: int,
+    c: CompiledTopology,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Before step ``t``: levels / caps (dual: + clock ``t / 96``, price of step
-    ``t``, the next day's first at t = 96), a row per lane; ``c`` is the
-    topology's ``compiled``."""
-    levels_norm = levels / c.caps
-    if kind == AgentKind.CONSTRAINT:
-        return levels_norm
+    ``t``, the next day's first at t = 96), a row per lane, written into
+    ``out`` when given; ``c`` is the topology's ``compiled``."""
     n_t = levels.shape[-1]
-    obs = np.empty((*levels.shape[:-1], kind.obs_dim(n_t)))
-    obs[..., :n_t] = levels_norm
-    obs[..., n_t] = t / STEPS_PER_DAY
-    obs[..., n_t + 1] = c.tariff_norm[t % STEPS_PER_DAY]
-    return obs
+    if out is None:
+        out = np.empty((*levels.shape[:-1], kind.obs_dim(n_t)))
+    np.divide(levels, c.caps, out=out[..., :n_t])
+    if kind == AgentKind.DUAL:
+        out[..., n_t] = t / STEPS_PER_DAY
+        out[..., n_t + 1] = c.tariff_norm[t % STEPS_PER_DAY]
+    return out
 
 
 class PumpSchedulingEnv:
@@ -224,16 +227,19 @@ def closed_loop(
     ``act_fn`` sees the observation a ``kind`` agent would get from the env
     before step ``t``, one row per lane when ``run_day`` rolls lanes, and its
     action is held for ``window`` steps: a decision every ``window`` steps,
-    96 / ``window`` a day.
+    96 / ``window`` a day. Each decision rewrites one observation array (anew
+    if the lane count changed), valid only during its ``act_fn`` call.
     """
     _check_window(window)
     c = topology.compiled
-    held = None
+    obs = held = None
 
     def act(t: int, levels: np.ndarray) -> np.ndarray:
-        nonlocal held
+        nonlocal obs, held
         if t % window == 0:
-            held = act_fn(_observation(kind, levels, t, c))
+            fits = obs is not None and obs.shape[:-1] == levels.shape[:-1]
+            obs = _observation(kind, levels, t, c, obs if fits else None)
+            held = act_fn(obs)
         return held
 
     return act

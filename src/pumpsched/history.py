@@ -93,7 +93,9 @@ def margins_for(
 
 class RuleBasedController:
     """Stateful hysteresis control: duty speed below trigger, off above release.
-    Margins (B, n_stations) control B lanes of levels (B, n_tanks)."""
+    Margins (B, n_stations) control B lanes of levels (B, n_tanks), an array.
+    ``act`` turns a pump off above release, then on below trigger, in place;
+    at a NaN level it turns it off (the day then fails on its levels)."""
 
     def __init__(self, topology: NetworkTopology, margins: HysteresisMargins):
         self.margins = margins
@@ -105,13 +107,10 @@ class RuleBasedController:
         self._on = watched < (self.margins.triggers + self.margins.releases) / 2.0
 
     def act(self, levels: np.ndarray) -> np.ndarray:
-        watched = np.asarray(levels, dtype=float)[..., self._primary]
-        self._on = np.where(
-            watched < self.margins.triggers,
-            True,
-            np.where(watched > self.margins.releases, False, self._on),
-        )
-        return np.where(self._on, DUTY_SPEED, 0.0)
+        watched = levels.take(self._primary, axis=-1)
+        self._on &= watched <= self.margins.releases
+        self._on |= watched < self.margins.triggers
+        return self._on * DUTY_SPEED
 
 
 def run_controlled_day(

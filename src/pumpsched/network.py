@@ -251,13 +251,13 @@ class NetworkTopology:
 
 class CompiledTopology:
     """The arrays a topology implies, read-only, in tank, station and step
-    order: the step kernel's station fill/draw fractions, zone-to-tank
-    routing, pump ratings, tank areas and caps; the operational bounds and
-    start levels; the tariff and its min-max normalization; each station's
-    per-step energy at full speed, rated power * dt, which the dual reward
-    normalizes by; each station's primary tank with that tank's bounds; and
-    each zone's diurnal demand profile, base demand times its double peak,
-    (n_zones, 96), with its noise scale as a column, (n_zones, 1).
+    order: the step kernel's fill/draw fractions (n_tanks, n_stations),
+    zone-to-tank routing, pump ratings, tank areas and caps; the operational
+    bounds and start levels; the tariff and its min-max normalization; each
+    station's per-step energy at full speed, rated power * dt, which the dual
+    reward normalizes by; each station's primary tank with that tank's
+    bounds; and each zone's diurnal demand profile, base demand times its
+    double peak, (n_zones, 96), with its noise scale as a column, (n_zones, 1).
 
     A tariff without spread has no normalization and fails to compile; a
     validated topology never has one.
@@ -265,13 +265,13 @@ class CompiledTopology:
 
     def __init__(self, topology: NetworkTopology):
         n_t, n_s, n_z = topology.n_tanks, topology.n_stations, topology.n_zones
-        self.fill = np.zeros((n_s, n_t))
-        self.draw = np.zeros((n_s, n_t))
+        fill, draw = np.zeros((2, n_s, n_t))
         for j, station in enumerate(topology.stations):
             for tank_id, frac in station.fills:
-                self.fill[j, topology.tank_index(tank_id)] += frac
+                fill[j, topology.tank_index(tank_id)] += frac
             if station.draws_from is not None:
-                self.draw[j, topology.tank_index(station.draws_from)] = 1.0
+                draw[j, topology.tank_index(station.draws_from)] = 1.0
+        self.fill_t, self.draw_t = fill.T, draw.T  # the step kernel's layout
         self.max_flow = np.array([s.max_flow for s in topology.stations])
         self.rated_power = np.array([s.rated_power for s in topology.stations])
         self.energy_span = self.rated_power * DT_HOURS

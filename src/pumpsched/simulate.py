@@ -10,11 +10,13 @@ fixed schedule as lanes of one array; pump flows depend only on commanded
 speeds (affinity laws), never on tank levels, so lanes that run the same
 action share one kernel call.
 
-Every step goes through the kernel ``step``, which only advances levels; the
-day's per-tank demand is worked out for every step up front. A day records its
-states and actions alone: powers, energies and costs are functions of the
-actions, ``step_powers`` and the two built on it. Inputs are validated once
-per day at the boundary. A lane's bytes equal those of its day rolled alone.
+Every step goes through the kernel ``step``, which only advances levels, one
+lane by ``ndarray.dot`` and lanes by the stacked mat-vec: both run the one-lane
+BLAS product, so a lane's bytes equal those of its day rolled alone. The day's
+per-tank demand is worked out up front. A day records its states and actions
+alone: powers, energies and costs are functions of the actions, ``step_powers``
+and the two built on it. Inputs are validated once per day at the boundary; a
+step only compares its action's shape with the day's.
 """
 
 from __future__ import annotations
@@ -95,26 +97,33 @@ def step(
     tank_demand_t: np.ndarray,
 ) -> np.ndarray:
     """One step of the level recursion: the mass balance under the pump
-    ``flows`` (m^3/h per station) and the step's demand column
-    ``tank_demand_t`` (m^3/h per tank, trailing axis of 1).
+    ``flows`` (m^3/h per station) and the step's demand ``tank_demand_t``
+    (m^3/h per tank).
 
     ``c`` is ``topology.compiled``; the inputs are not validated here:
     ``run_day`` does that, as does the tests' lockstep oracle
     ``PumpSchedulingEnv.step``. Returns the next levels, clamped to [0, cap].
-    Leading lane axes broadcast; the stacked mat-vecs run the one-lane BLAS
-    product per lane, so every lane is exact.
+    Leading lane axes broadcast. 1-D flows take ``ndarray.dot``, lanes the
+    stacked mat-vec; on the transposed views ``fill_t`` and ``draw_t`` both run
+    the one-lane BLAS product (a contiguous copy would run another kernel,
+    which sums in another order), so every lane is exact.
     """
-    cols = flows[..., None]
-    inflow = c.fill.T @ cols
-    outflow = c.draw.T @ cols
-    raw = levels + DT_HOURS * (inflow - outflow - tank_demand_t)[..., 0] / c.areas
-    return np.minimum(np.maximum(raw, 0.0), c.caps)  # np.clip's bytes, faster
+    if flows.ndim == 1:
+        net = c.fill_t.dot(flows) - c.draw_t.dot(flows)
+    else:
+        cols = flows[..., None]
+        net = (c.fill_t @ cols - c.draw_t @ cols)[..., 0]
+    net -= tank_demand_t
+    net *= DT_HOURS
+    net /= c.areas
+    return np.minimum(np.maximum(levels + net, 0.0), c.caps)  # np.clip's bytes, faster
 
 
 def _tank_demand(c: CompiledTopology, zone_values: np.ndarray, t0: int) -> np.ndarray:
-    """The demand column of every step from ``t0`` on, (96 - t0, *lanes,
-    n_tanks, 1): one stacked mat-vec, the one-step product for each step."""
-    return c.zone_to_tank @ np.moveaxis(zone_values[..., t0:], -1, 0)[..., None]
+    """The demand of every step from ``t0`` on, (96 - t0, *lanes, n_tanks):
+    one stacked mat-vec, the one-step product for each step."""
+    columns = np.moveaxis(zone_values[..., t0:], -1, 0)[..., None]
+    return (c.zone_to_tank @ columns)[..., 0]
 
 
 class _Rollout:
@@ -165,20 +174,20 @@ class _Rollout:
         self.states = np.empty((n + 1, *lanes, n_t))
         self.states[0] = levels
         self.actions = np.zeros((n, *lanes, n_s))
+        self.action_shape = self.actions.shape[1:]
 
     def advance(self, action: np.ndarray) -> None:
-        t = self.t
-        i = t - self.t0
-        if np.shape(action) != self.actions.shape[1:]:
+        i = self.t - self.t0
+        if np.shape(action) != self.action_shape:  # never broadcast an action
             raise ValidationError(
-                f"action shape {np.shape(action)} does not match station count "
-                f"{self.actions.shape[-1]}"
+                f"action shape {np.shape(action)}, expected {self.action_shape}"
             )
-        self.actions[i] = action
-        flows = self.c.max_flow * self.actions[i]
+        row = self.actions[i]
+        row[...] = action
+        flows = self.c.max_flow * row
         self.levels = step(self.c, self.levels, flows, self.tank_demand[i])
         self.states[i + 1] = self.levels
-        self.t = t + 1
+        self.t += 1
 
 
 def run_day(

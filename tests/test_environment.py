@@ -17,12 +17,14 @@ from pumpsched.env import (
     CONSTRAINT_WEIGHT,
     ENERGY_WEIGHT,
     PumpSchedulingEnv,
+    _observation,
     closed_loop,
     day_rewards,
     reward_constraint_step,
     reward_dual,
 )
 from pumpsched.network import STEPS_PER_DAY
+from pumpsched.policy import init_policy, policy_act_fn
 from pumpsched.simulate import run_day, step_costs, step_energies
 from pumpsched.training import EnvSpec
 
@@ -282,6 +284,53 @@ def test_each_observation_row_is_levels_clock_and_current_price(world, kind):
             np.testing.assert_allclose(row[k], expected, rtol=1e-12)
             assert EnvSpec(world, kind).obs_dim == len(row[k]) == len(expected)
     assert len(rows) == STEPS_PER_DAY
+
+
+@pytest.mark.parametrize("kind", list(AgentKind))
+def test_a_closed_loop_whose_lane_count_changes_equals_each_lane_alone(world, kind):
+    # As in ``inject``: each step hands the loop only the lanes inside their
+    # window, so its observation's row count changes during the day: 1, 2, 3,
+    # 2 and 1 rows. Each lane equals its day rolled alone, and ``act_fn`` sees
+    # exactly the rows the env would show those lanes.
+    params = init_policy(kind.obs_dim(world.n_tanks), 6, np.random.default_rng(4))
+    act_fn = policy_act_fn(params)
+    rng = np.random.default_rng(12)
+    episodes = [sample_episode(world, rng) for _ in range(3)]
+    levels, demands = (np.array(arrays) for arrays in zip(*episodes))
+    schedules = rng.uniform(0.0, 1.0, (3, STEPS_PER_DAY, 6))
+    windows = np.array([(0, STEPS_PER_DAY), (10, 40), (30, 90)])
+    row_counts, seen = set(), []
+
+    def recording(obs):
+        row_counts.add(len(obs))
+        seen.append(obs.copy())
+        return act_fn(obs)
+
+    policy = closed_loop(world, kind, recording)
+
+    def act(t, lanes):
+        inside = (windows[:, 0] <= t) & (t < windows[:, 1])
+        action = schedules[:, t].copy()
+        action[inside] = policy(t, lanes[inside])
+        return action
+
+    day = run_day(world, levels, demands, act)
+    assert row_counts == {1, 2, 3}
+    for t, obs in enumerate(seen):
+        inside = (windows[:, 0] <= t) & (t < windows[:, 1])
+        expected = _observation(kind, day.states[t, inside], t, world.compiled)
+        assert obs.tobytes() == expected.tobytes()
+    for k, (start, end) in enumerate(windows):
+        alone_policy = closed_loop(world, kind, act_fn)
+
+        def alone(t, lane, k=k, start=start, end=end):
+            if start <= t < end:
+                return alone_policy(t, lane)
+            return schedules[k, t]
+
+        rolled = run_day(world, levels[k], demands[k], alone)
+        assert day.lane(k).states.tobytes() == rolled.states.tobytes()
+        assert day.lane(k).actions.tobytes() == rolled.actions.tobytes()
 
 
 # -- frame skip: closed_loop holding each action for a window ---------------

@@ -9,6 +9,7 @@ import pytest
 
 from pumpsched import (
     DEFAULT_IMPERFECTION,
+    NumericError,
     RuleBasedController,
     ValidationError,
     demands_from_rng,
@@ -138,6 +139,65 @@ def test_controller_hysteresis(world):
     np.testing.assert_array_equal(action, np.zeros(6))
     action = controller.act(mid)
     np.testing.assert_array_equal(action, np.zeros(6))
+
+
+def _nested_where_act(on, watched, margins):
+    """The hysteresis step as nested ``np.where``, as ``act`` once computed
+    it: the new on-state and the speeds."""
+    on = np.where(
+        watched < margins.triggers,
+        True,
+        np.where(watched > margins.releases, False, on),
+    )
+    return on, np.where(on, DUTY_SPEED, 0.0)
+
+
+@pytest.mark.parametrize("lanes", [None, 1, 3])
+def test_controller_act_equals_the_nested_where(world, lanes):
+    # Levels land below, exactly at, between, exactly at and above trigger and
+    # release, in random order, so every branch runs from either state.
+    shape = () if lanes is None else (lanes,)
+    rng = np.random.default_rng(21)
+    drawn = [margins_for(world, DEFAULT_IMPERFECTION, rng) for _ in range(lanes or 1)]
+    rows = [np.array([getattr(m, f) for m in drawn]) for f in ("triggers", "releases")]
+    margins = HysteresisMargins(*(a.reshape(*shape, -1) for a in rows))
+    tr, rel = margins.triggers, margins.releases
+    primary = world.compiled.primary
+    candidates = np.stack([tr - 0.1, tr, (tr + rel) / 2, rel, rel + 0.1])
+
+    def levels_for(watched):
+        levels = np.full((*shape, world.n_tanks), np.nan)
+        levels[..., primary] = watched
+        assert not np.isnan(levels).any()  # every tank is some station's primary
+        return levels
+
+    watched = candidates[2]
+    controller = RuleBasedController(world, margins)
+    controller.reset(levels_for(watched))
+    on = watched < (tr + rel) / 2.0
+    for _ in range(200):
+        pick = rng.integers(0, len(candidates), watched.shape)
+        watched = np.take_along_axis(candidates, pick[None], axis=0)[0]
+        on, expected = _nested_where_act(on, watched, margins)
+        action = controller.act(levels_for(watched))
+        assert action.shape == expected.shape
+        assert action.tobytes() == expected.tobytes()
+    assert on.any() and not on.all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 flows
+def test_a_nan_level_ends_a_controlled_day_in_a_numeric_error(world):
+    # An unbounded pump turns a stopped station's flow into inf * 0 = nan; the
+    # controller then watches a NaN level, and the day fails as before.
+    station = dataclasses.replace(world.stations[0], max_flow=np.inf)
+    unbounded = dataclasses.replace(world, stations=(station, *world.stations[1:]))
+    margins = margins_for(unbounded, 0.0, np.random.default_rng(0))
+    demands = demands_from_rng(unbounded, np.random.default_rng(0))
+    start = np.full(world.n_tanks, 0.99) * world.compiled.caps  # every pump off
+    with pytest.raises(NumericError, match="non-finite level"):
+        run_controlled_day(
+            unbounded, start, RuleBasedController(unbounded, margins), demands
+        )
 
 
 def test_controlled_day_lanes_equal_days_alone(world):

@@ -25,6 +25,7 @@ from pumpsched.simulate import (
     Trajectory,
     resume_lanes,
     run_day,
+    step,
     step_costs,
     step_energies,
     step_powers,
@@ -163,10 +164,17 @@ def test_step_rejects_bad_shapes(tiny_world, zero_demands):
     initial, zeros = np.array([4.0, 4.0]), zero_demands
     with pytest.raises(ValidationError):
         simulate(tiny_world, initial, np.zeros((STEPS_PER_DAY, 3)), zeros)
+    lanes = {k: (np.full((k, 2), 4.0), np.stack([zeros] * k)) for k in (1, 2, 3)}
     for levels, zone_values, speeds in (
         (initial, zeros, np.zeros(3)),
         (initial, np.zeros((5, STEPS_PER_DAY)), np.zeros(2)),
         (np.zeros(3), zeros, np.zeros(2)),
+        # Actions that would broadcast into the day's rows, never silently.
+        (initial, zeros, np.zeros(())),
+        (*lanes[1], np.zeros(2)),
+        (*lanes[2], np.zeros((1, 2))),
+        (*lanes[2], np.zeros((2, 1))),
+        (*lanes[3], np.zeros(2)),
     ):
         with pytest.raises(ValidationError):
             run_day(tiny_world, levels, zone_values, _constant_act(speeds))
@@ -492,6 +500,63 @@ def test_every_day_lane_equals_the_day_rolled_alone(world, seed, lanes, t0):
             assert lane.tobytes() == oracle[name].tobytes(), name
 
 
+def _stacked_step(c, levels, flows, tank_demand):
+    """The level recursion as ``step`` ran it before 1-D flows took
+    ``ndarray.dot``: the stacked mat-vec of the station-by-tank fractions'
+    transpose, for one lane too. Returns the raw and the clamped levels."""
+    fill, draw = np.ascontiguousarray(c.fill_t.T), np.ascontiguousarray(c.draw_t.T)
+    cols = flows[..., None]
+    inflow = fill.T @ cols
+    outflow = draw.T @ cols
+    net = (inflow - outflow - tank_demand[..., None])[..., 0]
+    raw = levels + DT_HOURS * net / c.areas
+    return raw, np.minimum(np.maximum(raw, 0.0), c.caps)
+
+
+def _filling_every_tank(world, seed):
+    """``world`` with each station filling every tank it does not draw from,
+    in random fractions: each tank's inflow sums four to six terms."""
+    rng = np.random.default_rng(seed)
+    stations = []
+    for station in world.stations:
+        tanks = [t.id for t in world.tanks if t.id != station.draws_from]
+        fracs = rng.uniform(0.1, 1.0, len(tanks))
+        fills = tuple(zip(tanks, (fracs / fracs.sum()).tolist()))
+        stations.append(dataclasses.replace(station, fills=fills))
+    return dataclasses.replace(world, stations=tuple(stations))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_one_lane_step_equals_the_stacked_form(world, dense):
+    # 1-D flows take ``ndarray.dot``, lanes of flows the stacked mat-vec; both
+    # give the stacked form's bytes, for one lane's levels and for
+    # ``resume_lanes``' (k, n_tanks) levels under one row of flows. ``dense``
+    # fills every tank from several stations, so that the order of each sum
+    # shows in its last bits.
+    topology = _filling_every_tank(world, 5) if dense else world
+    c = topology.compiled
+    rng = np.random.default_rng(11)
+    lanes, unclamped = 4, 0
+    for _ in range(500):
+        speeds = rng.uniform(0.0, 1.0, (lanes, world.n_stations))
+        speeds[rng.uniform(size=speeds.shape) < 0.3] = 0.0  # stopped stations
+        flows = c.max_flow * speeds
+        levels = rng.uniform(0.2, 0.8, (lanes, world.n_tanks)) * c.caps
+        demand = rng.uniform(0.0, 300.0, (lanes, world.n_tanks))
+        raw, stacked = _stacked_step(c, levels, flows, demand)
+        unclamped += np.count_nonzero(raw == stacked)
+        laned = step(c, levels, flows, demand)
+        assert laned.tobytes() == stacked.tobytes()
+        for k in range(lanes):
+            alone = step(c, levels[k], flows[k], demand[k])
+            assert alone.tobytes() == stacked[k].tobytes()
+        resumed = step(c, levels, flows[0], demand[0])
+        _, stacked = _stacked_step(c, levels, flows[0], demand[0])
+        assert resumed.shape == levels.shape
+        assert resumed.tobytes() == stacked.tobytes()
+    assert unclamped > 0.9 * 500 * lanes * world.n_tanks
+
+
 def _all_in_one_step(c, levels, action, zone_values_t, tariff_t):
     """The kernel as it was when every record came out of each step: powers,
     energies and cost beside the level recursion, and where it clamped."""
@@ -499,13 +564,9 @@ def _all_in_one_step(c, levels, action, zone_values_t, tariff_t):
     powers = c.rated_power * action**3
     energies = powers * DT_HOURS
     cost = energies.sum(axis=-1) * tariff_t
-    cols = flows[..., None]
-    inflow = c.fill.T @ cols
-    outflow = c.draw.T @ cols
-    tank_demand = c.zone_to_tank @ zone_values_t[..., None]
-    raw = levels + DT_HOURS * (inflow - outflow - tank_demand)[..., 0] / c.areas
+    tank_demand = (c.zone_to_tank @ zone_values_t[..., None])[..., 0]
+    raw, levels = _stacked_step(c, levels, flows, tank_demand)
     clamped = (raw < 0.0) | (raw > c.caps)
-    levels = np.minimum(np.maximum(raw, 0.0), c.caps)
     return levels, powers, energies, cost, clamped
 
 
