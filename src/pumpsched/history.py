@@ -18,8 +18,10 @@ The CSV is the archive's canonical format. ``save_history`` also writes a
 binary companion beside it, ``<csv>.arrays``: one float64 array keyed on
 the SHA-256 of the text's bytes (see ``_write_companion``). Like a
 hash-based ``.pyc`` file it is a cache keyed on content, not on time:
-``load_history`` reads it only while the key matches the text it is
-loading, and otherwise scans the text row by row with ``csv.reader``.
+``load_history`` uses it only while the key matches the text it is
+loading, and otherwise scans the text row by row with ``csv.reader``. The
+text is hashed on a thread while the companion is read and checked, so the
+key costs a load little more than the longer of the two.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
+import threading
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -276,19 +279,27 @@ def _write_companion(path: str | Path, array: np.ndarray) -> None:
         np.save(fh, array, allow_pickle=False)
 
 
-def _read_companion(path: str | Path) -> np.ndarray | None:
-    """The float64 array of the companion of ``path``, never unpickled, or
-    None unless it is keyed to the artifact's current bytes and well-formed.
-    The array's shape is the caller's to check."""
+def _key_into(path: str | Path, out: list[bytes]) -> None:
+    """Append the key line of ``path`` to ``out``, or nothing if the artifact
+    cannot be read, so that no companion's key matches it."""
     try:
-        with open(f"{path}.arrays", "rb") as fh:
-            if fh.readline(80) != _key(path):
-                return None
-            array = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
+        out.append(_key(path))
+    except OSError:
+        pass
+
+
+def _read_companion(fh) -> tuple[bytes, np.ndarray] | None:
+    """The key line and float64 array of the open companion ``fh``, never
+    unpickled, or None unless it is well-formed. The key and the array's
+    shape are the caller's to check."""
+    try:
+        key = fh.readline(80)
+        array = np.load(fh, allow_pickle=False)
+    # MemoryError: an npy header declaring more values than the file holds
+    except (OSError, ValueError, EOFError, MemoryError):
         return None
     if isinstance(array, np.ndarray) and array.dtype == np.float64:
-        return array
+        return key, array
     return None
 
 
@@ -401,35 +412,25 @@ def _first_row(bad: np.ndarray) -> int:
     return int(np.flatnonzero(bad.any(axis=1))[0])
 
 
-def load_history(path: str | Path) -> HistoryArchive:
-    """Load and validate an operating archive from CSV.
+def _reject_rows(path: str | Path, bad: np.ndarray, what: str) -> None:
+    """Fail naming the first row that ``bad`` marks, if it marks any."""
+    if bad.any():
+        raise ValidationError(f"{path} row {_first_row(bad) + 2}: {what}")
 
-    After the header is checked, the body comes from the binary companion
-    ``save_history`` wrote beside the CSV when ``_read_companion`` finds it
-    keyed to the CSV's current bytes and it is a table of the CSV's width.
-    Otherwise a ``csv.reader`` scan parses the body row by row, and a bad row
-    fails with a one-line error naming its line. Either way the numbers pass
-    the same checks.
+
+def _archive(
+    path: str | Path, data: np.ndarray, counts: tuple[int, int, int]
+) -> HistoryArchive:
+    """The archive in the CSV table ``data`` (stamps, then ``counts`` level,
+    action and demand columns) once its numbers pass every check; a failing
+    check names the CSV row it fails on.
+
+    Each value check first tries a reduction that allocates nothing, and
+    only when that fails builds the mask that finds the row: a sum is
+    finite only if every value is, and once every value is finite the
+    actions' and demands' extremes decide their bounds.
     """
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file") from None
-            n_tanks, n_stations, n_zones = _group_counts(header)
-            expected = _header(n_tanks, n_stations, n_zones)
-            if header != expected:
-                raise SchemaError(f"{path}: {_header_mismatch(header, expected)}")
-            data = _read_companion(path)
-            if data is None or data.ndim != 2 or data.shape[1] != len(expected):
-                data = _scan_body(path, reader, len(expected))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not a text file ({exc})") from None
-    except csv.Error as exc:  # a field over csv's size limit, say
-        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
-
+    n_tanks, n_stations, n_zones = counts
     stamps, levels, actions, demands = np.split(
         data, np.cumsum([2, n_tanks, n_stations]), axis=1
     )
@@ -437,13 +438,13 @@ def load_history(path: str | Path) -> HistoryArchive:
     if odd.any():
         row = _first_row(odd) + 2
         raise SchemaError(f"{path} row {row}: day and t must be integers")
-    for bad, what in (
-        (~np.isfinite(data), "non-finite value"),
-        ((actions < 0) | (actions > 1), "action outside [0, 1]"),
-        (demands < 0, "negative demand"),
-    ):
-        if bad.any():
-            raise ValidationError(f"{path} row {_first_row(bad) + 2}: {what}")
+    # ``initial`` keeps an empty body valid: a reduction of nothing has no min.
+    if not np.isfinite(data.sum()):  # or a sum of finite values overflowed
+        _reject_rows(path, ~np.isfinite(data), "non-finite value")
+    if actions.min(initial=0.0) < 0 or actions.max(initial=1.0) > 1:
+        _reject_rows(path, (actions < 0) | (actions > 1), "action outside [0, 1]")
+    if demands.min(initial=0.0) < 0:
+        _reject_rows(path, demands < 0, "negative demand")
 
     if len(data) % STEPS_PER_DAY:
         raise ValidationError(
@@ -466,4 +467,79 @@ def load_history(path: str | Path) -> HistoryArchive:
         demands=demands.reshape(*per_day, n_zones),
     )
     archive.validate()
+    return archive
+
+
+def _companion_archive(
+    path: str | Path, counts: tuple[int, int, int]
+) -> HistoryArchive | None:
+    """The archive the companion of the CSV at ``path`` holds, or None unless
+    it is keyed to the CSV's current bytes and is a table of the CSV's
+    width, which ``counts`` sets as for ``_archive``.
+
+    A thread hashes the CSV while this one reads the companion and runs
+    ``_archive``'s checks on its table; the thread is joined before the key
+    decides. A check's error is raised only when the key matches, so a
+    stale companion never fails a load: the CSV is parsed instead.
+    """
+    try:
+        fh = open(f"{path}.arrays", "rb")
+    except OSError:
+        return None  # nothing to key, so nothing to hash
+    key: list[bytes] = []
+    hasher = threading.Thread(target=_key_into, args=(path, key))
+    hasher.start()
+    try:
+        with fh:
+            companion = _read_companion(fh)
+        if companion is None:
+            return None
+        stored, data = companion
+        if data.ndim != 2 or data.shape[1] != 2 + sum(counts):
+            return None
+        try:
+            checked = _archive(path, data, counts)
+        except (SchemaError, ValidationError) as exc:
+            checked = exc
+    finally:
+        hasher.join()
+    if key != [stored]:
+        return None
+    if isinstance(checked, Exception):
+        raise checked
+    return checked
+
+
+def load_history(path: str | Path) -> HistoryArchive:
+    """Load and validate an operating archive from CSV.
+
+    After the header is checked, the archive comes from the binary companion
+    ``save_history`` wrote beside the CSV when it is keyed to the CSV's
+    current bytes and is a table of the CSV's width. The CSV's SHA-256 is
+    computed on a thread while the companion is read and its numbers are
+    checked (see ``_companion_archive``). Otherwise a ``csv.reader`` scan
+    parses the body row by row, and a bad row fails with a one-line error
+    naming its line. Either way the numbers pass the same checks, which fail
+    with the same message and row.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file") from None
+            counts = _group_counts(header)
+            expected = _header(*counts)
+            if header != expected:
+                raise SchemaError(f"{path}: {_header_mismatch(header, expected)}")
+            archive = _companion_archive(path, counts)
+            if archive is None:
+                data = _scan_body(path, reader, len(expected))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a text file ({exc})") from None
+    except csv.Error as exc:  # a field over csv's size limit, say
+        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
+    if archive is None:
+        archive = _archive(path, data, counts)
     return archive

@@ -247,7 +247,8 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
         fh.seek(0)
         try:
             vector = np.load(fh, allow_pickle=False)
-        except (ValueError, EOFError) as exc:
+        # MemoryError: a header declaring more values than the file holds
+        except (ValueError, EOFError, MemoryError) as exc:
             raise SchemaError(f"{arrays}: not a saved array ({exc})") from None
     # an .npz archive loads as an NpzFile, which has no dtype
     if getattr(vector, "dtype", None) != np.float64 or vector.ndim != 1:

@@ -47,8 +47,11 @@ def _raw_features(
     demand_total: np.ndarray,
     surface_areas: np.ndarray,
 ) -> np.ndarray:
-    volume = float(np.dot(levels, surface_areas))
-    return np.concatenate([levels, [volume], demand_total])
+    """Features of (..., n_tanks) start levels and (..., k) demand volumes;
+    leading axes (archive days) carry through. The stacked product runs the
+    same dot product per row as ``np.dot`` of that row alone."""
+    volume = levels[..., None, :] @ surface_areas[:, None]
+    return np.concatenate([levels, volume[..., 0], demand_total], axis=-1)
 
 
 def _demand_feature(day_demands: np.ndarray, per_zone: bool) -> np.ndarray:
@@ -84,12 +87,7 @@ def build_index(
     n_tanks = topology.n_tanks
     areas = topology.compiled.areas
     demand = _demand_feature(archive.demands, per_zone_demand)
-    raw = np.array(
-        [
-            _raw_features(levels, day_demand, areas)
-            for levels, day_demand in zip(archive.levels[:, 0], demand)
-        ]
-    )
+    raw = _raw_features(archive.levels[:, 0], demand, areas)
 
     names = (
         tuple(f"level_{i + 1}" for i in range(n_tanks))

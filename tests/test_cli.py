@@ -562,6 +562,23 @@ def _other_runs_arrays(tmp_path):
     return f"{other}.arrays"
 
 
+# An arrays file whose npy header declares 10**15 values (7.11 PiB) but holds one.
+HUGE_ARRAYS = (
+    b"\x93NUMPY\x01\x00v\x00"
+    + b"{'descr': '<f8', 'fortran_order': False, 'shape': (1000000000000000,), }".ljust(
+        117
+    )
+    + b"\n"
+    + bytes(8)
+)
+
+
+def _huge_arrays(tmp_path):
+    path = tmp_path / "huge.arrays"
+    path.write_bytes(HUGE_ARRAYS)
+    return path
+
+
 # Flags no command defines: a run's values come from its own flags alone.
 # A prefix of a flag is no flag either: argparse takes no abbreviation.
 UNKNOWN_FLAGS = {
@@ -623,6 +640,10 @@ BAD_INPUTS = {
     "unchained_hidden_layers": _bad_checkpoint(_narrow_first_hidden_layer),
     "checkpoint_beside_another_runs_arrays": _bad_checkpoint(
         lambda doc: None, arrays=_other_runs_arrays
+    ),
+    "checkpoint_arrays_declaring_7_pib": _bad_checkpoint(
+        lambda doc: doc.update(arrays_sha256=hashlib.sha256(HUGE_ARRAYS).hexdigest()),
+        arrays=_huge_arrays,
     ),
     "checkpoint_version_1": _bad_checkpoint(lambda doc: doc.update(format_version=1)),
     "unknown_agent": _bad_checkpoint(lambda doc: doc["meta"].update(agent="greedy")),

@@ -536,6 +536,11 @@ def _broken_companions(path):
     yield "float32", saved(table.astype(np.float32))
     yield "one_column", saved(table.ravel())
     yield "pickled_object_array", saved(table.astype(object), allow_pickle=True)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (10**13, 32)}
+    )
+    yield "huge_shape", key + header.getvalue() + data[len(key) + 128 :]
 
 
 def test_a_broken_companion_falls_back_to_the_parse(tmp_path, world, scan_calls):
@@ -565,3 +570,102 @@ def test_save_history_refuses_empty(tmp_path):
     )
     with pytest.raises(ValidationError):
         save_history(empty, tmp_path / "x.csv")
+
+
+# Bad values, each as (row index, column, value, error, message): the stamp
+# columns come first, then 6 levels, 6 actions and 18 demands.
+BAD_VALUES = [
+    (0, 2, np.nan, ValidationError, "non-finite value"),
+    (-1, 2 + 6 + 6 + 17, np.inf, ValidationError, "non-finite value"),
+    (5, 2 + 6, 1.5, ValidationError, r"action outside \[0, 1\]"),
+    (-1, 2 + 6 + 5, -0.25, ValidationError, r"action outside \[0, 1\]"),
+    (0, 2 + 6 + 6, -1.0, ValidationError, "negative demand"),
+    (-1, 2 + 6 + 6 + 17, -1.0, ValidationError, "negative demand"),
+    (7, 1, 3.5, SchemaError, "day and t must be integers"),
+]
+
+
+def _table(path) -> np.ndarray:
+    with open(f"{path}.arrays", "rb") as fh:
+        fh.readline()
+        return np.load(fh)
+
+
+def _write_csv(path, table: np.ndarray) -> None:
+    header = path.read_text().splitlines()[0]
+    rows = [",".join(map(repr, row)) for row in table.tolist()]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("row, column, value, error, message", BAD_VALUES)
+def test_a_stale_companion_of_bad_values_is_ignored(
+    tmp_path, world, scan_calls, row, column, value, error, message
+):
+    """A companion whose numbers fail a check, keyed to other bytes, does not
+    fail the load of the clean CSV beside it: the CSV is parsed once."""
+    archive = generate_history(world, days=2, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    table = _table(path).copy()
+    table[row, column] = value
+    stale = b"0" * 64 + b"\n"
+    buf = io.BytesIO()
+    np.save(buf, table)
+    Path(f"{path}.arrays").write_bytes(stale + buf.getvalue())
+    loaded = load_history(path)
+    assert scan_calls == [1]
+    _assert_same_archive(loaded, archive)
+
+
+@pytest.mark.parametrize("row, column, value, error, message", BAD_VALUES)
+def test_a_keyed_companion_fails_as_the_parse_does(
+    tmp_path, world, scan_calls, row, column, value, error, message
+):
+    """A companion keyed to a CSV holding a bad value fails with the parse's
+    exact message and row, both in the first and the last row and in each
+    column group, so the fast checks agree with the masks."""
+    archive = generate_history(world, days=2, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    table = _table(path).copy()
+    table[row, column] = value
+    _write_csv(path, table)
+    history._write_companion(path, table)
+    with pytest.raises(error, match=message) as from_companion:
+        load_history(path)
+    assert scan_calls == []
+    Path(f"{path}.arrays").unlink()
+    with pytest.raises(error) as parsed:
+        load_history(path)
+    assert scan_calls == [1]
+    assert str(from_companion.value) == str(parsed.value)
+    assert f"row {row % len(table) + 2}:" in str(parsed.value)
+
+
+def test_an_empty_body_with_a_keyed_companion_loads(tmp_path, world, scan_calls):
+    archive = generate_history(world, days=1, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+    empty = _table(path)[:0]
+    _write_csv(path, empty)
+    history._write_companion(path, empty)
+    assert load_history(path).n_days == 0
+    assert scan_calls == []
+
+
+def test_an_unreadable_key_falls_back_to_the_parse_silently(
+    tmp_path, world, scan_calls, monkeypatch, capfd
+):
+    """The hash thread's ``OSError`` means no key: the CSV is parsed, and the
+    thread prints no traceback."""
+    archive = generate_history(world, days=1, seed=5)
+    path = tmp_path / "history.csv"
+    save_history(archive, path)
+
+    def unreadable(path):
+        raise OSError("unreadable")
+
+    monkeypatch.setattr(history, "_key", unreadable)
+    _assert_same_archive(load_history(path), archive)
+    assert scan_calls == [1]
+    assert capfd.readouterr().err == ""

@@ -12,6 +12,7 @@ from pumpsched import (
     recommend,
 )
 from pumpsched.history import HistoryArchive
+from pumpsched.query import _demand_feature, _raw_features
 from pumpsched.network import STEPS_PER_DAY
 
 
@@ -99,6 +100,37 @@ def test_self_retrieval_over_generated_history(world):
             assert result.day == archive.days[pos]
             assert result.distance == 0.0
             np.testing.assert_array_equal(result.schedule, archive.actions[pos])
+
+
+def test_index_features_equal_the_per_day_dot_loop(world):
+    """The stacked volume of every archived day equals ``np.dot`` of that
+    day's start levels alone, byte for byte, on the seed-0 archive and on
+    random levels and areas."""
+    archive = generate_history(world, days=30, seed=0)
+    for per_zone in (False, True):
+        index = build_index(world, archive, per_zone_demand=per_zone)
+        loop = np.array(
+            [
+                np.concatenate(
+                    [levels, [float(np.dot(levels, world.compiled.areas))], demand]
+                )
+                for levels, demand in zip(
+                    archive.levels[:, 0], _demand_feature(archive.demands, per_zone)
+                )
+            ]
+        )
+        stacked = _raw_features(
+            archive.levels[:, 0], _demand_feature(archive.demands, per_zone),
+            world.compiled.areas,
+        )
+        assert stacked.tobytes() == loop.tobytes()
+        assert np.array_equal(index.mins, loop.min(axis=0))
+        assert np.array_equal(index.maxs, loop.max(axis=0))
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        levels, areas = rng.uniform(0, 50, (50, 6)), rng.uniform(1, 900, 6)
+        stacked = _raw_features(levels, np.zeros((50, 1)), areas)[:, 6]
+        assert stacked.tobytes() == np.array([np.dot(row, areas) for row in levels]).tobytes()
 
 
 def test_recommend_deterministic(world):

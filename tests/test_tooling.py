@@ -207,10 +207,11 @@ def test_import_pumpsched_loads_only_the_simulator_and_its_inputs():
     assert _loaded_modules("import pumpsched") == BASE_LAYERS
 
 
-# Runs ``cli.main(argv)`` with ``cli.time`` hooked, then prints as JSON every
-# module loaded after the command's first clock read, or null without one.
+# Runs ``cli.main(argv)`` with ``cli.time`` hooked, then prints the number of
+# live threads and, as JSON, every module loaded after the command's first
+# clock read, or null without one.
 CLOCK_PROBE = """
-import json, sys, time, types
+import json, sys, threading, time, types
 from pumpsched import cli
 at_first_read = []
 def clock():
@@ -219,6 +220,7 @@ def clock():
     return time.time()
 cli.time = types.SimpleNamespace(time=clock)
 assert cli.main({argv!r}) == 0
+print(threading.active_count())
 print(json.dumps(sorted(set(sys.modules) - at_first_read[0]) if at_first_read else None))
 """
 
@@ -226,8 +228,9 @@ print(json.dumps(sorted(set(sys.modules) - at_first_read[0]) if at_first_read el
 @pytest.fixture(scope="module")
 def command_runs(tmp_path_factory):
     """Each command run on tiny inputs in a fresh process, in workflow order:
-    the ``pumpsched`` modules it loaded, then the modules it imported inside
-    its clock (None for ``report``, which keeps none)."""
+    the ``pumpsched`` modules it loaded, the modules it imported inside its
+    clock (None for ``report``, which keeps none) and the threads alive once
+    it returned."""
     out = tmp_path_factory.mktemp("run")
     argvs = {
         "gen": ["gen", "--days", "30"],
@@ -243,8 +246,8 @@ def command_runs(tmp_path_factory):
     runs = {}
     for command, argv in argvs.items():
         argv = [*map(str, argv), "--out", str(out)]
-        *_, in_clock, loaded = _fresh_process(CLOCK_PROBE.format(argv=argv))
-        runs[command] = json.loads(loaded), json.loads(in_clock)
+        *_, threads, in_clock, loaded = _fresh_process(CLOCK_PROBE.format(argv=argv))
+        runs[command] = json.loads(loaded), json.loads(in_clock), int(threads)
     return runs
 
 
@@ -260,7 +263,7 @@ def test_each_command_loads_only_the_layers_it_runs(command_runs):
         "hybrid": ["env", "history", "hybrid", "metrics", "nn", "policy", "query"],
         "report": ["metrics"],
     }
-    for command, (loaded, _) in command_runs.items():
+    for command, (loaded, _, _) in command_runs.items():
         expected = [*BASE_LAYERS, "pumpsched.cli"]
         expected += [f"pumpsched.{layer}" for layer in layers[command]]
         assert loaded == sorted(expected), command
@@ -269,8 +272,15 @@ def test_each_command_loads_only_the_layers_it_runs(command_runs):
 def test_no_command_imports_a_module_inside_its_clock(command_runs):
     """``wall_clock_seconds`` times a command's work: every module it needs,
     ``numpy.random`` too, is imported before its first clock read."""
-    in_clock = {command: late for command, (_, late) in command_runs.items()}
+    in_clock = {command: late for command, (_, late, _) in command_runs.items()}
     assert in_clock == {"gen": [], "train": [], "eval": [], "hybrid": [], "report": None}
+
+
+def test_no_command_leaves_a_thread_behind(command_runs):
+    """``hybrid`` hashes its archive on a thread; like every command, it has
+    joined each thread it started by the time ``main`` returns."""
+    threads = {command: count for command, (_, _, count) in command_runs.items()}
+    assert threads == dict.fromkeys(("gen", "train", "eval", "hybrid", "report"), 1)
 
 
 def test_package_exports_resolve_to_their_modules():
