@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 import time
@@ -321,7 +322,7 @@ def _load_agent(
     try:
         kind = AgentKind(meta.get("agent", "constraint"))
         frame_skip = meta.get("frame_skip", 1)
-        if not (_is_number(frame_skip) and isinstance(frame_skip, int)):
+        if type(frame_skip) is not int:
             raise TypeError(f"frame_skip {json.dumps(frame_skip)} is not an integer")
         _check_window(frame_skip)
     except (TypeError, ValueError, ValidationError) as exc:
@@ -489,7 +490,12 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that converts to a finite float: no bool, no NaN or
+    infinity, and no integer too large for a float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _report_rows(

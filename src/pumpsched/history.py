@@ -434,7 +434,8 @@ def _archive(
     stamps, levels, actions, demands = np.split(
         data, np.cumsum([2, n_tanks, n_stations]), axis=1
     )
-    odd = stamps != np.floor(stamps)
+    # past 2**53 a float64 stamp is no longer exact, nor castable to int64
+    odd = (stamps != np.floor(stamps)) | (np.abs(stamps) > 2.0**53)
     if odd.any():
         row = _first_row(odd) + 2
         raise SchemaError(f"{path} row {row}: day and t must be integers")

@@ -414,11 +414,13 @@ def topology_from_dict(obj: dict) -> NetworkTopology:
 
 
 def _read_json(path: str | Path):
-    """The JSON document at ``path``; a file that is not one, or not UTF-8,
-    raises a one-line ``SchemaError``."""
+    """The JSON document at ``path``; a file that is not one, not UTF-8,
+    holding an integer past Python's digit limit or nested past the
+    recursion limit raises a one-line ``SchemaError``."""
     try:
         return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError: JSONDecodeError and UnicodeDecodeError among them
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 

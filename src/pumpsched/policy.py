@@ -10,10 +10,10 @@ The Gaussian head owns its density and its derivative, ``gaussian_logp`` and
 ``gaussian_logp_grads``, side by side; the networks' passes and the loss they
 feed belong to the PPO update (``training._minibatch_gradient``).
 
-A checkpoint keeps each parameter once: ``<path>.arrays`` is the policy's
-one vector as ``np.save`` writes it, and the JSON document at ``path`` holds
-the shape of each array, the dimensions, the meta and the SHA-256 of that
-vector file, but no parameter value.
+A checkpoint states each fact once: ``<path>.arrays`` is the policy's one
+vector as ``np.save`` writes it, and the JSON document at ``path`` holds each
+network's layer sizes, the meta and the SHA-256 of that vector file, but no
+parameter value. Every array's shape follows from the sizes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ INITIAL_SIGMA = 0.3  # exploration noise of a fresh policy
 INITIAL_ACTION = 0.5  # a fresh actor's mean: every pump near half speed
 _LOG2PI = float(np.log(2.0 * np.pi))
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -161,46 +161,27 @@ def entropy(params: PolicyParameters) -> float:
 # Checkpoints
 
 
-def _shape(value, ndim: int, where: str) -> tuple[int, ...]:
-    """A shape a checkpoint records: a list of ``ndim`` positive integers."""
+def _sizes(value, where: str) -> MLP:
+    """A network as a checkpoint records it, its layer sizes input first: a
+    list of two or more positive integers. Returns the MLP of its weight and
+    bias shapes, whose layers chain by construction."""
     if not (
         isinstance(value, list)
-        and len(value) == ndim
+        and len(value) > 1
         and all(type(n) is int and n > 0 for n in value)
     ):
         raise SchemaError(
-            f"{where}: expected a shape, a length-{ndim} list of positive integers"
+            f"{where}: expected layer sizes, a list of two or more positive integers"
         )
-    return tuple(value)
-
-
-def _mlp_shapes(obj, where: str) -> MLP:
-    """The layer shapes a checkpoint records for one network, as an MLP of
-    shape tuples, once its layers are checked to chain."""
-    try:
-        weights = [_shape(w, 2, f"{where} weights") for w in obj["weights"]]
-        biases = [_shape(b, 1, f"{where} biases") for b in obj["biases"]]
-    except (KeyError, TypeError):
-        raise SchemaError(f"{where}: malformed network block") from None
-    if not weights or len(weights) != len(biases):
-        raise SchemaError(f"{where}: needs one bias per weight matrix, at least one")
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if b != w[1:]:
-            raise SchemaError(f"{where}: layer {i} weights {w} do not match biases {b}")
-        if i and w[0] != weights[i - 1][1]:
-            raise SchemaError(
-                f"{where}: layer {i} takes {w[0]} inputs but layer {i - 1} "
-                f"gives {weights[i - 1][1]}"
-            )
-    return MLP(weights=weights, biases=biases)
+    return MLP(weights=list(zip(value, value[1:])), biases=[(n,) for n in value[1:]])
 
 
 def save_checkpoint(
     params: PolicyParameters, path: str | Path, meta: dict | None = None
 ) -> None:
     """Write ``params.vector`` to ``<path>.arrays`` by ``np.save``, then the
-    checkpoint document at ``path``: format version, dimensions, the shape of
-    each array, ``meta`` and the arrays file's SHA-256. The document holds no
+    checkpoint document at ``path``: format version, each network's layer
+    sizes, ``meta`` and the arrays file's SHA-256. The document holds no
     parameter value, and both files depend on params and meta alone.
     """
     buf = io.BytesIO()
@@ -209,27 +190,25 @@ def save_checkpoint(
     Path(f"{path}.arrays").write_bytes(data)
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "obs_dim": params.obs_dim,
-        "action_dim": params.action_dim,
-        "actor": vars(params.actor),  # its weights' and biases' shapes
-        "log_sigma": params.log_sigma,
-        "critic": vars(params.critic),
+        "actor": list(params.actor.sizes),
+        "critic": list(params.critic.sizes),
         "meta": meta or {},
         "arrays_sha256": hashlib.sha256(data).hexdigest(),
     }
-    Path(path).write_text(json.dumps(doc, default=np.shape) + "\n")
+    Path(path).write_text(json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
     """Load and check a checkpoint written by ``save_checkpoint``.
 
-    The document is read and checked first: format version, layer shapes and
-    their chaining. Then ``<path>.arrays`` must hash to the SHA-256 the
-    document records and hold one 1-D float64 vector that the shapes fill
-    exactly; the declared dimensions, the ``log_sigma`` shape, the critic's
-    output and the ``meta`` type are checked last. Any of these failing is a
-    one-line ``SchemaError``; a missing file is an ``OSError``. The result's
-    arrays are views of the one writable vector read from the file.
+    The document is read and checked first: format version, layer sizes, and
+    a critic that takes the actor's inputs to one value. Then
+    ``<path>.arrays`` must hash to the SHA-256 the document records and hold
+    one 1-D float64 vector that the sizes' shapes fill exactly; ``log_sigma``
+    is as wide as the actor's output. The ``meta`` type is checked last. Any
+    of these failing is a one-line ``SchemaError``; a missing file is an
+    ``OSError``. The result's arrays are views of the one writable vector
+    read from the file.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:
@@ -237,9 +216,11 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
             f"{path}: unsupported checkpoint format "
             f"(expected version {CHECKPOINT_VERSION})"
         )
-    actor = _mlp_shapes(doc.get("actor"), f"{path}: actor")
-    critic = _mlp_shapes(doc.get("critic"), f"{path}: critic")
-    log_sigma = _shape(doc.get("log_sigma"), 1, f"{path}: log_sigma")
+    actor = _sizes(doc.get("actor"), f"{path}: actor")
+    critic = _sizes(doc.get("critic"), f"{path}: critic")
+    inputs = doc["actor"][0]
+    if doc["critic"][0] != inputs or doc["critic"][-1] != 1:
+        raise SchemaError(f"{path}: critic must map {inputs} inputs to 1 value")
     arrays = f"{path}.arrays"
     with open(arrays, "rb") as fh:
         if hashlib.sha256(fh.read()).hexdigest() != doc.get("arrays_sha256"):
@@ -254,19 +235,11 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParameters, dict]:
     if getattr(vector, "dtype", None) != np.float64 or vector.ndim != 1:
         raise SchemaError(f"{arrays}: expected one 1-D float64 vector")
     try:
-        params = PolicyParameters(actor, log_sigma, critic, vector)
+        params = PolicyParameters(actor, actor.biases[-1], critic, vector)
     except ValueError:
         raise SchemaError(
             f"{arrays}: {vector.size} values do not fill the shapes {path} records"
         ) from None
-    if params.obs_dim != doc.get("obs_dim") or params.action_dim != doc.get("action_dim"):
-        raise SchemaError(f"{path}: declared dimensions do not match stored arrays")
-    if log_sigma != (params.action_dim,):
-        raise SchemaError(
-            f"{path}: log_sigma has shape {log_sigma}, expected ({params.action_dim},)"
-        )
-    if params.critic.sizes[0] != params.obs_dim or params.critic.sizes[-1] != 1:
-        raise SchemaError(f"{path}: critic must map {params.obs_dim} inputs to 1 value")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError(f"{path}: checkpoint meta must be an object")

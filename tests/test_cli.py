@@ -136,8 +136,9 @@ def test_command_exits_zero_and_writes_artifacts(workflow, command):
 # x86-64. A refactor that keeps them all is byte-identical end to end. The
 # dual artifacts, checkpoint.json on, were recorded for the 8-input dual
 # observation (levels, clock, current price), and the checkpoint's two files
-# for version 2: the vector only in checkpoint.json.arrays, whose SHA-256 the
-# shapes-only checkpoint.json records. The two reports, comparison.csv on,
+# for version 2: the vector only in checkpoint.json.arrays, whose SHA-256
+# checkpoint.json records; checkpoint.json again for version 3, which records
+# each network as its layer sizes. The two reports, comparison.csv on,
 # were recorded for percentages that all read (value - reference) /
 # reference, pooled in the strategy report. The archive's two files were
 # recorded for its 32 columns: stamps, levels, actions and demands.
@@ -145,7 +146,7 @@ WORKFLOW_DIGESTS = {
     "network.json": "d2c12fef163ed33d118b8df404c1616d265c307298ad688732c4a182c33c7a13",
     "history.csv": "d7bbe9fba065b5fa033e670fed04ee15c3c39ed3b1644ca8c7cc1b58da11ae65",
     "history.csv.arrays": "cb7aa5a660a063ea1cd88dbe59befaa098a7784ef43cd5b871c15320235c1e38",
-    "checkpoint.json": "71cac2884bd0dbe1fced7c3ef61673aafda22c4c42ff5a4884b5063e67af00b9",
+    "checkpoint.json": "89691ce08dc184aae8d410653ddb1c6ab9dc2569d91ca72d79fe1eb1621612f9",
     "checkpoint.json.arrays": "9cef759f9b76025b7ecd37a3f7aef1f8af09a103a4e81e2c71c6c55a1649ce1e",
     "reward_curve.csv": "bdd77493ce8548379aab8c1f56a9a8ae4dc9f421fd433b25c93480f529878067",
     "comparison.csv": "a4785b0a8accd32070069a6650125d211af527b403d7113a4b205a443c85cbfe",
@@ -169,7 +170,7 @@ def test_workflow_artifacts_match_recorded_digests(workflow):
 # epoch ends on a short minibatch of 40; Adam's moments carry across the
 # iterations and every lane draws a 24-decision day of noise.
 MULTI_ITERATION_DIGESTS = {
-    "checkpoint.json": "a4586e1f9d7222d22c87b364990b7b75f0ee82f50e289b07e84a7ec88da6de58",
+    "checkpoint.json": "b82fb346e60655a92ddcc79f97943494ec6dca701e0ed4da23a269c098bae8d6",
     "checkpoint.json.arrays": "b354e06f80df45f660710ebb373b1bbcf92fc69f2d1eb626da237f9c4640ad16",
     "reward_curve.csv": "88b8a91d60ed3cb0325ee2f0d27354c2b0f9d7cfedc1522648efd20fbc411eb5",
 }
@@ -177,7 +178,7 @@ MULTI_ITERATION_DIGESTS = {
 # SHA-256 of a two-iteration dual run, recorded as above. Batch 960 rolls 10
 # whole days, so each epoch ends on a short minibatch of 64 rows.
 DUAL_TAIL_DIGESTS = {
-    "checkpoint.json": "9ae1d592274778ed3bf8004a0776b3f925645fa4b9f0d11a94838679e6cd2111",
+    "checkpoint.json": "3fdb9d561ae36d85a936e459cd4e789f361bf213a0a0f2796d6ddf34c234001f",
     "checkpoint.json.arrays": "8c51fe5374034b111e21f38b81eb0584e2c5779370329818775d3db4e29df8d2",
     "reward_curve.csv": "5842b2d8b0b41b5bb46ef7d830833cde6b4e9e4b8c8423d3fec593f91553f64d",
 }
@@ -300,7 +301,7 @@ def test_eval_and_hybrid_reject_an_edited_checkpoint_beside_its_stale_companion(
         shutil.copyfile(out / name, tmp_path / name)
     checkpoint = tmp_path / "checkpoint.json"
     doc = json.loads(checkpoint.read_text())
-    doc["log_sigma"] = ["wide"]
+    doc["actor"] = ["wide"]
     checkpoint.write_text(json.dumps(doc) + "\n")
     for command in ("eval", "hybrid"):
         inputs = _inputs(out, command, {"--checkpoint"})
@@ -310,8 +311,8 @@ def test_eval_and_hybrid_reject_an_edited_checkpoint_beside_its_stale_companion(
         )  # fmt: skip
         assert result.returncode == 1, command
         assert result.stderr.splitlines() == [
-            f"error: {checkpoint}: log_sigma: expected a shape, a length-1 list "
-            "of positive integers"
+            f"error: {checkpoint}: actor: expected layer sizes, a list of two or "
+            "more positive integers"
         ], command
 
 
@@ -389,6 +390,20 @@ def _edit(obj, where, value):
     obj[where[-1]] = value
 
 
+# JSON text that json.dumps cannot write, by the placeholder string that
+# ``_dumps`` replaces with it: an integer of 5,000 digits, past the 4,300 that
+# Python converts from text, and arrays nested past the recursion limit.
+RAW_JSON = {"<huge>": "9" * 5000, "<deep>": "[" * 100_000 + "]" * 100_000}
+BEYOND_FLOAT = 10**400  # an integer of 401 digits, too large for a float
+
+
+def _dumps(doc) -> str:
+    text = json.dumps(doc)
+    for placeholder, raw in RAW_JSON.items():
+        text = text.replace(json.dumps(placeholder), raw)
+    return text
+
+
 def _bad_network(where=None, value=None, steps=96, extra=()):
     """``train`` on the workflow's network.json with one field replaced and
     ``extra`` flags appended."""
@@ -398,7 +413,7 @@ def _bad_network(where=None, value=None, steps=96, extra=()):
         if where is not None:
             _edit(doc, where, value)
         network = tmp_path / "network.json"
-        network.write_text(json.dumps(doc))
+        network.write_text(_dumps(doc))
         return (
             "train", "--network", network, "--steps", steps, "--batch-size", 96,
             "--out", tmp_path / "out", *extra,
@@ -428,7 +443,7 @@ def _bad_checkpoint(edit, command="eval", arrays=None):
         doc = json.loads((out / "checkpoint.json").read_text())
         edit(doc)
         checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text(json.dumps(doc))
+        checkpoint.write_text(_dumps(doc))
         source = arrays(tmp_path) if arrays else out / "checkpoint.json.arrays"
         shutil.copyfile(source, tmp_path / "checkpoint.json.arrays")
         inputs = _inputs(out, command, {"--checkpoint"})
@@ -548,10 +563,32 @@ def _gen_days(days):
     return build
 
 
-def _narrow_first_hidden_layer(doc):
-    actor = doc["actor"]
-    actor["weights"][0][1] -= 1
-    actor["biases"][0][0] -= 1
+def _history_stamped_past_2_53(out, tmp_path):
+    """``hybrid`` on the workflow's archive, without its companion, whose last
+    day is stamped 1e300: past 2**53, a float64 holds no integer exactly."""
+    header, *rows = (out / "history.csv").read_text().splitlines()
+    rows[-96:] = ["1e300," + row.split(",", 1)[1] for row in rows[-96:]]
+    history = tmp_path / "history.csv"
+    history.write_text("\r\n".join([header, *rows]) + "\r\n")
+    inputs = _inputs(out, "hybrid", {"--history"})
+    return ("hybrid", *inputs, "--history", history, "--out", tmp_path / "out")
+
+
+def _format_2(doc):
+    """The checkpoint as format 2 wrote it beside the same arrays file: the
+    dimensions, every weight and bias shape, and the log_sigma shape."""
+
+    def shapes(sizes):
+        return {
+            "weights": [list(pair) for pair in zip(sizes, sizes[1:])],
+            "biases": [[n] for n in sizes[1:]],
+        }
+
+    actor, critic = doc["actor"], doc["critic"]
+    doc.update(
+        format_version=2, obs_dim=actor[0], action_dim=actor[-1],
+        actor=shapes(actor), log_sigma=[actor[-1]], critic=shapes(critic),
+    )  # fmt: skip
 
 
 def _other_runs_arrays(tmp_path):
@@ -631,13 +668,37 @@ BAD_INPUTS = {
     "strategy_report_of_strings": _bad_artifact(
         "strategy_report.json", '["targeted", "dynamic_end"]'
     ),
-    "text_log_sigma": _bad_checkpoint(
-        lambda doc: doc.update(log_sigma=["wide"] * len(doc["log_sigma"]))
+    "comparison_area_too_large_for_a_float": _bad_artifact(
+        "comparison.json",
+        f'[{{"label": "policy", "mean_area": {BEYOND_FLOAT}, "mean_count": 0, '
+        '"mean_cost": 1}]',
     ),
-    "short_log_sigma": _bad_checkpoint(
-        lambda doc: doc.update(log_sigma=doc["log_sigma"][:-1])
+    "strategy_area_too_large_for_a_float": _bad_artifact(
+        "strategy_report.json",
+        f'[{{"strategy": "targeted", "mean_during_area_baseline": {BEYOND_FLOAT}, '
+        '"mean_during_area_hybrid": 0, "mean_post_area_baseline": 0, '
+        '"mean_post_area_hybrid": 0}]',
     ),
-    "unchained_hidden_layers": _bad_checkpoint(_narrow_first_hidden_layer),
+    "phase_seconds_too_large_for_a_float": _bad_artifact(
+        "manifest.json",
+        f'{{"command": "eval", "phase_seconds": {{"score": {BEYOND_FLOAT}}}}}',
+    ),
+    "network_integer_past_the_digit_limit": _bad_network(("dt_hours",), "<huge>"),
+    "network_nested_past_the_recursion_limit": _bad_network(("tariff",), "<deep>"),
+    "checkpoint_integer_past_the_digit_limit": _bad_checkpoint(
+        lambda doc: doc["meta"].update(seed="<huge>")
+    ),
+    "text_actor_sizes": _bad_checkpoint(
+        lambda doc: doc.update(actor=[str(n) for n in doc["actor"]])
+    ),
+    "single_actor_size": _bad_checkpoint(lambda doc: doc.update(actor=[8])),
+    "zero_hidden_size": _bad_checkpoint(lambda doc: _edit(doc, ("actor", 1), 0)),
+    "critic_of_two_outputs": _bad_checkpoint(lambda doc: _edit(doc, ("critic", -1), 2)),
+    "critic_of_another_input_width": _bad_checkpoint(
+        lambda doc: _edit(doc, ("critic", 0), 7)
+    ),
+    "checkpoint_version_2": _bad_checkpoint(_format_2),
+    "hybrid_checkpoint_version_2": _bad_checkpoint(_format_2, "hybrid"),
     "checkpoint_beside_another_runs_arrays": _bad_checkpoint(
         lambda doc: None, arrays=_other_runs_arrays
     ),
@@ -671,6 +732,7 @@ BAD_INPUTS = {
     "history_field_over_the_csv_limit": _history_field_over_the_csv_limit,
     # an archive with a power column per station and a tariff column
     "history_of_39_columns": _history_of_39_columns,
+    "history_stamped_past_2_53": _history_stamped_past_2_53,
     "non_utf8_checkpoint": _not_utf8("--checkpoint"),
     # numpy rejects these archive sizes before allocating anything
     "gen_days_beyond_int64": _gen_days(10**20),

@@ -582,6 +582,9 @@ BAD_VALUES = [
     (0, 2 + 6 + 6, -1.0, ValidationError, "negative demand"),
     (-1, 2 + 6 + 6 + 17, -1.0, ValidationError, "negative demand"),
     (7, 1, 3.5, SchemaError, "day and t must be integers"),
+    # past 2**53 a float64 stamp is no longer exact
+    (0, 0, 1e300, SchemaError, "day and t must be integers"),
+    (-1, 0, 2.0**53 + 2, SchemaError, "day and t must be integers"),
 ]
 
 

@@ -376,6 +376,9 @@ def test_checkpoint_round_trip(tmp_path):
     params = _small_policy(seed=3)
     path = tmp_path / "policy.json"
     save_checkpoint(params, path, meta={"agent": "constraint", "steps": 1000})
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 3
+    assert (doc["actor"], doc["critic"]) == ([3, 5, 4, 2], [3, 5, 4, 1])
     loaded, meta = load_checkpoint(path)
     assert meta == {"agent": "constraint", "steps": 1000}
     _assert_same_checkpoint(loaded, params)
@@ -392,21 +395,33 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_garbage(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ["not json at all {", '{"format_version": 3, "actor": [' + "9" * 5000 + "]}"],
+    ids=["not_json", "integer_past_the_digit_limit"],
+)
+def test_checkpoint_rejects_garbage(tmp_path, text):
     path = tmp_path / "policy.json"
-    path.write_text("not json at all {")
-    with pytest.raises(SchemaError):
+    path.write_text(text)
+    with pytest.raises(SchemaError, match="not valid JSON") as error:
         load_checkpoint(path)
+    assert "\n" not in str(error.value)
 
 
-def test_checkpoint_rejects_dimension_mismatch(tmp_path):
+@pytest.mark.parametrize(
+    "critic",
+    [[3, 5, 4, 2], [4, 5, 4, 1], [2, 1]],
+    ids=["two_outputs", "wider", "narrower"],
+)
+def test_checkpoint_rejects_dimension_mismatch(tmp_path, critic):
+    """The critic must take the actor's inputs to one value."""
     params = _small_policy()
     path = tmp_path / "policy.json"
     save_checkpoint(params, path)
     doc = json.loads(path.read_text())
-    doc["obs_dim"] = 99
+    doc["critic"] = critic
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="dimensions"):
+    with pytest.raises(SchemaError, match="critic must map 3 inputs to 1 value"):
         load_checkpoint(path)
 
 
@@ -444,14 +459,14 @@ def test_checkpoint_load_returns_the_saved_vector(tmp_path, policy):
     meta = {"agent": "dual", "frame_skip": 4, "nested": {"steps": [1, 2.5]}}
     save_checkpoint(params, path, meta=meta)
 
-    # The document holds shapes, every one a list of ints, and no value; the
-    # arrays file is the vector as ``np.save`` writes it, and nothing else.
+    # The document holds each network's layer sizes, every one an int, and
+    # no value; the arrays file is the vector as ``np.save`` writes it, and
+    # nothing else.
     doc = json.loads(path.read_text())
-    a, c = doc["actor"], doc["critic"]
-    shapes = [*a["weights"], *a["biases"], doc["log_sigma"]]
-    shapes += [*c["weights"], *c["biases"]]
-    assert all(type(n) is int for shape in shapes for n in shape)
-    assert shapes == [list(x.shape) for x in _arrays(params)]
+    assert list(doc) == ["format_version", "actor", "critic", "meta", "arrays_sha256"]
+    assert doc["actor"] == list(params.actor.sizes)
+    assert doc["critic"] == list(params.critic.sizes)
+    assert all(type(n) is int for n in doc["actor"] + doc["critic"])
     data = (tmp_path / "checkpoint.json.arrays").read_bytes()
     assert data == _saved(params.vector, allow_pickle=False)
     assert doc["arrays_sha256"] == hashlib.sha256(data).hexdigest()
@@ -494,14 +509,11 @@ def _broken_checkpoint_companions(path):
     def same(doc):
         pass
 
-    def negative_first_weights(doc):
-        doc["actor"]["weights"][0] = [-3, -5]
-
-    def inferred_last_bias(doc):
-        doc["critic"]["biases"][-1] = [-1]
+    def sizes(net, value):
+        return lambda doc: doc.update({net: value})
 
     stale, not_saved, not_a_vector = "SHA-256", "not a saved array", "1-D float64"
-    unfilled, bad_shape = "do not fill the shapes", "expected a shape"
+    unfilled, bad_sizes = "do not fill the shapes", "expected layer sizes"
     yield "stale", lambda doc: doc.update(arrays_sha256=key), _saved(vector + 1), stale
     yield "unrecorded", lambda doc: doc.pop("arrays_sha256"), data, stale
     for cut in (0, 10, 64, 128, len(data) - 8):
@@ -515,13 +527,18 @@ def _broken_checkpoint_companions(path):
     yield "npz_archive", same, npz.getvalue(), not_a_vector
     yield "too_short", same, _saved(vector[:-1]), unfilled
     yield "too_long", same, _saved(np.append(vector, 0.0)), unfilled
-    yield "text_shapes", lambda d: d.update(log_sigma=["2"]), data, bad_shape
-    yield "float_shapes", lambda d: d.update(log_sigma=[2.0]), data, bad_shape
-    yield "scalar_shape", lambda d: d.update(log_sigma=2), data, bad_shape
-    yield "negative_shapes", negative_first_weights, data, bad_shape
-    yield "inferred_shape", inferred_last_bias, data, bad_shape
-    text_weights = {"weights": "2x3", "biases": [[1]]}
-    yield "shapes_not_a_list", lambda d: d.update(critic=text_weights), data, bad_shape
+    yield "text_sizes", sizes("actor", ["3", 5, 4, 2]), data, bad_sizes
+    yield "float_sizes", sizes("actor", [3, 5.0, 4, 2]), data, bad_sizes
+    yield "bool_sizes", sizes("critic", [3, 5, 4, True]), data, bad_sizes
+    yield "scalar_sizes", sizes("actor", 3), data, bad_sizes
+    yield "single_size", sizes("actor", [3]), data, bad_sizes
+    yield "no_sizes", sizes("critic", []), data, bad_sizes
+    yield "zero_size", sizes("actor", [3, 0, 4, 2]), data, bad_sizes
+    yield "negative_size", sizes("actor", [3, -5, 4, 2]), data, bad_sizes
+    yield "sizes_not_a_list", sizes("critic", "3x5x4x1"), data, bad_sizes
+    yield "missing_sizes", lambda doc: doc.pop("actor"), data, bad_sizes
+    # sizes that chain but are not the vector's: the shapes do not fill it
+    yield "wider_hidden_layer", sizes("actor", [3, 6, 4, 2]), data, unfilled
 
 
 def test_a_broken_companion_is_a_one_line_schema_error(tmp_path):
@@ -549,23 +566,20 @@ def test_a_broken_companion_is_a_one_line_schema_error(tmp_path):
         load_checkpoint(path)
 
 
-def _narrow_first_hidden_layer(doc):
-    actor = doc["actor"]
-    actor["weights"][0][1] -= 1
-    actor["biases"][0][0] -= 1
-
-
 @pytest.mark.parametrize(
     "edit, message",
     [
         (
-            lambda doc: doc.update(log_sigma=["wide"] * 2),
-            "log_sigma: expected a shape, a length-1 list of positive integers",
+            lambda doc: doc.update(actor=["wide"] * 4),
+            "actor: expected layer sizes, a list of two or more positive integers",
         ),
-        (_narrow_first_hidden_layer, "layer 1 takes 5 inputs but layer 0 gives 4"),
+        (
+            lambda doc: doc.update(critic=[4, 5, 4, 1]),
+            "critic must map 3 inputs to 1 value",
+        ),
         (None, "not valid JSON"),
     ],
-    ids=["text_log_sigma", "unchained_layers", "not_utf8"],
+    ids=["text_sizes", "critic_of_another_width", "not_utf8"],
 )
 def test_a_checkpoint_edited_in_place_ignores_its_stale_companion(
     tmp_path, edit, message

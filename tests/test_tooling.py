@@ -2,7 +2,8 @@
 package exports no name that it does not use itself and resolves each one
 lazily, each CLI command loads only the layers it runs, the CLI defines no
 flag that its commands do not read, the archive holds no field that nothing
-reads, and the power model has one copy."""
+reads, the power model has one copy, and the declared Python version has
+every standard-library module imported."""
 
 import argparse
 import ast
@@ -393,3 +394,28 @@ def test_only_the_power_model_reads_rated_power():
             visitor.visit(ast.parse(path.read_text(), filename=str(path)))
             readers |= {f"{path.stem}.{scope}" for scope in visitor.readers}
     assert readers == {"simulate.step_powers"}
+
+
+# Standard-library modules newer than Python 3.10, each with the version that
+# added it.
+NEWER_STDLIB = {"tomllib": (3, 11)}
+
+
+def test_the_declared_python_has_every_module_the_code_and_tests_import():
+    """``requires-python`` names a version whose standard library holds every
+    module that the package and its tests import."""
+    import tomllib  # here, so that an older Python still collects this module
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = project["requires-python"].removeprefix(">=")
+    floor = tuple(map(int, declared.split(".")))
+    imported = set()
+    paths = sorted(ROOT.glob("src/pumpsched/*.py")) + sorted(ROOT.glob("tests/*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module.split(".")[0])
+    too_new = {m: v for m, v in NEWER_STDLIB.items() if m in imported and v > floor}
+    assert not too_new, f"requires-python >={declared}, but these need more: {too_new}"
