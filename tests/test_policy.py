@@ -395,34 +395,30 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["not json at all {", '{"format_version": 3, "actor": [' + "9" * 5000 + "]}"],
-    ids=["not_json", "integer_past_the_digit_limit"],
-)
-def test_checkpoint_rejects_garbage(tmp_path, text):
+def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "policy.json"
-    path.write_text(text)
-    with pytest.raises(SchemaError, match="not valid JSON") as error:
-        load_checkpoint(path)
-    assert "\n" not in str(error.value)
+    for text in [
+        "not json at all {",
+        '{"format_version": 3, "actor": [' + "9" * 5000 + "]}",
+    ]:
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="not valid JSON") as error:
+            load_checkpoint(path)
+        assert "\n" not in str(error.value)
 
 
-@pytest.mark.parametrize(
-    "critic",
-    [[3, 5, 4, 2], [4, 5, 4, 1], [2, 1]],
-    ids=["two_outputs", "wider", "narrower"],
-)
-def test_checkpoint_rejects_dimension_mismatch(tmp_path, critic):
+def test_checkpoint_rejects_dimension_mismatch(tmp_path):
     """The critic must take the actor's inputs to one value."""
     params = _small_policy()
     path = tmp_path / "policy.json"
     save_checkpoint(params, path)
-    doc = json.loads(path.read_text())
-    doc["critic"] = critic
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="critic must map 3 inputs to 1 value"):
-        load_checkpoint(path)
+    saved = json.loads(path.read_text())
+    # two outputs, a wider input, a narrower input
+    for critic in [[3, 5, 4, 2], [4, 5, 4, 1], [2, 1]]:
+        doc = dict(saved, critic=critic)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="critic must map 3 inputs to 1 value"):
+            load_checkpoint(path)
 
 
 # -- checkpoint companions -----------------------------------------------------
