@@ -33,7 +33,6 @@ _EXPORTS = {
     ),
     "hybrid": (
         "HybridCase",
-        "InjectionPlan",
         "StrategyReport",
         "build_case_pool",
         "detect_violations",
@@ -47,7 +46,6 @@ _EXPORTS = {
         "NetworkTopology",
         "PumpStationSpec",
         "TankSpec",
-        "TariffSchedule",
         "demands_from_rng",
         "generate_synthetic_network",
         "load_network",

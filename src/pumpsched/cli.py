@@ -264,13 +264,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     topology = load_network(args.network)
     phase_ends["load_network"] = time.time()
     kind = AgentKind(args.agent)
-    spec = EnvSpec(topology=topology, agent_kind=kind, frame_skip=args.frame_skip)
     cfg = TrainConfig(
         total_env_steps=args.steps,
         seed=args.seed,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
     )
+    spec = EnvSpec(topology=topology, agent_kind=kind, frame_skip=args.frame_skip)
     result = train(spec, cfg)
     phase_ends["train"] = time.time()
     out = _outdir(args)

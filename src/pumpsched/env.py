@@ -10,13 +10,13 @@ An episode is two arrays on a fixed topology: start levels (n_tanks,) and zone
 demands (n_zones, 96), with a leading axis of B for B lanes. ``sample_episode``
 draws the training ones; evaluation days, which burn in under the hysteresis
 controller, come from ``history.sample_operational_episode``, beside that
-controller, so the env loads no controller code.
+controller, so the env loads no controller code. ``PumpSchedulingEnv`` steps
+one day by hand; its ``step`` returns ``(observation, reward, done, info)``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -85,14 +85,6 @@ def reward_dual(
     return CONSTRAINT_WEIGHT * constraint_part + ENERGY_WEIGHT * energy_part
 
 
-@dataclass
-class StepResult:
-    observation: np.ndarray
-    reward: float
-    done: bool
-    info: dict = field(default_factory=dict)
-
-
 def _observation(
     kind: AgentKind,
     levels: np.ndarray,
@@ -126,7 +118,7 @@ class PumpSchedulingEnv:
         self._day = day = _Rollout(self.topology, initial_levels, zone_values)
         return _observation(self.kind, day.levels, day.t, day.c)
 
-    def step(self, action: np.ndarray) -> StepResult:
+    def step(self, action: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
         day = self._day
         if day is None:
             raise ValidationError("reset the environment before stepping")
@@ -149,18 +141,15 @@ class PumpSchedulingEnv:
                 levels, c.lower, c.upper, energies, price, c.energy_span
             )
         inside = (levels >= c.lower) & (levels <= c.upper)
-        return StepResult(
-            observation=_observation(self.kind, levels, day.t, c),
-            reward=reward,
-            done=day.t >= STEPS_PER_DAY,
-            info={
-                "in_bounds": inside,
-                # the env's day starts at step 0; steps not yet advanced idle
-                "step_cost": float(step_costs(c, day.actions)[t]),
-                "step_energy": float(energies.sum()),
-                "t": day.t,
-            },
-        )
+        info = {
+            "in_bounds": inside,
+            # the env's day starts at step 0; steps not yet advanced idle
+            "step_cost": float(step_costs(c, day.actions)[t]),
+            "step_energy": float(energies.sum()),
+            "t": day.t,
+        }
+        observation = _observation(self.kind, levels, day.t, c)
+        return observation, reward, day.t >= STEPS_PER_DAY, info
 
     def trajectory(self) -> Trajectory:
         """Full-day trajectory; only valid after the episode finished."""

@@ -4,7 +4,8 @@ Each station watches its primary destination tank and runs at a fixed duty
 speed below a trigger level, coasting off above a release level. Margins sit
 well inside the operational band when perfect; a seeded imperfection knob
 shifts them day by day so a realistic share of archive days contains boundary
-violations.
+violations. A day's margins are one array, (2, n_stations): the trigger
+levels, then the release levels; lanes add axes between the two.
 
 ``generate_history`` records such days into a ``HistoryArchive``: day ids
 plus level, action and demand arrays shaped (day, step, ...), saved to and
@@ -53,35 +54,23 @@ _MARGIN_FLOOR = -0.08
 _MARGIN_CEIL = 0.45
 
 
-@dataclass(frozen=True)
-class HysteresisMargins:
-    """Per-station trigger (pump on below) and release (pump off above)."""
-
-    triggers: np.ndarray
-    releases: np.ndarray
-
-
 def margins_for(
     topology: NetworkTopology,
     imperfection: float,
     rng: np.random.Generator,
-) -> HysteresisMargins:
-    """Draw per-station margins; imperfection 0 means perfectly placed and
-    draws nothing from ``rng``."""
+) -> np.ndarray:
+    """Draw per-station margins, (2, n_stations): the trigger levels (pump on
+    below), then the release levels (pump off above). Imperfection 0 means
+    perfectly placed and draws nothing from ``rng``; otherwise the triggers'
+    offsets are drawn before the releases'."""
     if not (0.0 <= imperfection <= 1.0):
         raise ValidationError("imperfection must lie in [0, 1]")
-    n_s = topology.n_stations
+    shape = (2, topology.n_stations)
     if imperfection == 0.0:
-        trig_off = np.full(n_s, _PERFECT_MARGIN)
-        rel_off = np.full(n_s, _PERFECT_MARGIN)
+        offsets = np.full(shape, _PERFECT_MARGIN)
     else:
-        trig_off = np.clip(
-            _PERFECT_MARGIN + imperfection * _MARGIN_SWING * rng.uniform(-1, 1, n_s),
-            _MARGIN_FLOOR,
-            _MARGIN_CEIL,
-        )
-        rel_off = np.clip(
-            _PERFECT_MARGIN + imperfection * _MARGIN_SWING * rng.uniform(-1, 1, n_s),
+        offsets = np.clip(
+            _PERFECT_MARGIN + imperfection * _MARGIN_SWING * rng.uniform(-1, 1, shape),
             _MARGIN_FLOOR,
             _MARGIN_CEIL,
         )
@@ -89,30 +78,31 @@ def margins_for(
     band = c.primary_upper - c.primary_lower
     # Both offsets stay below half the band (_MARGIN_CEIL), so the release
     # sits at least 0.1 band above the trigger.
-    triggers = c.primary_lower + band * trig_off
-    releases = c.primary_upper - band * rel_off
-    return HysteresisMargins(triggers=triggers, releases=releases)
+    return np.array(
+        [c.primary_lower + band * offsets[0], c.primary_upper - band * offsets[1]]
+    )
 
 
 class RuleBasedController:
     """Stateful hysteresis control: duty speed below trigger, off above release.
-    Margins (B, n_stations) control B lanes of levels (B, n_tanks), an array.
+    Margins (2, B, n_stations), triggers then releases as ``margins_for``
+    lays them out, control B lanes of levels (B, n_tanks), an array.
     ``act`` turns a pump off above release, then on below trigger, in place;
     at a NaN level it turns it off (the day then fails on its levels)."""
 
-    def __init__(self, topology: NetworkTopology, margins: HysteresisMargins):
-        self.margins = margins
+    def __init__(self, topology: NetworkTopology, margins: np.ndarray):
+        self.triggers, self.releases = margins
         self._primary = topology.compiled.primary
-        self._on = np.zeros(np.shape(margins.triggers), dtype=bool)
+        self._on = np.zeros(self.triggers.shape, dtype=bool)
 
     def reset(self, levels: np.ndarray) -> None:
         watched = np.asarray(levels, dtype=float)[..., self._primary]
-        self._on = watched < (self.margins.triggers + self.margins.releases) / 2.0
+        self._on = watched < (self.triggers + self.releases) / 2.0
 
     def act(self, levels: np.ndarray) -> np.ndarray:
         watched = levels.take(self._primary, axis=-1)
-        self._on &= watched <= self.margins.releases
-        self._on |= watched < self.margins.triggers
+        self._on &= watched <= self.releases
+        self._on |= watched < self.triggers
         return self._on * DUTY_SPEED
 
 
@@ -138,7 +128,8 @@ class HistoryArchive:
     ``days`` (D,) holds strictly increasing day ids. For every day and each
     of its 96 steps, ``levels`` (D, 96, n_tanks) holds the tank levels before
     the step, ``actions`` (D, 96, n_stations) the commanded speeds during it
-    and ``demands`` (D, 96, n_zones) the realized zone demands.
+    and ``demands`` (D, 96, n_zones) the realized zone demands. The archive
+    checks these shapes and the day order when it is made.
     """
 
     days: np.ndarray
@@ -151,8 +142,6 @@ class HistoryArchive:
             arr = np.asarray(getattr(self, f.name))
             arr.setflags(write=False)
             object.__setattr__(self, f.name, arr)
-
-    def validate(self) -> None:
         if self.days.ndim != 1:
             raise ValidationError("archive day ids must form a 1-D array")
         n_days = len(self.days)
@@ -210,11 +199,9 @@ def generate_history(
         actions[day] = traj.actions
         demands[day] = day_demands.T
         start = traj.states[-1]
-    archive = HistoryArchive(
+    return HistoryArchive(
         days=np.arange(days), levels=levels, actions=actions, demands=demands
     )
-    archive.validate()
-    return archive
 
 
 BURN_DAYS = 8  # hysteresis days run before an evaluation day
@@ -239,18 +226,16 @@ def sample_operational_episode(
     generator k draws lane k's demands then margins day by day, so each lane
     equals its episode sampled alone. Returns ``(levels, zone_values,
     margins)`` of B lanes: (B, n_tanks), (B, n_zones, 96) and margins
-    (B, n_stations).
+    (2, B, n_stations), each lane's ``margins_for`` stacked on axis 1.
     """
     levels = np.repeat(topology.compiled.initial_levels[None], len(rngs), axis=0)
     for day in range(BURN_DAYS + 1):
-        values, triggers, releases = [], [], []
+        values, margins = [], []
         for rng in rngs:
             values.append(demands_from_rng(topology, rng))
-            lane_margins = margins_for(topology, imperfection, rng)
-            triggers.append(lane_margins.triggers)
-            releases.append(lane_margins.releases)
+            margins.append(margins_for(topology, imperfection, rng))
         zone_values = np.stack(values)
-        margins = HysteresisMargins(np.stack(triggers), np.stack(releases))
+        margins = np.stack(margins, axis=1)
         if day < BURN_DAYS:
             rule = RuleBasedController(topology, margins)
             levels = run_controlled_day(topology, levels, rule, zone_values).states[-1]
@@ -341,7 +326,6 @@ def save_history(archive: HistoryArchive, path: str | Path) -> None:
     array without the column names. Both files' bytes depend on the archive
     alone.
     """
-    archive.validate()
     if archive.n_days == 0:
         raise ValidationError("cannot save an empty archive")
     n_days = archive.n_days
@@ -461,14 +445,12 @@ def _archive(
             "or out of order"
         )
     per_day = (-1, STEPS_PER_DAY)
-    archive = HistoryArchive(
+    return HistoryArchive(
         days=day_ids[:, 0].astype(np.int64),
         levels=levels.reshape(*per_day, n_tanks),
         actions=actions.reshape(*per_day, n_stations),
         demands=demands.reshape(*per_day, n_zones),
     )
-    archive.validate()
-    return archive
 
 
 def _companion_archive(

@@ -3,14 +3,17 @@
 A case is a day whose retrieved schedule violates tank boundaries somewhere.
 Four injection strategies repair it: fixed early/midday windows (untargeted),
 the violation hull (targeted), a searched resume time (dynamic end), and a
-searched lead-in plus resume time (dynamic start/end). ``inject`` rolls any
-number of plans as lanes of one day, and act functions get one observation
-row per lane. ``evaluate_strategies`` rolls the union of a case's plans, both
-untargeted windows, the hull and every candidate start, in one ``inject``
-pass, and each strategy reads the lanes of its plans. No plan is rolled
-twice, nor any start's end searched twice: every candidate resume step is
-scored on the exact day it produces, all of them re-simulated in one
-``resume_lanes`` pass whose winning lane is the result.
+searched lead-in plus resume time (dynamic start/end). A plan is a
+``(start, end)`` pair: the policy controls action steps start..end-1.
+``inject`` rolls any number of plans as lanes of one day, and act functions
+get one observation row per lane. ``evaluate_strategies`` rolls the union of
+a case's plans, both untargeted windows, the hull and every candidate start,
+in one ``inject`` pass, and each strategy reads the lanes of its plans. No
+plan is rolled twice, nor any start's end searched twice: every candidate
+resume step is scored on the exact day it produces, all of them re-simulated
+in one ``resume_lanes`` pass whose winning lane is the result. A case holds
+no bounds of its own: every strategy takes the network's from
+``topology.compiled``.
 
 Metric regions are fixed per case so strategies stay comparable: for the
 violation hull [hs, he), the during-region is states hs+1..he (what injected
@@ -62,20 +65,6 @@ _START_LOOKBACK = 16  # steps of earlier start explored by dynamic_start_end
 ActFn = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class InjectionPlan:
-    """Policy controls action steps start..end-1."""
-
-    start: int
-    end: int
-
-    def validate(self) -> None:
-        if not (0 <= self.start < self.end <= STEPS_PER_DAY):
-            raise ValidationError(
-                f"injection plan [{self.start}, {self.end}) out of range"
-            )
-
-
 @dataclass
 class HybridCase:
     """A violating retrieved schedule plus everything needed to repair it: the
@@ -87,7 +76,6 @@ class HybridCase:
     baseline_schedule: np.ndarray
     baseline_states: np.ndarray  # (97, n_tanks) under the baseline schedule
     hull: tuple[int, int]  # detect_violations of baseline_states
-    bounds: Bounds
     matched_day: int
 
     @property
@@ -137,10 +125,11 @@ def detect_violations(states: np.ndarray, bounds: Bounds) -> tuple[int, int] | N
 def inject(
     topology: NetworkTopology,
     case: HybridCase,
-    plans: Sequence[InjectionPlan],
+    plans: Sequence[tuple[int, int]],
     act_fn: ActFn,
 ) -> np.ndarray:
-    """The case's day under each plan, as lanes: states (97, lanes, n_tanks).
+    """The case's day under each ``(start, end)`` plan, as lanes: states
+    (97, lanes, n_tanks).
 
     Lane k runs the policy closed loop inside ``plans[k]``, on the observations
     a dual agent would see live, and the baseline schedule everywhere else;
@@ -150,10 +139,10 @@ def inject(
     """
     if not plans:
         raise ValidationError("inject needs at least one plan")
-    for plan in plans:
-        plan.validate()
-    starts = np.array([plan.start for plan in plans])
-    ends = np.array([plan.end for plan in plans])
+    for start, end in plans:
+        if not (0 <= start < end <= STEPS_PER_DAY):
+            raise ValidationError(f"injection plan [{start}, {end}) out of range")
+    starts, ends = np.array(plans).T
     lanes = len(plans)
     schedule = case.baseline_schedule
     policy = closed_loop(topology, AgentKind.DUAL, act_fn)
@@ -189,22 +178,29 @@ def _range_area(state_area: np.ndarray, first: int, last: int) -> float:
     return float(state_area[first : last + 1].sum())
 
 
+def _bounds(topology: NetworkTopology) -> Bounds:
+    """The operational bounds of every tank, which every case shares."""
+    return topology.compiled.lower, topology.compiled.upper
+
+
 def _region_outcome(
+    topology: NetworkTopology,
     case: HybridCase,
     strategy: str,
-    plan: InjectionPlan,
+    plan: tuple[int, int],
     hybrid_states: np.ndarray,
     during: tuple[int, int],
 ) -> CaseOutcome:
-    base_area = _state_area(case.baseline_states, case.bounds)
-    hyb_area = _state_area(hybrid_states, case.bounds)
+    bounds = _bounds(topology)
+    base_area = _state_area(case.baseline_states, bounds)
+    hyb_area = _state_area(hybrid_states, bounds)
     d_first, d_last = during
     post = (d_last + 1, STEPS_PER_DAY) if d_last < STEPS_PER_DAY else None
     return CaseOutcome(
         case_id=case.case_id,
         strategy=strategy,
-        injection_start=plan.start,
-        injection_end=plan.end,
+        injection_start=plan[0],
+        injection_end=plan[1],
         during_states=during,
         post_states=post,
         baseline_during_area=_range_area(base_area, d_first, d_last),
@@ -232,7 +228,7 @@ class PlanStates(dict):
         """``_best_end`` of the day injected from ``start`` to the end, run
         once per start, so strategies that share a start share its search."""
         if start not in self._ends:
-            full = self[InjectionPlan(start, STEPS_PER_DAY)]
+            full = self[start, STEPS_PER_DAY]
             self._ends[start] = _best_end(topology, case, full, *case.hull)
         return self._ends[start]
 
@@ -254,18 +250,18 @@ def strategy_untargeted(
             f"untargeted window {window} is neither {UNTARGETED_EARLY} "
             f"nor {UNTARGETED_MIDDAY}"
         )
-    plan = InjectionPlan(start=window[0], end=window[1])
-    during = (max(plan.start + 1, 1), plan.end)
-    return _region_outcome(case, name, plan, states[plan], during)
+    plan = tuple(window)
+    during = (max(plan[0] + 1, 1), plan[1])
+    return _region_outcome(topology, case, name, plan, states[plan], during)
 
 
 def strategy_targeted(
     topology: NetworkTopology, case: HybridCase, states: PlanStates
 ) -> CaseOutcome:
     """Inject over the hull of all violations."""
-    hs, he = case.hull
-    plan = InjectionPlan(start=hs, end=he)
-    return _region_outcome(case, "targeted", plan, states[plan], (hs + 1, he))
+    hs, he = plan = case.hull
+    during = (hs + 1, he)
+    return _region_outcome(topology, case, "targeted", plan, states[plan], during)
 
 
 def strategy_dynamic_end(
@@ -278,8 +274,8 @@ def strategy_dynamic_end(
     """
     hs, he = case.hull
     e_star, day = states.best_end(topology, case, hs)
-    plan = InjectionPlan(start=hs, end=e_star)
-    return _region_outcome(case, "dynamic_end", plan, day, (hs + 1, he))
+    plan = (hs, e_star)
+    return _region_outcome(topology, case, "dynamic_end", plan, day, (hs + 1, he))
 
 
 def _best_end(
@@ -294,9 +290,10 @@ def _best_end(
     exactly, so the day of e* is ``full`` up to state he joined to its lane;
     ending at 96 resumes nothing and keeps ``full``.
     """
-    full_area = _state_area(full, case.bounds)
+    bounds = _bounds(topology)
+    full_area = _state_area(full, bounds)
     tails = resume_lanes(topology, full[he:], case.baseline_schedule, case.demands, he)
-    tail_area = _exceedance(tails, case.bounds).sum(axis=2) * DT_HOURS
+    tail_area = _exceedance(tails, bounds).sum(axis=2) * DT_HOURS
     post = [float(row[k + 1 :].sum()) for k, row in enumerate(tail_area)] + [0.0]
     totals = [
         _range_area(full_area, hs + 1, e) + area
@@ -323,12 +320,13 @@ def strategy_dynamic_start_end(
     """
     hs, he = case.hull
     starts = case.starts
-    lanes = [states[InjectionPlan(s, STEPS_PER_DAY)] for s in starts]
-    during = [_range_area(_state_area(x, case.bounds), hs + 1, he) for x in lanes]
+    bounds = _bounds(topology)
+    lanes = [states[s, STEPS_PER_DAY] for s in starts]
+    during = [_range_area(_state_area(x, bounds), hs + 1, he) for x in lanes]
     k = min(range(len(starts)), key=lambda k: (during[k], -starts[k]))
     e_star, day = states.best_end(topology, case, starts[k])
-    plan = InjectionPlan(start=starts[k], end=e_star)
-    return _region_outcome(case, "dynamic_start_end", plan, day, (hs + 1, he))
+    plan, during = (starts[k], e_star), (hs + 1, he)
+    return _region_outcome(topology, case, "dynamic_start_end", plan, day, during)
 
 
 # ----------------------------------------------------------------------------
@@ -349,7 +347,7 @@ def build_case_pool(
     if n_cases < 1:
         raise ValidationError("n_cases must be >= 1")
     attempts = max(60 * n_cases, 240)
-    bounds = topology.compiled.lower, topology.compiled.upper
+    bounds = _bounds(topology)
     cases: list[HybridCase] = []
     for attempt in range(attempts):
         rng = np.random.default_rng(_seed_stream(seed, "hybrid_attempt", attempt))
@@ -366,7 +364,6 @@ def build_case_pool(
                 baseline_schedule=result.schedule,
                 baseline_states=states,
                 hull=hull,
-                bounds=bounds,
                 matched_day=result.day,
             )
         )
@@ -427,7 +424,7 @@ def evaluate_strategies(
         # untargeted windows, the hull, each candidate start to the day's end.
         spans = [UNTARGETED_EARLY, UNTARGETED_MIDDAY, case.hull]
         spans += [(s, STEPS_PER_DAY) for s in case.starts]
-        plans = list(dict.fromkeys(InjectionPlan(*span) for span in spans))
+        plans = list(dict.fromkeys(spans))
         lanes = inject(topology, case, plans, act_fn)
         states = PlanStates((plan, lanes[:, k].copy()) for k, plan in enumerate(plans))
         run = (topology, case, states)

@@ -3,7 +3,8 @@
 Units follow waterworks convention throughout: levels in metres, surface areas
 in square metres, flows and demands in cubic metres per hour, power in
 kilowatts, energy in kilowatt-hours, tariff in currency per kilowatt-hour.
-A day is resolved into 96 quarter-hour steps.
+A day is resolved into 96 quarter-hour steps. Each spec and the topology
+check their invariants when they are made, and nothing checks them again.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class TankSpec:
     upper_bound: float
     initial_level: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_finite(self, f"tank {self.id}")
         if not self.surface_area > 0:
             raise ValidationError(f"tank {self.id}: surface_area must be > 0")
@@ -99,7 +100,7 @@ class PumpStationSpec:
     fills: tuple[tuple[str, float], ...]
     draws_from: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_finite(self, f"station {self.id}")
         if not self.max_flow > 0:
             raise ValidationError(f"station {self.id}: max_flow must be > 0")
@@ -142,7 +143,7 @@ class DemandZoneSpec:
     evening_peak: float
     noise_scale: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_finite(self, f"zone {self.id}")
         if self.base_demand < 0:
             raise ValidationError(f"zone {self.id}: base_demand must be >= 0")
@@ -153,38 +154,21 @@ class DemandZoneSpec:
 
 
 @dataclass(frozen=True)
-class TariffSchedule:
-    """Energy price per step for one day."""
-
-    values: tuple[float, ...]
-
-    def validate(self) -> None:
-        if len(self.values) != STEPS_PER_DAY:
-            raise ValidationError(
-                f"tariff: expected {STEPS_PER_DAY} values, got {len(self.values)}"
-            )
-        arr = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("tariff: values must be finite")
-        if np.any(arr < 0):
-            raise ValidationError("tariff: values must be >= 0")
-        if not arr.min() < arr.max():
-            raise ValidationError("tariff: min must be strictly below max")
-
-
-@dataclass(frozen=True)
 class NetworkTopology:
-    """The lumped network: tanks, stations, zones, tariff.
+    """The lumped network: tanks, stations, zones and the tariff, a tuple of
+    the 96 steps' energy prices.
 
     The step size is fixed at ``DT_HOURS``: a day is always 96 quarter hours.
+    Beyond its specs' own checks, the topology checks for unique ids, known
+    tanks and a tariff with spread.
     """
 
     tanks: tuple[TankSpec, ...]
     stations: tuple[PumpStationSpec, ...]
     zones: tuple[DemandZoneSpec, ...]
-    tariff: TariffSchedule
+    tariff: tuple[float, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.tanks:
             raise ValidationError("topology: at least one tank is required")
         if not self.stations:
@@ -193,14 +177,12 @@ class NetworkTopology:
             raise ValidationError("topology: at least one zone is required")
         seen: set[str] = set()
         for tank in self.tanks:
-            tank.validate()
             if tank.id in seen:
                 raise ValidationError(f"topology: duplicate tank id {tank.id}")
             seen.add(tank.id)
         tank_ids = {tank.id for tank in self.tanks}
         seen = set()
         for station in self.stations:
-            station.validate()
             if station.id in seen:
                 raise ValidationError(f"topology: duplicate station id {station.id}")
             seen.add(station.id)
@@ -215,7 +197,6 @@ class NetworkTopology:
                 )
         seen = set()
         for zone in self.zones:
-            zone.validate()
             if zone.id in seen:
                 raise ValidationError(f"topology: duplicate zone id {zone.id}")
             seen.add(zone.id)
@@ -223,7 +204,17 @@ class NetworkTopology:
                 raise ValidationError(
                     f"zone {zone.id}: served by unknown tank {zone.served_by}"
                 )
-        self.tariff.validate()
+        if len(self.tariff) != STEPS_PER_DAY:
+            raise ValidationError(
+                f"tariff: expected {STEPS_PER_DAY} values, got {len(self.tariff)}"
+            )
+        tariff = np.asarray(self.tariff, dtype=float)
+        if not np.all(np.isfinite(tariff)):
+            raise ValidationError("tariff: values must be finite")
+        if np.any(tariff < 0):
+            raise ValidationError("tariff: values must be >= 0")
+        if not tariff.min() < tariff.max():
+            raise ValidationError("tariff: min must be strictly below max")
 
     @property
     def n_tanks(self) -> int:
@@ -258,9 +249,6 @@ class CompiledTopology:
     reward normalizes by; each station's primary tank with that tank's
     bounds; and each zone's diurnal demand profile, base demand times its
     double peak, (n_zones, 96), with its noise scale as a column, (n_zones, 1).
-
-    A tariff without spread has no normalization and fails to compile; a
-    validated topology never has one.
     """
 
     def __init__(self, topology: NetworkTopology):
@@ -288,10 +276,8 @@ class CompiledTopology:
             ],
             dtype=float,
         )
-        self.tariff = np.array(topology.tariff.values, dtype=float)
+        self.tariff = np.array(topology.tariff, dtype=float)
         lo, hi = self.tariff.min(), self.tariff.max()
-        if not hi > lo:
-            raise ValidationError("tariff must have min strictly below max")
         self.tariff_norm = (self.tariff - lo) / (hi - lo)
         self.primary = np.array(
             [topology.tank_index(s.primary_tank()) for s in topology.stations]
@@ -376,7 +362,7 @@ def topology_to_dict(topology: NetworkTopology) -> dict:
         key: [_spec_to_dict(spec) for spec in getattr(topology, key)]
         for key in _SECTIONS
     }
-    return {"dt_hours": DT_HOURS, **sections, "tariff": list(topology.tariff.values)}
+    return {"dt_hours": DT_HOURS, **sections, "tariff": list(topology.tariff)}
 
 
 def topology_from_dict(obj: dict) -> NetworkTopology:
@@ -395,11 +381,10 @@ def topology_from_dict(obj: dict) -> NetworkTopology:
             f"network document: dt_hours must be {DT_HOURS} (got {dt_hours!r})"
         )
     try:
-        values = tuple(_json_value(v, "float", "values") for v in obj["tariff"])
-        tariff = TariffSchedule(values=values)
+        tariff = tuple(_json_value(v, "float", "values") for v in obj["tariff"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"tariff: {exc}") from None
-    topology = NetworkTopology(
+    return NetworkTopology(
         **{
             key: tuple(
                 _spec_from_dict(cls, entry, f"{key}[{i}]")
@@ -409,8 +394,6 @@ def topology_from_dict(obj: dict) -> NetworkTopology:
         },
         tariff=tariff,
     )
-    topology.validate()
-    return topology
 
 
 def _read_json(path: str | Path):
@@ -433,7 +416,6 @@ def load_network(path: str | Path) -> NetworkTopology:
 
 
 def save_network(topology: NetworkTopology, path: str | Path) -> None:
-    topology.validate()
     Path(path).write_text(json.dumps(topology_to_dict(topology), indent=2) + "\n")
 
 
@@ -523,14 +505,12 @@ def generate_synthetic_network(seed: int) -> NetworkTopology:
         base = day if 28 <= t < 88 else night  # 07:00-22:00 is the expensive tier
         tariff_values.append(float(base * (1.0 + 0.04 * rng.uniform(-1.0, 1.0))))
 
-    topology = NetworkTopology(
+    return NetworkTopology(
         tanks=tuple(tanks),
         stations=stations,
         zones=tuple(zones),
-        tariff=TariffSchedule(values=tuple(tariff_values)),
+        tariff=tuple(tariff_values),
     )
-    topology.validate()
-    return topology
 
 
 def demands_from_rng(

@@ -28,7 +28,6 @@ class QueryResult:
 class QueryIndex:
     """Archived day features with their normalization bounds and schedules."""
 
-    feature_names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
     normalized: np.ndarray  # (n_days, n_features)
@@ -75,7 +74,6 @@ def build_index(
 
     Demand forecasts come from the archive's own recorded realizations.
     """
-    archive.validate()
     if archive.n_days < 2:
         raise ValidationError("query index needs at least two archived days")
     counts = "{} tanks, {} stations and {} zones".format
@@ -109,7 +107,6 @@ def build_index(
         )
     normalized = (raw - mins) / (maxs - mins)
     return QueryIndex(
-        feature_names=names,
         mins=mins,
         maxs=maxs,
         normalized=normalized,

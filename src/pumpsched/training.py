@@ -68,7 +68,7 @@ class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 3e-4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.total_env_steps < 0:
             raise ValidationError("total_env_steps must be >= 0")
         if self.batch_size < 1:
@@ -85,9 +85,11 @@ class EnvSpec:
     agent_kind: AgentKind = AgentKind.CONSTRAINT
     frame_skip: int = 1
 
+    def __post_init__(self):
+        _check_window(self.frame_skip)
+
     @property
     def decisions_per_episode(self) -> int:
-        _check_window(self.frame_skip)
         return STEPS_PER_DAY // self.frame_skip
 
     @property
@@ -384,7 +386,6 @@ def train(spec: EnvSpec, cfg: TrainConfig) -> TrainResult:
     The reward curve holds one point per iteration: cumulative environment
     steps and the mean total episode reward of that iteration's batch.
     """
-    cfg.validate()
     init_rng = np.random.default_rng(_seed_stream(cfg.seed, "policy_init"))
     params = init_policy(spec.obs_dim, spec.action_dim, init_rng)
     optimizer = Adam(params.vector.size, cfg.learning_rate)

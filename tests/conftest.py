@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from pumpsched import (
     NetworkTopology,
     PumpStationSpec,
     TankSpec,
-    TariffSchedule,
     DemandZoneSpec,
     generate_synthetic_network,
 )
@@ -36,7 +36,6 @@ def tiny_world():
 
     Station s1 fills t1 from an external source; s2 draws t1 and fills t2.
     """
-    tariff = TariffSchedule(values=tuple([0.1] * 48 + [0.2] * 48))
     return NetworkTopology(
         tanks=(
             TankSpec(
@@ -86,8 +85,23 @@ def tiny_world():
                 noise_scale=0.1,
             ),
         ),
-        tariff=tariff,
+        tariff=(0.1,) * 48 + (0.2,) * 48,
     )
+
+
+@pytest.fixture(scope="session")
+def overflowing_world(world):
+    """The default world with tank_1 filled by two stations and drawn by two,
+    each of the largest finite flow: with all four pumping, tank_1's inflow
+    and its outflow both overflow to inf, and its level turns to inf - inf =
+    nan. A valid network reaches a non-finite level no other way."""
+    big = np.finfo(float).max
+    s = list(world.stations)
+    s[0] = dataclasses.replace(s[0], max_flow=big)
+    s[1] = dataclasses.replace(s[1], max_flow=big, fills=(("tank_1", 1.0),))
+    s[4] = dataclasses.replace(s[4], max_flow=big)
+    s[5] = dataclasses.replace(s[5], max_flow=big, draws_from="tank_1")
+    return dataclasses.replace(world, stations=tuple(s))
 
 
 def flat_demands(topology: NetworkTopology, value: float) -> np.ndarray:

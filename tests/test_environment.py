@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pumpsched import (
     AgentKind,
-    TariffSchedule,
     ValidationError,
     demands_from_rng,
     sample_episode,
@@ -132,10 +131,10 @@ def test_normalize_tariff_unit_range(world):
     norm = world.compiled.tariff_norm
     assert norm.min() == 0.0
     assert norm.max() == 1.0
-    # Only an unvalidated topology can hold a tariff without spread.
-    flat = TariffSchedule(values=(0.1,) * STEPS_PER_DAY)
-    with pytest.raises(ValidationError, match="tariff must have min strictly below"):
-        dataclasses.replace(world, tariff=flat).compiled
+    # A tariff without spread has no normalization: no topology can hold one.
+    message = "tariff: min must be strictly below max"
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(world, tariff=(0.1,) * STEPS_PER_DAY)
 
 
 def test_dual_reward_needs_an_energy_span_on_every_station():
@@ -170,17 +169,16 @@ def test_dual_observation_layout(world):
         obs[:6], world.compiled.initial_levels / world.compiled.caps
     )
     assert obs[6] == 0.0  # t/96 at reset
-    tariff = np.array(world.tariff.values)
+    tariff = np.array(world.tariff)
     tariff_norm = (tariff - tariff.min()) / (tariff.max() - tariff.min())
     assert obs[7] == pytest.approx(tariff_norm[0])  # the price of step 0
 
     for t in range(1, STEPS_PER_DAY + 1):
-        result = env.step(np.full(6, 0.5))
-        assert result.observation[6] == pytest.approx(t / STEPS_PER_DAY)
+        obs, _, done, _ = env.step(np.full(6, 0.5))
+        assert obs[6] == pytest.approx(t / STEPS_PER_DAY)
         # After the last step the price is the next day's first.
-        price = tariff_norm[t % STEPS_PER_DAY]
-        assert result.observation[7] == pytest.approx(price)
-    assert result.done
+        assert obs[7] == pytest.approx(tariff_norm[t % STEPS_PER_DAY])
+    assert done
 
 
 def test_episode_terminates_at_96(world):
@@ -188,8 +186,8 @@ def test_episode_terminates_at_96(world):
     env.reset(*_episode(world))
     action = np.full(6, 0.4)
     for t in range(STEPS_PER_DAY):
-        result = env.step(action)
-        assert result.done == (t == STEPS_PER_DAY - 1)
+        _, _, done, _ = env.step(action)
+        assert done == (t == STEPS_PER_DAY - 1)
     with pytest.raises(ValidationError, match="finished"):
         env.step(action)
 
@@ -211,12 +209,10 @@ def test_reset_validates_levels(world):
 def test_constraint_reward_flows_through_env(world):
     env = _env(world)
     env.reset(*_episode(world))
-    result = env.step(np.full(6, 0.5))
-    lb, ub = world.compiled.lower, world.compiled.upper
-    levels = env.trajectory().states[1] if result.done else None
+    _, reward, _, info = env.step(np.full(6, 0.5))
     # Reward must equal the rule applied to the post-step levels.
-    inside = result.info["in_bounds"]
-    assert result.reward == float(inside.sum() - (~inside).sum())
+    inside = info["in_bounds"]
+    assert reward == float(inside.sum() - (~inside).sum())
 
 
 def test_trajectory_matches_simulator(world):
@@ -246,14 +242,13 @@ def test_every_env_step_reports_its_cost_energy_and_reward(world):
     results = [env.step(schedule[t]) for t in range(STEPS_PER_DAY)]
     c = world.compiled
     ref, _ = _all_in_one_day(c, levels, schedule, demands)
-    for t, result in enumerate(results):
-        assert result.info["step_cost"] == float(ref["costs"][t])
-        assert result.info["step_energy"] == float(ref["energies"][t].sum())
-        reward = reward_dual(
+    for t, (_, reward, _, info) in enumerate(results):
+        assert info["step_cost"] == float(ref["costs"][t])
+        assert info["step_energy"] == float(ref["energies"][t].sum())
+        assert reward == reward_dual(
             ref["states"][t + 1], c.lower, c.upper, ref["energies"][t],
             float(c.tariff_norm[t]), c.energy_span,
         )  # fmt: skip
-        assert result.reward == reward
     actions = env.trajectory().actions
     assert step_energies(c, actions).tobytes() == ref["energies"].tobytes()
     assert step_costs(c, actions).tobytes() == ref["costs"].tobytes()
@@ -263,7 +258,7 @@ def test_every_env_step_reports_its_cost_energy_and_reward(world):
 def test_each_observation_row_is_levels_clock_and_current_price(world, kind):
     # Before step t, every lane sees its levels over caps; the dual agent also
     # sees t/96 and the min-max normalized price of step t. No other input.
-    tariff = np.array(world.tariff.values)
+    tariff = np.array(world.tariff)
     tariff_norm = (tariff - tariff.min()) / (tariff.max() - tariff.min())
     rng = np.random.default_rng(9)
     episodes = [sample_episode(world, rng) for _ in range(3)]
@@ -374,7 +369,7 @@ def test_frame_skip_reward_sums_inner_rewards(world):
 
     plain = _env(world, AgentKind.DUAL)
     plain.reset(*_episode(world))
-    inner = [plain.step(decisions[t // 8]).reward for t in range(STEPS_PER_DAY)]
+    inner = [plain.step(decisions[t // 8])[1] for t in range(STEPS_PER_DAY)]
     assert per_step.tobytes() == np.array(inner).tobytes()
     window_sums = [sum(inner[i * 8 : (i + 1) * 8]) for i in range(12)]
     np.testing.assert_allclose(
@@ -411,7 +406,7 @@ def test_frame_skip_whole_day_window(world):
 
     plain = _env(world)
     plain.reset(*_episode(world))
-    total = sum(plain.step(action).reward for _ in range(STEPS_PER_DAY))
+    total = sum(plain.step(action)[1] for _ in range(STEPS_PER_DAY))
     assert float(rewards.sum()) == pytest.approx(total, abs=1e-12)
 
 
@@ -441,9 +436,8 @@ def test_closed_loop_day_matches_the_env_episode(world, kind, window):
     for _ in range(STEPS_PER_DAY // window):
         action = act_fn(obs)
         for _ in range(window):
-            result = env.step(action)
-            rewards.append(result.reward)
-        obs = result.observation
+            obs, reward, _, _ = env.step(action)
+            rewards.append(reward)
     expected = env.trajectory()
     traj = run_day(world, levels, demands, closed_loop(world, kind, act_fn, window))
     for name in ("states", "actions"):
@@ -500,11 +494,10 @@ def test_sample_operational_episode_deterministic(world):
     )
     assert levels_a.shape == (2, world.n_tanks)
     assert demands_a.shape == (2, world.n_zones, STEPS_PER_DAY)
-    assert margins_a.triggers.shape == (2, world.n_stations)
+    assert margins_a.shape == (2, 2, world.n_stations)  # triggers, releases
     np.testing.assert_array_equal(levels_a, levels_b)
     np.testing.assert_array_equal(demands_a, demands_b)
-    np.testing.assert_array_equal(margins_a.triggers, margins_b.triggers)
-    np.testing.assert_array_equal(margins_a.releases, margins_b.releases)
+    np.testing.assert_array_equal(margins_a, margins_b)
 
 
 def test_sample_operational_episode_lanes_equal_episodes_alone(world):
@@ -520,8 +513,7 @@ def test_sample_operational_episode_lanes_equal_episodes_alone(world):
         for lanes, single in (
             (levels, alone_levels),
             (demands, alone_demands),
-            (margins.triggers, alone_margins.triggers),
-            (margins.releases, alone_margins.releases),
+            *zip(margins, alone_margins),  # triggers, then releases
         ):
             assert lanes[k].tobytes() == single[0].tobytes()
 

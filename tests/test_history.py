@@ -22,7 +22,7 @@ from pumpsched import (
 )
 from pumpsched import history
 from pumpsched.errors import SchemaError
-from pumpsched.history import DUTY_SPEED, HistoryArchive, HysteresisMargins
+from pumpsched.history import DUTY_SPEED, HistoryArchive
 from pumpsched.metrics import area_outside_boundary, violation_count
 from pumpsched.network import STEPS_PER_DAY
 from pumpsched.simulate import step_costs
@@ -38,32 +38,32 @@ def _assert_same_archive(a: HistoryArchive, b: HistoryArchive) -> None:
 
 
 def test_perfect_margins_sit_inside_band(world):
-    margins = margins_for(world, 0.0, np.random.default_rng(0))
+    triggers, releases = margins_for(world, 0.0, np.random.default_rng(0))
     for j, station in enumerate(world.stations):
         tank = world.tanks[world.tank_index(station.primary_tank())]
         band = tank.upper_bound - tank.lower_bound
-        assert margins.triggers[j] == pytest.approx(tank.lower_bound + 0.3 * band)
-        assert margins.releases[j] == pytest.approx(tank.upper_bound - 0.3 * band)
+        assert triggers[j] == pytest.approx(tank.lower_bound + 0.3 * band)
+        assert releases[j] == pytest.approx(tank.upper_bound - 0.3 * band)
 
 
 def test_margins_keep_release_above_trigger(world):
     rng = np.random.default_rng(0)
     for _ in range(200):
-        margins = margins_for(world, 1.0, rng)
+        triggers, releases = margins_for(world, 1.0, rng)
         for j, station in enumerate(world.stations):
             tank = world.tanks[world.tank_index(station.primary_tank())]
             band = tank.upper_bound - tank.lower_bound
-            assert margins.releases[j] >= margins.triggers[j] + 0.05 * band - 1e-12
+            assert releases[j] >= triggers[j] + 0.05 * band - 1e-12
 
 
 class _FixedDraws:
-    """A generator stand-in whose uniform draws are the given values in turn."""
+    """A generator stand-in whose uniform draws are the given rows in turn."""
 
     def __init__(self, *values):
-        self._values = iter(values)
+        self._values = values
 
     def uniform(self, low, high, size):
-        return np.full(size, next(self._values))
+        return np.array(self._values)[:, None].repeat(size[-1], axis=1)
 
 
 @pytest.mark.parametrize("trigger_draw", [-1.0, 1.0])
@@ -74,10 +74,12 @@ def test_margins_leave_a_tenth_of_the_band_at_the_extreme_draws(
     """At the largest imperfection and either end of both draws, the release
     still sits a tenth of the band above the trigger, so margins need no
     clamp keeping them apart."""
-    margins = margins_for(world, 1.0, _FixedDraws(trigger_draw, release_draw))
+    triggers, releases = margins_for(
+        world, 1.0, _FixedDraws(trigger_draw, release_draw)
+    )
     band = world.compiled.primary_upper - world.compiled.primary_lower
     # Exactly a tenth in real arithmetic at the ceiling, so allow rounding.
-    assert np.all(margins.releases - margins.triggers >= 0.1 * band - 1e-12)
+    assert np.all(releases - triggers >= 0.1 * band - 1e-12)
 
 
 @pytest.mark.parametrize("imperfection", [0.0, DEFAULT_IMPERFECTION, 1.0])
@@ -85,7 +87,7 @@ def test_margins_equal_the_per_station_loop(world, imperfection):
     """The band arithmetic written out one station at a time, as the oracle."""
     rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(50):
-        margins = margins_for(world, imperfection, rng)
+        triggers, releases = margins_for(world, imperfection, rng)
         offsets = np.full((2, world.n_stations), 0.30)
         if imperfection:
             for row in offsets:
@@ -98,8 +100,8 @@ def test_margins_equal_the_per_station_loop(world, imperfection):
             release = tank.upper_bound - band * offsets[1, j]
             if release < trigger + 0.05 * band:
                 release = trigger + 0.05 * band
-            assert margins.triggers[j].tobytes() == trigger.tobytes()
-            assert margins.releases[j].tobytes() == release.tobytes()
+            assert triggers[j].tobytes() == trigger.tobytes()
+            assert releases[j].tobytes() == release.tobytes()
     assert rng.uniform() == oracle_rng.uniform()
 
 
@@ -122,20 +124,19 @@ def _tank_levels_for_watched(world, watched: np.ndarray) -> np.ndarray:
 def test_controller_hysteresis(world):
     margins = margins_for(world, 0.0, np.random.default_rng(0))
     controller = RuleBasedController(world, margins)
-    low = _tank_levels_for_watched(world, margins.triggers - 0.1)
+    triggers, releases = margins
+    low = _tank_levels_for_watched(world, triggers - 0.1)
     controller.reset(low)
     action = controller.act(low)
     np.testing.assert_array_equal(action, np.full(6, DUTY_SPEED))
 
     # Between trigger and release the previous command holds.
-    mid = _tank_levels_for_watched(
-        world, (margins.triggers + margins.releases) / 2.0
-    )
+    mid = _tank_levels_for_watched(world, (triggers + releases) / 2.0)
     action = controller.act(mid)
     np.testing.assert_array_equal(action, np.full(6, DUTY_SPEED))
 
     # Above release everything coasts, and stays off back in the middle.
-    action = controller.act(_tank_levels_for_watched(world, margins.releases + 0.1))
+    action = controller.act(_tank_levels_for_watched(world, releases + 0.1))
     np.testing.assert_array_equal(action, np.zeros(6))
     action = controller.act(mid)
     np.testing.assert_array_equal(action, np.zeros(6))
@@ -144,11 +145,8 @@ def test_controller_hysteresis(world):
 def _nested_where_act(on, watched, margins):
     """The hysteresis step as nested ``np.where``, as ``act`` once computed
     it: the new on-state and the speeds."""
-    on = np.where(
-        watched < margins.triggers,
-        True,
-        np.where(watched > margins.releases, False, on),
-    )
+    triggers, releases = margins
+    on = np.where(watched < triggers, True, np.where(watched > releases, False, on))
     return on, np.where(on, DUTY_SPEED, 0.0)
 
 
@@ -159,9 +157,8 @@ def test_controller_act_equals_the_nested_where(world, lanes):
     shape = () if lanes is None else (lanes,)
     rng = np.random.default_rng(21)
     drawn = [margins_for(world, DEFAULT_IMPERFECTION, rng) for _ in range(lanes or 1)]
-    rows = [np.array([getattr(m, f) for m in drawn]) for f in ("triggers", "releases")]
-    margins = HysteresisMargins(*(a.reshape(*shape, -1) for a in rows))
-    tr, rel = margins.triggers, margins.releases
+    margins = np.stack(drawn, axis=1).reshape(2, *shape, -1)
+    tr, rel = margins
     primary = world.compiled.primary
     candidates = np.stack([tr - 0.1, tr, (tr + rel) / 2, rel, rel + 0.1])
 
@@ -185,19 +182,16 @@ def test_controller_act_equals_the_nested_where(world, lanes):
     assert on.any() and not on.all()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 flows
-def test_a_nan_level_ends_a_controlled_day_in_a_numeric_error(world):
-    # An unbounded pump turns a stopped station's flow into inf * 0 = nan; the
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf flows
+def test_a_nan_level_ends_a_controlled_day_in_a_numeric_error(overflowing_world):
+    # Every pump starts on, tank_1's level turns to nan at the first step, the
     # controller then watches a NaN level, and the day fails as before.
-    station = dataclasses.replace(world.stations[0], max_flow=np.inf)
-    unbounded = dataclasses.replace(world, stations=(station, *world.stations[1:]))
-    margins = margins_for(unbounded, 0.0, np.random.default_rng(0))
-    demands = demands_from_rng(unbounded, np.random.default_rng(0))
-    start = np.full(world.n_tanks, 0.99) * world.compiled.caps  # every pump off
+    world = overflowing_world
+    margins = margins_for(world, 0.0, np.random.default_rng(0))
+    demands = demands_from_rng(world, np.random.default_rng(0))
+    start = np.full(world.n_tanks, 0.01) * world.compiled.caps  # every pump on
     with pytest.raises(NumericError, match="non-finite level"):
-        run_controlled_day(
-            unbounded, start, RuleBasedController(unbounded, margins), demands
-        )
+        run_controlled_day(world, start, RuleBasedController(world, margins), demands)
 
 
 def test_controlled_day_lanes_equal_days_alone(world):
@@ -212,13 +206,7 @@ def test_controlled_day_lanes_equal_days_alone(world):
     lanes = run_controlled_day(
         world,
         np.array([levels for levels, _, _ in days]),
-        RuleBasedController(
-            world,
-            HysteresisMargins(
-                triggers=np.array([m.triggers for _, _, m in days]),
-                releases=np.array([m.releases for _, _, m in days]),
-            ),
-        ),
+        RuleBasedController(world, np.stack([m for _, _, m in days], axis=1)),
         np.array([demands for _, demands, _ in days]),
     )
     assert lanes.states.shape == (STEPS_PER_DAY + 1, 4, world.n_tanks)
@@ -318,23 +306,21 @@ def test_history_csv_round_trip(tmp_path, world):
 
 
 def test_partial_day_rejected():
-    partial = HistoryArchive(
-        days=np.array([0]),
-        levels=np.full((1, 40, 1), 4.0),
-        actions=np.full((1, 40, 1), 0.5),
-        demands=np.full((1, 40, 1), 5.0),
-    )
     with pytest.raises(ValidationError, match="whole"):
-        partial.validate()
+        HistoryArchive(
+            days=np.array([0]),
+            levels=np.full((1, 40, 1), 4.0),
+            actions=np.full((1, 40, 1), 0.5),
+            demands=np.full((1, 40, 1), 5.0),
+        )
 
 
 def test_misordered_archive_rejected(world):
     archive = generate_history(world, days=2, seed=5)
-    shuffled = HistoryArchive(
-        **{name: getattr(archive, name)[::-1] for name in ARCHIVE_ARRAYS}
-    )
     with pytest.raises(ValidationError, match="ordering"):
-        shuffled.validate()
+        HistoryArchive(
+            **{name: getattr(archive, name)[::-1] for name in ARCHIVE_ARRAYS}
+        )
 
 
 def test_load_history_reads_crlf_and_quoted_cells_identically(tmp_path, world):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from pumpsched import (
     AgentKind,
     HybridCase,
-    InjectionPlan,
     ValidationError,
     build_case_pool,
     build_index,
@@ -19,12 +19,14 @@ from pumpsched import (
     inject,
     simulate,
 )
+from pumpsched import hybrid
 from pumpsched.hybrid import (
     STRATEGY_NAMES,
     UNTARGETED_EARLY,
     UNTARGETED_MIDDAY,
     StrategyReport,
     _best_end,
+    _bounds,
     _range_area,
     _region_outcome,
     _state_area,
@@ -106,14 +108,13 @@ def test_detect_violations_at_the_final_state_only_starts_at_the_last_action():
     assert hull == (STEPS_PER_DAY - 1, STEPS_PER_DAY)
 
 
-def test_injection_plan_validation():
-    InjectionPlan(start=0, end=96).validate()
-    with pytest.raises(ValidationError):
-        InjectionPlan(start=5, end=5).validate()
-    with pytest.raises(ValidationError):
-        InjectionPlan(start=-1, end=10).validate()
-    with pytest.raises(ValidationError):
-        InjectionPlan(start=0, end=97).validate()
+def test_injection_plan_validation(world, case_pool):
+    act, case = _mid_band_act_fn(world), case_pool[0]
+    assert inject(world, case, [(0, 96)], act).shape[1] == 1
+    for plan in ((5, 5), (-1, 10), (0, 97)):
+        message = re.escape(f"injection plan [{plan[0]}, {plan[1]}) out of range")
+        with pytest.raises(ValidationError, match=message):
+            inject(world, case, [(0, 96), plan], act)
 
 
 # -- injection mechanics ------------------------------------------------------
@@ -122,7 +123,7 @@ def test_injection_plan_validation():
 def test_inject_preserves_schedule_outside_plan(world, case_pool):
     case = case_pool[0]
     act = _mid_band_act_fn(world)
-    states = inject(world, case, [InjectionPlan(start=20, end=40)], act)
+    states = inject(world, case, [(20, 40)], act)
     assert states.shape == (STEPS_PER_DAY + 1, 1, world.n_tanks)
     states = states[:, 0]
     np.testing.assert_array_equal(states[:21], case.baseline_states[:21])
@@ -139,7 +140,7 @@ def test_inject_closed_loop_sees_its_own_states(world, case_pool):
     # A pure act_fn injected over the whole day equals closed-loop control.
     case = case_pool[0]
     act = _mid_band_act_fn(world)
-    plan = InjectionPlan(start=0, end=STEPS_PER_DAY)
+    plan = (0, STEPS_PER_DAY)
     states = inject(world, case, [plan], act)[:, 0]
     day = _whole_day(world, case, closed_loop(world, AgentKind.DUAL, act))
     np.testing.assert_array_equal(states, day)
@@ -153,9 +154,10 @@ def _whole_day(world, case, act):
 def _rolled_alone(world, case, plan, act_fn):
     """The day under ``plan`` rolled on its own from step 0, one row a step."""
     policy = closed_loop(world, AgentKind.DUAL, act_fn)
+    start, end = plan
 
     def act(t, levels):
-        if plan.start <= t < plan.end:
+        if start <= t < end:
             return policy(t, levels[None])[0]
         return case.baseline_schedule[t]
 
@@ -169,7 +171,7 @@ def test_every_inject_lane_equals_its_plan_injected_alone(world, case_pool, lane
     rng = np.random.default_rng(0)
     starts = [0, STEPS_PER_DAY - 1, *rng.integers(0, STEPS_PER_DAY, 15).tolist()]
     ends = [int(rng.integers(s + 1, STEPS_PER_DAY + 1)) for s in starts]
-    plans = [InjectionPlan(s, e) for s, e in zip(starts, ends)]
+    plans = list(zip(starts, ends))
     caps, clamped = world.compiled.caps, []
     for case in case_pool[:2]:
         for act_fn in (_mid_band_act_fn(world), _flat_out):
@@ -190,11 +192,11 @@ def test_every_inject_lane_equals_its_plan_injected_alone(world, case_pool, lane
 
 def test_regions_partition_the_day(world, case_pool):
     case = case_pool[0]
-    plan = InjectionPlan(*case.hull)
+    plan = case.hull
     states = {plan: inject(world, case, [plan], _mid_band_act_fn(world))[:, 0]}
     outcome = strategy_targeted(world, case, states)
     hs, he = case.hull
-    area = _state_area(case.baseline_states, case.bounds)
+    area = _state_area(case.baseline_states, _bounds(world))
     pre = float(area[1:hs + 1].sum())
     during = outcome.baseline_during_area
     post = outcome.baseline_post_area
@@ -202,7 +204,7 @@ def test_regions_partition_the_day(world, case_pool):
         world, case.baseline_states[0], case.baseline_schedule, case.demands
     )
     np.testing.assert_array_equal(baseline.states, case.baseline_states)
-    total = area_outside_boundary(baseline, case.bounds)
+    total = area_outside_boundary(baseline, _bounds(world))
     assert pre + during + post == pytest.approx(total, abs=1e-9)
 
 
@@ -297,12 +299,12 @@ def _injected_from_first_start(world, case, plans, act_fn):
     """States (97, lanes, n_tanks) of ``plans`` rolled as lanes from the
     earliest plan start, from the baseline's state there, behind the
     baseline's earlier states."""
-    t0, lanes = min(plan.start for plan in plans), len(plans)
+    t0, lanes = min(start for start, _ in plans), len(plans)
     policy = closed_loop(world, AgentKind.DUAL, act_fn)
 
     def act(t, levels):
         action = np.repeat(case.baseline_schedule[t][None], lanes, axis=0)
-        inside = np.array([plan.start <= t < plan.end for plan in plans])
+        inside = np.array([start <= t < end for start, end in plans])
         if inside.any():
             action[inside] = policy(t, levels[inside])
         return action
@@ -322,51 +324,58 @@ def _rolled_per_strategy(world, case, act_fn):
     """The five strategies each rolling their own plans from the earliest of
     them, as the oracle of one roll per case."""
     inject = functools.partial(_injected_from_first_start, world, case)
+    outcome = functools.partial(_region_outcome, world, case)
     hs, he = case.hull
     outcomes = []
     for window, name in (
         (UNTARGETED_EARLY, "untargeted_0_2"),
         (UNTARGETED_MIDDAY, "untargeted_12_14"),
     ):
-        plan = InjectionPlan(*window)
-        states = inject([plan], act_fn)[:, 0]
-        during = (max(plan.start + 1, 1), plan.end)
-        outcomes.append(_region_outcome(case, name, plan, states, during))
-    plan = InjectionPlan(hs, he)
-    states = inject([plan], act_fn)[:, 0]
-    outcomes.append(_region_outcome(case, "targeted", plan, states, (hs + 1, he)))
-    full = inject([InjectionPlan(hs, STEPS_PER_DAY)], act_fn)[:, 0]
+        states = inject([window], act_fn)[:, 0]
+        during = (max(window[0] + 1, 1), window[1])
+        outcomes.append(outcome(name, window, states, during))
+    states = inject([(hs, he)], act_fn)[:, 0]
+    outcomes.append(outcome("targeted", (hs, he), states, (hs + 1, he)))
+    full = inject([(hs, STEPS_PER_DAY)], act_fn)[:, 0]
     e_star, states = _best_end(world, case, full, hs, he)
-    plan = InjectionPlan(hs, e_star)
-    outcomes.append(_region_outcome(case, "dynamic_end", plan, states, (hs + 1, he)))
+    outcomes.append(outcome("dynamic_end", (hs, e_star), states, (hs + 1, he)))
     starts = range(max(0, hs - 16), hs + 1)
-    plans = [InjectionPlan(s, STEPS_PER_DAY) for s in starts]
-    lanes = inject(plans, act_fn)
+    lanes = inject([(s, STEPS_PER_DAY) for s in starts], act_fn)
     during = [
-        _range_area(_state_area(lanes[:, k], case.bounds), hs + 1, he)
+        _range_area(_state_area(lanes[:, k], _bounds(world)), hs + 1, he)
         for k in range(len(starts))
     ]
     k = min(range(len(starts)), key=lambda k: (during[k], -starts[k]))
     e_star, states = _best_end(world, case, lanes[:, k], hs, he)
-    plan = InjectionPlan(starts[k], e_star)
-    outcomes.append(
-        _region_outcome(case, "dynamic_start_end", plan, states, (hs + 1, he))
-    )
+    plan = (starts[k], e_star)
+    outcomes.append(outcome("dynamic_start_end", plan, states, (hs + 1, he)))
     return outcomes
 
 
-def test_one_roll_per_case_equals_a_roll_per_strategy(world, case_pool):
+def test_one_roll_per_case_equals_a_roll_per_strategy(world, case_pool, monkeypatch):
     # Hulls starting before the lookback (hs < 16, the candidate starts clip
-    # at 0 and one of them is untargeted_0_2's start) and reaching the end of
-    # the day (he == 96, the targeted plan is dynamic_end's) among the cases.
+    # at 0 and one of them is untargeted_0_2's start), reaching the end of
+    # the day (he == 96, the targeted plan is dynamic_end's) and equal to
+    # untargeted_12_14's window (one plan key for both) among the cases.
     pool = [*case_pool]
-    for hull in ((5, 12), (70, STEPS_PER_DAY), (5, STEPS_PER_DAY)):
+    for hull in ((5, 12), (70, STEPS_PER_DAY), (5, STEPS_PER_DAY), (48, 56)):
         pool.append(dataclasses.replace(case_pool[1], case_id=len(pool), hull=hull))
     hulls = [case.hull for case in pool]
     assert any(hs < 16 for hs, _ in hulls)
     assert any(he == STEPS_PER_DAY for _, he in hulls)
+    assert UNTARGETED_MIDDAY in hulls
+    rolled = []  # the plans of each inject call, which rolls no plan twice
+
+    def recorded(topology, case, plans, act_fn):
+        rolled.append(plans)
+        return inject(topology, case, plans, act_fn)
+
+    monkeypatch.setattr(hybrid, "inject", recorded)
     for act_fn in (_mid_band_act_fn(world), _flat_out):
         report = evaluate_strategies(world, pool, act_fn)
+        assert len(rolled) == len(pool)
+        assert [len(set(plans)) for plans in rolled] == [len(p) for p in rolled]
+        rolled.clear()
         for case in pool:
             for expected in _rolled_per_strategy(world, case, act_fn):
                 got = report.outcomes[expected.strategy][case.case_id]
@@ -387,7 +396,7 @@ def test_untargeted_windows_fixed(report):
 def test_untargeted_names_its_window_and_rejects_any_other(world, case_pool):
     act = _mid_band_act_fn(world)
     case = case_pool[0]
-    plans = [InjectionPlan(*UNTARGETED_EARLY), InjectionPlan(*UNTARGETED_MIDDAY)]
+    plans = [UNTARGETED_EARLY, UNTARGETED_MIDDAY]
     lanes = inject(world, case, plans, act)
     states = {plan: lanes[:, k].copy() for k, plan in enumerate(plans)}
     for window, name in (
@@ -424,7 +433,7 @@ def test_evaluate_strategies_rejects_empty_pool(world):
 def _full_injection(world, case, start=None, act=None):
     """The case's day with ``act`` (the mid-band push) injected from ``start``
     (the hull start) to the end of the day."""
-    plan = InjectionPlan(case.hull[0] if start is None else start, STEPS_PER_DAY)
+    plan = (case.hull[0] if start is None else start, STEPS_PER_DAY)
     act = _mid_band_act_fn(world) if act is None else act
     return inject(world, case, [plan], act)[:, 0]
 
@@ -467,13 +476,13 @@ def test_predict_resume_matches_resimulation(world, case_pool):
 
 def _reference_best_end(world, case, full, hs, he):
     """The per-end search as one loop, each resume re-simulated on its own."""
-    full_area = _state_area(full, case.bounds)
+    full_area = _state_area(full, _bounds(world))
     best_e, best_total = he, np.inf
     for e in range(he, STEPS_PER_DAY + 1):
         tail = 0.0
         if e < STEPS_PER_DAY:
             states = _resimulated(world, case, full, e)
-            area = _exceedance(states[1:], case.bounds).sum(axis=1) * DT_HOURS
+            area = _exceedance(states[1:], _bounds(world)).sum(axis=1) * DT_HOURS
             tail = float(area.sum())
         total = float(full_area[hs + 1 : e + 1].sum()) + tail
         if total < best_total:
@@ -504,7 +513,7 @@ def test_best_end_tails_equal_a_reference_loop(world, case_pool):
                     clamped.append(bool(at_limit.any()))
                 e_star, states = _best_end(world, case, full, hs, end)
                 assert e_star == _reference_best_end(world, case, full, hs, end)
-                fresh = inject(world, case, [InjectionPlan(start, e_star)], act)
+                fresh = inject(world, case, [(start, e_star)], act)
                 assert states.tobytes() == fresh[:, 0].tobytes()
         # No end is left to search once the hull reaches the end of the day.
         e_star, states = _best_end(world, case, full, hs, STEPS_PER_DAY)

@@ -69,7 +69,7 @@ def test_episode_cost_flat_tariff(tiny_world, zero_demands):
     schedule = np.zeros((STEPS_PER_DAY, 2))
     schedule[:, 0] = 1.0
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
-    expected = 200.0 * 0.25 * sum(tiny_world.tariff.values)
+    expected = 200.0 * 0.25 * sum(tiny_world.tariff)
     assert episode_cost(traj, tiny_world) == pytest.approx(expected, abs=1e-9)
 
 

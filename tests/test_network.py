@@ -8,7 +8,6 @@ from pumpsched import (
     DemandZoneSpec,
     PumpStationSpec,
     TankSpec,
-    TariffSchedule,
     SchemaError,
     ValidationError,
     demands_from_rng,
@@ -25,7 +24,6 @@ def test_synthetic_network_sizing(world):
     assert world.n_tanks == 6
     assert world.n_stations == 6
     assert world.n_zones == 18
-    world.validate()
 
 
 def test_synthetic_network_deterministic():
@@ -37,34 +35,33 @@ def test_synthetic_network_deterministic():
 def test_synthetic_network_seed_sensitivity():
     a = generate_synthetic_network(seed=42)
     b = generate_synthetic_network(seed=43)
-    assert a.tariff.values != b.tariff.values
+    assert a.tariff != b.tariff
 
 
 def test_tariff_shape_and_spread(world):
-    values = np.array(world.tariff.values)
+    values = np.array(world.tariff)
     assert values.shape == (STEPS_PER_DAY,)
     assert values.min() < values.max()
     assert np.all(values >= 0)
 
 
 def test_tariff_two_tier_pattern(world):
-    values = np.array(world.tariff.values)
+    values = np.array(world.tariff)
     night = np.concatenate([values[:28], values[88:]])
     day = values[28:88]
     assert night.max() < day.min()
 
 
 def test_tank_bounds_validation():
-    tank = TankSpec(
-        id="t3",
-        surface_area=100.0,
-        level_max_physical=8.0,
-        lower_bound=5.0,
-        upper_bound=4.0,
-        initial_level=3.0,
-    )
     with pytest.raises(ValidationError, match="t3"):
-        tank.validate()
+        TankSpec(
+            id="t3",
+            surface_area=100.0,
+            level_max_physical=8.0,
+            lower_bound=5.0,
+            upper_bound=4.0,
+            initial_level=3.0,
+        )
 
 
 def test_zone_unknown_tank_rejected(world):
@@ -76,14 +73,15 @@ def test_zone_unknown_tank_rejected(world):
         evening_peak=0.5,
         noise_scale=0.1,
     )
-    broken = dataclasses.replace(world, zones=world.zones[:-1] + (bad_zone,))
     with pytest.raises(ValidationError, match="no_such_tank"):
-        broken.validate()
+        dataclasses.replace(world, zones=world.zones[:-1] + (bad_zone,))
 
 
-def test_tariff_rejects_constant():
-    with pytest.raises(ValidationError):
-        TariffSchedule(values=tuple([0.1] * STEPS_PER_DAY)).validate()
+def test_tariff_rejects_constant(world):
+    obj = topology_to_dict(world)
+    obj["tariff"] = [0.1] * STEPS_PER_DAY
+    with pytest.raises(ValidationError, match="tariff: min must be strictly below"):
+        topology_from_dict(obj)
 
 
 def test_network_json_round_trip(tmp_path, world):
@@ -118,7 +116,7 @@ def test_compiled_topology_is_held_on_the_instance(tmp_path, world):
         assert getattr(c, name).tolist() == [getattr(t, attr) for t in world.tanks]
     rated = [station.rated_power for station in world.stations]
     assert c.energy_span.tolist() == [r * DT_HOURS for r in rated]
-    tariff = world.tariff.values
+    tariff = world.tariff
     lo, hi = min(tariff), max(tariff)
     assert c.tariff.tolist() == list(tariff)
     assert c.tariff_norm.tolist() == [(v - lo) / (hi - lo) for v in tariff]

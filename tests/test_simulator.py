@@ -134,10 +134,10 @@ def test_single_step_mass_balance(tiny_world):
     # The tiny-world tariff is 0.1 in the first half of the day, 0.2 after.
     assert day["costs"][0] == pytest.approx(200.0 * DT_HOURS * 0.2)
 
-    result = _env_first_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0)
-    assert result.info["t"] == 1
-    assert result.info["step_cost"] == pytest.approx(200.0 * DT_HOURS * 0.1)
-    np.testing.assert_array_equal(result.observation, traj.states[1] / 8.0)
+    obs, _, _, info = _env_first_step(tiny_world, [4.0, 4.0], [1.0, 0.0], 200.0)
+    assert info["t"] == 1
+    assert info["step_cost"] == pytest.approx(200.0 * DT_HOURS * 0.1)
+    np.testing.assert_array_equal(obs, traj.states[1] / 8.0)
 
 
 def test_step_rejects_finished_day(tiny_world, zero_demands):
@@ -183,8 +183,10 @@ def test_step_rejects_bad_shapes(tiny_world, zero_demands):
         env.step(np.zeros(3))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 flows
-def test_non_finite_levels_raise_numeric_error(tiny_world, zero_demands):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf flows
+def test_non_finite_levels_raise_numeric_error(
+    tiny_world, zero_demands, overflowing_world
+):
     schedule = np.zeros((STEPS_PER_DAY, 2))
     with pytest.raises(NumericError):
         simulate(tiny_world, np.array([np.nan, 4.0]), schedule, zero_demands)
@@ -197,15 +199,16 @@ def test_non_finite_levels_raise_numeric_error(tiny_world, zero_demands):
         )
     with pytest.raises(NumericError):
         _env_first_step(tiny_world, [np.nan, 4.0], [0.0, 0.0], 0.0)
-    # An unbounded pump turns a stopped station's flow into inf * 0 = nan.
-    s1, s2 = tiny_world.stations
-    unbounded = dataclasses.replace(
-        tiny_world, stations=(dataclasses.replace(s1, max_flow=np.inf), s2)
-    )
+    # No station can be unbounded; two fills and two draws of one tank at the
+    # largest finite flows overflow to inf - inf = nan.
+    with pytest.raises(ValidationError, match="max_flow must be finite"):
+        dataclasses.replace(tiny_world.stations[0], max_flow=np.inf)
+    world, full = overflowing_world, np.ones(6)
+    start, demands = world.compiled.initial_levels, flat_demands(world, 0.0)
     with pytest.raises(NumericError):
-        simulate(unbounded, np.array([4.0, 4.0]), schedule, zero_demands)
+        simulate(world, start, np.tile(full, (STEPS_PER_DAY, 1)), demands)
     with pytest.raises(NumericError):
-        _env_first_step(unbounded, [4.0, 4.0], [0.0, 0.0], 0.0)
+        _env_first_step(world, start, full, 0.0)
 
 
 def test_full_day_cost_oracle(tiny_world, zero_demands):
@@ -215,7 +218,7 @@ def test_full_day_cost_oracle(tiny_world, zero_demands):
     schedule = np.zeros((STEPS_PER_DAY, 2))
     schedule[:, 0] = 1.0
     traj = simulate(tiny_world, np.array([4.0, 4.0]), schedule, zero_demands)
-    expected = 200.0 * 0.25 * sum(tiny_world.tariff.values)
+    expected = 200.0 * 0.25 * sum(tiny_world.tariff)
     assert expected == pytest.approx(720.0)
     costs = step_costs(tiny_world.compiled, traj.actions)
     assert costs.sum() == pytest.approx(expected, abs=1e-9)
@@ -301,9 +304,9 @@ def test_step_matches_hand_balance(tiny_world, speeds, demand, level):
     cost = step_costs(tiny_world.compiled, traj.actions)[0]
     assert cost == pytest.approx(energy * 0.2, abs=1e-9)
 
-    result = _env_first_step(tiny_world, [level, level], speeds, demand)
-    np.testing.assert_allclose(result.observation * 8.0, expect, atol=1e-9)
-    assert result.info["step_cost"] == pytest.approx(energy * 0.1, abs=1e-9)
+    obs, _, _, info = _env_first_step(tiny_world, [level, level], speeds, demand)
+    np.testing.assert_allclose(obs * 8.0, expect, atol=1e-9)
+    assert info["step_cost"] == pytest.approx(energy * 0.1, abs=1e-9)
 
 
 def _inside_the_rails(topology, traj):
@@ -635,10 +638,10 @@ def _episode_through_the_env(spec, params, seed, iteration, idx):
         logp = gaussian_logp(raw, mean, params.log_sigma)[0]
         reward = 0.0
         for _ in range(spec.frame_skip):
-            result = env.step(np.clip(raw, 0.0, 1.0))
-            reward += result.reward
-        rows.append((obs, raw, logp, reward, value, float(result.done)))
-        obs = result.observation
+            next_obs, step_reward, done, _ = env.step(np.clip(raw, 0.0, 1.0))
+            reward += step_reward
+        rows.append((obs, raw, logp, reward, value, float(done)))
+        obs = next_obs
     return [np.array(column) for column in zip(*rows)]
 
 

@@ -2,8 +2,9 @@
 package exports no name that it does not use itself and resolves each one
 lazily, each CLI command loads only the layers it runs, the CLI defines no
 flag that its commands do not read, the archive holds no field that nothing
-reads, the power model has one copy, and the declared Python version has
-every standard-library module imported."""
+reads, the power model has one copy, a record is checked only when it is
+made, and the declared Python version has every standard-library module
+imported."""
 
 import argparse
 import ast
@@ -394,6 +395,25 @@ def test_only_the_power_model_reads_rated_power():
             visitor.visit(ast.parse(path.read_text(), filename=str(path)))
             readers |= {f"{path.stem}.{scope}" for scope in visitor.readers}
     assert readers == {"simulate.step_powers"}
+
+
+def test_no_record_defines_or_calls_a_validate_method():
+    """Every record checks its invariants in ``__post_init__``, so one that
+    exists is valid; a ``validate`` method would be a second way to check it,
+    and one that a caller could forget."""
+    found = set()
+    for path in sorted((ROOT / "src" / "pumpsched").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                found |= {
+                    f"{path.stem}.{node.name}.validate"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "validate"
+                }
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "validate":
+                    found.add(f"{path.stem}: call at line {node.lineno}")
+    assert found == set()
 
 
 # Standard-library modules newer than Python 3.10, each with the version that

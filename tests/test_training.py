@@ -135,7 +135,7 @@ def test_train_config_defaults_match_contract():
 )
 def test_train_config_rejects_bad_values(overrides):
     with pytest.raises(ValidationError):
-        _cfg(**overrides).validate()
+        _cfg(**overrides)
 
 
 def test_env_spec_dimensions(tiny_world):
@@ -149,8 +149,8 @@ def test_env_spec_dimensions(tiny_world):
     assert dual.decisions_per_episode == 12
 
     for window in (7, 0, -3):
-        with pytest.raises(ValidationError):
-            _ = EnvSpec(topology=tiny_world, frame_skip=window).decisions_per_episode
+        with pytest.raises(ValidationError, match="frame-skip window must divide"):
+            EnvSpec(topology=tiny_world, frame_skip=window)
 
 
 # -- rollout collection -----------------------------------------------------------
